@@ -110,41 +110,6 @@ def test_rs_k2m2_encode_speedup_floor(benchmark, emit):
     )
 
 
-def test_rs_batch_encode_amortization(benchmark, emit):
-    """Batched burst encode: identical bytes, one parity pass for the burst."""
-    codec = ReedSolomonCode(3, 2)
-    rng = np.random.default_rng(11)
-    burst = [
-        rng.integers(0, 256, size=int(n), dtype=np.uint8).tobytes()
-        for n in rng.integers(1 * 1024, 64 * 1024, size=64)
-    ]
-
-    batched = codec.encode_views_batch(burst)
-    for payload, frags in zip(burst, batched):
-        singles = codec.encode_views(payload)
-        assert [bytes(f) for f in frags] == [bytes(f) for f in singles]
-
-    t0 = time.perf_counter()
-    for _ in range(5):
-        codec.encode_views_batch(burst)
-    batch_wall = (time.perf_counter() - t0) / 5
-    t0 = time.perf_counter()
-    for _ in range(5):
-        for payload in burst:
-            codec.encode_views(payload)
-    single_wall = (time.perf_counter() - t0) / 5
-
-    benchmark.pedantic(lambda: codec.encode_views_batch(burst), rounds=3, iterations=1)
-    total_mb = sum(len(p) for p in burst) / MB
-    emit(
-        "RS(3+2) burst encode — batched vs per-stripe\n"
-        f"  burst:         {len(burst)} stripes, {total_mb:.2f} MiB total\n"
-        f"  per-stripe:    {total_mb / single_wall:.1f} MB/s\n"
-        f"  batched:       {total_mb / batch_wall:.1f} MB/s "
-        f"({single_wall / batch_wall:.2f}x)"
-    )
-
-
 def test_fmsr_functional_repair_throughput(benchmark):
     codec = FMSRCode(4)
     fragments = codec.encode(PAYLOAD)

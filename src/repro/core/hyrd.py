@@ -26,10 +26,9 @@ from repro.core.config import HyRDConfig
 from repro.core.dispatcher import RequestDispatcher
 from repro.core.evaluator import CostPerformanceEvaluator
 from repro.core.monitor import FileClass, WorkloadMonitor
-from repro.erasure.codec import ErasureCodec, get_codec
 from repro.fs.namespace import FileEntry
 from repro.metrics.collector import OpReport
-from repro.schemes.base import CloudOp, Scheme
+from repro.schemes.base import CloudOp, Placement, Scheme
 from repro.sim.clock import SimClock
 
 __all__ = ["HyRDClient"]
@@ -73,82 +72,45 @@ class HyRDClient(Scheme):
         self._hot: dict[str, tuple[str, int]] = {}
         self._hot_digests: dict[str, str] = {}
         self._pending_promotion: tuple[str, bytes] | None = None
-        self._codec_instances: dict[tuple[str, tuple[tuple[str, int], ...]], ErasureCodec] = {}
 
     # ----------------------------------------------------------- placement
-    def _codec_for(self, entry: FileEntry) -> ErasureCodec | None:
-        """Codec the entry was *written* with.
-
-        Reconstructed from the entry's recorded parameters, not from the
-        dispatcher's current choice: after a re-evaluation or a provider
-        decommission the dispatcher may stripe differently, but existing
-        objects must keep decoding with their original geometry.
-        """
-        if entry.codec == "replication":
-            return None
-        key = (entry.codec, entry.codec_params)
-        codec = self._codec_instances.get(key)
-        if codec is None:
-            params = dict(entry.codec_params)
-            if entry.codec == "raid5":
-                codec = get_codec("raid5", k=params["k"])
-            elif entry.codec == "rs":
-                codec = get_codec("rs", k=params["k"], m=params["m"])
-            elif entry.codec == "fmsr":
-                codec = get_codec("fmsr", n=params["k"] + params["m"], k=params["k"])
-            else:
-                raise ValueError(f"unknown codec {entry.codec!r} on {entry.path!r}")
-            self._codec_instances[key] = codec
-        return codec
-
-    def _put_file(self, path: str, data: bytes, prev: FileEntry | None) -> FileEntry:
+    def _place(self, path: str, size: int, prev: FileEntry | None) -> Placement:
         # Zero-duration marker (the sim charges no time for local placement
         # logic): lets the attribution analyzer pin the dispatcher's
         # classify/decide step inside the op's queueing lead-in.
-        with self.tracer.span("dispatch.decide", size=len(data)):
-            klass = self.monitor.observe(len(data))
+        with self.tracer.span("dispatch.decide", size=size):
+            klass = self.monitor.observe(size)
             decision = self.dispatcher.decide(klass)
-        version = prev.version + 1 if prev else 1
-        if decision.codec is None:
-            placements, digests = self._write_replicated(
-                path, data, list(decision.providers), version
-            )
+        codec = decision.codec
+        if codec is None:
             codec_name = "replication"
             codec_params: tuple[tuple[str, int], ...] = (
                 ("r", self.config.replication_level),
             )
         else:
-            placements, digests = self._write_striped(
-                path, data, decision.codec, list(decision.providers), version
-            )
             codec_name = self.config.erasure_codec
-            codec_params = (("k", decision.codec.k), ("m", decision.codec.n - decision.codec.k))
-        self._drop_hot_copy(path)
-        now = self.clock.now
-        return FileEntry(
-            path=path,
-            size=len(data),
-            version=version,
-            codec=codec_name,
-            codec_params=codec_params,
-            placements=tuple(placements),
+            codec_params = (("k", codec.k), ("m", codec.n - codec.k))
+        return Placement(
+            providers=decision.providers,
             klass=klass.value,
-            created=prev.created if prev else now,
-            modified=now,
+            codec=codec,
+            codec_name=codec_name,
+            codec_params=codec_params,
             access_count=prev.access_count if prev else 0,
-            digests=digests,
         )
 
+    def _write_placement(
+        self, path: str, data: bytes, placement: Placement, version: int
+    ) -> tuple[list[tuple[str, int]], tuple[str, ...]]:
+        written = super()._write_placement(path, data, placement, version)
+        # Any promoted copy is of the version this write supersedes.
+        self._drop_hot_copy(path)
+        return written
+
     # ----------------------------------------------------------------- read
-    def _read_file(self, entry: FileEntry) -> tuple[bytes, bool]:
+    def _read_object(self, entry: FileEntry) -> tuple[bytes, bool]:
         if entry.codec == "replication":
-            return self._read_replicated(
-                entry.path,
-                entry.size,
-                list(entry.providers),
-                entry.version,
-                digest=entry.digests[0] if entry.digests else None,
-            )
+            return super()._read_object(entry)
         data, degraded = self._read_large(entry)
         # Promotion check uses the access count *including* this read.
         promoted_count = entry.access_count + 1
@@ -222,38 +184,22 @@ class HyRDClient(Scheme):
                             return outcome.data, False
                     # Hot copy raced an outage or was corrupted: fall
                     # through to the verified stripe.
-        return self._read_striped(
-            entry.path,
-            entry.size,
-            codec,
-            list(entry.placements),
-            entry.version,
-            digests=entry.digests or None,
-        )
+        return super()._read_object(entry)
 
-    # --------------------------------------------------------------- update
-    def _update_file(
-        self, entry: FileEntry, offset: int, patch: bytes, new_content: bytes
-    ) -> FileEntry:
-        if entry.codec != "replication" and len(new_content) == entry.size:
-            codec = self._codec_for(entry)
-            assert codec is not None
-            self._drop_hot_copy(entry.path)
-            return self._rmw_striped(entry, offset, patch, new_content, codec)
-        # Small files — and any size-changing write — are re-put wholesale;
-        # _put_file re-classifies, so a small file growing past the threshold
-        # migrates to the erasure stripe automatically.
-        return self._put_file(entry.path, new_content, entry)
+    def _rank_providers_by_index(self, by_index, size, codec) -> list[int]:
+        # Slot order *is* HyRD's read preference, whatever the codec: the
+        # dispatcher puts the first k slots on the cheapest-egress providers
+        # (§III-B), so a non-systematic stripe reads those too instead of
+        # chasing the fastest k.
+        return sorted(by_index)
 
-    # --------------------------------------------------------------- remove
-    def _remove_file(self, entry: FileEntry) -> None:
-        self._remove_placements(
-            entry.path,
-            list(entry.placements),
-            entry.version,
-            replicated=entry.codec == "replication",
-        )
-        self._drop_hot_copy(entry.path)
+    # ------------------------------------------------------ update / remove
+    def _rmw_striped(self, entry, offset, patch, new_content, codec) -> FileEntry:
+        self._drop_hot_copy(entry.path)  # its content is about to go stale
+        return super()._rmw_striped(entry, offset, patch, new_content, codec)
+
+    def _forget(self, path: str) -> None:
+        self._drop_hot_copy(path)
 
     # ------------------------------------------------------------- metadata
     def _meta_write_targets(self) -> list[str]:

@@ -54,7 +54,7 @@ class SchedulerConfig:
         codec: picking one forces a real matrix decode where a systematic
         join would do.  1.0 makes parity and data fragments equals (the
         right setting for non-systematic codes; applied automatically when
-        the caller flags the codec non-systematic).
+        ``codec.systematic`` is False).
     rotation_margin:
         Fractional score slack for the split policy: any usable fragment
         scoring within ``(1 + margin)`` of the k-th best joins the rotation
@@ -253,7 +253,6 @@ class FragmentScheduler:
         size: int,
         codec,
         usable,
-        systematic: bool = True,
     ) -> ReadDecision:
         """Schedule one striped read of ``key``.
 
@@ -263,6 +262,7 @@ class FragmentScheduler:
         inputs, same subset, byte-identical payloads.
         """
         cfg = self.config
+        systematic = codec.systematic
         frag = codec.fragment_size(size)
         scores: dict[int, float] = {}
         for idx in sorted(by_index):

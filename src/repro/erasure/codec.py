@@ -9,7 +9,7 @@ reconstruct the payload.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Mapping
 
 __all__ = ["ErasureCodec", "register_codec", "get_codec", "available_codecs"]
 
@@ -37,6 +37,17 @@ class ErasureCodec(ABC):
         """How many simultaneous fragment losses are survivable."""
         return self.n - self.k
 
+    @property
+    def systematic(self) -> bool:
+        """Whether fragments ``0..k-1`` are the payload's own shards.
+
+        A systematic code reads its data fragments first (a plain join, no
+        arithmetic) and can be patched in place by rewriting only the shards
+        a write touches plus parity; a non-systematic code (FMSR) reads the
+        fastest k fragments and must re-encode the whole object.
+        """
+        return True
+
     @abstractmethod
     def encode(self, data: bytes) -> list[bytes]:
         """Encode ``data`` into exactly ``n`` fragments (index = position)."""
@@ -52,20 +63,6 @@ class ErasureCodec(ABC):
         :meth:`encode`.
         """
         return list(self.encode(data))
-
-    def encode_views_batch(
-        self, payloads: Sequence[bytes]
-    ) -> list[list[bytes | memoryview]]:
-        """Encode a burst of payloads; fragment list per payload, in order.
-
-        Contents are byte-identical to calling :meth:`encode_views` per
-        payload — the contract batching must never change.  Codecs whose
-        encode has per-call fixed costs worth amortising (matrix binding,
-        kernel tile ramp-up) override this to run one batched parity pass
-        over the whole burst; ``ReedSolomonCode`` does.  The default is the
-        straightforward loop.
-        """
-        return [self.encode_views(p) for p in payloads]
 
     @abstractmethod
     def decode(self, fragments: Mapping[int, bytes], size: int) -> bytes:

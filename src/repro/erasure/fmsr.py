@@ -79,6 +79,11 @@ class FMSRCode(ErasureCodec):
         return self._k
 
     @property
+    def systematic(self) -> bool:
+        """False: every fragment is a random combination of all native chunks."""
+        return False
+
+    @property
     def chunks_per_node(self) -> int:
         return self._r
 

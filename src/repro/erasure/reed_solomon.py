@@ -24,18 +24,11 @@ from repro.erasure.gfkernel import gf_matmul_fast, plan_for
 from repro.erasure.striping import (
     join_fragments,
     join_shards,
-    shard_length,
     split_shards,
     split_views,
 )
 
 __all__ = ["ReedSolomonCode"]
-
-#: payloads above this are encoded individually by ``encode_views_batch`` —
-#: they already saturate the kernel on their own, and concatenating them
-#: into one shard matrix would just burn memory bandwidth on the copy
-_BATCH_MAX_PAYLOAD = 256 * 1024
-
 
 class ReedSolomonCode(ErasureCodec):
     """RS(k, m): k data fragments + m parity fragments, MDS."""
@@ -107,51 +100,6 @@ class ReedSolomonCode(ErasureCodec):
         views: list[bytes | memoryview] = [memoryview(r) for r in rows]
         views.extend(memoryview(parity[j]) for j in range(self._n - self._k))
         return views
-
-    def encode_views_batch(
-        self, payloads: Sequence[bytes]
-    ) -> list[list[bytes | memoryview]]:
-        """Encode a write burst with one batched parity pass.
-
-        Small stripes are concatenated column-wise into a single shard
-        matrix so the kernel runs once over the whole burst instead of
-        paying per-call fixed costs per stripe; each stripe's parity is then
-        sliced back out (contiguous rows of the shared buffer).  Fragments
-        are byte-identical to per-payload :meth:`encode_views`.  Payloads
-        larger than ``_BATCH_MAX_PAYLOAD`` — or degenerate bursts — fall
-        back to individual encodes.
-        """
-        small = [
-            i
-            for i, p in enumerate(payloads)
-            if 0 < len(p) <= _BATCH_MAX_PAYLOAD
-        ]
-        if self._n == self._k or len(small) < 2:
-            return [self.encode_views(p) for p in payloads]
-        lengths = [shard_length(len(payloads[i]), self._k) for i in small]
-        offsets = [0]
-        for ln in lengths:
-            offsets.append(offsets[-1] + ln)
-        total = offsets[-1]
-        mat = np.zeros((self._k, total), dtype=np.uint8)
-        for pos, i in enumerate(small):
-            mat[:, offsets[pos] : offsets[pos + 1]] = split_shards(
-                payloads[i], self._k
-            )
-        parity = self._parity_for(list(mat), total)  # (m, total)
-        out: list[list[bytes | memoryview] | None] = [None] * len(payloads)
-        for pos, i in enumerate(small):
-            rows = split_views(payloads[i], self._k)
-            views: list[bytes | memoryview] = [memoryview(r) for r in rows]
-            views.extend(
-                memoryview(parity[j, offsets[pos] : offsets[pos + 1]])
-                for j in range(self._n - self._k)
-            )
-            out[i] = views
-        for i, p in enumerate(payloads):
-            if out[i] is None:
-                out[i] = self.encode_views(p)
-        return out  # type: ignore[return-value]
 
     def _decode_matrix(self, indices: tuple[int, ...]) -> np.ndarray:
         """Inverse of the generator rows for ``indices`` (LRU-cached per subset)."""

@@ -1,8 +1,9 @@
 """Replication expressed as an (n, 1) erasure code.
 
-DuraCloud (n = 2), DepSky (n = 4), and HyRD's small-file/metadata path
-(n = replication level) all use this codec, so every scheme in the repo
-shares one fragment-placement code path.
+The registry's ``"replication"`` entry, exercised by the codec-level tests
+(round-trip, reconstruction, registry lookup).  No scheme routes data
+through it: the schemes write replicas as whole-object copies under one
+key (``Scheme._write_replicated``), with no fragment framing.
 """
 
 from __future__ import annotations

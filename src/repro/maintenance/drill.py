@@ -93,10 +93,9 @@ def run_maintenance_drill(
     victims = scheme.namespace.paths()[::damage_every]
     for i, path in enumerate(victims):
         entry = scheme.namespace.get(path)
-        replicated = entry.codec == "replication"
         pick = int(rng.integers(0, len(entry.placements)))
         prov_name, idx = entry.placements[pick]
-        key = scheme._placement_storage_key(entry, idx, replicated)
+        key = scheme._placement_storage_key(entry, idx)
         provider = providers[prov_name]
         kind = _DAMAGE_KINDS[i % len(_DAMAGE_KINDS)]
         if kind == "lose":

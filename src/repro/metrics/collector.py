@@ -54,15 +54,6 @@ class OpReport:
                 raise ValueError(f"{name} must be >= 0, got {value}")
 
 
-class _CountersView(dict):
-    """Read-compatible snapshot view of the registry's unlabeled counters.
-
-    Kept as a real ``dict`` subclass so legacy callers that printed or
-    compared ``collector.counters`` keep working; mutation should go through
-    :meth:`LatencyCollector.bump`.
-    """
-
-
 @dataclass
 class LatencyCollector:
     """Aggregates :class:`OpReport` streams for one scheme run.
@@ -92,7 +83,7 @@ class LatencyCollector:
         metrics — per-provider request/error counters and the like — are
         queried through :attr:`registry` instead.)
         """
-        return _CountersView(self.registry.counters())
+        return self.registry.counters()
 
     def add(self, report: OpReport) -> None:
         self.reports.append(report)

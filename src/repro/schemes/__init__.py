@@ -2,7 +2,9 @@
 
 All schemes share one substrate (simulated providers, fair-share client
 link, metered billing) and one public API (:class:`repro.schemes.base.Scheme`)
-so that Figure 4 (cost) and Figure 6 (latency) compare like with like:
+so that Figure 4 (cost) and Figure 6 (latency) compare like with like.  A
+scheme is a *placement policy* (``Scheme._place`` returns a ``Placement``:
+which providers, which redundancy); the base class owns the data path.
 
 - :class:`SingleCloudScheme` -- one provider, no redundancy (the baselines'
   baseline; Amazon S3 is Figure 6's normalisation reference)
@@ -15,7 +17,7 @@ so that Figure 4 (cost) and Figure 6 (latency) compare like with like:
 
 from typing import Any
 
-from repro.schemes.base import DataUnavailable, Scheme
+from repro.schemes.base import DataUnavailable, Placement, Scheme
 from repro.schemes.depsky import DepSkyScheme
 from repro.schemes.depsky_ca import DepSkyCAScheme
 from repro.schemes.duracloud import DuraCloudScheme
@@ -40,6 +42,7 @@ __all__ = [
     "DuraCloudScheme",
     "HyrdScheme",
     "NCCloudScheme",
+    "Placement",
     "RacsScheme",
     "Scheme",
     "SingleCloudScheme",

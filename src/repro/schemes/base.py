@@ -13,8 +13,10 @@ into *phases* of concurrent provider requests.  The engine here:
   redundancy, and charges metadata reads on client-cache misses,
 - emits an :class:`repro.metrics.OpReport` per operation.
 
-Concrete schemes mostly just pick *placements* via the replicated/striped
-helpers provided here.
+A concrete scheme declares a *placement policy* — :meth:`Scheme._place`
+says where an object goes and with which redundancy — and the engine owns
+the one data path: put / read / update / remove are implemented here once,
+driven by the codec each :class:`~repro.fs.namespace.FileEntry` records.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from repro.cloud.provider import SimulatedProvider
 from repro.core.recovery import LoggedWrite, WriteLog
 from repro.core.resilience import CircuitBreaker, ProviderHealth, ResilienceConfig
 from repro.erasure import gfkernel
-from repro.erasure.codec import ErasureCodec
+from repro.erasure.codec import ErasureCodec, get_codec
 from repro.faults.crash import ClientCrash, CrashSchedule
 from repro.fs.journal import IntentJournal
 from repro.fs.metadata import MetadataStore, group_key, is_group_key
@@ -61,6 +63,7 @@ __all__ = [
     "ObjectAudit",
     "OpOutcome",
     "PhaseResult",
+    "Placement",
     "RepairResult",
     "Scheme",
     "VerifyFinding",
@@ -222,6 +225,29 @@ class CloudOp:
             raise ValueError(f"unknown op kind {self.kind!r}")
         if self.kind == "put" and self.data is None:
             raise ValueError("put op requires data")
+
+
+@dataclass(frozen=True)
+class Placement:
+    """Where a new object version goes and with which redundancy.
+
+    This is all a scheme decides (:meth:`Scheme._place`); the engine does
+    the I/O.  ``codec`` is None for replication — one whole copy per
+    provider — otherwise fragment ``i`` of the encoded object lands on
+    ``providers[i]``.  ``codec_name`` / ``codec_params`` / ``klass`` are
+    recorded verbatim on the :class:`~repro.fs.namespace.FileEntry`, so
+    every later read, update, audit and repair rebuilds the codec from the
+    entry alone (:meth:`Scheme._codec_for`), never from today's policy.
+    """
+
+    providers: tuple[str, ...]
+    klass: str
+    codec: ErasureCodec | None = None
+    codec_name: str = "replication"
+    codec_params: tuple[tuple[str, int], ...] = ()
+    #: read count the new version starts from: HyRD carries the previous
+    #: version's over (it drives hot-copy promotion); baselines restart at 0
+    access_count: int = 0
 
 
 @dataclass
@@ -442,7 +468,8 @@ class Scheme(ABC):
     #: placements in place; True re-puts the whole object as a new version
     #: instead — for schemes whose per-placement objects cannot be rebuilt
     #: in isolation (DepSky-CA bundles carry secret shares drawn fresh per
-    #: sharing, and shares from two sharings do not combine)
+    #: sharing, and shares from two sharings do not combine).  For the same
+    #: reason such a scheme never patches a stripe in place on ``update``.
     repair_by_rewrite: bool = False
 
     def __init__(
@@ -515,6 +542,10 @@ class Scheme(ABC):
         #: reads that return the identical stored buffer
         self._digest_cache = _DigestCache()
         self._payload_cache = _PayloadCache()
+        #: codecs rebuilt from entries' recorded (name, params), see _codec_for
+        self._codec_instances: dict[
+            tuple[str, tuple[tuple[str, int], ...]], ErasureCodec
+        ] = {}
         self._acc: _OpAcc | None = None
         self._meta_sizes: dict[str, int] = {}
         #: tenant attribution for the op currently in flight — set via
@@ -1280,8 +1311,22 @@ class Scheme(ABC):
         return report
 
     # ----------------------------------------------------- placement helpers
-    def _fragment_key(self, path: str, index: int, version: int) -> str:
-        return f"{path}#v{version}.{index}"
+    @staticmethod
+    def _version_key(path: str, version: int) -> str:
+        """``path#vN``: the key replicas are stored under, and the stem of
+        a coded version's fragment keys (and of its payload-cache entry)."""
+        return f"{path}#v{version}"
+
+    @classmethod
+    def _fragment_key(cls, path: str, index: int, version: int) -> str:
+        return f"{cls._version_key(path, version)}.{index}"
+
+    def _placement_storage_key(self, entry: FileEntry, idx: int) -> str:
+        """Storage key of ``entry``'s placement ``idx``: replicas share one
+        key per version, coded fragments get one each."""
+        if entry.codec == "replication":
+            return self._version_key(entry.path, entry.version)
+        return self._fragment_key(entry.path, idx, entry.version)
 
     @staticmethod
     def _digest(data: bytes) -> str:
@@ -1335,11 +1380,10 @@ class Scheme(ABC):
         covers every intended replica.
         """
         self._heal_before_touching(set(providers))
-        key = f"{key_base}#v{version}"
+        key = self._version_key(key_base, version)
         self._journal_plan(
             version=version,
             codec_name="replication",
-            replicated=True,
             min_needed=1,
             sites=tuple((p, key) for p in providers),
         )
@@ -1351,6 +1395,22 @@ class Scheme(ABC):
             self._run_phase(ops)
         digest = self._record_digest(key, data)
         return [(p, i) for i, p in enumerate(providers)], (digest,) * len(providers)
+
+    def _quorum_phase(self, ops: list[CloudOp], quorum: int) -> PhaseResult:
+        """Run ``ops`` and acknowledge at the ``quorum``-th fastest success.
+
+        Stragglers complete in the background, so the clock advances to the
+        quorum's completion, not the phase maximum; with fewer successes
+        than ``quorum`` the op waits for the last one and is degraded.
+        """
+        phase = self._run_phase(ops, advance=False)
+        finishes = sorted(o.finish for o in phase.succeeded())
+        if len(finishes) >= quorum:
+            self.clock.advance(finishes[quorum - 1])
+        elif finishes:
+            self.clock.advance(finishes[-1])
+            self._mark_degraded()
+        return phase
 
     def _read_replicated(
         self,
@@ -1373,7 +1433,7 @@ class Scheme(ABC):
         replica once the primary overruns its estimated p95 latency — the
         first intact response wins.
         """
-        key = f"{key_base}#v{version}"
+        key = self._version_key(key_base, version)
         ranked = self._rank_providers(list(providers), size, "down", adaptive=True)
         degraded = False
         last_error: Exception | None = None
@@ -1554,7 +1614,6 @@ class Scheme(ABC):
         self._journal_plan(
             version=version,
             codec_name=type(codec).__name__,
-            replicated=False,
             min_needed=codec.k,
             sites=tuple(
                 (p, self._fragment_key(key_base, i, version))
@@ -1572,7 +1631,9 @@ class Scheme(ABC):
             fragments,
         )
         if isinstance(data, bytes):
-            self._payload_cache.record(f"{key_base}#v{version}", fragments, data)
+            self._payload_cache.record(
+                self._version_key(key_base, version), fragments, data
+            )
         return [(p, i) for i, p in enumerate(providers)], digests
 
     def _read_striped(
@@ -1582,11 +1643,14 @@ class Scheme(ABC):
         codec: ErasureCodec,
         placements: list[tuple[str, int]],
         version: int,
-        prefer_systematic: bool = True,
         digests: tuple[str, ...] | None = None,
     ) -> tuple[bytes, bool]:
         """Fetch k fragments and decode; reconstruct through parity when
         a preferred provider is out (the degraded read of §III-C).
+
+        A systematic codec prefers its data fragments (a plain join); a
+        non-systematic one (FMSR) decodes from any k, so it takes the k
+        fastest.
 
         With ``digests``, every fetched fragment is verified and a corrupt
         one counts as an erasure — reconstruction routes around silent
@@ -1609,7 +1673,7 @@ class Scheme(ABC):
             return self._verify_digest(key, data, digests[idx])
 
         order = sorted(by_index)  # systematic data fragments first
-        if not prefer_systematic:
+        if not codec.systematic:
             order = self._rank_providers_by_index(by_index, size, codec)
         preferred = order[: codec.k]
         # Degraded means a fragment the static policy wanted was out of
@@ -1618,10 +1682,7 @@ class Scheme(ABC):
         degraded = any(not usable(i) for i in preferred)
         decision = None
         if self.scheduler is not None:
-            decision = self.scheduler.decide(
-                key_base, by_index, size, codec, usable,
-                systematic=prefer_systematic,
-            )
+            decision = self.scheduler.decide(key_base, by_index, size, codec, usable)
             if len(decision.order) >= codec.k:
                 order = list(decision.order)
                 self._note_sched_decision(decision, by_index)
@@ -1687,7 +1748,9 @@ class Scheme(ABC):
             raise DataUnavailable(key_base, "lost fragments mid-read")
         if degraded:
             self._mark_degraded()
-        cached = self._payload_cache.lookup(f"{key_base}#v{version}", fragments)
+        cached = self._payload_cache.lookup(
+            self._version_key(key_base, version), fragments
+        )
         if cached is not None:
             # Every fetched fragment is the exact object encoded at write
             # time, so the decode result is provably the cached payload.
@@ -1742,7 +1805,6 @@ class Scheme(ABC):
         self._journal_plan(
             version=entry.version,
             codec_name=type(codec).__name__,
-            replicated=False,
             min_needed=0,
             sites=tuple(
                 (
@@ -1800,11 +1862,10 @@ class Scheme(ABC):
         # The rewritten keys freed their old stored objects, so the stale
         # payload entry must go; re-record only when every fragment was
         # rewritten (otherwise some recorded ids would be dangling views).
-        self._payload_cache.discard(f"{entry.path}#v{entry.version}")
+        cache_key = self._version_key(entry.path, entry.version)
+        self._payload_cache.discard(cache_key)
         if isinstance(new_content, bytes) and len(touched_set) == codec.n:
-            self._payload_cache.record(
-                f"{entry.path}#v{entry.version}", fragments, new_content
-            )
+            self._payload_cache.record(cache_key, fragments, new_content)
         return replace(entry, modified=self.clock.now, digests=tuple(new_digests))
 
     def _note_sched_decision(self, decision, by_index: dict[int, str]) -> None:
@@ -1982,19 +2043,20 @@ class Scheme(ABC):
             key=lambda i: self._estimate_latency(by_index[i], frag_size, "down"),
         )
 
-    def _remove_placements(
-        self, key_base: str, placements: list[tuple[str, int]], version: int, replicated: bool
-    ) -> None:
-        self._heal_before_touching({p for p, _ in placements})
-        ops = []
-        for prov, idx in placements:
-            key = (
-                f"{key_base}#v{version}"
-                if replicated
-                else self._fragment_key(key_base, idx, version)
-            )
-            ops.append(CloudOp(prov, "remove", self.container, key))
-        self._run_phase(ops)
+    def _remove_placements(self, entry: FileEntry) -> None:
+        """Delete every stored object of ``entry``'s version."""
+        self._heal_before_touching(set(entry.providers))
+        self._run_phase(
+            [
+                CloudOp(
+                    prov,
+                    "remove",
+                    self.container,
+                    self._placement_storage_key(entry, idx),
+                )
+                for prov, idx in entry.placements
+            ]
+        )
 
     # --------------------------------------------------- metadata management
     @abstractmethod
@@ -2153,13 +2215,9 @@ class Scheme(ABC):
             if entries:
                 self._meta_sizes[directory] = len(blob)
                 self.meta.touch(directory)
-        self._after_namespace_recovery()
         report = self._end_op("recover", "namespace")
         self.collector.add(report)
         return report
-
-    def _after_namespace_recovery(self) -> None:
-        """Hook for schemes that keep per-object client state (NCCloud)."""
 
     def _journaled_meta_blob(self, directory: str) -> bytes | None:
         """Redo image of ``directory``'s group from a pending intent, if any."""
@@ -2289,12 +2347,7 @@ class Scheme(ABC):
         prev = self.namespace.lookup(path)
         data = bytes(data)
         self._journal_arm("put", path, prev, data)
-        entry = self._put_file(path, data, prev)
-        self.namespace.upsert(entry)
-        if prev is not None and self._placement_changed(prev, entry):
-            self._remove_stale_fragments(prev)
-        self._persist_metadata(dirname(path))
-        self._journal_commit()
+        self._publish(prev, self._write_object(path, data, prev))
         report = self._end_op("put", path)
         self.collector.add(report)
         return report
@@ -2306,7 +2359,7 @@ class Scheme(ABC):
         self._begin_op()
         self._fetch_metadata(dirname(path))
         entry = self.namespace.get(path)
-        data, _degraded = self._read_file(entry)
+        data, _degraded = self._read_object(entry)
         if not isinstance(data, bytes):
             data = bytes(data)  # materialize zero-copy buffers at the API edge
         self.namespace.upsert(entry.touched())
@@ -2333,12 +2386,7 @@ class Scheme(ABC):
         buf[offset : offset + len(patch)] = patch
         new_content = bytes(buf)
         self._journal_arm("update", path, entry, new_content)
-        new_entry = self._update_file(entry, offset, patch, new_content)
-        self.namespace.upsert(new_entry)
-        if self._placement_changed(entry, new_entry):
-            self._remove_stale_fragments(entry)
-        self._persist_metadata(dirname(path))
-        self._journal_commit()
+        self._publish(entry, self._update_object(entry, offset, patch, new_content))
         report = self._end_op("update", path)
         self.collector.add(report)
         return report
@@ -2353,19 +2401,18 @@ class Scheme(ABC):
         # Removes know their plan up front: the keys being deleted.  A
         # crashed remove always rolls forward (the client already acked
         # nothing, and half-deleted redundancy is worthless).
-        codec = self._codec_for(entry)
         self._journal_plan(
             version=entry.version,
             codec_name=entry.codec,
-            replicated=codec is None,
             min_needed=0,
             sites=tuple(
-                (prov, self._placement_storage_key(entry, idx, codec is None))
+                (prov, self._placement_storage_key(entry, idx))
                 for prov, idx in entry.placements
             ),
         )
-        self._payload_cache.discard(f"{entry.path}#v{entry.version}")
-        self._remove_file(entry)
+        self._payload_cache.discard(self._version_key(path, entry.version))
+        self._remove_placements(entry)
+        self._forget(path)
         self._persist_metadata(dirname(path))
         self._journal_commit()
         report = self._end_op("remove", path)
@@ -2405,11 +2452,7 @@ class Scheme(ABC):
         codec = self._codec_for(entry)
         for prov, idx in entry.placements:
             store = self.provider(prov).store
-            key = (
-                f"{entry.path}#v{entry.version}"
-                if codec is None
-                else self._fragment_key(entry.path, idx, entry.version)
-            )
+            key = self._placement_storage_key(entry, idx)
             # A pending write-log entry supersedes whatever the provider
             # currently stores: the stored object is stale until the
             # consistency update replays the log.
@@ -2443,34 +2486,131 @@ class Scheme(ABC):
 
     def _remove_stale_fragments(self, old: FileEntry) -> None:
         """Garbage-collect the previous version's objects."""
-        self._payload_cache.discard(f"{old.path}#v{old.version}")
-        codec = self._codec_for(old)
-        self._remove_placements(
-            old.path, list(old.placements), old.version, replicated=codec is None
-        )
+        self._payload_cache.discard(self._version_key(old.path, old.version))
+        self._remove_placements(old)
+
+    def _publish(self, prev: FileEntry | None, entry: FileEntry) -> None:
+        """Flip the namespace to ``entry``: collect the version it
+        supersedes, persist the directory group, fulfil the journal intent."""
+        self.namespace.upsert(entry)
+        if prev is not None and self._placement_changed(prev, entry):
+            self._remove_stale_fragments(prev)
+        self._persist_metadata(dirname(entry.path))
+        self._journal_commit()
 
     # --------------------------------------------------------- scheme policy
     @abstractmethod
+    def _place(self, path: str, size: int, prev: FileEntry | None) -> Placement:
+        """Where the next version of ``path`` (``size`` bytes, superseding
+        ``prev``) goes, and with which redundancy."""
+
+    def _forget(self, path: str) -> None:
+        """``path`` was removed: drop any per-object client state the
+        scheme keeps beside the namespace (hot copies, evolved codecs)."""
+
     def _codec_for(self, entry: FileEntry) -> ErasureCodec | None:
-        """Codec used for this entry's data (None = replication)."""
+        """Codec the entry was *written* with (None = replication).
 
-    @abstractmethod
-    def _put_file(self, path: str, data: bytes, prev: FileEntry | None) -> FileEntry:
-        """Place a new version of ``path``; returns the new entry."""
+        Rebuilt from the entry's recorded name and parameters, never from
+        the scheme's current policy: after a re-evaluation or a provider
+        decommission new objects may stripe differently, but existing ones
+        must keep decoding with their original geometry.
+        """
+        if entry.codec == "replication":
+            return None
+        key = (entry.codec, entry.codec_params)
+        codec = self._codec_instances.get(key)
+        if codec is None:
+            params = dict(entry.codec_params)
+            k = params["k"]
+            if entry.codec == "raid5":
+                codec = get_codec("raid5", k=k)
+            elif entry.codec == "rs":
+                codec = get_codec("rs", k=k, m=params["m"])
+            elif entry.codec == "fmsr":
+                codec = get_codec("fmsr", n=k + params["m"], k=k)
+            else:
+                raise ValueError(f"unknown codec {entry.codec!r} on {entry.path!r}")
+            self._codec_instances[key] = codec
+        return codec
 
-    @abstractmethod
-    def _read_file(self, entry: FileEntry) -> tuple[bytes, bool]:
+    # -------------------------------------------------------- the data path
+    def _write_object(
+        self, path: str, data: bytes, prev: FileEntry | None
+    ) -> FileEntry:
+        """Place and write a new version of ``path``; returns its entry."""
+        placement = self._place(path, len(data), prev)
+        version = prev.version + 1 if prev else 1
+        placements, digests = self._write_placement(path, data, placement, version)
+        now = self.clock.now
+        return FileEntry(
+            path=path,
+            size=len(data),
+            version=version,
+            codec=placement.codec_name,
+            codec_params=placement.codec_params,
+            placements=tuple(placements),
+            klass=placement.klass,
+            created=prev.created if prev else now,
+            modified=now,
+            access_count=placement.access_count,
+            digests=digests,
+        )
+
+    def _write_placement(
+        self, path: str, data: bytes, placement: Placement, version: int
+    ) -> tuple[list[tuple[str, int]], tuple[str, ...]]:
+        """Put the objects ``placement`` calls for; ``(placements, digests)``."""
+        if placement.codec is None:
+            return self._write_replicated(
+                path, data, list(placement.providers), version
+            )
+        return self._write_striped(
+            path, data, placement.codec, list(placement.providers), version
+        )
+
+    def _read_object(self, entry: FileEntry) -> tuple[bytes, bool]:
         """Fetch and reconstruct content; returns (data, degraded)."""
+        codec = self._codec_for(entry)
+        if codec is None:
+            return self._read_replicated(
+                entry.path,
+                entry.size,
+                list(entry.providers),
+                entry.version,
+                digest=entry.digests[0] if entry.digests else None,
+            )
+        return self._read_striped(
+            entry.path,
+            entry.size,
+            codec,
+            list(entry.placements),
+            entry.version,
+            digests=entry.digests or None,
+        )
 
-    @abstractmethod
-    def _remove_file(self, entry: FileEntry) -> None:
-        """Delete the entry's objects from the clouds."""
-
-    def _update_file(
+    def _update_object(
         self, entry: FileEntry, offset: int, patch: bytes, new_content: bytes
     ) -> FileEntry:
-        """Default partial-update: rewrite the whole object."""
-        return self._put_file(entry.path, new_content, entry)
+        """Partial write: patch the stripe in place when the codec allows
+        it, otherwise re-put the composed object as a new version.
+
+        In-place read-modify-write needs fixed shard boundaries (same size)
+        and a systematic layout (a patch maps to the data fragments it
+        touches plus parity); a non-systematic stripe, a replicated object,
+        a size change, or a scheme whose placements cannot be rebuilt in
+        isolation (``repair_by_rewrite``) all re-put — and a re-put
+        re-places, so a small file growing past a threshold migrates.
+        """
+        codec = self._codec_for(entry)
+        if (
+            codec is not None
+            and codec.systematic
+            and len(new_content) == entry.size
+            and not self.repair_by_rewrite
+        ):
+            return self._rmw_striped(entry, offset, patch, new_content, codec)
+        return self._write_object(entry.path, new_content, entry)
 
     # ------------------------------------------------------- maintenance plane
     def attach_maintenance(self, config=None, *, loop=None, ledger=None):
@@ -2547,7 +2687,6 @@ class Scheme(ABC):
         *,
         version: int,
         codec_name: str,
-        replicated: bool,
         min_needed: int,
         sites: tuple[tuple[str, str], ...],
     ) -> None:
@@ -2566,7 +2705,7 @@ class Scheme(ABC):
             path=ctx.path,
             version=version,
             codec=codec_name,
-            replicated=replicated,
+            replicated=codec_name == "replication",
             min_needed=min_needed,
             sites=sites,
             payload=ctx.payload,
@@ -2722,11 +2861,8 @@ class Scheme(ABC):
             entry = self.namespace.lookup(path)
             if entry is None:
                 continue
-            codec = self._codec_for(entry)
-            for prov, idx in entry.placements:
-                expected.add(
-                    self._placement_storage_key(entry, idx, codec is None)
-                )
+            for _prov, idx in entry.placements:
+                expected.add(self._placement_storage_key(entry, idx))
         expected |= self._extra_expected_keys()
         return expected
 
@@ -2779,21 +2915,10 @@ class Scheme(ABC):
             self.collector.add(report)
         return removed
 
-    def _placement_storage_key(self, entry: FileEntry, idx: int, replicated: bool) -> str:
-        return (
-            f"{entry.path}#v{entry.version}"
-            if replicated
-            else self._fragment_key(entry.path, idx, entry.version)
-        )
-
     def _expected_digest(self, entry: FileEntry, idx: int) -> str | None:
         if entry.digests and idx < len(entry.digests):
             return entry.digests[idx]
         return None
-
-    def _min_needed(self, entry: FileEntry, codec: ErasureCodec | None) -> int:
-        """Intact placements required to reconstruct ``entry``'s payload."""
-        return 1 if codec is None else codec.k
 
     @_public_op
     def verify_object(self, path: str, deep: bool = True) -> ObjectAudit:
@@ -2818,12 +2943,10 @@ class Scheme(ABC):
     def _audit_entry(self, entry: FileEntry, deep: bool) -> ObjectAudit:
         """Audit one entry inside the current op accounting."""
         codec = self._codec_for(entry)
-        replicated = codec is None
-        min_needed = self._min_needed(entry, codec)
         findings: list[VerifyFinding] = []
         probe_sites: list[tuple[str, int, str]] = []
         for prov, idx in entry.placements:
-            key = self._placement_storage_key(entry, idx, replicated)
+            key = self._placement_storage_key(entry, idx)
             if self._is_stale(prov, self.container, key):
                 findings.append(VerifyFinding(entry.path, prov, key, "stale", idx))
             elif not self._provider_usable(prov):
@@ -2867,7 +2990,7 @@ class Scheme(ABC):
             checked=checked,
             bytes_verified=bytes_verified,
             total=len(entry.placements),
-            min_needed=min_needed,
+            min_needed=1 if codec is None else codec.k,
         )
 
     @_public_op
@@ -2898,7 +3021,6 @@ class Scheme(ABC):
         if audit is None or audit.version != entry.version:
             audit = self._audit_entry(entry, deep=True)
         codec = self._codec_for(entry)
-        replicated = codec is None
         targets: list[VerifyFinding] = []
         skipped_pending: list[VerifyFinding] = []
         skipped_unreachable: list[VerifyFinding] = []
@@ -2917,16 +3039,11 @@ class Scheme(ABC):
             targets.append(f)
         bytes_written = 0
         if targets and self.repair_by_rewrite:
-            data, _degraded = self._read_file(entry)
+            data, _degraded = self._read_object(entry)
             up_before = self._acc.bytes_up
             data = bytes(data)
             self._journal_arm("put", path, entry, data)
-            new_entry = self._put_file(entry.path, data, entry)
-            self.namespace.upsert(new_entry)
-            if self._placement_changed(entry, new_entry):
-                self._remove_stale_fragments(entry)
-            self._persist_metadata(dirname(path))
-            self._journal_commit()
+            self._publish(entry, self._write_object(path, data, entry))
             bytes_written = self._acc.bytes_up - up_before
             repaired = tuple(targets)
             # The rewrite supersedes the old version wholesale, pending
@@ -2934,8 +3051,8 @@ class Scheme(ABC):
             skipped_pending = []
             skipped_unreachable = []
         elif targets:
-            data, _degraded = self._read_file(entry)
-            if replicated:
+            data, _degraded = self._read_object(entry)
+            if codec is None:
                 ops = [
                     CloudOp(f.provider, "put", self.container, f.key, data)
                     for f in targets
@@ -2961,7 +3078,9 @@ class Scheme(ABC):
                 bytes_written += phase.bytes_up
                 # The rewritten keys rebound to fresh buffers: the stale
                 # payload-cache entry must go before ids can be recycled.
-                self._payload_cache.discard(f"{entry.path}#v{entry.version}")
+                self._payload_cache.discard(
+                    self._version_key(path, entry.version)
+                )
                 for f, outcome in zip(targets, phase.outcomes):
                     if outcome.ok:
                         self._record_digest(f.key, fragments[f.fragment])
@@ -2991,7 +3110,7 @@ class Scheme(ABC):
         """Re-place one object under the scheme's *current* placement policy.
 
         Read through the old placement (degraded reconstruction if needed),
-        write through :meth:`_put_file` — which consults whatever placement
+        write through :meth:`_write_object` — which consults whatever placement
         the scheme would choose for a fresh write today — then garbage-collect
         the old fragments.  Atomic per key: the namespace flips to the new
         entry only after the new placement is fully written, so a crash
@@ -3000,16 +3119,11 @@ class Scheme(ABC):
         path = normalize_path(path)
         self._begin_op()
         entry = self.namespace.get(path)
-        data, _degraded = self._read_file(entry)
+        data, _degraded = self._read_object(entry)
         if not isinstance(data, bytes):
             data = bytes(data)
         self._journal_arm("put", path, entry, data)
-        new_entry = self._put_file(path, data, entry)
-        self.namespace.upsert(new_entry)
-        if self._placement_changed(entry, new_entry):
-            self._remove_stale_fragments(entry)
-        self._persist_metadata(dirname(path))
-        self._journal_commit()
+        self._publish(entry, self._write_object(path, data, entry))
         report = self._end_op("migrate", path)
         self.collector.add(report)
         return report

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from repro.cloud.latency import ClientLink
 from repro.cloud.provider import SimulatedProvider
-from repro.erasure.codec import ErasureCodec
 from repro.fs.namespace import FileEntry
-from repro.schemes.base import CloudOp, DataUnavailable, Scheme
+from repro.schemes.base import CloudOp, DataUnavailable, Placement, Scheme
 from repro.sim.clock import SimClock
 
 __all__ = ["DepSkyScheme"]
@@ -53,50 +52,45 @@ class DepSkyScheme(Scheme):
         return len(self.replicas) - self.f
 
     # ----------------------------------------------------------- placement
-    def _codec_for(self, entry: FileEntry) -> ErasureCodec | None:
-        return None
+    def _place(self, path: str, size: int, prev: FileEntry | None) -> Placement:
+        return Placement(providers=tuple(self.replicas), klass="quorum")
 
-    def _quorum_write(self, key: str, data: bytes) -> list[tuple[str, int]]:
-        self._heal_before_touching(set(self.replicas))
-        ops = [CloudOp(p, "put", self.container, key, data) for p in self.replicas]
-        phase = self._run_phase(ops, advance=False)
-        finishes = sorted(o.finish for o in phase.succeeded())
-        if len(finishes) >= self.write_quorum:
-            # Ack at the quorum; stragglers complete in the background.
-            self.clock.advance(finishes[self.write_quorum - 1])
-        elif finishes:
-            self.clock.advance(finishes[-1])
-            self._mark_degraded()
-        return [(p, i) for i, p in enumerate(self.replicas)]
+    def _meta_write_targets(self) -> list[str]:
+        return list(self.replicas)
 
-    def _put_file(self, path: str, data: bytes, prev: FileEntry | None) -> FileEntry:
-        version = prev.version + 1 if prev else 1
-        key = f"{path}#v{version}"
+    # ------------------------------------------------------ quorum protocol
+    def _write_replicated(
+        self, key_base: str, data: bytes, providers: list[str], version: int
+    ) -> tuple[list[tuple[str, int]], tuple[str, ...]]:
+        """Scatter to every cloud, acknowledge at the ``n - f`` quorum."""
+        key = self._version_key(key_base, version)
         self._journal_plan(
             version=version,
             codec_name="replication",
-            replicated=True,
             min_needed=1,
-            sites=tuple((p, key) for p in self.replicas),
+            sites=tuple((p, key) for p in providers),
         )
-        placements = self._quorum_write(key, data)
-        now = self.clock.now
-        return FileEntry(
-            path=path,
-            size=len(data),
-            version=version,
-            codec="replication",
-            placements=tuple(placements),
-            klass="quorum",
-            created=prev.created if prev else now,
-            modified=now,
-            digests=(self._digest(data),) * len(placements),
+        self._heal_before_touching(set(providers))
+        self._quorum_phase(
+            [CloudOp(p, "put", self.container, key, data) for p in providers],
+            self.write_quorum,
+        )
+        return (
+            [(p, i) for i, p in enumerate(providers)],
+            (self._digest(data),) * len(providers),
         )
 
-    def _read_file(self, entry: FileEntry) -> tuple[bytes, bool]:
+    def _read_replicated(
+        self,
+        key_base: str,
+        size: int,
+        providers: list[str],
+        version: int,
+        digest: str | None = None,
+    ) -> tuple[bytes, bool]:
         """Fetch from the fastest available cloud + verify f version probes."""
-        key = f"{entry.path}#v{entry.version}"
-        ranked = self._rank_providers(list(entry.providers), entry.size, "down")
+        key = self._version_key(key_base, version)
+        ranked = self._rank_providers(list(providers), size, "down")
         degraded = False
         for name in ranked:
             if not self.provider(name).is_available() or self._is_stale(
@@ -115,19 +109,11 @@ class DepSkyScheme(Scheme):
             phase = self._run_phase(ops)
             outcome = phase.outcomes[0]
             if outcome.ok and outcome.data is not None:
-                if entry.digests and self._digest(outcome.data) != entry.digests[0]:
+                if digest is not None and self._digest(outcome.data) != digest:
                     degraded = True  # corrupt replica fails verification
                     continue
                 if degraded:
                     self._mark_degraded()
                 return outcome.data, degraded
             degraded = True
-        raise DataUnavailable(entry.path, f"no quorum replica reachable ({ranked})")
-
-    def _remove_file(self, entry: FileEntry) -> None:
-        self._remove_placements(
-            entry.path, list(entry.placements), entry.version, replicated=True
-        )
-
-    def _meta_write_targets(self) -> list[str]:
-        return list(self.replicas)
+        raise DataUnavailable(key_base, f"no quorum replica reachable ({ranked})")

@@ -23,10 +23,9 @@ import json
 
 from repro.cloud.latency import ClientLink
 from repro.cloud.provider import SimulatedProvider
-from repro.erasure.codec import ErasureCodec
 from repro.erasure.reed_solomon import ReedSolomonCode
 from repro.fs.namespace import FileEntry
-from repro.schemes.base import CloudOp, DataUnavailable, Scheme
+from repro.schemes.base import CloudOp, DataUnavailable, Placement, Scheme
 from repro.security.cipher import keystream_cipher, random_key
 from repro.security.secret_sharing import combine_secret, share_secret
 from repro.sim.clock import SimClock
@@ -41,8 +40,9 @@ class DepSkyCAScheme(Scheme):
 
     # A bundle cannot be rebuilt in isolation: its key share comes from one
     # specific sharing, and shares from two different sharings of the same
-    # key do not combine.  Repair re-puts the whole object (fresh encrypt +
-    # share + encode) instead of patching single placements.
+    # key do not combine.  Repair — and a partial update — re-puts the whole
+    # object (fresh encrypt + share + encode) instead of patching single
+    # placements.
     repair_by_rewrite = True
 
     def __init__(
@@ -63,9 +63,6 @@ class DepSkyCAScheme(Scheme):
         self.clouds = list(self.provider_names)
         n = len(self.clouds)
         self.codec = ReedSolomonCode(k=f + 1, m=n - (f + 1))
-        #: per-(path, version) data-encryption keys, as the client would
-        #: cache them; the authoritative copies are the shares in the clouds.
-        self._keys: dict[tuple[str, int], bytes] = {}
 
     @property
     def write_quorum(self) -> int:
@@ -90,38 +87,41 @@ class DepSkyCAScheme(Scheme):
         return fragment, share, header["share_index"]
 
     # ----------------------------------------------------------- placement
-    def _codec_for(self, entry: FileEntry) -> ErasureCodec | None:
-        # Bundles are bespoke objects; generic helpers must not re-frame them.
-        return None
+    def _place(self, path: str, size: int, prev: FileEntry | None) -> Placement:
+        # Recorded as RS(f+1, n-f-1): bundles live under fragment keys and
+        # f+1 of them reconstruct, exactly what the generic audit assumes.
+        return Placement(
+            providers=tuple(self.clouds),
+            klass="confidential",
+            codec=self.codec,
+            codec_name="rs",
+            codec_params=(("k", self.codec.k), ("m", self.codec.n - self.codec.k)),
+        )
 
-    def _placement_storage_key(self, entry: FileEntry, idx: int, replicated: bool) -> str:
-        # Bundles live under fragment keys even though _codec_for is None.
-        return self._fragment_key(entry.path, idx, entry.version)
-
-    def _min_needed(self, entry: FileEntry, codec: ErasureCodec | None) -> int:
-        # f+1 bundles reconstruct: k RS fragments and k key shares each.
-        return self.f + 1
-
-    def _put_file(self, path: str, data: bytes, prev: FileEntry | None) -> FileEntry:
-        version = prev.version + 1 if prev else 1
+    # ------------------------------------------------------ bundle protocol
+    def _write_placement(
+        self, path: str, data: bytes, placement: Placement, version: int
+    ) -> tuple[list[tuple[str, int]], tuple[str, ...]]:
+        """Encrypt, share the key, encode, and quorum-write one bundle per
+        cloud; the digests are the *bundles'*."""
+        clouds = placement.providers
         # f+1 landed bundles reconstruct (fragment + share each), so that is
         # the roll-forward threshold after a crash mid-scatter.
         self._journal_plan(
             version=version,
-            codec_name=type(self.codec).__name__,
-            replicated=False,
+            codec_name=type(placement.codec).__name__,
             min_needed=self.f + 1,
             sites=tuple(
                 (cloud, self._fragment_key(path, i, version))
-                for i, cloud in enumerate(self.clouds)
+                for i, cloud in enumerate(clouds)
             ),
         )
         key = random_key(self.rng)
         ciphertext = keystream_cipher(key, data)
-        fragments = self.codec.encode(ciphertext)
-        shares = share_secret(key, n=len(self.clouds), k=self.f + 1, rng=self.rng)
+        fragments = placement.codec.encode(ciphertext)
+        shares = share_secret(key, n=len(clouds), k=self.f + 1, rng=self.rng)
 
-        self._heal_before_touching(set(self.clouds))
+        self._heal_before_touching(set(clouds))
         ops = [
             CloudOp(
                 cloud,
@@ -130,34 +130,15 @@ class DepSkyCAScheme(Scheme):
                 self._fragment_key(path, i, version),
                 self._bundle(fragments[i], shares[i], i),
             )
-            for i, cloud in enumerate(self.clouds)
+            for i, cloud in enumerate(clouds)
         ]
-        phase = self._run_phase(ops, advance=False)
-        finishes = sorted(o.finish for o in phase.succeeded())
-        if len(finishes) >= self.write_quorum:
-            self.clock.advance(finishes[self.write_quorum - 1])
-        elif finishes:
-            self.clock.advance(finishes[-1])
-            self._mark_degraded()
-
-        self._keys[(path, version)] = key
-        self._keys.pop((path, version - 1), None)
-        now = self.clock.now
-        bundle_digests = tuple(self._digest(op.data or b"") for op in ops)
-        return FileEntry(
-            path=path,
-            size=len(data),
-            version=version,
-            codec="rs",
-            codec_params=(("k", self.codec.k), ("m", self.codec.n - self.codec.k)),
-            placements=tuple((cloud, i) for i, cloud in enumerate(self.clouds)),
-            klass="confidential",
-            created=prev.created if prev else now,
-            modified=now,
-            digests=bundle_digests,
+        self._quorum_phase(ops, self.write_quorum)
+        return (
+            [(cloud, i) for i, cloud in enumerate(clouds)],
+            tuple(self._digest(op.data or b"") for op in ops),
         )
 
-    def _read_file(self, entry: FileEntry) -> tuple[bytes, bool]:
+    def _read_object(self, entry: FileEntry) -> tuple[bytes, bool]:
         by_index = {idx: prov for prov, idx in entry.placements}
         need = self.codec.k
         order = self._rank_providers_by_index(by_index, entry.size, self.codec)
@@ -233,10 +214,8 @@ class DepSkyCAScheme(Scheme):
         if len(fragments) < need:
             raise DataUnavailable(entry.path, "lost bundles mid-read")
         key = combine_secret(shares, k=self.f + 1)
-        cipher_len = self.codec.fragment_size(entry.size) * self.codec.k
         # Ciphertext length equals plaintext length; decode to it exactly.
         ciphertext = self.codec.decode(fragments, entry.size)
-        _ = cipher_len
         data = keystream_cipher(key, ciphertext)
         if degraded:
             self._mark_degraded()
@@ -259,24 +238,7 @@ class DepSkyCAScheme(Scheme):
                 fragments[idx] = fragment
                 shares[share_index] = share
         ciphertext = self.codec.decode(fragments, entry.size)
-        key = self._keys.get((entry.path, entry.version))
-        if key is None:
-            key = combine_secret(shares, k=self.f + 1)
-        return keystream_cipher(key, ciphertext)
-
-    def _remove_file(self, entry: FileEntry) -> None:
-        self._remove_placements(
-            entry.path, list(entry.placements), entry.version, replicated=False
-        )
-        self._keys.pop((entry.path, entry.version), None)
-
-    def _remove_stale_fragments(self, old: FileEntry) -> None:
-        # Bundles live under fragment keys even though _codec_for is None
-        # (they are bespoke framed objects, not generic replicas).
-        self._remove_placements(
-            old.path, list(old.placements), old.version, replicated=False
-        )
-        self._keys.pop((old.path, old.version), None)
+        return keystream_cipher(combine_secret(shares, k=self.f + 1), ciphertext)
 
     # ------------------------------------------------------------- metadata
     def _meta_write_targets(self) -> list[str]:

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from repro.cloud.latency import ClientLink
 from repro.cloud.provider import SimulatedProvider
-from repro.erasure.codec import ErasureCodec
 from repro.fs.namespace import FileEntry
-from repro.schemes.base import Scheme
+from repro.schemes.base import Placement, Scheme
 from repro.sim.clock import SimClock
 
 __all__ = ["DuraCloudScheme"]
@@ -60,40 +59,8 @@ class DuraCloudScheme(Scheme):
         self.replicas = self.provider_names[:replication_level]
 
     # ----------------------------------------------------------- placement
-    def _codec_for(self, entry: FileEntry) -> ErasureCodec | None:
-        return None
-
-    def _put_file(self, path: str, data: bytes, prev: FileEntry | None) -> FileEntry:
-        version = prev.version + 1 if prev else 1
-        placements, digests = self._write_replicated(
-            path, data, self.replicas, version
-        )
-        now = self.clock.now
-        return FileEntry(
-            path=path,
-            size=len(data),
-            version=version,
-            codec="replication",
-            placements=tuple(placements),
-            klass="replicated",
-            created=prev.created if prev else now,
-            modified=now,
-            digests=digests,
-        )
-
-    def _read_file(self, entry: FileEntry) -> tuple[bytes, bool]:
-        return self._read_replicated(
-            entry.path,
-            entry.size,
-            list(entry.providers),
-            entry.version,
-            digest=entry.digests[0] if entry.digests else None,
-        )
-
-    def _remove_file(self, entry: FileEntry) -> None:
-        self._remove_placements(
-            entry.path, list(entry.placements), entry.version, replicated=True
-        )
+    def _place(self, path: str, size: int, prev: FileEntry | None) -> Placement:
+        return Placement(providers=tuple(self.replicas), klass="replicated")
 
     def _meta_write_targets(self) -> list[str]:
         return list(self.replicas)

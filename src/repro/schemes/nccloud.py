@@ -19,7 +19,7 @@ from repro.cloud.provider import SimulatedProvider
 from repro.erasure.codec import ErasureCodec
 from repro.erasure.fmsr import FMSRCode
 from repro.fs.namespace import FileEntry
-from repro.schemes.base import CloudOp, Scheme
+from repro.schemes.base import CloudOp, Placement, Scheme
 from repro.sim.clock import SimClock
 from repro.sim.rng import stable_u64
 
@@ -52,67 +52,40 @@ class NCCloudScheme(Scheme):
         return FMSRCode(self.n, self.k, seed=stable_u64("nccloud", path, version))
 
     # ----------------------------------------------------------- placement
-    def _codec_for(self, entry: FileEntry) -> ErasureCodec | None:
-        return self._codecs[entry.path]
-
-    def _put_file(self, path: str, data: bytes, prev: FileEntry | None) -> FileEntry:
+    def _place(self, path: str, size: int, prev: FileEntry | None) -> Placement:
         version = prev.version + 1 if prev else 1
-        codec = self._object_codec(path, version)
-        placements, digests = self._write_striped(
-            path, data, codec, self.stripe_providers, version
-        )
-        self._codecs[path] = codec
-        now = self.clock.now
-        return FileEntry(
-            path=path,
-            size=len(data),
-            version=version,
-            codec="fmsr",
-            codec_params=(("n", self.n), ("k", self.k)),
-            placements=tuple(placements),
+        codec = self._codecs[path] = self._object_codec(path, version)
+        return Placement(
+            providers=tuple(self.stripe_providers),
             klass="regenerating",
-            created=prev.created if prev else now,
-            modified=now,
-            digests=digests,
+            codec=codec,
+            codec_name="fmsr",
+            codec_params=(("n", self.n), ("k", self.k)),
         )
 
-    def _read_file(self, entry: FileEntry) -> tuple[bytes, bool]:
-        # FMSR is non-systematic: any k node fragments decode, so fetch the
-        # fastest k rather than preferring data fragments.
-        return self._read_striped(
-            entry.path,
-            entry.size,
-            self._codecs[entry.path],
-            list(entry.placements),
-            entry.version,
-            prefer_systematic=False,
-            digests=entry.digests or None,
-        )
+    def _codec_for(self, entry: FileEntry) -> ErasureCodec | None:
+        """The object's own codec, not one rebuilt from ``(n, k)`` alone.
 
-    def _remove_file(self, entry: FileEntry) -> None:
-        self._remove_placements(
-            entry.path, list(entry.placements), entry.version, replicated=False
-        )
-        self._codecs.pop(entry.path, None)
+        A restarted client re-derives it: encoding matrices are
+        deterministic in (path, version).  Limitation (documented): objects
+        that went through a *functional repair* carry an evolved ECM this
+        cannot reproduce — recovering those requires replaying the repair
+        log, which NCCloud proper persists as object metadata.
+        """
+        codec = self._codecs.get(entry.path)
+        if codec is None:
+            codec = self._codecs[entry.path] = self._object_codec(
+                entry.path, entry.version
+            )
+        return codec
+
+    def _forget(self, path: str) -> None:
+        self._codecs.pop(path, None)
 
     # ------------------------------------------------------------- metadata
     def _meta_write_targets(self) -> list[str]:
         # NCCloud keeps object metadata replicated on every cloud.
         return list(self.stripe_providers)
-
-    def _after_namespace_recovery(self) -> None:
-        """Rebuild per-object FMSR codecs after a client restart.
-
-        Encoding matrices are deterministic in (path, version), so a fresh
-        client re-derives them.  Limitation (documented): objects that went
-        through a *functional repair* carry an evolved ECM this cannot
-        reproduce — recovering those requires replaying the repair log,
-        which NCCloud proper persists as object metadata.
-        """
-        for path in self.namespace.paths():
-            entry = self.namespace.get(path)
-            if path not in self._codecs:
-                self._codecs[path] = self._object_codec(path, entry.version)
 
     # ---------------------------------------------------------------- repair
     def repair_provider(self, failed: str, replacement: str | None = None) -> dict[str, int]:
@@ -137,7 +110,7 @@ class NCCloudScheme(Scheme):
         stats = {"objects": 0, "bytes_downloaded": 0, "bytes_uploaded": 0, "conventional_bytes": 0}
         for path in self.namespace.paths():
             entry = self.namespace.get(path)
-            codec = self._codecs[path]
+            codec = self._codec_for(entry)
             failed_idx = entry.fragment_index(failed)
             survivors = {
                 idx: prov for prov, idx in entry.placements if prov != failed

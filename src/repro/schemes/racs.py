@@ -19,7 +19,7 @@ from repro.cloud.provider import SimulatedProvider
 from repro.erasure.codec import ErasureCodec
 from repro.erasure.raid5 import Raid5Code
 from repro.fs.namespace import FileEntry
-from repro.schemes.base import Scheme
+from repro.schemes.base import Placement, Scheme
 from repro.sim.clock import SimClock
 
 __all__ = ["RacsScheme"]
@@ -45,49 +45,13 @@ class RacsScheme(Scheme):
         self.stripe_providers = list(self.provider_names)
 
     # ----------------------------------------------------------- placement
-    def _codec_for(self, entry: FileEntry) -> ErasureCodec | None:
-        return self.codec
-
-    def _put_file(self, path: str, data: bytes, prev: FileEntry | None) -> FileEntry:
-        version = prev.version + 1 if prev else 1
-        placements, digests = self._write_striped(
-            path, data, self.codec, self.stripe_providers, version
-        )
-        now = self.clock.now
-        return FileEntry(
-            path=path,
-            size=len(data),
-            version=version,
-            codec="raid5",
-            codec_params=(("k", self.codec.k),),
-            placements=tuple(placements),
+    def _place(self, path: str, size: int, prev: FileEntry | None) -> Placement:
+        return Placement(
+            providers=tuple(self.stripe_providers),
             klass="striped",
-            created=prev.created if prev else now,
-            modified=now,
-            digests=digests,
-        )
-
-    def _read_file(self, entry: FileEntry) -> tuple[bytes, bool]:
-        return self._read_striped(
-            entry.path,
-            entry.size,
-            self.codec,
-            list(entry.placements),
-            entry.version,
-            digests=entry.digests or None,
-        )
-
-    def _update_file(
-        self, entry: FileEntry, offset: int, patch: bytes, new_content: bytes
-    ) -> FileEntry:
-        if len(new_content) == entry.size:
-            return self._rmw_striped(entry, offset, patch, new_content, self.codec)
-        # Growth changes shard boundaries: restripe the whole object.
-        return self._put_file(entry.path, new_content, entry)
-
-    def _remove_file(self, entry: FileEntry) -> None:
-        self._remove_placements(
-            entry.path, list(entry.placements), entry.version, replicated=False
+            codec=self.codec,
+            codec_name="raid5",
+            codec_params=(("k", self.codec.k),),
         )
 
     # ------------------------------------------------------------- metadata

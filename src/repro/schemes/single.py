@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from repro.cloud.latency import ClientLink
 from repro.cloud.provider import SimulatedProvider
-from repro.erasure.codec import ErasureCodec
 from repro.fs.namespace import FileEntry
-from repro.schemes.base import Scheme
+from repro.schemes.base import Placement, Scheme
 from repro.sim.clock import SimClock
 
 __all__ = ["SingleCloudScheme"]
@@ -36,40 +35,8 @@ class SingleCloudScheme(Scheme):
         super().__init__([provider], clock, link, seed, **kwargs)  # type: ignore[arg-type]
 
     # ----------------------------------------------------------- placement
-    def _codec_for(self, entry: FileEntry) -> ErasureCodec | None:
-        return None
-
-    def _put_file(self, path: str, data: bytes, prev: FileEntry | None) -> FileEntry:
-        version = prev.version + 1 if prev else 1
-        placements, digests = self._write_replicated(
-            path, data, [self.primary], version
-        )
-        now = self.clock.now
-        return FileEntry(
-            path=path,
-            size=len(data),
-            version=version,
-            codec="replication",
-            placements=tuple(placements),
-            klass="single",
-            created=prev.created if prev else now,
-            modified=now,
-            digests=digests,
-        )
-
-    def _read_file(self, entry: FileEntry) -> tuple[bytes, bool]:
-        return self._read_replicated(
-            entry.path,
-            entry.size,
-            [self.primary],
-            entry.version,
-            digest=entry.digests[0] if entry.digests else None,
-        )
-
-    def _remove_file(self, entry: FileEntry) -> None:
-        self._remove_placements(
-            entry.path, list(entry.placements), entry.version, replicated=True
-        )
+    def _place(self, path: str, size: int, prev: FileEntry | None) -> Placement:
+        return Placement(providers=(self.primary,), klass="single")
 
     def _meta_write_targets(self) -> list[str]:
         return [self.primary]

@@ -3,7 +3,7 @@
 Every kernel strategy must reproduce ``gf_matmul`` exactly — on arbitrary
 coefficient matrices, on the folded-column structures the planner exploits,
 at odd lengths that exercise the uint16 pairing tail, and through every
-codec's ``encode`` / ``encode_views`` / ``encode_views_batch`` surface.
+codec's ``encode`` / ``encode_views`` surface.
 """
 
 import numpy as np
@@ -246,19 +246,6 @@ class TestCodecSurfaces:
                 reference = frags
             else:
                 assert frags == reference, strategy
-
-    @pytest.mark.parametrize("codec", _all_codecs())
-    def test_batch_equals_singles(self, codec):
-        rng = np.random.default_rng(41)
-        burst = [
-            rng.integers(0, 256, size=int(n), dtype=np.uint8).tobytes()
-            for n in list(rng.integers(1, 8192, size=12)) + [0, 1, 300 * 1024]
-        ]
-        batched = codec.encode_views_batch(burst)
-        assert len(batched) == len(burst)
-        for payload, frags in zip(burst, batched):
-            singles = [bytes(f) for f in codec.encode_views(payload)]
-            assert [bytes(f) for f in frags] == singles
 
     def test_rs_encode_matches_scalar_generator_product(self):
         """The gate's identity check, in miniature: kernel fragments equal

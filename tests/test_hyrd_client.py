@@ -99,6 +99,23 @@ class TestUpdates:
         got, _ = hyrd.get("/d/l")
         assert got[100:200] == b"y" * 100
 
+    def test_fmsr_stripe_update_is_a_reput(self, providers, clock, payload):
+        """FMSR is non-systematic: every fragment mixes all native chunks, so
+        patching "the touched data fragment plus parity" in place would leave
+        the untouched fragment encoding the old object."""
+        hyrd = HyRDClient(
+            list(providers.values()),
+            clock,
+            config=HyRDConfig(erasure_codec="fmsr", size_threshold=1024),
+        )
+        data = payload(16 * 1024)
+        hyrd.put("/d/f", data)
+        hyrd.update("/d/f", 0, b"PATCH")
+        got, _ = hyrd.get("/d/f")
+        assert got == b"PATCH" + data[5:]
+        assert hyrd.namespace.get("/d/f").version == 2
+        assert hyrd.verify_object("/d/f").ok
+
 
 class TestOutageBehaviour:
     def test_small_read_unaffected_by_replica_outage(

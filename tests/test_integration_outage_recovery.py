@@ -73,12 +73,8 @@ class TestOutageRecoveryLifecycle:
             entry = scheme.namespace.get(path)
             if outage not in entry.providers:
                 continue
-            codec = scheme._codec_for(entry)
-            idx = entry.fragment_index(outage)
-            key = (
-                f"{path}#v{entry.version}"
-                if codec is None
-                else scheme._fragment_key(path, idx, entry.version)
+            key = scheme._placement_storage_key(
+                entry, entry.fragment_index(outage)
             )
             assert store.has(scheme.container, key), (path, key)
 

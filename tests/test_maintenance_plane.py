@@ -42,7 +42,7 @@ def _duracloud(n_files=4, size=16 * KB, seed=0):
 def _site(scheme, path, placement=0):
     entry = scheme.namespace.get(path)
     prov, idx = entry.placements[placement]
-    key = scheme._placement_storage_key(entry, idx, entry.codec == "replication")
+    key = scheme._placement_storage_key(entry, idx)
     return prov, key
 
 

@@ -59,9 +59,8 @@ def _build(name, seed=0):
 def _damage_site(scheme, providers, path):
     """(provider object, storage key, placement) of the first placement."""
     entry = scheme.namespace.get(path)
-    replicated = entry.codec == "replication"
     prov_name, idx = entry.placements[0]
-    key = scheme._placement_storage_key(entry, idx, replicated)
+    key = scheme._placement_storage_key(entry, idx)
     return providers[prov_name], key, prov_name
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.cloud.outage import OutageWindow
 from repro.cloud.provider import make_table2_cloud_of_clouds
+from repro.core.config import HyRDConfig
 from repro.schemes import (
     DepSkyCAScheme,
     DepSkyScheme,
@@ -33,6 +34,13 @@ SCHEME_BUILDERS = {
     "depsky-ca": lambda p, c: DepSkyCAScheme(list(p.values()), c),
     "nccloud": lambda p, c: NCCloudScheme(list(p.values()), c),
     "hyrd": lambda p, c: HyrdScheme(list(p.values()), c),
+    # Threshold far below the <= 40 kB payloads, so HyRD objects really stripe.
+    "hyrd-rs": lambda p, c: HyrdScheme(
+        list(p.values()), c, config=HyRDConfig(erasure_codec="rs", size_threshold=2048)
+    ),
+    "hyrd-fmsr": lambda p, c: HyrdScheme(
+        list(p.values()), c, config=HyRDConfig(erasure_codec="fmsr", size_threshold=2048)
+    ),
 }
 
 # The provider each scheme can afford to lose (within fault tolerance).
@@ -43,6 +51,8 @@ TOLERABLE_LOSS = {
     "depsky-ca": "aliyun",
     "nccloud": "aliyun",
     "hyrd": "azure",
+    "hyrd-rs": "aliyun",  # holds a replica *and* a stripe fragment
+    "hyrd-fmsr": "aliyun",
 }
 
 op_kinds = st.sampled_from(["put", "get", "update", "remove"])
@@ -167,6 +177,16 @@ class TestSchemeRoundTripProperties:
     )
     def test_depsky_ca(self, ops, outages):
         _run_model("depsky-ca", ops, outages)
+
+    @pytest.mark.parametrize("scheme_name", ["hyrd-rs", "hyrd-fmsr"])
+    @given(ops=op_sequence(), outages=st.sets(st.integers(0, 9), max_size=2))
+    @settings(
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_hyrd_striping_small_objects(self, scheme_name, ops, outages):
+        _run_model(scheme_name, ops, outages)
 
 
 def _run_scheduled(scheme_name, ops, slow_factor):
