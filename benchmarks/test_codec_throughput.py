@@ -10,6 +10,11 @@ must stay at least 10x the throughput measured at the pre-kernel commit,
 and every fragment byte must match the scalar ``gf_matmul`` oracle.  See
 ``docs/codecs.md`` for the kernel design and ``docs/performance.md`` for
 the measured before/after table.
+
+``test_fmsr_fresh_matrix_encode_gate`` is the gate behind the row-group
+kernel: NCCloud seeds one FMSR matrix per (path, version), so its encodes
+never find a warm table — the rate that matters there is encode *including*
+table construction, gated as a same-process ratio to the scalar oracle.
 """
 
 import gc
@@ -34,6 +39,13 @@ PAYLOAD = np.random.default_rng(7).integers(0, 256, 4 * MB, dtype=np.uint8).toby
 PRE_KERNEL_RS_K2M2_ENCODE_MB_S = 140.78
 TARGET_SPEEDUP = 10.0
 TRIALS = 5
+
+#: fresh-matrix FMSR(4,2) encode over the scalar ``gf_matmul`` product of the
+#: same matrices in the same process; measured 9.3-10.0x on the reference box
+#: (6.4-6.5x with pair tables and two-step construction), gated 20% under that
+FMSR_FRESH_OVER_SCALAR_FLOOR = 7.4
+FMSR_PAYLOAD = PAYLOAD[: 3 * MB // 2]  # the 1-2 MB objects NCCloud stripes
+FMSR_MATRICES = 24
 
 
 @pytest.mark.parametrize(
@@ -107,6 +119,68 @@ def test_rs_k2m2_encode_speedup_floor(benchmark, emit):
     assert best_mb_s >= TARGET_SPEEDUP * PRE_KERNEL_RS_K2M2_ENCODE_MB_S, (
         f"RS(2+2) encode {best_mb_s:.1f} MB/s is below the "
         f"{TARGET_SPEEDUP:.0f}x floor over {PRE_KERNEL_RS_K2M2_ENCODE_MB_S} MB/s"
+    )
+
+
+def test_fmsr_fresh_matrix_encode_gate(benchmark, emit):
+    """FMSR(4,2) ``encode_views`` with a fresh matrix per call vs scalar.
+
+    Each of ``FMSR_MATRICES`` codecs encodes once per round, and a round
+    needs 24 x 8 width-4 tables — six times the table budget — so every
+    encode builds its eight tables, as every NCCloud put does.  The warm
+    rate (one codec reused, what ``perfbench``'s
+    ``erasure.fmsr_4_2.encode_mb_s`` measures) is reported beside it.
+    Best-of-rounds on both sides of the ratio, fragments asserted identical
+    to the scalar oracle.
+    """
+    codecs = [FMSRCode(4, 2, seed=1000 + i) for i in range(FMSR_MATRICES)]
+    size_mb = len(FMSR_PAYLOAD) / MB
+    native = split_shards(FMSR_PAYLOAD, 4)
+
+    for codec in codecs[:3]:
+        oracle = gf_matmul(codec.ecm, native)
+        for node, frag in enumerate(codec.encode_views(FMSR_PAYLOAD)):
+            assert bytes(frag) == oracle[2 * node : 2 * node + 2].tobytes()
+
+    def best_mb_s(run, calls: int, rounds: int = TRIALS) -> float:
+        walls = []
+        for _ in range(rounds):
+            gc.collect()
+            t0 = time.perf_counter()
+            run()
+            walls.append(time.perf_counter() - t0)
+        return calls * size_mb / min(walls)
+
+    def fresh() -> None:
+        for codec in codecs:
+            codec.encode_views(FMSR_PAYLOAD)
+
+    def warm() -> None:
+        for _ in codecs:
+            codecs[0].encode_views(FMSR_PAYLOAD)
+
+    def scalar() -> None:
+        for codec in codecs[:4]:
+            gf_matmul(codec.ecm, native)
+
+    fresh_mb_s = best_mb_s(fresh, len(codecs))
+    warm_mb_s = best_mb_s(warm, len(codecs))
+    scalar_mb_s = best_mb_s(scalar, 4, rounds=3)
+    benchmark.pedantic(fresh, rounds=1, iterations=1)
+    ratio = fresh_mb_s / scalar_mb_s
+
+    emit(
+        "FMSR(4,2) encode throughput — row-group kernel gate\n"
+        f"  payload:             {size_mb:.1f} MiB, {len(codecs)} matrices\n"
+        f"  fresh matrix/call:   {fresh_mb_s:.1f} MB/s\n"
+        f"  warm matrix:         {warm_mb_s:.1f} MB/s\n"
+        f"  scalar oracle:       {scalar_mb_s:.1f} MB/s\n"
+        f"  fresh / scalar:      {ratio:.2f}x "
+        f"(floor >= {FMSR_FRESH_OVER_SCALAR_FLOOR:.1f}x)"
+    )
+    assert ratio >= FMSR_FRESH_OVER_SCALAR_FLOOR, (
+        f"fresh-matrix FMSR(4,2) encode is {ratio:.2f}x the scalar oracle, "
+        f"below the {FMSR_FRESH_OVER_SCALAR_FLOOR:.1f}x floor"
     )
 
 

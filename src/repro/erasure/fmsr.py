@@ -28,7 +28,7 @@ from itertools import combinations
 import numpy as np
 
 from repro.erasure.codec import ErasureCodec
-from repro.erasure.galois import gf_inverse_matrix, gf_matmul
+from repro.erasure.galois import gf_inverse_matrix, gf_is_invertible, gf_matmul
 from repro.erasure.gfkernel import gf_matmul_fast
 from repro.erasure.striping import join_shards, shard_length, split_shards
 from repro.sim.rng import make_rng
@@ -105,13 +105,10 @@ class FMSRCode(ErasureCodec):
 
     def _is_mds(self, ecm: np.ndarray) -> bool:
         """Every k-subset of nodes must yield an invertible square system."""
-        for nodes in combinations(range(self._n), self._k):
-            rows = np.vstack([ecm[self._node_rows(i)] for i in nodes])
-            try:
-                gf_inverse_matrix(rows)
-            except np.linalg.LinAlgError:
-                return False
-        return True
+        return all(
+            gf_is_invertible(np.vstack([ecm[self._node_rows(i)] for i in nodes]))
+            for nodes in combinations(range(self._n), self._k)
+        )
 
     def _draw_mds_ecm(self, rng: np.random.Generator) -> np.ndarray:
         for _ in range(_MAX_DRAWS):

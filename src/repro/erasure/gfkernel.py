@@ -14,10 +14,14 @@ Kernel strategies (``REPRO_GF_KERNEL`` environment variable, or
 
 ``packed`` (chosen by ``auto``, the default)
     Adjacent input bytes are paired through a natural little-endian
-    ``uint16`` view (no index construction), and each gathered entry is a
-    ``uint32`` packing the products for *two* output rows — one ``take``
-    therefore performs four GF multiplies.  Tables are 64 Ki entries
-    (256 KiB) per coefficient pair, LRU-cached, and execution is tiled so
+    ``uint16`` view (no index construction), and output rows are taken in
+    *groups* of four, two or one: a gathered entry packs the product pairs
+    for every row of its group into 16-bit lanes of a ``uint64`` /
+    ``uint32`` / ``uint16`` — one ``take`` on a width-4 group performs
+    eight GF multiplies.  Group widths follow from the row count alone
+    (as many fours as fit, then a two, then a one).  Tables are 64 Ki
+    entries (128–512 KiB) per coefficient group, built in one broadcast
+    pass and kept in a byte-bounded LRU; execution is tiled so
     accumulators stay cache-resident.  On top of that the planner folds
     input columns pairwise: whenever two coefficient columns are equal or
     differ by exactly ``1`` in every row (which is *always* true for the
@@ -68,16 +72,18 @@ __all__ = [
 KERNEL_STRATEGIES = ("auto", "packed", "table", "nibble", "scalar")
 
 _ENV_VAR = "REPRO_GF_KERNEL"
-#: uint16 elements per tile — 128 KiB of index bytes, so index tile,
-#: two uint32 accumulators (512 KiB) and a couple of 256 KiB tables fit a
+#: uint16 elements per tile — 128 KiB of index bytes, so an index tile,
+#: two accumulators (256 KiB each at width 2) and a couple of tables fit a
 #: 2 MiB L2 together
 _TILE = 1 << 16
 #: below this many bytes per shard the NumPy call overhead exceeds the
 #: gather win and the scalar oracle is used directly
 _SMALL_CUTOFF = 2048
-_PAIR16_MAX = 128  # cached uint16 pair tables, 128 KiB each
-_PACKED32_MAX = 64  # cached uint32 packed tables, 256 KiB each
+#: bytes of cached gather tables: 32 of width 4, 64 of width 2
+_TABLE_BUDGET = 16 << 20
 _PLAN_MAX = 256
+#: accumulator/table dtype per row-group width — one 16-bit lane per row
+_LANES = {4: np.uint64, 2: np.uint32, 1: np.uint16}
 
 
 def _resolve(strategy: str | None) -> str:
@@ -109,44 +115,56 @@ _DEFAULT = [os.environ.get(_ENV_VAR, "auto")]
 
 
 # ------------------------------------------------------------------- tables
-_PAIR16: OrderedDict[int, np.ndarray] = OrderedDict()
-_PACKED32: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
-_NIBBLE: list[tuple[np.ndarray, np.ndarray] | None] = [None]
+class _TableCache:
+    """Byte-bounded LRU of row-group gather tables, keyed by coefficients.
 
+    The table of a group with coefficients ``(c0, .., cw-1)`` is indexed by
+    the little-endian ``uint16`` view of an input byte pair ``[lo, hi]`` and
+    holds ``A[lo] | A[hi] << 8``, where ``A[x]`` packs ``c_l * x`` into the
+    low byte of lane ``l`` — so lane ``l`` of an entry is the LE ``uint16``
+    view of row ``l``'s two product bytes.
 
-def _pair16(c: int) -> np.ndarray:
-    """64 Ki-entry uint16 table: products of ``c`` for a byte *pair*.
-
-    Indexed by the little-endian ``uint16`` view of bytes ``[lo, hi]``
-    (``lo | hi << 8``); the entry is ``c*lo | (c*hi) << 8`` — the LE
-    ``uint16`` view of the two product bytes.
+    A miss builds the table in one broadcast pass over ``A``, into the
+    buffer of an entry it evicts when that has the same width: per-object
+    matrices (NCCloud) miss on every encode, so construction is on the hot
+    path and a fresh 512 KiB allocation per miss would dominate it.  Callers
+    must therefore use a table before asking for the next one.
     """
-    cached = _PAIR16.get(c)
-    if cached is None:
-        row = MUL_TABLE[c].astype(np.uint16)
-        cached = (row[np.newaxis, :] | (row[:, np.newaxis] << 8)).reshape(-1)
-        _PAIR16[c] = cached
-        if len(_PAIR16) > _PAIR16_MAX:
-            _PAIR16.popitem(last=False)
-    else:
-        _PAIR16.move_to_end(c)
-    return cached
 
+    __slots__ = ("_entries", "_bytes")
 
-def _packed32(c0: int, c1: int) -> np.ndarray:
-    """uint32 pair table packing two output rows: low half ``c0``, high ``c1``."""
-    key = (c0, c1)
-    cached = _PACKED32.get(key)
-    if cached is None:
-        cached = _pair16(c0).astype(np.uint32) | (
-            _pair16(c1).astype(np.uint32) << 16
+    def __init__(self) -> None:
+        self._entries: OrderedDict[tuple[int, ...], np.ndarray] = OrderedDict()
+        self._bytes = 0
+
+    def get(self, coeffs: tuple[int, ...]) -> np.ndarray:
+        entries = self._entries
+        table = entries.get(coeffs)
+        if table is not None:
+            entries.move_to_end(coeffs)
+            return table
+        dtype = np.dtype(_LANES[len(coeffs)])
+        nbytes = dtype.itemsize << 16
+        while entries and self._bytes + nbytes > _TABLE_BUDGET:
+            _, evicted = entries.popitem(last=False)
+            self._bytes -= evicted.nbytes
+            if evicted.dtype == dtype:
+                table = evicted
+        if table is None:
+            table = np.empty(1 << 16, dtype=dtype)
+        lanes = MUL_TABLE[list(coeffs)].astype(dtype)
+        lanes <<= np.arange(0, 16 * len(coeffs), 16, dtype=dtype)[:, np.newaxis]
+        a = np.bitwise_or.reduce(lanes, axis=0)
+        np.bitwise_or(
+            a[np.newaxis, :], (a << 8)[:, np.newaxis], out=table.reshape(256, 256)
         )
-        _PACKED32[key] = cached
-        if len(_PACKED32) > _PACKED32_MAX:
-            _PACKED32.popitem(last=False)
-    else:
-        _PACKED32.move_to_end(key)
-    return cached
+        entries[coeffs] = table
+        self._bytes += nbytes
+        return table
+
+
+_TABLES = _TableCache()
+_NIBBLE: list[tuple[np.ndarray, np.ndarray] | None] = [None]
 
 
 def _nibble_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -162,22 +180,21 @@ def _nibble_tables() -> tuple[np.ndarray, np.ndarray]:
 class _Workspace:
     """Per-process scratch reused across every kernel execution.
 
-    One tile's worth of each accumulator dtype plus on-demand index
-    buffers for folded columns; reuse avoids re-faulting megabytes of
-    fresh pages on every encode call.
+    One tile of accumulator and gather scratch at the widest lane dtype
+    (narrower groups view a prefix) plus on-demand index buffers; reuse
+    avoids re-faulting megabytes of fresh pages on every encode call.
     """
 
     def __init__(self) -> None:
-        self.acc32 = np.empty(_TILE, dtype=np.uint32)
-        self.tmp32 = np.empty(_TILE, dtype=np.uint32)
-        self.acc16 = np.empty(_TILE, dtype=np.uint16)
-        self.tmp16 = np.empty(_TILE, dtype=np.uint16)
+        self.acc = np.empty(_TILE, dtype=np.uint64)
+        self.tmp = np.empty(_TILE, dtype=np.uint64)
         self.tmp8 = np.empty(2 * _TILE, dtype=np.uint8)
         self._idx: list[np.ndarray] = []
 
-    def idx16(self, i: int) -> np.ndarray:
+    def idx(self, i: int) -> np.ndarray:
+        """Index buffer for term ``i``: ``intp``, or viewed as ``uint16``."""
         while len(self._idx) <= i:
-            self._idx.append(np.empty(_TILE, dtype=np.uint16))
+            self._idx.append(np.empty(_TILE, dtype=np.intp))
         return self._idx[i]
 
 
@@ -244,13 +261,13 @@ def _fold_schedule(coeff: np.ndarray) -> list[_Term]:
 class EncodePlan:
     """A coefficient matrix bound to one kernel strategy.
 
-    Binding analyses the matrix once (column folding, row pairing) so a
+    Binding analyses the matrix once (column folding, row grouping) so a
     replay write burst pays the planning cost a single time; plans are
     cached by matrix bytes (:func:`plan_for`), and the packed gather
-    tables live in their own LRU shared across plans.  ``execute`` is
-    byte-identical to ``gf_matmul(coeff, shards)`` for every strategy —
-    the hypothesis suite in ``tests/test_gfkernel.py`` holds each one to
-    the scalar oracle.
+    tables live in their own LRU (:class:`_TableCache`) shared across
+    plans.  ``execute`` is byte-identical to ``gf_matmul(coeff, shards)``
+    for every strategy — the hypothesis suite in ``tests/test_gfkernel.py``
+    holds each one to the scalar oracle.
     """
 
     def __init__(self, coeff: np.ndarray, strategy: str | None = None) -> None:
@@ -261,8 +278,24 @@ class EncodePlan:
         self.strategy = _resolve(strategy)
         self.m, self.k = coeff.shape
         self._terms = _fold_schedule(coeff) if self.strategy == "packed" else []
-        self._pairs = [(r, r + 1) for r in range(0, self.m - 1, 2)]
-        self._odd = self.m - 1 if self.m % 2 else None
+        # Row groups (first row, width, [(term, group coefficients)]): as
+        # many fours as fit, then a two, then a one; all-zero gathers drop.
+        self._groups: list[tuple[int, int, list[tuple[int, tuple[int, ...]]]]] = []
+        r0 = 0
+        for width in _LANES:
+            while self.m - r0 >= width:
+                lanes = slice(r0, r0 + width)
+                gathers = [
+                    (i, tuple(t.coeffs[lanes].tolist()))
+                    for i, t in enumerate(self._terms)
+                    if t.coeffs[lanes].any()
+                ]
+                self._groups.append((r0, width, gathers))
+                r0 += width
+        # NumPy converts a uint16 index to intp inside every ``take``; a
+        # term gathered for more than one group is widened once instead.
+        feeds = [i for _, _, gathers in self._groups for i, _ in gathers]
+        self._widen = [feeds.count(i) > 1 for i in range(len(self._terms))]
 
     # ------------------------------------------------------------- dispatch
     def execute(
@@ -314,60 +347,35 @@ class EncodePlan:
             w = e - s
             idx_tiles: list[np.ndarray] = []
             for i, t in enumerate(self._terms):
-                if t.fold_col is None:
-                    idx_tiles.append(row16[t.col][s:e])
-                else:
-                    buf = ws.idx16(i)[:w]
-                    np.bitwise_xor(
-                        row16[t.col][s:e], row16[t.fold_col][s:e], out=buf
-                    )
-                    idx_tiles.append(buf)
-            for r0, r1 in self._pairs:
-                acc = ws.acc32[:w]
-                first = True
-                for t, idx in zip(self._terms, idx_tiles):
-                    c0 = int(t.coeffs[r0])
-                    c1 = int(t.coeffs[r1])
-                    if c0 == 0 and c1 == 0:
-                        continue
-                    table = _packed32(c0, c1)
-                    if first:
-                        np.take(table, idx, out=acc, mode="clip")
-                        first = False
+                idx = row16[t.col][s:e]
+                if self._widen[i] or t.fold_col is not None:
+                    buf = ws.idx(i)
+                    buf = buf[:w] if self._widen[i] else buf.view(np.uint16)[:w]
+                    if t.fold_col is None:
+                        np.copyto(buf, idx)
                     else:
-                        tmp = ws.tmp32[:w]
-                        np.take(table, idx, out=tmp, mode="clip")
-                        np.bitwise_xor(acc, tmp, out=acc)
-                if first:
-                    out16[r0][s:e] = 0
-                    out16[r1][s:e] = 0
-                else:
-                    # truncating casts split the packed halves: low uint16 is
-                    # row r0's product pair, high uint16 is row r1's
-                    np.copyto(out16[r0][s:e], acc, casting="unsafe")
-                    acc >>= 16
-                    np.copyto(out16[r1][s:e], acc, casting="unsafe")
-            if self._odd is not None:
-                r = self._odd
-                acc = ws.acc16[:w]
-                first = True
-                for t, idx in zip(self._terms, idx_tiles):
-                    c = int(t.coeffs[r])
-                    if c == 0:
-                        continue
-                    table = _pair16(c)
-                    if first:
-                        np.take(table, idx, out=acc, mode="clip")
-                        first = False
+                        np.bitwise_xor(idx, row16[t.fold_col][s:e], out=buf)
+                    idx = buf
+                idx_tiles.append(idx)
+            for r0, width, gathers in self._groups:
+                acc = ws.acc.view(_LANES[width])[:w]
+                tmp = ws.tmp.view(_LANES[width])[:w]
+                if not gathers:
+                    acc[:] = 0
+                for n, (i, coeffs) in enumerate(gathers):
+                    table = _TABLES.get(coeffs)
+                    if n == 0:
+                        np.take(table, idx_tiles[i], out=acc, mode="clip")
                     else:
-                        tmp = ws.tmp16[:w]
-                        np.take(table, idx, out=tmp, mode="clip")
+                        np.take(table, idx_tiles[i], out=tmp, mode="clip")
                         np.bitwise_xor(acc, tmp, out=acc)
-                if first:
-                    out16[r][s:e] = 0
-                else:
-                    out16[r][s:e] = acc
-            for t, idx in zip(self._terms, idx_tiles):
+                # truncating casts peel the lanes: the low uint16 of an
+                # entry is row r0's product pair, the next one row r0+1's
+                for r in range(r0, r0 + width):
+                    if r > r0:
+                        acc >>= 16
+                    np.copyto(out16[r][s:e], acc, casting="unsafe")
+            for t in self._terms:
                 if t.fold_extra:
                     extra = row16[t.fold_col][s:e]
                     for i in range(self.m):

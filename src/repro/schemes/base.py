@@ -28,6 +28,7 @@ import math
 import os
 from abc import ABC, abstractmethod
 from collections import OrderedDict
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -1581,9 +1582,13 @@ class Scheme(ABC):
     def _encode_fragments(
         self, codec: ErasureCodec, data: bytes
     ) -> list[bytes | memoryview]:
-        """Every striped encode funnels through here: traced span plus the
-        ``codec_encode_bytes_total`` counter, labelled with the codec class
-        and the GF kernel strategy active for this process."""
+        """Striped writes and read-modify-writes of the shared data path
+        encode here (DepSky-CA encodes its ciphertext itself): a traced
+        span plus the ``codec_encode_bytes_total`` counter.  Fragments are
+        :meth:`~repro.erasure.codec.ErasureCodec.encode_views` results —
+        zero-copy views where the codec allows.  The ``kernel`` label is
+        the process-wide GF strategy name; it says nothing per codec
+        (RAID5 XORs and never touches a GF table)."""
         with self.tracer.span(
             "codec.encode", codec=type(codec).__name__, size=len(data)
         ):
@@ -2379,12 +2384,17 @@ class Scheme(ABC):
             raise ValueError(f"offset must be >= 0, got {offset}")
         self._begin_op()
         entry = self.namespace.get(path)
-        old = self._peek_content(entry)
-        new_size = max(entry.size, offset + len(patch))
-        buf = bytearray(new_size)
-        buf[: entry.size] = old
-        buf[offset : offset + len(patch)] = patch
-        new_content = bytes(buf)
+        old = memoryview(self._peek_content(entry))
+        # One copy: old bytes around the patch, zero-filled when the patch
+        # starts past the current end.
+        new_content = b"".join(
+            (
+                old[:offset],
+                bytes(max(0, offset - len(old))),
+                patch,
+                old[offset + len(patch) :],
+            )
+        )
         self._journal_arm("update", path, entry, new_content)
         self._publish(entry, self._update_object(entry, offset, patch, new_content))
         report = self._end_op("update", path)
@@ -2446,26 +2456,67 @@ class Scheme(ABC):
 
         Used by ``update`` to compose the post-update object: the writer
         already holds the file it is modifying, so materialising it from the
-        simulator's stores is bookkeeping, not a billed transfer.
+        simulator's stores is bookkeeping, not a billed transfer — but what
+        the stores hand back is trusted no further than a read trusts it.
+        When every held fragment is the very object encoded at write time
+        (the identity rule of :meth:`_read_striped`) the recorded payload
+        is returned without decoding; otherwise only objects that pass
+        their write-time digest are decoded, so a silently corrupted
+        fragment can never be baked into the next version.
         """
-        fragments: dict[int, bytes] = {}
         codec = self._codec_for(entry)
+        if codec is None:
+            for idx, data, trusted in self._held_placements(entry):
+                if trusted or self._placement_intact(entry, idx, data):
+                    return data
+            raise DataUnavailable(entry.path, "no intact replica content found")
+        held = list(self._held_placements(entry))
+        if len(held) >= codec.k:
+            cached = self._payload_cache.lookup(
+                self._version_key(entry.path, entry.version),
+                {idx: data for idx, data, _ in held},
+            )
+            if cached is not None:
+                return cached
+        intact = {
+            idx: data
+            for idx, data, trusted in held
+            if trusted or self._placement_intact(entry, idx, data)
+        }
+        if len(intact) < codec.k:
+            raise DataUnavailable(
+                entry.path,
+                f"only {len(intact)} of {codec.k} required fragments intact",
+            )
+        return codec.decode(intact, entry.size)
+
+    def _held_placements(
+        self, entry: FileEntry
+    ) -> Iterator[tuple[int, bytes, bool]]:
+        """``(index, object, trusted)`` for each placement still in reach.
+
+        A pending write-log payload supersedes whatever the provider
+        currently stores (the stored object is stale until the consistency
+        update replays the log) and is trusted: it never left the client.
+        A stored object is not — callers verify it.
+        """
         for prov, idx in entry.placements:
-            store = self.provider(prov).store
             key = self._placement_storage_key(entry, idx)
-            # A pending write-log entry supersedes whatever the provider
-            # currently stores: the stored object is stale until the
-            # consistency update replays the log.
             logged = self._logged_payload(prov, key)
             if logged is not None:
-                fragments[idx] = logged
-            elif store.has(self.container, key):
-                fragments[idx] = store.get(self.container, key).data
-        if codec is None:
-            if not fragments:
-                raise DataUnavailable(entry.path, "no replica content found")
-            return next(iter(fragments.values()))
-        return codec.decode(fragments, entry.size)
+                yield idx, logged, True
+                continue
+            store = self.provider(prov).store
+            if store.has(self.container, key):
+                yield idx, store.get(self.container, key).data, False
+
+    def _placement_intact(self, entry: FileEntry, idx: int, data) -> bool:
+        """``data`` matches the digest recorded for placement ``idx`` (an
+        entry without digests has nothing to check against)."""
+        expected = self._expected_digest(entry, idx)
+        return expected is None or self._verify_digest(
+            self._placement_storage_key(entry, idx), data, expected
+        )
 
     def _logged_payload(self, provider: str, key: str) -> bytes | None:
         log = self._write_logs.get(provider)
@@ -2974,10 +3025,7 @@ class Scheme(ABC):
                     continue
                 if deep and outcome.data is not None:
                     bytes_verified += len(outcome.data)
-                    expected = self._expected_digest(entry, idx)
-                    if expected is not None and not self._verify_digest(
-                        key, outcome.data, expected
-                    ):
+                    if not self._placement_intact(entry, idx, outcome.data):
                         findings.append(
                             VerifyFinding(entry.path, prov, key, "corrupt", idx)
                         )

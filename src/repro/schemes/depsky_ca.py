@@ -222,21 +222,20 @@ class DepSkyCAScheme(Scheme):
         return data, degraded
 
     def _peek_content(self, entry: FileEntry) -> bytes:
-        """Client-side composition for updates: decrypt from stored bundles."""
+        """Client-side composition for updates: decrypt from held bundles
+        (logged, or stored and passing their write-time digest)."""
         fragments: dict[int, bytes] = {}
         shares: dict[int, bytes] = {}
-        for prov, idx in entry.placements:
-            key_name = self._fragment_key(entry.path, idx, entry.version)
-            logged = self._logged_payload(prov, key_name)
-            blob = None
-            if logged is not None:
-                blob = logged
-            elif self.provider(prov).store.has(self.container, key_name):
-                blob = self.provider(prov).store.get(self.container, key_name).data
-            if blob is not None:
+        for idx, blob, trusted in self._held_placements(entry):
+            if trusted or self._placement_intact(entry, idx, blob):
                 fragment, share, share_index = self._unbundle(blob)
                 fragments[idx] = fragment
                 shares[share_index] = share
+        if len(fragments) < self.codec.k:
+            raise DataUnavailable(
+                entry.path,
+                f"only {len(fragments)} of {self.codec.k} required bundles intact",
+            )
         ciphertext = self.codec.decode(fragments, entry.size)
         return keystream_cipher(combine_secret(shares, k=self.f + 1), ciphertext)
 

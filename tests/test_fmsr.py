@@ -1,11 +1,13 @@
 """Unit tests for the FMSR regenerating codec (NCCloud)."""
 
+import zlib
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from repro.erasure.fmsr import FMSRCode
+from repro.schemes import NCCloudScheme
 
 
 class TestConstruction:
@@ -39,6 +41,48 @@ class TestConstruction:
         a = FMSRCode(4, seed=5)
         b = FMSRCode(4, seed=5)
         assert np.array_equal(a.ecm, b.ecm)
+
+
+class TestMatricesArePinned:
+    """CRC32s taken with the Gauss-Jordan-inversion MDS check (PR 12's
+    tree): the elimination-only check must accept and reject exactly the
+    same draws, or every stored NCCloud fragment would change."""
+
+    def test_seeded_ecms(self):
+        crc = 0
+        for seed in range(64):
+            crc = zlib.crc32(FMSRCode(4, 2, seed=seed).ecm.tobytes(), crc)
+        assert crc == 873603615
+
+    @pytest.mark.parametrize(
+        "n, k, crc", [(3, 1, 3871762749), (5, 3, 3155520657), (6, 4, 2818142441)]
+    )
+    def test_other_geometries(self, n, k, crc):
+        assert zlib.crc32(FMSRCode(n, k, seed=3).ecm.tobytes()) == crc
+
+    def test_repair_successor(self):
+        codec = FMSRCode(4, 2, seed=7)
+        data = bytes(range(256)) * 40
+        frags = codec.encode(data)
+        fragment, successor = codec.repair(
+            {i: frags[i] for i in (0, 2, 3)}, 1, len(data)
+        )
+        assert zlib.crc32(fragment) == 3720388364
+        assert zlib.crc32(successor.ecm.tobytes()) == 2058148014
+
+    @pytest.mark.parametrize(
+        "path, version, crc",
+        [
+            ("/a", 1, 3028544876),
+            ("/a", 2, 1833451223),
+            ("/dir/file.bin", 1, 3609998608),
+            ("/x/y/z", 17, 375742842),
+        ],
+    )
+    def test_nccloud_object_codecs(self, providers, clock, path, version, crc):
+        nccloud = NCCloudScheme(list(providers.values()), clock)
+        ecm = nccloud._object_codec(path, version).ecm
+        assert zlib.crc32(ecm.tobytes()) == crc
 
 
 class TestRoundTrip:

@@ -11,6 +11,7 @@ from repro.erasure.galois import (
     gf_div,
     gf_inv,
     gf_inverse_matrix,
+    gf_is_invertible,
     gf_matmul,
     gf_matvec_bytes,
     gf_mul,
@@ -103,6 +104,33 @@ class TestMatrixOps:
     def test_inverse_requires_square(self):
         with pytest.raises(ValueError):
             gf_inverse_matrix(np.zeros((2, 3), np.uint8))
+
+    def test_is_invertible_agrees_with_inversion(self):
+        """Elimination-only rank test == "the Gauss-Jordan inverse exists",
+        on random matrices and on ones made singular three ways."""
+        rng = np.random.default_rng(3)
+        verdicts = []
+        for trial in range(300):
+            n = int(rng.integers(1, 7))
+            m = rng.integers(0, 256, (n, n), dtype=np.uint8)
+            if trial % 3 == 1 and n > 1:
+                m[-1] = gf_matmul(rng.integers(0, 256, (1, n - 1)), m[:-1])[0]
+            elif trial % 3 == 2:
+                m[:, int(rng.integers(0, n))] = 0
+            elif trial % 30 == 0:
+                m = rng.integers(0, 2, (n, n), dtype=np.uint8)  # zero pivots
+            try:
+                gf_inverse_matrix(m)
+                expected = True
+            except np.linalg.LinAlgError:
+                expected = False
+            assert gf_is_invertible(m) is expected
+            verdicts.append(expected)
+        assert 50 < sum(verdicts) < 250  # both verdicts well represented
+
+    def test_is_invertible_requires_square(self):
+        with pytest.raises(ValueError):
+            gf_is_invertible(np.zeros((2, 3), np.uint8))
 
     def test_matvec_bytes_matches_matmul(self):
         rng = np.random.default_rng(2)

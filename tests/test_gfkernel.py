@@ -111,6 +111,96 @@ class TestKernelEquivalence:
             assert not got.any()
 
 
+class TestRowGroups:
+    """The packed kernel takes output rows four, two and one at a time
+    (``m = 7`` mixes all three widths); every mix must equal the oracle."""
+
+    #: odd and even, below the scalar cutoff, and straddling one and two
+    #: uint16 tiles (128 KiB of bytes each)
+    LENGTHS = (
+        1,
+        2046,
+        2047,
+        2048,
+        2049,
+        5001,
+        70000,
+        131071,
+        131072,
+        131073,
+        131075,
+        262147,
+    )
+
+    @given(
+        seed=st.integers(0, 2**31),
+        m=st.integers(1, 9),
+        k=st.integers(1, 6),
+        length=st.sampled_from(LENGTHS),
+        zero_rows=st.sets(st.integers(0, 8), max_size=3),
+        zero_cols=st.sets(st.integers(0, 5), max_size=2),
+        supply_out=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_every_group_mix_matches_oracle(
+        self, seed, m, k, length, zero_rows, zero_cols, supply_out
+    ):
+        rng = np.random.default_rng(seed)
+        coeff = rng.integers(0, 256, size=(m, k), dtype=np.uint8)
+        coeff[[r for r in zero_rows if r < m]] = 0
+        coeff[:, [c for c in zero_cols if c < k]] = 0
+        rows = [rng.integers(0, 256, size=length, dtype=np.uint8) for _ in range(k)]
+        expected = gf_matmul(coeff, np.vstack(rows))
+        out = np.full((m, length), 0xA5, dtype=np.uint8) if supply_out else None
+        got = EncodePlan(coeff, "packed").execute(rows, length, out)
+        assert out is None or got is out
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_group_widths_follow_the_row_count(self, m):
+        plan = EncodePlan(np.ones((m, 2), dtype=np.uint8), "packed")
+        widths = [width for _, width, _ in plan._groups]
+        assert widths == [4] * (m // 4) + [2] * (m % 4 // 2) + [1] * (m % 2)
+        assert [r0 for r0, _, _ in plan._groups] == [
+            sum(widths[:i]) for i in range(len(widths))
+        ]
+
+    def test_plan_survives_its_tables_being_recycled(self):
+        """More distinct matrices than the table LRU holds: their tables
+        are built into the evicted buffers, and the first plan — bound
+        before any of that — must rebuild its own, not read a recycled one."""
+        rng = np.random.default_rng(11)
+        length = 9001
+        rows = [rng.integers(0, 256, size=length, dtype=np.uint8)]
+        stacked = np.vstack(rows)
+        quad_bytes = np.dtype(np.uint64).itemsize << 16
+        count = gfkernel._TABLE_BUDGET // quad_bytes + 8
+        matrices = [
+            rng.integers(1, 256, size=(4, 1), dtype=np.uint8) for _ in range(count)
+        ]
+        assert len({m.tobytes() for m in matrices}) == count
+        first = plan_for(matrices[0])
+        assert np.array_equal(
+            first.execute(rows, length), gf_matmul(matrices[0], stacked)
+        )
+        for coeff in matrices[1:]:
+            got = plan_for(coeff).execute(rows, length)
+            assert np.array_equal(got, gf_matmul(coeff, stacked))
+        assert gfkernel._TABLES._bytes <= gfkernel._TABLE_BUDGET
+        assert np.array_equal(
+            first.execute(rows, length), gf_matmul(matrices[0], stacked)
+        )
+
+    def test_one_plan_wider_than_the_table_budget(self, monkeypatch):
+        """With room for two width-4 tables, an 8x4 plan evicts its own
+        tables between gathers on every tile and still equals the oracle."""
+        monkeypatch.setattr(gfkernel, "_TABLE_BUDGET", 1 << 20)
+        coeff, rows, expected = _random_case(23, 8, 4, 300001)
+        for _ in range(2):
+            assert np.array_equal(encode_parity(coeff, rows, 300001), expected)
+        assert gfkernel._TABLES._bytes <= 1 << 20
+
+
 class TestPlanApi:
     def test_plan_cache_reuse(self):
         coeff = np.array([[1, 2], [3, 4]], dtype=np.uint8)

@@ -8,13 +8,17 @@ next copy, erasure-coded schemes reconstruct around it.
 
 import dataclasses
 
+import numpy as np
 import pytest
 
+from repro.cloud.outage import OutageWindow
+from repro.core.config import HyRDConfig
 from repro.schemes import (
     DepSkyCAScheme,
     DepSkyScheme,
     DuraCloudScheme,
     HyrdScheme,
+    NCCloudScheme,
     RacsScheme,
 )
 from repro.schemes.base import DataUnavailable
@@ -162,6 +166,141 @@ class TestQuorumAndConfidentialSchemes:
         )
         got, _ = hyrd.get("/d/big")
         assert got == data  # verified stripe wins over the corrupt hot copy
+
+
+def _tamper(scheme, providers, entry, slot):
+    """Bit-rot ``entry``'s placement ``slot`` behind the provider's back."""
+    prov, idx = entry.placements[slot]
+    key = scheme._placement_storage_key(entry, idx)
+    store = providers[prov].store
+    stored = np.frombuffer(store.get(scheme.container, key).data, dtype=np.uint8)
+    store.tamper(scheme.container, key, (stored ^ 0xFF).tobytes())
+
+
+#: name -> (scheme factory, object size): every data path ``update`` composes
+#: new content through — RMW on RAID5 and RS stripes, re-put of an FMSR
+#: stripe, of a replicated file and of DepSky-CA bundles
+_UPDATE_PATHS = {
+    "hyrd-raid5": (lambda fleet, clock: HyrdScheme(fleet, clock), 1280 * KB),
+    "hyrd-rs": (
+        lambda fleet, clock: HyrdScheme(
+            fleet, clock, config=HyRDConfig(erasure_codec="rs")
+        ),
+        1280 * KB,
+    ),
+    "nccloud": (lambda fleet, clock: NCCloudScheme(fleet, clock), 300 * KB),
+    "replicated": (lambda fleet, clock: HyrdScheme(fleet, clock), 64 * KB),
+    "depsky-ca": (lambda fleet, clock: DepSkyCAScheme(fleet, clock), 300 * KB),
+}
+
+
+@pytest.fixture(params=sorted(_UPDATE_PATHS))
+def stored_object(request, providers, clock, payload):
+    """(scheme, entry, data) of one freshly put object per update path."""
+    build, size = _UPDATE_PATHS[request.param]
+    scheme = build(list(providers.values()), clock)
+    data = payload(size)
+    scheme.put("/d/f", data)
+    return scheme, scheme.namespace.get("/d/f"), data
+
+
+class TestUpdateComposesFromVerifiedContent:
+    """``update`` builds the next version from what the client holds; a
+    stored object that fails its write-time digest is not part of that."""
+
+    @pytest.mark.parametrize("slot", [0, -1])
+    def test_update_after_silent_corruption_keeps_acked_bytes(
+        self, stored_object, providers, slot
+    ):
+        scheme, entry, data = stored_object
+        _tamper(scheme, providers, entry, slot)
+        assert scheme.get("/d/f")[0] == data  # the read path routes around it
+        patch = bytes(range(256)) * 16
+        offset = len(data) // 2
+        scheme.update("/d/f", offset, patch)
+        expected = data[:offset] + patch + data[offset + len(patch) :]
+        assert scheme.get("/d/f")[0] == expected
+        # whatever damage is left is visible to a scrub and repairable
+        scheme.repair_object("/d/f")
+        assert scheme.verify_object("/d/f").ok
+        assert scheme.get("/d/f")[0] == expected
+
+    def test_update_past_the_end_zero_fills(self, stored_object):
+        scheme, _entry, data = stored_object
+        scheme.update("/d/f", len(data) + 100, b"tail")
+        assert scheme.get("/d/f")[0] == data + bytes(100) + b"tail"
+
+    def test_too_few_intact_fragments_refuses_the_update(
+        self, providers, clock, payload
+    ):
+        racs = RacsScheme(list(providers.values()), clock)
+        racs.put("/d/f", payload(30 * KB))
+        entry = racs.namespace.get("/d/f")
+        for slot in (0, 1):  # two corrupt fragments > RAID5 tolerance
+            _tamper(racs, providers, entry, slot)
+        with pytest.raises(DataUnavailable, match="intact"):
+            racs.update("/d/f", 0, b"XX")
+        assert racs.namespace.get("/d/f") == entry
+
+
+@pytest.fixture(params=["raid5", "rs", "fmsr"])
+def coded_scheme(request, providers, clock):
+    fleet = list(providers.values())
+    if request.param == "fmsr":
+        return NCCloudScheme(fleet, clock)
+    config = HyRDConfig(erasure_codec=request.param, size_threshold=4 * KB)
+    return HyrdScheme(fleet, clock, config=config)
+
+
+class TestPeekSkipsDecodeOnlyWhenProvablyIntact:
+    """``_peek_content`` returns the recorded payload when every held
+    fragment is the object encoded at write time, and decodes otherwise."""
+
+    @staticmethod
+    def _count_decodes(monkeypatch, codec):
+        calls = []
+        real = type(codec).decode
+
+        def counting(self, fragments, size):
+            calls.append(sorted(fragments))
+            return real(self, fragments, size)
+
+        monkeypatch.setattr(type(codec), "decode", counting)
+        return calls
+
+    def test_intact_object_is_not_decoded(
+        self, coded_scheme, payload, monkeypatch
+    ):
+        data = payload(200 * KB)
+        coded_scheme.put("/d/f", data)
+        entry = coded_scheme.namespace.get("/d/f")
+        calls = self._count_decodes(monkeypatch, coded_scheme._codec_for(entry))
+        assert coded_scheme._peek_content(entry) == data
+        assert calls == []
+
+    def test_replaced_fragment_forces_a_verified_decode(
+        self, coded_scheme, providers, payload, monkeypatch
+    ):
+        data = payload(200 * KB)
+        coded_scheme.put("/d/f", data)
+        entry = coded_scheme.namespace.get("/d/f")
+        _tamper(coded_scheme, providers, entry, 0)
+        calls = self._count_decodes(monkeypatch, coded_scheme._codec_for(entry))
+        assert coded_scheme._peek_content(entry) == data
+        tampered = entry.placements[0][1]
+        assert len(calls) == 1 and tampered not in calls[0]
+
+    def test_fragment_logged_during_an_outage_forces_a_decode(
+        self, coded_scheme, providers, clock, payload, monkeypatch
+    ):
+        providers["aliyun"].outages.add(OutageWindow(clock.now, clock.now + 60))
+        data = payload(200 * KB)
+        coded_scheme.put("/d/f", data)
+        assert coded_scheme.pending_log("aliyun")
+        entry = coded_scheme.namespace.get("/d/f")
+        calls = self._count_decodes(monkeypatch, coded_scheme._codec_for(entry))
+        assert coded_scheme._peek_content(entry) == data
+        assert len(calls) == 1
 
 
 class TestLegacyEntriesWithoutDigests:
