@@ -26,14 +26,11 @@ from repro.core.config import HyRDConfig
 from repro.cost.simulator import CostRunResult, CostSimulator
 from repro.metrics.collector import LatencyCollector
 from repro.schemes import (
-    DepSkyCAScheme,
-    DepSkyScheme,
-    DuraCloudScheme,
+    DURACLOUD_PAIR,
+    SINGLE_PROVIDERS,
     HyrdScheme,
-    NCCloudScheme,
-    RacsScheme,
-    SingleCloudScheme,
     Scheme,
+    build_scheme,
 )
 from repro.sim.clock import SimClock
 from repro.sim.rng import make_rng
@@ -64,14 +61,6 @@ __all__ = [
 KB = 1024
 MB = 1024 * 1024
 
-SINGLE_PROVIDERS = ("amazon_s3", "azure", "aliyun", "rackspace")
-
-#: DuraCloud's replica pair: Amazon S3 + Windows Azure, the two US majors
-#: (the paper takes Azure offline to trigger DuraCloud's degraded state, so
-#: Azure must be in the pair).  The pair also tops the Figure 4 cost chart:
-#: $0.033 + $0.157 = $0.19 per logical GB-month of storage.
-DURACLOUD_PAIR = ("amazon_s3", "azure")
-
 SchemeFactory = Callable[[dict[str, SimulatedProvider], SimClock], Scheme]
 
 
@@ -97,41 +86,22 @@ def default_ia_config() -> IATraceConfig:
 
 def coc_factories(extended: bool = False, hyrd_config: HyRDConfig | None = None) -> dict[str, SchemeFactory]:
     """Factories for the Cloud-of-Clouds schemes of Figures 4 and 6."""
-
-    def duracloud(providers: dict[str, SimulatedProvider], clock: SimClock) -> Scheme:
-        return DuraCloudScheme([providers[n] for n in DURACLOUD_PAIR], clock)
-
-    def racs(providers: dict[str, SimulatedProvider], clock: SimClock) -> Scheme:
-        return RacsScheme(list(providers.values()), clock)
-
-    def hyrd(providers: dict[str, SimulatedProvider], clock: SimClock) -> Scheme:
-        return HyrdScheme(list(providers.values()), clock, config=hyrd_config)
-
-    factories: dict[str, SchemeFactory] = {
-        "duracloud": duracloud,
-        "racs": racs,
-        "hyrd": hyrd,
-    }
+    names = ["duracloud", "racs", "hyrd"]
     if extended:
-        factories["depsky"] = lambda p, c: DepSkyScheme(list(p.values()), c)
-        factories["depsky-ca"] = lambda p, c: DepSkyCAScheme(list(p.values()), c)
-        factories["nccloud"] = lambda p, c: NCCloudScheme(list(p.values()), c)
+        names += ["depsky", "depsky-ca", "nccloud"]
+    factories = {name: _factory(name) for name in names}
+    factories["hyrd"] = lambda p, c: build_scheme("hyrd", p, c, config=hyrd_config)
     return factories
 
 
-def single_factory(name: str) -> SchemeFactory:
-    return lambda providers, clock: SingleCloudScheme(providers[name], clock)
-
-
-def _factory_by_name(name: str, extended: bool = False) -> SchemeFactory:
-    """Rebuild a scheme factory from its sweep name.
-
+def _factory(name: str) -> SchemeFactory:
+    """Factory for what :func:`~repro.schemes.build_scheme` calls ``name``.
     Factories are closures and do not pickle, so parallel workers receive
-    the *name* of the cell's scheme and resolve it locally.
-    """
-    if name in SINGLE_PROVIDERS:
-        return single_factory(name)
-    return coc_factories(extended=extended)[name]
+    the *name* of their cell's scheme and resolve it locally."""
+    return lambda providers, clock: build_scheme(name, providers, clock)
+
+
+single_factory = _factory  # ``name`` is a provider's: that cloud alone
 
 
 # ------------------------------------------------------- parallel sweep cells
@@ -312,10 +282,9 @@ def _fig6_cell(task: tuple) -> tuple[float, float]:
 
     Returns ``(mean access latency, degraded fraction)``.
     """
-    name, extended, cell_seed, setup_ops, txn_ops, outage_provider = task
-    factory = _factory_by_name(name, extended=extended)
+    name, cell_seed, setup_ops, txn_ops, outage_provider = task
     collector, _ = _run_postmark_once(
-        factory, setup_ops, txn_ops, cell_seed, outage_provider
+        _factory(name), setup_ops, txn_ops, cell_seed, outage_provider
     )
     return _mean_access_latency(collector), collector.degraded_fraction()
 
@@ -345,14 +314,14 @@ def run_fig6(
     all_names = list(SINGLE_PROVIDERS) + coc_names
 
     tasks = [
-        (name, extended, seed + rep, setup_ops, txn_ops, None)
+        (name, seed + rep, setup_ops, txn_ops, None)
         for name in all_names
         for rep in range(repeats)
     ]
     # Outage state: only the Cloud-of-Clouds schemes survive a provider loss
     # (that is the point of the paper); singles are omitted like in Fig. 6.
     tasks += [
-        (name, extended, seed + rep, setup_ops, txn_ops, outage_provider)
+        (name, seed + rep, setup_ops, txn_ops, outage_provider)
         for name in coc_names
         for rep in range(repeats)
     ]

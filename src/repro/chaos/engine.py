@@ -48,7 +48,6 @@ import numpy as np
 
 from repro.cloud.errors import CloudError
 from repro.cloud.provider import make_table2_cloud_of_clouds
-from repro.core.config import HyRDConfig
 from repro.core.resilience import ResilienceConfig
 from repro.faults.crash import ClientCrash, CrashSchedule
 from repro.faults.profile import (
@@ -60,16 +59,7 @@ from repro.faults.profile import (
     TransientErrorBurst,
 )
 from repro.fs.journal import IntentJournal
-from repro.schemes import (
-    DataUnavailable,
-    DepSkyCAScheme,
-    DepSkyScheme,
-    DuraCloudScheme,
-    HyrdScheme,
-    NCCloudScheme,
-    RacsScheme,
-    SingleCloudScheme,
-)
+from repro.schemes import DataUnavailable, build_scheme
 from repro.sim.clock import SimClock
 from repro.sim.rng import make_rng
 
@@ -88,9 +78,6 @@ __all__ = [
 
 #: the Table II fleet, in construction order
 _FLEET = ("amazon_s3", "azure", "aliyun", "rackspace")
-
-#: DuraCloud's two-provider pair (mirrors repro.analysis.experiments)
-_DURACLOUD_PAIR = ("amazon_s3", "azure")
 
 #: every scheme the campaign exercises by default
 CHAOS_SCHEMES = (
@@ -131,29 +118,6 @@ def chaos_resilience() -> ResilienceConfig:
         retry=replace(base.retry, op_deadline=120.0),
         write_log_memory_limit=256 * 1024,
     )
-
-
-def _build_scheme(
-    name: str, fleet: dict, clock: SimClock, resilience: ResilienceConfig
-) -> "Scheme":
-    providers = [fleet[p] for p in _FLEET]
-    if name == "duracloud":
-        return DuraCloudScheme(
-            [fleet[p] for p in _DURACLOUD_PAIR], clock, resilience=resilience
-        )
-    if name == "racs":
-        return RacsScheme(providers, clock, resilience=resilience)
-    if name == "hyrd":
-        return HyrdScheme(providers, clock, config=HyRDConfig(resilience=resilience))
-    if name == "depsky":
-        return DepSkyScheme(providers, clock, resilience=resilience)
-    if name == "depsky-ca":
-        return DepSkyCAScheme(providers, clock, resilience=resilience)
-    if name == "nccloud":
-        return NCCloudScheme(providers, clock, resilience=resilience)
-    if name == "single":
-        return SingleCloudScheme(fleet["amazon_s3"], clock, resilience=resilience)
-    raise ValueError(f"unknown chaos scheme {name!r}; choose from {CHAOS_SCHEMES}")
 
 
 # --------------------------------------------------------------------- plans
@@ -264,7 +228,9 @@ class _EpisodeDriver:
                 profiles[name] = FaultProfile(effects, seed=seed).bind(name)
         self.fleet = make_table2_cloud_of_clouds(self.clock, faults=profiles)
         self.resilience = chaos_resilience()
-        self.scheme = _build_scheme(scheme_name, self.fleet, self.clock, self.resilience)
+        self.scheme = build_scheme(
+            scheme_name, self.fleet, self.clock, resilience=self.resilience
+        )
         self.journal = self.scheme.attach_journal()
         self.schedule = CrashSchedule(self.crash_ordinals)
         self.scheme.install_crash_schedule(self.schedule)
@@ -482,8 +448,8 @@ class _EpisodeDriver:
         """Replace the dead client, hand over durable state, recover."""
         self.crashes.append(crash.at_op)
         dead = self.scheme
-        self.scheme = _build_scheme(
-            self.scheme_name, self.fleet, self.clock, self.resilience
+        self.scheme = build_scheme(
+            self.scheme_name, self.fleet, self.clock, resilience=self.resilience
         )
         # The intent journal and the write logs are client-local *disk*
         # state: they survive the process.  Namespace, hot-copy table,
@@ -578,14 +544,8 @@ class _EpisodeDriver:
             registry.counter(
                 "chaos_invariant_violations_total", invariant=invariant
             ).inc(len(results[invariant]))
-        for name, log in self.scheme._write_logs.items():
-            registry.gauge("writelog_pending_bytes", provider=name).set(
-                log.pending_bytes()
-            )
-            if log.memory_limit_bytes is not None:
-                registry.gauge("writelog_spilled_bytes", provider=name).set(
-                    log.spilled_bytes()
-                )
+        for name in self.scheme._write_logs:
+            self.scheme._publish_write_log(name)
 
     def _report(self, recovery: dict, results: dict[str, list[dict]]) -> dict:
         ok = all(not v for v in results.values())

@@ -240,25 +240,12 @@ class HyRDClient(Scheme):
         """Background upload of a hot copy to the fastest performance provider."""
         target = self.dispatcher.promotion_target()
         entry = self.namespace.get(path)
-        self._begin_op()
-        self._run_phase(
-            [
-                CloudOp(
-                    target,
-                    "put",
-                    self.container,
-                    self._hot_key(path, entry.version),
-                    data,
-                )
-            ]
-        )
-        report = self._end_op("promote", path)
-        self.collector.add(report)
+        key = self._hot_key(path, entry.version)
+        with self._op("promote", path) as op:
+            self._run_phase([CloudOp(target, "put", self.container, key, data)])
         self._hot[path] = (target, entry.version)
-        self._hot_digests[path] = self._record_digest(
-            self._hot_key(path, entry.version), data
-        )
-        return report
+        self._hot_digests[path] = self._record_digest(key, data)
+        return op.report
 
     # --------------------------------------------------------------- intro
     def hot_copies(self) -> dict[str, tuple[str, int]]:

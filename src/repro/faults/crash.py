@@ -7,7 +7,7 @@ stripes, orphaned fragments and a namespace that was never published.  This
 module gives that failure mode a deterministic vocabulary:
 
 - a *step* is one :class:`~repro.schemes.base.CloudOp` processed by the
-  scheme engine's phase executor (``Scheme._run_phase``) — the finest grain
+  scheme engine's phase executor (``Scheme._issue``) — the finest grain
   at which a real client can die between externally visible effects;
 - a :class:`CrashPoint` names one step by its 1-based ordinal in the
   client's lifetime stream of cloud requests;

@@ -88,12 +88,10 @@ class OrphanSweeper:
                 continue  # already gone: nothing owed
             from repro.schemes.base import CloudOp
 
-            self.scheme._begin_op()
-            phase = self.scheme._run_phase(
-                [CloudOp(provider, "remove", container, key)]
-            )
-            report = self.scheme._end_op("gc", key)
-            self.scheme.collector.add(report)
+            with self.scheme._op("gc", key):
+                phase = self.scheme._run_phase(
+                    [CloudOp(provider, "remove", container, key)]
+                )
             ok = phase.outcomes[0].ok
             self.budget.settle(_DELETE_COST_BYTES, _DELETE_COST_BYTES if ok else 0)
             if ok:

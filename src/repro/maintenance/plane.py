@@ -185,7 +185,7 @@ class MaintenancePlane:
             return
         # A tick can only fire mid-op if someone calls pump() from inside a
         # scheme operation; verify/repair are public ops themselves, so defer.
-        if self.scheme._acc is not None:
+        if self.scheme._current is not None:
             return
         self.run_cycle()
 

@@ -82,7 +82,7 @@ class RunReport:
         """Rebuild a report from trace records (see :func:`repro.obs.read_jsonl`).
 
         Metric events replay into a fresh registry; root ``op.*`` spans (the
-        ones :meth:`Scheme._end_op` closes, carrying the full OpReport as
+        ones :meth:`Scheme._op` closes, carrying the full OpReport as
         attributes) rebuild the report stream in completion order.
         """
         meta: dict[str, Any] = {}

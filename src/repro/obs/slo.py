@@ -18,8 +18,9 @@ happens:
   tests can demand *exact* agreement with the fault schedule while the
   breaker view is compared with tolerance.
 - :class:`SloTracker` — the aggregate: a sliding window of operation
-  outcomes (hooked into :meth:`Scheme._end_op <repro.schemes.base.Scheme>`
-  and the public-op failure path) yielding read/write availability, the
+  outcomes (fed by the exit of the op scope,
+  :meth:`Scheme._op <repro.schemes.base.Scheme>` — successes and failures
+  under the same op kind) yielding read/write availability, the
   degraded-read fraction, and error-budget burn rates against
   :class:`SloConfig` targets.  :meth:`SloTracker.publish` writes everything
   into the metric registry as ``slo_*`` gauges, which is how the time series
@@ -58,7 +59,7 @@ __all__ = [
 _OP_CLASS: dict[str, str] = {
     "get": "read",
     "stat": "read",
-    "listdir": "read",
+    "list": "read",
     "put": "write",
     "update": "write",
     "remove": "write",

@@ -15,6 +15,7 @@ which providers, which redundancy); the base class owns the data path.
 - :class:`HyrdScheme`        -- this paper (alias of repro.core.HyRDClient)
 """
 
+from dataclasses import replace
 from typing import Any
 
 from repro.schemes.base import DataUnavailable, Placement, Scheme
@@ -24,6 +25,54 @@ from repro.schemes.duracloud import DuraCloudScheme
 from repro.schemes.nccloud import NCCloudScheme
 from repro.schemes.racs import RacsScheme
 from repro.schemes.single import SingleCloudScheme
+
+
+#: the Table II fleet, in construction order; each name is also the scheme
+#: "that cloud alone"
+SINGLE_PROVIDERS = ("amazon_s3", "azure", "aliyun", "rackspace")
+
+#: DuraCloud's replica pair: Amazon S3 + Windows Azure, the two US majors
+#: (the paper takes Azure offline to trigger DuraCloud's degraded state, so
+#: Azure must be in the pair).  The pair also tops the Figure 4 cost chart:
+#: $0.033 + $0.157 = $0.19 per logical GB-month of storage.
+DURACLOUD_PAIR = ("amazon_s3", "azure")
+
+
+def build_scheme(name: str, fleet: dict, clock, **kwargs: Any) -> Scheme:
+    """The scheme called ``name`` on the Table II ``fleet`` (name -> provider).
+
+    A provider's own name is that single cloud, ``single`` is Amazon S3
+    (Figure 6's reference), ``duracloud`` runs on :data:`DURACLOUD_PAIR`,
+    and ``racs`` / ``hyrd`` / ``hyrd-rs`` / ``depsky`` / ``depsky-ca`` /
+    ``nccloud`` on the whole fleet.  ``kwargs`` (``resilience=``,
+    ``tracer=``, ...) go to the constructor; HyRD carries its resilience in
+    its ``config=`` (:class:`~repro.core.config.HyRDConfig`), so for it
+    ``resilience=`` is folded in there, as are ``hyrd-rs``'s RS stripes.
+    """
+    if name == "single" or name in fleet:
+        return SingleCloudScheme(fleet["amazon_s3" if name == "single" else name], clock, **kwargs)
+    if name == "duracloud":
+        return DuraCloudScheme([fleet[p] for p in DURACLOUD_PAIR], clock, **kwargs)
+    everyone = list(fleet.values())
+    if name in ("hyrd", "hyrd-rs"):
+        from repro.core.config import HyRDConfig
+        from repro.schemes.hyrd_scheme import HyrdScheme
+
+        config = kwargs.pop("config", None) or HyRDConfig()
+        if name == "hyrd-rs":
+            config = replace(config, erasure_codec="rs")
+        if "resilience" in kwargs:
+            config = replace(config, resilience=kwargs.pop("resilience"))
+        return HyrdScheme(everyone, clock, config=config, **kwargs)
+    whole_fleet = {
+        "racs": RacsScheme,
+        "depsky": DepSkyScheme,
+        "depsky-ca": DepSkyCAScheme,
+        "nccloud": NCCloudScheme,
+    }
+    if name not in whole_fleet:
+        raise ValueError(f"unknown scheme {name!r}")
+    return whole_fleet[name](everyone, clock, **kwargs)
 
 
 def __getattr__(name: str) -> Any:
@@ -36,6 +85,7 @@ def __getattr__(name: str) -> Any:
     raise AttributeError(f"module 'repro.schemes' has no attribute {name!r}")
 
 __all__ = [
+    "DURACLOUD_PAIR",
     "DataUnavailable",
     "DepSkyCAScheme",
     "DepSkyScheme",
@@ -44,6 +94,8 @@ __all__ = [
     "NCCloudScheme",
     "Placement",
     "RacsScheme",
+    "SINGLE_PROVIDERS",
     "Scheme",
     "SingleCloudScheme",
+    "build_scheme",
 ]

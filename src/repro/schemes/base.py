@@ -22,14 +22,13 @@ driven by the codec each :class:`~repro.fs.namespace.FileEntry` records.
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
 import math
 import os
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -373,79 +372,133 @@ class RepairResult:
         return not self.skipped_pending and not self.skipped_unreachable
 
 
-def _public_op(method):
-    """Exception safety for public operations.
+class _Op:
+    """One scheme operation, opened and closed by a single ``with`` scope.
 
-    A failing operation (e.g. :class:`DataUnavailable` when outages exceed
-    fault tolerance) must not leave the per-op accumulator armed, or every
-    later call would be rejected as "nested"."""
+    Holds what belongs to the operation in flight and to nothing else: the
+    traffic accumulator its phases add to, the root trace span, the journal
+    context of a mutating op and the tenant it is attributed to (read once,
+    at entry).  ``__exit__`` is the only place that turns this into an
+    outcome.  On success it builds the
+    :class:`~repro.metrics.collector.OpReport` (``report``), closes the span
+    and feeds SLO tracker, observatory and collector; on an exception it
+    aborts the span, flags a journaled intent aborted and records the
+    failure under the ``kind`` a success would have reported.  Either way
+    the scheme is disarmed first, so an op that raises — from whichever
+    entry point — cannot get every later one rejected as "nested".
+    """
 
-    @functools.wraps(method)
-    def wrapper(self, *args, **kwargs):
-        try:
-            return method(self, *args, **kwargs)
-        except BaseException as exc:
-            self._acc = None
-            self._abort_op_span()
+    __slots__ = (
+        "scheme", "kind", "path", "tenant", "t0", "span", "report",
+        "bytes_up", "bytes_down", "cloud_ops", "providers", "degraded",
+        "rtt_wait", "transfer_time", "retries", "hedged", "armed", "seq",
+    )
+
+    def __init__(self, scheme: "Scheme", kind: str, path: str) -> None:
+        self.scheme = scheme
+        self.kind = kind
+        self.path = path
+        self.span = None
+        self.report: OpReport | None = None
+        self.bytes_up = 0
+        self.bytes_down = 0
+        self.cloud_ops = 0
+        self.providers: set[str] = set()
+        self.degraded = False
+        self.rtt_wait = 0.0
+        self.transfer_time = 0.0
+        self.retries = 0
+        self.hedged = False
+        #: journal context: ``(intent kind, previous entry, redo payload)``
+        #: from :meth:`Scheme._journal_arm`; the placement plan — and with
+        #: it the intent's ``seq`` — follows from :meth:`Scheme._journal_plan`
+        #: just before the first fragment put
+        self.armed: tuple[str, FileEntry | None, bytes | None] | None = None
+        self.seq: int | None = None
+
+    def __enter__(self) -> "_Op":
+        scheme = self.scheme
+        if scheme._current is not None:
+            raise RuntimeError("nested scheme operations are not supported")
+        scheme._current = self
+        self.tenant = scheme._op_tenant
+        self.t0 = scheme.clock.now
+        if scheme.tracer.enabled:
+            # Root span: opened now so every request / retry / heal span
+            # recorded inside nests under it; named at exit.
+            self.span = scheme.tracer.span("op")
+            self.span.__enter__()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        scheme = self.scheme
+        scheme._current = None
+        span = self.span
+        now = scheme.clock.now
+        if exc is not None:
+            if span is not None:
+                span.record.name = "op.error"
+                span.record.set(outcome="error")
+                span.__exit__(None, None, None)
             # A ClientCrash models the process dying mid-op: nothing else
             # client-side runs, so the journal intent stays *pending* (the
             # evidence recovery consumes) and no failure is recorded.
-            crashed = isinstance(exc, ClientCrash)
-            ctx = self._jctx
-            self._jctx = None
-            if (
-                not crashed
-                and ctx is not None
-                and ctx.seq is not None
-                and self.journal is not None
-            ):
-                # Clean failure with the client alive: keep the intent,
-                # flagged aborted, so recovery GCs whatever landed.
-                self.journal.mark_aborted(ctx.seq)
-                self._publish_journal_gauges()
-            if self.slo is not None and not crashed:
-                self.slo.record_failure(
-                    method.__name__.lstrip("_"),
-                    self.clock.now,
-                    tenant=self._op_tenant,
-                )
-            raise
-
-    return wrapper
-
-
-@dataclass
-class _JournalCtx:
-    """Journal context for the mutating public op currently in flight.
-
-    Armed by :meth:`Scheme._journal_arm` at op entry with what is known
-    there (kind, path, previous entry, redo payload); the placement plan —
-    and with it the actual :class:`~repro.fs.journal.WriteIntent` — is
-    filled in by :meth:`Scheme._journal_plan` just before the first
-    fragment put, once the write helper knows sites and thresholds.
-    """
-
-    kind: str
-    path: str
-    prev: FileEntry | None
-    payload: bytes | None
-    seq: int | None = None
-
-
-@dataclass
-class _OpAcc:
-    """Accumulator for the public operation currently in flight."""
-
-    t0: float
-    bytes_up: int = 0
-    bytes_down: int = 0
-    cloud_ops: int = 0
-    providers: set[str] = field(default_factory=set)
-    degraded: bool = False
-    rtt_wait: float = 0.0
-    transfer_time: float = 0.0
-    retries: int = 0
-    hedged: bool = False
+            if not isinstance(exc, ClientCrash):
+                if self.seq is not None and scheme.journal is not None:
+                    # Clean failure with the client alive: keep the intent,
+                    # flagged aborted, so recovery GCs whatever landed.
+                    scheme.journal.mark_aborted(self.seq)
+                    scheme._publish_journal_gauges()
+                if scheme.slo is not None:
+                    scheme.slo.record_failure(self.kind, now, tenant=self.tenant)
+            return False
+        report = self.report = OpReport(
+            op=self.kind,
+            path=self.path,
+            elapsed=now - self.t0,
+            bytes_up=self.bytes_up,
+            bytes_down=self.bytes_down,
+            providers=tuple(sorted(self.providers)),
+            degraded=self.degraded,
+            cloud_ops=self.cloud_ops,
+            rtt_wait=self.rtt_wait,
+            transfer_time=self.transfer_time,
+            retries=self.retries,
+            hedged=self.hedged,
+            tenant=self.tenant,
+        )
+        trace_id = None
+        if span is not None:
+            trace_id = span.record.span_id
+            # The root span carries the full OpReport so a JSON-lines trace
+            # is self-contained: RunReport.from_trace rebuilds the report
+            # stream from these attributes alone.
+            span.record.name = f"op.{self.kind}"
+            span.record.set(
+                op=self.kind,
+                path=self.path,
+                elapsed=report.elapsed,
+                bytes_up=report.bytes_up,
+                bytes_down=report.bytes_down,
+                providers=list(report.providers),
+                degraded=report.degraded,
+                cloud_ops=report.cloud_ops,
+                rtt_wait=report.rtt_wait,
+                transfer_time=report.transfer_time,
+                retries=report.retries,
+                hedged=report.hedged,
+            )
+            if report.tenant is not None:
+                # Only stamped when attributed, so tenant-free traces stay
+                # byte-identical to pre-service-plane ones.
+                span.record.set(tenant=report.tenant)
+            span.__exit__(None, None, None)
+        if scheme.slo is not None:
+            scheme.slo.record_op(report, now)
+        if scheme.observatory is not None:
+            scheme.observatory.on_op(report, trace_id)
+        scheme.collector.add(report)
+        return False
 
 
 class Scheme(ABC):
@@ -503,7 +556,6 @@ class Scheme(ABC):
         self.collector = LatencyCollector(registry=self.registry)
         if self.tracer.enabled:
             self.tracer.meta(scheme=self.name, seed=seed)
-        self._op_span = None
         if resilience is None:
             resilience = ResilienceConfig()
             if self.transient_retries != 2:
@@ -547,9 +599,10 @@ class Scheme(ABC):
         self._codec_instances: dict[
             tuple[str, tuple[tuple[str, int], ...]], ErasureCodec
         ] = {}
-        self._acc: _OpAcc | None = None
+        #: the operation in flight (see :meth:`_op`); None between operations
+        self._current: _Op | None = None
         self._meta_sizes: dict[str, int] = {}
-        #: tenant attribution for the op currently in flight — set via
+        #: tenant attribution for ops opened from now on — set via
         #: :meth:`tenant_context` by the service plane's frontend handlers;
         #: None (the default) keeps reports identical to a tenant-free build
         self._op_tenant: str | None = None
@@ -572,7 +625,6 @@ class Scheme(ABC):
         #: :meth:`attach_journal`; None (the default) keeps the write path
         #: byte-identical to a journal-free build
         self.journal: IntentJournal | None = None
-        self._jctx: _JournalCtx | None = None
         #: optional :class:`repro.faults.crash.CrashSchedule` — see
         #: :meth:`install_crash_schedule`
         self._crash: CrashSchedule | None = None
@@ -758,62 +810,76 @@ class Scheme(ABC):
         if breaker.state != before:
             self.collector.bump(f"breaker_{breaker.state}")
 
-    def _feed_latency(self, outcomes: list[OpOutcome]) -> None:
-        """Feed completed requests' latencies into the health EWMAs."""
-        for o in outcomes:
+    def _op(self, kind: str, path: str) -> _Op:
+        """Scope of one operation: ``with self._op("put", path) as op: ...``,
+        then ``op.report``.  Every entry point that issues phases opens
+        exactly one; phases account to it through ``self._current``.  The
+        public ops validate their arguments inside it, so a rejected call
+        counts against availability like any other failed one."""
+        return _Op(self, kind, path)
+
+    def _run_phase(self, ops: list[CloudOp], bypass_breakers: bool = False) -> PhaseResult:
+        """Issue one phase of concurrent requests and wait for all of it."""
+        phase = self._issue(ops, bypass_breakers=bypass_breakers)
+        self._settle(phase.elapsed, phase.outcomes)
+        return phase
+
+    def _settle(
+        self,
+        until: float,
+        waited: list[OpOutcome],
+        cancelled: tuple[tuple[OpOutcome, float], ...] = (),
+    ) -> None:
+        """Wait ``until`` seconds from now on requests already issued: the
+        one place a phase moves the clock or feeds health.
+
+        ``waited`` are the outcomes the client actually observed complete;
+        their latency against the clean expectation is what surfaces a
+        brownout in the health EWMAs.  ``cancelled`` pairs a hedge leg that
+        lost its race with the seconds it spent on the wire before the
+        winner answered.  Its completion time is counterfactual — feeding
+        it would poison health ranking with a number nobody observed — so
+        ``min(finish, seconds)`` is booked as wasted provider work instead
+        (``hedge_wasted_seconds``, a ``hedge.wasted`` trace event).  That
+        wait is also a *censored* latency sample, "still pending after this
+        long", and the only signal health gets about a primary that keeps
+        losing hedges; feeding the lower bound keeps the slowdown EWMA
+        adapting to fresh brownouts without leaking the counterfactual.
+        """
+        for o in waited:
             if o.ok and o.finish > 0.0:
                 health = self.health.get(o.op.provider)
                 if health is not None:
                     health.record_latency(o.finish, self._expected_latency(o))
+        if until > 0:
+            self.clock.advance(until)
+        for o, seconds in cancelled:
+            if not o.ok or o.finish <= 0.0 or seconds <= 0.0:
+                continue
+            wasted = min(o.finish, seconds)
+            self.registry.histogram(
+                "hedge_wasted_seconds", provider=o.op.provider
+            ).observe(wasted)
+            health = self.health.get(o.op.provider)
+            if health is not None:
+                health.record_latency(wasted, self._expected_latency(o))
+            if self.tracer.enabled:
+                self.tracer.event("hedge.wasted", provider=o.op.provider, wasted=wasted)
 
-    def _note_hedge_waste(
-        self, outcome: OpOutcome, cancelled_after: float
-    ) -> None:
-        """Account a lost hedge leg's wire time as waste, not latency.
-
-        The loser's completion time is counterfactual — the client cancelled
-        it the moment the winner answered, so feeding it into the provider's
-        latency EWMA would poison health ranking with a number nobody
-        observed.  What *was* real is the wire time until cancellation:
-        ``min(finish, cancelled_after)`` seconds of wasted provider work,
-        recorded in the ``hedge_wasted_seconds`` histogram and surfaced to
-        the attribution analyzer as a ``hedge.wasted`` trace event.
-
-        That observed wait is also a *censored* latency sample — "still
-        pending after this long" — and it is the only signal health can get
-        about a primary that keeps losing hedges (its true completions are
-        never observed once hedging routes around it).  Feeding the censored
-        lower bound keeps the slowdown EWMA adapting to fresh brownouts
-        without leaking the counterfactual finish time.
-        """
-        if not outcome.ok or outcome.finish <= 0.0 or cancelled_after <= 0.0:
-            return
-        wasted = min(outcome.finish, cancelled_after)
-        self.registry.histogram(
-            "hedge_wasted_seconds", provider=outcome.op.provider
-        ).observe(wasted)
-        health = self.health.get(outcome.op.provider)
-        if health is not None:
-            health.record_latency(wasted, self._expected_latency(outcome))
-        if self.tracer.enabled:
-            self.tracer.event(
-                "hedge.wasted", provider=outcome.op.provider, wasted=wasted
-            )
-
-    def _run_phase(
-        self,
-        ops: list[CloudOp],
-        advance: bool = True,
-        bypass_breakers: bool = False,
-        record_latency: bool = True,
-        span_offset: float = 0.0,
+    def _issue(
+        self, ops: list[CloudOp], at: float = 0.0, bypass_breakers: bool = False
     ) -> PhaseResult:
-        """Execute one phase of concurrent provider requests.
+        """Put one phase of concurrent provider requests on the wire.
 
         State changes apply instantly; wire time is computed by batching all
-        transfer specs through the client link.  Mutations aimed at an
-        unavailable provider are recorded in its write log.  When ``advance``
-        the clock moves to the phase's end (quorum schemes advance manually).
+        transfer specs through the client link, and each outcome's
+        ``finish`` is relative to the issue instant — ``at`` seconds from
+        now, so a delayed hedge leg's trace spans and observatory arrivals
+        sit where the leg actually fired.  Mutations aimed at an unavailable
+        provider are recorded in its write log.  Issuing accounts the
+        requests to the op in flight but never moves the clock and never
+        feeds latency to health: how long the client waits, and for which
+        of the requests, is :meth:`_settle`'s call.
 
         Resilience hooks: each involved provider's circuit breaker is
         consulted once per phase — a denied provider fast-fails every op
@@ -824,20 +890,15 @@ class Scheme(ABC):
         ``bypass_breakers`` is set by the consistency update, whose forced
         replay is itself the half-open probe that re-admits a healed
         provider.
-
-        Hedged reads run both legs through here with ``record_latency=False``
-        (only the race winner's latency may feed health EWMAs — the loser's
-        completion time is counterfactual) and give the delayed backup leg a
-        ``span_offset`` so its trace spans and observatory arrivals sit at
-        the simulated time the leg actually fired, not the phase start.
-        Both knobs are pure observation: simulated timings are untouched.
         """
+        acc = self._current
         outcomes: list[OpOutcome] = []
         uploads: list[tuple[int, TransferSpec]] = []
         downloads: list[tuple[int, TransferSpec]] = []
         bytes_up = 0
         bytes_down = 0
         now = self.clock.now
+        start = now + at
         policy = self.retry_policy
         # Per-op attempt counts for request spans; only kept while tracing.
         attempt_counts: dict[int, int] | None = (
@@ -916,15 +977,14 @@ class Scheme(ABC):
                     backoff_spent += wait
                     penalty += wait
                     self.collector.bump("retries")
-                    if self._acc is not None:
-                        self._acc.retries += 1
+                    acc.retries += 1
                     if attempt_counts is not None:
                         # The wait sits at the end of this op's serialized
                         # penalty chain, which starts at the phase start.
                         self.tracer.add(
                             "retry.wait",
-                            now + span_offset + penalty - wait,
-                            now + span_offset + penalty,
+                            start + penalty - wait,
+                            start + penalty,
                             provider=op.provider,
                             attempt=attempt,
                         )
@@ -992,14 +1052,8 @@ class Scheme(ABC):
                     elapsed = res.finish_time
                     critical_rtt = spec.start_delay
 
-        # Feed observed latency into the health trackers: the ratio against
-        # the clean expectation is what surfaces brownouts to the client.
-        # Hedge legs defer this to the race winner (see _hedged_replicated_get).
-        if record_latency:
-            self._feed_latency(outcomes)
-
         if self.observatory is not None:
-            self.observatory.on_phase(now + span_offset, outcomes)
+            self.observatory.on_phase(start, outcomes)
 
         if attempt_counts is not None:
             # Backfilled per-request child spans: each request's finish is
@@ -1007,11 +1061,7 @@ class Scheme(ABC):
             for i, o in enumerate(outcomes):
                 if isinstance(o.error, CircuitOpenError):
                     self.tracer.add(
-                        "breaker.fast_fail",
-                        now + span_offset,
-                        now + span_offset,
-                        provider=o.op.provider,
-                        kind=o.op.kind,
+                        "breaker.fast_fail", start, start, provider=o.op.provider, kind=o.op.kind
                     )
                     continue
                 attrs = {
@@ -1022,32 +1072,19 @@ class Scheme(ABC):
                 }
                 if o.error is not None:
                     attrs["error"] = type(o.error).__name__
-                self.tracer.add(
-                    "request",
-                    now + span_offset,
-                    now + span_offset + o.finish,
-                    **attrs,
-                )
+                self.tracer.add("request", start, start + o.finish, **attrs)
 
-        if advance and elapsed > 0:
-            self.clock.advance(elapsed)
-
-        result = PhaseResult(
-            outcomes=outcomes,
-            elapsed=elapsed,
-            bytes_up=bytes_up,
-            bytes_down=bytes_down,
+        acc.bytes_up += bytes_up
+        acc.bytes_down += bytes_down
+        acc.cloud_ops += len(ops)
+        acc.providers.update(op.provider for op in ops)
+        # Critical-path attribution: the phase ends with its slowest
+        # transfer; that transfer's RTT is waiting, the rest is bytes.
+        acc.rtt_wait += min(critical_rtt, elapsed)
+        acc.transfer_time += max(elapsed - critical_rtt, 0.0)
+        return PhaseResult(
+            outcomes=outcomes, elapsed=elapsed, bytes_up=bytes_up, bytes_down=bytes_down
         )
-        if self._acc is not None:
-            self._acc.bytes_up += bytes_up
-            self._acc.bytes_down += bytes_down
-            self._acc.cloud_ops += len(ops)
-            self._acc.providers.update(op.provider for op in ops)
-            # Critical-path attribution: the phase ends with its slowest
-            # transfer; that transfer's RTT is waiting, the rest is bytes.
-            self._acc.rtt_wait += min(critical_rtt, elapsed)
-            self._acc.transfer_time += max(elapsed - critical_rtt, 0.0)
-        return result
 
     @staticmethod
     def _apply_op(provider: SimulatedProvider, op: CloudOp) -> bytes | None:
@@ -1091,9 +1128,13 @@ class Scheme(ABC):
             )
 
     def _note_write_log(self, provider: str) -> None:
-        """Publish one logged mutation and the provider's pending depth."""
-        log = self._write_logs[provider]
+        """Count one logged mutation and publish the provider's pending depth."""
         self.registry.counter("write_log_entries_total", provider=provider).inc()
+        self._publish_write_log(provider)
+
+    def _publish_write_log(self, provider: str) -> None:
+        """Gauges of what ``provider``'s write log still owes."""
+        log = self._write_logs[provider]
         self.registry.gauge("write_log_pending", provider=provider).set(len(log))
         self.registry.gauge("writelog_pending_bytes", provider=provider).set(
             log.pending_bytes()
@@ -1129,12 +1170,7 @@ class Scheme(ABC):
                 else:
                     inherited.log_remove(e.container, e.key, e.logged_at)
             self._write_logs[name] = inherited
-            self.registry.gauge("write_log_pending", provider=name).set(
-                len(inherited)
-            )
-            self.registry.gauge("writelog_pending_bytes", provider=name).set(
-                inherited.pending_bytes()
-            )
+            self._publish_write_log(name)
 
     def heal_returned(self) -> list[OpReport]:
         """Replay write logs of every provider that has come back.
@@ -1148,24 +1184,17 @@ class Scheme(ABC):
         for name, log in self._write_logs.items():
             if not log or not self.provider(name).is_available():
                 continue
-            reports.append(self._heal_one(name, log))
+            with self._op("heal", f"provider:{name}") as op:
+                self._heal_phase(name, log)
+            reports.append(op.report)
         return reports
-
-    @_public_op
-    def _heal_one(self, name: str, log: WriteLog) -> OpReport:
-        """Standalone consistency update with its own ``heal`` report."""
-        self._begin_op()
-        self._heal_phase(name, log)
-        report = self._end_op("heal", f"provider:{name}")
-        self.collector.add(report)
-        return report
 
     def _heal_phase(self, name: str, log: WriteLog) -> None:
         """Replay one provider's write log inside the current accounting.
 
-        Called standalone by :meth:`_heal_one` or inline from
-        :meth:`_heal_before_touching`, where the replay cost is attributed
-        to the foreground operation that forced it.
+        Called from :meth:`heal_returned` under a ``heal`` op of its own, or
+        inline from :meth:`_heal_before_touching`, where the replay cost is
+        attributed to the foreground operation that forced it.
         """
         # Replay from a *peek*, discarding each entry only once its replay op
         # succeeded: a client crash mid-replay then leaves the unapplied tail
@@ -1213,103 +1242,17 @@ class Scheme(ABC):
             self.registry.counter("heal_replayed_total", provider=name).inc(replayed)
         # A replay that failed partway re-logs the unreplayed tail, so the
         # pending gauges reflect whatever is still owed after this pass.
-        self.registry.gauge("write_log_pending", provider=name).set(len(log))
-        self.registry.gauge("writelog_pending_bytes", provider=name).set(
-            log.pending_bytes()
-        )
-        if log.memory_limit_bytes is not None:
-            self.registry.gauge("writelog_spilled_bytes", provider=name).set(
-                log.spilled_bytes()
-            )
+        self._publish_write_log(name)
 
     def _heal_before_touching(self, providers: set[str]) -> None:
         """Consistency-update any returned-but-stale provider we are about to use."""
         for name in providers:
             log = self._write_logs.get(name)
             if log and self.provider(name).is_available():
-                if self._acc is not None:
-                    self._heal_phase(name, log)
-                else:
-                    self._heal_one(name, log)
-
-    # ------------------------------------------------------ report plumbing
-    def _begin_op(self) -> None:
-        if self._acc is not None:
-            raise RuntimeError("nested scheme operations are not supported")
-        self._acc = _OpAcc(t0=self.clock.now)
-        if self.tracer.enabled:
-            # Root span for this operation: opened now so every request /
-            # retry / heal span recorded inside nests under it; named and
-            # closed by _end_op once the op kind is known.
-            self._op_span = self.tracer.span("op")
-            self._op_span.__enter__()
+                self._heal_phase(name, log)
 
     def _mark_degraded(self) -> None:
-        if self._acc is not None:
-            self._acc.degraded = True
-
-    def _abort_op_span(self) -> None:
-        """Close a dangling root span when a public op raises."""
-        span = self._op_span
-        if span is not None:
-            self._op_span = None
-            span.record.name = "op.error"
-            span.record.set(outcome="error")
-            span.__exit__(None, None, None)
-
-    def _end_op(self, op: str, path: str) -> OpReport:
-        acc = self._acc
-        if acc is None:
-            raise RuntimeError("_end_op without _begin_op")
-        self._acc = None
-        report = OpReport(
-            op=op,
-            path=path,
-            elapsed=self.clock.now - acc.t0,
-            bytes_up=acc.bytes_up,
-            bytes_down=acc.bytes_down,
-            providers=tuple(sorted(acc.providers)),
-            degraded=acc.degraded,
-            cloud_ops=acc.cloud_ops,
-            rtt_wait=acc.rtt_wait,
-            transfer_time=acc.transfer_time,
-            retries=acc.retries,
-            hedged=acc.hedged,
-            tenant=self._op_tenant,
-        )
-        span = self._op_span
-        trace_id = None
-        if span is not None:
-            self._op_span = None
-            trace_id = span.record.span_id
-            # The root span carries the full OpReport so a JSON-lines trace
-            # is self-contained: RunReport.from_trace rebuilds the report
-            # stream from these attributes alone.
-            span.record.name = f"op.{op}"
-            span.record.set(
-                op=op,
-                path=path,
-                elapsed=report.elapsed,
-                bytes_up=report.bytes_up,
-                bytes_down=report.bytes_down,
-                providers=list(report.providers),
-                degraded=report.degraded,
-                cloud_ops=report.cloud_ops,
-                rtt_wait=report.rtt_wait,
-                transfer_time=report.transfer_time,
-                retries=report.retries,
-                hedged=report.hedged,
-            )
-            if report.tenant is not None:
-                # Only stamped when attributed, so tenant-free traces stay
-                # byte-identical to pre-service-plane ones.
-                span.record.set(tenant=report.tenant)
-            span.__exit__(None, None, None)
-        if self.slo is not None:
-            self.slo.record_op(report, self.clock.now)
-        if self.observatory is not None:
-            self.observatory.on_op(report, trace_id)
-        return report
+        self._current.degraded = True
 
     # ----------------------------------------------------- placement helpers
     @staticmethod
@@ -1404,13 +1347,17 @@ class Scheme(ABC):
         quorum's completion, not the phase maximum; with fewer successes
         than ``quorum`` the op waits for the last one and is degraded.
         """
-        phase = self._run_phase(ops, advance=False)
+        phase = self._issue(ops)
         finishes = sorted(o.finish for o in phase.succeeded())
+        until = 0.0
         if len(finishes) >= quorum:
-            self.clock.advance(finishes[quorum - 1])
+            until = finishes[quorum - 1]
         elif finishes:
-            self.clock.advance(finishes[-1])
+            until = finishes[-1]
             self._mark_degraded()
+        # Stragglers' latencies are observed too: they complete, just not on
+        # the op's critical path.
+        self._settle(until, phase.outcomes)
         return phase
 
     def _read_replicated(
@@ -1487,10 +1434,10 @@ class Scheme(ABC):
     ) -> tuple[bytes, bool] | None:
         """Primary request plus a delayed backup; first intact response wins.
 
-        Models request hedging on the sim clock: the primary phase runs
-        without advancing time; if its response would land after the hedge
-        trigger delay (estimated p95 for this transfer) — or it failed — the
-        backup fires and the clock advances to the *winner's* finish.  The
+        Models request hedging on the sim clock: the primary is issued; if
+        its response would land after the hedge trigger delay (estimated p95
+        for this transfer) — or it failed — the backup is issued at that
+        delay and the op settles at the *winner's* finish.  The
         loser is cancelled, so its wire time is never waited on, but both
         requests were issued: providers metered both, and both count as
         cloud ops (hedging's real cost).
@@ -1505,16 +1452,9 @@ class Scheme(ABC):
             factor = max(health.p95_slowdown(cfg.hedge_quantile_dev), factor)
         hedge_delay = self._estimate_latency(primary, size, "down") * factor
 
-        # Both legs run with record_latency=False: only the race *winner's*
-        # latency may feed the health EWMAs.  The loser is cancelled at the
-        # winner's finish, so its completion time is counterfactual — feeding
-        # it would poison health ranking (and hedge against a browned-out
-        # backup would mark the backup slow for latency nobody waited on).
-        p_phase = self._run_phase(
-            [CloudOp(primary, "get", self.container, key)],
-            advance=False,
-            record_latency=False,
-        )
+        # Both legs are issued, then one settle per exit: only the race
+        # *winner* is waited on, the loser is cancelled at its finish.
+        p_phase = self._issue([CloudOp(primary, "get", self.container, key)])
         p = p_phase.outcomes[0]
         p_ok = (
             p.ok
@@ -1522,29 +1462,21 @@ class Scheme(ABC):
             and (digest is None or self._verify_digest(key, p.data, digest))
         )
         if p_ok and p_phase.elapsed <= hedge_delay:
-            if p_phase.elapsed > 0:
-                self.clock.advance(p_phase.elapsed)
-            self._feed_latency(p_phase.outcomes)
+            self._settle(p_phase.elapsed, p_phase.outcomes)
             return p.data, False
 
         # Primary is slow, failed or corrupt: fire the backup.  A detected
         # failure releases the hedge immediately; a silently slow primary
         # only releases it at the trigger delay.
         self.collector.bump("hedged_reads")
-        if self._acc is not None:
-            self._acc.hedged = True
+        self._current.hedged = True
         if self.tracer.enabled:
             self.tracer.event(
                 "hedge.fired", primary=primary, backup=backup, delay=hedge_delay
             )
         backup_start = hedge_delay if p_ok else min(hedge_delay, p_phase.elapsed)
-        # span_offset places the backup leg's trace span and observatory
-        # arrival at the sim time the leg actually fired, not the phase start.
-        b_phase = self._run_phase(
-            [CloudOp(backup, "get", self.container, key)],
-            advance=False,
-            record_latency=False,
-            span_offset=backup_start,
+        b_phase = self._issue(
+            [CloudOp(backup, "get", self.container, key)], at=backup_start
         )
         b = b_phase.outcomes[0]
         b_ok = (
@@ -1555,28 +1487,24 @@ class Scheme(ABC):
         b_finish = backup_start + b_phase.elapsed
 
         if p_ok and (not b_ok or p_phase.elapsed <= b_finish):
-            if p_phase.elapsed > 0:
-                self.clock.advance(p_phase.elapsed)
-            self._feed_latency(p_phase.outcomes)
             # The backup was on the wire from backup_start until the primary
             # answered; that slice is wasted provider work, not latency.
-            self._note_hedge_waste(b, max(0.0, p_phase.elapsed - backup_start))
+            self._settle(
+                p_phase.elapsed,
+                p_phase.outcomes,
+                ((b, max(0.0, p_phase.elapsed - backup_start)),),
+            )
             return p.data, False
         if b_ok:
             self.collector.bump("hedge_wins")
             if self.tracer.enabled:
                 self.tracer.event("hedge.win", provider=backup)
-            if b_finish > 0:
-                self.clock.advance(b_finish)
-            self._feed_latency(b_phase.outcomes)
-            self._note_hedge_waste(p, b_finish)
+            self._settle(b_finish, b_phase.outcomes, ((p, b_finish),))
             # Degraded only when the primary actually failed — a hedge that
             # merely outran a slow-but-healthy primary is a normal read.
             return b.data, not p_ok
         # Both legs failed: charge the time burned finding out.
-        lost = max(p_phase.elapsed, b_finish)
-        if lost > 0:
-            self.clock.advance(lost)
+        self._settle(max(p_phase.elapsed, b_finish), ())
         return None
 
     def _encode_fragments(
@@ -1931,7 +1859,7 @@ class Scheme(ABC):
         loop finish the read.
         """
         gating, backup = hedge.gating, hedge.backup
-        main = self._run_phase(
+        main = self._issue(
             [
                 CloudOp(
                     by_index[i],
@@ -1940,14 +1868,11 @@ class Scheme(ABC):
                     self._fragment_key(key_base, i, version),
                 )
                 for i in chosen
-            ],
-            advance=False,
-            record_latency=False,
+            ]
         )
         self.collector.bump("hedged_reads")
         self.registry.counter("sched_hedges_total").inc()
-        if self._acc is not None:
-            self._acc.hedged = True
+        self._current.hedged = True
         if self.tracer.enabled:
             self.tracer.event(
                 "hedge.fired",
@@ -1955,7 +1880,7 @@ class Scheme(ABC):
                 backup=by_index[backup],
                 delay=0.0,
             )
-        b_phase = self._run_phase(
+        b_phase = self._issue(
             [
                 CloudOp(
                     by_index[backup],
@@ -1963,9 +1888,7 @@ class Scheme(ABC):
                     self.container,
                     self._fragment_key(key_base, backup, version),
                 )
-            ],
-            advance=False,
-            record_latency=False,
+            ]
         )
         b = b_phase.outcomes[0]
         outcomes = dict(zip(chosen, main.outcomes))
@@ -1986,10 +1909,7 @@ class Scheme(ABC):
             if main_good and main_done <= alt_done:
                 # The chosen subset answered first: normal read, backup leg
                 # cancelled at the winner's finish.
-                if main_done > 0:
-                    self.clock.advance(main_done)
-                self._feed_latency(main.outcomes)
-                self._note_hedge_waste(b, main_done)
+                self._settle(main_done, main.outcomes, ((b, main_done),))
                 return {i: o.data for i, o in outcomes.items()}, set(), False
             # The backup subset completed first (or the gating fragment
             # failed outright): decode around the gating provider.
@@ -1997,12 +1917,11 @@ class Scheme(ABC):
             self.registry.counter("sched_hedge_wins_total").inc()
             if self.tracer.enabled:
                 self.tracer.event("hedge.win", provider=by_index[backup])
-            if alt_done > 0:
-                self.clock.advance(alt_done)
-            self._feed_latency(
-                [o for i, o in outcomes.items() if i != gating] + [b]
+            self._settle(
+                alt_done,
+                [o for i, o in outcomes.items() if i != gating] + [b],
+                ((outcomes[gating], alt_done),),
             )
-            self._note_hedge_waste(outcomes[gating], alt_done)
             fragments = {i: o.data for i, o in outcomes.items() if i != gating}
             fragments[backup] = b.data
             # Degraded only when the gating fragment actually failed — a
@@ -2011,11 +1930,9 @@ class Scheme(ABC):
         # A non-gating fragment failed or was corrupt: no subset won.  Wait
         # out both legs, keep every intact fragment, and let the top-up
         # logic recover — same degraded semantics as the unhedged path.
-        done = max(main.elapsed, b_phase.elapsed)
-        if done > 0:
-            self.clock.advance(done)
-        self._feed_latency(main.outcomes)
-        self._feed_latency(b_phase.outcomes)
+        self._settle(
+            max(main.elapsed, b_phase.elapsed), main.outcomes + b_phase.outcomes
+        )
         fragments, rejected = {}, set()
         for i, o in [*outcomes.items(), (backup, b)]:
             if o.ok and o.data is not None:
@@ -2081,12 +1998,8 @@ class Scheme(ABC):
         # Journal the redo image before the group write scatters: a crash
         # mid-persist can tear a striped group beyond k-of-n reconstruction,
         # and recovery then reads this copy instead (see recover_namespace).
-        if (
-            self.journal is not None
-            and self._jctx is not None
-            and self._jctx.seq is not None
-        ):
-            self.journal.attach_meta(self._jctx.seq, directory, blob)
+        if self.journal is not None and self._current.seq is not None:
+            self.journal.attach_meta(self._current.seq, directory, blob)
         # Metadata groups are identified by key alone (no version suffix):
         # the newest write wins, exactly like the paper's metadata updates.
         if codec is None:
@@ -2172,7 +2085,6 @@ class Scheme(ABC):
         self._run_phase(ops)
 
     # ------------------------------------------------- namespace recovery
-    @_public_op
     def recover_namespace(self) -> OpReport:
         """Rebuild the in-client namespace from the cloud metadata groups.
 
@@ -2184,45 +2096,43 @@ class Scheme(ABC):
         Returns a ``recover`` report; afterwards :attr:`namespace` holds
         every file a previous client persisted metadata for.
         """
-        self._begin_op()
-        codec = self._meta_codec()
-        targets = self._meta_write_targets()
-        # Consistency-update any returned-but-stale metadata provider first:
-        # a replica that missed group writes during an outage must not serve
-        # the recovery read (its blob predates the writes its log owes).
-        self._heal_before_touching(set(targets))
-        group_keys = self._list_meta_group_keys(targets, striped=codec is not None)
-        for base_key in sorted(group_keys):
-            directory = base_key[len("__meta__"):]
-            fallback = self._journaled_meta_blob(directory)
-            try:
-                blob = self._fetch_meta_blob(base_key, codec, targets)
-            except ValueError:
-                # Torn striped group: a crash mid-persist left fragments of
-                # two generations and no k-subset decodes.  The pending
-                # intent journaled the redo image — the one consistent copy.
-                if fallback is None:
-                    raise
-                blob = fallback
-            if blob is None:
-                blob = fallback
-            if blob is None:
-                continue
-            try:
-                entries = self.meta.apply_group(blob)
-            except ValueError:
-                # Same tear, subtler face: equal-length mixed fragments
-                # decode into bytes that are not a metadata group.
-                if fallback is None or fallback == blob:
-                    raise
-                blob = fallback
-                entries = self.meta.apply_group(blob)
-            if entries:
-                self._meta_sizes[directory] = len(blob)
-                self.meta.touch(directory)
-        report = self._end_op("recover", "namespace")
-        self.collector.add(report)
-        return report
+        with self._op("recover", "namespace") as op:
+            codec = self._meta_codec()
+            targets = self._meta_write_targets()
+            # Consistency-update any returned-but-stale metadata provider first:
+            # a replica that missed group writes during an outage must not serve
+            # the recovery read (its blob predates the writes its log owes).
+            self._heal_before_touching(set(targets))
+            group_keys = self._list_meta_group_keys(targets, striped=codec is not None)
+            for base_key in sorted(group_keys):
+                directory = base_key[len("__meta__"):]
+                fallback = self._journaled_meta_blob(directory)
+                try:
+                    blob = self._fetch_meta_blob(base_key, codec, targets)
+                except ValueError:
+                    # Torn striped group: a crash mid-persist left fragments of
+                    # two generations and no k-subset decodes.  The pending
+                    # intent journaled the redo image — the one consistent copy.
+                    if fallback is None:
+                        raise
+                    blob = fallback
+                if blob is None:
+                    blob = fallback
+                if blob is None:
+                    continue
+                try:
+                    entries = self.meta.apply_group(blob)
+                except ValueError:
+                    # Same tear, subtler face: equal-length mixed fragments
+                    # decode into bytes that are not a metadata group.
+                    if fallback is None or fallback == blob:
+                        raise
+                    blob = fallback
+                    entries = self.meta.apply_group(blob)
+                if entries:
+                    self._meta_sizes[directory] = len(blob)
+                    self.meta.touch(directory)
+        return op.report
 
     def _journaled_meta_blob(self, directory: str) -> bytes | None:
         """Redo image of ``directory``'s group from a pending intent, if any."""
@@ -2250,11 +2160,9 @@ class Scheme(ABC):
         for name in self._rank_providers(list(targets), 0, "down"):
             if not self.provider(name).is_available():
                 continue
-            phase = self._run_phase([CloudOp(name, "list", self.container)])
-            outcome = phase.outcomes[0]
-            if not outcome.ok or outcome.data is None:
+            keys = self._list_container(name)
+            if keys is None:
                 continue
-            keys = outcome.data.decode().split("\n") if outcome.data else []
             groups: set[str] = set(logged)
             for key in keys:
                 if not key.startswith("__meta__"):
@@ -2264,6 +2172,14 @@ class Scheme(ABC):
         if logged:
             return logged
         raise DataUnavailable("namespace", f"no metadata provider listable in {targets}")
+
+    def _list_container(self, provider: str) -> list[str] | None:
+        """One ``list`` request: the keys ``provider`` holds for this scheme,
+        or None when the request failed."""
+        outcome = self._run_phase([CloudOp(provider, "list", self.container)]).outcomes[0]
+        if not outcome.ok or outcome.data is None:
+            return None
+        return outcome.data.decode().split("\n") if outcome.data else []
 
     @staticmethod
     def _meta_base_key(key: str, striped: bool) -> str:
@@ -2344,111 +2260,93 @@ class Scheme(ABC):
         return None if best is None else best[1]
 
     # ------------------------------------------------------------ public API
-    @_public_op
     def put(self, path: str, data: bytes) -> OpReport:
         """Create or overwrite a whole file."""
-        path = normalize_path(path)
-        self._begin_op()
-        prev = self.namespace.lookup(path)
-        data = bytes(data)
-        self._journal_arm("put", path, prev, data)
-        self._publish(prev, self._write_object(path, data, prev))
-        report = self._end_op("put", path)
-        self.collector.add(report)
-        return report
+        with self._op("put", path) as op:
+            path = op.path = normalize_path(path)
+            prev = self.namespace.lookup(path)
+            data = bytes(data)
+            self._journal_arm("put", prev, data)
+            self._publish(prev, self._write_object(path, data, prev))
+        return op.report
 
-    @_public_op
     def get(self, path: str) -> tuple[bytes, OpReport]:
         """Read a whole file (degraded reconstruction during outages)."""
-        path = normalize_path(path)
-        self._begin_op()
-        self._fetch_metadata(dirname(path))
-        entry = self.namespace.get(path)
-        data, _degraded = self._read_object(entry)
-        if not isinstance(data, bytes):
-            data = bytes(data)  # materialize zero-copy buffers at the API edge
-        self.namespace.upsert(entry.touched())
-        report = self._end_op("get", path)
-        self.collector.add(report)
-        if len(data) != entry.size:
-            raise AssertionError(
-                f"scheme returned {len(data)} bytes for {path}, expected {entry.size}"
-            )
-        return data, report
+        with self._op("get", path) as op:
+            path = op.path = normalize_path(path)
+            self._fetch_metadata(dirname(path))
+            entry = self.namespace.get(path)
+            data, _degraded = self._read_object(entry)
+            if not isinstance(data, bytes):
+                data = bytes(data)  # materialize zero-copy buffers at the API edge
+            if len(data) != entry.size:
+                raise AssertionError(
+                    f"scheme returned {len(data)} bytes for {path}, expected {entry.size}"
+                )
+            self.namespace.upsert(entry.touched())
+        return data, op.report
 
-    @_public_op
     def update(self, path: str, offset: int, patch: bytes) -> OpReport:
         """Partial write at ``offset`` (the paper's small-update case)."""
-        path = normalize_path(path)
-        if offset < 0:
-            raise ValueError(f"offset must be >= 0, got {offset}")
-        self._begin_op()
-        entry = self.namespace.get(path)
-        old = memoryview(self._peek_content(entry))
-        # One copy: old bytes around the patch, zero-filled when the patch
-        # starts past the current end.
-        new_content = b"".join(
-            (
-                old[:offset],
-                bytes(max(0, offset - len(old))),
-                patch,
-                old[offset + len(patch) :],
+        with self._op("update", path) as op:
+            path = op.path = normalize_path(path)
+            if offset < 0:
+                raise ValueError(f"offset must be >= 0, got {offset}")
+            entry = self.namespace.get(path)
+            old = memoryview(self._peek_content(entry))
+            # One copy: old bytes around the patch, zero-filled when the
+            # patch starts past the current end.
+            new_content = b"".join(
+                (
+                    old[:offset],
+                    bytes(max(0, offset - len(old))),
+                    patch,
+                    old[offset + len(patch) :],
+                )
             )
-        )
-        self._journal_arm("update", path, entry, new_content)
-        self._publish(entry, self._update_object(entry, offset, patch, new_content))
-        report = self._end_op("update", path)
-        self.collector.add(report)
-        return report
+            self._journal_arm("update", entry, new_content)
+            self._publish(entry, self._update_object(entry, offset, patch, new_content))
+        return op.report
 
-    @_public_op
     def remove(self, path: str) -> OpReport:
         """Delete a file everywhere."""
-        path = normalize_path(path)
-        self._begin_op()
-        entry = self.namespace.remove(path)
-        self._journal_arm("remove", path, entry, None)
-        # Removes know their plan up front: the keys being deleted.  A
-        # crashed remove always rolls forward (the client already acked
-        # nothing, and half-deleted redundancy is worthless).
-        self._journal_plan(
-            version=entry.version,
-            codec_name=entry.codec,
-            min_needed=0,
-            sites=tuple(
-                (prov, self._placement_storage_key(entry, idx))
-                for prov, idx in entry.placements
-            ),
-        )
-        self._payload_cache.discard(self._version_key(path, entry.version))
-        self._remove_placements(entry)
-        self._forget(path)
-        self._persist_metadata(dirname(path))
-        self._journal_commit()
-        report = self._end_op("remove", path)
-        self.collector.add(report)
-        return report
+        with self._op("remove", path) as op:
+            path = op.path = normalize_path(path)
+            entry = self.namespace.remove(path)
+            self._journal_arm("remove", entry, None)
+            # Removes know their plan up front: the keys being deleted.  A
+            # crashed remove always rolls forward (the client already acked
+            # nothing, and half-deleted redundancy is worthless).
+            self._journal_plan(
+                version=entry.version,
+                codec_name=entry.codec,
+                min_needed=0,
+                sites=tuple(
+                    (prov, self._placement_storage_key(entry, idx))
+                    for prov, idx in entry.placements
+                ),
+            )
+            self._payload_cache.discard(self._version_key(path, entry.version))
+            self._remove_placements(entry)
+            self._forget(path)
+            self._persist_metadata(dirname(path))
+            self._journal_commit()
+        return op.report
 
-    @_public_op
     def stat(self, path: str) -> tuple[FileEntry, OpReport]:
         """Metadata lookup (the access type dominating real workloads)."""
-        path = normalize_path(path)
-        self._begin_op()
-        self._fetch_metadata(dirname(path))
-        entry = self.namespace.get(path)
-        report = self._end_op("stat", path)
-        self.collector.add(report)
-        return entry, report
+        with self._op("stat", path) as op:
+            path = op.path = normalize_path(path)
+            self._fetch_metadata(dirname(path))
+            entry = self.namespace.get(path)
+        return entry, op.report
 
-    @_public_op
     def listdir(self, directory: str) -> tuple[list[str], OpReport]:
         """Directory listing through the metadata group."""
-        self._begin_op()
-        self._fetch_metadata(directory if directory == "/" else normalize_path(directory))
-        names = self.namespace.list_dir(directory)
-        report = self._end_op("list", directory)
-        self.collector.add(report)
-        return names, report
+        with self._op("list", directory) as op:
+            self._fetch_metadata(directory if directory == "/" else normalize_path(directory))
+            names = self.namespace.list_dir(directory)
+        return names, op.report
 
     # ------------------------------------------------- content introspection
     def _peek_content(self, entry: FileEntry) -> bytes:
@@ -2714,7 +2612,7 @@ class Scheme(ABC):
         """Arm (or, with None, disarm) scripted crash injection.
 
         The schedule's op counter ticks once per cloud op entering
-        :meth:`_run_phase`; a matching crash point raises
+        :meth:`_issue`; a matching crash point raises
         :class:`~repro.faults.crash.ClientCrash` *before* that op applies.
         The schedule object is owned by the caller so the counter survives
         client rebuilds.
@@ -2722,16 +2620,11 @@ class Scheme(ABC):
         self._crash = schedule
 
     def _journal_arm(
-        self,
-        kind: str,
-        path: str,
-        prev: FileEntry | None,
-        payload: bytes | None,
+        self, kind: str, prev: FileEntry | None, payload: bytes | None
     ) -> None:
-        """Open the journal context for the mutating op now in flight."""
-        if self.journal is None:
-            return
-        self._jctx = _JournalCtx(kind=kind, path=path, prev=prev, payload=payload)
+        """Open the journal context of the mutating op now in flight."""
+        if self.journal is not None:
+            self._current.armed = (kind, prev, payload)
 
     def _journal_plan(
         self,
@@ -2748,32 +2641,33 @@ class Scheme(ABC):
         that follows the data write reuses the same helpers, and must not
         journal a second intent.
         """
-        ctx = self._jctx
-        if ctx is None or ctx.seq is not None or self.journal is None:
+        op = self._current
+        if op.armed is None or op.seq is not None or self.journal is None:
             return
+        kind, prev, payload = op.armed
         intent = self.journal.begin(
-            kind=ctx.kind,
-            path=ctx.path,
+            kind=kind,
+            path=op.path,
             version=version,
             codec=codec_name,
             replicated=codec_name == "replication",
             min_needed=min_needed,
             sites=sites,
-            payload=ctx.payload,
-            prev=ctx.prev,
+            payload=payload,
+            prev=prev,
             logged_at=self.clock.now,
         )
-        ctx.seq = intent.seq
-        self.registry.counter("journal_intents_total", op=ctx.kind).inc()
+        op.seq = intent.seq
+        self.registry.counter("journal_intents_total", op=kind).inc()
         self._publish_journal_gauges()
 
     def _journal_commit(self) -> None:
         """The op published its namespace entry: fulfil the intent."""
-        ctx = self._jctx
-        self._jctx = None
-        if ctx is None or ctx.seq is None or self.journal is None:
+        op = self._current
+        seq, op.armed, op.seq = op.seq, None, None
+        if seq is None or self.journal is None:
             return
-        self.journal.commit(ctx.seq)
+        self.journal.commit(seq)
         self.registry.counter("journal_commits_total").inc()
         self._publish_journal_gauges()
 
@@ -2889,17 +2783,15 @@ class Scheme(ABC):
 
     def _rollback_intent(self, intent) -> None:
         """Restore the pre-op namespace entry and republish its group."""
-        self._begin_op()
-        if intent.prev is not None:
-            self.namespace.upsert(intent.prev)
-        else:
-            try:
-                self.namespace.remove(intent.path)
-            except FileNotFoundError:
-                pass
-        self._persist_metadata(dirname(intent.path))
-        report = self._end_op("recover", intent.path)
-        self.collector.add(report)
+        with self._op("recover", intent.path):
+            if intent.prev is not None:
+                self.namespace.upsert(intent.prev)
+            else:
+                try:
+                    self.namespace.remove(intent.path)
+                except FileNotFoundError:
+                    pass
+            self._persist_metadata(dirname(intent.path))
 
     def _extra_expected_keys(self) -> set[str]:
         """Scheme-private storage keys the orphan sweep must not touch."""
@@ -2932,38 +2824,29 @@ class Scheme(ABC):
             name = p.name
             if not p.is_available():
                 continue
-            self._begin_op()
-            phase = self._run_phase([CloudOp(name, "list", self.container)])
-            outcome = phase.outcomes[0]
-            keys = (
-                outcome.data.decode().split("\n")
-                if outcome.ok and outcome.data
-                else []
-            )
-            log = self._write_logs.get(name)
-            orphans = [
-                k
-                for k in keys
-                if k
-                and not is_group_key(k)
-                and k not in expected
-                and not (log is not None and log.has_pending(self.container, k))
-            ]
-            if orphans and plane is not None and plane.orphans is not None:
-                for k in orphans:
-                    plane.orphans.enqueue(name, self.container, k)
-            elif orphans:
-                phase = self._run_phase(
-                    [CloudOp(name, "remove", self.container, k) for k in orphans]
-                )
-                ok = sum(1 for o in phase.outcomes if o.ok)
-                if ok:
-                    removed[name] = ok
-                    self.registry.counter(
-                        "orphan_gc_removed_total", provider=name
-                    ).inc(ok)
-            report = self._end_op("recover", f"orphan-sweep:{name}")
-            self.collector.add(report)
+            with self._op("recover", f"orphan-sweep:{name}"):
+                log = self._write_logs.get(name)
+                orphans = [
+                    k
+                    for k in self._list_container(name) or ()
+                    if k
+                    and not is_group_key(k)
+                    and k not in expected
+                    and not (log is not None and log.has_pending(self.container, k))
+                ]
+                if orphans and plane is not None and plane.orphans is not None:
+                    for k in orphans:
+                        plane.orphans.enqueue(name, self.container, k)
+                elif orphans:
+                    phase = self._run_phase(
+                        [CloudOp(name, "remove", self.container, k) for k in orphans]
+                    )
+                    ok = sum(1 for o in phase.outcomes if o.ok)
+                    if ok:
+                        removed[name] = ok
+                        self.registry.counter(
+                            "orphan_gc_removed_total", provider=name
+                        ).inc(ok)
         return removed
 
     def _expected_digest(self, entry: FileEntry, idx: int) -> str | None:
@@ -2971,7 +2854,6 @@ class Scheme(ABC):
             return entry.digests[idx]
         return None
 
-    @_public_op
     def verify_object(self, path: str, deep: bool = True) -> ObjectAudit:
         """Audit every placement of ``path`` (one ``scrub`` op).
 
@@ -2984,12 +2866,8 @@ class Scheme(ABC):
         All traffic is charged like any other operation.
         """
         path = normalize_path(path)
-        self._begin_op()
-        entry = self.namespace.get(path)
-        audit = self._audit_entry(entry, deep)
-        report = self._end_op("scrub", path)
-        self.collector.add(report)
-        return audit
+        with self._op("scrub", path):
+            return self._audit_entry(self.namespace.get(path), deep)
 
     def _audit_entry(self, entry: FileEntry, deep: bool) -> ObjectAudit:
         """Audit one entry inside the current op accounting."""
@@ -3041,7 +2919,6 @@ class Scheme(ABC):
             min_needed=1 if codec is None else codec.k,
         )
 
-    @_public_op
     def repair_object(self, path: str, audit: ObjectAudit | None = None) -> RepairResult:
         """Restore full redundancy for ``path`` (one ``repair`` op).
 
@@ -3064,87 +2941,69 @@ class Scheme(ABC):
         remain to reconstruct the payload (genuine data loss).
         """
         path = normalize_path(path)
-        self._begin_op()
-        entry = self.namespace.get(path)
-        if audit is None or audit.version != entry.version:
-            audit = self._audit_entry(entry, deep=True)
-        codec = self._codec_for(entry)
-        targets: list[VerifyFinding] = []
-        skipped_pending: list[VerifyFinding] = []
-        skipped_unreachable: list[VerifyFinding] = []
-        for f in audit.findings:
-            if f.kind == "stale":
-                skipped_pending.append(f)
-                continue
-            if f.kind == "unreachable" or not self._provider_usable(f.provider):
-                skipped_unreachable.append(f)
-                continue
-            # Re-check at repair time: a foreground write may have landed in
-            # the provider's log between the scrub and this repair.
-            if self._write_logs[f.provider].has_pending(self.container, f.key):
-                skipped_pending.append(f)
-                continue
-            targets.append(f)
-        bytes_written = 0
-        if targets and self.repair_by_rewrite:
-            data, _degraded = self._read_object(entry)
-            up_before = self._acc.bytes_up
-            data = bytes(data)
-            self._journal_arm("put", path, entry, data)
-            self._publish(entry, self._write_object(path, data, entry))
-            bytes_written = self._acc.bytes_up - up_before
-            repaired = tuple(targets)
-            # The rewrite supersedes the old version wholesale, pending
-            # write-log entries for it included.
-            skipped_pending = []
-            skipped_unreachable = []
-        elif targets:
-            data, _degraded = self._read_object(entry)
-            if codec is None:
-                ops = [
-                    CloudOp(f.provider, "put", self.container, f.key, data)
-                    for f in targets
+        with self._op("repair", path) as op:
+            entry = self.namespace.get(path)
+            if audit is None or audit.version != entry.version:
+                audit = self._audit_entry(entry, deep=True)
+            codec = self._codec_for(entry)
+            targets: list[VerifyFinding] = []
+            skipped_pending: list[VerifyFinding] = []
+            skipped_unreachable: list[VerifyFinding] = []
+            for f in audit.findings:
+                if f.kind == "stale":
+                    skipped_pending.append(f)
+                    continue
+                if f.kind == "unreachable" or not self._provider_usable(f.provider):
+                    skipped_unreachable.append(f)
+                    continue
+                # Re-check at repair time: a foreground write may have landed
+                # in the provider's log between the scrub and this repair.
+                if self._write_logs[f.provider].has_pending(self.container, f.key):
+                    skipped_pending.append(f)
+                    continue
+                targets.append(f)
+            bytes_written = 0
+            repaired: tuple[VerifyFinding, ...] = ()
+            if targets and self.repair_by_rewrite:
+                data, _degraded = self._read_object(entry)
+                up_before = op.bytes_up
+                data = bytes(data)
+                self._journal_arm("put", entry, data)
+                self._publish(entry, self._write_object(path, data, entry))
+                bytes_written = op.bytes_up - up_before
+                repaired = tuple(targets)
+                # The rewrite supersedes the old version wholesale, pending
+                # write-log entries for it included.
+                skipped_pending = []
+                skipped_unreachable = []
+            elif targets:
+                data, _degraded = self._read_object(entry)
+                # A replica re-put, or a re-encode of the affected fragments.
+                fragments = None if codec is None else self._encode_fragments(codec, data)
+                bodies = [
+                    data if fragments is None else fragments[f.fragment] for f in targets
                 ]
-                phase = self._run_phase(ops)
-                bytes_written += phase.bytes_up
-                for f, outcome in zip(targets, phase.outcomes):
-                    if outcome.ok:
-                        self._record_digest(f.key, data)
-            else:
-                fragments = self._encode_fragments(codec, data)
-                ops = [
-                    CloudOp(
-                        f.provider,
-                        "put",
-                        self.container,
-                        f.key,
-                        fragments[f.fragment],
-                    )
-                    for f in targets
-                ]
-                phase = self._run_phase(ops)
-                bytes_written += phase.bytes_up
-                # The rewritten keys rebound to fresh buffers: the stale
-                # payload-cache entry must go before ids can be recycled.
-                self._payload_cache.discard(
-                    self._version_key(path, entry.version)
+                phase = self._run_phase(
+                    [
+                        CloudOp(f.provider, "put", self.container, f.key, body)
+                        for f, body in zip(targets, bodies)
+                    ]
                 )
-                for f, outcome in zip(targets, phase.outcomes):
+                bytes_written = phase.bytes_up
+                if fragments is not None:
+                    # The rewritten keys rebound to fresh buffers: the stale
+                    # payload-cache entry must go before ids can be recycled.
+                    self._payload_cache.discard(self._version_key(path, entry.version))
+                for f, body, outcome in zip(targets, bodies, phase.outcomes):
                     if outcome.ok:
-                        self._record_digest(f.key, fragments[f.fragment])
-            # A put that failed mid-repair was write-logged by the phase and
-            # will land via the consistency update; it still counts as owed
-            # to that path, not to this repair.
-            repaired = tuple(
-                f for f, o in zip(targets, phase.outcomes) if o.ok
-            )
-            skipped_unreachable.extend(
-                f for f, o in zip(targets, phase.outcomes) if not o.ok
-            )
-        else:
-            repaired = ()
-        report = self._end_op("repair", path)
-        self.collector.add(report)
+                        self._record_digest(f.key, body)
+                # A put that failed mid-repair was write-logged by the phase
+                # and will land via the consistency update; it still counts as
+                # owed to that path, not to this repair.
+                repaired = tuple(f for f, o in zip(targets, phase.outcomes) if o.ok)
+                skipped_unreachable.extend(
+                    f for f, o in zip(targets, phase.outcomes) if not o.ok
+                )
         return RepairResult(
             path=path,
             repaired=repaired,
@@ -3153,7 +3012,6 @@ class Scheme(ABC):
             bytes_written=bytes_written,
         )
 
-    @_public_op
     def migrate_object(self, path: str) -> OpReport:
         """Re-place one object under the scheme's *current* placement policy.
 
@@ -3165,16 +3023,14 @@ class Scheme(ABC):
         mid-migration leaves the old (intact) version authoritative.
         """
         path = normalize_path(path)
-        self._begin_op()
-        entry = self.namespace.get(path)
-        data, _degraded = self._read_object(entry)
-        if not isinstance(data, bytes):
-            data = bytes(data)
-        self._journal_arm("put", path, entry, data)
-        self._publish(entry, self._write_object(path, data, entry))
-        report = self._end_op("migrate", path)
-        self.collector.add(report)
-        return report
+        with self._op("migrate", path) as op:
+            entry = self.namespace.get(path)
+            data, _degraded = self._read_object(entry)
+            if not isinstance(data, bytes):
+                data = bytes(data)
+            self._journal_arm("put", entry, data)
+            self._publish(entry, self._write_object(path, data, entry))
+        return op.report
 
     # --------------------------------------------------------------- queries
     def stored_bytes_by_provider(self) -> dict[str, int]:

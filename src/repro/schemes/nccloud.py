@@ -14,12 +14,14 @@ compares against the decode-based repair of RACS.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.cloud.latency import ClientLink
 from repro.cloud.provider import SimulatedProvider
 from repro.erasure.codec import ErasureCodec
 from repro.erasure.fmsr import FMSRCode
 from repro.fs.namespace import FileEntry
-from repro.schemes.base import CloudOp, Placement, Scheme
+from repro.schemes.base import CloudOp, DataUnavailable, Placement, Scheme
 from repro.sim.clock import SimClock
 from repro.sim.rng import stable_u64
 
@@ -110,69 +112,97 @@ class NCCloudScheme(Scheme):
         stats = {"objects": 0, "bytes_downloaded": 0, "bytes_uploaded": 0, "conventional_bytes": 0}
         for path in self.namespace.paths():
             entry = self.namespace.get(path)
+            with self._op("repair", path):
+                downloaded, uploaded = self._repair_fragment(entry, failed, target)
             codec = self._codec_for(entry)
-            failed_idx = entry.fragment_index(failed)
-            survivors = {
-                idx: prov for prov, idx in entry.placements if prov != failed
-            }
-            chunk_len = codec.fragment_size(entry.size) // max(codec.chunks_per_node, 1)
-            self._begin_op()
-            # Download one chunk per survivor.  The survivor computes the
-            # random combination server-side in NCCloud; our passive providers
-            # can't, so we fetch the fragment and charge only one chunk of it
-            # (the bytes that would cross the wire).
-            frags: dict[int, bytes] = {}
-            for idx, prov in sorted(survivors.items()):
-                store = self.provider(prov).store
-                key = self._fragment_key(path, idx, entry.version)
-                frags[idx] = store.get(self.container, key).data
-                self.provider(prov).meter.record_get(chunk_len, self.clock.now)
-            new_fragment, new_codec = codec.repair(frags, failed_idx, entry.size)
-            self._run_phase(
-                [
-                    CloudOp(
-                        target,
-                        "put",
-                        self.container,
-                        self._fragment_key(path, failed_idx, entry.version),
-                        new_fragment,
-                    )
-                ]
-            )
-            # Charge the downloaded chunks' wire time in one batch.
-            specs = [
-                self.provider(prov).latency.download_spec(chunk_len, self.rng)
-                for prov in survivors.values()
-            ]
-            self.clock.advance(self.link.elapsed(downloads=specs))
-            self._codecs[path] = new_codec
-            # Functional repair rewrote the failed fragment with *different*
-            # bytes: refresh its digest (and placement, when relocated).
-            # The version must NOT change — every other fragment still lives
-            # under its original versioned key.
-            import dataclasses
-
-            new_placements = tuple(
-                (target if prov == failed else prov, idx)
-                for prov, idx in entry.placements
-            )
-            new_digests = entry.digests
-            if new_digests:
-                digest_list = list(new_digests)
-                digest_list[failed_idx] = self._digest(new_fragment)
-                new_digests = tuple(digest_list)
-            self.namespace.upsert(
-                dataclasses.replace(
-                    entry,
-                    placements=new_placements,
-                    digests=new_digests,
-                    modified=self.clock.now,
-                )
-            )
-            report = self._end_op("repair", path)
-            self.collector.add(report)
             stats["objects"] += 1
-            stats["bytes_downloaded"] += chunk_len * len(survivors)
-            stats["bytes_uploaded"] += len(new_fragment)
+            stats["bytes_downloaded"] += downloaded
+            stats["bytes_uploaded"] += uploaded
             stats["conventional_bytes"] += codec.fragment_size(entry.size) * codec.k
         return stats
+
+    def _repair_fragment(self, entry: FileEntry, failed: str, target: str) -> tuple[int, int]:
+        """Regenerate ``entry``'s fragment on ``failed`` and put it on
+        ``target``; returns ``(bytes downloaded, bytes uploaded)``.
+
+        A regenerating code promises a decodable result only when every
+        helper it combines is intact, so survivors are taken like
+        :meth:`_peek_content` takes them: a pending write-log payload never
+        left the client, a stored fragment must pass its write-time digest.
+        With all ``n - 1`` the repair is functional (one chunk each); with
+        fewer it is the conventional one from ``k`` whole fragments — never
+        a fragment derived from unverified bytes.
+        """
+        path = entry.path
+        codec = self._codec_for(entry)
+        failed_idx = entry.fragment_index(failed)
+        frag_len = codec.fragment_size(entry.size)
+        helpers: dict[int, bytes] = {}
+        stored: list[int] = []  # helpers that cross the wire, in placement order
+        for idx, data, trusted in self._held_placements(entry):
+            if idx != failed_idx and (trusted or self._placement_intact(entry, idx, data)):
+                helpers[idx] = data
+                if not trusted:
+                    stored.append(idx)
+        if len(helpers) == codec.n - 1:
+            # The survivor computes the random combination server-side in
+            # NCCloud; our passive providers can't, so we take the fragment
+            # and charge only one chunk of it (the bytes that would cross
+            # the wire).
+            charged = frag_len // max(codec.chunks_per_node, 1)
+            new_fragment, self._codecs[path] = codec.repair(helpers, failed_idx, entry.size)
+        elif len(helpers) >= codec.k:
+            helpers = dict(sorted(helpers.items())[: codec.k])
+            stored = [idx for idx in stored if idx in helpers]
+            charged = frag_len
+            new_fragment = codec.reconstruct_fragment(helpers, failed_idx, entry.size)
+            self._mark_degraded()
+        else:
+            raise DataUnavailable(
+                path, f"only {len(helpers)} of {codec.k} required fragments intact"
+            )
+        by_index = {idx: prov for prov, idx in entry.placements}
+        for idx in stored:
+            self.provider(by_index[idx]).meter.record_get(charged, self.clock.now)
+        self._run_phase(
+            [
+                CloudOp(
+                    target,
+                    "put",
+                    self.container,
+                    self._fragment_key(path, failed_idx, entry.version),
+                    new_fragment,
+                )
+            ]
+        )
+        # Charge the downloads' wire time in one batch.
+        self._settle(
+            self.link.elapsed(
+                downloads=[
+                    self.provider(by_index[idx]).latency.download_spec(charged, self.rng)
+                    for idx in stored
+                ]
+            ),
+            (),
+        )
+        # The repaired fragment may hold *different* bytes: refresh its
+        # digest (and placement, when relocated).  The version must NOT
+        # change — every other fragment still lives under its original
+        # versioned key.
+        digests = entry.digests
+        if digests:
+            digests = (
+                *digests[:failed_idx], self._digest(new_fragment), *digests[failed_idx + 1 :]
+            )
+        self.namespace.upsert(
+            replace(
+                entry,
+                placements=tuple(
+                    (target if prov == failed else prov, idx)
+                    for prov, idx in entry.placements
+                ),
+                digests=digests,
+                modified=self.clock.now,
+            )
+        )
+        return charged * len(stored), len(new_fragment)

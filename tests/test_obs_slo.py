@@ -18,12 +18,31 @@ def ok_op(op, t, degraded=False):
 
 class TestOpClass:
     def test_read_write_partition(self):
-        assert {op_class(o) for o in ("get", "stat", "listdir")} == {"read"}
+        # keyed by the kind an op *reports* ("list"), not the method name
+        assert {op_class(o) for o in ("get", "stat", "list")} == {"read"}
         assert {op_class(o) for o in ("put", "update", "remove")} == {"write"}
 
     def test_repair_traffic_excluded(self):
         assert op_class("heal") is None
         assert op_class("recover_namespace") is None
+
+    def test_listdir_success_and_failure_share_one_kind(self):
+        """A good and a failing ``listdir`` are two read samples, one failed
+        (the success used to report ``list``, which no class claimed, while
+        the failure was booked under the method name)."""
+        from repro.schemes import SingleCloudScheme
+
+        clock = SimClock()
+        fleet = make_table2_cloud_of_clouds(clock)
+        scheme = SingleCloudScheme(fleet["aliyun"], clock)
+        slo = SloTracker()
+        scheme.attach_slo(slo)
+        scheme.listdir("/d")
+        with pytest.raises(ValueError):
+            scheme.listdir("/d/..")
+        reads = slo.window_ops(clock.now, "read")
+        assert [ok for _t, _cls, ok, _deg in reads] == [True, False]
+        assert slo.availability("read", clock.now) == 0.5
 
 
 class TestSloConfig:

@@ -23,9 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chaos import invariants as inv
-from repro.chaos.engine import CHAOS_SCHEMES, _build_scheme, chaos_resilience
+from repro.chaos.engine import CHAOS_SCHEMES, chaos_resilience
 from repro.cloud.provider import make_table2_cloud_of_clouds
 from repro.faults.crash import ClientCrash, CrashSchedule
+from repro.schemes import build_scheme
 from repro.sim.clock import SimClock
 from repro.sim.rng import make_rng
 
@@ -45,7 +46,7 @@ def _crash_trial(scheme_name: str, seed: int, ordinal: int) -> str:
     clock = SimClock()
     fleet = make_table2_cloud_of_clouds(clock)
     resilience = chaos_resilience()
-    scheme = _build_scheme(scheme_name, fleet, clock, resilience)
+    scheme = build_scheme(scheme_name, fleet, clock, resilience=resilience)
     journal = scheme.attach_journal()
     path = "/prop/f0"
     old = rng.bytes(32 * 1024)
@@ -61,7 +62,7 @@ def _crash_trial(scheme_name: str, seed: int, ordinal: int) -> str:
 
     # The replacement client inherits only durable state: journal + logs.
     dead = scheme
-    scheme = _build_scheme(scheme_name, fleet, clock, resilience)
+    scheme = build_scheme(scheme_name, fleet, clock, resilience=resilience)
     scheme.adopt_write_logs(dead._write_logs)
     scheme.attach_journal(journal)
     scheme.recover_namespace()

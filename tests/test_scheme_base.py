@@ -1,9 +1,14 @@
 """Unit tests for the scheme framework (phases, reports, metadata, healing)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cloud.outage import OutageWindow
-from repro.schemes import RacsScheme, SingleCloudScheme
+from repro.maintenance.budget import TokenBucket
+from repro.maintenance.gc import OrphanSweeper
+from repro.obs import RecordingTracer
+from repro.schemes import RacsScheme, SingleCloudScheme, build_scheme
 from repro.schemes.base import CloudOp, DataUnavailable
 
 
@@ -42,17 +47,92 @@ class TestPhaseExecution:
         with pytest.raises(ValueError):
             CloudOp("p", "put", "c", "k", None)
 
-    def test_nested_ops_rejected(self, single):
-        single._begin_op()
-        with pytest.raises(RuntimeError):
-            single._begin_op()
-        single._acc = None  # reset for teardown hygiene
+    def test_nested_ops_rejected(self, single, payload):
+        with single._op("stat", "/outer"):
+            with pytest.raises(RuntimeError):
+                with single._op("stat", "/inner"):
+                    pass
+            # the refused inner scope must not have disarmed the outer one
+            assert single._current is not None
+        assert single._current is None
+        single.put("/d/a", payload(10))
 
     def test_duplicate_providers_rejected(self, providers, clock):
         with pytest.raises(ValueError):
             RacsScheme(
                 [providers["aliyun"], providers["aliyun"], providers["azure"]], clock
             )
+
+
+def _sweep_queued_orphan(scheme):
+    sweeper = OrphanSweeper(scheme, TokenBucket(None, 1 << 20, scheme.clock))
+    entry = scheme.namespace.get("/d/a")
+    prov, idx = entry.placements[0]
+    sweeper.enqueue(prov, scheme.container, scheme._placement_storage_key(entry, idx))
+    sweeper.run_cycle()
+
+
+#: every entry point that opens an op scope -> a call that raises inside it
+#: (a missing or invalid path on its own, the rest once ``_apply_op`` is rigged)
+_OP_ENTRY_POINTS = {
+    "put": lambda s: s.put("/d/new", b"n" * 2048),
+    "get": lambda s: s.get("/d/a"),
+    "update": lambda s: s.update("/d/a", 8, b"patch"),
+    "remove": lambda s: s.remove("/d/a"),
+    "stat": lambda s: s.stat("/d/missing"),
+    "listdir": lambda s: s.listdir("/d/.."),
+    "heal_returned": lambda s: s.heal_returned(),
+    "recover_namespace": lambda s: s.recover_namespace(),
+    "verify_object": lambda s: s.verify_object("/d/a"),
+    "repair_object": lambda s: s.repair_object("/d/a"),
+    "migrate_object": lambda s: s.migrate_object("/d/a"),
+    "recover/_sweep_orphans": lambda s: s.recover(),
+    "_rollback_intent": lambda s: s._rollback_intent(SimpleNamespace(prev=None, path="/d/a")),
+    "OrphanSweeper.run_cycle": _sweep_queued_orphan,
+    "HyrdScheme._promote": lambda s: s._promote("/d/a", b"hot" * 100),
+    "NCCloudScheme.repair_provider": lambda s: s.repair_provider("rackspace"),
+}
+_ONLY_ON = {"HyrdScheme._promote": "hyrd", "NCCloudScheme.repair_provider": "nccloud"}
+_SCHEMES = ("single", "duracloud", "racs", "depsky", "depsky-ca", "nccloud", "hyrd")
+
+
+class TestOpScopeExceptionSafety:
+    """An op that raises — from whichever entry point — leaves the scheme
+    disarmed and its root span closed: the next op just runs."""
+
+    @pytest.mark.parametrize(
+        "scheme_name,entry",
+        [
+            (name, entry)
+            for name in _SCHEMES
+            for entry in _OP_ENTRY_POINTS
+            if _ONLY_ON.get(entry, name) == name
+        ],
+    )
+    def test_raising_op_does_not_wedge_the_scheme(
+        self, scheme_name, entry, providers, clock, payload
+    ):
+        tracer = RecordingTracer(clock)
+        scheme = build_scheme(scheme_name, providers, clock, tracer=tracer)
+        scheme.attach_journal()
+        scheme.put("/d/a", payload(4096))
+        # something for the consistency update to replay
+        first = scheme.provider_names[0]
+        scheme.pending_log(first).log_put(scheme.container, "stray", b"x", clock.now)
+
+        def boom(provider, op):
+            raise RuntimeError("injected")
+
+        scheme._apply_op = boom
+        with pytest.raises((RuntimeError, FileNotFoundError, ValueError)) as raised:
+            _OP_ENTRY_POINTS[entry](scheme)
+        assert "nested" not in str(raised.value)
+        del scheme._apply_op
+
+        assert tracer._stack == []  # no root span left open
+        data = payload(2048)
+        scheme.put("/d/after", data)
+        assert scheme.get("/d/after")[0] == data
 
 
 class TestPublicApi:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cloud.outage import OutageWindow
-from repro.schemes import NCCloudScheme
+from repro.schemes import DataUnavailable, NCCloudScheme
 
 
 @pytest.fixture
@@ -97,3 +97,85 @@ class TestFunctionalRepair:
     def test_repair_unknown_provider_rejected(self, nc):
         with pytest.raises(ValueError):
             nc.repair_provider("nonexistent")
+
+
+class TestRepairTakesOnlyVerifiedHelpers:
+    """A regenerating code promises a decodable result only when the nodes
+    it combines are intact: ``repair_provider`` verifies its survivors and
+    never writes a fragment derived from bytes it could not check."""
+
+    @staticmethod
+    def _survivor(nc, path, failed):
+        entry = nc.namespace.get(path)
+        prov, idx = next(p for p in entry.placements if p[0] != failed)
+        return prov, nc._fragment_key(path, idx, entry.version)
+
+    def test_tampered_survivor_is_not_baked_in(self, nc, providers, payload):
+        import numpy as np
+
+        data = payload(1 << 20)
+        nc.put("/d/a", data)
+        failed = nc.namespace.get("/d/a").placements[0][0]
+        prov, key = self._survivor(nc, "/d/a", failed)
+        store = providers[prov].store
+        rotten = np.frombuffer(store.get(nc.container, key).data, dtype=np.uint8) ^ 0xFF
+        store.tamper(nc.container, key, rotten.tobytes())
+
+        stats = nc.repair_provider(failed)
+
+        got, report = nc.get("/d/a")
+        assert got == data
+        # the damage left is exactly the tampered survivor, and a scrub sees it
+        audit = nc.verify_object("/d/a")
+        assert [(f.provider, f.kind) for f in audit.findings] == [(prov, "corrupt")]
+        # n-2 intact helpers: the conventional repair from k whole fragments
+        assert stats["bytes_downloaded"] == stats["conventional_bytes"]
+        assert [r.degraded for r in nc.collector.reports if r.op == "repair"] == [True]
+
+    def test_survivor_only_in_the_write_log_serves_as_helper(
+        self, nc, providers, clock, payload
+    ):
+        data = payload(40_000)
+        providers["azure"].outages.add(OutageWindow(clock.now, clock.now + 600))
+        nc.put("/d/a", data)  # azure's fragment lands in its write log
+        assert len(nc.pending_log("azure")) > 0
+
+        stats = nc.repair_provider("rackspace")
+
+        # the logged fragment never left the client: functional repair, with
+        # only the two stored survivors' chunks crossing the wire
+        chunk = nc._codec_for(nc.namespace.get("/d/a")).fragment_size(40_000) // 2
+        assert stats["bytes_downloaded"] == 2 * chunk
+        clock.advance(700)
+        nc.heal_returned()
+        assert nc.get("/d/a")[0] == data
+        assert nc.verify_object("/d/a").ok
+
+    def test_missing_survivor_falls_back_then_refuses_below_k(self, nc, providers, payload):
+        data = payload(40_000)
+        nc.put("/d/a", data)
+        prov, key = self._survivor(nc, "/d/a", "rackspace")
+        providers[prov].store.remove(nc.container, key)
+
+        nc.repair_provider("rackspace")  # k = 2 survivors left: conventional
+        assert nc.get("/d/a")[0] == data
+
+        # take a second survivor: one intact helper < k, nothing may be written
+        prov2, key2 = next(
+            (p, nc._fragment_key("/d/a", i, 1))
+            for p, i in nc.namespace.get("/d/a").placements
+            if p not in ("rackspace", prov)
+        )
+        providers[prov2].store.remove(nc.container, key2)
+        before = providers["rackspace"].store.get(
+            nc.container, nc._fragment_key("/d/a", 3, 1)
+        ).data
+        with pytest.raises(DataUnavailable, match="intact"):
+            nc.repair_provider("rackspace")
+        after = providers["rackspace"].store.get(
+            nc.container, nc._fragment_key("/d/a", 3, 1)
+        ).data
+        assert after is before
+        # and the failed repair left the scheme usable
+        nc.put("/d/b", data)
+        assert nc.get("/d/b")[0] == data

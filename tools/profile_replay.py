@@ -61,9 +61,8 @@ def build_replay(
     """
     from repro.analysis.experiments import run_fig3
     from repro.cloud.provider import make_table2_cloud_of_clouds
-    from repro.core.config import HyRDConfig
     from repro.obs import RecordingTracer
-    from repro.schemes import DuraCloudScheme, HyrdScheme, NCCloudScheme, RacsScheme
+    from repro.schemes import build_scheme
     from repro.sim.clock import SimClock
     from repro.sim.rng import make_rng
     from repro.workloads.filesizes import LogUniformFileSizes, MediaLibraryFileSizes
@@ -91,18 +90,8 @@ def build_replay(
         )
         ops = run_fig3(seed=seed, config=config).ops
     clock = SimClock()
-    providers = make_table2_cloud_of_clouds(clock)
-    builders = {
-        "hyrd": HyrdScheme,
-        "hyrd-rs": lambda fleet, clock, **kw: HyrdScheme(
-            fleet, clock, config=HyRDConfig(erasure_codec="rs"), **kw
-        ),
-        "racs": RacsScheme,
-        "duracloud": DuraCloudScheme,
-        "nccloud": NCCloudScheme,
-    }
     tracer = RecordingTracer(clock) if trace else None
-    scheme = builders[scheme_name](list(providers.values()), clock, tracer=tracer)
+    scheme = build_scheme(scheme_name, make_table2_cloud_of_clouds(clock), clock, tracer=tracer)
     return scheme, ops, TraceReplayer(seed=seed)
 
 
