@@ -62,14 +62,9 @@ class SchedulerConfig:
     queue_weight:
         Weight of the observatory's Little's-law queue wait (depth x EWMA
         service seconds) in the score.
-    slope_weight:
-        Weight of the health tracker's load-curve congestion term
-        (:meth:`~repro.core.resilience.ProviderHealth.queue_wait`).
     half_open_penalty:
         Multiplicative handicap for a provider whose breaker is probing
         (half-open) — usable, but not worth betting the critical path on.
-    hedge_enabled:
-        Master switch for capacity-aware parity hedging.
     hedge_margin:
         The backup fires only when the gating provider's estimated queue
         wait exceeds ``hedge_margin x`` the backup fragment's
@@ -87,9 +82,7 @@ class SchedulerConfig:
     parity_penalty: float = 1.25
     rotation_margin: float = 0.25
     queue_weight: float = 1.0
-    slope_weight: float = 1.0
     half_open_penalty: float = 4.0
-    hedge_enabled: bool = True
     hedge_margin: float = 1.0
     hedge_winnable: float = 1.5
     error_weight: float | None = None
@@ -103,8 +96,8 @@ class SchedulerConfig:
             raise ValueError(
                 f"rotation_margin must be >= 0, got {self.rotation_margin}"
             )
-        if self.queue_weight < 0.0 or self.slope_weight < 0.0:
-            raise ValueError("queue_weight and slope_weight must be >= 0")
+        if self.queue_weight < 0.0:
+            raise ValueError(f"queue_weight must be >= 0, got {self.queue_weight}")
         if self.half_open_penalty < 1.0:
             raise ValueError(
                 f"half_open_penalty must be >= 1, got {self.half_open_penalty}"
@@ -192,8 +185,8 @@ class FragmentScheduler:
         - the observatory's Little's-law depth x its EWMA per-request
           service time (``queue_weight``);
         - the health tracker's latency-vs-load curve slope priced at that
-          depth (``slope_weight``) — the marginal congestion the curve has
-          actually observed at higher concurrency.
+          depth — the marginal congestion the curve has actually observed
+          at higher concurrency.
         """
         scheme = self._scheme
         obs = scheme.observatory
@@ -206,7 +199,7 @@ class FragmentScheduler:
         wait = self.config.queue_weight * (depth / rate if rate > 0.0 else 0.0)
         health = scheme.health.get(name)
         if health is not None:
-            wait += self.config.slope_weight * health.queue_wait(depth)
+            wait += health.queue_wait(depth)
         return wait
 
     def score_provider(self, name: str, nbytes: int) -> float:
@@ -314,7 +307,7 @@ class FragmentScheduler:
         # is winnable.  An idle fleet fails (a); a browned-out backup fails
         # (b); either way no duplicate request fires.
         hedge = None
-        if cfg.hedge_enabled and len(order) > k:
+        if len(order) > k:
             gating = max(chosen, key=lambda i: (scores[i], i))
             wait = self.queue_wait(by_index[gating])
             backup = order[k]

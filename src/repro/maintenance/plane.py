@@ -47,6 +47,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["MaintenanceConfig", "MaintenancePlane"]
 
+#: orphaned keys garbage-collected per tick (crash-recovery hygiene)
+_GC_KEYS_PER_CYCLE = 16
+
 
 @dataclass(frozen=True)
 class MaintenanceConfig:
@@ -56,8 +59,6 @@ class MaintenanceConfig:
     scrub_interval: float = 600.0
     #: namespace paths audited per tick (0 = the whole namespace each tick)
     scrub_paths_per_cycle: int = 0
-    #: deep scrubs fetch + digest-verify; shallow only probe existence
-    deep_scrub: bool = True
     #: feed damaged audits straight into the repair queue
     auto_repair: bool = True
     #: repair/migration byte budget per sim second (None = unthrottled)
@@ -66,8 +67,6 @@ class MaintenanceConfig:
     repair_burst_bytes: float = 64 * 1024 * 1024
     #: live-migration keys re-placed per tick
     migration_keys_per_cycle: int = 4
-    #: orphaned keys garbage-collected per tick (crash-recovery hygiene)
-    gc_keys_per_cycle: int = 16
 
     def __post_init__(self) -> None:
         if self.scrub_interval <= 0:
@@ -99,9 +98,7 @@ class MaintenancePlane:
             scheme.clock,
         )
         self.scrubber = AntiEntropyScrubber(
-            scheme,
-            paths_per_cycle=self.config.scrub_paths_per_cycle,
-            deep=self.config.deep_scrub,
+            scheme, paths_per_cycle=self.config.scrub_paths_per_cycle
         )
         self.repair = ProactiveRepairScheduler(scheme, self.budget)
         self.orphans = OrphanSweeper(scheme, self.budget)
@@ -219,7 +216,7 @@ class MaintenancePlane:
         self.migration.run_cycle()
         # Orphan hygiene last: repairs outrank deletions for the shared
         # budget (redundancy first, housekeeping second).
-        self.orphans.run_cycle(max_keys=self.config.gc_keys_per_cycle)
+        self.orphans.run_cycle(max_keys=_GC_KEYS_PER_CYCLE)
         self._publish_risk()
         return audits
 

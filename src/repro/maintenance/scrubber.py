@@ -6,8 +6,8 @@ corrupted or lost fragment until a foreground read trips over the digest
 mismatch.  The scrubber closes that gap: it walks the namespace on a
 recurring schedule, audits every placement of each object through
 :meth:`Scheme.verify_object <repro.schemes.base.Scheme.verify_object>`
-(deep scrubs fetch and digest-verify; shallow scrubs only probe existence),
-and hands damaged objects to the repair scheduler.
+(always deep: fetch and digest-verify), and hands damaged objects to the
+repair scheduler.
 
 The walk is *resumable*: a cycle audits at most ``paths_per_cycle`` objects
 and the cursor survives between cycles, so a huge namespace is scrubbed in
@@ -34,14 +34,12 @@ class AntiEntropyScrubber:
         scheme: "Scheme",
         *,
         paths_per_cycle: int = 0,
-        deep: bool = True,
     ) -> None:
         if paths_per_cycle < 0:
             raise ValueError(f"paths_per_cycle must be >= 0, got {paths_per_cycle}")
         self.scheme = scheme
         #: 0 means "the whole namespace every cycle"
         self.paths_per_cycle = paths_per_cycle
-        self.deep = deep
         self._cursor: str | None = None  # last path audited (resumable walk)
         #: cumulative damaged sites seen, scored against the fault ledger:
         #: (provider, container, key) for every corrupt/missing finding
@@ -69,7 +67,7 @@ class AntiEntropyScrubber:
         registry = self.scheme.registry
         for path in paths:
             try:
-                audit = self.scheme.verify_object(path, deep=self.deep)
+                audit = self.scheme.verify_object(path)
             except FileNotFoundError:
                 continue  # removed between listing and audit
             except DataUnavailable:

@@ -279,12 +279,6 @@ class PhaseResult:
     def failed(self) -> list[OpOutcome]:
         return [o for o in self.outcomes if not o.ok]
 
-    def data_from(self, provider: str) -> bytes:
-        for o in self.outcomes:
-            if o.op.provider == provider and o.ok and o.data is not None:
-                return o.data
-        raise KeyError(f"no successful data outcome from {provider!r}")
-
 
 @dataclass(frozen=True)
 class VerifyFinding:
@@ -512,12 +506,6 @@ class Scheme(ABC):
     #: second copy is a sync step after the primary write completes)
     sequential_replication: bool = False
 
-    #: how many times a request is retried after a transient provider
-    #: failure (HTTP 500/throttle) before being treated as failed; folded
-    #: into the default :class:`~repro.core.resilience.RetryPolicy` when no
-    #: explicit ``resilience`` config is given
-    transient_retries: int = 2
-
     #: repair discipline: False (default) rewrites only the damaged
     #: placements in place; True re-puts the whole object as a new version
     #: instead — for schemes whose per-placement objects cannot be rebuilt
@@ -558,14 +546,6 @@ class Scheme(ABC):
             self.tracer.meta(scheme=self.name, seed=seed)
         if resilience is None:
             resilience = ResilienceConfig()
-            if self.transient_retries != 2:
-                # Honour subclass retry overrides when no explicit config given.
-                resilience = replace(
-                    resilience,
-                    retry=replace(
-                        resilience.retry, max_attempts=1 + self.transient_retries
-                    ),
-                )
         self.resilience = resilience
         self.retry_policy = resilience.retry
         #: deterministic jitter stream for retry backoff (sim-time waits)

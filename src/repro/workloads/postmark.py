@@ -44,7 +44,6 @@ class PostMarkConfig:
     size_lo: int = 1 * KB  # `set size` lower bound (paper: 1 KB)
     size_hi: int = 100 * MB  # `set size` upper bound (paper: 100 MB)
     subdirectories: int = 10  # `set subdirectories`
-    update_patch_bytes: int = 4 * KB  # in-place write size (small update)
     sizes: FileSizeDistribution = field(default_factory=PostmarkPoolFileSizes)
     op_mix: tuple[tuple[str, float], ...] = (
         ("get", 0.38),
@@ -121,9 +120,9 @@ def generate_postmark(
         elif kind == "stat":
             ops.append(TraceOp("stat", path))
         elif kind == "update":
-            # In-place small write at a random aligned offset — the paper's
-            # expensive case for erasure-coded schemes.
-            patch = min(config.update_patch_bytes, sizes[path])
+            # In-place small (4 KB) write at a random aligned offset — the
+            # paper's expensive case for erasure-coded schemes.
+            patch = min(4 * KB, sizes[path])
             limit = max(sizes[path] - patch, 0)
             offset = int(rng.integers(0, limit + 1))
             ops.append(TraceOp("update", path, size=patch, offset=offset))

@@ -3,7 +3,7 @@
 Real cloud APIs fail a fraction of individual requests even when "up"
 (throttling, HTTP 500s); clients retry.  The simulator injects these via
 ``SimulatedProvider.fault_rate`` and the scheme engine retries each request
-up to ``transient_retries`` times, write-logging mutations that exhaust
+up to ``RetryPolicy.max_attempts - 1`` times, write-logging mutations that exhaust
 their retries so consistency is still restored by the healer.
 """
 
