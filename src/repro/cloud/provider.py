@@ -85,23 +85,10 @@ class SimulatedProvider:
         #: pure bookkeeping: no RNG draws, no clock movement.  A fleet shared
         #: by several schemes reports into whichever registry attached last.
         self.metrics = None
-        # Memoized counter instruments, valid only for the registry they were
-        # resolved from; dropped wholesale whenever ``metrics`` is swapped.
-        self._counter_cache: tuple[object, dict[tuple[str, str], object]] = (None, {})
 
     # --------------------------------------------------------------- metrics
     def _counter(self, name: str, **labels: str):
-        m = self.metrics
-        owner, cache = self._counter_cache
-        if owner is not m:
-            cache = {}
-            self._counter_cache = (m, cache)
-        key = (name, tuple(labels.values()))
-        c = cache.get(key)
-        if c is None:
-            c = m.counter(name, provider=self.name, **labels)
-            cache[key] = c
-        return c
+        return self.metrics.counter(name, provider=self.name, **labels)
 
     def _count_request(self, op: str) -> None:
         if self.metrics is not None:

@@ -61,7 +61,11 @@ class RequestDispatcher:
         #: optional MetricsRegistry; decisions feed
         #: ``dispatch_decisions_total{redundancy}``
         self.metrics = metrics
+        # Placement state derived from the evaluator's classification; valid
+        # until :meth:`refresh`, which every evaluator mutation is followed by.
         self._codec_cache: ErasureCodec | None = None
+        self._replica_cache: list[str] | None = None
+        self._erasure_cache: list[str] | None = None
         self._usable_guard: Callable[[str], bool] | None = None
 
     def set_usable_guard(self, guard: Callable[[str], bool] | None) -> None:
@@ -77,19 +81,21 @@ class RequestDispatcher:
         self._usable_guard = guard
 
     def _prefer_usable(self, names: list[str]) -> list[str]:
-        """Stable-sort guard-passing providers ahead of tripped ones."""
+        """A copy of ``names``, guard-passing providers stably sorted ahead
+        of tripped ones.  Asked on every call: a breaker can trip between two."""
         if self._usable_guard is None:
-            return names
+            return list(names)
         guard = self._usable_guard
         return sorted(names, key=lambda n: 0 if guard(n) else 1)
 
     def refresh(self) -> None:
         """Drop cached placement state after a re-evaluation or exclusion.
 
-        The erasure codec is sized to the current erasure target set, so it
-        must be rebuilt whenever that set can change.
+        The target lists follow the evaluator's classification, and the
+        erasure codec is sized to the erasure target set, so all three must
+        be rebuilt whenever that classification can change.
         """
-        self._codec_cache = None
+        self._codec_cache = self._replica_cache = self._erasure_cache = None
 
     # ----------------------------------------------- feature/region policy
     def _region_of(self, name: str) -> str:
@@ -145,6 +151,13 @@ class RequestDispatcher:
     # ------------------------------------------------------------- targets
     def replica_targets(self) -> list[str]:
         """Fastest performance-oriented providers for replication."""
+        if self._replica_cache is None:
+            self._replica_cache = self._choose_replica_targets()
+        # Preference-order only: a breaker-tripped provider keeps its slot
+        # (its writes must land in the write log) but loses its priority.
+        return self._prefer_usable(self._replica_cache)
+
+    def _choose_replica_targets(self) -> list[str]:
         r = self.config.replication_level
         perf = self._feature_eligible(self.evaluator.performance_oriented())
         if len(perf) < r:
@@ -166,10 +179,7 @@ class RequestDispatcher:
         for name in self._feature_eligible(self.evaluator.ranked_by_speed()):
             if name not in pool:
                 pool.append(name)
-        chosen = self._enforce_regions(perf[:r], pool, r)
-        # Preference-order only: a breaker-tripped provider keeps its slot
-        # (its writes must land in the write log) but loses its priority.
-        return self._prefer_usable(chosen)
+        return self._enforce_regions(perf[:r], pool, r)
 
     def erasure_targets(self) -> list[str]:
         """Cost-oriented providers for the large-file stripe.
@@ -181,6 +191,11 @@ class RequestDispatcher:
         providers with the cheapest data-out price, leaving the expensive-
         egress provider holding parity that only degraded reads touch.
         """
+        if self._erasure_cache is None:
+            self._erasure_cache = self._choose_erasure_targets()
+        return list(self._erasure_cache)
+
+    def _choose_erasure_targets(self) -> list[str]:
         cost = self._feature_eligible(self.evaluator.cost_oriented())
         minimum = 3  # a stripe needs >= 2 data + 1 parity to beat replication
         if len(cost) < minimum:

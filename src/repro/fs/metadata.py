@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import json
 from collections import OrderedDict
+from operator import attrgetter
 
 from repro.fs.namespace import FileEntry, Namespace, dirname, normalize_path
 
-__all__ = ["encode_group", "decode_group", "group_key", "MetadataStore"]
+__all__ = ["encode_group", "decode_group", "group_key", "group_directory", "MetadataStore"]
 
 _GROUP_PREFIX = "__meta__"
 
@@ -33,51 +34,93 @@ def is_group_key(key: str) -> bool:
     return key.startswith(_GROUP_PREFIX)
 
 
+def group_directory(key: str) -> str:
+    """Inverse of :func:`group_key`."""
+    return key[len(_GROUP_PREFIX):]
+
+
+def _fragment(e: FileEntry) -> str:
+    """``e`` as one JSON object, encoded once per entry *object*.
+
+    A :class:`FileEntry` is frozen and every change makes a fresh object, so
+    the text memoised on the instance can never go stale: nothing
+    invalidates it, and ``replace`` / ``decode_group`` results start without.
+    """
+    memo = e.__dict__
+    fragment = memo.get("_fragment")
+    if fragment is None:
+        fragment = memo["_fragment"] = json.dumps(
+            {
+                "path": e.path,
+                "size": e.size,
+                "version": e.version,
+                "codec": e.codec,
+                "codec_params": e.codec_params,
+                "placements": e.placements,
+                "klass": e.klass,
+                "created": e.created,
+                "modified": e.modified,
+                "access_count": e.access_count,
+                "digests": e.digests,
+            },
+            separators=(",", ":"),
+            sort_keys=True,
+        )
+    return fragment
+
+
 def encode_group(entries: list[FileEntry]) -> bytes:
-    """Serialise a directory's entries to a compact, deterministic blob."""
-    payload = [
-        {
-            "path": e.path,
-            "size": e.size,
-            "version": e.version,
-            "codec": e.codec,
-            "codec_params": [[k, v] for k, v in e.codec_params],
-            "placements": [[p, i] for p, i in e.placements],
-            "klass": e.klass,
-            "created": e.created,
-            "modified": e.modified,
-            "access_count": e.access_count,
-            "digests": list(e.digests),
-        }
-        for e in sorted(entries, key=lambda e: e.path)
-    ]
-    return json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
+    """Serialise a directory's entries to a compact, deterministic blob:
+    the JSON list of their objects, sorted by path."""
+    ordered = sorted(entries, key=attrgetter("path"))
+    return f"[{','.join(map(_fragment, ordered))}]".encode()
+
+
+def _field(item: dict, name: str, *kinds: type):
+    """``item[name]``, which ``json.loads`` must have made one of ``kinds``."""
+    value = item.get(name)
+    if type(value) not in kinds:
+        raise ValueError(f"{name}={value!r} in entry {item.get('path')!r}")
+    return value
+
+
+def _pairs(item: dict, name: str) -> tuple[tuple[str, int], ...]:
+    pairs = _field(item, name, list)
+    if any(type(p) is not list or [type(x) for x in p] != [str, int] for p in pairs):
+        raise ValueError(f"{name}={pairs!r} in entry {item.get('path')!r}")
+    return tuple((k, v) for k, v in pairs)
+
+
+def _decode_entry(item: object) -> FileEntry:
+    if type(item) is not dict:
+        raise ValueError(f"entry {item!r} is not an object")
+    digests = _field(item, "digests", list) if "digests" in item else []
+    if any(type(d) is not str for d in digests):
+        raise ValueError(f"digests={digests!r} in entry {item.get('path')!r}")
+    return FileEntry(
+        path=_field(item, "path", str),
+        size=_field(item, "size", int),
+        version=_field(item, "version", int),
+        codec=_field(item, "codec", str),
+        codec_params=_pairs(item, "codec_params"),
+        placements=_pairs(item, "placements"),
+        klass=_field(item, "klass", str),
+        created=_field(item, "created", int, float),
+        modified=_field(item, "modified", int, float),
+        access_count=_field(item, "access_count", int),
+        digests=tuple(digests),
+    )
 
 
 def decode_group(blob: bytes) -> list[FileEntry]:
-    """Inverse of :func:`encode_group`."""
+    """Inverse of :func:`encode_group`; any other bytes raise ``ValueError``."""
     try:
         payload = json.loads(blob.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        if type(payload) is not list:
+            raise ValueError(f"{type(payload).__name__}, not a list")
+        return [_decode_entry(item) for item in payload]
+    except ValueError as exc:  # undecodable bytes and bad JSON are ValueErrors too
         raise ValueError(f"corrupt metadata group: {exc}") from exc
-    entries = []
-    for item in payload:
-        entries.append(
-            FileEntry(
-                path=item["path"],
-                size=item["size"],
-                version=item["version"],
-                codec=item["codec"],
-                codec_params=tuple((k, v) for k, v in item["codec_params"]),
-                placements=tuple((p, i) for p, i in item["placements"]),
-                klass=item["klass"],
-                created=item["created"],
-                modified=item["modified"],
-                access_count=item["access_count"],
-                digests=tuple(item.get("digests", ())),
-            )
-        )
-    return entries
 
 
 class MetadataStore:

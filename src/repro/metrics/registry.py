@@ -218,6 +218,9 @@ class MetricsRegistry:
 
     def __init__(self, tracer=None, strict: bool = True) -> None:
         self._metrics: dict[tuple[str, tuple[tuple[str, str], ...]], Counter | Gauge | Histogram] = {}
+        #: the same instruments by *(name, labels as passed)*: what a call
+        #: site repeats, resolved without canonicalising its labels again
+        self._handles: dict[tuple, Counter | Gauge | Histogram] = {}
         self.tracer = tracer
         self.strict = strict
 
@@ -247,37 +250,35 @@ class MetricsRegistry:
             )
 
     # ---------------------------------------------------------- instruments
+    def _instrument(self, cls, kind: str, name: str, labels: dict[str, str], *args):
+        """Get or create the ``kind`` instrument for *(name, labels)*."""
+        # First level: the labels exactly as passed.  Only all-``str`` values
+        # are memoised, so ``1`` / ``True`` / ``"1"`` can never alias here.
+        passed = (name, *labels.items())
+        metric = self._handles.get(passed)
+        if metric is None:
+            key = (name, _label_key(labels))
+            metric = self._metrics.get(key)
+            if metric is None:
+                self._check(name, kind, labels)
+                metric = self._metrics[key] = cls(name, key[1], self, *args)
+            if all(type(v) is str for v in labels.values()):
+                self._handles[passed] = metric
+        return metric
+
     def counter(self, name: str, **labels: str) -> Counter:
         """Get or create the counter for *(name, labels)*."""
-        key = (name, _label_key(labels))
-        metric = self._metrics.get(key)
-        if metric is None:
-            self._check(name, "counter", labels)
-            metric = Counter(name, key[1], self)
-            self._metrics[key] = metric
-        return metric  # type: ignore[return-value]
+        return self._instrument(Counter, "counter", name, labels)
 
     def gauge(self, name: str, **labels: str) -> Gauge:
         """Get or create the gauge for *(name, labels)*."""
-        key = (name, _label_key(labels))
-        metric = self._metrics.get(key)
-        if metric is None:
-            self._check(name, "gauge", labels)
-            metric = Gauge(name, key[1], self)
-            self._metrics[key] = metric
-        return metric  # type: ignore[return-value]
+        return self._instrument(Gauge, "gauge", name, labels)
 
     def histogram(
         self, name: str, bounds: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS, **labels: str
     ) -> Histogram:
         """Get or create the histogram for *(name, labels)*."""
-        key = (name, _label_key(labels))
-        metric = self._metrics.get(key)
-        if metric is None:
-            self._check(name, "histogram", labels)
-            metric = Histogram(name, key[1], self, bounds)
-            self._metrics[key] = metric
-        return metric  # type: ignore[return-value]
+        return self._instrument(Histogram, "histogram", name, labels, bounds)
 
     # -------------------------------------------------------------- queries
     def counter_value(self, name: str, **labels: str) -> int:

@@ -48,7 +48,7 @@ from repro.erasure import gfkernel
 from repro.erasure.codec import ErasureCodec, get_codec
 from repro.faults.crash import ClientCrash, CrashSchedule
 from repro.fs.journal import IntentJournal
-from repro.fs.metadata import MetadataStore, group_key, is_group_key
+from repro.fs.metadata import MetadataStore, group_directory, group_key, is_group_key
 from repro.fs.namespace import FileEntry, Namespace, dirname, normalize_path
 from repro.metrics.collector import LatencyCollector, OpReport
 from repro.metrics.registry import MetricsRegistry
@@ -2085,7 +2085,7 @@ class Scheme(ABC):
             self._heal_before_touching(set(targets))
             group_keys = self._list_meta_group_keys(targets, striped=codec is not None)
             for base_key in sorted(group_keys):
-                directory = base_key[len("__meta__"):]
+                directory = group_directory(base_key)
                 fallback = self._journaled_meta_blob(directory)
                 try:
                     blob = self._fetch_meta_blob(base_key, codec, targets)
@@ -2145,7 +2145,7 @@ class Scheme(ABC):
                 continue
             groups: set[str] = set(logged)
             for key in keys:
-                if not key.startswith("__meta__"):
+                if not is_group_key(key):
                     continue
                 groups.add(self._meta_base_key(key, striped))
             return groups

@@ -34,8 +34,8 @@ def make_rng(seed: int, *labels: object) -> np.random.Generator:
 
         rng = make_rng(42, "latency", "aliyun")
     """
-    ss = np.random.SeedSequence([seed & 0xFFFFFFFF, stable_u64(*labels) & 0xFFFFFFFF,
-                                 (stable_u64(*labels) >> 32) & 0xFFFFFFFF])
+    label = stable_u64(*labels)
+    ss = np.random.SeedSequence([seed & 0xFFFFFFFF, label & 0xFFFFFFFF, label >> 32])
     return np.random.default_rng(ss)
 
 

@@ -1,10 +1,13 @@
 """Tests for re-evaluation, migration and vendor decommissioning."""
 
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cloud.latency import LatencyModel
-from repro.core.config import MB
+from repro.core.config import MB, HyRDConfig
+from repro.core.dispatcher import RequestDispatcher
 from repro.core.hyrd import HyRDClient
 
 
@@ -135,3 +138,78 @@ class TestDecommission:
     def test_exclude_unknown(self, hyrd):
         with pytest.raises(KeyError):
             hyrd.evaluator.exclude("nonexistent")
+
+
+class TestPlacementMemo:
+    """The dispatcher keeps its target lists and codec until ``refresh()``.
+    Through the client's public API a stale answer must be impossible: every
+    entry point that moves the classification shows on the very next call."""
+
+    @staticmethod
+    def _answers(dispatcher):
+        codec = dispatcher.erasure_codec()
+        return (
+            dispatcher.replica_targets(),
+            dispatcher.erasure_targets(),
+            (type(codec).__name__, codec.n, codec.k),
+        )
+
+    def _assert_current(self, hyrd, before, changed):
+        """The memoised answers are a never-asked dispatcher's, and exactly
+        the ``changed`` ones (replica, erasure, codec) moved."""
+        unmemoised = RequestDispatcher(hyrd.config, hyrd.evaluator)
+        unmemoised.set_usable_guard(hyrd._provider_usable)
+        now = self._answers(hyrd.dispatcher)
+        assert now == self._answers(unmemoised)
+        assert [a != b for a, b in zip(before, now)] == changed
+
+    def test_reevaluate(self, hyrd, providers):
+        before = self._answers(hyrd.dispatcher)
+        assert before == (
+            ["aliyun", "azure"], ["rackspace", "aliyun", "amazon_s3"], ("Raid5Code", 3, 2)
+        )
+        providers["aliyun"].latency = LatencyModel(rtt=0.8, upload_bw=0.5e6, download_bw=0.5e6)
+        for p in providers.values():  # one price for all: all four are cost-oriented
+            p.pricing = replace(p.pricing, storage_gb_month=0.03)
+        hyrd.reevaluate()
+        self._assert_current(hyrd, before, [True, True, True])
+        assert hyrd.dispatcher.erasure_codec().n == 4
+
+    def test_refresh_health_ranking(self, providers, clock):
+        # Only the cheapest provider is cost-oriented, so the stripe is filled
+        # from the speed ranking and follows it.
+        hyrd = HyRDClient(list(providers.values()), clock, config=HyRDConfig(cost_percentile=0))
+        before = self._answers(hyrd.dispatcher)
+        for _ in range(30):
+            hyrd.health["azure"].record_latency(10.0, 1.0)
+        hyrd.refresh_health_ranking()
+        self._assert_current(hyrd, before, [True, True, False])
+        assert "azure" not in hyrd.dispatcher.replica_targets()
+        assert "azure" not in hyrd.dispatcher.erasure_targets()
+
+    def test_decommission(self, providers, clock):
+        hyrd = HyRDClient(list(providers.values()), clock, config=HyRDConfig(cost_percentile=100))
+        before = self._answers(hyrd.dispatcher)
+        assert before[2] == ("Raid5Code", 4, 3)
+        hyrd.decommission("aliyun")
+        self._assert_current(hyrd, before, [True, True, True])
+        assert "aliyun" not in hyrd.dispatcher.replica_targets()
+        assert hyrd.dispatcher.erasure_codec().n == 3
+
+    def test_breaker_trip_reorders_replicas_with_no_refresh(self, hyrd, clock):
+        assert hyrd.dispatcher.replica_targets() == ["aliyun", "azure"]
+        breaker = hyrd._breakers["aliyun"]
+        for _ in range(breaker.failure_threshold):
+            breaker.record_failure(clock.now)
+        # Same slots (aliyun's writes must reach its write log), new priority.
+        assert hyrd.dispatcher.replica_targets() == ["azure", "aliyun"]
+        assert hyrd.dispatcher.decide(hyrd.monitor.classify(1024)).providers == ("azure", "aliyun")
+
+    def test_returned_lists_belong_to_the_caller(self, hyrd):
+        unguarded = RequestDispatcher(hyrd.config, hyrd.evaluator)
+        for dispatcher in (hyrd.dispatcher, unguarded):
+            for ask in (dispatcher.replica_targets, dispatcher.erasure_targets):
+                expected = ask()
+                ask().clear()
+                ask().append("nowhere")
+                assert ask() == expected

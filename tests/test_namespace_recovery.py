@@ -8,6 +8,8 @@ serves every file a previous client stored.
 import pytest
 
 from repro.cloud.outage import OutageWindow
+from repro.faults.crash import ClientCrash, CrashSchedule
+from repro.fs.metadata import group_key
 from repro.schemes import (
     DuraCloudScheme,
     HyrdScheme,
@@ -171,3 +173,32 @@ class TestRecoverySemantics:
             providers[name].outages.add(OutageWindow(clock.now, clock.now + 60))
         with pytest.raises(DataUnavailable):
             second.recover_namespace()
+
+    @pytest.mark.parametrize("stored", [b"{}", b"[1]", b"[{}]", b"null"])
+    def test_wrong_shape_group_falls_back_to_journaled_copy(
+        self, providers, clock, payload, stored
+    ):
+        """A torn group can decode into bytes that are valid JSON and still
+        not a metadata group.  That must surface as the typed failure the
+        journal fallback catches — not escape untyped, and not (``{}``) be
+        accepted as "this directory is empty"."""
+        first = HyrdScheme(list(providers.values()), clock)
+        journal = first.attach_journal()
+        contents = _populate(first, payload)
+        # Two replica puts, then the client dies between the two replica
+        # puts of /docs's group: the intent stays pending, redo image inside.
+        contents["/docs/c.txt"] = payload(3 * KB)
+        first.install_crash_schedule(CrashSchedule([4]))
+        with pytest.raises(ClientCrash):
+            first.put("/docs/c.txt", contents["/docs/c.txt"])
+        (intent,) = journal.pending()
+        assert set(intent.meta_blobs) == {"/docs"}
+        for name in first._meta_write_targets():
+            providers[name].store.tamper(first.container, group_key("/docs"), stored)
+
+        second = HyrdScheme(list(providers.values()), clock)
+        second.attach_journal(journal)
+        second.recover_namespace()
+        assert set(second.namespace.paths()) == set(contents)
+        for path, data in contents.items():
+            assert second.get(path)[0] == data

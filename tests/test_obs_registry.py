@@ -34,6 +34,43 @@ class TestCounter:
         assert MetricsRegistry().counter_value("retries") == 0
 
 
+class TestHandleMemo:
+    """A repeated *(name, labels as passed)* is answered from a first-level
+    memo; it must never answer differently from the canonical key."""
+
+    def test_repeats_in_either_label_order_are_one_instrument(self):
+        r = MetricsRegistry(strict=False)
+        first = r.counter("x", a="1", b="2")
+        assert r.counter("x", b="2", a="1") is first
+        assert r.counter("x", b="2", a="1") is first  # memoised under both orders
+        assert r.counter("x", a="1", b="2") is first
+        assert r.counter("x", a="1", b="3") is not first
+        assert len(r) == 2
+
+    @pytest.mark.parametrize("first_seen", [1, True, 1.0, "1"])
+    def test_non_str_label_values_never_alias(self, first_seen):
+        # 1 == True == 1.0 hash alike, but their canonical labels are "1",
+        # "True" and "1.0": whichever is seen first, each keeps its own.
+        r = MetricsRegistry(strict=False)
+        r.counter("x", a=first_seen).inc()
+        for _ in range(2):
+            assert r.counter("x", a=1) is r.counter("x", a="1")
+            assert r.counter("x", a=True) is r.counter("x", a="True")
+            assert r.counter("x", a=1.0) is r.counter("x", a="1.0")
+        assert len(r) == 3
+        assert r.counter_value("x", a=str(first_seen)) == 1
+
+    def test_strict_check_still_runs_on_first_use(self):
+        r = MetricsRegistry()
+        r.counter("provider_requests_total", provider="azure", op="get").inc()
+        for _ in range(2):  # a refused lookup memoises nothing
+            with pytest.raises(UnknownMetricError):
+                r.counter("provider_requests_total", provider="azure")
+            with pytest.raises(UnknownMetricError):
+                r.counter("no_such_metric", provider="azure", op="get")
+        assert len(r) == 1
+
+
 class TestGauge:
     def test_last_write_wins(self):
         r = MetricsRegistry()

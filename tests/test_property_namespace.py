@@ -1,9 +1,14 @@
 """Property-based tests: namespace vs a dict model, metadata round-trips."""
 
+import copy
+import json
+import pickle
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fs.metadata import decode_group, encode_group
+from repro.fs.metadata import MetadataStore, decode_group, encode_group
 from repro.fs.namespace import FileEntry, Namespace, dirname, normalize_path
 
 # Path components: non-empty, no '/', no '.'/'..' semantics.
@@ -88,3 +93,123 @@ class TestMetadataGroupProperties:
         assert decode_group(encode_group(entries)) == sorted(
             entries, key=lambda e: e.path
         )
+
+
+def reference_encode(entries) -> bytes:
+    """The whole-list encoder ``fs.metadata`` shipped before groups were
+    joined from per-entry fragments.  It lives on here, and only here, as
+    the oracle: the incremental blob must equal it byte for byte."""
+    payload = [
+        {
+            "path": e.path,
+            "size": e.size,
+            "version": e.version,
+            "codec": e.codec,
+            "codec_params": [[k, v] for k, v in e.codec_params],
+            "placements": [[p, i] for p, i in e.placements],
+            "klass": e.klass,
+            "created": e.created,
+            "modified": e.modified,
+            "access_count": e.access_count,
+            "digests": list(e.digests),
+        }
+        for e in sorted(entries, key=lambda e: e.path)
+    ]
+    return json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
+
+
+# A handful of directories and names, so that interleaved ops keep landing on
+# the same entries; the names carry what a JSON string has to escape.
+awkward_names = st.sampled_from(
+    ["a", "é", "漢字", "\U0001f600", 'q"uote', "back\\slash", "nul\x00", "tab\tnl\n", "\u2028"]
+)
+awkward_paths = st.builds(
+    lambda directory, name: f"{directory}/{name}",
+    st.sampled_from(["", "/d", "/d/é", '/"\\', "/\x1f"]),
+    awkward_names,
+)
+awkward_floats = st.one_of(
+    st.sampled_from([0.0, 1e-07, 0.1 + 0.2, 1e22, 5e-324, 2.5]),
+    st.floats(0, 1e12, allow_nan=False),
+)
+awkward_ints = st.one_of(
+    st.integers(0, 10**6), st.sampled_from([2**53, 2**53 + 1, 2**64 + 3])
+)
+awkward_entries = st.builds(
+    FileEntry,
+    path=awkward_paths,
+    size=awkward_ints,
+    version=st.integers(1, 5),
+    codec=st.sampled_from(["replication", "raid5", "rs"]),
+    codec_params=st.sampled_from([(), (("k", 3),), (("k", 2), ("m", 2**53))]),
+    placements=st.sampled_from([(), (("aliyun", 0), ("azure", 1)), (("é", 2**40),)]),
+    klass=st.sampled_from(["small", "large"]),
+    created=awkward_floats,
+    modified=awkward_floats,
+    access_count=awkward_ints,
+    digests=st.sampled_from([(), ("ab" * 32,), ("00" * 32, "ff" * 32, "é")]),
+)
+#: ways to get an entry that is ``==`` the original but a distinct object
+CLONE = {
+    "replace": replace,
+    "pickle": lambda e: pickle.loads(pickle.dumps(e)),
+    "deepcopy": copy.deepcopy,
+}
+group_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("upsert"), awkward_entries),
+        st.tuples(st.just("touch"), awkward_paths),
+        st.tuples(st.just("bump"), awkward_paths, awkward_ints, awkward_floats),
+        st.tuples(st.just("remove"), awkward_paths),
+        st.tuples(st.just("apply"), st.lists(awkward_entries, max_size=4)),
+        st.tuples(st.just("clone"), awkward_paths, st.sampled_from(sorted(CLONE))),
+    ),
+    max_size=25,
+)
+
+
+class TestIncrementalGroupEncoding:
+    """``encode_dir`` joins fragments memoised per entry object; whatever
+    sequence of changes produced the namespace, the blob is the reference
+    encoder's, and no fragment outlives the entry it was made from."""
+
+    @given(ops=group_ops)
+    @settings(max_examples=150, deadline=None)
+    def test_blob_equals_whole_list_encoder(self, ops):
+        ns = Namespace()
+        store = MetadataStore(ns)
+        for op in ops:
+            kind, arg = op[0], op[1]
+            if kind == "upsert":
+                ns.upsert(arg)
+            elif kind == "apply":
+                store.apply_group(reference_encode({e.path: e for e in arg}.values()))
+            elif arg in ns:
+                entry = ns.get(arg)
+                if kind == "touch":
+                    ns.upsert(entry.touched())
+                elif kind == "bump":
+                    ns.upsert(entry.bumped(op[2], op[3]))
+                elif kind == "remove":
+                    ns.remove(arg)
+                else:
+                    ns.upsert(CLONE[op[2]](entry))
+            # Checked after every step, so each later change meets fragments
+            # memoised by this one.
+            for directory in [*ns.directories(), "/never/written"]:
+                entries = ns.entries_in(directory)
+                blob = store.encode_dir(directory)
+                assert blob == reference_encode(entries)
+                assert decode_group(blob) == entries
+
+    @given(entry=awkward_entries, primed=st.booleans())
+    def test_equal_entries_encode_identically(self, entry, primed):
+        expected = reference_encode([entry])
+        if primed:  # the clones below then copy a memoised fragment along
+            assert encode_group([entry]) == expected
+        for clone in CLONE.values():
+            twin = clone(entry)
+            assert twin == entry and twin is not entry
+            assert encode_group([twin]) == expected
+        assert encode_group([entry]) == expected
+        assert encode_group([]) == reference_encode([]) == b"[]"

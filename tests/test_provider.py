@@ -11,6 +11,7 @@ from repro.cloud.provider import (
     SimulatedProvider,
     make_table2_cloud_of_clouds,
 )
+from repro.metrics.registry import MetricsRegistry
 
 
 @pytest.fixture
@@ -107,3 +108,23 @@ class TestTable2Fleet:
         assert rtts["aliyun"] < rtts["azure"] < rtts["amazon_s3"] < rtts["rackspace"]
         bws = {n: m.download_bw for n, m in TABLE2_LATENCY.items()}
         assert bws["aliyun"] > bws["azure"] > bws["amazon_s3"] > bws["rackspace"]
+
+
+class TestRequestCounters:
+    def test_swapping_the_registry_counts_into_the_new_one(self, provider):
+        """A fleet shared by two schemes reports into whichever registry
+        attached last — from the very next request."""
+        first, second = MetricsRegistry(), MetricsRegistry()
+        provider.create("c")
+        provider.metrics = first
+        provider.put("c", "k", b"data")
+        provider.put("c", "k", b"data")
+        provider.metrics = second
+        provider.put("c", "k", b"12345")
+        provider.metrics = first
+        provider.get("c", "k")
+        assert first.counter_value("provider_requests_total", provider="p", op="put") == 2
+        assert second.counter_value("provider_requests_total", provider="p", op="put") == 1
+        assert first.counter_value("provider_requests_total", provider="p", op="get") == 1
+        assert first.counter_value("provider_bytes_up_total", provider="p") == 8
+        assert second.counter_value("provider_bytes_up_total", provider="p") == 5
