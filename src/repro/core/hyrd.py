@@ -348,17 +348,4 @@ class HyRDClient(Scheme):
         if self.maintenance is not None:
             self.maintenance.migration.plan_decommission(provider)
             return []
-        reports = []
-        for path in self.namespace.paths():
-            entry = self.namespace.get(path)
-            if provider in entry.providers:
-                reports.append(self.migrate(path))
-        return reports
-
-    def placements_on(self, provider: str) -> list[str]:
-        """Paths that currently keep a fragment/replica on ``provider``."""
-        return [
-            p
-            for p in self.namespace.paths()
-            if provider in self.namespace.get(p).providers
-        ]
+        return [self.migrate(path) for path in self.placements_on(provider)]

@@ -161,10 +161,11 @@ class CircuitBreaker:
         #: optional MetricsRegistry; transitions feed
         #: ``breaker_transitions_total{provider,state}`` when attached
         self.metrics = metrics
-        #: optional callable ``(provider, state, now)`` invoked on every state
-        #: change — the SLO tracker hangs here to turn open/closed edges into
-        #: observed downtime intervals.  Attached post-construction.
-        self.listener = None
+        #: callables ``(provider, state, now)`` invoked in order on every
+        #: state change — the SLO tracker turns open/closed edges into
+        #: observed downtime intervals, the maintenance plane into targeted
+        #: post-outage scrubs.  Consumers append (and remove) their own.
+        self.listeners: list = []
         self.state = BreakerState.CLOSED
         self._consecutive_failures = 0
         self._half_open_ok = 0
@@ -181,8 +182,8 @@ class CircuitBreaker:
             self.metrics.counter(
                 "breaker_transitions_total", provider=self.name, state=state
             ).inc()
-        if self.listener is not None:
-            self.listener(self.name, state, now)
+        for listener in self.listeners:
+            listener(self.name, state, now)
         if state == BreakerState.OPEN:
             self._opened_at = now
             self._half_open_ok = 0
@@ -366,7 +367,7 @@ class ResilienceConfig:
     probe_retry:
         Backoff policy for the Evaluator's latency probes.  Default keeps
         the seed's 6 immediate attempts, now config-exposed.
-    breaker_enabled / breaker_*:
+    breaker_*:
         Per-provider circuit-breaker parameters (see :class:`CircuitBreaker`).
     hedge_reads:
         Enable hedged reads on the replicated read path: when the primary
@@ -395,7 +396,6 @@ class ResilienceConfig:
             max_attempts=6, base_delay=0.0, max_delay=0.0, jitter=0.0
         )
     )
-    breaker_enabled: bool = True
     breaker_failure_threshold: int = 3
     breaker_reset_timeout: float = 60.0
     breaker_half_open_successes: int = 2

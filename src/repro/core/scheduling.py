@@ -197,10 +197,7 @@ class FragmentScheduler:
             return 0.0
         rate = obs.service_rate(name)
         wait = self.config.queue_weight * (depth / rate if rate > 0.0 else 0.0)
-        health = scheme.health.get(name)
-        if health is not None:
-            wait += health.queue_wait(depth)
-        return wait
+        return wait + scheme.health[name].queue_wait(depth)
 
     def score_provider(self, name: str, nbytes: int) -> float:
         """Expected seconds to serve ``nbytes`` from ``name`` under load.
@@ -211,20 +208,17 @@ class FragmentScheduler:
         scheme = self._scheme
         cfg = self.config
         est = scheme._estimate_latency(name, nbytes, "down")
-        health = scheme.health.get(name)
-        if health is not None:
-            weight = (
-                cfg.error_weight
-                if cfg.error_weight is not None
-                else scheme.resilience.health_error_weight
-            )
-            est *= health.penalty(weight)
-        breaker = scheme._breakers.get(name)
-        if breaker is not None:
-            if not breaker.would_allow(scheme.clock.now):
-                return math.inf
-            if breaker.state == "half_open":
-                est *= cfg.half_open_penalty
+        weight = (
+            cfg.error_weight
+            if cfg.error_weight is not None
+            else scheme.resilience.health_error_weight
+        )
+        est *= scheme.health[name].penalty(weight)
+        breaker = scheme._breakers[name]
+        if not breaker.would_allow(scheme.clock.now):
+            return math.inf
+        if breaker.state == "half_open":
+            est *= cfg.half_open_penalty
         return est + self.queue_wait(name)
 
     def estimate_stripe(self, by_index, size: int, codec) -> float:

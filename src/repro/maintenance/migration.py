@@ -86,19 +86,7 @@ class LiveMigrationEngine:
 
     def plan_decommission(self, provider: str) -> int:
         """Queue everything with a placement on ``provider``."""
-        on = getattr(self.scheme, "placements_on", None)
-        if on is not None:
-            paths = on(provider)
-        else:
-            paths = [
-                entry.path
-                for entry in (
-                    self.scheme.namespace.get(p)
-                    for p in self.scheme.namespace.paths()
-                )
-                if any(prov == provider for prov, _ in entry.placements)
-            ]
-        return self.plan(paths)
+        return self.plan(self.scheme.placements_on(provider))
 
     def _publish_pending(self) -> None:
         self.scheme.registry.gauge("migration_pending").set(len(self._queue))

@@ -19,13 +19,8 @@ Attachment is strictly opt-in (``scheme.attach_maintenance()``) and the
 detached default is zero-cost: no foreground code path consults the plane,
 draws RNG for it, or moves the clock on its behalf.  ``pause()`` keeps the
 schedule but makes ticks no-ops — handy for change freezes; ``stop()``
-unhooks everything, including the chained breaker listeners.
-
-Ordering caveat: the plane *chains* each breaker's single ``listener`` slot
-(preserving whatever was installed, e.g. the SLO tracker's transition hook).
-Attach the SLO tracker **before** the maintenance plane — ``attach_slo``
-overwrites the slot and would silently disconnect the plane's outage-edge
-feed if called afterwards.
+unhooks everything, including the plane's breaker listeners (and only
+those: the SLO tracker's stay, whichever was attached first).
 """
 
 from __future__ import annotations
@@ -120,7 +115,6 @@ class MaintenancePlane:
         self._suspects: set[str] = set()
         #: path -> sim time it was first seen below full redundancy
         self._risk_since: dict[str, float] = {}
-        self._saved_listeners: dict[str, object] = {}
 
     # ------------------------------------------------------------- lifecycle
     @property
@@ -131,17 +125,20 @@ class MaintenancePlane:
         """Hook breaker edges and begin the recurring tick schedule."""
         if self.running:
             return
-        self._chain_breaker_listeners()
+        for breaker in self.scheme._breakers.values():
+            breaker.listeners.append(self._on_breaker_transition)
         self._timer = self.loop.schedule_every(
             self.config.scrub_interval, self._on_tick
         )
 
     def stop(self) -> None:
-        """Cancel the schedule and restore the original breaker listeners."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        self._restore_breaker_listeners()
+        """Cancel the schedule and unhook the plane's breaker listeners."""
+        if self._timer is None:
+            return
+        self._timer.cancel()
+        self._timer = None
+        for breaker in self.scheme._breakers.values():
+            breaker.listeners.remove(self._on_breaker_transition)
 
     def pause(self) -> None:
         """Keep the schedule but make ticks no-ops (change freeze)."""
@@ -149,25 +146,6 @@ class MaintenancePlane:
 
     def resume(self) -> None:
         self.paused = False
-
-    def _chain_breaker_listeners(self) -> None:
-        for name, breaker in self.scheme._breakers.items():
-            previous = breaker.listener
-            self._saved_listeners[name] = previous
-
-            def chained(provider, state, now, _prev=previous):
-                if _prev is not None:
-                    _prev(provider, state, now)
-                self._on_breaker_transition(provider, state, now)
-
-            breaker.listener = chained
-
-    def _restore_breaker_listeners(self) -> None:
-        for name, previous in self._saved_listeners.items():
-            breaker = self.scheme._breakers.get(name)
-            if breaker is not None:
-                breaker.listener = previous
-        self._saved_listeners.clear()
 
     def _on_breaker_transition(self, provider: str, state: str, now: float) -> None:
         if state == "open":
@@ -196,7 +174,7 @@ class MaintenancePlane:
             targeted: list[str] = []
             seen: set[str] = set()
             for provider in suspects:
-                for path in self._paths_on(provider):
+                for path in self.scheme.placements_on(provider):
                     if path not in seen:
                         seen.add(path)
                         targeted.append(path)
@@ -219,17 +197,6 @@ class MaintenancePlane:
         self.orphans.run_cycle(max_keys=_GC_KEYS_PER_CYCLE)
         self._publish_risk()
         return audits
-
-    def _paths_on(self, provider: str) -> list[str]:
-        on = getattr(self.scheme, "placements_on", None)
-        if on is not None:
-            return list(on(provider))
-        namespace = self.scheme.namespace
-        return [
-            path
-            for path in namespace.paths()
-            if any(prov == provider for prov, _ in namespace.get(path).placements)
-        ]
 
     def _publish_risk(self) -> None:
         now = self.scheme.clock.now

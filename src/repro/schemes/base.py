@@ -506,12 +506,16 @@ class Scheme(ABC):
     #: second copy is a sync step after the primary write completes)
     sequential_replication: bool = False
 
+    #: write acknowledgement: None (default) waits for every put of a
+    #: version; an int acknowledges at that many successes and lets the
+    #: stragglers finish in the background (DepSky's ``n - f`` quorum)
+    write_quorum: int | None = None
+
     #: repair discipline: False (default) rewrites only the damaged
     #: placements in place; True re-puts the whole object as a new version
     #: instead — for schemes whose per-placement objects cannot be rebuilt
     #: in isolation (DepSky-CA bundles carry secret shares drawn fresh per
-    #: sharing, and shares from two sharings do not combine).  For the same
-    #: reason such a scheme never patches a stripe in place on ``update``.
+    #: sharing, and shares from two sharings do not combine).
     repair_by_rewrite: bool = False
 
     def __init__(
@@ -550,14 +554,10 @@ class Scheme(ABC):
         self.retry_policy = resilience.retry
         #: deterministic jitter stream for retry backoff (sim-time waits)
         self._retry_rng: np.random.Generator = make_rng(seed, "retry", self.name)
-        self._breakers: dict[str, CircuitBreaker] = (
-            {
-                p.name: resilience.make_breaker(p.name, metrics=self.registry)
-                for p in providers
-            }
-            if resilience.breaker_enabled
-            else {}
-        )
+        self._breakers: dict[str, CircuitBreaker] = {
+            p.name: resilience.make_breaker(p.name, metrics=self.registry)
+            for p in providers
+        }
         self.health: dict[str, ProviderHealth] = {
             p.name: resilience.make_health(p.name, metrics=self.registry)
             for p in providers
@@ -647,7 +647,7 @@ class Scheme(ABC):
         self.slo = slo
         slo.bind(self.registry, self.clock)
         for breaker in self._breakers.values():
-            breaker.listener = slo.on_breaker_transition
+            breaker.listeners.append(slo.on_breaker_transition)
 
     def attach_observatory(self, observatory) -> None:
         """Hook a :class:`~repro.obs.attribution.ProviderLoadObservatory` in.
@@ -739,9 +739,7 @@ class Scheme(ABC):
         def score(n: str) -> float:
             est = self._estimate_latency(n, size, direction)
             if adaptive:
-                health = self.health.get(n)
-                if health is not None:
-                    est *= health.penalty(self.resilience.health_error_weight)
+                est *= self.health[n].penalty(self.resilience.health_error_weight)
             return est
 
         return sorted(names, key=score)
@@ -750,8 +748,7 @@ class Scheme(ABC):
         """Available right now and not fast-failed by its circuit breaker."""
         if not self.provider(name).is_available():
             return False
-        breaker = self._breakers.get(name)
-        return breaker is None or breaker.would_allow(self.clock.now)
+        return self._breakers[name].would_allow(self.clock.now)
 
     def _is_stale(self, provider: str, container: str, key: str) -> bool:
         """True when the provider missed writes to this key during an outage."""
@@ -828,9 +825,9 @@ class Scheme(ABC):
         """
         for o in waited:
             if o.ok and o.finish > 0.0:
-                health = self.health.get(o.op.provider)
-                if health is not None:
-                    health.record_latency(o.finish, self._expected_latency(o))
+                self.health[o.op.provider].record_latency(
+                    o.finish, self._expected_latency(o)
+                )
         if until > 0:
             self.clock.advance(until)
         for o, seconds in cancelled:
@@ -840,9 +837,9 @@ class Scheme(ABC):
             self.registry.histogram(
                 "hedge_wasted_seconds", provider=o.op.provider
             ).observe(wasted)
-            health = self.health.get(o.op.provider)
-            if health is not None:
-                health.record_latency(wasted, self._expected_latency(o))
+            self.health[o.op.provider].record_latency(
+                wasted, self._expected_latency(o)
+            )
             if self.tracer.enabled:
                 self.tracer.event("hedge.wasted", provider=o.op.provider, wasted=wasted)
 
@@ -890,10 +887,10 @@ class Scheme(ABC):
         # breaker) rather than flip-flopping per request.
         allowed: dict[str, bool] = {}
         for name in {op.provider for op in ops}:
-            breaker = self._breakers.get(name)
-            if breaker is None or bypass_breakers:
+            if bypass_breakers:
                 allowed[name] = True
                 continue
+            breaker = self._breakers[name]
             before = breaker.state
             allowed[name] = breaker.allow(now)
             self._note_breaker(breaker, before)
@@ -906,10 +903,10 @@ class Scheme(ABC):
             if self._crash is not None and self._crash.tick():
                 raise ClientCrash(self._crash.ops_seen, op.provider, op.kind)
             provider = self.provider(op.provider)
-            health = self.health.get(op.provider)
+            health = self.health[op.provider]
             # Bypass skips the *gate* only; outcomes still feed the breaker,
             # so a successful consistency-update replay closes it.
-            breaker = self._breakers.get(op.provider)
+            breaker = self._breakers[op.provider]
             if not allowed[op.provider]:
                 # Client-side fast fail: no request leaves the machine.
                 self._log_missed_mutation(op)
@@ -930,8 +927,7 @@ class Scheme(ABC):
                     break
                 except TransientProviderError as exc:
                     error = exc
-                    if health is not None:
-                        health.record_attempt(False)
+                    health.record_attempt(False)
                     # Each failed attempt burns a round trip before the
                     # client can react; it serializes with the retry chain.
                     rtt = lat.sample_rtt(self.rng)
@@ -970,8 +966,7 @@ class Scheme(ABC):
                         )
                 except ProviderUnavailable as exc:
                     error = exc
-                    if health is not None:
-                        health.record_attempt(False)
+                    health.record_attempt(False)
                     break
                 except CloudError as exc:
                     error = exc
@@ -986,7 +981,7 @@ class Scheme(ABC):
                 # NoSuchObject is a definitive answer from a healthy
                 # provider (the scrubber probes keys that may be lost); it
                 # must not push the breaker toward open.
-                if breaker is not None and not isinstance(error, NoSuchObject):
+                if not isinstance(error, NoSuchObject):
                     before = breaker.state
                     breaker.record_failure(now)
                     self._note_breaker(breaker, before)
@@ -1002,12 +997,10 @@ class Scheme(ABC):
                     )
                 )
                 continue
-            if health is not None:
-                health.record_attempt(True)
-            if breaker is not None:
-                before = breaker.state
-                breaker.record_success(now)
-                self._note_breaker(breaker, before)
+            health.record_attempt(True)
+            before = breaker.state
+            breaker.record_success(now)
+            self._note_breaker(breaker, before)
             outcomes.append(OpOutcome(op=op, ok=True, data=data))
             if op.kind == "put":
                 size = len(op.data or b"")
@@ -1292,34 +1285,6 @@ class Scheme(ABC):
         self._digest_cache.record(key, data, expected)
         return True
 
-    def _write_replicated(
-        self, key_base: str, data: bytes, providers: list[str], version: int
-    ) -> tuple[list[tuple[str, int]], tuple[str, ...]]:
-        """Put identical copies on each provider.
-
-        Returns ``(placements, digests)`` — one digest per replica slot so
-        reads can detect provider-side corruption.  Copies are written in
-        parallel (they contend on the uplink — the DuraCloud effect).
-        Unavailable providers are write-logged, so the placement list always
-        covers every intended replica.
-        """
-        self._heal_before_touching(set(providers))
-        key = self._version_key(key_base, version)
-        self._journal_plan(
-            version=version,
-            codec_name="replication",
-            min_needed=1,
-            sites=tuple((p, key) for p in providers),
-        )
-        ops = [CloudOp(p, "put", self.container, key, data) for p in providers]
-        if self.sequential_replication:
-            for op in ops:
-                self._run_phase([op])
-        else:
-            self._run_phase(ops)
-        digest = self._record_digest(key, data)
-        return [(p, i) for i, p in enumerate(providers)], (digest,) * len(providers)
-
     def _quorum_phase(self, ops: list[CloudOp], quorum: int) -> PhaseResult:
         """Run ``ops`` and acknowledge at the ``quorum``-th fastest success.
 
@@ -1426,10 +1391,10 @@ class Scheme(ABC):
         """
         primary, backup = candidates[0], candidates[1]
         cfg = self.resilience
-        factor = cfg.hedge_min_delay_factor
-        health = self.health.get(primary)
-        if health is not None:
-            factor = max(health.p95_slowdown(cfg.hedge_quantile_dev), factor)
+        factor = max(
+            self.health[primary].p95_slowdown(cfg.hedge_quantile_dev),
+            cfg.hedge_min_delay_factor,
+        )
         hedge_delay = self._estimate_latency(primary, size, "down") * factor
 
         # Both legs are issued, then one settle per exit: only the race
@@ -1490,9 +1455,9 @@ class Scheme(ABC):
     def _encode_fragments(
         self, codec: ErasureCodec, data: bytes
     ) -> list[bytes | memoryview]:
-        """Striped writes and read-modify-writes of the shared data path
-        encode here (DepSky-CA encodes its ciphertext itself): a traced
-        span plus the ``codec_encode_bytes_total`` counter.  Fragments are
+        """Every coded write, read-modify-write, repair and metadata-group
+        write encodes here: a traced span plus the
+        ``codec_encode_bytes_total`` counter.  Fragments are
         :meth:`~repro.erasure.codec.ErasureCodec.encode_views` results —
         zero-copy views where the codec allows.  The ``kernel`` label is
         the process-wide GF strategy name; it says nothing per codec
@@ -1507,47 +1472,6 @@ class Scheme(ABC):
             kernel=gfkernel.active_strategy(),
         ).inc(len(data))
         return fragments
-
-    def _write_striped(
-        self,
-        key_base: str,
-        data: bytes,
-        codec: ErasureCodec,
-        providers: list[str],
-        version: int,
-    ) -> tuple[list[tuple[str, int]], tuple[str, ...]]:
-        """Encode and scatter fragments, one per provider, in parallel.
-
-        Returns ``(placements, per-fragment digests)``."""
-        if len(providers) != codec.n:
-            raise ValueError(
-                f"{codec!r} needs {codec.n} providers, got {len(providers)}"
-            )
-        self._heal_before_touching(set(providers))
-        self._journal_plan(
-            version=version,
-            codec_name=type(codec).__name__,
-            min_needed=codec.k,
-            sites=tuple(
-                (p, self._fragment_key(key_base, i, version))
-                for i, p in enumerate(providers)
-            ),
-        )
-        fragments = self._encode_fragments(codec, data)
-        ops = [
-            CloudOp(p, "put", self.container, self._fragment_key(key_base, i, version), fragments[i])
-            for i, p in enumerate(providers)
-        ]
-        self._run_phase(ops)
-        digests = self._digest_fragments(
-            [self._fragment_key(key_base, i, version) for i in range(len(fragments))],
-            fragments,
-        )
-        if isinstance(data, bytes):
-            self._payload_cache.record(
-                self._version_key(key_base, version), fragments, data
-            )
-        return [(p, i) for i, p in enumerate(providers)], digests
 
     def _read_striped(
         self,
@@ -1961,9 +1885,10 @@ class Scheme(ABC):
         )
 
     # --------------------------------------------------- metadata management
-    @abstractmethod
     def _meta_write_targets(self) -> list[str]:
-        """Providers that receive directory metadata groups (scheme policy)."""
+        """Providers that receive directory metadata groups: all of them,
+        unless the scheme pins metadata to a subset."""
+        return self.provider_names
 
     def _meta_codec(self) -> ErasureCodec | None:
         """Codec for metadata groups; None means plain replication."""
@@ -1982,11 +1907,10 @@ class Scheme(ABC):
             self.journal.attach_meta(self._current.seq, directory, blob)
         # Metadata groups are identified by key alone (no version suffix):
         # the newest write wins, exactly like the paper's metadata updates.
+        self._heal_before_touching(set(targets))
         if codec is None:
-            self._heal_before_touching(set(targets))
             ops = [CloudOp(p, "put", self.container, key_base, blob) for p in targets]
         else:
-            self._heal_before_touching(set(targets))
             fragments = self._encode_fragments(codec, blob)
             ops = [
                 CloudOp(p, "put", self.container, f"{key_base}.{i}", fragments[i])
@@ -2489,14 +2413,59 @@ class Scheme(ABC):
     def _write_placement(
         self, path: str, data: bytes, placement: Placement, version: int
     ) -> tuple[list[tuple[str, int]], tuple[str, ...]]:
-        """Put the objects ``placement`` calls for; ``(placements, digests)``."""
-        if placement.codec is None:
-            return self._write_replicated(
-                path, data, list(placement.providers), version
+        """Scatter one object version: the only place one is written.
+
+        Replicas share the key ``path#vN``; fragment ``i`` of a coded
+        object goes to ``providers[i]`` under ``path#vN.i``.  Returns
+        ``(placements, digests)`` — one digest per slot, so reads can detect
+        provider-side corruption.  Puts go out in parallel (replicas
+        contend on the uplink — the DuraCloud effect) unless the scheme
+        replicates sequentially, and are acknowledged at
+        :attr:`write_quorum` when the scheme sets one.  Unavailable
+        providers are write-logged, so the placement list always covers
+        every intended slot.
+        """
+        codec, providers = placement.codec, placement.providers
+        if codec is not None and len(providers) != codec.n:
+            raise ValueError(
+                f"{codec!r} needs {codec.n} providers, got {len(providers)}"
             )
-        return self._write_striped(
-            path, data, placement.codec, list(placement.providers), version
+        version_key = self._version_key(path, version)
+        keys = [
+            version_key if codec is None else self._fragment_key(path, i, version)
+            for i in range(len(providers))
+        ]
+        self._heal_before_touching(set(providers))
+        self._journal_plan(
+            version=version,
+            codec_name="replication" if codec is None else type(codec).__name__,
+            min_needed=1 if codec is None else codec.k,
+            sites=tuple(zip(providers, keys)),
         )
+        bodies = (
+            [data] * len(providers)
+            if codec is None
+            else self._encode_fragments(codec, data)
+        )
+        ops = [
+            CloudOp(p, "put", self.container, key, body)
+            for p, key, body in zip(providers, keys, bodies)
+        ]
+        quorum = self.write_quorum
+        if quorum is not None:
+            self._quorum_phase(ops, quorum)
+        elif codec is None and self.sequential_replication:
+            for op in ops:
+                self._run_phase([op])
+        else:
+            self._run_phase(ops)
+        if codec is None:
+            digests = (self._record_digest(version_key, data),) * len(providers)
+        else:
+            digests = self._digest_fragments(keys, bodies)
+            if isinstance(data, bytes):
+                self._payload_cache.record(version_key, bodies, data)
+        return [(p, i) for i, p in enumerate(providers)], digests
 
     def _read_object(self, entry: FileEntry) -> tuple[bytes, bool]:
         """Fetch and reconstruct content; returns (data, degraded)."""
@@ -2526,18 +2495,12 @@ class Scheme(ABC):
 
         In-place read-modify-write needs fixed shard boundaries (same size)
         and a systematic layout (a patch maps to the data fragments it
-        touches plus parity); a non-systematic stripe, a replicated object,
-        a size change, or a scheme whose placements cannot be rebuilt in
-        isolation (``repair_by_rewrite``) all re-put — and a re-put
-        re-places, so a small file growing past a threshold migrates.
+        touches plus parity); a non-systematic stripe, a replicated object
+        or a size change all re-put — and a re-put re-places, so a small
+        file growing past a threshold migrates.
         """
         codec = self._codec_for(entry)
-        if (
-            codec is not None
-            and codec.systematic
-            and len(new_content) == entry.size
-            and not self.repair_by_rewrite
-        ):
+        if codec is not None and codec.systematic and len(new_content) == entry.size:
             return self._rmw_striped(entry, offset, patch, new_content, codec)
         return self._write_object(entry.path, new_content, entry)
 
@@ -2616,13 +2579,14 @@ class Scheme(ABC):
     ) -> None:
         """Record the armed op's placement plan as a pending intent.
 
-        Called by the write helpers once sites are known, immediately before
-        the first fragment put.  First plan wins: the metadata-group write
-        that follows the data write reuses the same helpers, and must not
-        journal a second intent.
+        Called once sites are known, immediately before the first put (or
+        delete).  A no-op unless the op is armed, which takes an attached
+        journal; an armed op plans exactly once — it reaches one of
+        :meth:`_write_placement`, :meth:`_rmw_striped` or :meth:`remove`,
+        and the metadata-group write that follows never plans.
         """
         op = self._current
-        if op.armed is None or op.seq is not None or self.journal is None:
+        if op.armed is None:
             return
         kind, prev, payload = op.armed
         intent = self.journal.begin(
@@ -3013,6 +2977,14 @@ class Scheme(ABC):
         return op.report
 
     # --------------------------------------------------------------- queries
+    def placements_on(self, provider: str) -> list[str]:
+        """Paths that currently keep a fragment/replica on ``provider``."""
+        return [
+            p
+            for p in self.namespace.paths()
+            if provider in self.namespace.get(p).providers
+        ]
+
     def stored_bytes_by_provider(self) -> dict[str, int]:
         """Physical bytes currently stored per provider (space-overhead view)."""
         return {p.name: p.store.total_bytes() for p in self.api.providers()}

@@ -49,37 +49,14 @@ class DepSkyScheme(Scheme):
 
     @property
     def write_quorum(self) -> int:
+        """Successes the shared write path waits for before acknowledging."""
         return len(self.replicas) - self.f
 
     # ----------------------------------------------------------- placement
     def _place(self, path: str, size: int, prev: FileEntry | None) -> Placement:
         return Placement(providers=tuple(self.replicas), klass="quorum")
 
-    def _meta_write_targets(self) -> list[str]:
-        return list(self.replicas)
-
     # ------------------------------------------------------ quorum protocol
-    def _write_replicated(
-        self, key_base: str, data: bytes, providers: list[str], version: int
-    ) -> tuple[list[tuple[str, int]], tuple[str, ...]]:
-        """Scatter to every cloud, acknowledge at the ``n - f`` quorum."""
-        key = self._version_key(key_base, version)
-        self._journal_plan(
-            version=version,
-            codec_name="replication",
-            min_needed=1,
-            sites=tuple((p, key) for p in providers),
-        )
-        self._heal_before_touching(set(providers))
-        self._quorum_phase(
-            [CloudOp(p, "put", self.container, key, data) for p in providers],
-            self.write_quorum,
-        )
-        return (
-            [(p, i) for i, p in enumerate(providers)],
-            (self._digest(data),) * len(providers),
-        )
-
     def _read_replicated(
         self,
         key_base: str,

@@ -84,11 +84,6 @@ class NCCloudScheme(Scheme):
     def _forget(self, path: str) -> None:
         self._codecs.pop(path, None)
 
-    # ------------------------------------------------------------- metadata
-    def _meta_write_targets(self) -> list[str]:
-        # NCCloud keeps object metadata replicated on every cloud.
-        return list(self.stripe_providers)
-
     # ---------------------------------------------------------------- repair
     def repair_provider(self, failed: str, replacement: str | None = None) -> dict[str, int]:
         """Functional repair after a *permanent* failure of ``failed``.

@@ -55,9 +55,6 @@ class RacsScheme(Scheme):
         )
 
     # ------------------------------------------------------------- metadata
-    def _meta_write_targets(self) -> list[str]:
-        return list(self.stripe_providers)
-
     def _meta_codec(self) -> ErasureCodec | None:
         # RACS treats metadata like any other object: striped.
         return self.codec

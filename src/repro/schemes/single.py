@@ -37,6 +37,3 @@ class SingleCloudScheme(Scheme):
     # ----------------------------------------------------------- placement
     def _place(self, path: str, size: int, prev: FileEntry | None) -> Placement:
         return Placement(providers=(self.primary,), klass="single")
-
-    def _meta_write_targets(self) -> list[str]:
-        return [self.primary]

@@ -65,10 +65,9 @@ class FrontendHandler:
         """
         plane = self.plane
         admission = plane.admission
-        if plane.registry is not None:
-            plane.registry.counter(
-                "tenant_requests_total", tenant=request.tenant_id
-            ).inc()
+        plane.registry.counter(
+            "tenant_requests_total", tenant=request.tenant_id
+        ).inc()
         try:
             tenant = plane.tenants.authenticate(request.tenant_id, request.token)
         except (AuthError, UnknownTenant) as exc:
@@ -114,10 +113,9 @@ class FrontendHandler:
                     )
             return
         self.dispatched += 1
-        if plane.registry is not None:
-            plane.registry.counter(
-                "admission_dispatched_total", frontend=self.name
-            ).inc()
+        plane.registry.counter(
+            "admission_dispatched_total", frontend=self.name
+        ).inc()
         self._execute(request)
         if plane.admission.backlog():
             self.kick()
@@ -208,13 +206,12 @@ class ServicePlane:
 
     # ------------------------------------------------------------- accounting
     def publish_usage(self, tenant: Tenant) -> None:
-        if self.registry is not None:
-            self.registry.gauge(
-                "tenant_bytes_used", tenant=tenant.tenant_id
-            ).set(tenant.bytes_used)
-            self.registry.gauge(
-                "tenant_objects_used", tenant=tenant.tenant_id
-            ).set(tenant.objects_used)
+        self.registry.gauge("tenant_bytes_used", tenant=tenant.tenant_id).set(
+            tenant.bytes_used
+        )
+        self.registry.gauge("tenant_objects_used", tenant=tenant.tenant_id).set(
+            tenant.objects_used
+        )
 
     def notify_complete(self, request: Request) -> None:
         if self.on_complete is not None:

@@ -354,7 +354,7 @@ class TestMaintenancePlane:
         )
         plane.start()
         for breaker in scheme._breakers.values():
-            assert breaker.listener is not None
+            assert breaker.listeners == [plane._on_breaker_transition]
         plane._on_breaker_transition("azure", "open", 0.0)
         plane._on_breaker_transition("azure", "closed", 1.0)
         audits = plane.run_cycle()
@@ -362,7 +362,7 @@ class TestMaintenancePlane:
         assert len(audits) == len(contents) + 1
         plane.stop()
         for breaker in scheme._breakers.values():
-            assert breaker.listener is None  # original (unset) slot restored
+            assert breaker.listeners == []
 
     def test_slo_listener_chain_preserved(self):
         from repro.obs import SloTracker
@@ -371,12 +371,53 @@ class TestMaintenancePlane:
         slo = SloTracker()
         scheme.attach_slo(slo)
         plane = scheme.attach_maintenance()
-        scheme._breakers["azure"].listener("azure", "open", 5.0)
+        scheme._breakers["azure"]._transition("open", 5.0)
         # Both the SLO tracker and the plane saw the transition.
         assert slo.provider("azure").observed.down_since == 5.0
         assert "azure" in plane._opened
         scheme.detach_maintenance()
-        assert scheme._breakers["azure"].listener == slo.on_breaker_transition
+        assert scheme._breakers["azure"].listeners == [slo.on_breaker_transition]
+
+    @pytest.mark.parametrize("slo_first", [True, False])
+    def test_breaker_edges_reach_slo_and_plane_in_either_attach_order(self, slo_first):
+        """A breaker's listeners are a list: attaching the SLO tracker after
+        the plane used to overwrite the plane's hook (no targeted scrub)."""
+        from repro.obs import SloTracker
+
+        scheme, _providers, _contents = _duracloud()
+        slo = SloTracker()
+        if slo_first:
+            scheme.attach_slo(slo)
+        plane = scheme.attach_maintenance()
+        if not slo_first:
+            scheme.attach_slo(slo)
+        breaker = scheme._breakers["azure"]
+        for _ in range(breaker.failure_threshold):
+            breaker.record_failure(5.0)
+        assert breaker.state == "open"
+        assert plane._opened == {"azure"}
+        assert slo.provider("azure").observed.down_since == 5.0
+        breaker.record_success(9.0)
+        assert plane._suspects == {"azure"}
+        assert slo.provider("azure").observed.down_since is None
+
+    def test_stop_leaves_the_slo_hook_installed(self):
+        """``stop()`` removes the plane's own listener, nobody else's — it
+        used to reset the slot to whatever it saved at ``start()``."""
+        from repro.obs import SloTracker
+
+        scheme, _providers, _contents = _duracloud()
+        plane = scheme.attach_maintenance()
+        slo = SloTracker()
+        scheme.attach_slo(slo)
+        plane.stop()
+        plane.stop()  # idempotent
+        breaker = scheme._breakers["azure"]
+        assert breaker.listeners == [slo.on_breaker_transition]
+        for _ in range(breaker.failure_threshold):
+            breaker.record_failure(5.0)
+        assert slo.provider("azure").observed.down_since == 5.0
+        assert plane._opened == set()
 
     def test_detection_score_requires_ledger(self):
         scheme, _providers, _contents = _duracloud()

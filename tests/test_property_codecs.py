@@ -6,7 +6,7 @@ patterns for every codec in the registry.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.erasure.fmsr import FMSRCode
@@ -15,6 +15,7 @@ from repro.erasure.raid5 import Raid5Code
 from repro.erasure.reed_solomon import ReedSolomonCode
 from repro.erasure.replication import ReplicationCode
 from repro.erasure.striping import join_shards, split_shards
+from repro.schemes.depsky_ca import BundleCode
 
 payloads = st.binary(min_size=0, max_size=4096)
 
@@ -89,6 +90,53 @@ class TestReedSolomonProperties:
         frags = rs.encode(data)
         assert len({len(f) for f in frags}) == 1
         assert len(frags[0]) == rs.fragment_size(len(data))
+
+
+@st.composite
+def bundle_case(draw):
+    f = draw(st.integers(1, 3))
+    n = draw(st.integers(2 * f + 1, 7))
+    size = draw(st.sampled_from([0, 1, 4097, 64 * 1024]))
+    seed = draw(st.integers(0, 2**16))
+    data = np.random.default_rng(seed).integers(0, 256, size, dtype=np.uint8).tobytes()
+    subset = draw(st.permutations(range(n)))[: f + 1]
+    return n, f, data, tuple(subset), seed
+
+
+class TestBundleCodeProperties:
+    """DepSky-CA's encrypt + RS + secret-share transform as an (n, f+1) code."""
+
+    @given(case=bundle_case())
+    @settings(max_examples=40, deadline=None)
+    def test_any_k_bundles_decode(self, case):
+        n, f, data, subset, seed = case
+        code = BundleCode(n, f, np.random.default_rng(seed))
+        assert (code.n, code.k, code.systematic) == (n, f + 1, False)
+        bundles = code.encode(data)
+        assert len(bundles) == n
+        assert code.decode({i: bundles[i] for i in subset}, len(data)) == data
+
+    @given(case=bundle_case())
+    @settings(max_examples=20, deadline=None)
+    def test_two_encodes_share_no_bundle(self, case):
+        """A fresh key and sharing per encode: nothing is deterministic."""
+        n, f, data, _subset, seed = case
+        code = BundleCode(n, f, np.random.default_rng(seed))
+        first, second = code.encode(data), code.encode(data)
+        assert all(a != b for a, b in zip(first, second))
+
+    @given(case=bundle_case())
+    @settings(max_examples=20, deadline=None)
+    def test_bundles_of_two_encodes_do_not_combine(self, case):
+        """Why ``repair_by_rewrite`` stays: one bundle re-encoded in place
+        belongs to another sharing, and k bundles across the two sharings
+        rebuild neither the key nor the ciphertext."""
+        n, f, data, subset, seed = case
+        assume(len(data) >= 64)  # a byte or none can collide by chance
+        code = BundleCode(n, f, np.random.default_rng(seed))
+        first, second = code.encode(data), code.encode(data)
+        mixed = {i: first[i] for i in subset[:1]} | {i: second[i] for i in subset[1:]}
+        assert code.decode(mixed, len(data)) != data
 
 
 class TestRaid5Properties:

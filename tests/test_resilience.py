@@ -193,7 +193,6 @@ class TestResilienceConfig:
         # probe policy = 6 immediate attempts (the old hard-coded loop)
         assert cfg.probe_retry.max_attempts == 6
         assert cfg.probe_retry.backoff(0) == 0.0
-        assert cfg.breaker_enabled
         assert not cfg.hedge_reads
 
     def test_factories_apply_knobs(self):

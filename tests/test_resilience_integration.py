@@ -205,19 +205,6 @@ class TestBreakerIntegration:
         got, _ = scheme.get("/d/a")
         assert got == bytes(KB)
 
-    def test_breakers_disabled_by_config(self):
-        clock = SimClock()
-        outages = OutageSchedule([OutageWindow(0.0, 60.0)])
-        scheme = SingleCloudScheme(
-            _flaky(clock, outages=outages),
-            clock,
-            resilience=ResilienceConfig(breaker_enabled=False),
-        )
-        for i in range(6):
-            scheme.put(f"/d/f{i}", bytes(KB))
-        assert scheme._breakers == {}
-        assert scheme.collector.counter("breaker_fast_fail") == 0
-
     def test_circuit_open_error_is_a_provider_unavailable(self):
         from repro.cloud.errors import ProviderUnavailable
 

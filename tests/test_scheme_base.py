@@ -135,6 +135,46 @@ class TestOpScopeExceptionSafety:
         assert scheme.get("/d/after")[0] == data
 
 
+def _all_scheme_classes():
+    import repro.schemes.hyrd_scheme  # noqa: F401 - loads HyRDClient and HyrdScheme
+    from repro.schemes.base import Scheme
+
+    seen, todo = [], [Scheme]
+    while todo:
+        cls = todo.pop()
+        seen.append(cls)
+        todo.extend(cls.__subclasses__())
+    return seen
+
+
+class TestOneWritePath:
+    """An object version is scattered in one function; a scheme is a
+    placement rule, an ack rule and (DepSky-CA) a codec."""
+
+    def test_only_the_base_and_hyrd_define_write_placement(self):
+        classes = _all_scheme_classes()
+        assert {c.__name__ for c in classes} >= {
+            "SingleCloudScheme", "DuraCloudScheme", "RacsScheme", "DepSkyScheme",
+            "DepSkyCAScheme", "NCCloudScheme", "HyRDClient", "HyrdScheme",
+        }  # fmt: skip
+        definers = {c.__name__ for c in classes if "_write_placement" in vars(c)}
+        assert definers == {"Scheme", "HyRDClient"}  # HyRD drops its hot copy
+        for cls in classes:
+            assert "_write_replicated" not in vars(cls), cls
+            assert "_write_striped" not in vars(cls), cls
+
+    def test_depsky_ca_has_no_data_path_of_its_own(self):
+        from repro.schemes import DepSkyCAScheme
+
+        for name in ("_read_object", "_peek_content"):
+            assert name not in vars(DepSkyCAScheme), name
+
+    def test_place_is_the_only_abstract_method(self):
+        from repro.schemes.base import Scheme
+
+        assert Scheme.__abstractmethods__ == {"_place"}
+
+
 class TestPublicApi:
     def test_put_get_roundtrip(self, single, payload):
         data = payload(5000)

@@ -94,3 +94,39 @@ class TestDegradedWrites:
         report = depsky.put("/d/a", payload(100))
         assert report.degraded  # only 2 < quorum 3 acks
         assert len(depsky.pending_log("aliyun")) > 0
+
+    def test_outage_put_acks_at_third_success_and_logs_the_fourth(self, payload):
+        """Failures do not count toward the quorum: with one cloud out the
+        write waits for all three survivors — straggler included — and the
+        missed copy is write-logged; the recorded digests verify reads."""
+        import dataclasses
+        import hashlib
+
+        from repro.cloud.latency import ClientLink
+        from repro.cloud.provider import make_table2_cloud_of_clouds
+        from repro.faults.ledger import inject_bit_rot
+        from repro.sim.clock import SimClock
+
+        clock = SimClock()
+        fleet = make_table2_cloud_of_clouds(clock)
+        fleet["rackspace"].latency = dataclasses.replace(
+            fleet["rackspace"].latency, upload_bw=0.05e6
+        )
+        scheme = DepSkyScheme(list(fleet.values()), clock, link=ClientLink(uplink=40e6))
+        fleet["aliyun"].outages.add(OutageWindow(clock.now, clock.now + 3600))
+        data = payload(2_000_000)
+        report = scheme.put("/d/a", data)
+        assert not report.degraded  # 3 successes meet the quorum of 3
+        assert report.elapsed > 30.0  # ~2 MB at 0.05 MB/s: the 3rd success
+        assert scheme.pending_log("aliyun").has_pending(scheme.container, "/d/a#v1")
+        entry = scheme.namespace.get("/d/a")
+        assert entry.providers == tuple(scheme.replicas)
+        assert entry.digests == (hashlib.sha256(data).hexdigest(),) * 4
+        # The fastest reachable replica rots: its digest rejects it.
+        first = scheme._rank_providers(
+            [p for p in scheme.replicas if p != "aliyun"], len(data), "down"
+        )[0]
+        inject_bit_rot(fleet[first], scheme.container, ["/d/a#v1"])
+        got, read = scheme.get("/d/a")
+        assert got == data
+        assert read.degraded

@@ -79,6 +79,53 @@ class TestAvailability:
         assert got == data
 
 
+class TestSharedDataPath:
+    """DepSky-CA reads and writes through the base class's striped path."""
+
+    def test_open_breaker_is_routed_around_not_fast_failed(self, ca, clock, payload):
+        data = payload(80 * KB)
+        ca.put("/sec/doc", data)
+        entry = ca.namespace.get("/sec/doc")
+        by_index = {idx: prov for prov, idx in entry.placements}
+        fastest = by_index[ca._rank_providers_by_index(by_index, entry.size, ca.codec)[0]]
+        breaker = ca._breakers[fastest]
+        for _ in range(breaker.failure_threshold):
+            breaker.record_failure(clock.now)
+        assert not breaker.would_allow(clock.now)
+        fast_fails = ca.collector.counter("breaker_fast_fail")
+        got, report = ca.get("/sec/doc")
+        assert got == data
+        assert report.cloud_ops == ca.codec.k == 2
+        assert fastest not in report.providers
+        assert report.degraded
+        assert ca.collector.counter("breaker_fast_fail") == fast_fails
+
+    def test_codec_counters_see_the_put_and_a_cold_degraded_get(
+        self, ca, providers, clock, payload
+    ):
+        data = payload(48 * KB)
+        ca.put("/sec/doc", data)
+        encoded = ca.registry.counters("codec_encode_bytes_total")
+        assert sum(encoded.values()) == len(data)
+        assert all(dict(labels)["codec"] == "BundleCode" for labels in encoded)
+        # The writer's own reads hit its payload cache; a second client has
+        # nothing but the bundles, which must therefore describe themselves.
+        reader = DepSkyCAScheme(list(providers.values()), clock, seed=7)
+        reader.recover_namespace()
+        providers["aliyun"].outages.add(OutageWindow(clock.now, clock.now + 60))
+        got, report = reader.get("/sec/doc")
+        assert got == data
+        assert report.degraded
+        decoded = reader.registry.counters("codec_decode_bytes_total")
+        assert sum(decoded.values()) == len(data)
+
+    def test_update_reputs_a_fresh_sharing(self, ca, payload):
+        """Non-systematic: a same-size update never patches bundles in place."""
+        ca.put("/sec/doc", payload(16 * KB))
+        ca.update("/sec/doc", 10, b"patch")
+        assert ca.namespace.get("/sec/doc").version == 2
+
+
 class TestConfidentiality:
     def test_no_provider_stores_plaintext(self, ca, providers, payload):
         data = payload(60 * KB)
@@ -92,12 +139,10 @@ class TestConfidentiality:
     def test_single_provider_cannot_reconstruct(self, ca, providers, payload):
         """One bundle = one RS fragment of ciphertext + one key share below
         the threshold; neither is usable alone."""
-        from repro.schemes.depsky_ca import DepSkyCAScheme as _CA
-
         data = payload(32 * KB)
         ca.put("/sec/doc", data)
         blob = ca.provider_view("aliyun", "/sec/doc")
-        fragment, share, _idx = _CA._unbundle(blob)
+        fragment, share, _idx = ca.codec.unbundle(blob)
         assert fragment != data
         assert len(share) == 16  # a share of the key, not the key space
 
