@@ -62,7 +62,10 @@ class OutageSchedule:
 
     def is_out(self, t: float) -> bool:
         """True when the provider is unavailable at simulated time ``t``."""
-        return any(w.covers(t) for w in self._windows)
+        for w in self._windows:
+            if w.covers(t):
+                return True
+        return False
 
     def next_return(self, t: float) -> float | None:
         """End of the window covering ``t`` (None when the provider is up)."""

@@ -87,16 +87,13 @@ class SimulatedProvider:
         self.metrics = None
 
     # --------------------------------------------------------------- metrics
-    def _counter(self, name: str, **labels: str):
-        return self.metrics.counter(name, provider=self.name, **labels)
-
     def _count_request(self, op: str) -> None:
         if self.metrics is not None:
-            self._counter("provider_requests_total", op=op).inc()
+            self.metrics.counter("provider_requests_total", provider=self.name, op=op).inc()
 
     def _count_error(self, kind: str) -> None:
         if self.metrics is not None:
-            self._counter("provider_errors_total", kind=kind).inc()
+            self.metrics.counter("provider_errors_total", provider=self.name, kind=kind).inc()
 
     # ---------------------------------------------------------- availability
     def is_available(self, t: float | None = None) -> bool:
@@ -139,7 +136,9 @@ class SimulatedProvider:
                 rate = 1.0 - (1.0 - rate) * (1.0 - extra)
         return rate
 
-    def _check_available(self) -> None:
+    def _check_available(self) -> float:
+        """Raise unless the request is served; returns the instant it is
+        (a request mutates state instantly, so its one clock reading)."""
         now = self.clock.now
         if not self.is_available(now):
             self._count_error("unavailable")
@@ -148,11 +147,12 @@ class SimulatedProvider:
         if rate > 0.0 and self._fault_rng.random() < rate:
             self._count_error("transient")
             raise TransientProviderError(self.name, now)
+        return now
 
-    def _sync_storage_meter(self) -> None:
+    def _sync_storage_meter(self, now: float) -> None:
         # ObjectStore maintains its byte total incrementally, so this is O(1)
         # per mutation rather than a walk of every stored object.
-        self.meter.set_stored_bytes(self.store.total_bytes(), self.clock.now)
+        self.meter.set_stored_bytes(self.store.total_bytes(), now)
 
     # ------------------------------------------------------ degraded latency
     def effective_latency(self, t: float | None = None) -> LatencyModel:
@@ -178,16 +178,16 @@ class SimulatedProvider:
     def create(self, container: str, *, exist_ok: bool = False) -> None:
         """Create a container (paper op: *Create*)."""
         self._count_request("create")
-        self._check_available()
+        now = self._check_available()
         self.store.create_container(container, exist_ok=exist_ok)
-        self.meter.record_create(self.clock.now)
+        self.meter.record_create(now)
 
     def list(self, container: str) -> list[str]:
         """List object keys in a container (paper op: *List*)."""
         self._count_request("list")
-        self._check_available()
+        now = self._check_available()
         keys = self.store.list(container)
-        self.meter.record_list(self.clock.now)
+        self.meter.record_list(now)
         return keys
 
     def get(self, container: str, key: str) -> bytes | memoryview:
@@ -200,15 +200,13 @@ class SimulatedProvider:
         only end-to-end digest verification catches it.
         """
         self._count_request("get")
-        self._check_available()
+        now = self._check_available()
         obj = self.store.get(container, key)
-        self.meter.record_get(obj.size, self.clock.now)
+        self.meter.record_get(obj.size, now)
         if self.metrics is not None:
-            self._counter("provider_bytes_down_total").inc(obj.size)
+            self.metrics.counter("provider_bytes_down_total", provider=self.name).inc(obj.size)
         if self.faults is not None:
-            return self.faults.maybe_corrupt(
-                obj.data, self.clock.now, where=(container, key)
-            )
+            return self.faults.maybe_corrupt(obj.data, now, where=(container, key))
         return obj.data
 
     def put(self, container: str, key: str, data: bytes | memoryview) -> StoredObject:
@@ -218,21 +216,21 @@ class SimulatedProvider:
         without a copy (see :mod:`repro.cloud.objectstore`).
         """
         self._count_request("put")
-        self._check_available()
-        obj = self.store.put(container, key, data, self.clock.now)
-        self.meter.record_put(obj.size, self.clock.now)
+        now = self._check_available()
+        obj = self.store.put(container, key, data, now)
+        self.meter.record_put(obj.size, now)
         if self.metrics is not None:
-            self._counter("provider_bytes_up_total").inc(obj.size)
-        self._sync_storage_meter()
+            self.metrics.counter("provider_bytes_up_total", provider=self.name).inc(obj.size)
+        self._sync_storage_meter(now)
         return obj
 
     def remove(self, container: str, key: str) -> None:
         """Delete an object (paper op: *Remove*)."""
         self._count_request("remove")
-        self._check_available()
+        now = self._check_available()
         self.store.remove(container, key)
-        self.meter.record_remove(self.clock.now)
-        self._sync_storage_meter()
+        self.meter.record_remove(now)
+        self._sync_storage_meter(now)
 
     # -------------------------------------------------------------- metadata
     def head(self, container: str, key: str) -> StoredObject:
@@ -243,9 +241,9 @@ class SimulatedProvider:
         with no payload.
         """
         self._count_request("head")
-        self._check_available()
+        now = self._check_available()
         obj = self.store.get(container, key)
-        self.meter.record_get(0, self.clock.now)
+        self.meter.record_get(0, now)
         return obj
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

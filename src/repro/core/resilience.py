@@ -258,6 +258,10 @@ class ProviderHealth:
         #: optional MetricsRegistry; the two EWMAs are published as the
         #: ``provider_health_error_rate`` / ``provider_health_slowdown`` gauges
         self.metrics = metrics
+        #: the two gauges, bound on the first sample (``metrics`` and ``name``
+        #: never change), so an unsampled provider still emits no metric
+        self._error_rate_gauge = None
+        self._slowdown_gauge = None
         self.error_rate = 0.0
         self.slowdown = 1.0
         self.slowdown_dev = 0.0
@@ -271,9 +275,12 @@ class ProviderHealth:
         self.error_rate += self.alpha * ((0.0 if ok else 1.0) - self.error_rate)
         self.samples += 1
         if self.metrics is not None:
-            self.metrics.gauge(
-                "provider_health_error_rate", provider=self.name
-            ).set(self.error_rate)
+            gauge = self._error_rate_gauge
+            if gauge is None:
+                gauge = self._error_rate_gauge = self.metrics.gauge(
+                    "provider_health_error_rate", provider=self.name
+                )
+            gauge.set(self.error_rate)
 
     def record_latency(self, observed: float, expected: float) -> None:
         """Fold one successful request's observed/expected latency ratio."""
@@ -283,9 +290,12 @@ class ProviderHealth:
         self.slowdown += self.alpha * (ratio - self.slowdown)
         self.slowdown_dev += self.alpha * (abs(ratio - self.slowdown) - self.slowdown_dev)
         if self.metrics is not None:
-            self.metrics.gauge(
-                "provider_health_slowdown", provider=self.name
-            ).set(self.slowdown)
+            gauge = self._slowdown_gauge
+            if gauge is None:
+                gauge = self._slowdown_gauge = self.metrics.gauge(
+                    "provider_health_slowdown", provider=self.name
+                )
+            gauge.set(self.slowdown)
 
     def note_load_curve(
         self, curve: tuple[tuple[int, float, int], ...]

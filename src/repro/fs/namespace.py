@@ -18,6 +18,10 @@ def normalize_path(path: str) -> str:
     """Canonical absolute path: leading '/', no dup/trailing slashes."""
     if not path or path == "/":
         raise ValueError(f"invalid file path: {path!r}")
+    if path[0] == "/" and path[-1] != "/" and "//" not in path and "/." not in path:
+        # Already canonical (the hot path re-normalises its own output);
+        # ``/.`` also sends ``/.hidden`` the long way round, which keeps it.
+        return path
     parts = [p for p in path.split("/") if p]
     if not parts:
         raise ValueError(f"invalid file path: {path!r}")
@@ -90,7 +94,22 @@ class FileEntry:
 
     def touched(self) -> "FileEntry":
         """Same entry with the access counter bumped (read-path bookkeeping)."""
-        return replace(self, access_count=self.access_count + 1)
+        # Built directly — ``dataclasses.replace`` introspects every field —
+        # through the same ``__init__``: same checks, and a fresh object, so
+        # nothing memoised on this one is inherited.
+        return FileEntry(
+            path=self.path,
+            size=self.size,
+            version=self.version,
+            codec=self.codec,
+            codec_params=self.codec_params,
+            placements=self.placements,
+            klass=self.klass,
+            created=self.created,
+            modified=self.modified,
+            access_count=self.access_count + 1,
+            digests=self.digests,
+        )
 
 
 class Namespace:

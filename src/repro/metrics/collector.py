@@ -48,10 +48,12 @@ class OpReport:
     def __post_init__(self) -> None:
         if self.elapsed < 0:
             raise ValueError(f"elapsed must be >= 0, got {self.elapsed}")
-        for name in ("bytes_up", "bytes_down", "cloud_ops"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
+        if self.bytes_up < 0:
+            raise ValueError(f"bytes_up must be >= 0, got {self.bytes_up}")
+        if self.bytes_down < 0:
+            raise ValueError(f"bytes_down must be >= 0, got {self.bytes_down}")
+        if self.cloud_ops < 0:
+            raise ValueError(f"cloud_ops must be >= 0, got {self.cloud_ops}")
 
 
 @dataclass

@@ -76,7 +76,9 @@ class Counter:
         if n < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease (inc {n})")
         self.value += n
-        self._registry._mirror("counter", self.name, self.labels, n)
+        tracer = self._registry.tracer
+        if tracer is not None and tracer.enabled:
+            tracer.metric("counter", self.name, self.labels, n)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Counter({self.name!r}, {dict(self.labels)}, value={self.value})"
@@ -96,7 +98,9 @@ class Gauge:
     def set(self, value: float) -> None:
         """Replace the gauge's value."""
         self.value = float(value)
-        self._registry._mirror("gauge", self.name, self.labels, self.value)
+        tracer = self._registry.tracer
+        if tracer is not None and tracer.enabled:
+            tracer.metric("gauge", self.name, self.labels, self.value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Gauge({self.name!r}, {dict(self.labels)}, value={self.value})"
@@ -150,7 +154,9 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-        self._registry._mirror("histogram", self.name, self.labels, value)
+        tracer = self._registry.tracer
+        if tracer is not None and tracer.enabled:
+            tracer.metric("histogram", self.name, self.labels, value)
 
     @property
     def mean(self) -> float:
@@ -225,11 +231,6 @@ class MetricsRegistry:
         self.strict = strict
 
     # ------------------------------------------------------------ internals
-    def _mirror(self, kind: str, name: str, labels: tuple[tuple[str, str], ...], value) -> None:
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.metric(kind, name, labels, value)
-
     def _check(self, name: str, kind: str, labels: dict[str, str]) -> None:
         if not self.strict:
             return

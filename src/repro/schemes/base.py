@@ -21,13 +21,12 @@ driven by the codec each :class:`~repro.fs.namespace.FileEntry` records.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import math
 import os
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -495,6 +494,26 @@ class _Op:
         return False
 
 
+class _TenantScope:
+    """The ``with`` scope :meth:`Scheme.tenant_context` returns."""
+
+    __slots__ = ("scheme", "tenant", "prev")
+
+    def __init__(self, scheme: "Scheme", tenant: str | None) -> None:
+        self.scheme = scheme
+        self.tenant = tenant
+
+    def __enter__(self) -> "Scheme":
+        scheme = self.scheme
+        self.prev = scheme._op_tenant
+        scheme._op_tenant = self.tenant
+        return scheme
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.scheme._op_tenant = self.prev
+        return False
+
+
 class Scheme(ABC):
     """Base class for every redundant data distribution scheme."""
 
@@ -686,8 +705,7 @@ class Scheme(ABC):
             scheduler.unbind()
         return scheduler
 
-    @contextlib.contextmanager
-    def tenant_context(self, tenant: str | None):
+    def tenant_context(self, tenant: str | None) -> "_TenantScope":
         """Attribute ops executed inside the block to ``tenant``.
 
         Used by the service plane's frontend handlers: every
@@ -699,12 +717,7 @@ class Scheme(ABC):
         byte-identical to a tenant-free build.  Not reentrant: scheme ops do
         not nest, and neither do their tenant contexts.
         """
-        prev = self._op_tenant
-        self._op_tenant = tenant
-        try:
-            yield self
-        finally:
-            self._op_tenant = prev
+        return _TenantScope(self, tenant)
 
     @property
     def provider_names(self) -> list[str]:
@@ -746,9 +759,10 @@ class Scheme(ABC):
 
     def _provider_usable(self, name: str) -> bool:
         """Available right now and not fast-failed by its circuit breaker."""
-        if not self.provider(name).is_available():
+        now = self.clock.now
+        if not self.provider(name).is_available(now):
             return False
-        return self._breakers[name].would_allow(self.clock.now)
+        return self._breakers[name].would_allow(now)
 
     def _is_stale(self, provider: str, container: str, key: str) -> bool:
         """True when the provider missed writes to this key during an outage."""
@@ -783,9 +797,9 @@ class Scheme(ABC):
             return lat.rtt + size / min(lat.download_bw, self.link.downlink)
         return lat.rtt
 
-    def _note_breaker(self, breaker: CircuitBreaker, before: str) -> None:
-        if breaker.state != before:
-            self.collector.bump(f"breaker_{breaker.state}")
+    def _note_breaker(self, breaker: CircuitBreaker) -> None:
+        """Count the state ``breaker`` just moved to."""
+        self.collector.bump(f"breaker_{breaker.state}")
 
     def _op(self, kind: str, path: str) -> _Op:
         """Scope of one operation: ``with self._op("put", path) as op: ...``,
@@ -884,16 +898,23 @@ class Scheme(ABC):
 
         # One breaker decision per provider per phase, so a half-open probe
         # admits the provider's whole phase (and its outcome settles the
-        # breaker) rather than flip-flopping per request.
+        # breaker) rather than flip-flopping per request.  Providers are
+        # gated in the order the phase first names them — never in set order,
+        # which is salted per process — so transitions, their listeners and
+        # their mirrored metric events replay exactly.
         allowed: dict[str, bool] = {}
-        for name in {op.provider for op in ops}:
+        for op in ops:
+            name = op.provider
+            if name in allowed:
+                continue
             if bypass_breakers:
                 allowed[name] = True
                 continue
             breaker = self._breakers[name]
             before = breaker.state
             allowed[name] = breaker.allow(now)
-            self._note_breaker(breaker, before)
+            if breaker.state != before:
+                self._note_breaker(breaker)
 
         for i, op in enumerate(ops):
             # Scripted crash injection: die *between* cloud ops, before this
@@ -984,7 +1005,8 @@ class Scheme(ABC):
                 if not isinstance(error, NoSuchObject):
                     before = breaker.state
                     breaker.record_failure(now)
-                    self._note_breaker(breaker, before)
+                    if breaker.state != before:
+                        self._note_breaker(breaker)
                 outcomes.append(OpOutcome(op=op, ok=False, error=error))
                 # Failure detection costs one control round-trip.
                 uploads.append(
@@ -1000,15 +1022,18 @@ class Scheme(ABC):
             health.record_attempt(True)
             before = breaker.state
             breaker.record_success(now)
-            self._note_breaker(breaker, before)
+            if breaker.state != before:
+                self._note_breaker(breaker)
             outcomes.append(OpOutcome(op=op, ok=True, data=data))
             if op.kind == "put":
                 size = len(op.data or b"")
-                uploads.append((i, self._delayed(lat.upload_spec(size, self.rng), penalty)))
+                spec = lat.upload_spec(size, self.rng)
+                uploads.append((i, spec if penalty == 0.0 else self._delayed(spec, penalty)))
                 bytes_up += size
             elif op.kind == "get":
                 size = len(data or b"")
-                downloads.append((i, self._delayed(lat.download_spec(size, self.rng), penalty)))
+                spec = lat.download_spec(size, self.rng)
+                downloads.append((i, spec if penalty == 0.0 else self._delayed(spec, penalty)))
                 bytes_down += size
             else:  # control-plane request
                 uploads.append((i, self._delayed(lat.control_spec(self.rng), penalty)))
@@ -1050,7 +1075,7 @@ class Scheme(ABC):
         acc.bytes_up += bytes_up
         acc.bytes_down += bytes_down
         acc.cloud_ops += len(ops)
-        acc.providers.update(op.provider for op in ops)
+        acc.providers.update(allowed)  # keyed by exactly the phase's providers
         # Critical-path attribution: the phase ends with its slowest
         # transfer; that transfer's RTT is waiting, the rest is bytes.
         acc.rtt_wait += min(critical_rtt, elapsed)
@@ -1217,9 +1242,14 @@ class Scheme(ABC):
         # pending gauges reflect whatever is still owed after this pass.
         self._publish_write_log(name)
 
-    def _heal_before_touching(self, providers: set[str]) -> None:
-        """Consistency-update any returned-but-stale provider we are about to use."""
-        for name in providers:
+    def _heal_before_touching(self, providers: Iterable[str]) -> None:
+        """Consistency-update any returned-but-stale provider we are about to use.
+
+        ``providers`` is ordered, duplicates allowed: each inline heal draws
+        from the scheme's RNG and advances the clock, so providers heal in
+        the caller's placement order (first mention), never in set order.
+        """
+        for name in dict.fromkeys(providers):
             log = self._write_logs.get(name)
             if log and self.provider(name).is_available():
                 self._heal_phase(name, log)
@@ -1338,6 +1368,10 @@ class Scheme(ABC):
             and not self._is_stale(n, self.container, key)
         ]
         degraded = len(candidates) < len(ranked)
+        # The filter above vetted every candidate at this instant; only a
+        # phase moves the clock or a breaker, so a candidate is vetted again
+        # only once one has run.
+        vetted = True
         if self.resilience.hedge_reads and len(candidates) >= 2:
             hedged = self._hedged_replicated_get(key, size, candidates, digest)
             if hedged is not None:
@@ -1349,13 +1383,16 @@ class Scheme(ABC):
             # Both hedge legs failed; fall back to the remaining replicas.
             degraded = True
             candidates = candidates[2:]
+            vetted = False
 
         for name in candidates:
-            if not self._provider_usable(name) or self._is_stale(
-                name, self.container, key
+            if not vetted and (
+                not self._provider_usable(name)
+                or self._is_stale(name, self.container, key)
             ):
                 degraded = True
                 continue
+            vetted = False
             phase = self._run_phase([CloudOp(name, "get", self.container, key)])
             outcome = phase.outcomes[0]
             if outcome.ok and outcome.data is not None:
@@ -1634,7 +1671,7 @@ class Scheme(ABC):
         affected = [i for i in range(codec.k) if lo <= i <= hi]
         parities = list(range(codec.k, codec.n))
         touched = affected + parities
-        self._heal_before_touching({providers_by_index[i] for i in touched})
+        self._heal_before_touching([providers_by_index[i] for i in touched])
         # In-place RMW overwrites the *current* version's fragments, so a
         # crash mid-op can never be rolled back (the old bytes are partially
         # gone).  min_needed=0 pins recovery to roll forward from the
@@ -1871,7 +1908,7 @@ class Scheme(ABC):
 
     def _remove_placements(self, entry: FileEntry) -> None:
         """Delete every stored object of ``entry``'s version."""
-        self._heal_before_touching(set(entry.providers))
+        self._heal_before_touching(entry.providers)
         self._run_phase(
             [
                 CloudOp(
@@ -1907,7 +1944,7 @@ class Scheme(ABC):
             self.journal.attach_meta(self._current.seq, directory, blob)
         # Metadata groups are identified by key alone (no version suffix):
         # the newest write wins, exactly like the paper's metadata updates.
-        self._heal_before_touching(set(targets))
+        self._heal_before_touching(targets)
         if codec is None:
             ops = [CloudOp(p, "put", self.container, key_base, blob) for p in targets]
         else:
@@ -2006,7 +2043,7 @@ class Scheme(ABC):
             # Consistency-update any returned-but-stale metadata provider first:
             # a replica that missed group writes during an outage must not serve
             # the recovery read (its blob predates the writes its log owes).
-            self._heal_before_touching(set(targets))
+            self._heal_before_touching(targets)
             group_keys = self._list_meta_group_keys(targets, striped=codec is not None)
             for base_key in sorted(group_keys):
                 directory = group_directory(base_key)
@@ -2435,7 +2472,7 @@ class Scheme(ABC):
             version_key if codec is None else self._fragment_key(path, i, version)
             for i in range(len(providers))
         ]
-        self._heal_before_touching(set(providers))
+        self._heal_before_touching(providers)
         self._journal_plan(
             version=version,
             codec_name="replication" if codec is None else type(codec).__name__,

@@ -54,6 +54,7 @@ class FrontendHandler:
         self.dispatched = 0
         self.failures = 0
         self._pump_pending = False
+        self._pump_label = f"frontend-pump:{name}"
 
     # ----------------------------------------------------------------- intake
     def handle(self, request: Request) -> tuple[bool, str | None]:
@@ -92,9 +93,7 @@ class FrontendHandler:
         """Ensure a pump event is pending (idempotent)."""
         if not self._pump_pending:
             self._pump_pending = True
-            self.plane.loop.schedule(
-                self.plane.clock.now, self._pump, label=f"frontend-pump:{self.name}"
-            )
+            self.plane.loop.schedule(self.plane.clock.now, self._pump, label=self._pump_label)
 
     def _pump(self) -> None:
         self._pump_pending = False
@@ -108,9 +107,7 @@ class FrontendHandler:
                 at = plane.admission.next_eligible_time(plane.clock.now)
                 if at is not None and at > plane.clock.now:
                     self._pump_pending = True
-                    plane.loop.schedule(
-                        at, self._pump, label=f"frontend-pump:{self.name}"
-                    )
+                    plane.loop.schedule(at, self._pump, label=self._pump_label)
             return
         self.dispatched += 1
         plane.registry.counter(
@@ -186,6 +183,9 @@ class ServicePlane:
         self.frontends = [
             FrontendHandler(f"fe{i}", self) for i in range(n_frontends)
         ]
+        #: tenant id -> home frontend, hashed on the tenant's first request
+        #: (``frontends`` is never mutated, so a home never moves)
+        self._homes: dict[str, FrontendHandler] = {}
         #: completion hook for closed-loop traffic: called with the executed
         #: Request after each dispatch (None = nobody listening)
         self.on_complete = None
@@ -193,7 +193,12 @@ class ServicePlane:
     # ---------------------------------------------------------------- routing
     def frontend_for(self, tenant_id: str) -> FrontendHandler:
         """The tenant's home frontend (stable hash over the fleet)."""
-        return self.frontends[stable_u64("frontend-home", tenant_id) % len(self.frontends)]
+        home = self._homes.get(tenant_id)
+        if home is None:
+            home = self._homes[tenant_id] = self.frontends[
+                stable_u64("frontend-home", tenant_id) % len(self.frontends)
+            ]
+        return home
 
     def route(self, request: Request) -> tuple[bool, str | None]:
         """Deliver a request to its home frontend."""

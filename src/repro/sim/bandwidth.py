@@ -79,7 +79,7 @@ def _waterfill_rates(caps: list[float], link_capacity: float) -> list[float]:
     rates = [0.0] * n
     remaining = link_capacity
     m = n
-    for idx in sorted(range(n), key=lambda i: caps[i]):
+    for idx in sorted(range(n), key=caps.__getitem__):
         share = remaining / m
         rate = min(caps[idx], share)
         rates[idx] = rate
@@ -95,12 +95,28 @@ def simulate_transfers(
 
     Returns one :class:`TransferResult` per spec, in input order.  Times are
     relative to the instant the batch is issued (t=0).
+
+    A lone transfer shares the link with nobody, so it is answered in closed
+    form: the event loop below would run exactly one iteration for it, and
+    the three float operations here are that iteration's, in its order.
     """
     if link_capacity <= 0:
         raise ValueError(f"link_capacity must be > 0, got {link_capacity}")
     n = len(specs)
     if n == 0:
         return []
+    if n == 1:
+        spec = specs[0]
+        size = float(spec.size_bytes)
+        begin = float(spec.start_delay)
+        if size <= _EPS_BYTES:
+            return [TransferResult(begin, begin)]
+        rate = min(spec.remote_cap, link_capacity)
+        dt = size / rate
+        # The loop's own drain test; a transfer it would not call drained
+        # after one step (or an infinite one) is left to the loop.
+        if size - rate * dt <= _EPS_BYTES:
+            return [TransferResult(begin, max(0.0, begin) + dt)]
 
     remaining = [float(s.size_bytes) for s in specs]
     start = [float(s.start_delay) for s in specs]
@@ -113,7 +129,7 @@ def simulate_transfers(
             finish[i] = start[i]
         else:
             pending.append(i)
-    pending.sort(key=lambda i: start[i])
+    pending.sort(key=start.__getitem__)
 
     active: list[int] = []
     now = 0.0

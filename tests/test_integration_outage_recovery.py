@@ -5,6 +5,10 @@ logged; the provider returns; the consistency update replays the log; the
 system is verifiably consistent and no longer degraded.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -87,3 +91,58 @@ class TestRecoveryDrillExperiment:
         assert result["post_degraded_fraction"] == 0.0
         # Post-recovery latency should not be catastrophically worse.
         assert result["post_mean_latency"] < 10.0
+
+
+#: every provider out over [10, 500); writes during the window are logged
+#: on all four, and the first put after it heals all four inline
+_INLINE_HEAL_SCENARIO = """
+import hashlib
+from repro.cloud.outage import OutageSchedule, OutageWindow
+from repro.cloud.provider import make_table2_cloud_of_clouds
+from repro.obs.trace import RecordingTracer
+from repro.schemes import RacsScheme
+from repro.sim.clock import SimClock
+
+clock = SimClock()
+names = ("amazon_s3", "azure", "aliyun", "rackspace")
+fleet = make_table2_cloud_of_clouds(
+    clock, outages={n: OutageSchedule([OutageWindow(10.0, 500.0)]) for n in names}
+)
+tracer = RecordingTracer(clock)
+scheme = RacsScheme(list(fleet.values()), clock, tracer=tracer)
+payload = bytes(range(256)) * 1200  # 300 KB
+scheme.put("/f", payload)
+clock.advance_to(20.0)
+for i in range(4):
+    try:
+        scheme.get("/f")
+    except Exception:
+        pass
+    scheme.put(f"/g{i}", payload)
+clock.advance_to(2000.0)
+report = scheme.put("/h", payload)
+assert all(not scheme.pending_log(n) for n in names)
+print(repr(report.elapsed), hashlib.sha256(tracer.to_jsonl().encode()).hexdigest())
+"""
+
+
+class TestHashSeedDeterminism:
+    def test_inline_heals_and_breaker_gates_follow_placement_order(self):
+        """Same seed, any ``PYTHONHASHSEED``: same latency, same trace.
+
+        Each inline heal draws from the scheme's RNG and advances the clock,
+        and a phase's breaker gates fire listeners and metric events, so
+        neither may walk a ``set`` of provider names — string hashes are
+        salted per process.
+        """
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        lines = []
+        for hash_seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", _INLINE_HEAL_SCENARIO],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            lines.append(done.stdout.strip())
+        assert lines[0] and lines[0] == lines[1] == lines[2]

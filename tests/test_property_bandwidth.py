@@ -5,6 +5,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sim import bandwidth
 from repro.sim.bandwidth import TransferSpec, _waterfill_rates, simulate_transfers
 
 
@@ -100,3 +101,45 @@ class TestSimulationProperties:
         with_extra = simulate_transfers(extra, link)
         for b, w in zip(base, with_extra):
             assert w.finish_time >= b.finish_time - max(1e-6 * b.finish_time, 1e-6)
+
+
+class TestSingleTransferClosedForm:
+    """A lone transfer is answered in closed form, equal to the loop bit for bit.
+
+    The oracle is the general loop itself: a zero-byte companion never enters
+    its pending set, so ``simulate_transfers([s, companion])[0]`` is the old
+    single-iteration loop's answer for ``s``.
+    """
+
+    @given(
+        start=st.one_of(st.just(0.0), st.floats(0.0, 50.0, exclude_min=True)),
+        size=st.one_of(
+            st.just(0.0),
+            st.floats(0.0, bandwidth._EPS_BYTES),
+            st.floats(1.0, 1e11),
+        ),
+        cap=st.one_of(st.floats(1.0, 1e9), st.just(math.inf)),
+        link=st.floats(1.0, 1e9),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_loops_single_iteration(self, start, size, cap, link):
+        spec = TransferSpec(start, size, cap)
+        alone = simulate_transfers([spec], link)[0]
+        looped = simulate_transfers([spec, TransferSpec(spec.start_delay, 0.0)], link)[0]
+        assert alone.start_time == looped.start_time
+        assert alone.finish_time == looped.finish_time
+
+    def test_waterfilling_runs_for_two_transfers_only(self, monkeypatch):
+        calls = []
+        waterfill = bandwidth._waterfill_rates
+
+        def counting(caps, link_capacity):
+            calls.append(len(caps))
+            return waterfill(caps, link_capacity)
+
+        monkeypatch.setattr(bandwidth, "_waterfill_rates", counting)
+        spec = TransferSpec(0.05, 16384.0, 11e6)
+        simulate_transfers([spec], 25e6)
+        assert calls == []
+        simulate_transfers([spec, spec], 25e6)
+        assert calls and max(calls) == 2

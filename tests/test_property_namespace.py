@@ -3,8 +3,9 @@
 import copy
 import json
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -213,3 +214,62 @@ class TestIncrementalGroupEncoding:
             assert encode_group([twin]) == expected
         assert encode_group([entry]) == expected
         assert encode_group([]) == reference_encode([]) == b"[]"
+
+
+def reference_normalize(path: str) -> str:
+    """``normalize_path`` as it was before canonical paths were returned as
+    they are: split into segments, check each, join."""
+    if not path or path == "/":
+        raise ValueError(path)
+    parts = [p for p in path.split("/") if p]
+    if not parts:
+        raise ValueError(path)
+    for p in parts:
+        if p in (".", ".."):
+            raise ValueError(path)
+    return "/" + "/".join(parts)
+
+
+raw_paths = st.builds(
+    lambda lead, segments, trail: lead + "/".join(segments) + trail,
+    st.sampled_from(["", "/", "//"]),
+    st.lists(
+        st.sampled_from(["a", "b.c", "", ".", "..", "...", ".hidden", "d.", "é", " "]),
+        max_size=5,
+    ),
+    st.sampled_from(["", "/", "/.", "/.."]),
+)
+
+
+class TestPerRequestShortcuts:
+    """What the read path resolves without the general machinery answers
+    exactly what the general machinery would."""
+
+    @given(entry=awkward_entries, primed=st.booleans())
+    def test_touched_is_replace_with_the_counter_bumped(self, entry, primed):
+        if primed:
+            encode_group([entry])  # memoise a fragment on the source
+        touched = entry.touched()
+        expected = replace(entry, access_count=entry.access_count + 1)
+        assert touched == expected and type(touched) is FileEntry
+        for f in fields(FileEntry):
+            got, want = getattr(touched, f.name), getattr(expected, f.name)
+            assert got == want and type(got) is type(want), f.name
+        assert vars(touched) is not vars(entry)
+        assert set(vars(touched)) == {f.name for f in fields(FileEntry)}
+        assert encode_group([touched]) == reference_encode([expected])
+        assert entry.access_count == expected.access_count - 1  # source untouched
+
+    @given(path=raw_paths)
+    @settings(max_examples=400)
+    def test_normalize_path_equals_the_segment_splitting_reference(self, path):
+        try:
+            expected = reference_normalize(path)
+        except ValueError:
+            expected = None
+        if expected is None:
+            with pytest.raises(ValueError):
+                normalize_path(path)
+        else:
+            assert normalize_path(path) == expected
+            assert normalize_path(expected) == expected  # canonical is a fixed point

@@ -11,6 +11,9 @@ from repro.core.resilience import (
     ResilienceConfig,
     RetryPolicy,
 )
+from repro.metrics.registry import MetricsRegistry
+from repro.obs.trace import RecordingTracer
+from repro.sim.clock import SimClock
 from repro.sim.rng import make_rng
 
 
@@ -185,6 +188,32 @@ class TestProviderHealth:
         h = ProviderHealth("p", alpha=1.0)
         h.record_latency(observed=0.5, expected=1.0)  # faster than expected
         assert h.p95_slowdown() >= 1.0
+
+
+    def test_gauges_are_bound_on_the_first_sample(self, monkeypatch):
+        """A tracker's registry and name never change, so it looks its two
+        gauges up once — and never before there is a sample to publish."""
+        clock = SimClock()
+        tracer = RecordingTracer(clock)
+        registry = MetricsRegistry(tracer=tracer)
+        lookups = []
+        instrument = MetricsRegistry._instrument
+
+        def counting(self, cls, kind, name, labels, *args):
+            lookups.append(name)
+            return instrument(self, cls, kind, name, labels, *args)
+
+        monkeypatch.setattr(MetricsRegistry, "_instrument", counting)
+        h = ProviderHealth("p", metrics=registry)
+        assert registry.emitted_names() == set() and lookups == []
+        for i in range(1000):
+            h.record_attempt(i % 7 != 0)
+            h.record_latency(observed=1.0 + i % 3, expected=1.0)
+        assert sorted(lookups) == ["provider_health_error_rate", "provider_health_slowdown"]
+        mirrored = [r for r in tracer.records if r["t"] == "metric"]
+        assert len(mirrored) == 2000  # still one event per sample
+        assert registry.gauge("provider_health_error_rate", provider="p").value == h.error_rate
+        assert registry.gauge("provider_health_slowdown", provider="p").value == h.slowdown
 
 
 class TestResilienceConfig:

@@ -15,9 +15,11 @@ from repro.service import (
     TenantRegistry,
     TrafficConfig,
     TrafficGenerator,
+    frontend,
     run_service_drill,
 )
 from repro.sim.events import EventLoop
+from repro.sim.rng import stable_u64
 
 
 @pytest.fixture
@@ -112,6 +114,30 @@ class TestFrontendHandling:
         assert all(
             plane.frontend_for("t7") is plane.frontend_for("t7") for _ in range(3)
         )
+
+
+    def test_a_tenant_is_hashed_to_its_home_once(self, plane, monkeypatch):
+        hashed = []
+
+        def counting(*parts):
+            hashed.append(parts)
+            return stable_u64(*parts)
+
+        monkeypatch.setattr(frontend, "stable_u64", counting)
+        for i in range(5):
+            plane.tenants.create(f"t{i}")
+        for n in range(200):
+            tid = f"t{n % 5}"
+            request = _req(plane, tid, "put", "/d/x", b"abcd") if n < 5 else _req(
+                plane, tid, "get", "/d/x"
+            )
+            assert plane.route(request) == (True, None)
+            plane.loop.run()
+        assert sum(fe.failures for fe in plane.frontends) == 0
+        assert len(hashed) == 5  # one per tenant, not one per request
+        for i in range(5):
+            home = stable_u64("frontend-home", f"t{i}") % len(plane.frontends)
+            assert plane.frontend_for(f"t{i}") is plane.frontends[home]
 
 
 class TestTrafficGenerator:
