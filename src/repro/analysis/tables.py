@@ -1,41 +1,9 @@
-"""Minimal fixed-width ASCII table rendering shared by benches and examples."""
+"""Minimal fixed-width ASCII table rendering shared by benches and examples.
 
-from __future__ import annotations
+Defined in :mod:`repro.obs.report`, where the observability renderers can
+import it at module level; this is the name benches, examples and the CLI use.
+"""
 
-from collections.abc import Sequence
+from repro.obs.report import format_cell, render_table
 
 __all__ = ["render_table", "format_cell"]
-
-
-def format_cell(value: object, floatfmt: str = ".3f") -> str:
-    if isinstance(value, float):
-        return format(value, floatfmt)
-    return str(value)
-
-
-def render_table(
-    headers: Sequence[str],
-    rows: Sequence[Sequence[object]],
-    title: str | None = None,
-    floatfmt: str = ".3f",
-) -> str:
-    """Render a fixed-width table with a separator under the header."""
-    cells = [[format_cell(v, floatfmt) for v in row] for row in rows]
-    for row in cells:
-        if len(row) != len(headers):
-            raise ValueError(
-                f"row has {len(row)} cells but table has {len(headers)} columns"
-            )
-    widths = [
-        max(len(str(headers[c])), *(len(r[c]) for r in cells)) if cells else len(str(headers[c]))
-        for c in range(len(headers))
-    ]
-    lines: list[str] = []
-    if title:
-        lines.append(title)
-    header_line = "  ".join(str(h).ljust(w) for h, w in zip(headers, widths))
-    lines.append(header_line)
-    lines.append("  ".join("-" * w for w in widths))
-    for row in cells:
-        lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)

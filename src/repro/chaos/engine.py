@@ -504,8 +504,8 @@ class _EpisodeDriver:
             self.clock.advance(30.0)
         recovery = self.scheme.recover()
 
-        # Read-backs first (they may promote hot copies, which
-        # _expected_keys must then account for), audits second.
+        # Read-backs first (they may promote hot copies, which the
+        # orphan rule must then account for), audits second.
         observations: dict[str, dict] = {}
         for path in sorted(set(self.expected) | set(self.candidates) | self.removed):
             allowed = self._allowed(path)

@@ -32,8 +32,6 @@ from __future__ import annotations
 import hashlib
 from typing import TYPE_CHECKING, Mapping
 
-from repro.fs.metadata import is_group_key
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fs.journal import IntentJournal
     from repro.schemes.base import ObjectAudit, Scheme
@@ -159,22 +157,16 @@ def check_namespace_provider_audit(
             {
                 "path": audit.path,
                 "version": audit.version,
-                "problems": sorted(
-                    f"{f.kind}:{f.provider}:{f.key}" for f in audit.findings if f.kind != "intact"
-                ),
+                "problems": sorted(f"{f.kind}:{f.provider}:{f.key}" for f in audit.findings),
             }
         )
-    expected = scheme._expected_keys()
     for name in sorted(scheme.provider_names):
         provider = scheme.provider(name)
         if not provider.is_available():
             violations.append({"provider": name, "error": "unreachable at audit"})
             continue
-        for key in sorted(provider.store.list(scheme.container)):
-            if is_group_key(key):
-                continue  # metadata groups are namespace bookkeeping
-            if key not in expected:
-                violations.append({"provider": name, "orphan_key": key})
+        for key in scheme.unaccounted_keys(sorted(provider.store.list(scheme.container))):
+            violations.append({"provider": name, "orphan_key": key})
     return violations
 
 

@@ -140,6 +140,11 @@ class WriteLog:
         """
         return (container, key) in self._entries
 
+    def pending(self, container: str, key: str) -> LoggedWrite | None:
+        """The one logged mutation awaiting replay for (container, key), if
+        any — what the provider still owes for that key.  O(1)."""
+        return self._entries.get((container, key))
+
     def drain(self) -> list[LoggedWrite]:
         """Remove and return all pending writes in log order.
 

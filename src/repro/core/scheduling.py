@@ -74,9 +74,6 @@ class SchedulerConfig:
         score may exceed the gating fragment's by at most this factor,
         otherwise the estimates already say the duplicate loses the race
         and the wire time would be pure waste.
-    error_weight:
-        Error-rate weight for the health penalty; ``None`` adopts the
-        scheme's ``resilience.health_error_weight``.
     """
 
     parity_penalty: float = 1.25
@@ -85,7 +82,6 @@ class SchedulerConfig:
     half_open_penalty: float = 4.0
     hedge_margin: float = 1.0
     hedge_winnable: float = 1.5
-    error_weight: float | None = None
 
     def __post_init__(self) -> None:
         if self.parity_penalty < 1.0:
@@ -108,8 +104,6 @@ class SchedulerConfig:
             raise ValueError(
                 f"hedge_winnable must be >= 1, got {self.hedge_winnable}"
             )
-        if self.error_weight is not None and self.error_weight < 0.0:
-            raise ValueError(f"error_weight must be >= 0, got {self.error_weight}")
 
 
 @dataclass(frozen=True)
@@ -208,12 +202,7 @@ class FragmentScheduler:
         scheme = self._scheme
         cfg = self.config
         est = scheme._estimate_latency(name, nbytes, "down")
-        weight = (
-            cfg.error_weight
-            if cfg.error_weight is not None
-            else scheme.resilience.health_error_weight
-        )
-        est *= scheme.health[name].penalty(weight)
+        est *= scheme._health_penalty(name)
         breaker = scheme._breakers[name]
         if not breaker.would_allow(scheme.clock.now):
             return math.inf

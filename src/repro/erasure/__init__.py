@@ -5,7 +5,7 @@ Everything a Cloud-of-Clouds redundancy scheme needs:
 - :mod:`repro.erasure.galois`       -- GF(2^8) arithmetic and linear algebra
                                        (the scalar reference oracle)
 - :mod:`repro.erasure.gfkernel`     -- vectorised encode kernels + plan cache
-                                       (``REPRO_GF_KERNEL`` selects a strategy)
+                                       (``set_strategy`` selects a strategy)
 - :mod:`repro.erasure.striping`     -- shard framing (split/join with padding)
 - :mod:`repro.erasure.reed_solomon` -- systematic RS(k, m) over GF(2^8)
 - :mod:`repro.erasure.raid5`        -- XOR parity (the paper's case study)

@@ -2,8 +2,8 @@
 
 Every redundancy scheme in the repo (RAID5 for HyRD/RACS, RS for rate
 ablations, FMSR for NCCloud, plain replication for DuraCloud/DepSky) is an
-:class:`ErasureCodec`: ``encode`` produces ``n`` fragments of which any ``k``
-reconstruct the payload.
+:class:`ErasureCodec`: ``encode_views`` produces ``n`` fragments of which any
+``k`` reconstruct the payload.
 """
 
 from __future__ import annotations
@@ -49,20 +49,18 @@ class ErasureCodec(ABC):
         return True
 
     @abstractmethod
-    def encode(self, data: bytes) -> list[bytes]:
-        """Encode ``data`` into exactly ``n`` fragments (index = position)."""
-
     def encode_views(self, data: bytes) -> list[bytes | memoryview]:
-        """Encode ``data`` into ``n`` fragments, allowing zero-copy views.
+        """Encode ``data`` into exactly ``n`` fragments (index = position).
 
-        Same fragment *contents* as :meth:`encode`, but a codec may return
-        ``memoryview`` slices into an internal encode buffer instead of
-        materialising each fragment as ``bytes``.  Callers must treat the
-        returned buffers as frozen (the simulated stores keep them as-is;
-        see ``docs/performance.md``).  The default just delegates to
-        :meth:`encode`.
+        The one encoder of every codec.  A fragment may be a ``memoryview``
+        into ``data`` or into an internal encode buffer instead of fresh
+        ``bytes``; callers must treat the returned buffers as frozen (the
+        simulated stores keep them as-is; see ``docs/performance.md``).
         """
-        return list(self.encode(data))
+
+    def encode(self, data: bytes) -> list[bytes]:
+        """:meth:`encode_views` with every fragment materialised as ``bytes``."""
+        return [bytes(f) for f in self.encode_views(data)]
 
     @abstractmethod
     def decode(self, fragments: Mapping[int, bytes], size: int) -> bytes:

@@ -124,28 +124,18 @@ class FMSRCode(ErasureCodec):
         """Bytes per node fragment: ``(n-k)`` coded chunks of shard length."""
         return self._r * shard_length(size, self._native)
 
-    def _encode_coded(self, data: bytes) -> np.ndarray:
-        """The full (n*r, L) coded-chunk matrix ``ECM @ native`` (kernel-backed)."""
-        native = split_shards(data, self._native)  # (k*r, L)
-        return gf_matmul_fast(self._ecm, native)  # (n*r, L)
-
-    def encode(self, data: bytes) -> list[bytes]:
-        """``n`` node fragments, each the concatenation of its r coded chunks."""
-        coded = self._encode_coded(data)
-        return [
-            coded[self._node_rows(i)].tobytes() for i in range(self._n)
-        ]
-
     def encode_views(self, data: bytes) -> list[bytes | memoryview]:
-        """Zero-copy encode: node fragments are flat views into the coded matrix.
+        """``n`` node fragments, each the concatenation of its r coded chunks.
 
-        FMSR fragments are linear combinations of every native chunk, so —
-        unlike the systematic codes — no fragment can alias ``data``; the
-        win is skipping the per-node ``tobytes`` copies of :meth:`encode`.
+        The full (n*r, L) coded-chunk matrix is ``ECM @ native``
+        (kernel-backed).  FMSR fragments are linear combinations of every
+        native chunk, so — unlike the systematic codes — no fragment can
+        alias ``data``; the win is skipping a per-node ``tobytes`` copy.
         Each view is 1-D (``len`` counts bytes) over the node's contiguous
         row block of the freshly encoded matrix.
         """
-        coded = self._encode_coded(data)
+        native = split_shards(data, self._native)  # (k*r, L)
+        coded = gf_matmul_fast(self._ecm, native)  # (n*r, L)
         return [
             memoryview(coded[self._node_rows(i)].reshape(-1))
             for i in range(self._n)

@@ -9,8 +9,7 @@ product table that topped out around 140 MB/s for RS(2+2).  This module
 replaces that walk with contiguous table lookups shaped for NumPy's
 ``take`` and keeps every byte bit-identical to the scalar oracle.
 
-Kernel strategies (``REPRO_GF_KERNEL`` environment variable, or
-:func:`set_strategy` / the ``strategy=`` argument):
+Kernel strategies (:func:`set_strategy` or the ``strategy=`` argument):
 
 ``packed`` (chosen by ``auto``, the default)
     Adjacent input bytes are paired through a natural little-endian
@@ -48,7 +47,6 @@ numbers behind it.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from collections.abc import Sequence
 
@@ -71,7 +69,6 @@ __all__ = [
 #: kernel (currently ``packed``)
 KERNEL_STRATEGIES = ("auto", "packed", "table", "nibble", "scalar")
 
-_ENV_VAR = "REPRO_GF_KERNEL"
 #: uint16 elements per tile — 128 KiB of index bytes, so an index tile,
 #: two accumulators (256 KiB each at width 2) and a couple of tables fit a
 #: 2 MiB L2 together
@@ -106,12 +103,12 @@ def set_strategy(name: str | None) -> None:
     Bound plans are dropped so the next encode re-plans; cached product
     tables survive (they are strategy-independent data).
     """
-    _DEFAULT[0] = name if name is not None else os.environ.get(_ENV_VAR, "auto")
+    _DEFAULT[0] = name if name is not None else "auto"
     _resolve(None)  # validate eagerly
     _PLANS.clear()
 
 
-_DEFAULT = [os.environ.get(_ENV_VAR, "auto")]
+_DEFAULT = ["auto"]
 
 
 # ------------------------------------------------------------------- tables

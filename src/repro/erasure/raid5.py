@@ -15,7 +15,7 @@ from collections.abc import Mapping
 
 from repro.erasure.codec import ErasureCodec
 from repro.erasure.gfkernel import xor_rows
-from repro.erasure.striping import join_fragments, split_shards, split_views
+from repro.erasure.striping import join_fragments, split_views
 
 __all__ = ["Raid5Code"]
 
@@ -41,16 +41,11 @@ class Raid5Code(ErasureCodec):
         """Fragment index holding the XOR parity (always the last one)."""
         return self._k
 
-    def encode(self, data: bytes) -> list[bytes]:
-        """k data fragments plus their XOR parity, all materialised as bytes."""
-        shards = split_shards(data, self._k)  # (k, L)
-        parity = xor_rows(list(shards), shards.shape[1])
-        return [shards[i].tobytes() for i in range(self._k)] + [parity.tobytes()]
-
     def encode_views(self, data: bytes) -> list[bytes | memoryview]:
-        """Zero-copy encode: unpadded data fragments are views into ``data``
-        itself (only the padded tail shard and the parity are fresh buffers);
-        parity is a tiled XOR fold (:func:`repro.erasure.gfkernel.xor_rows`)."""
+        """k data fragments plus their XOR parity.  Zero-copy: unpadded data
+        fragments are views into ``data`` itself (only the padded tail shard
+        and the parity are fresh buffers); parity is a tiled XOR fold
+        (:func:`repro.erasure.gfkernel.xor_rows`)."""
         rows = split_views(data, self._k)
         length = rows[0].shape[0] if rows else 0
         parity = xor_rows(rows, length)

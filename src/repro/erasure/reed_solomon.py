@@ -6,7 +6,7 @@ are the raw data shards, the remaining m = n - k are parity.  Any k fragments
 reconstruct the payload by inverting the corresponding kxk sub-matrix.
 
 Parity generation and degraded decode run through the vectorised kernels in
-:mod:`repro.erasure.gfkernel` (strategy selectable via ``REPRO_GF_KERNEL``);
+:mod:`repro.erasure.gfkernel` (strategy selectable via ``set_strategy``);
 output stays bit-identical to the scalar ``gf_matmul`` oracle.  See
 ``docs/codecs.md`` for the derivation and kernel decision tree.
 """
@@ -24,7 +24,6 @@ from repro.erasure.gfkernel import gf_matmul_fast, plan_for
 from repro.erasure.striping import (
     join_fragments,
     join_shards,
-    split_shards,
     split_views,
 )
 
@@ -77,22 +76,10 @@ class ReedSolomonCode(ErasureCodec):
             return np.empty((0, length), dtype=np.uint8)
         return plan_for(self._parity_rows).execute(rows, length)
 
-    def _encode_shards(self, data: bytes) -> tuple[np.ndarray, np.ndarray]:
-        """(data shards, parity shards) — parity-only product, systematic top."""
-        shards = split_shards(data, self._k)  # (k, L)
-        parity = self._parity_for(list(shards), shards.shape[1])  # (m, L)
-        return shards, parity
-
-    def encode(self, data: bytes) -> list[bytes]:
-        """``n`` materialised fragments: k data shards then m parity shards."""
-        shards, parity = self._encode_shards(data)
-        return [shards[i].tobytes() for i in range(self._k)] + [
-            parity[j].tobytes() for j in range(self._n - self._k)
-        ]
-
     def encode_views(self, data: bytes) -> list[bytes | memoryview]:
-        """Zero-copy encode: unpadded data fragments are views into ``data``
-        itself (:func:`~repro.erasure.striping.split_views`); only padded tail
+        """k data shards then m parity shards.  Zero-copy: unpadded data
+        fragments are views into ``data`` itself
+        (:func:`~repro.erasure.striping.split_views`); only padded tail
         shards and the parity rows are fresh buffers."""
         rows = split_views(data, self._k)
         length = rows[0].shape[0] if rows else 0

@@ -3,7 +3,7 @@
 The registry's ``"replication"`` entry, exercised by the codec-level tests
 (round-trip, reconstruction, registry lookup).  No scheme routes data
 through it: the schemes write replicas as whole-object copies under one
-key (``Scheme._write_replicated``), with no fragment framing.
+key (``Scheme._write_placement``), with no fragment framing.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ class ReplicationCode(ErasureCodec):
     def k(self) -> int:
         return 1
 
-    def encode(self, data: bytes) -> list[bytes]:
+    def encode_views(self, data: bytes) -> list[bytes | memoryview]:
         return [data] * self._n
 
     def decode(self, fragments: Mapping[int, bytes], size: int) -> bytes:

@@ -58,7 +58,6 @@ class WriteIntent:
     path: str
     version: int
     codec: str
-    replicated: bool
     min_needed: int
     sites: tuple[tuple[str, str], ...]
     payload: bytes | None
@@ -126,7 +125,6 @@ class IntentJournal:
         path: str,
         version: int,
         codec: str,
-        replicated: bool,
         min_needed: int,
         sites: tuple[tuple[str, str], ...],
         payload: bytes | None,
@@ -139,7 +137,6 @@ class IntentJournal:
             path=path,
             version=version,
             codec=codec,
-            replicated=replicated,
             min_needed=min_needed,
             sites=tuple((str(p), str(k)) for p, k in sites),
             payload=None if payload is None else bytes(payload),

@@ -40,12 +40,13 @@ live fault-storm run.  See ``docs/attribution.md`` for the prose guide.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from repro.metrics.registry import DEFAULT_LATENCY_BUCKETS
+from repro.obs.report import render_table
+from repro.obs.trace import format_jsonl, parse_jsonl
 
 __all__ = [
     "PHASES",
@@ -170,24 +171,16 @@ class OpAttribution:
 
 
 def attributions_to_jsonl(ops: Iterable[OpAttribution]) -> str:
-    """Attribution records as JSON-lines (same canonical form as traces).
-
-    ``json`` renders floats with ``repr`` (shortest round-trip), so
-    parse -> re-dump is byte-identical — the property the test suite holds.
-    """
-    return "\n".join(
-        json.dumps(o.to_record(), separators=(",", ":"), sort_keys=True)
-        for o in ops
-    )
+    """Attribution records as JSON-lines, in the trace's canonical form
+    (:func:`~repro.obs.trace.format_jsonl`): parse -> re-dump is
+    byte-identical — the property the test suite holds."""
+    return format_jsonl(o.to_record() for o in ops)
 
 
 def parse_attribution_jsonl(lines: Iterable[str]) -> list[OpAttribution]:
     """Inverse of :func:`attributions_to_jsonl`; blank lines are skipped."""
     out = []
-    for line in lines:
-        if not line.strip():
-            continue
-        r = json.loads(line)
+    for r in parse_jsonl(lines):
         if r.get("t") != "op_attribution":
             raise ValueError(f"not an attribution record: {r.get('t')!r}")
         out.append(OpAttribution.from_record(r))
@@ -450,27 +443,17 @@ def attribute_trace(records: Iterable[dict[str, Any]]) -> AttributionReport:
         if rid in descendants:
             descendants[rid].append(s)
 
-    # Prefer each event's recorded enclosing-span pointer (walked up to its
-    # root); fall back to the first op window (by start time) containing the
-    # timestamp for traces written before events carried ``span`` — the
-    # fallback is ambiguous exactly when two ops share a boundary instant.
-    ordered_roots = sorted(roots, key=lambda s: (s["start"], s["id"]))
+    # An event belongs to the op whose root its recorded enclosing span
+    # (``span``) walks up to; time alone is ambiguous when two ops share a
+    # boundary instant.
     root_events: dict[int, list[tuple[int, dict[str, Any]]]] = {
         s["id"]: [] for s in roots
     }
     for idx, e in events:
         sid = e.get("span")
-        if sid is not None and sid in by_id:
-            rid = root_of(by_id[sid])
-            if rid in root_events:
-                root_events[rid].append((idx, e))
-            continue
-        t = e["time"]
-        owner = next(
-            (s for s in ordered_roots if s["start"] <= t <= s["end"]), None
-        )
-        if owner is not None:
-            root_events[owner["id"]].append((idx, e))
+        rid = root_of(by_id[sid]) if sid in by_id else None
+        if rid in root_events:
+            root_events[rid].append((idx, e))
 
     ops = [
         _attribute_root(s, descendants[s["id"]], root_events[s["id"]])
@@ -714,12 +697,6 @@ class ProviderLoadObservatory:
 
 
 # -------------------------------------------------------------------- rendering
-def _render_table(headers, rows, title=None, floatfmt=".3f"):
-    from repro.obs.report import render_table
-
-    return render_table(headers, rows, title=title, floatfmt=floatfmt)
-
-
 def _breakdown_label(o: OpAttribution) -> str:
     """Compact 'transfer 71% (aliyun), retry_backoff 22%' phase summary."""
     parts = []
@@ -753,7 +730,7 @@ def render_attribution(
     totals = report.totals()
     shares = report.shares()
     parts.append(
-        _render_table(
+        render_table(
             ["Phase", "Seconds", "Share"],
             [[p, totals[p], f"{shares[p]:.1%}"] for p in PHASES],
             title="Where the time went (phases tile each op's wall-clock)",
@@ -767,7 +744,7 @@ def render_attribution(
         r += [cell["phases"][p] for p in PHASES]
         rows.append(r)
     parts.append(
-        _render_table(
+        render_table(
             ["Op", "Count", "Total"] + list(PHASES),
             rows,
             title="Per-op-kind phase seconds",
@@ -788,7 +765,7 @@ def render_attribution(
             ]
         )
     parts.append(
-        _render_table(
+        render_table(
             ["Trace id", "Op", "Path", "Elapsed", "Breakdown", "Wasted"],
             digest,
             title=f"Top-{min(top, len(report.ops))} slow ops (trace id links into the span file)",
@@ -819,7 +796,7 @@ def render_attribution(
                 ]
             )
         parts.append(
-            _render_table(
+            render_table(
                 ["Provider", "Requests", "Busy", "Critical", "Wasted",
                  "Queue", "Svc rate", "Peak"],
                 rows,

@@ -26,6 +26,7 @@ saved trace with ``--from-trace``.  See ``docs/observability.md``.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -33,21 +34,47 @@ from repro.metrics.collector import OpReport
 from repro.metrics.registry import Histogram, MetricsRegistry
 from repro.obs.trace import RecordingTracer, flame_summary
 
-__all__ = ["RunReport", "run_fault_storm_report"]
+__all__ = ["RunReport", "run_fault_storm_report", "render_table", "format_cell"]
 
 _TIMELINE_BINS = 10
 
 
-def render_table(headers, rows, title=None, floatfmt=".3f"):
-    """Proxy for :func:`repro.analysis.tables.render_table`.
+# Fixed-width ASCII tables for every renderer in the repo (re-exported as
+# ``repro.analysis.tables``).  They live here, not in ``repro.analysis``,
+# because that package's init imports the scheme layer, which imports
+# ``repro.obs``.
+def format_cell(value: object, floatfmt: str = ".3f") -> str:
+    if isinstance(value, float):
+        return format(value, floatfmt)
+    return str(value)
 
-    Imported lazily: ``repro.analysis``'s package init pulls in the cost
-    simulator, which imports the scheme layer — and the scheme layer imports
-    ``repro.obs`` for the tracer.  Deferring the import breaks that cycle.
-    """
-    from repro.analysis.tables import render_table as _render
 
-    return _render(headers, rows, title=title, floatfmt=floatfmt)
+def render_table(
+    headers: Sequence[str],
+    rows: Sequence[Sequence[object]],
+    title: str | None = None,
+    floatfmt: str = ".3f",
+) -> str:
+    """Render a fixed-width table with a separator under the header."""
+    cells = [[format_cell(v, floatfmt) for v in row] for row in rows]
+    for row in cells:
+        if len(row) != len(headers):
+            raise ValueError(
+                f"row has {len(row)} cells but table has {len(headers)} columns"
+            )
+    widths = [
+        max(len(str(headers[c])), *(len(r[c]) for r in cells)) if cells else len(str(headers[c]))
+        for c in range(len(headers))
+    ]
+    lines: list[str] = []
+    if title:
+        lines.append(title)
+    header_line = "  ".join(str(h).ljust(w) for h, w in zip(headers, widths))
+    lines.append(header_line)
+    lines.append("  ".join("-" * w for w in widths))
+    for row in cells:
+        lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
+    return "\n".join(lines)
 
 
 @dataclass

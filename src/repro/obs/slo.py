@@ -190,32 +190,23 @@ class ProviderSlo:
         )
 
 
-class TenantRollup:
-    """Sliding-window SLO state for one service-plane tenant.
+class _TrailingWindow:
+    """The trailing ``window`` sim-seconds of op outcomes,
+    ``(t, op_class, ok, detail)``, evicted as new ones arrive."""
 
-    Materialized lazily by :class:`SloTracker` the first time an
-    :class:`~repro.metrics.collector.OpReport` arrives carrying that
-    tenant's id (via :meth:`Scheme.tenant_context
-    <repro.schemes.base.Scheme.tenant_context>`), so runs without the
-    service plane never allocate one.  Tracks the same trailing window as
-    the aggregate tracker: per-class availability plus a latency
-    distribution for the p95 rollup.
-    """
-
-    def __init__(self, tenant: str, window: float) -> None:
-        self.tenant = tenant
+    def __init__(self, window: float) -> None:
         self.window = window
-        #: trailing window of ``(t, op_class, ok, elapsed)``
-        self._ops: deque[tuple[float, str, bool, float]] = deque()
+        self._ops: deque[tuple[float, str, bool, Any]] = deque()
 
-    def record(self, t: float, cls: str, ok: bool, elapsed: float) -> None:
-        self._ops.append((float(t), cls, ok, float(elapsed)))
-        cutoff = t - self.window
+    def record(self, t: float, cls: str, ok: bool, detail: Any) -> None:
         ops = self._ops
+        ops.append((float(t), cls, ok, detail))
+        cutoff = t - self.window
         while ops and ops[0][0] < cutoff:
             ops.popleft()
 
     def window_ops(self, now: float, cls: str | None = None) -> list[tuple]:
+        """The retained ops in ``[now - window, now]``, optionally one class."""
         cutoff = now - self.window
         return [
             o for o in self._ops if o[0] >= cutoff and (cls is None or o[1] == cls)
@@ -227,6 +218,24 @@ class TenantRollup:
         if not ops:
             return None
         return sum(1 for o in ops if o[2]) / len(ops)
+
+
+class TenantRollup(_TrailingWindow):
+    """Sliding-window SLO state for one service-plane tenant.
+
+    Materialized lazily by :class:`SloTracker` the first time an
+    :class:`~repro.metrics.collector.OpReport` arrives carrying that
+    tenant's id (via :meth:`Scheme.tenant_context
+    <repro.schemes.base.Scheme.tenant_context>`), so runs without the
+    service plane never allocate one.  Tracks the same trailing window as
+    the aggregate tracker: per-class availability plus a latency
+    distribution for the p95 rollup (each op's ``detail`` is its elapsed
+    seconds).
+    """
+
+    def __init__(self, tenant: str, window: float) -> None:
+        super().__init__(window)
+        self.tenant = tenant
 
     def p95_latency(self, now: float) -> float | None:
         """p95 of windowed *successful* op latencies (None with no traffic)."""
@@ -246,24 +255,24 @@ class TenantRollup:
         return f"TenantRollup({self.tenant!r}, ops={len(self._ops)})"
 
 
-class SloTracker:
+class SloTracker(_TrailingWindow):
     """Sliding-window SLO state for one scheme run.
 
     Hooked in by :meth:`repro.schemes.base.Scheme.attach_slo`: completed
     operations arrive via :meth:`record_op`, failed public ops via
     :meth:`record_failure`, breaker transitions via
     :meth:`on_breaker_transition`.  All computations are over the trailing
-    ``config.window`` sim-seconds; provider MTBF/MTTR is over the whole run
-    (failures are too rare for a one-hour window to hold two of them).
+    ``config.window`` sim-seconds (each op's ``detail`` is whether it took a
+    degraded path); provider MTBF/MTTR is over the whole run (failures are
+    too rare for a one-hour window to hold two of them).
     """
 
     def __init__(self, config: SloConfig | None = None) -> None:
         self.config = config if config is not None else SloConfig()
+        super().__init__(self.config.window)
         self.registry = None
         self.clock = None
         self.providers: dict[str, ProviderSlo] = {}
-        #: trailing window of ``(t, op_class, ok, degraded)``
-        self._ops: deque[tuple[float, str, bool, bool]] = deque()
         #: per-tenant rollups, materialized lazily on the first attributed op
         self.tenants: dict[str, TenantRollup] = {}
 
@@ -303,19 +312,17 @@ class SloTracker:
         cls = op_class(report.op)
         if cls is None:
             return
-        self._ops.append((float(t), cls, True, report.degraded))
-        self._evict(t)
+        self.record(t, cls, True, report.degraded)
         tenant = getattr(report, "tenant", None)
         if tenant is not None:
-            self.tenant(tenant).record(t, cls, True, report.elapsed)
+            self.tenant(tenant).record(t, cls, True, float(report.elapsed))
 
     def record_failure(self, op: str, t: float, tenant: str | None = None) -> None:
         """Fold one public op that raised (unavailability the user felt)."""
         cls = op_class(op)
         if cls is None:
             return
-        self._ops.append((float(t), cls, False, False))
-        self._evict(t)
+        self.record(t, cls, False, False)
         if tenant is not None:
             self.tenant(tenant).record(t, cls, False, 0.0)
 
@@ -332,26 +339,6 @@ class SloTracker:
                 ledger.add_window(a, b)
 
     # ----------------------------------------------------------- computations
-    def _evict(self, now: float) -> None:
-        cutoff = now - self.config.window
-        ops = self._ops
-        while ops and ops[0][0] < cutoff:
-            ops.popleft()
-
-    def window_ops(self, now: float, cls: str | None = None) -> list[tuple]:
-        """The retained ops in ``[now - window, now]``, optionally one class."""
-        cutoff = now - self.config.window
-        return [
-            o for o in self._ops if o[0] >= cutoff and (cls is None or o[1] == cls)
-        ]
-
-    def availability(self, cls: str, now: float) -> float | None:
-        """Windowed success fraction for one op class (None with no traffic)."""
-        ops = self.window_ops(now, cls)
-        if not ops:
-            return None
-        return sum(1 for o in ops if o[2]) / len(ops)
-
     def degraded_read_fraction(self, now: float) -> float | None:
         """Fraction of windowed successful reads that took a degraded path."""
         reads = [o for o in self.window_ops(now, "read") if o[2]]

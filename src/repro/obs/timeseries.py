@@ -34,11 +34,11 @@ See ``docs/observability.md`` for the prose guide and
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from typing import Any, Iterable
 
 from repro.metrics.registry import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.trace import format_jsonl, parse_jsonl, read_jsonl, write_jsonl
 
 __all__ = [
     "MetricTimeSeries",
@@ -191,25 +191,16 @@ class MetricTimeSeries:
         return records
 
     def to_jsonl(self) -> str:
-        """JSON-lines export: one ``ts.meta`` line, then one line per sample.
-
-        Keys are sorted and floats use Python's shortest-round-trip repr,
-        exactly like the trace format — which is what makes
-        export→import→export byte-identical.
+        """JSON-lines export: one ``ts.meta`` line, then one line per sample,
+        in the trace's canonical form (:func:`~repro.obs.trace.format_jsonl`)
+        — which is what makes export→import→export byte-identical.
         """
-        return "\n".join(
-            json.dumps(r, separators=(",", ":"), sort_keys=True)
-            for r in self.to_records()
-        )
+        return format_jsonl(self.to_records())
 
     def write_jsonl(self, fp_or_path) -> None:
-        """Write :meth:`to_jsonl` to a path or open text file."""
-        text = self.to_jsonl() + "\n"
-        if hasattr(fp_or_path, "write"):
-            fp_or_path.write(text)
-        else:
-            with open(fp_or_path, "w", encoding="utf-8") as fp:
-                fp.write(text)
+        """Write the series to a path or open text file
+        (:func:`~repro.obs.trace.write_jsonl`)."""
+        write_jsonl(self.to_records(), fp_or_path)
 
     # ----------------------------------------------------------------- import
     @classmethod
@@ -238,13 +229,12 @@ class MetricTimeSeries:
     @classmethod
     def parse_jsonl(cls, lines: Iterable[str]) -> "MetricTimeSeries":
         """Parse JSON-lines text back into a series (blank lines skipped)."""
-        return cls.from_records(json.loads(line) for line in lines if line.strip())
+        return cls.from_records(parse_jsonl(lines))
 
     @classmethod
     def read_jsonl(cls, path) -> "MetricTimeSeries":
         """Read a file written by :meth:`write_jsonl`."""
-        with open(path, "r", encoding="utf-8") as fp:
-            return cls.parse_jsonl(fp)
+        return cls.from_records(read_jsonl(path))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         lo, hi = self.span

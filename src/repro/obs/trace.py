@@ -43,13 +43,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import IO, Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 __all__ = [
     "SpanRecord",
     "NoopTracer",
     "NOOP_TRACER",
     "RecordingTracer",
+    "format_jsonl",
+    "write_jsonl",
     "read_jsonl",
     "parse_jsonl",
     "flame_summary",
@@ -281,33 +283,46 @@ class RecordingTracer:
 
     # ----------------------------------------------------------------- export
     def to_jsonl(self) -> str:
-        """The whole trace as JSON-lines (one record per line)."""
-        return "\n".join(
-            json.dumps(r, separators=(",", ":"), sort_keys=True) for r in self.records
-        )
+        """The whole trace as JSON-lines (:func:`format_jsonl`)."""
+        return format_jsonl(self.records)
 
     def write_jsonl(self, fp_or_path) -> None:
-        """Write :meth:`to_jsonl` to a path or open text file."""
-        text = self.to_jsonl() + "\n"
-        if hasattr(fp_or_path, "write"):
-            fp_or_path.write(text)
-        else:
-            with open(fp_or_path, "w", encoding="utf-8") as fp:
-                fp.write(text)
+        """Write the trace to a path or open text file (:func:`write_jsonl`)."""
+        write_jsonl(self.records, fp_or_path)
+
+
+# ------------------------------------------------------------------ JSON-lines
+# The one record codec of ``repro.obs``: traces, metric time series and
+# attribution records all go through these four functions.
+def format_jsonl(records: Iterable[dict[str, Any]]) -> str:
+    """Records as canonical JSON-lines: one object per line, compact
+    separators, sorted keys, no final newline.  Floats render with ``repr``
+    (shortest round trip), so parse → re-format is byte-identical."""
+    return "\n".join(json.dumps(r, separators=(",", ":"), sort_keys=True) for r in records)
+
+
+def write_jsonl(records: Iterable[dict[str, Any]], fp_or_path) -> None:
+    """Write :func:`format_jsonl` plus a final newline to a path or an open
+    text file."""
+    text = format_jsonl(records) + "\n"
+    if hasattr(fp_or_path, "write"):
+        fp_or_path.write(text)
+    else:
+        with open(fp_or_path, "w", encoding="utf-8") as fp:
+            fp.write(text)
 
 
 def parse_jsonl(lines: Iterable[str]) -> list[dict[str, Any]]:
-    """Parse JSON-lines trace text back into record dicts.
+    """Parse JSON-lines text back into record dicts (blank lines skipped).
 
-    Inverse of :meth:`RecordingTracer.to_jsonl` up to the canonical dict
-    representation (``labels`` stay lists-of-pairs, as written).  Blank
-    lines are skipped.
+    Inverse of :func:`format_jsonl` up to the canonical dict representation
+    (trace ``labels`` stay lists-of-pairs, as written).
     """
     return [json.loads(line) for line in lines if line.strip()]
 
 
 def read_jsonl(path) -> list[dict[str, Any]]:
-    """Read a trace file written by :meth:`RecordingTracer.write_jsonl`."""
+    """Read a file written by :func:`write_jsonl`."""
     with open(path, "r", encoding="utf-8") as fp:
         return parse_jsonl(fp)
 

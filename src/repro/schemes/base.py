@@ -28,6 +28,7 @@ from abc import ABC, abstractmethod
 from collections import OrderedDict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -752,10 +753,16 @@ class Scheme(ABC):
         def score(n: str) -> float:
             est = self._estimate_latency(n, size, direction)
             if adaptive:
-                est *= self.health[n].penalty(self.resilience.health_error_weight)
+                est *= self._health_penalty(n)
             return est
 
         return sorted(names, key=score)
+
+    def _health_penalty(self, name: str) -> float:
+        """``name``'s health penalty under the resilience config's error
+        weight — the one weighting replica ranking and the read scheduler
+        share."""
+        return self.health[name].penalty(self.resilience.health_error_weight)
 
     def _provider_usable(self, name: str) -> bool:
         """Available right now and not fast-failed by its circuit breaker."""
@@ -769,9 +776,7 @@ class Scheme(ABC):
         log = self._write_logs.get(provider)
         if not log:
             return False
-        return any(
-            e.container == container and e.key == key for e in log.peek()
-        )
+        return log.has_pending(container, key)
 
     @staticmethod
     def _delayed(spec: TransferSpec, extra: float) -> TransferSpec:
@@ -2046,34 +2051,43 @@ class Scheme(ABC):
             self._heal_before_touching(targets)
             group_keys = self._list_meta_group_keys(targets, striped=codec is not None)
             for base_key in sorted(group_keys):
-                directory = group_directory(base_key)
-                fallback = self._journaled_meta_blob(directory)
-                try:
-                    blob = self._fetch_meta_blob(base_key, codec, targets)
-                except ValueError:
-                    # Torn striped group: a crash mid-persist left fragments of
-                    # two generations and no k-subset decodes.  The pending
-                    # intent journaled the redo image — the one consistent copy.
-                    if fallback is None:
-                        raise
-                    blob = fallback
-                if blob is None:
-                    blob = fallback
-                if blob is None:
-                    continue
-                try:
-                    entries = self.meta.apply_group(blob)
-                except ValueError:
-                    # Same tear, subtler face: equal-length mixed fragments
-                    # decode into bytes that are not a metadata group.
-                    if fallback is None or fallback == blob:
-                        raise
-                    blob = fallback
-                    entries = self.meta.apply_group(blob)
+                blob, entries = self._apply_meta_group(base_key, codec, targets)
                 if entries:
+                    directory = group_directory(base_key)
                     self._meta_sizes[directory] = len(blob)
                     self.meta.touch(directory)
         return op.report
+
+    def _apply_meta_group(
+        self, base_key: str, codec: ErasureCodec | None, targets: list[str]
+    ) -> tuple[bytes | None, list[FileEntry]]:
+        """Merge one metadata group from the first copy that decodes.
+
+        Returns ``(blob, entries)``; ``(None, [])`` when no copy exists.
+        Copies are fetched lazily (:meth:`_meta_copies`), so an intact first
+        copy costs one fetch.  A copy that does not decode — a codec or
+        group ``ValueError`` — was torn by a crash mid-persist (fragments of
+        two generations, or bytes that are not a metadata group) or damaged
+        in place.  The redo image a pending intent journaled for the
+        directory is then the one consistent version and wins; without one
+        the next copy is tried, and ``ValueError`` is raised only when none
+        decodes.
+        """
+        fallback = self._journaled_meta_blob(group_directory(base_key))
+        error: ValueError | None = None
+        for copy in self._meta_copies(base_key, codec, targets):
+            try:
+                blob = copy if codec is None else self._join_meta(codec, copy)
+                return blob, self.meta.apply_group(blob)
+            except ValueError as exc:
+                if fallback is not None:
+                    break
+                error = exc
+        if error is not None:
+            raise error
+        if fallback is None:
+            return None, []
+        return fallback, self.meta.apply_group(fallback)
 
     def _journaled_meta_blob(self, directory: str) -> bytes | None:
         """Redo image of ``directory``'s group from a pending intent, if any."""
@@ -2129,15 +2143,18 @@ class Scheme(ABC):
             return base if dot else key
         return key
 
-    def _fetch_meta_blob(
+    def _meta_copies(
         self, base_key: str, codec: ErasureCodec | None, targets: list[str]
-    ) -> bytes | None:
-        """Fetch and reassemble one metadata group's blob (None if gone).
+    ) -> Iterator[bytes | dict[int, bytes]]:
+        """Candidate copies of one metadata group, fetched only as consumed.
 
-        Replicas that missed writes (stale: a pending write-log entry
-        supersedes their stored blob) never serve; when no clean stored copy
-        is reachable, the newest *logged* payload — the durable client-local
-        record of the unreplayed publish — serves instead.
+        Replicated: each stored replica in rank order, then the newest
+        *logged* publish — the durable client-local record of an unreplayed
+        write.  Striped: the first k fragments in placement order, then
+        every k-subset that takes in one more fragment.  A replica or
+        fragment whose provider is unreachable, or stale (a pending
+        write-log entry supersedes what it stores), is never fetched; a
+        stale fragment's logged payload is the current one and serves.
         """
         if codec is None:
             for name in self._rank_providers(list(targets), 0, "down"):
@@ -2150,55 +2167,48 @@ class Scheme(ABC):
                 )
                 outcome = phase.outcomes[0]
                 if outcome.ok and outcome.data is not None:
-                    return outcome.data
-            return self._newest_logged_meta(base_key, targets)
+                    yield outcome.data
+            logged = self._newest_logged_meta(base_key, targets)
+            if logged is not None:
+                yield logged
+            return
         fragments: dict[int, bytes] = {}
         for i, name in enumerate(targets):
-            if len(fragments) >= codec.k:
-                break
-            if self._is_stale(name, self.container, f"{base_key}.{i}"):
-                # The provider's stored fragment predates the pending logged
-                # write; the logged payload is the current one.
-                pending = self._logged_payload(name, f"{base_key}.{i}")
-                if pending is not None:
-                    fragments[i] = pending
+            key = f"{base_key}.{i}"
+            if self._is_stale(name, self.container, key) or not self.provider(
+                name
+            ).is_available():
+                data = self._logged_payload(name, key)
+            else:
+                outcome = self._run_phase(
+                    [CloudOp(name, "get", self.container, key)]
+                ).outcomes[0]
+                data = outcome.data if outcome.ok else None
+            if data is None:
                 continue
-            if not self.provider(name).is_available():
-                pending = self._logged_payload(name, f"{base_key}.{i}")
-                if pending is not None:
-                    fragments[i] = pending
-                continue
-            phase = self._run_phase(
-                [CloudOp(name, "get", self.container, f"{base_key}.{i}")]
-            )
-            outcome = phase.outcomes[0]
-            if outcome.ok and outcome.data is not None:
-                fragments[i] = outcome.data
-        if len(fragments) < codec.k:
-            return None
+            for rest in combinations(fragments, codec.k - 1):
+                yield {**{j: fragments[j] for j in rest}, i: data}
+            fragments[i] = data
+
+    @staticmethod
+    def _join_meta(codec: ErasureCodec, fragments: dict[int, bytes]) -> bytes:
+        """Decode a k-subset of a striped group's fragments into its blob."""
         frag_len = len(next(iter(fragments.values())))
         # Group blobs are JSON: decode at full capacity and strip the zero
         # padding (JSON never ends in NUL bytes).
-        blob = codec.decode(fragments, frag_len * codec.k)
-        return blob.rstrip(b"\x00")
+        return codec.decode(fragments, frag_len * codec.k).rstrip(b"\x00")
 
     def _newest_logged_meta(self, key: str, targets: list[str]) -> bytes | None:
         """Most recently logged (unreplayed) publish of a replicated group."""
-        best: tuple[float, bytes] | None = None
+        best: LoggedWrite | None = None
         for name in targets:
             log = self._write_logs.get(name)
-            if not log:
-                continue
-            for e in log.peek():
-                if (
-                    e.kind == "put"
-                    and e.container == self.container
-                    and e.key == key
-                    and e.data is not None
-                    and (best is None or e.logged_at >= best[0])
-                ):
-                    best = (e.logged_at, e.data)
-        return None if best is None else best[1]
+            e = log.pending(self.container, key) if log else None
+            if e is not None and e.kind == "put" and (
+                best is None or e.logged_at >= best.logged_at
+            ):
+                best = e
+        return None if best is None else best.data
 
     # ------------------------------------------------------------ public API
     def put(self, path: str, data: bytes) -> OpReport:
@@ -2358,13 +2368,11 @@ class Scheme(ABC):
         )
 
     def _logged_payload(self, provider: str, key: str) -> bytes | None:
+        """The payload of a put ``provider`` still owes for ``key``, if any
+        (a logged remove carries none)."""
         log = self._write_logs.get(provider)
-        if not log:
-            return None
-        for e in log.peek():
-            if e.container == self.container and e.key == key and e.kind == "put":
-                return e.data
-        return None
+        e = log.pending(self.container, key) if log else None
+        return None if e is None else e.data
 
     @staticmethod
     def _placement_changed(old: FileEntry, new: FileEntry) -> bool:
@@ -2631,7 +2639,6 @@ class Scheme(ABC):
             path=op.path,
             version=version,
             codec=codec_name,
-            replicated=codec_name == "replication",
             min_needed=min_needed,
             sites=sites,
             payload=payload,
@@ -2778,27 +2785,31 @@ class Scheme(ABC):
         """Scheme-private storage keys the orphan sweep must not touch."""
         return set()
 
-    def _expected_keys(self) -> set[str]:
-        """Every storage key the current namespace accounts for."""
-        expected: set[str] = set()
+    def unaccounted_keys(self, keys: Iterable[str]) -> list[str]:
+        """The listed storage ``keys`` nothing accounts for, in order.
+
+        The one statement of what an orphan is: a key that is neither a
+        metadata group, nor a placement of a current namespace entry, nor a
+        scheme-private key (:meth:`_extra_expected_keys`).  The recovery
+        sweep deletes these; the chaos oracle reports them.
+        """
+        expected = self._extra_expected_keys()
         for path in self.namespace.paths():
             entry = self.namespace.lookup(path)
             if entry is None:
                 continue
             for _prov, idx in entry.placements:
                 expected.add(self._placement_storage_key(entry, idx))
-        expected |= self._extra_expected_keys()
-        return expected
+        return [k for k in keys if not is_group_key(k) and k not in expected]
 
     def _sweep_orphans(self) -> dict[str, int]:
         """Delete unaccounted keys from every reachable provider.
 
         Keys with a pending write-log entry are skipped (the consistency
-        update owns them); metadata-group keys are always kept.  With a
-        maintenance plane attached the deletions are enqueued on its
-        budgeted orphan sweeper instead of issued inline.
+        update owns them).  With a maintenance plane attached the deletions
+        are enqueued on its budgeted orphan sweeper instead of issued
+        inline.
         """
-        expected = self._expected_keys()
         removed: dict[str, int] = {}
         plane = self.maintenance
         for p in self.api.providers():
@@ -2809,11 +2820,8 @@ class Scheme(ABC):
                 log = self._write_logs.get(name)
                 orphans = [
                     k
-                    for k in self._list_container(name) or ()
-                    if k
-                    and not is_group_key(k)
-                    and k not in expected
-                    and not (log is not None and log.has_pending(self.container, k))
+                    for k in self.unaccounted_keys(self._list_container(name) or ())
+                    if k and not (log is not None and log.has_pending(self.container, k))
                 ]
                 if orphans and plane is not None and plane.orphans is not None:
                     for k in orphans:
@@ -2922,7 +2930,7 @@ class Scheme(ABC):
         remain to reconstruct the payload (genuine data loss).
         """
         path = normalize_path(path)
-        with self._op("repair", path) as op:
+        with self._op("repair", path):
             entry = self.namespace.get(path)
             if audit is None or audit.version != entry.version:
                 audit = self._audit_entry(entry, deep=True)
@@ -2946,12 +2954,7 @@ class Scheme(ABC):
             bytes_written = 0
             repaired: tuple[VerifyFinding, ...] = ()
             if targets and self.repair_by_rewrite:
-                data, _degraded = self._read_object(entry)
-                up_before = op.bytes_up
-                data = bytes(data)
-                self._journal_arm("put", entry, data)
-                self._publish(entry, self._write_object(path, data, entry))
-                bytes_written = op.bytes_up - up_before
+                bytes_written = self._rewrite_object(entry)
                 repaired = tuple(targets)
                 # The rewrite supersedes the old version wholesale, pending
                 # write-log entries for it included.
@@ -3005,13 +3008,19 @@ class Scheme(ABC):
         """
         path = normalize_path(path)
         with self._op("migrate", path) as op:
-            entry = self.namespace.get(path)
-            data, _degraded = self._read_object(entry)
-            if not isinstance(data, bytes):
-                data = bytes(data)
-            self._journal_arm("put", entry, data)
-            self._publish(entry, self._write_object(path, data, entry))
+            self._rewrite_object(self.namespace.get(path))
         return op.report
+
+    def _rewrite_object(self, entry: FileEntry) -> int:
+        """Read ``entry`` back and write it whole as a new version under the
+        current placement policy; returns the bytes the write uploaded."""
+        data, _degraded = self._read_object(entry)
+        op = self._current
+        up_before = op.bytes_up
+        data = bytes(data)
+        self._journal_arm("put", entry, data)
+        self._publish(entry, self._write_object(entry.path, data, entry))
+        return op.bytes_up - up_before
 
     # --------------------------------------------------------------- queries
     def placements_on(self, provider: str) -> list[str]:

@@ -47,7 +47,7 @@ class BundleCode(ErasureCodec):
     bundles rebuild the payload, f of them reveal nothing.
 
     Not systematic (no bundle is a payload shard) and not deterministic:
-    every ``encode`` draws a fresh key and a fresh sharing from ``rng`` —
+    every ``encode_views`` draws a fresh key and a fresh sharing from ``rng`` —
     the owning scheme's stream, so a run stays a function of its seed.
     Bundles of two encodes therefore never combine; an object is repaired
     by re-encoding it whole (``Scheme.repair_by_rewrite``), never by
@@ -86,9 +86,9 @@ class BundleCode(ErasureCodec):
         fragment = blob[2 + hlen + share_len :]
         return fragment, share, header["share_index"]
 
-    def encode(self, data: bytes) -> list[bytes]:
+    def encode_views(self, data: bytes) -> list[bytes | memoryview]:
         key = random_key(self._rng)
-        fragments = self._rs.encode(keystream_cipher(key, data))
+        fragments = self._rs.encode_views(keystream_cipher(key, data))
         shares = share_secret(key, n=self.n, k=self.k, rng=self._rng)
         return [self.bundle(fragments[i], shares[i], i) for i in range(self.n)]
 

@@ -35,8 +35,8 @@ def span(id, parent, name, start, end, **attrs):
     }
 
 
-def event(name, time, **attrs):
-    return {"t": "event", "name": name, "time": time, "attrs": attrs}
+def event(name, time, span, **attrs):
+    return {"t": "event", "name": name, "time": time, "span": span, "attrs": attrs}
 
 
 def root(id, start, end, op="get", path="/f", **attrs):
@@ -141,16 +141,16 @@ class TestHedgeClassification:
         recs = [
             span(2, 1, "request", 0.0, 6.0 if backup_wins else 3.0,
                  provider="p", kind="get", ok=True),
-            event("hedge.fired", 0.0, primary="p", backup="b", delay=2.0),
+            event("hedge.fired", 0.0, span=1, primary="p", backup="b", delay=2.0),
             span(3, 1, "request", 2.0, 5.0 if backup_wins else 7.0,
                  provider="b", kind="get", ok=True),
         ]
         if backup_wins:
-            recs.append(event("hedge.win", 5.0, provider="b"))
-            recs.append(event("hedge.wasted", 5.0, provider="p", wasted=5.0))
+            recs.append(event("hedge.win", 5.0, span=1, provider="b"))
+            recs.append(event("hedge.wasted", 5.0, span=1, provider="p", wasted=5.0))
             recs.append(root(1, 0.0, 5.0, hedged=True))
         else:
-            recs.append(event("hedge.wasted", 3.0, provider="b", wasted=1.0))
+            recs.append(event("hedge.wasted", 3.0, span=1, provider="b", wasted=1.0))
             recs.append(root(1, 0.0, 3.0, hedged=True))
         return one(recs)
 
@@ -393,3 +393,15 @@ class TestTracedRuns:
         scheme.get("/d/a")
         text = RunReport.from_scheme(scheme).render()
         assert "Critical-path attribution" in text
+
+    def test_every_storm_event_points_at_a_span_of_its_trace(self):
+        """An event reaches its op only through its recorded ``span``
+        pointer, so every event the engine emits must be raised inside an op
+        scope — this fails the day one is emitted outside."""
+        from repro.obs import run_fault_storm_report
+
+        _, tracer = run_fault_storm_report(seed=0)
+        spans = {r["id"] for r in tracer.records if r["t"] == "span"}
+        events = [r for r in tracer.records if r["t"] == "event"]
+        assert events
+        assert [e for e in events if e["span"] not in spans] == []

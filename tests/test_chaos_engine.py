@@ -76,7 +76,6 @@ class TestJournalDrained:
             path="/x",
             version=1,
             codec="rep",
-            replicated=True,
             min_needed=1,
             sites=(("amazon_s3", "k"),),
             payload=b"v",

@@ -264,11 +264,6 @@ class TestStrategySelection:
                 strategy="nope",
             )
 
-    def test_env_knob_honoured(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GF_KERNEL", "table")
-        set_strategy(None)  # re-read the environment default
-        assert active_strategy() == "table"
-
     def test_all_names_listed(self):
         assert set(STRATEGIES) <= set(KERNEL_STRATEGIES)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cloud.provider import make_table2_cloud_of_clouds
-from repro.fs.journal import IntentJournal, WriteIntent
+from repro.fs.journal import IntentJournal
 from repro.schemes import RacsScheme
 from repro.sim.clock import SimClock
 from repro.sim.rng import make_rng
@@ -17,7 +17,6 @@ def _begin(journal, *, kind="put", path="/j/a", payload=b"data", **over):
         path=path,
         version=1,
         codec="rs(4,3)",
-        replicated=False,
         min_needed=3,
         sites=(("amazon_s3", "k0"), ("azure", "k1")),
         payload=payload,

@@ -8,6 +8,7 @@ serves every file a previous client stored.
 import pytest
 
 from repro.cloud.outage import OutageWindow
+from repro.cloud.provider import make_table2_cloud_of_clouds
 from repro.faults.crash import ClientCrash, CrashSchedule
 from repro.fs.metadata import group_key
 from repro.schemes import (
@@ -16,7 +17,9 @@ from repro.schemes import (
     NCCloudScheme,
     RacsScheme,
     SingleCloudScheme,
+    build_scheme,
 )
+from repro.sim.clock import SimClock
 
 KB, MB = 1024, 1024 * 1024
 
@@ -202,3 +205,42 @@ class TestRecoverySemantics:
         assert set(second.namespace.paths()) == set(contents)
         for path, data in contents.items():
             assert second.get(path)[0] == data
+
+
+_FLEET = ("amazon_s3", "azure", "aliyun", "rackspace")
+#: providers holding a copy (a replica, or RACS's fragment .i on the i-th)
+#: of every metadata group
+_GROUP_COPIES = {
+    "hyrd": ("azure", "aliyun"),
+    "duracloud": ("amazon_s3", "azure"),
+    "depsky": _FLEET,
+    "depsky-ca": _FLEET,
+    "nccloud": _FLEET,
+    "racs": _FLEET,
+}
+
+
+@pytest.mark.parametrize(
+    "name,holder",
+    [(name, holder) for name, holders in _GROUP_COPIES.items() for holder in holders],
+)
+def test_one_undecodable_group_copy_leaves_the_others_to_serve(name, holder):
+    """A truncated replica (or fragment) of a metadata group is skipped like
+    an unreachable one: another replica — or another k-subset, through
+    RAID5 parity — rebuilds the namespace."""
+    clock = SimClock()
+    fleet = make_table2_cloud_of_clouds(clock)
+    first = build_scheme(name, fleet, clock)
+    contents = {f"/d/f{i}": bytes([i + 1]) * 5000 for i in range(3)}
+    for path, data in contents.items():
+        first.put(path, data)
+    store = fleet[holder].store
+    (key,) = [k for k in store.list(first.container) if k.startswith(group_key("/d"))]
+    blob = bytes(store.get(first.container, key).data)
+    store.tamper(first.container, key, blob[: len(blob) // 2])
+
+    second = build_scheme(name, fleet, clock)
+    second.recover_namespace()
+    assert set(second.namespace.paths()) == set(contents)
+    for path, data in contents.items():
+        assert second.get(path)[0] == data

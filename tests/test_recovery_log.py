@@ -238,3 +238,40 @@ class TestWriteLogReplayProperties:
             elif e.kind == "remove":
                 replayed.pop((e.container, e.key), None)
         assert replayed == full
+
+
+# Every mutation kind over a colliding key space; ``create`` is
+# container-level, so its key is ignored (it lands on key "").
+_HISTORY = st.lists(
+    st.tuples(
+        st.sampled_from(["put", "remove", "create", "discard"]),
+        st.sampled_from(["c1", "c2"]),
+        st.sampled_from(["", "a", "b"]),
+        st.binary(max_size=16),
+    ),
+    max_size=40,
+)
+
+
+class TestKeyedLookup:
+    @given(history=_HISTORY, limit=st.none() | st.integers(min_value=0, max_value=48))
+    def test_pending_equals_the_peek_scan(self, history, limit):
+        """``pending`` answers exactly what a linear scan of ``peek()`` for
+        the (container, key) did, after every step."""
+        log = WriteLog(memory_limit_bytes=limit)
+        for i, (kind, container, key, data) in enumerate(history):
+            if kind == "put":
+                log.log_put(container, key, data, float(i))
+            elif kind == "remove":
+                log.log_remove(container, key, float(i))
+            elif kind == "create":
+                log.log_create(container, float(i))
+            else:
+                log.discard(container, key)
+            for c in ("c1", "c2"):
+                for k in ("", "a", "b"):
+                    scanned = next(
+                        (e for e in log.peek() if e.container == c and e.key == k), None
+                    )
+                    assert log.pending(c, k) is scanned
+                    assert log.has_pending(c, k) == (scanned is not None)

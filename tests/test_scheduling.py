@@ -284,5 +284,3 @@ class TestAttachDetach:
             SchedulerConfig(hedge_winnable=0.5)
         with pytest.raises(ValueError):
             SchedulerConfig(queue_weight=-1.0)
-        with pytest.raises(ValueError):
-            SchedulerConfig(error_weight=-1.0)
