@@ -39,6 +39,38 @@ def group_directory(key: str) -> str:
     return key[len(_GROUP_PREFIX):]
 
 
+_str = json.encoder.encode_basestring_ascii
+_int = int.__repr__
+#: what ``json.dumps`` writes for the floats whose ``repr`` is not JSON
+_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _number(v: float) -> str:
+    if isinstance(v, int):
+        return _int(v)
+    text = float.__repr__(v)
+    return _NON_FINITE.get(text, text)
+
+
+def _pairs_json(pairs: tuple[tuple[str, int], ...]) -> str:
+    return "[" + ",".join([f"[{_str(k)},{_int(v)}]" for k, v in pairs]) + "]"
+
+
+def _entry_json(e: FileEntry) -> str:
+    """``e`` as ``json.dumps(fields, sort_keys=True, separators=(",", ":"))``
+    writes it, written directly: keys in sorted order, strings through the
+    encoder's own ASCII escaper, numbers as the ``int`` / ``float`` ``repr``
+    it uses.  Entry numbers are never ``bool``s (decoding rejects them)."""
+    return (
+        f'{{"access_count":{_int(e.access_count)},"codec":{_str(e.codec)},'
+        f'"codec_params":{_pairs_json(e.codec_params)},"created":{_number(e.created)},'
+        f'"digests":[{",".join(map(_str, e.digests))}],"klass":{_str(e.klass)},'
+        f'"modified":{_number(e.modified)},"path":{_str(e.path)},'
+        f'"placements":{_pairs_json(e.placements)},"size":{_int(e.size)},'
+        f'"version":{_int(e.version)}}}'
+    )
+
+
 def _fragment(e: FileEntry) -> str:
     """``e`` as one JSON object, encoded once per entry *object*.
 
@@ -49,23 +81,7 @@ def _fragment(e: FileEntry) -> str:
     memo = e.__dict__
     fragment = memo.get("_fragment")
     if fragment is None:
-        fragment = memo["_fragment"] = json.dumps(
-            {
-                "path": e.path,
-                "size": e.size,
-                "version": e.version,
-                "codec": e.codec,
-                "codec_params": e.codec_params,
-                "placements": e.placements,
-                "klass": e.klass,
-                "created": e.created,
-                "modified": e.modified,
-                "access_count": e.access_count,
-                "digests": e.digests,
-            },
-            separators=(",", ":"),
-            sort_keys=True,
-        )
+        fragment = memo["_fragment"] = _entry_json(e)
     return fragment
 
 

@@ -206,9 +206,16 @@ class _PayloadCache:
             self._bytes -= len(old[1])
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CloudOp:
-    """One provider request inside a phase."""
+    """One provider request inside a phase.
+
+    Like the other per-request records (:class:`OpOutcome`,
+    :class:`PhaseResult`, the bandwidth model's specs and results) it is
+    slotted and not frozen: a dozen are built per op and none is ever
+    hashed, so a frozen ``__init__``'s per-field ``object.__setattr__``
+    would buy nothing.
+    """
 
     provider: str
     kind: str  # "put" | "get" | "remove" | "list" | "create" | "head"
@@ -250,7 +257,7 @@ class Placement:
     access_count: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class OpOutcome:
     """Result of one :class:`CloudOp` within a phase."""
 
@@ -261,7 +268,7 @@ class OpOutcome:
     finish: float = 0.0  # completion instant relative to phase start
 
 
-@dataclass
+@dataclass(slots=True)
 class PhaseResult:
     """All outcomes of one phase plus its wire cost."""
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.service.admission import Request
 from repro.service.frontend import ServicePlane
-from repro.sim.rng import make_rng
+from repro.sim.rng import make_bits, make_rng, raw_bytes
 
 __all__ = ["TrafficConfig", "TrafficGenerator"]
 
@@ -110,8 +110,7 @@ class TrafficGenerator:
         """Deterministic payload bytes for one tenant object."""
         if size == 0:
             return b""
-        rng = make_rng(self.seed, "tenant-payload", tenant_id, path)
-        return rng.integers(0, 256, size, dtype=np.uint8).tobytes()
+        return raw_bytes(make_bits(self.seed, "tenant-payload", tenant_id, path), size)
 
     def _request(self, tenant_id: str, kind: str, path: str, size: int) -> Request:
         token = self._plane.tenants.get(tenant_id).token

@@ -27,7 +27,7 @@ __all__ = ["TransferSpec", "TransferResult", "simulate_transfers", "total_elapse
 _EPS_BYTES = 1e-6  # transfers with fewer remaining bytes are considered drained
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TransferSpec:
     """One data transfer.
 
@@ -56,7 +56,7 @@ class TransferSpec:
             raise ValueError(f"remote_cap must be > 0, got {self.remote_cap}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TransferResult:
     """Completion record for one :class:`TransferSpec` (same list position)."""
 

@@ -27,6 +27,18 @@ def stable_u64(*parts: object) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
+def make_bits(seed: int, *labels: object) -> np.random.PCG64:
+    """The bit generator behind ``make_rng(seed, *labels)``: the one place a
+    stream is seeded.
+
+    The entropy is the three 32-bit words ``[seed, label low, label high]``,
+    handed over as one ``uint32`` array: the same pool a list of them gives,
+    without coercing each word separately."""
+    label = stable_u64(*labels)
+    words = np.array([seed & 0xFFFFFFFF, label & 0xFFFFFFFF, label >> 32], dtype=np.uint32)
+    return np.random.PCG64(np.random.SeedSequence(words))
+
+
 def make_rng(seed: int, *labels: object) -> np.random.Generator:
     """Return an independent Generator for ``(seed, *labels)``.
 
@@ -34,9 +46,29 @@ def make_rng(seed: int, *labels: object) -> np.random.Generator:
 
         rng = make_rng(42, "latency", "aliyun")
     """
-    label = stable_u64(*labels)
-    ss = np.random.SeedSequence([seed & 0xFFFFFFFF, label & 0xFFFFFFFF, label >> 32])
-    return np.random.default_rng(ss)
+    return np.random.Generator(make_bits(seed, *labels))
+
+
+def raw_bytes(bits: np.random.PCG64, n: int) -> bytes:
+    """The next ``n`` bytes of ``bits``, drawn as whole 64-bit words.
+
+    On a *fresh* bit generator — one with no buffered 32-bit half, which is
+    any generator nothing but this function has drawn from — this is exactly
+    ``np.random.Generator(bits).integers(0, 256, n, dtype=np.uint8).tobytes()``:
+    PCG64 serves a full-range uint8 draw from the little-endian bytes of its
+    64-bit outputs, and ``random_raw`` hands over those outputs without the
+    per-byte loop.  Successive calls continue the stream word by word, so
+    drawing a prefix and extending it later gives the bytes one long draw
+    would have.
+
+    A generator that has already drawn through ``Generator`` may hold half a
+    word that ``integers`` would use first and this function skips, and
+    ``integers`` drops the unused bytes of its last 32-bit draw; so the
+    payload sites whose generator has drawn before stay on ``integers``:
+    ``maintenance/drill.py:87`` (a payload after its size) and
+    ``analysis/ablations.py:142/152`` (payload after payload).
+    """
+    return bits.random_raw((n + 7) >> 3).astype("<u8", copy=False).tobytes()[:n]
 
 
 def spawn_rngs(seed: int, count: int, *labels: object) -> list[np.random.Generator]:

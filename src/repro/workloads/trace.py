@@ -7,11 +7,12 @@ the exact bytes written earlier for that path/version).
 
 Payload synthesis is the replay data plane's hot path, so it is built for
 throughput (see ``docs/performance.md``): each path gets one cached
-pseudo-random block (one ``make_rng`` derivation per path instead of one per
-op), and a payload is that block tiled to size at memcpy speed with a
-16-byte header stamping the stream kind (put vs update patch), the
-version/sequence number and the size — which keeps every (path, version)
-payload distinct without per-op RNG work.
+pseudo-random block (one stream derivation per path instead of one per op,
+drawn only as far as the path's largest payload reaches), and a payload is
+that block tiled to size at memcpy speed with a 16-byte header stamping the
+stream kind (put vs update patch), the version/sequence number and the
+size — which keeps every (path, version) payload distinct without per-op
+RNG work.
 
 Reads are verified against *recipes* — ``(version, size, applied patches)``
 per path — with three tiers, cheapest first: recently written payloads are
@@ -31,7 +32,7 @@ import numpy as np
 
 from repro.metrics.collector import LatencyCollector
 from repro.schemes.base import Scheme
-from repro.sim.rng import make_rng
+from repro.sim.rng import make_bits, raw_bytes
 
 __all__ = ["TraceOp", "TraceReplayer"]
 
@@ -54,6 +55,16 @@ _PATCH_MARKER = 0x01
 #: zero-copy striping the simulated stores pin these same buffers anyway, so
 #: retention mostly costs dict entries, not duplicate payload memory.
 _RETAIN_BUDGET = 256 << 20
+
+
+def _stamped_head(block: bytes, marker: int, counter: int, size: int) -> bytes:
+    """A payload's first ``min(size, 16)`` bytes: a stamp of the stream kind,
+    the version/sequence number and the size, XORed into the block head so
+    the payload stays path-distinct too."""
+    stamp = bytes([marker]) + counter.to_bytes(7, "little") + size.to_bytes(8, "little")
+    n = min(size, len(stamp))
+    mixed = int.from_bytes(stamp[:n], "little") ^ int.from_bytes(block[:n], "little")
+    return mixed.to_bytes(n, "little")
 
 
 @dataclass(frozen=True)
@@ -96,48 +107,53 @@ class TraceReplayer:
     verify: bool = True
     _recipes: dict[str, _FileRecipe] = field(default_factory=dict, repr=False)
     _update_seqs: dict[str, int] = field(default_factory=dict, repr=False)
-    _blocks: dict[str, bytes] = field(default_factory=dict, repr=False)
+    _blocks: dict[str, tuple[np.random.PCG64, bytes]] = field(default_factory=dict, repr=False)
     _retained: dict[str, tuple[int, bytes]] = field(default_factory=dict, repr=False)
     _retained_bytes: int = field(default=0, repr=False)
 
     # ---------------------------------------------------- payload synthesis
-    def _path_block(self, path: str) -> bytes:
-        """The path's cached pseudo-random tile (one RNG derivation, LRU)."""
-        blk = self._blocks.pop(path, None)
-        if blk is None:
-            rng = make_rng(self.seed, "payload-block", path)
-            blk = rng.integers(0, 256, size=_PAYLOAD_BLOCK, dtype=np.uint8).tobytes()
+    def _path_block(self, path: str, size: int) -> bytes:
+        """At least the first ``min(size, _PAYLOAD_BLOCK)`` bytes of the
+        path's pseudo-random tile.
+
+        One stream per cached path (one RNG derivation, LRU), extended in
+        whole 64-bit words only as far as an op has needed: a 1 KiB file
+        never pays for the 64 KiB a large one tiles.  Every prefix is a
+        prefix of the one eager draw, so evicting and re-deriving, or
+        drawing in any order of sizes, yields the same bytes."""
+        cached = self._blocks.pop(path, None)
+        if cached is None:
+            cached = (make_bits(self.seed, "payload-block", path), b"")
             if len(self._blocks) >= _MAX_CACHED_BLOCKS:
                 self._blocks.pop(next(iter(self._blocks)))
-        self._blocks[path] = blk  # re-insert = move to MRU position
+        bits, blk = cached
+        words = (min(size, _PAYLOAD_BLOCK) + 7) >> 3
+        if words > len(blk) >> 3:
+            blk += raw_bytes(bits, (words << 3) - len(blk))
+            cached = (bits, blk)
+        self._blocks[path] = cached  # re-insert = move to MRU position
         return blk
 
     def _fill(self, path: str, marker: int, counter: int, size: int) -> bytes:
         """Tile the path block to ``size`` and stamp a distinctness header.
 
         Built as one ``b"".join`` over (stamped head, block tail, repeated
-        cached block, remainder slice) — a single allocation-and-copy pass
-        whose sources stay cache-hot, instead of a fill-then-``tobytes``
-        double pass over the payload."""
+        cached block, remainder) — a single allocation-and-copy pass whose
+        sources stay cache-hot and are sliced as views, never copied first."""
         if size == 0:
             return b""
-        block = self._path_block(path)
-        stamp = (
-            bytes([marker])
-            + counter.to_bytes(7, "little")
-            + size.to_bytes(8, "little")
-        )
-        n = min(size, len(stamp))
-        # XOR the stamp into the block head so it stays path-distinct too.
-        head = bytes(a ^ b for a, b in zip(stamp[:n], block[:n]))
+        block = self._path_block(path, size)
+        head = _stamped_head(block, marker, counter, size)
+        n = len(head)
+        view = memoryview(block)
         if size <= _PAYLOAD_BLOCK:
-            return b"".join((head, block[n:size]))
+            return b"".join((head, view[n:size]))
         full = size // _PAYLOAD_BLOCK
         rem = size - full * _PAYLOAD_BLOCK
-        parts = [head, block[n:]]
+        parts = [head, view[n:]]
         parts.extend([block] * (full - 1))
         if rem:
-            parts.append(block[:rem])
+            parts.append(view[:rem])
         return b"".join(parts)
 
     def payload(self, path: str, version: int, size: int) -> bytes:
@@ -179,18 +195,13 @@ class TraceReplayer:
         size = len(data)
         if size == 0:
             return True
+        raw = self._path_block(path, size)
+        head = _stamped_head(raw, marker, counter, size)
+        n = len(head)
         arr = np.frombuffer(data, dtype=np.uint8)
-        block = np.frombuffer(self._path_block(path), dtype=np.uint8)
-        stamp = (
-            bytes([marker])
-            + counter.to_bytes(7, "little")
-            + size.to_bytes(8, "little")
-        )
-        n = min(size, len(stamp))
-        if not np.array_equal(
-            arr[:n] ^ block[:n], np.frombuffer(stamp[:n], dtype=np.uint8)
-        ):
+        if arr[:n].tobytes() != head:
             return False
+        block = np.frombuffer(raw, dtype=np.uint8)
         if size <= _PAYLOAD_BLOCK:
             return np.array_equal(arr[n:], block[n:size])
         if not np.array_equal(arr[n:_PAYLOAD_BLOCK], block[n:]):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cloud import make_table2_cloud_of_clouds
+from repro.fs import metadata
 from repro.fs.metadata import (
     MetadataStore,
     decode_group,
@@ -174,18 +175,17 @@ class TestPublishCost:
         directory's group, and must JSON-encode only the entries that changed
         since the last publish — one per put, one per get (``touched()`` makes
         a fresh entry) — never the whole directory again (200 * 201 / 2 =
-        20 100 entry encodes for these puts alone)."""
+        20 100 entry encodes for these puts alone).  Counted where an entry's
+        JSON is written, ``fs.metadata._entry_json``."""
         encoded = 0
-        real_dumps = json.dumps
+        real_entry_json = metadata._entry_json
 
-        def counting_dumps(obj, **kwargs):
+        def counting_entry_json(entry):
             nonlocal encoded
-            for item in obj if isinstance(obj, list) else [obj]:
-                if isinstance(item, dict) and "placements" in item:
-                    encoded += 1
-            return real_dumps(obj, **kwargs)
+            encoded += 1
+            return real_entry_json(entry)
 
-        monkeypatch.setattr(json, "dumps", counting_dumps)
+        monkeypatch.setattr(metadata, "_entry_json", counting_entry_json)
         clock = SimClock()
         scheme = HyrdScheme(list(make_table2_cloud_of_clouds(clock).values()), clock)
         files = 200

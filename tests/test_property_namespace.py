@@ -6,10 +6,10 @@ import pickle
 from dataclasses import fields, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.fs.metadata import MetadataStore, decode_group, encode_group
+from repro.fs.metadata import MetadataStore, _entry_json, decode_group, encode_group
 from repro.fs.namespace import FileEntry, Namespace, dirname, normalize_path
 
 # Path components: non-empty, no '/', no '.'/'..' semantics.
@@ -214,6 +214,43 @@ class TestIncrementalGroupEncoding:
             assert encode_group([twin]) == expected
         assert encode_group([entry]) == expected
         assert encode_group([]) == reference_encode([]) == b"[]"
+
+
+any_text = st.text(max_size=12)
+any_pairs = st.lists(st.tuples(any_text, awkward_ints), max_size=3).map(tuple)
+any_number = st.one_of(awkward_floats, awkward_ints, st.floats())
+#: every field drawn from all its type allows, control characters,
+#: surrogate-free unicode and non-finite floats included
+any_entries = st.builds(
+    FileEntry,
+    path=st.one_of(awkward_paths, any_text),
+    size=awkward_ints,
+    version=st.integers(1, 2**64),
+    codec=any_text,
+    codec_params=any_pairs,
+    placements=any_pairs,
+    klass=any_text,
+    created=any_number,
+    modified=any_number,
+    access_count=awkward_ints,
+    digests=st.lists(any_text, max_size=3).map(tuple),
+)
+
+
+class TestEntryJson:
+    """An entry's JSON is written directly; ``json.dumps`` is the oracle."""
+
+    @given(entry=st.one_of(awkward_entries, any_entries))
+    @example(entry=FileEntry(path="/a\x01\x7f é", size=0, created=1e-07, modified=1e22))
+    @example(
+        entry=FileEntry(
+            path='/"\\\x00', size=2**63, access_count=0, created=0.1 + 0.2, modified=2**63
+        )
+    )
+    @example(entry=FileEntry(path="/e", size=0, created=float("inf"), modified=float("nan")))
+    @settings(max_examples=200, deadline=None)
+    def test_fragment_equals_json_dumps(self, entry):
+        assert f"[{_entry_json(entry)}]".encode() == reference_encode([entry])
 
 
 def reference_normalize(path: str) -> str:

@@ -47,6 +47,33 @@ class TestPhaseExecution:
         with pytest.raises(ValueError):
             CloudOp("p", "put", "c", "k", None)
 
+    def test_request_records_are_slotted_and_still_validated(self):
+        """The per-request records carry no ``__dict__`` and are not frozen,
+        but every ``__post_init__`` check runs, ``replace`` included."""
+        import dataclasses
+        import math
+
+        from repro.schemes.base import OpOutcome, PhaseResult
+        from repro.sim.bandwidth import TransferResult, TransferSpec
+
+        op = CloudOp("p", "put", "c", "k", b"x")
+        spec = TransferSpec(0.1, 10.0, 5.0)
+        outcome = OpOutcome(op, True)
+        records = [op, spec, outcome, PhaseResult([outcome], 0.5), TransferResult(0.0, 1.0)]
+        assert not any(hasattr(r, "__dict__") for r in records)
+        for bad in [
+            lambda: CloudOp("p", "frobnicate", "c"),
+            lambda: CloudOp("p", "put", "c", "k"),
+            lambda: dataclasses.replace(op, data=None),
+            lambda: TransferSpec(-0.1, 1.0),
+            lambda: TransferSpec(0.0, -1.0),
+            lambda: TransferSpec(0.0, 1.0, 0.0),
+            lambda: TransferSpec(0.0, 1.0, -math.inf),
+            lambda: dataclasses.replace(spec, start_delay=-1.0),
+        ]:
+            with pytest.raises(ValueError):
+                bad()
+
     def test_nested_ops_rejected(self, single, payload):
         with single._op("stat", "/outer"):
             with pytest.raises(RuntimeError):
