@@ -1,18 +1,20 @@
-"""Simulated cloud storage providers and the GCS-API middleware.
+"""Simulated cloud storage providers and the GCS-API registry.
 
 The paper models each provider as a *passive storage functional entity* with
 exactly five operations — List, Get, Create, Put, Remove — characterised
 externally by its access latency and its price plan (Table II).  This package
-reproduces that model:
+reproduces that model as a registry plus five passive functions: the GCS-API
+registry names the providers, and each provider answers the five functions
+itself.
 
 - :mod:`repro.cloud.objectstore` -- containers/objects with versions
 - :mod:`repro.cloud.latency`     -- RTT + bandwidth latency models, client link
 - :mod:`repro.cloud.pricing`     -- Table II price plans and presets
 - :mod:`repro.cloud.metering`    -- raw usage meters (bytes, ops, byte-time)
 - :mod:`repro.cloud.outage`      -- outage windows / schedules / injection
-- :mod:`repro.cloud.provider`    -- the metered, outage-aware provider
-- :mod:`repro.cloud.gcsapi`      -- the GCS-API middleware (provider registry)
-- :mod:`repro.cloud.rest`        -- RESTful request/response encoding layer
+- :mod:`repro.cloud.provider`    -- the metered, outage-aware provider (the
+                                    five passive functions)
+- :mod:`repro.cloud.gcsapi`      -- the GCS-API provider registry
 """
 
 from repro.cloud.errors import (

@@ -5,41 +5,34 @@ API, short for GCS-API.  The GCS-API middleware hides the complexity of the
 cloud storage providers at the system level ... it is easy to add new cloud
 storage providers to the HyRD system."*
 
-:class:`GcsApi` is that registry: a uniform five-function interface keyed by
-provider name, plus the probe hook the Cost & Performance Evaluator uses.
+:class:`GcsApi` is that registry: providers keyed by unique name.  Every
+registered :class:`~repro.cloud.provider.SimulatedProvider` exposes the
+paper's five passive functions itself, so schemes look a provider up here
+and call those functions on it directly.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.cloud.objectstore import StoredObject
 from repro.cloud.provider import SimulatedProvider
 
 __all__ = ["GcsApi"]
 
 
 class GcsApi:
-    """Uniform dispatch over a set of registered providers."""
+    """The registry of providers a scheme stores on, by unique name."""
 
     def __init__(self, providers: Iterable[SimulatedProvider] = ()) -> None:
         self._providers: dict[str, SimulatedProvider] = {}
         for p in providers:
             self.register(p)
 
-    # -------------------------------------------------------------- registry
     def register(self, provider: SimulatedProvider) -> None:
         """Add a provider; names must be unique."""
         if provider.name in self._providers:
             raise ValueError(f"provider {provider.name!r} already registered")
         self._providers[provider.name] = provider
-
-    def unregister(self, name: str) -> SimulatedProvider:
-        """Remove and return a provider (e.g. after a vendor switch)."""
-        try:
-            return self._providers.pop(name)
-        except KeyError:
-            raise KeyError(f"no provider named {name!r}") from None
 
     def provider(self, name: str) -> SimulatedProvider:
         try:
@@ -53,30 +46,3 @@ class GcsApi:
 
     def providers(self) -> list[SimulatedProvider]:
         return list(self._providers.values())
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._providers
-
-    def __len__(self) -> int:
-        return len(self._providers)
-
-    # --------------------------------------------------- uniform 5-function API
-    def create(self, name: str, container: str, *, exist_ok: bool = False) -> None:
-        self.provider(name).create(container, exist_ok=exist_ok)
-
-    def list(self, name: str, container: str) -> list[str]:
-        return self.provider(name).list(container)
-
-    def get(self, name: str, container: str, key: str) -> bytes:
-        return self.provider(name).get(container, key)
-
-    def put(self, name: str, container: str, key: str, data: bytes) -> StoredObject:
-        return self.provider(name).put(container, key, data)
-
-    def remove(self, name: str, container: str, key: str) -> None:
-        self.provider(name).remove(container, key)
-
-    # ------------------------------------------------------------ evaluation
-    def available_names(self) -> list[str]:
-        """Providers currently outside any outage window."""
-        return [p.name for p in self._providers.values() if p.is_available()]

@@ -9,8 +9,8 @@ Scalar-times-vector products are a single fancy index into a precomputed
 256x256 multiplication table; per the repo's HPC guides we never loop over
 bytes in Python.  This module is the *scalar reference oracle*: correct and
 simple, but its 2-D gathers walk the 64 KiB table cache-hostilely.  The
-data-plane hot paths use :mod:`repro.erasure.gfkernel`, whose strategies are
-all held bit-identical to :func:`gf_matmul` by the property suite — see
+data-plane hot paths use :mod:`repro.erasure.gfkernel`, whose kernel is held
+bit-identical to :func:`gf_matmul` by the property suite — see
 ``docs/codecs.md``.
 """
 

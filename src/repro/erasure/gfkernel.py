@@ -1,4 +1,4 @@
-"""Vectorised GF(2^8) encode kernels — the parity-generation hot path.
+"""Vectorised GF(2^8) encode kernel — the parity-generation hot path.
 
 Parity generation is a constant-matrix product over GF(256): every output
 row is ``XOR_j coeff[i, j] * shard[j]`` for a small, fixed coefficient
@@ -9,40 +9,24 @@ product table that topped out around 140 MB/s for RS(2+2).  This module
 replaces that walk with contiguous table lookups shaped for NumPy's
 ``take`` and keeps every byte bit-identical to the scalar oracle.
 
-Kernel strategies (:func:`set_strategy` or the ``strategy=`` argument):
+Adjacent input bytes are paired through a natural little-endian ``uint16``
+view (no index construction), and output rows are taken in *groups* of
+four, two or one: a gathered entry packs the product pairs for every row
+of its group into 16-bit lanes of a ``uint64`` / ``uint32`` / ``uint16`` —
+one ``take`` on a width-4 group performs eight GF multiplies.  Group widths
+follow from the row count alone (as many fours as fit, then a two, then a
+one).  Tables are 64 Ki entries (128–512 KiB) per coefficient group, built
+in one broadcast pass and kept in a byte-bounded LRU; execution is tiled so
+accumulators stay cache-resident.  On top of that the planner folds input
+columns pairwise: whenever two coefficient columns are equal or differ by
+exactly ``1`` in every row (which is *always* true for the two data columns
+of a systematic Vandermonde code with ``k = 2``), both shards are combined
+with a single XOR pass and one gather covers them both.
 
-``packed`` (chosen by ``auto``, the default)
-    Adjacent input bytes are paired through a natural little-endian
-    ``uint16`` view (no index construction), and output rows are taken in
-    *groups* of four, two or one: a gathered entry packs the product pairs
-    for every row of its group into 16-bit lanes of a ``uint64`` /
-    ``uint32`` / ``uint16`` — one ``take`` on a width-4 group performs
-    eight GF multiplies.  Group widths follow from the row count alone
-    (as many fours as fit, then a two, then a one).  Tables are 64 Ki
-    entries (128–512 KiB) per coefficient group, built in one broadcast
-    pass and kept in a byte-bounded LRU; execution is tiled so
-    accumulators stay cache-resident.  On top of that the planner folds
-    input columns pairwise: whenever two coefficient columns are equal or
-    differ by exactly ``1`` in every row (which is *always* true for the
-    two data columns of a systematic Vandermonde code with ``k = 2``),
-    both shards are combined with a single XOR pass and one gather covers
-    them both.
-``table``
-    One contiguous 256-entry row lookup per (row, column) coefficient,
-    XOR-accumulated — the classic log-free LUT kernel.  Slower than
-    ``packed`` but needs only the shared 64 KiB product table.
-``nibble``
-    Split high/low-nibble tables (two 256x16 byte tables, 8 KiB total)
-    in the ISA-L/PSHUFB style: ``c*x = LO[c][x & 15] ^ HI[c][x >> 4]``.
-    The tables always stay cache-resident, but NumPy pays two gathers
-    plus the nibble extraction per coefficient, so this is a fallback
-    for cache-starved hosts, not the default.
-``scalar``
-    Defers to :func:`~repro.erasure.galois.gf_matmul` — the reference
-    oracle the property suite checks every other strategy against.
-
-See ``docs/codecs.md`` for the full decision tree and the measured
-numbers behind it.
+There is one kernel and one selection, made by the input: products
+shorter than ``_SMALL_CUTOFF`` bytes go to the scalar oracle, where the
+NumPy call overhead would exceed the gather win.  See ``docs/codecs.md``
+for the design and the formulations measured and rejected.
 """
 
 from __future__ import annotations
@@ -54,20 +38,7 @@ import numpy as np
 
 from repro.erasure.galois import MUL_TABLE, gf_matmul
 
-__all__ = [
-    "KERNEL_STRATEGIES",
-    "EncodePlan",
-    "active_strategy",
-    "set_strategy",
-    "plan_for",
-    "encode_parity",
-    "gf_matmul_fast",
-    "xor_rows",
-]
-
-#: accepted strategy names; ``auto`` resolves to the fastest implemented
-#: kernel (currently ``packed``)
-KERNEL_STRATEGIES = ("auto", "packed", "table", "nibble", "scalar")
+__all__ = ["EncodePlan", "plan_for", "gf_matmul_fast", "xor_rows"]
 
 #: uint16 elements per tile — 128 KiB of index bytes, so an index tile,
 #: two accumulators (256 KiB each at width 2) and a couple of tables fit a
@@ -81,34 +52,6 @@ _TABLE_BUDGET = 16 << 20
 _PLAN_MAX = 256
 #: accumulator/table dtype per row-group width — one 16-bit lane per row
 _LANES = {4: np.uint64, 2: np.uint32, 1: np.uint16}
-
-
-def _resolve(strategy: str | None) -> str:
-    name = strategy if strategy is not None else _DEFAULT[0]
-    if name not in KERNEL_STRATEGIES:
-        raise ValueError(
-            f"unknown GF kernel strategy {name!r}; choose from {KERNEL_STRATEGIES}"
-        )
-    return "packed" if name == "auto" else name
-
-
-def active_strategy() -> str:
-    """The strategy new plans resolve to right now (``auto`` resolved)."""
-    return _resolve(None)
-
-
-def set_strategy(name: str | None) -> None:
-    """Set the process-wide default strategy (``None`` restores ``auto``).
-
-    Bound plans are dropped so the next encode re-plans; cached product
-    tables survive (they are strategy-independent data).
-    """
-    _DEFAULT[0] = name if name is not None else "auto"
-    _resolve(None)  # validate eagerly
-    _PLANS.clear()
-
-
-_DEFAULT = ["auto"]
 
 
 # ------------------------------------------------------------------- tables
@@ -161,16 +104,6 @@ class _TableCache:
 
 
 _TABLES = _TableCache()
-_NIBBLE: list[tuple[np.ndarray, np.ndarray] | None] = [None]
-
-
-def _nibble_tables() -> tuple[np.ndarray, np.ndarray]:
-    """(LO, HI) split tables: ``c*x = LO[c][x & 15] ^ HI[c][x >> 4]``."""
-    if _NIBBLE[0] is None:
-        lo = np.ascontiguousarray(MUL_TABLE[:, :16])
-        hi = np.ascontiguousarray(MUL_TABLE[:, 0:256:16])
-        _NIBBLE[0] = (lo, hi)
-    return _NIBBLE[0]
 
 
 # ---------------------------------------------------------------- workspace
@@ -185,7 +118,6 @@ class _Workspace:
     def __init__(self) -> None:
         self.acc = np.empty(_TILE, dtype=np.uint64)
         self.tmp = np.empty(_TILE, dtype=np.uint64)
-        self.tmp8 = np.empty(2 * _TILE, dtype=np.uint8)
         self._idx: list[np.ndarray] = []
 
     def idx(self, i: int) -> np.ndarray:
@@ -256,25 +188,24 @@ def _fold_schedule(coeff: np.ndarray) -> list[_Term]:
 
 
 class EncodePlan:
-    """A coefficient matrix bound to one kernel strategy.
+    """A coefficient matrix compiled for the packed kernel.
 
     Binding analyses the matrix once (column folding, row grouping) so a
     replay write burst pays the planning cost a single time; plans are
-    cached by matrix bytes (:func:`plan_for`), and the packed gather
-    tables live in their own LRU (:class:`_TableCache`) shared across
-    plans.  ``execute`` is byte-identical to ``gf_matmul(coeff, shards)``
-    for every strategy — the hypothesis suite in ``tests/test_gfkernel.py``
-    holds each one to the scalar oracle.
+    cached by matrix bytes (:func:`plan_for`), and the gather tables live
+    in their own LRU (:class:`_TableCache`) shared across plans.
+    ``execute`` is byte-identical to ``gf_matmul(coeff, shards)`` — the
+    hypothesis suite in ``tests/test_gfkernel.py`` holds it to the scalar
+    oracle.
     """
 
-    def __init__(self, coeff: np.ndarray, strategy: str | None = None) -> None:
+    def __init__(self, coeff: np.ndarray) -> None:
         coeff = np.asarray(coeff, dtype=np.uint8)
         if coeff.ndim != 2:
             raise ValueError(f"coefficient matrix must be 2-D, got {coeff.shape}")
         self.coeff = coeff
-        self.strategy = _resolve(strategy)
         self.m, self.k = coeff.shape
-        self._terms = _fold_schedule(coeff) if self.strategy == "packed" else []
+        self._terms = _fold_schedule(coeff)
         # Row groups (first row, width, [(term, group coefficients)]): as
         # many fours as fit, then a two, then a one; all-zero gathers drop.
         self._groups: list[tuple[int, int, list[tuple[int, tuple[int, ...]]]]] = []
@@ -316,21 +247,13 @@ class EncodePlan:
             )
         if length == 0 or self.m == 0:
             return out
-        if self.strategy == "scalar" or length < _SMALL_CUTOFF:
+        if length < _SMALL_CUTOFF:
             stacked = np.vstack([np.asarray(r[:length], dtype=np.uint8) for r in rows])
             out[:] = gf_matmul(self.coeff, stacked)
             return out
-        if self.strategy == "packed":
-            self._run_packed(rows, length, out)
-        elif self.strategy == "table":
-            self._run_table(rows, length, out)
-        else:
-            self._run_nibble(rows, length, out)
+        self._run_packed(rows, length, out)
         return out
 
-    __call__ = execute
-
-    # --------------------------------------------------------------- packed
     def _run_packed(
         self, rows: Sequence[np.ndarray], length: int, out: np.ndarray
     ) -> None:
@@ -381,88 +304,23 @@ class EncodePlan:
             tail = np.array([[int(r[length - 1])] for r in rows], dtype=np.uint8)
             out[:, even:] = gf_matmul(self.coeff, tail)
 
-    # ---------------------------------------------------------------- table
-    def _run_table(
-        self, rows: Sequence[np.ndarray], length: int, out: np.ndarray
-    ) -> None:
-        ws = _WS
-        tile = 2 * _TILE
-        for s in range(0, length, tile):
-            e = min(s + tile, length)
-            w = e - s
-            for i in range(self.m):
-                acc = out[i, s:e]
-                first = True
-                for j in range(self.k):
-                    c = int(self.coeff[i, j])
-                    if c == 0:
-                        continue
-                    src = rows[j][s:e]
-                    if first:
-                        if c == 1:
-                            np.copyto(acc, src)
-                        else:
-                            np.take(MUL_TABLE[c], src, out=acc, mode="clip")
-                        first = False
-                    elif c == 1:
-                        np.bitwise_xor(acc, src, out=acc)
-                    else:
-                        tmp = ws.tmp8[:w]
-                        np.take(MUL_TABLE[c], src, out=tmp, mode="clip")
-                        np.bitwise_xor(acc, tmp, out=acc)
-                if first:
-                    acc[:] = 0
-
-    # --------------------------------------------------------------- nibble
-    def _run_nibble(
-        self, rows: Sequence[np.ndarray], length: int, out: np.ndarray
-    ) -> None:
-        lo_t, hi_t = _nibble_tables()
-        ws = _WS
-        tile = 2 * _TILE
-        for s in range(0, length, tile):
-            e = min(s + tile, length)
-            w = e - s
-            los: list[np.ndarray | None] = [None] * self.k
-            his: list[np.ndarray | None] = [None] * self.k
-            out[:, s:e] = 0
-            for i in range(self.m):
-                acc = out[i, s:e]
-                for j in range(self.k):
-                    c = int(self.coeff[i, j])
-                    if c == 0:
-                        continue
-                    src = rows[j][s:e]
-                    if c == 1:
-                        np.bitwise_xor(acc, src, out=acc)
-                        continue
-                    if los[j] is None:
-                        # nibble split computed lazily, once per shard tile
-                        los[j] = np.bitwise_and(src, 15)
-                        his[j] = np.right_shift(src, 4)
-                    tmp = ws.tmp8[:w]
-                    np.take(lo_t[c], los[j], out=tmp, mode="clip")
-                    np.bitwise_xor(acc, tmp, out=acc)
-                    np.take(hi_t[c], his[j], out=tmp, mode="clip")
-                    np.bitwise_xor(acc, tmp, out=acc)
-
 
 # ------------------------------------------------------------------- caches
-_PLANS: OrderedDict[tuple[str, tuple[int, int], bytes], EncodePlan] = OrderedDict()
+_PLANS: OrderedDict[tuple[tuple[int, int], bytes], EncodePlan] = OrderedDict()
 
 
-def plan_for(coeff: np.ndarray, strategy: str | None = None) -> EncodePlan:
-    """The cached :class:`EncodePlan` for ``coeff`` under ``strategy``.
+def plan_for(coeff: np.ndarray) -> EncodePlan:
+    """The cached :class:`EncodePlan` for ``coeff``.
 
-    Keyed by matrix bytes and resolved strategy, LRU-bounded: a replayer
-    driving thousands of writes through one codec binds the matrix once
-    and reuses the plan for the whole burst.
+    Keyed by matrix bytes, LRU-bounded: a replayer driving thousands of
+    writes through one codec binds the matrix once and reuses the plan for
+    the whole burst.
     """
     coeff = np.asarray(coeff, dtype=np.uint8)
-    key = (_resolve(strategy), coeff.shape, coeff.tobytes())
+    key = (coeff.shape, coeff.tobytes())
     plan = _PLANS.get(key)
     if plan is None:
-        plan = EncodePlan(coeff, strategy)
+        plan = EncodePlan(coeff)
         _PLANS[key] = plan
         if len(_PLANS) > _PLAN_MAX:
             _PLANS.popitem(last=False)
@@ -471,20 +329,7 @@ def plan_for(coeff: np.ndarray, strategy: str | None = None) -> EncodePlan:
     return plan
 
 
-def encode_parity(
-    coeff: np.ndarray,
-    rows: Sequence[np.ndarray],
-    length: int,
-    strategy: str | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Parity rows ``coeff @ rows`` over GF(256) via the cached plan."""
-    return plan_for(coeff, strategy).execute(rows, length, out)
-
-
-def gf_matmul_fast(
-    a: np.ndarray, b: np.ndarray, strategy: str | None = None
-) -> np.ndarray:
+def gf_matmul_fast(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Drop-in for :func:`~repro.erasure.galois.gf_matmul`, kernel-backed.
 
     Same shape contract — ``(r, c) x (c, L) -> (r, L)`` — and bit-identical
@@ -495,7 +340,7 @@ def gf_matmul_fast(
     b = np.asarray(b, dtype=np.uint8)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"incompatible shapes for GF matmul: {a.shape} x {b.shape}")
-    return plan_for(a, strategy).execute(list(b), b.shape[1])
+    return plan_for(a).execute(list(b), b.shape[1])
 
 
 def xor_rows(

@@ -5,10 +5,10 @@ The generator matrix is an (n, k) systematic Vandermonde derivative
 are the raw data shards, the remaining m = n - k are parity.  Any k fragments
 reconstruct the payload by inverting the corresponding kxk sub-matrix.
 
-Parity generation and degraded decode run through the vectorised kernels in
-:mod:`repro.erasure.gfkernel` (strategy selectable via ``set_strategy``);
-output stays bit-identical to the scalar ``gf_matmul`` oracle.  See
-``docs/codecs.md`` for the derivation and kernel decision tree.
+Parity generation and degraded decode run through the vectorised kernel in
+:mod:`repro.erasure.gfkernel`; output stays bit-identical to the scalar
+``gf_matmul`` oracle.  See ``docs/codecs.md`` for the derivation and the
+kernel design.
 """
 
 from __future__ import annotations

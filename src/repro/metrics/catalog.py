@@ -64,9 +64,8 @@ _SPECS: tuple[MetricSpec, ...] = (
         "codec_encode_bytes_total",
         "counter",
         "Payload bytes erasure-encoded on striped write paths, by codec "
-        "class and the GF kernel strategy active at encode time (see "
-        "docs/codecs.md for the strategy decision tree).",
-        labels=("codec", "kernel"),
+        "class.",
+        labels=("codec",),
         unit="B",
     ),
     MetricSpec(

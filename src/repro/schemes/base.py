@@ -44,7 +44,6 @@ from repro.cloud.latency import ClientLink
 from repro.cloud.provider import SimulatedProvider
 from repro.core.recovery import LoggedWrite, WriteLog
 from repro.core.resilience import CircuitBreaker, ProviderHealth, ResilienceConfig
-from repro.erasure import gfkernel
 from repro.erasure.codec import ErasureCodec, get_codec
 from repro.faults.crash import ClientCrash, CrashSchedule
 from repro.fs.journal import IntentJournal
@@ -1508,17 +1507,13 @@ class Scheme(ABC):
         write encodes here: a traced span plus the
         ``codec_encode_bytes_total`` counter.  Fragments are
         :meth:`~repro.erasure.codec.ErasureCodec.encode_views` results —
-        zero-copy views where the codec allows.  The ``kernel`` label is
-        the process-wide GF strategy name; it says nothing per codec
-        (RAID5 XORs and never touches a GF table)."""
+        zero-copy views where the codec allows."""
         with self.tracer.span(
             "codec.encode", codec=type(codec).__name__, size=len(data)
         ):
             fragments = codec.encode_views(data)
         self.registry.counter(
-            "codec_encode_bytes_total",
-            codec=type(codec).__name__,
-            kernel=gfkernel.active_strategy(),
+            "codec_encode_bytes_total", codec=type(codec).__name__
         ).inc(len(data))
         return fragments
 

@@ -1,62 +1,30 @@
-"""Unit tests for the GCS-API middleware."""
+"""Unit tests for the GCS-API provider registry."""
 
 import pytest
 
 from repro.cloud.gcsapi import GcsApi
-from repro.cloud.outage import OutageWindow
 
 
 class TestRegistry:
     def test_register_and_lookup(self, providers):
         api = GcsApi(providers.values())
-        assert len(api) == 4
-        assert "aliyun" in api
+        assert len(api.names()) == 4
+        assert "aliyun" in api.names()
         assert api.provider("aliyun").name == "aliyun"
+        assert api.providers() == list(providers.values())
 
     def test_duplicate_rejected(self, providers):
         api = GcsApi([providers["aliyun"]])
         with pytest.raises(ValueError):
             api.register(providers["aliyun"])
+        assert api.names() == ["aliyun"]
 
     def test_unknown_lookup(self, providers):
         api = GcsApi(providers.values())
+        assert "nope" not in api.names()
         with pytest.raises(KeyError):
             api.provider("nope")
-
-    def test_unregister(self, providers):
-        api = GcsApi(providers.values())
-        removed = api.unregister("azure")
-        assert removed.name == "azure"
-        assert "azure" not in api
-        with pytest.raises(KeyError):
-            api.unregister("azure")
 
     def test_names_preserve_registration_order(self, providers):
         api = GcsApi(providers.values())
         assert api.names() == list(providers)
-
-
-class TestUniformDispatch:
-    def test_five_ops_by_name(self, providers):
-        api = GcsApi(providers.values())
-        api.create("aliyun", "c")
-        api.put("aliyun", "c", "k", b"v")
-        assert api.get("aliyun", "c", "k") == b"v"
-        assert api.list("aliyun", "c") == ["k"]
-        api.remove("aliyun", "c", "k")
-        assert api.list("aliyun", "c") == []
-
-    def test_isolation_between_providers(self, providers):
-        api = GcsApi(providers.values())
-        api.create("aliyun", "c")
-        api.create("azure", "c")
-        api.put("aliyun", "c", "k", b"v")
-        assert api.list("azure", "c") == []
-
-
-class TestAvailability:
-    def test_available_names(self, providers, clock):
-        providers["azure"].outages.add(OutageWindow(0.0))
-        api = GcsApi(providers.values())
-        assert "azure" not in api.available_names()
-        assert "aliyun" in api.available_names()

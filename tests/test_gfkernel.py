@@ -1,9 +1,9 @@
-"""The vectorised GF kernels against the scalar oracle, byte for byte.
+"""The vectorised GF kernel against the scalar oracle, byte for byte.
 
-Every kernel strategy must reproduce ``gf_matmul`` exactly — on arbitrary
-coefficient matrices, on the folded-column structures the planner exploits,
-at odd lengths that exercise the uint16 pairing tail, and through every
-codec's ``encode`` / ``encode_views`` surface.
+The kernel must reproduce ``gf_matmul`` exactly — on arbitrary coefficient
+matrices, on the folded-column structures the planner exploits, at odd
+lengths that exercise the uint16 pairing tail, and through every codec's
+``encode`` / ``encode_views`` surface.
 """
 
 import numpy as np
@@ -14,32 +14,15 @@ from hypothesis import strategies as st
 from repro.erasure import gfkernel
 from repro.erasure.fmsr import FMSRCode
 from repro.erasure.galois import gf_matmul, systematic_vandermonde
-from repro.erasure.gfkernel import (
-    KERNEL_STRATEGIES,
-    EncodePlan,
-    active_strategy,
-    encode_parity,
-    gf_matmul_fast,
-    plan_for,
-    set_strategy,
-    xor_rows,
-)
+from repro.erasure.gfkernel import EncodePlan, gf_matmul_fast, plan_for, xor_rows
 from repro.erasure.raid5 import Raid5Code
 from repro.erasure.reed_solomon import ReedSolomonCode
 from repro.erasure.replication import ReplicationCode
 from repro.erasure.striping import split_shards
 
-STRATEGIES = ("packed", "table", "nibble", "scalar")
-
 #: lengths that cross every kernel boundary: empty, single byte (odd tail
 #: with no vector body), around the scalar cutoff, and around the tile size
 BOUNDARY_LENGTHS = (0, 1, 2, 3, 2047, 2048, 2049, 65535, 65536, 65537)
-
-
-@pytest.fixture(autouse=True)
-def _restore_strategy():
-    yield
-    set_strategy(None)
 
 
 def _random_case(seed: int, m: int, k: int, length: int):
@@ -53,11 +36,10 @@ def _random_case(seed: int, m: int, k: int, length: int):
 
 
 class TestKernelEquivalence:
-    @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("length", BOUNDARY_LENGTHS)
-    def test_matches_oracle_at_boundaries(self, strategy, length):
+    def test_matches_oracle_at_boundaries(self, length):
         coeff, rows, expected = _random_case(length + 17, 3, 4, length)
-        got = encode_parity(coeff, rows, length, strategy=strategy)
+        got = plan_for(coeff).execute(rows, length)
         assert np.array_equal(got, expected)
 
     @given(
@@ -69,12 +51,9 @@ class TestKernelEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_matches_oracle_fuzzed(self, seed, m, k, length):
         coeff, rows, expected = _random_case(seed, m, k, length)
-        for strategy in STRATEGIES:
-            got = encode_parity(coeff, rows, length, strategy=strategy)
-            assert np.array_equal(got, expected), strategy
+        assert np.array_equal(plan_for(coeff).execute(rows, length), expected)
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_vandermonde_folded_columns(self, strategy):
+    def test_vandermonde_folded_columns(self):
         """k=2 systematic generators hit the planner's difference-one fold;
         duplicated columns hit the difference-zero fold."""
         rng = np.random.default_rng(5)
@@ -83,32 +62,27 @@ class TestKernelEquivalence:
             gen = systematic_vandermonde(n, 2)[2:]
             rows = [rng.integers(0, 256, size=length, dtype=np.uint8) for _ in range(2)]
             expected = gf_matmul(gen, np.vstack(rows))
-            got = encode_parity(gen, rows, length, strategy=strategy)
+            got = plan_for(gen).execute(rows, length)
             assert np.array_equal(got, expected)
         dup = np.array([[7, 7, 3], [9, 9, 1], [4, 4, 4]], dtype=np.uint8)
         rows = [rng.integers(0, 256, size=length, dtype=np.uint8) for _ in range(3)]
         expected = gf_matmul(dup, np.vstack(rows))
-        assert np.array_equal(
-            encode_parity(dup, rows, length, strategy=strategy), expected
-        )
+        assert np.array_equal(plan_for(dup).execute(rows, length), expected)
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_unaligned_row_offsets(self, strategy):
+    def test_unaligned_row_offsets(self):
         """Shard rows at odd byte offsets (split_views slices) still work."""
         rng = np.random.default_rng(9)
         base = rng.integers(0, 256, size=3 * 4097, dtype=np.uint8)
         rows = [base[i * 4097 : (i + 1) * 4097] for i in range(3)]
         coeff = rng.integers(0, 256, size=(2, 3), dtype=np.uint8)
         expected = gf_matmul(coeff, np.vstack(rows))
-        got = encode_parity(coeff, rows, 4097, strategy=strategy)
+        got = plan_for(coeff).execute(rows, 4097)
         assert np.array_equal(got, expected)
 
     def test_zero_coefficient_rows(self):
         coeff = np.zeros((3, 2), dtype=np.uint8)
         rows = [np.arange(5000, dtype=np.uint8) % 251 for _ in range(2)]
-        for strategy in STRATEGIES:
-            got = encode_parity(coeff, rows, 5000, strategy=strategy)
-            assert not got.any()
+        assert not plan_for(coeff).execute(rows, 5000).any()
 
 
 class TestRowGroups:
@@ -152,13 +126,13 @@ class TestRowGroups:
         rows = [rng.integers(0, 256, size=length, dtype=np.uint8) for _ in range(k)]
         expected = gf_matmul(coeff, np.vstack(rows))
         out = np.full((m, length), 0xA5, dtype=np.uint8) if supply_out else None
-        got = EncodePlan(coeff, "packed").execute(rows, length, out)
+        got = EncodePlan(coeff).execute(rows, length, out)
         assert out is None or got is out
         assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("m", range(1, 10))
     def test_group_widths_follow_the_row_count(self, m):
-        plan = EncodePlan(np.ones((m, 2), dtype=np.uint8), "packed")
+        plan = EncodePlan(np.ones((m, 2), dtype=np.uint8))
         widths = [width for _, width, _ in plan._groups]
         assert widths == [4] * (m // 4) + [2] * (m % 4 // 2) + [1] * (m % 2)
         assert [r0 for r0, _, _ in plan._groups] == [
@@ -197,7 +171,7 @@ class TestRowGroups:
         monkeypatch.setattr(gfkernel, "_TABLE_BUDGET", 1 << 20)
         coeff, rows, expected = _random_case(23, 8, 4, 300001)
         for _ in range(2):
-            assert np.array_equal(encode_parity(coeff, rows, 300001), expected)
+            assert np.array_equal(plan_for(coeff).execute(rows, 300001), expected)
         assert gfkernel._TABLES._bytes <= 1 << 20
 
 
@@ -209,7 +183,7 @@ class TestPlanApi:
     def test_out_parameter(self):
         coeff, rows, expected = _random_case(1, 2, 3, 3000)
         out = np.empty((2, 3000), dtype=np.uint8)
-        got = encode_parity(coeff, rows, 3000, out=out)
+        got = plan_for(coeff).execute(rows, 3000, out)
         assert got is out
         assert np.array_equal(out, expected)
 
@@ -242,30 +216,6 @@ class TestPlanApi:
         a = rng.integers(0, 256, size=(r, c), dtype=np.uint8)
         b = rng.integers(0, 256, size=(c, length), dtype=np.uint8)
         assert np.array_equal(gf_matmul_fast(a, b), gf_matmul(a, b))
-
-
-class TestStrategySelection:
-    def test_auto_resolves_to_packed(self):
-        set_strategy("auto")
-        assert active_strategy() == "packed"
-
-    def test_explicit_strategy_sticks(self):
-        set_strategy("nibble")
-        assert active_strategy() == "nibble"
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError, match="unknown GF kernel strategy"):
-            set_strategy("simd9000")
-        with pytest.raises(ValueError, match="unknown GF kernel strategy"):
-            encode_parity(
-                np.ones((1, 1), dtype=np.uint8),
-                [np.zeros(4, dtype=np.uint8)],
-                4,
-                strategy="nope",
-            )
-
-    def test_all_names_listed(self):
-        assert set(STRATEGIES) <= set(KERNEL_STRATEGIES)
 
 
 class TestXorRows:
@@ -309,9 +259,7 @@ def _boundary_payload_sizes(codec):
 
 class TestCodecSurfaces:
     @pytest.mark.parametrize("codec", _all_codecs())
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_encode_views_equals_encode(self, codec, strategy):
-        set_strategy(strategy)
+    def test_encode_views_equals_encode(self, codec):
         rng = np.random.default_rng(23)
         for size in _boundary_payload_sizes(codec):
             payload = rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
@@ -320,17 +268,14 @@ class TestCodecSurfaces:
             assert views == encoded, f"size={size}"
 
     @pytest.mark.parametrize("codec", _all_codecs())
-    def test_strategies_agree_on_encode(self, codec):
+    def test_encode_matches_scalar_oracle(self, codec, monkeypatch):
+        """With the cutoff raised past the payload every GF product goes
+        through ``gf_matmul``; the codec's fragments must not change."""
         rng = np.random.default_rng(31)
         payload = rng.integers(0, 256, size=3 * 2048 * codec.k + 1, dtype=np.uint8).tobytes()
-        reference = None
-        for strategy in STRATEGIES:
-            set_strategy(strategy)
-            frags = [bytes(f) for f in codec.encode(payload)]
-            if reference is None:
-                reference = frags
-            else:
-                assert frags == reference, strategy
+        kernel = [bytes(f) for f in codec.encode(payload)]
+        monkeypatch.setattr(gfkernel, "_SMALL_CUTOFF", len(payload) + 1)
+        assert [bytes(f) for f in codec.encode(payload)] == kernel
 
     def test_rs_encode_matches_scalar_generator_product(self):
         """The gate's identity check, in miniature: kernel fragments equal
@@ -342,9 +287,3 @@ class TestCodecSurfaces:
         oracle = gf_matmul(codec.generator_matrix, split_shards(payload, codec.k))
         for i, frag in enumerate(codec.encode_views(payload)):
             assert bytes(frag) == oracle[i].tobytes(), i
-
-
-class TestDefaultStrategyIsVectorised:
-    def test_module_default(self):
-        # Guards against accidentally shipping with the oracle as default.
-        assert gfkernel.active_strategy() in ("packed", "table", "nibble")

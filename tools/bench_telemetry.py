@@ -14,9 +14,8 @@ and A/B noise bounds belong to ``perfbench/``.  The facets:
 - **availability** — the analytic k-of-n model's availability and nines per
   standard placement;
 - **codec** — fragment fingerprints (CRC32 per fragment) for every codec on
-  a seeded payload, with the vectorised GF kernel strategies cross-checked
-  against each other *and* ``encode_views`` against ``encode`` at
-  generation time.  A fingerprint that moves means encode output changed;
+  a seeded payload, with ``encode_views`` cross-checked against ``encode``
+  at generation time.  A fingerprint that moves means encode output changed;
 - **replay throughput** — the fig3-scale IA replay through HyRD: op count,
   mean access latency, simulated elapsed time;
 - **maintenance** — the seeded maintenance drill (scrub / budgeted repair /
@@ -176,23 +175,17 @@ CODEC_MATRIX = (
     ("fmsr_4_2", "fmsr", {"n": 4}),
 )
 
-#: GF kernel strategies cross-checked by the deterministic codec facet
-KERNEL_STRATEGIES_CHECKED = ("packed", "table", "nibble", "scalar")
-
-
 def run_codec_facet(seed: int) -> dict:
     """Deterministic per-fragment CRC32 fingerprints for every codec.
 
-    Generation asserts the cross-implementation contracts outright — every
-    GF kernel strategy produces the same bytes, and ``encode_views`` /
-    ``encode`` agree — then records one CRC32 per fragment.  The golden is
+    Generation asserts that ``encode_views`` and ``encode`` agree, then
+    records one CRC32 per fragment.  The golden is
     compared exactly, so a changed fragment fails unless its new CRC32
     collides with the old one (2^-32).
     """
     import zlib
 
     from repro.erasure.codec import get_codec
-    from repro.erasure.gfkernel import set_strategy
     from repro.sim.rng import make_rng
 
     # Odd size on purpose: exercises tail-column handling and padding.
@@ -206,16 +199,6 @@ def run_codec_facet(seed: int) -> dict:
         views = [bytes(f) for f in codec.encode_views(payload)]
         if views != reference:
             raise AssertionError(f"{label}: encode_views != encode")
-        try:
-            for strategy in KERNEL_STRATEGIES_CHECKED:
-                set_strategy(strategy)
-                got = [bytes(f) for f in codec.encode(payload)]
-                if got != reference:
-                    raise AssertionError(
-                        f"{label}: kernel strategy {strategy!r} diverged"
-                    )
-        finally:
-            set_strategy(None)
         out[label] = {
             "fragment_bytes": len(reference[0]),
             "fragments_crc32": {
