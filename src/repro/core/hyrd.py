@@ -68,9 +68,9 @@ class HyRDClient(Scheme):
         # Breaker state feeds placement preference: tripped providers keep
         # their slots but lose priority (hot copies land elsewhere).
         self.dispatcher.set_usable_guard(self._provider_usable)
-        #: path -> (provider, version) of promoted hot copies (Figure 2)
-        self._hot: dict[str, tuple[str, int]] = {}
-        self._hot_digests: dict[str, str] = {}
+        #: path -> (provider, version, uploaded object) of promoted hot
+        #: copies (Figure 2)
+        self._hot: dict[str, tuple[str, int, bytes]] = {}
         self._pending_promotion: tuple[str, bytes] | None = None
 
     # ----------------------------------------------------------- placement
@@ -131,7 +131,7 @@ class HyRDClient(Scheme):
         assert codec is not None
         hot = self._hot.get(entry.path)
         if hot is not None:
-            hot_provider, hot_version = hot
+            hot_provider, hot_version, promoted = hot
             if (
                 hot_version == entry.version
                 and self.provider(hot_provider).is_available()
@@ -174,14 +174,14 @@ class HyRDClient(Scheme):
                         ]
                     )
                     outcome = phase.outcomes[0]
-                    if outcome.ok and outcome.data is not None:
-                        expected = self._hot_digests.get(entry.path)
-                        if expected is None or self._verify_digest(
-                            self._hot_key(entry.path, entry.version),
-                            outcome.data,
-                            expected,
-                        ):
-                            return outcome.data, False
+                    # The copy was uploaded from a verified stripe read, and
+                    # the object kept beside it is the reference: accept the
+                    # very object (a zero-copy store hands it back), else the
+                    # same bytes.
+                    if outcome.ok and (
+                        outcome.data is promoted or outcome.data == promoted
+                    ):
+                        return outcome.data, False
                     # Hot copy raced an outage or was corrupted: fall
                     # through to the verified stripe.
         return super()._read_object(entry)
@@ -215,10 +215,9 @@ class HyRDClient(Scheme):
 
     def _drop_hot_copy(self, path: str) -> None:
         hot = self._hot.pop(path, None)
-        self._hot_digests.pop(path, None)
         if hot is None:
             return
-        provider, version = hot
+        provider, version, _promoted = hot
         if self.provider(provider).store.has(
             self.container, self._hot_key(path, version)
         ):
@@ -243,14 +242,16 @@ class HyRDClient(Scheme):
         key = self._hot_key(path, entry.version)
         with self._op("promote", path) as op:
             self._run_phase([CloudOp(target, "put", self.container, key, data)])
-        self._hot[path] = (target, entry.version)
-        self._hot_digests[path] = self._record_digest(key, data)
+        self._hot[path] = (target, entry.version, data)
         return op.report
 
     # --------------------------------------------------------------- intro
     def hot_copies(self) -> dict[str, tuple[str, int]]:
         """Currently promoted large files: path -> (provider, version)."""
-        return dict(self._hot)
+        return {
+            path: (provider, version)
+            for path, (provider, version, _promoted) in self._hot.items()
+        }
 
     def _extra_expected_keys(self) -> set[str]:
         # Promoted hot copies are scheme-private keys no namespace placement
@@ -259,7 +260,7 @@ class HyRDClient(Scheme):
         # copies are swept — they are regenerable cache, not redundancy.)
         return {
             self._hot_key(path, version)
-            for path, (_provider, version) in self._hot.items()
+            for path, (_provider, version, _promoted) in self._hot.items()
         }
 
     # ------------------------------------------- adaptation & vendor mobility

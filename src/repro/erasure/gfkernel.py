@@ -351,7 +351,8 @@ def xor_rows(
     ``rows`` may be uint8 arrays or any bytes-like buffers of at least
     ``length`` bytes; returns a fresh (or supplied) uint8 array of
     ``length``.  Tiling keeps the accumulator cache-resident when folding
-    many fragments.
+    many fragments; the first two rows XOR straight into it, so no row is
+    copied first.
     """
     if out is None:
         out = np.empty(length, dtype=np.uint8)
@@ -362,11 +363,15 @@ def xor_rows(
     if not arrs:
         out[:length] = 0
         return out
+    first, rest = arrs[0], arrs[1:]
     tile = 4 * _TILE
     for s in range(0, length, tile):
         e = min(s + tile, length)
         acc = out[s:e]
-        np.copyto(acc, arrs[0][s:e])
-        for arr in arrs[1:]:
+        if rest:
+            np.bitwise_xor(first[s:e], rest[0][s:e], out=acc)
+        else:
+            np.copyto(acc, first[s:e])
+        for arr in rest[1:]:
             np.bitwise_xor(acc, arr[s:e], out=acc)
     return out

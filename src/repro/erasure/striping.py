@@ -47,9 +47,10 @@ def split_views(data, k: int) -> list[np.ndarray]:
     Byte-identical to :func:`split_shards` row-by-row, but every shard that
     needs no zero padding is a *view* into ``data`` (which must therefore be
     an immutable buffer — bytes or a frozen-by-convention memoryview).  Only
-    the padded tail shard is copied.  The returned views pin ``data`` alive,
-    which is exactly what the zero-copy write path wants: stored fragments
-    and their source payload share one allocation.
+    the padded tail shard is copied, and only its pad is zero-filled.  The
+    returned views pin ``data`` alive, which is exactly what the zero-copy
+    write path wants: stored fragments and their source payload share one
+    allocation.
     """
     arr = np.frombuffer(data, dtype=np.uint8)
     size = arr.size
@@ -60,10 +61,10 @@ def split_views(data, k: int) -> list[np.ndarray]:
     head = arr[: whole * ln].reshape(whole, ln)
     rows = [head[i] for i in range(whole)]
     if whole < k:
-        tail = np.zeros(ln, dtype=np.uint8)
+        tail = np.empty(ln, dtype=np.uint8)
         rem = size - whole * ln
-        if rem:
-            tail[:rem] = arr[whole * ln :]
+        tail[:rem] = arr[whole * ln :]
+        tail[rem:] = 0
         rows.append(tail)
         rows.extend(np.zeros(ln, dtype=np.uint8) for _ in range(k - whole - 1))
     return rows

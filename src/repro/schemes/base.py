@@ -155,7 +155,8 @@ class _DigestCache:
 
 
 class _PayloadCache:
-    """Byte-bounded LRU of ``versioned key -> (fragment ids, payload)``.
+    """``versioned key -> (fragment ids, payload)``, charged only for the
+    payload bytes no stored fragment already pins.
 
     A striped read that fetches the *exact fragment objects* recorded at
     write time (identity check, same soundness argument as
@@ -164,26 +165,48 @@ class _PayloadCache:
     so the decode + join can be skipped and the original payload returned.
     Any substituted fragment (corruption, reconstruction, a re-put) is a
     fresh object, misses by id, and falls through to a real decode.
+
+    The unpadded data fragments of a systematic stripe are views of the
+    payload (:func:`~repro.erasure.striping.split_views`), so the stores
+    keep the payload alive whether or not an entry holds it: such an entry
+    (RAID5, RS) costs nothing and lives until :meth:`discard`.  An entry
+    whose fragments share no memory with the payload (FMSR, DepSky-CA
+    bundles) costs the payload's length and is evicted least recently used
+    once those costs pass ``budget``.
     """
 
-    __slots__ = ("_entries", "_budget", "_bytes")
+    __slots__ = ("_entries", "_charged", "_budget", "_bytes")
 
     def __init__(self, budget: int = 256 << 20) -> None:
-        self._entries: OrderedDict[str, tuple[tuple[int, ...], bytes]] = OrderedDict()
+        self._entries: dict[str, tuple[tuple[int, ...], bytes]] = {}
+        #: key -> cost of every entry that costs bytes, least recent first
+        self._charged: OrderedDict[str, int] = OrderedDict()
         self._budget = budget
         self._bytes = 0
 
     def record(self, key: str, fragments, payload) -> None:
-        if len(payload) > self._budget:
+        """Replace ``key``'s entry by ``payload`` as what ``fragments``
+        encode; only an immutable ``bytes`` payload is kept."""
+        self.discard(key)
+        if not isinstance(payload, bytes):
             return
-        old = self._entries.pop(key, None)
-        if old is not None:
-            self._bytes -= len(old[1])
+        base = np.frombuffer(payload, dtype=np.uint8)
+        pinned = any(
+            np.may_share_memory(np.frombuffer(f, dtype=np.uint8), base)
+            for f in fragments
+        )
+        cost = 0 if pinned else len(payload)
+        if cost > self._budget:
+            return
         self._entries[key] = (tuple(id(f) for f in fragments), payload)
-        self._bytes += len(payload)
+        if not cost:
+            return
+        self._charged[key] = cost
+        self._bytes += cost
         while self._bytes > self._budget:
-            _, (_ids, evicted) = self._entries.popitem(last=False)
-            self._bytes -= len(evicted)
+            evicted, spent = self._charged.popitem(last=False)
+            del self._entries[evicted]
+            self._bytes -= spent
 
     def lookup(self, key: str, collected) -> bytes | None:
         """The cached payload iff every collected fragment matches by id."""
@@ -194,15 +217,15 @@ class _PayloadCache:
         for idx, frag in collected.items():
             if idx >= len(ids) or id(frag) != ids[idx]:
                 return None
-        self._entries.move_to_end(key)
+        if key in self._charged:
+            self._charged.move_to_end(key)
         return payload
 
     def discard(self, key: str) -> None:
         """Drop ``key``'s entry — required whenever its stored fragments are
         deleted or rebound, so recycled buffer ids can never false-match."""
-        old = self._entries.pop(key, None)
-        if old is not None:
-            self._bytes -= len(old[1])
+        if self._entries.pop(key, None) is not None:
+            self._bytes -= self._charged.pop(key, 0)
 
 
 @dataclass(slots=True)
@@ -1725,17 +1748,20 @@ class Scheme(ABC):
             for i in touched
         ]
         self._run_phase(write_ops)
-        # Re-record digests for the rewritten keys only: their stores now hold
-        # the fresh buffers.  Untouched data fragments keep their old stored
-        # object — and their old digest, since size and boundaries are fixed.
-        # (Recording a never-stored buffer would let its id be recycled while
-        # the cache entry lives, breaking the identity-skip soundness.)
-        touched_set = set(touched)
+        # Re-record digests for the rewritten keys only, as one batch like a
+        # write's: their stores now hold the fresh buffers.  Untouched data
+        # fragments keep their old stored object — and their old digest,
+        # since size and boundaries are fixed.  (Recording a never-stored
+        # buffer would let its id be recycled while the cache entry lives,
+        # breaking the identity-skip soundness.)
+        fresh = self._digest_fragments(
+            [op.key for op in write_ops], [fragments[i] for i in touched]
+        )
+        rewritten = dict(zip(touched, fresh))
         new_digests = []
         for i, f in enumerate(fragments):
-            if i in touched_set:
-                key = self._fragment_key(entry.path, i, entry.version)
-                new_digests.append(self._record_digest(key, f))
+            if i in rewritten:
+                new_digests.append(rewritten[i])
             elif entry.digests is not None and i < len(entry.digests):
                 new_digests.append(entry.digests[i])
             else:
@@ -1744,9 +1770,10 @@ class Scheme(ABC):
         # payload entry must go; re-record only when every fragment was
         # rewritten (otherwise some recorded ids would be dangling views).
         cache_key = self._version_key(entry.path, entry.version)
-        self._payload_cache.discard(cache_key)
-        if isinstance(new_content, bytes) and len(touched_set) == codec.n:
+        if len(touched) == codec.n:
             self._payload_cache.record(cache_key, fragments, new_content)
+        else:
+            self._payload_cache.discard(cache_key)
         return replace(entry, modified=self.clock.now, digests=tuple(new_digests))
 
     def _note_sched_decision(self, decision, by_index: dict[int, str]) -> None:
@@ -2510,8 +2537,7 @@ class Scheme(ABC):
             digests = (self._record_digest(version_key, data),) * len(providers)
         else:
             digests = self._digest_fragments(keys, bodies)
-            if isinstance(data, bytes):
-                self._payload_cache.record(version_key, bodies, data)
+            self._payload_cache.record(version_key, bodies, data)
         return [(p, i) for i, p in enumerate(providers)], digests
 
     def _read_object(self, entry: FileEntry) -> tuple[bytes, bool]:

@@ -170,6 +170,9 @@ class NCCloudScheme(Scheme):
                 )
             ]
         )
+        # The repaired key now holds a fresh buffer, so the payload entry
+        # recorded for this version must go before its ids can be recycled.
+        self._payload_cache.discard(self._version_key(path, entry.version))
         # Charge the downloads' wire time in one batch.
         self._settle(
             self.link.elapsed(

@@ -15,12 +15,13 @@ size — which keeps every (path, version) payload distinct without per-op
 RNG work.
 
 Reads are verified against *recipes* — ``(version, size, applied patches)``
-per path — with three tiers, cheapest first: recently written payloads are
-retained in a byte-bounded LRU, and a zero-copy read that hands back the
-very object the replayer wrote is equal *by identity*; unpatched payloads
-otherwise get a streaming tiled comparison that never materialises the
-expected bytes; only patched files (rare in every workload here) regenerate
-the full expected content.  All three are exact-equality checks — strictly
+per path — with three tiers, cheapest first: written payloads are retained
+in a byte-bounded LRU ordered by last write or identity-verified read, and a
+zero-copy read that hands back the very object the replayer wrote is equal
+*by identity*; unpatched payloads otherwise get a streaming tiled comparison
+(whole tiles as 64-bit words) that never materialises the expected bytes;
+only patched files (rare in every workload here) regenerate the full
+expected content.  All three are exact-equality checks — strictly
 stronger than a digest comparison.
 """
 
@@ -50,10 +51,11 @@ _MAX_CACHED_BLOCKS = 512
 _PUT_MARKER = 0x00
 _PATCH_MARKER = 0x01
 
-#: byte budget for recently written payloads retained for identity-verified
-#: reads; evicted paths fall back to the streaming tiled comparison.  With
-#: zero-copy striping the simulated stores pin these same buffers anyway, so
-#: retention mostly costs dict entries, not duplicate payload memory.
+#: byte budget for written payloads retained for identity-verified reads;
+#: the least recently written-or-read path goes first, and evicted paths
+#: fall back to the streaming tiled comparison.  With zero-copy striping the
+#: simulated stores pin these same buffers anyway, so retention mostly costs
+#: dict entries, not duplicate payload memory.
 _RETAIN_BUDGET = 256 << 20
 
 
@@ -207,18 +209,24 @@ class TraceReplayer:
         if not np.array_equal(arr[n:_PAYLOAD_BLOCK], block[n:]):
             return False
         full = size // _PAYLOAD_BLOCK
-        if full > 1 and not np.array_equal(
-            arr[_PAYLOAD_BLOCK : full * _PAYLOAD_BLOCK].reshape(full - 1, _PAYLOAD_BLOCK),
-            np.broadcast_to(block, (full - 1, _PAYLOAD_BLOCK)),
-        ):
-            return False
+        if full > 1:
+            # Whole blocks compare as 64-bit words: an eighth of the
+            # elements, and of the boolean temporary ``==`` builds.
+            body = arr[_PAYLOAD_BLOCK : full * _PAYLOAD_BLOCK].view(np.uint64)
+            words = block.view(np.uint64)
+            if not np.array_equal(
+                body.reshape(full - 1, words.size),
+                np.broadcast_to(words, (full - 1, words.size)),
+            ):
+                return False
         rem = size - full * _PAYLOAD_BLOCK
         if rem and not np.array_equal(arr[full * _PAYLOAD_BLOCK :], block[:rem]):
             return False
         return True
 
     def _retain(self, path: str, version: int, payload: bytes) -> None:
-        """Keep the written payload for identity-verified reads (bounded LRU)."""
+        """Keep the written payload for identity-verified reads (bounded LRU:
+        a write or an identity-verified read makes a path most recent)."""
         old = self._retained.pop(path, None)
         if old is not None:
             self._retained_bytes -= len(old[1])
@@ -248,7 +256,9 @@ class TraceReplayer:
         kept = self._retained.get(path)
         if kept is not None and kept[0] == rec.version and data is kept[1]:
             # The scheme handed back the very object this replayer wrote
-            # (zero-copy read path end to end) — equal by identity.
+            # (zero-copy read path end to end) — equal by identity.  A path
+            # read again is kept longest: retention is least recently read.
+            self._retained[path] = self._retained.pop(path)
             return True
         return self._matches_tiled(path, _PUT_MARKER, rec.version, data)
 

@@ -241,6 +241,21 @@ class TestXorRows:
     def test_empty_row_list_zero_fills(self):
         assert not xor_rows([], 16).any()
 
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    @pytest.mark.parametrize("length", [0, 1, 4 * gfkernel._TILE + 3])
+    def test_one_two_and_three_rows_equal_the_fold(self, count, length):
+        rng = np.random.default_rng(count * 7 + length)
+        rows = [rng.integers(0, 256, size=length, dtype=np.uint8) for _ in range(count)]
+        expected = rows[0].copy()
+        for row in rows[1:]:
+            expected ^= row
+        snapshot = [r.copy() for r in rows]
+        assert np.array_equal(xor_rows(rows, length), expected)
+        out = np.full(length, 0xA5, dtype=np.uint8)
+        assert xor_rows([memoryview(r) for r in rows], length, out=out) is out
+        assert np.array_equal(out, expected)
+        assert all(np.array_equal(r, s) for r, s in zip(rows, snapshot))
+
 
 def _all_codecs():
     return [

@@ -129,6 +129,77 @@ class TestReplayerStreams:
         assert 0 < words <= files * ((1024 + 7) >> 3)
 
 
+#: sizes around the 16-byte stamp and the tile, and one with a body of
+#: whole tiles between its first tile and its tail
+WORD_SIZES = [1, 15, 16, 17, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]
+
+
+def flip_sites(size) -> list[int]:
+    """The head, every tile boundary ±1, the last word of the whole-tile
+    body and the tail."""
+    full = size // BLOCK
+    sites = {0, min(size, 16) - 1, size - 1}
+    for edge in range(BLOCK, full * BLOCK + 1, BLOCK):
+        sites |= {edge - 1, edge, edge + 1}
+    if full > 1:
+        sites.add(full * BLOCK - 8)
+    return sorted(s for s in sites if s < size)
+
+
+def as_bytes_and_view(data: bytes):
+    """``data`` itself, and an unaligned memoryview of the same bytes."""
+    return data, memoryview(b"\x00" + data)[1:]
+
+
+class TestVerifiedReads:
+    def test_a_path_read_again_outlives_unread_ones(self, providers, clock, monkeypatch):
+        monkeypatch.setattr(trace_mod, "_RETAIN_BUDGET", 3 * 1024)
+        scheme = SingleCloudScheme(providers["aliyun"], clock)
+        replayer = TraceReplayer(seed=5)
+        replayer.run(
+            scheme,
+            [TraceOp("put", p, size=1024) for p in ("/d/a", "/d/b", "/d/c")]
+            + [TraceOp("get", "/d/a")]
+            + [TraceOp("put", p, size=1024) for p in ("/d/d", "/d/e")],
+        )
+        assert list(replayer._retained) == ["/d/a", "/d/d", "/d/e"]
+        assert replayer._retained_bytes == 3 * 1024
+
+    @pytest.mark.parametrize("size", WORD_SIZES)
+    def test_word_wide_compare_finds_every_flip(self, size):
+        replayer = TraceReplayer(seed=9)
+        data = replayer.payload("/d/f", 2, size)
+        for view in as_bytes_and_view(data):
+            assert replayer._matches_tiled("/d/f", trace_mod._PUT_MARKER, 2, view)
+        for at in flip_sites(size):
+            flipped = bytearray(data)
+            flipped[at] ^= 0x80
+            for view in as_bytes_and_view(bytes(flipped)):
+                assert not replayer._matches_tiled(
+                    "/d/f", trace_mod._PUT_MARKER, 2, view
+                ), at
+
+    @given(
+        seed=st.integers(0, 1000),
+        size=st.one_of(st.sampled_from(WORD_SIZES), st.integers(1, 4 * BLOCK)),
+        flip=st.one_of(st.none(), st.tuples(st.integers(0, 2**31), st.integers(0, 7))),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_verdict_is_equality_with_the_expected_content(self, seed, size, flip):
+        replayer = TraceReplayer(seed=seed)
+        replayer._recipes["/d/f"] = trace_mod._FileRecipe(
+            version=4, base_size=size, size=size
+        )
+        expected = replayer.expected_content("/d/f")
+        data = bytearray(expected)
+        if flip is not None:
+            at, bit = flip
+            data[at % size] ^= 1 << bit
+        for view in as_bytes_and_view(bytes(data)):
+            verdict = replayer._matches_tiled("/d/f", trace_mod._PUT_MARKER, 4, view)
+            assert verdict == (bytes(data) == expected)
+
+
 class TestTrafficPayload:
     @pytest.mark.parametrize("size", [0, 1, 9, 16 * 1024, 100_001])
     def test_equals_the_old_draw(self, size):

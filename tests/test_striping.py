@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.erasure.striping import join_shards, shard_length, split_shards
+from repro.erasure.striping import join_shards, shard_length, split_shards, split_views
 
 
 class TestShardLength:
@@ -58,3 +58,17 @@ class TestSplitJoin:
         shards = split_shards(data, 1)
         assert shards.shape == (1, 57)
         assert join_shards(shards, 57) == data
+
+
+class TestSplitViews:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("shard", [1, 2, 7, 64])
+    def test_equals_split_shards_around_every_multiple(self, payload, k, shard):
+        for size in (k * shard - 1, k * shard, k * shard + 1):
+            data = payload(size)
+            rows = split_views(data, k)
+            expected = split_shards(data, k)
+            assert len(rows) == k
+            for row, want in zip(rows, expected):
+                assert row.dtype == np.uint8
+                assert np.array_equal(row, want)
