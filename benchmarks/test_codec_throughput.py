@@ -12,7 +12,8 @@ scalar ``gf_matmul`` oracle.  See ``docs/codecs.md`` for the kernel design
 and ``docs/performance.md`` for the measured before/after table.
 
 ``test_fmsr_fresh_matrix_encode_gate`` is the gate behind the row-group
-kernel: NCCloud seeds one FMSR matrix per (path, version), so its encodes
+kernel and its width-8 column-pair group: NCCloud seeds one FMSR matrix
+per (path, version), so its encodes
 never find a warm table — the rate that matters there is encode *including*
 table construction, gated as a same-process ratio to the scalar oracle.
 
@@ -46,7 +47,9 @@ TRIALS = 5
 
 #: fresh-matrix FMSR(4,2) encode over the scalar ``gf_matmul`` product of the
 #: same matrices in the same process; measured 9.3-10.0x on the reference box
-#: (6.4-6.5x with pair tables and two-step construction), gated 20% under that
+#: with width-4 row groups (6.4-6.5x with pair tables and two-step
+#: construction), gated 20% under that; 11.3-12.5x with the width-8
+#: column-pair group on a 2-vCPU Xeon VM
 FMSR_FRESH_OVER_SCALAR_FLOOR = 7.4
 FMSR_PAYLOAD = PAYLOAD[: 3 * MB // 2]  # the 1-2 MB objects NCCloud stripes
 FMSR_MATRICES = 24
@@ -144,8 +147,9 @@ def test_fmsr_fresh_matrix_encode_gate(benchmark, emit):
     """FMSR(4,2) ``encode_views`` with a fresh matrix per call vs scalar.
 
     Each of ``FMSR_MATRICES`` codecs encodes once per round, and a round
-    needs 24 x 8 width-4 tables — six times the table budget — so every
-    encode builds its eight tables, as every NCCloud put does.  The warm
+    needs 24 x 2 column-pair tables — one and a half times the table
+    budget, cycled in LRU order — so every encode builds its two tables, as
+    every NCCloud put does.  The warm
     rate (one codec reused, what ``perfbench``'s
     ``erasure.fmsr_4_2.encode_mb_s`` measures) is reported beside it.
     Best-of-rounds on both sides of the ratio, fragments asserted identical

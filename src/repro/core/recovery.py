@@ -30,7 +30,7 @@ class LoggedWrite:
     kind: str  # "put" | "remove" | "create"
     container: str
     key: str  # "" for container-level mutations (create)
-    data: bytes | None  # payload for puts, None otherwise
+    data: bytes | memoryview | None  # payload for puts, None otherwise
     logged_at: float
 
     def __post_init__(self) -> None:
@@ -100,11 +100,22 @@ class WriteLog:
                 self._spilled_bytes += len(e.data)
                 self.spill_events += 1
 
-    def log_put(self, container: str, key: str, data: bytes, now: float) -> None:
-        """Record that (container, key) should hold ``data`` after recovery."""
+    def log_put(
+        self, container: str, key: str, data: bytes | bytearray | memoryview, now: float
+    ) -> None:
+        """Record that (container, key) should hold ``data`` after recovery.
+
+        Zero-copy, by the same contract as an object store's put: an
+        immutable buffer (``bytes``, or a codec's ``memoryview`` fragment)
+        is kept as the very object handed in, so the replayed store holds
+        the object the scheme digested and recorded at write time; only a
+        ``bytearray``, whose owner may mutate it, is copied.
+        """
+        if isinstance(data, bytearray):
+            data = bytes(data)  # mutable owner: defensive copy
         k = (container, key)
         self._drop_accounting(k)  # move-to-end on overwrite keeps replay ordered
-        self._entries[k] = LoggedWrite("put", container, key, bytes(data), now)
+        self._entries[k] = LoggedWrite("put", container, key, data, now)
         self._pending_bytes += len(data)
         self._maybe_spill()
 

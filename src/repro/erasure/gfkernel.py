@@ -13,15 +13,20 @@ Adjacent input bytes are paired through a natural little-endian ``uint16``
 view (no index construction), and output rows are taken in *groups* of
 four, two or one: a gathered entry packs the product pairs for every row
 of its group into 16-bit lanes of a ``uint64`` / ``uint32`` / ``uint16`` —
-one ``take`` on a width-4 group performs eight GF multiplies.  Group widths
-follow from the row count alone (as many fours as fit, then a two, then a
-one).  Tables are 64 Ki entries (128–512 KiB) per coefficient group, built
-in one broadcast pass and kept in a byte-bounded LRU; execution is tiled so
-accumulators stay cache-resident.  On top of that the planner folds input
-columns pairwise: whenever two coefficient columns are equal or differ by
-exactly ``1`` in every row (which is *always* true for the two data columns
-of a systematic Vandermonde code with ``k = 2``), both shards are combined
-with a single XOR pass and one gather covers them both.
+one ``take`` on a width-4 group performs eight GF multiplies.  While eight
+rows remain they go first, as a *column-pair* group: the index pairs the
+same-position bytes of two shards and a ``uint64`` entry packs eight rows'
+product bytes, so one ``take`` covers two columns for all eight rows —
+FMSR's 8x4 encode gathers half as often and builds two tables, not eight.
+Group widths follow from the row count alone (as many eights as fit, then
+fours, then a two, then a one).  Tables are 64 Ki entries (128–512 KiB)
+per coefficient group, built in one broadcast pass and kept in a
+byte-bounded LRU; execution is tiled so accumulators stay cache-resident.
+On top of that the planner folds the byte-pair groups' input columns
+pairwise: whenever two coefficient columns are equal or differ by exactly
+``1`` in every row (which is *always* true for the two data columns of a
+systematic Vandermonde code with ``k = 2``), both shards are combined with
+a single XOR pass and one gather covers them both.
 
 There is one kernel and one selection, made by the input: products
 shorter than ``_SMALL_CUTOFF`` bytes go to the scalar oracle, where the
@@ -42,33 +47,50 @@ __all__ = ["EncodePlan", "plan_for", "gf_matmul_fast", "xor_rows"]
 
 #: uint16 elements per tile — 128 KiB of index bytes, so an index tile,
 #: two accumulators (256 KiB each at width 2) and a couple of tables fit a
-#: 2 MiB L2 together
+#: 2 MiB L2 together; a column-pair tile is as many byte positions
 _TILE = 1 << 16
 #: below this many bytes per shard the NumPy call overhead exceeds the
 #: gather win and the scalar oracle is used directly
 _SMALL_CUTOFF = 2048
-#: bytes of cached gather tables: 32 of width 4, 64 of width 2
+#: bytes of cached gather tables: 32 of width 4 or 8, 64 of width 2
 _TABLE_BUDGET = 16 << 20
 _PLAN_MAX = 256
-#: accumulator/table dtype per row-group width — one 16-bit lane per row
-_LANES = {4: np.uint64, 2: np.uint32, 1: np.uint16}
+#: accumulator/table dtype per row-group width — one 16-bit lane per row of
+#: a byte-pair group (widths 4, 2, 1), one 8-bit lane per row of a
+#: column-pair group (width 8)
+_LANES = {8: np.uint64, 4: np.uint64, 2: np.uint32, 1: np.uint16}
+
+
+def _packed(coeffs, dtype, step: int) -> np.ndarray:
+    """``P[x]``: ``coeffs[l] * x`` in the low byte of lane ``l`` (lanes
+    ``step`` bits apart), for every byte ``x``."""
+    lanes = MUL_TABLE[list(coeffs)].astype(dtype)
+    lanes <<= np.arange(0, step * len(coeffs), step, dtype=dtype)[:, np.newaxis]
+    return np.bitwise_or.reduce(lanes, axis=0)
 
 
 # ------------------------------------------------------------------- tables
 class _TableCache:
     """Byte-bounded LRU of row-group gather tables, keyed by coefficients.
 
-    The table of a group with coefficients ``(c0, .., cw-1)`` is indexed by
-    the little-endian ``uint16`` view of an input byte pair ``[lo, hi]`` and
-    holds ``A[lo] | A[hi] << 8``, where ``A[x]`` packs ``c_l * x`` into the
-    low byte of lane ``l`` — so lane ``l`` of an entry is the LE ``uint16``
-    view of row ``l``'s two product bytes.
+    Every table is indexed by a ``uint16`` ``lo | hi << 8`` and holds
+    ``P[lo] ^ Q[hi]``:
 
-    A miss builds the table in one broadcast pass over ``A``, into the
-    buffer of an entry it evicts when that has the same width: per-object
-    matrices (NCCloud) miss on every encode, so construction is on the hot
-    path and a fresh 512 KiB allocation per miss would dominate it.  Callers
-    must therefore use a table before asking for the next one.
+    - a byte-pair group (width ``w`` of 4, 2, 1; key ``(c0, .., cw-1)``) is
+      indexed by the little-endian ``uint16`` view of one shard's adjacent
+      byte pair; ``P`` packs ``c_l * x`` into the low byte of 16-bit lane
+      ``l`` and ``Q = P << 8``, so lane ``l`` of an entry is the LE
+      ``uint16`` view of row ``l``'s two product bytes;
+    - a column-pair group (width 8; key: column a's eight coefficients,
+      then column b's) is indexed by the same-position bytes of two shards;
+      ``P`` and ``Q`` pack ``c_la * x`` and ``c_lb * x`` into 8-bit lane
+      ``l``, so byte ``l`` of an entry is row ``l``'s product byte.
+
+    A miss builds the table in one broadcast pass, into the buffer of an
+    entry it evicts when that has the same dtype: per-object matrices
+    (NCCloud) miss on every encode, so construction is on the hot path and a
+    fresh 512 KiB allocation per miss would dominate it.  Callers must
+    therefore use a table before asking for the next one.
     """
 
     __slots__ = ("_entries", "_bytes")
@@ -83,7 +105,8 @@ class _TableCache:
         if table is not None:
             entries.move_to_end(coeffs)
             return table
-        dtype = np.dtype(_LANES[len(coeffs)])
+        columns = len(coeffs) == 16  # a width-8 column-pair key
+        dtype = np.dtype(_LANES[8 if columns else len(coeffs)])
         nbytes = dtype.itemsize << 16
         while entries and self._bytes + nbytes > _TABLE_BUDGET:
             _, evicted = entries.popitem(last=False)
@@ -92,12 +115,12 @@ class _TableCache:
                 table = evicted
         if table is None:
             table = np.empty(1 << 16, dtype=dtype)
-        lanes = MUL_TABLE[list(coeffs)].astype(dtype)
-        lanes <<= np.arange(0, 16 * len(coeffs), 16, dtype=dtype)[:, np.newaxis]
-        a = np.bitwise_or.reduce(lanes, axis=0)
-        np.bitwise_or(
-            a[np.newaxis, :], (a << 8)[:, np.newaxis], out=table.reshape(256, 256)
-        )
+        if columns:
+            lo, hi = _packed(coeffs[:8], dtype, 8), _packed(coeffs[8:], dtype, 8)
+        else:
+            lo = _packed(coeffs, dtype, 16)
+            hi = lo << 8
+        np.bitwise_xor(lo[np.newaxis, :], hi[:, np.newaxis], out=table.reshape(256, 256))
         entries[coeffs] = table
         self._bytes += nbytes
         return table
@@ -205,14 +228,32 @@ class EncodePlan:
             raise ValueError(f"coefficient matrix must be 2-D, got {coeff.shape}")
         self.coeff = coeff
         self.m, self.k = coeff.shape
-        self._terms = _fold_schedule(coeff)
-        # Row groups (first row, width, [(term, group coefficients)]): as
-        # many fours as fit, then a two, then a one; all-zero gathers drop.
+        # Column-pair groups (first row, [((col a, col b), table key)]):
+        # rows eight at a time, each gather indexed by the same-position
+        # bytes of two shards, so it covers two columns for all eight rows;
+        # all-zero columns drop, and an odd one out pairs with ``None``
+        # (zero coefficients).
+        self._r8 = r8 = self.m & ~7
+        self._octets: list[tuple[int, list[tuple[tuple[int, int | None], tuple]]]] = []
+        for r0 in range(0, r8, 8):
+            keys = [tuple(col) for col in coeff[r0 : r0 + 8].T.tolist()]
+            cols: list[int | None] = [j for j in range(self.k) if any(keys[j])]
+            if len(cols) % 2:
+                cols.append(None)
+            gathers = [
+                ((a, b), keys[a] + ((0,) * 8 if b is None else keys[b]))
+                for a, b in zip(cols[::2], cols[1::2])
+            ]
+            self._octets.append((r0, gathers))
+        # Byte-pair groups over the rows left (first row, width,
+        # [(term, group coefficients)]): as many fours as fit, then a two,
+        # then a one; all-zero gathers drop.
+        self._terms = _fold_schedule(coeff[r8:]) if r8 < self.m else []
         self._groups: list[tuple[int, int, list[tuple[int, tuple[int, ...]]]]] = []
-        r0 = 0
-        for width in _LANES:
+        r0 = r8
+        for width in (4, 2, 1):
             while self.m - r0 >= width:
-                lanes = slice(r0, r0 + width)
+                lanes = slice(r0 - r8, r0 - r8 + width)
                 gathers = [
                     (i, tuple(t.coeffs[lanes].tolist()))
                     for i, t in enumerate(self._terms)
@@ -258,6 +299,47 @@ class EncodePlan:
         self, rows: Sequence[np.ndarray], length: int, out: np.ndarray
     ) -> None:
         even = length & ~1
+        if self._octets:
+            self._run_column_pairs(rows, even, out)
+        if self._groups:
+            self._run_byte_pairs(rows, even, out)
+        if even < length:
+            tail = np.array([[int(r[length - 1])] for r in rows], dtype=np.uint8)
+            out[:, even:] = gf_matmul(self.coeff, tail)
+
+    def _run_column_pairs(
+        self, rows: Sequence[np.ndarray], even: int, out: np.ndarray
+    ) -> None:
+        ws = _WS
+        for s in range(0, even, _TILE):
+            e = min(s + _TILE, even)
+            w = e - s
+            acc, tmp = ws.acc[:w], ws.tmp[:w]
+            for r0, gathers in self._octets:
+                if not gathers:
+                    out[r0 : r0 + 8, s:e] = 0
+                    continue
+                for n, ((a, b), coeffs) in enumerate(gathers):
+                    if b is None:
+                        idx = rows[a][s:e]
+                    else:
+                        # x_a | x_b << 8, interleaved as little-endian uint16
+                        idx = ws.idx(n).view(np.uint16)[:w]
+                        lanes = idx.view(np.uint8).reshape(w, 2)
+                        lanes[:, 0] = rows[a][s:e]
+                        lanes[:, 1] = rows[b][s:e]
+                    table = _TABLES.get(coeffs)
+                    if n == 0:
+                        np.take(table, idx, out=acc, mode="clip")
+                    else:
+                        np.take(table, idx, out=tmp, mode="clip")
+                        np.bitwise_xor(acc, tmp, out=acc)
+                # byte l of an entry is row r0+l's product: one transpose
+                out[r0 : r0 + 8, s:e] = acc.view(np.uint8).reshape(w, 8).T
+
+    def _run_byte_pairs(
+        self, rows: Sequence[np.ndarray], even: int, out: np.ndarray
+    ) -> None:
         half = even >> 1
         row16 = [r[:even].view(np.uint16) for r in rows]
         out16 = [out[i, :even].view(np.uint16) for i in range(self.m)]
@@ -298,11 +380,8 @@ class EncodePlan:
             for t in self._terms:
                 if t.fold_extra:
                     extra = row16[t.fold_col][s:e]
-                    for i in range(self.m):
+                    for i in range(self._r8, self.m):
                         np.bitwise_xor(out16[i][s:e], extra, out=out16[i][s:e])
-        if even < length:
-            tail = np.array([[int(r[length - 1])] for r in rows], dtype=np.uint8)
-            out[:, even:] = gf_matmul(self.coeff, tail)
 
 
 # ------------------------------------------------------------------- caches

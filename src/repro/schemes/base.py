@@ -1766,12 +1766,26 @@ class Scheme(ABC):
                 new_digests.append(entry.digests[i])
             else:
                 new_digests.append(self._digest(f))
-        # The rewritten keys freed their old stored objects, so the stale
-        # payload entry must go; re-record only when every fragment was
-        # rewritten (otherwise some recorded ids would be dangling views).
+        # The rewritten keys freed their old objects, so the old payload
+        # entry is stale either way.  It is re-recorded over the objects now
+        # held at each index when every rewritten index holds its fresh
+        # fragment (stored, or logged for an absent provider) and every
+        # untouched one is still *the very object the old entry recorded*:
+        # that object encodes the old payload's bytes at its index, which a
+        # same-size update left unchanged.  A tampered, lost or unrecorded
+        # untouched fragment fails the check, and the next read decodes
+        # verified fragments instead.
         cache_key = self._version_key(entry.path, entry.version)
-        if len(touched) == codec.n:
-            self._payload_cache.record(cache_key, fragments, new_content)
+        held = {idx: data for idx, data, _ in self._held_placements(entry)}
+        kept = {i: data for i, data in held.items() if i not in rewritten}
+        if (
+            len(held) == codec.n
+            and all(held[i] is fragments[i] for i in rewritten)
+            and (not kept or self._payload_cache.lookup(cache_key, kept) is not None)
+        ):
+            self._payload_cache.record(
+                cache_key, [held[i] for i in range(codec.n)], new_content
+            )
         else:
             self._payload_cache.discard(cache_key)
         return replace(entry, modified=self.clock.now, digests=tuple(new_digests))
@@ -2396,7 +2410,7 @@ class Scheme(ABC):
             self._placement_storage_key(entry, idx), data, expected
         )
 
-    def _logged_payload(self, provider: str, key: str) -> bytes | None:
+    def _logged_payload(self, provider: str, key: str) -> bytes | memoryview | None:
         """The payload of a put ``provider`` still owes for ``key``, if any
         (a logged remove carries none)."""
         log = self._write_logs.get(provider)

@@ -15,18 +15,19 @@ size — which keeps every (path, version) payload distinct without per-op
 RNG work.
 
 Reads are verified against *recipes* — ``(version, size, applied patches)``
-per path — with three tiers, cheapest first: written payloads are retained
+per path — with two tiers, cheapest first: written payloads are retained
 in a byte-bounded LRU ordered by last write or identity-verified read, and a
 zero-copy read that hands back the very object the replayer wrote is equal
-*by identity*; unpatched payloads otherwise get a streaming tiled comparison
-(whole tiles as 64-bit words) that never materialises the expected bytes;
-only patched files (rare in every workload here) regenerate the full
-expected content.  All three are exact-equality checks — strictly
-stronger than a digest comparison.
+*by identity*; otherwise the bytes get a streaming tiled comparison (whole
+tiles as 64-bit words) that never materialises the expected bytes — span by
+span for a patched file: base-payload spans and patch spans against their
+own tiled streams, growth gaps against zeros.  Both are exact-equality
+checks — strictly stronger than a digest comparison.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +70,36 @@ def _stamped_head(block: bytes, marker: int, counter: int, size: int) -> bytes:
     return mixed.to_bytes(n, "little")
 
 
+def _tiled_equal(arr: np.ndarray, raw: bytes, head: bytes, start: int) -> bool:
+    """``arr`` (uint8) equals bytes ``[start, start + arr.size)`` of the
+    tiled stream whose first ``len(head)`` bytes are ``head`` and whose byte
+    ``p`` otherwise is ``raw[p % _PAYLOAD_BLOCK]`` (``raw`` reaching as far
+    as the stream's first tile does).  Partial tiles compare as bytes;
+    whole tiles as 64-bit words against the broadcast tile — an eighth of
+    the elements, and of the boolean temporary ``==`` builds."""
+    if start < len(head):
+        n = min(start + arr.size, len(head))
+        if arr[: n - start].tobytes() != head[start:n]:
+            return False
+        arr, start = arr[n - start :], n
+    lead = min(-start % _PAYLOAD_BLOCK, arr.size)
+    if lead:
+        at = start % _PAYLOAD_BLOCK
+        if arr[:lead].tobytes() != raw[at : at + lead]:
+            return False
+        arr = arr[lead:]
+    full = arr.size // _PAYLOAD_BLOCK
+    if full:
+        body = arr[: full * _PAYLOAD_BLOCK].view(np.uint64)
+        words = np.frombuffer(raw, dtype=np.uint64)
+        if not np.array_equal(
+            body.reshape(full, words.size), np.broadcast_to(words, (full, words.size))
+        ):
+            return False
+    rem = arr.size - full * _PAYLOAD_BLOCK
+    return not rem or arr[full * _PAYLOAD_BLOCK :].tobytes() == raw[:rem]
+
+
 @dataclass(frozen=True)
 class TraceOp:
     """One file-level operation in a workload trace."""
@@ -94,6 +125,39 @@ class _FileRecipe:
     base_size: int  # size of that base payload
     size: int  # current logical size after updates
     patches: list[tuple[int, int, int]] = field(default_factory=list)  # (seq, off, len)
+    #: once patched, the same content as ``(start, end, patch)`` spans in
+    #: offset order: ``patch`` is the ``(seq, off, len)`` that wrote the span
+    #: last, or ``None`` for the base payload below ``base_size`` and the
+    #: zero-filled growth gap above it
+    spans: list[tuple[int, int, tuple[int, int, int] | None]] | None = None
+
+    def apply(self, seq: int, offset: int, length: int) -> None:
+        """Record the ``seq``-th update: ``length`` patch bytes at ``offset``,
+        growing the file with zeros if it writes past the end."""
+        if self.spans is None:
+            self.spans = [(0, self.size, None)] if self.size else []
+        spans = self.spans
+        patch = (seq, offset, length)
+        self.patches.append(patch)
+        cut = offset + length
+        if cut > self.size:
+            spans.append((self.size, cut, None))
+            self.size = cut
+        if not length:
+            return
+        # spans[i:j] overlap [offset, cut): keep what sticks out either side
+        i = bisect_right(spans, offset, key=lambda span: span[0]) - 1
+        j = bisect_left(spans, cut, key=lambda span: span[0])
+        first, last = spans[i], spans[j - 1]
+        spans[i:j] = [
+            span
+            for span in (
+                (first[0], offset, first[2]),
+                (offset, cut, patch),
+                (cut, last[1], last[2]),
+            )
+            if span[0] < span[1]
+        ]
 
 
 @dataclass
@@ -199,30 +263,7 @@ class TraceReplayer:
             return True
         raw = self._path_block(path, size)
         head = _stamped_head(raw, marker, counter, size)
-        n = len(head)
-        arr = np.frombuffer(data, dtype=np.uint8)
-        if arr[:n].tobytes() != head:
-            return False
-        block = np.frombuffer(raw, dtype=np.uint8)
-        if size <= _PAYLOAD_BLOCK:
-            return np.array_equal(arr[n:], block[n:size])
-        if not np.array_equal(arr[n:_PAYLOAD_BLOCK], block[n:]):
-            return False
-        full = size // _PAYLOAD_BLOCK
-        if full > 1:
-            # Whole blocks compare as 64-bit words: an eighth of the
-            # elements, and of the boolean temporary ``==`` builds.
-            body = arr[_PAYLOAD_BLOCK : full * _PAYLOAD_BLOCK].view(np.uint64)
-            words = block.view(np.uint64)
-            if not np.array_equal(
-                body.reshape(full - 1, words.size),
-                np.broadcast_to(words, (full - 1, words.size)),
-            ):
-                return False
-        rem = size - full * _PAYLOAD_BLOCK
-        if rem and not np.array_equal(arr[full * _PAYLOAD_BLOCK :], block[:rem]):
-            return False
-        return True
+        return _tiled_equal(np.frombuffer(data, dtype=np.uint8), raw, head, 0)
 
     def _retain(self, path: str, version: int, payload: bytes) -> None:
         """Keep the written payload for identity-verified reads (bounded LRU:
@@ -251,8 +292,27 @@ class TraceReplayer:
         if len(data) != rec.size:
             return False
         if rec.patches:
-            # Patched files are rare in every workload here; materialize.
-            return bytes(data) == self.expected_content(path)
+            # Span by span against the tiled streams the content was built
+            # from (one path block; a stamped head per stream), so a patched
+            # file is never materialized either.
+            arr = np.frombuffer(data, dtype=np.uint8)
+            raw = self._path_block(path, rec.size)
+            base_head = _stamped_head(raw, _PUT_MARKER, rec.version, rec.base_size)
+            for start, end, patch in rec.spans:
+                if patch is not None:
+                    seq, off, length = patch
+                    head = _stamped_head(raw, _PATCH_MARKER, seq, length)
+                    if not _tiled_equal(arr[start:end], raw, head, start - off):
+                        return False
+                    continue
+                base = min(end, rec.base_size)
+                if start < base and not _tiled_equal(
+                    arr[start:base], raw, base_head, start
+                ):
+                    return False
+                if base < end and arr[max(start, base) : end].any():
+                    return False
+            return True
         kept = self._retained.get(path)
         if kept is not None and kept[0] == rec.version and data is kept[1]:
             # The scheme handed back the very object this replayer wrote
@@ -313,8 +373,7 @@ class TraceReplayer:
                 self._drop_retained(op.path)
                 rec = self._recipes.get(op.path)
                 if rec is not None:
-                    rec.patches.append((seq, op.offset, op.size))
-                    rec.size = max(rec.size, op.offset + op.size)
+                    rec.apply(seq, op.offset, op.size)
             elif op.kind == "remove":
                 collector.add(scheme.remove(op.path))
                 self._recipes.pop(op.path, None)

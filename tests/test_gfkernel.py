@@ -86,8 +86,10 @@ class TestKernelEquivalence:
 
 
 class TestRowGroups:
-    """The packed kernel takes output rows four, two and one at a time
-    (``m = 7`` mixes all three widths); every mix must equal the oracle."""
+    """The packed kernel takes output rows eight at a time by column pairs,
+    then four, two and one at a time by byte pairs (``m = 7`` mixes the last
+    three widths, ``m = 9`` an eight and a one); every mix must equal the
+    oracle."""
 
     #: odd and even, below the scalar cutoff, and straddling one and two
     #: uint16 tiles (128 KiB of bytes each)
@@ -133,11 +135,49 @@ class TestRowGroups:
     @pytest.mark.parametrize("m", range(1, 10))
     def test_group_widths_follow_the_row_count(self, m):
         plan = EncodePlan(np.ones((m, 2), dtype=np.uint8))
-        widths = [width for _, width, _ in plan._groups]
-        assert widths == [4] * (m // 4) + [2] * (m % 4 // 2) + [1] * (m % 2)
-        assert [r0 for r0, _, _ in plan._groups] == [
-            sum(widths[:i]) for i in range(len(widths))
-        ]
+        widths = [8] * len(plan._octets) + [width for _, width, _ in plan._groups]
+        rest = m % 8
+        assert widths == (
+            [8] * (m // 8) + [4] * (rest // 4) + [2] * (rest % 4 // 2) + [1] * (rest % 2)
+        )
+        starts = [r0 for r0, _ in plan._octets] + [r0 for r0, _, _ in plan._groups]
+        assert starts == [sum(widths[:i]) for i in range(len(widths))]
+
+    def test_fmsr_8x4_takes_one_column_pair_group(self):
+        """FMSR(4,2)'s ECM gathers twice per byte position: shards 0|1 and
+        2|3, each pair covering all eight rows."""
+        plan = EncodePlan(FMSRCode(4, 2, seed=3).ecm)
+        assert plan._groups == []
+        ((r0, gathers),) = plan._octets
+        assert r0 == 0
+        assert [cols for cols, _ in gathers] == [(0, 1), (2, 3)]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("zero_cols", [(), (0,), (1, 2)])
+    def test_column_pairs_skip_zero_columns_and_leave_an_odd_one(self, k, zero_cols):
+        coeff, rows, _ = _random_case(k + 31, 8, k, 5001)
+        coeff[coeff == 0] = 1
+        coeff[:, [c for c in zero_cols if c < k]] = 0
+        expected = gf_matmul(coeff, np.vstack(rows))
+        plan = EncodePlan(coeff)
+        live = [j for j in range(k) if j not in zero_cols]
+        paired = [c for cols, _ in plan._octets[0][1] for c in cols if c is not None]
+        assert paired == live
+        assert np.array_equal(plan.execute(rows, 5001), expected)
+
+    def test_a_fresh_8x4_matrix_builds_two_tables(self, monkeypatch):
+        """A per-object FMSR matrix (NCCloud) builds two 512 KiB tables, and
+        encoding with it again builds none."""
+        monkeypatch.setattr(gfkernel, "_TABLES", gfkernel._TableCache())
+        codec = FMSRCode(4, 2, seed=77)
+        payload = np.random.default_rng(77).integers(0, 256, 300001, np.uint8).tobytes()
+        codec.encode_views(payload)
+        tables = dict(gfkernel._TABLES._entries)
+        assert len(tables) == 2
+        assert gfkernel._TABLES._bytes == 2 * (8 << 16)
+        codec.encode_views(payload)
+        assert gfkernel._TABLES._entries.keys() == tables.keys()
+        assert all(gfkernel._TABLES._entries[k] is t for k, t in tables.items())
 
     def test_plan_survives_its_tables_being_recycled(self):
         """More distinct matrices than the table LRU holds: their tables
@@ -166,13 +206,16 @@ class TestRowGroups:
         )
 
     def test_one_plan_wider_than_the_table_budget(self, monkeypatch):
-        """With room for two width-4 tables, an 8x4 plan evicts its own
-        tables between gathers on every tile and still equals the oracle."""
-        monkeypatch.setattr(gfkernel, "_TABLE_BUDGET", 1 << 20)
-        coeff, rows, expected = _random_case(23, 8, 4, 300001)
-        for _ in range(2):
-            assert np.array_equal(plan_for(coeff).execute(rows, 300001), expected)
-        assert gfkernel._TABLES._bytes <= 1 << 20
+        """With room for one 512 KiB table, an 8x4 plan's two column-pair
+        tables evict each other between gathers on every tile, and a 5x4
+        plan's width-4 and width-1 tables do the same; both still equal the
+        oracle."""
+        monkeypatch.setattr(gfkernel, "_TABLE_BUDGET", 1 << 19)
+        for m in (8, 5):
+            coeff, rows, expected = _random_case(23, m, 4, 300001)
+            for _ in range(2):
+                assert np.array_equal(plan_for(coeff).execute(rows, 300001), expected)
+            assert gfkernel._TABLES._bytes <= 1 << 19
 
 
 class TestPlanApi:

@@ -7,12 +7,16 @@ has just read off a verified stripe, so it hashes nothing; a hot read is
 checked against the promoted object itself.  A systematic stripe's data
 fragments are views of its payload, so the payload cache keeps every such
 stripe for free until its key dies, and an intact read of it never
-decodes.  The assertions are counts, not clocks.
+decodes.  The same holds for a stripe written or updated while a provider
+is out: the write log keeps the encoded fragments themselves, and an
+in-place update re-records what it rewrote.  The assertions are counts,
+not clocks.
 """
 
 import numpy as np
 import pytest
 
+from repro.cloud.outage import OutageWindow
 from repro.core.config import MB, HyRDConfig
 from repro.erasure.fmsr import FMSRCode
 from repro.erasure.raid5 import Raid5Code
@@ -202,7 +206,12 @@ class TestPayloadCache:
         _live_only(hyrd)
         hyrd.migrate_object("/d/f2")
         _live_only(hyrd)
-        assert len(hyrd._payload_cache._entries) == 1  # only /d/f2's new version
+        # /d/f0's partial RMW re-recorded its entry; /d/f1's repair dropped
+        # its own; /d/f2's is its migrated version
+        assert set(hyrd._payload_cache._entries) == {
+            hyrd._version_key("/d/f0", 1),
+            hyrd._version_key("/d/f2", hyrd.namespace.get("/d/f2").version),
+        }
 
     def test_functional_repair_leaves_no_dead_entry(self, providers, clock, payload):
         nc = NCCloudScheme(list(providers.values()), clock)
@@ -211,3 +220,110 @@ class TestPayloadCache:
         nc.repair_provider("rackspace")
         _live_only(nc)
         assert nc.get("/d/f")[0] == data
+
+
+@pytest.fixture(params=["raid5", "rs", "fmsr"])
+def coded(request, providers, clock):
+    """HyRD striping large files with RAID5 or RS, or NCCloud's FMSR; every
+    stripe has a fragment on aliyun."""
+    fleet = list(providers.values())
+    if request.param == "fmsr":
+        return NCCloudScheme(fleet, clock)
+    return HyrdScheme(fleet, clock, config=HyRDConfig(erasure_codec=request.param))
+
+
+def _patched(data: bytes, offset: int, patch: bytes) -> bytes:
+    return data[:offset] + patch + data[offset + len(patch) :]
+
+
+def _fragments_written_by_an_update(scheme, path) -> int:
+    """A systematic stripe rewrites one data fragment plus every parity
+    for a patch inside one fragment; FMSR re-puts every fragment."""
+    codec = scheme._codec_for(scheme.namespace.get(path))
+    return 1 + codec.n - codec.k if codec.systematic else codec.n
+
+
+class TestOutageIdentity:
+    """A fragment written while its provider is out is logged by identity
+    and replayed as that object, so after the consistency update the stripe
+    is still the one the client encoded: nothing decodes and nothing is
+    hashed a second time."""
+
+    def test_after_the_heal_nothing_decodes_or_rehashes(
+        self, coded, providers, clock, payload, decodes, digests
+    ):
+        providers["aliyun"].outages.add(OutageWindow(clock.now, clock.now + 60))
+        data = payload(2 * MB)
+        coded.put("/d/f", data)
+        data = _patched(data, 100, b"during")
+        coded.update("/d/f", 100, b"during")
+        assert coded.pending_log("aliyun")
+        clock.advance(61)
+        decodes[0] = digests[0] = 0
+
+        coded.heal_returned()
+        assert not coded.pending_log("aliyun")
+        got, report = coded.get("/d/f")
+        assert got == data and not report.degraded
+        assert (decodes[0], digests[0]) == (0, 0)
+
+        data = _patched(data, 200, b"after")
+        coded.update("/d/f", 200, b"after")
+        assert digests[0] == _fragments_written_by_an_update(coded, "/d/f")
+        assert coded.get("/d/f")[0] == data
+        assert decodes[0] == 0
+
+
+def _tamper_untouched(hyrd, providers, path):
+    """Bit-rot the last data fragment of ``path``'s stripe — one a patch at
+    offset 0 does not rewrite; returns its storage key."""
+    entry = hyrd.namespace.get(path)
+    codec = hyrd._codec_for(entry)
+    prov = dict((idx, p) for p, idx in entry.placements)[codec.k - 1]
+    key = hyrd._fragment_key(path, codec.k - 1, entry.version)
+    store = providers[prov].store
+    store.tamper(hyrd.container, key, _flipped(store.get(hyrd.container, key).data))
+    return key
+
+
+class TestRmwReRecord:
+    """An in-place update re-records its stripe's payload entry only over
+    untouched fragments that are the objects the old entry recorded."""
+
+    @pytest.fixture
+    def hyrd(self, providers, clock):
+        return HyrdScheme(list(providers.values()), clock)
+
+    def test_untouched_fragment_tampered_before_blocks_the_re_record(
+        self, hyrd, providers, payload, decodes
+    ):
+        data = payload(3 * MB)
+        hyrd.put("/d/f", data)
+        _tamper_untouched(hyrd, providers, "/d/f")
+        hyrd.update("/d/f", 0, b"patch")
+        assert hyrd._version_key("/d/f", 1) not in hyrd._payload_cache._entries
+        decodes[0] = 0
+        got, report = hyrd.get("/d/f")
+        assert got == _patched(data, 0, b"patch") and report.degraded
+        assert decodes[0] == 1
+
+    def test_untouched_fragment_tampered_after_is_rejected_by_its_digest(
+        self, hyrd, providers, payload, decodes
+    ):
+        data = payload(3 * MB)
+        hyrd.put("/d/f", data)
+        hyrd.update("/d/f", 0, b"patch")
+        assert hyrd._version_key("/d/f", 1) in hyrd._payload_cache._entries
+        key = _tamper_untouched(hyrd, providers, "/d/f")
+        verdicts = []
+        verify = hyrd._verify_digest
+
+        def watched(k, obj, expected):
+            ok = verify(k, obj, expected)
+            verdicts.append((k, ok))
+            return ok
+
+        hyrd._verify_digest = watched
+        got, report = hyrd.get("/d/f")
+        assert got == _patched(data, 0, b"patch") and report.degraded
+        assert (key, False) in verdicts

@@ -200,6 +200,85 @@ class TestVerifiedReads:
             assert verdict == (bytes(data) == expected)
 
 
+def patched_recipe(replayer, base_size, patches) -> trace_mod._FileRecipe:
+    """Record ``/d/f`` as version 3 of ``base_size`` bytes, then patched by
+    ``(offset, length)`` in order, exactly as a replayed trace would."""
+    rec = trace_mod._FileRecipe(version=3, base_size=base_size, size=base_size)
+    for seq, (offset, length) in enumerate(patches, start=1):
+        rec.apply(seq, offset, length)
+    replayer._recipes["/d/f"] = rec
+    return rec
+
+
+def segment_edges(rec) -> list[int]:
+    """Every span's first and last byte, and the bytes either side."""
+    sites = set()
+    for start, end, _ in rec.spans:
+        sites |= {start - 1, start, start + 1, end - 2, end - 1, end}
+    return sorted(s for s in sites if 0 <= s < rec.size)
+
+
+patch_lists = st.lists(
+    st.tuples(st.integers(0, 3 * BLOCK), st.integers(0, 2 * BLOCK)), min_size=1, max_size=5
+)
+
+
+class TestPatchedReads:
+    """A patched file verifies span by span against the streams it was built
+    from — never by materializing its expected content."""
+
+    def test_every_segment_edge_flip_is_found_without_materializing(self, monkeypatch):
+        replayer = TraceReplayer(seed=6)
+        # overlapping patches, one straddling a tile edge, one past the end
+        # leaving a zero-filled growth gap
+        rec = patched_recipe(
+            replayer,
+            2 * BLOCK + 100,
+            [(10, 50), (40, BLOCK), (BLOCK - 3, 6), (2 * BLOCK + 400, 30)],
+        )
+        expected = replayer.expected_content("/d/f")
+
+        def materialized(*_):
+            raise AssertionError("a patched read was materialized")
+
+        monkeypatch.setattr(TraceReplayer, "expected_content", materialized)
+        for view in as_bytes_and_view(expected):
+            assert replayer._matches_expected("/d/f", view)
+        for at in segment_edges(rec):
+            flipped = bytearray(expected)
+            flipped[at] ^= 0x01
+            for view in as_bytes_and_view(bytes(flipped)):
+                assert not replayer._matches_expected("/d/f", view), at
+
+    @given(
+        seed=st.integers(0, 1000),
+        base_size=st.one_of(st.sampled_from(WORD_SIZES), st.integers(0, 3 * BLOCK)),
+        patches=patch_lists,
+        flip=st.one_of(st.none(), st.integers(0, 2**31), st.just("edges")),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_verdict_is_equality_with_the_expected_content(
+        self, seed, base_size, patches, flip
+    ):
+        replayer = TraceReplayer(seed=seed)
+        rec = patched_recipe(replayer, base_size, patches)
+        expected = replayer.expected_content("/d/f")
+        variants = [expected]
+        if rec.size and flip == "edges":
+            sites = segment_edges(rec)
+        elif rec.size and flip is not None:
+            sites = [flip % rec.size]
+        else:
+            sites = []
+        for at in sites:
+            flipped = bytearray(expected)
+            flipped[at] ^= 0x20
+            variants.append(bytes(flipped))
+        for data in variants:
+            for view in as_bytes_and_view(data):
+                assert replayer._matches_expected("/d/f", view) == (data == expected)
+
+
 class TestTrafficPayload:
     @pytest.mark.parametrize("size", [0, 1, 9, 16 * 1024, 100_001])
     def test_equals_the_old_draw(self, size):

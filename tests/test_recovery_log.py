@@ -81,6 +81,26 @@ class TestWriteLog:
         buf[0] = 0
         assert log.peek()[0].data == b"abc"
 
+    @pytest.mark.parametrize(
+        "make", [bytes, memoryview], ids=["bytes", "memoryview"]
+    )
+    def test_immutable_payload_kept_by_identity(self, make):
+        """Zero-copy, like a store's put: the replay hands the provider the
+        very object the scheme digested at write time."""
+        data = make(b"fragment")
+        log = WriteLog()
+        log.log_put("c", "k", data, 0.0)
+        assert log.pending("c", "k").data is data
+        assert log.pending_bytes() == len(data)
+
+    def test_bytearray_payload_copied(self):
+        buf = bytearray(b"abc")
+        log = WriteLog()
+        log.log_put("c", "k", buf, 0.0)
+        buf[0] = 0
+        logged = log.pending("c", "k").data
+        assert logged == b"abc" and isinstance(logged, bytes)
+
 
 class TestWriteLogSpill:
     """Bounded memory: past the limit, oldest put payloads move to the
