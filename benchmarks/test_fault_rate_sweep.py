@@ -8,6 +8,8 @@ provider failed, and the schemes talk to different numbers of providers per
 operation.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.analysis.tables import render_table
 from repro.cloud.provider import make_table2_cloud_of_clouds
 from repro.core.config import HyRDConfig
 from repro.core.resilience import ResilienceConfig
+from repro.faults import TransientErrorBurst
 from repro.schemes import DuraCloudScheme, HyrdScheme, RacsScheme
 from repro.sim.clock import SimClock
 from repro.sim.rng import make_rng
@@ -36,7 +39,7 @@ def _mean_latency(builder, rate, seed=0):
     clock = SimClock()
     fleet = make_table2_cloud_of_clouds(clock)
     for p in fleet.values():
-        p.fault_rate = rate
+        p.faults.add(TransientErrorBurst(0.0, math.inf, rate=rate))
     scheme = builder(fleet, clock)
     config = PostMarkConfig(file_pool=15, transactions=60, size_hi=8 * MB)
     ops = generate_postmark(config, make_rng(seed, "fault-sweep"))

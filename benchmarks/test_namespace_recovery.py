@@ -11,8 +11,8 @@ metadata), including with one provider down during the rebuild.
 import numpy as np
 
 from repro.analysis.tables import render_table
-from repro.cloud.outage import OutageWindow
 from repro.cloud.provider import make_table2_cloud_of_clouds
+from repro.faults import OutageWindow
 from repro.schemes import HyrdScheme, RacsScheme
 from repro.sim.clock import SimClock
 from repro.sim.rng import make_rng
@@ -36,7 +36,7 @@ def _run_case(builder, outage_provider=None, seed=0):
 
     second = builder(providers, clock)
     if outage_provider:
-        providers[outage_provider].outages.add(
+        providers[outage_provider].faults.add(
             OutageWindow(clock.now, clock.now + 3600)
         )
     report = second.recover_namespace()

@@ -19,7 +19,8 @@ Run:  python examples/observability_tour.py
 import numpy as np
 
 from repro import HyRDClient
-from repro.cloud import OutageWindow, make_table2_cloud_of_clouds
+from repro.cloud import make_table2_cloud_of_clouds
+from repro.faults import OutageWindow
 from repro.obs import RecordingTracer, RunReport, flame_summary, parse_jsonl
 from repro.sim import SimClock
 
@@ -40,7 +41,7 @@ def main() -> None:
         size = (16 * KB) if i % 2 else (2 * MB)
         hyrd.put(f"/f{i}", rng.integers(0, 256, size, dtype=np.uint8).tobytes())
     t0 = clock.now
-    providers["azure"].outages.add(OutageWindow(t0, t0 + 3600.0))
+    providers["azure"].faults.add(OutageWindow(t0, t0 + 3600.0))
     for i in range(6):
         data, report = hyrd.get(f"/f{i}")
         flag = "degraded" if report.degraded else "normal  "

@@ -15,7 +15,8 @@ Run:  python examples/outage_drill.py
 import numpy as np
 
 from repro import HyRDClient
-from repro.cloud import OutageWindow, make_table2_cloud_of_clouds
+from repro.cloud import make_table2_cloud_of_clouds
+from repro.faults import OutageWindow
 from repro.sim import SimClock
 
 KB, MB = 1024, 1024 * 1024
@@ -40,7 +41,7 @@ def main() -> None:
 
     # --- the outage begins ---------------------------------------------------
     window = OutageWindow(clock.now, clock.now + 6 * 3600)
-    providers["azure"].outages.add(window)
+    providers["azure"].faults.add(window)
     print(f"t={clock.now:8.1f}s  *** Windows Azure goes offline for 6 hours ***")
 
     # Reads keep working: small files come from the surviving replica.

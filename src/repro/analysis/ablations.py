@@ -218,7 +218,7 @@ def run_degraded_read_comparison(seed: int = 0) -> dict[str, dict[str, float]]:
     ops = generate_postmark(pm, make_rng(seed, "degraded-traffic"))
     setup, reads = ops[: pm.file_pool], ops[pm.file_pool :]
 
-    from repro.cloud.outage import OutageWindow
+    from repro.faults import OutageWindow
     from repro.schemes import DuraCloudScheme
 
     builders = {
@@ -235,9 +235,7 @@ def run_degraded_read_comparison(seed: int = 0) -> dict[str, dict[str, float]]:
             replayer = TraceReplayer(seed=seed)
             replayer.run(scheme, setup)
             if outage:
-                providers["azure"].outages.add(
-                    OutageWindow(clock.now, float("inf"))
-                )
+                providers["azure"].faults.add(OutageWindow(clock.now))
             collector = replayer.run(scheme, reads)
             gets = [r for r in collector.reports if r.op == "get"]
             mean_lat = float(np.mean([r.elapsed for r in gets]))

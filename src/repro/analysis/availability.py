@@ -9,8 +9,8 @@ checks one against the other:
   the probability that enough of its placement set is up — any replica for
   replication, any k of n for an (n, k) erasure code.  Computed exactly by
   enumerating provider-state subsets (n = 4 here, so 16 terms).
-- **Monte-Carlo**: draw Poisson outage schedules per provider
-  (:meth:`repro.cloud.outage.OutageSchedule.poisson`), then integrate over
+- **Monte-Carlo**: draw Poisson outage windows per provider
+  (:func:`repro.faults.scenario.poisson_outages`), then integrate over
   simulated time the fraction in which each scheme's data is readable.
 
 HyRD stores two classes with different placements, so its availability is
@@ -24,8 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from repro.cloud.outage import OutageSchedule
-from repro.sim.rng import make_rng
+from repro.faults.scenario import poisson_outages
 
 __all__ = [
     "SchemePlacement",
@@ -38,6 +37,9 @@ __all__ = [
 
 HOUR = 3600.0
 DAY = 24 * HOUR
+
+#: fraction of accesses hitting HyRD's replicated (small/metadata) class
+_SMALL_WEIGHT = 0.8
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,7 @@ def availability_of_placement(
 
 
 def hyrd_combined(
-    provider_availability: dict[str, float], small_weight: float = 0.8
+    provider_availability: dict[str, float], small_weight: float = _SMALL_WEIGHT
 ) -> float:
     """HyRD availability over a workload mix.
 
@@ -170,19 +172,15 @@ def monte_carlo_report(
     scheme's data is readable iff >= k of its providers are up.  Converges
     to :func:`analytic_report` as horizon grows (tested).
     """
-    providers = ("amazon_s3", "azure", "aliyun", "rackspace")
-    schedules = {
-        name: OutageSchedule.poisson(
-            make_rng(seed, "availability", name), horizon, mtbf, mttr
-        )
-        for name in providers
-    }
+    scenario = poisson_outages(
+        ("amazon_s3", "azure", "aliyun", "rackspace"), horizon, mtbf, mttr, seed
+    )
     times = np.arange(0.0, horizon, resolution)
     up: dict[str, np.ndarray] = {}
-    for name, schedule in schedules.items():
+    for name, profile in scenario.profiles.items():
         mask = np.ones(len(times), dtype=bool)
-        for w in schedule.windows:
-            mask &= ~((times >= w.start) & (times < w.end))
+        for a, b in profile.downtime_windows(0.0, horizon):
+            mask &= ~((times >= a) & (times < b))
         up[name] = mask
 
     report: dict[str, float] = {}
@@ -190,5 +188,6 @@ def monte_carlo_report(
         stacked = np.vstack([up[p] for p in placement.providers])
         readable = stacked.sum(axis=0) >= placement.k
         report[name] = float(readable.mean())
-    report["hyrd"] = 0.8 * report["hyrd-small"] + 0.2 * report["hyrd-large"]
+    w = _SMALL_WEIGHT
+    report["hyrd"] = w * report["hyrd-small"] + (1.0 - w) * report["hyrd-large"]
     return report

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cloud.latency import ClientLink
-from repro.cloud.outage import OutageWindow
 from repro.cloud.pricing import CATEGORIES, PRICE_PLANS, ProviderCategory
 from repro.cloud.provider import (
     TABLE2_LATENCY,
@@ -24,6 +23,7 @@ from repro.cloud.provider import (
 )
 from repro.core.config import HyRDConfig
 from repro.cost.simulator import CostRunResult, CostSimulator
+from repro.faults import OutageWindow
 from repro.metrics.collector import LatencyCollector
 from repro.schemes import (
     DURACLOUD_PAIR,
@@ -272,7 +272,7 @@ def _run_postmark_once(
     replayer = TraceReplayer(seed=seed)
     replayer.run(scheme, setup_ops)
     if outage_provider is not None:
-        providers[outage_provider].outages.add(OutageWindow(clock.now, float("inf")))
+        providers[outage_provider].faults.add(OutageWindow(clock.now))
     collector = replayer.run(scheme, txn_ops)
     return collector, scheme
 
@@ -371,7 +371,7 @@ def run_recovery_drill(
 
     outage_start = clock.now
     window = OutageWindow(outage_start, outage_start + 6 * 3600.0)
-    providers[outage_provider].outages.add(window)
+    providers[outage_provider].faults.add(window)
     during = replayer.run(scheme, txn_ops)
     logged = len(scheme.pending_log(outage_provider))
 
@@ -436,7 +436,7 @@ def _degraded_read_fanout(name: str, factory: SchemeFactory, seed: int) -> int:
     replayer.run(scheme, [TraceOp("put", "/t/large.bin", size=4 * MB)])
     entry = scheme.namespace.get("/t/large.bin")
     victim = entry.providers[0]
-    providers[victim].outages.add(OutageWindow(clock.now, clock.now + 60.0))
+    providers[victim].faults.add(OutageWindow(clock.now, clock.now + 60.0))
     _data, report = scheme.get("/t/large.bin")
     return len(report.providers)
 

@@ -27,7 +27,7 @@ from dataclasses import replace
 from repro.cloud.provider import make_table2_cloud_of_clouds
 from repro.core.resilience import ResilienceConfig
 from repro.faults.crash import ClientCrash, CrashSchedule
-from repro.faults.profile import FaultProfile, NetworkPartition
+from repro.faults.profile import FaultProfile, OutageWindow
 from repro.schemes import RacsScheme
 from repro.sim.clock import SimClock
 from repro.sim.rng import make_rng
@@ -91,7 +91,7 @@ def _spill_trial(seed: int) -> tuple[dict, object]:
     """Put through a partition (forcing a zero-budget spill), then heal."""
     rng = make_rng(seed, "crash-drill", "spill")
     clock = SimClock()
-    cut = NetworkPartition(clock.now + 1.0, clock.now + 600.0)
+    cut = OutageWindow(clock.now + 1.0, clock.now + 600.0)
     fleet = make_table2_cloud_of_clouds(
         clock, faults={"rackspace": FaultProfile([cut], seed=seed).bind("rackspace")}
     )

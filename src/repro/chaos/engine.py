@@ -9,7 +9,7 @@ scheme, <plan>)`` —
   think-time gaps that let scripted faults land mid-workload;
 - a **storm** plan: per-provider latency brownouts, transient-error bursts
   and flapping outages over drawn windows;
-- a **partition** plan: :class:`~repro.faults.profile.NetworkPartition`
+- a **partition** plan: :class:`~repro.faults.profile.OutageWindow`
   windows that cut the client off from 0–2 providers;
 - a **crash** plan: 1–3 ordinals in the client's cloud-request stream at
   which the process dies (:class:`~repro.faults.crash.CrashSchedule`).
@@ -55,7 +55,7 @@ from repro.faults.profile import (
     FaultProfile,
     FlappingOutage,
     LatencyBrownout,
-    NetworkPartition,
+    OutageWindow,
     TransientErrorBurst,
 )
 from repro.fs.journal import IntentJournal
@@ -222,7 +222,7 @@ class _EpisodeDriver:
         self._max_effect_end = 0.0
         for name in _FLEET:
             effects = list(storm_effects.get(name, ()))
-            effects += [NetworkPartition(s, e) for s, e in self.partitions.get(name, ())]
+            effects += [OutageWindow(s, e) for s, e in self.partitions.get(name, ())]
             if effects:
                 self._max_effect_end = max(self._max_effect_end, *(e.end for e in effects))
                 profiles[name] = FaultProfile(effects, seed=seed).bind(name)

@@ -11,8 +11,7 @@ itself.
 - :mod:`repro.cloud.latency`     -- RTT + bandwidth latency models, client link
 - :mod:`repro.cloud.pricing`     -- Table II price plans and presets
 - :mod:`repro.cloud.metering`    -- raw usage meters (bytes, ops, byte-time)
-- :mod:`repro.cloud.outage`      -- outage windows / schedules / injection
-- :mod:`repro.cloud.provider`    -- the metered, outage-aware provider (the
+- :mod:`repro.cloud.provider`    -- the metered, fault-aware provider (the
                                     five passive functions)
 - :mod:`repro.cloud.gcsapi`      -- the GCS-API provider registry
 """
@@ -28,7 +27,6 @@ from repro.cloud.gcsapi import GcsApi
 from repro.cloud.latency import ClientLink, LatencyModel
 from repro.cloud.metering import UsageMeter
 from repro.cloud.objectstore import ObjectStore, StoredObject
-from repro.cloud.outage import OutageSchedule, OutageWindow
 from repro.cloud.pricing import PRICE_PLANS, PricingPlan, ProviderCategory
 from repro.cloud.provider import SimulatedProvider, make_table2_cloud_of_clouds
 
@@ -41,8 +39,6 @@ __all__ = [
     "NoSuchContainer",
     "NoSuchObject",
     "ObjectStore",
-    "OutageSchedule",
-    "OutageWindow",
     "PRICE_PLANS",
     "PricingPlan",
     "ProviderCategory",

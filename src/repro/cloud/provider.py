@@ -2,7 +2,7 @@
 
 A :class:`SimulatedProvider` is the paper's "passive storage functional
 entity": exactly five functions — List, Get, Create, Put, Remove — wrapped
-with (1) availability checks against an outage schedule, (2) usage metering
+with (1) availability checks against its fault profile, (2) usage metering
 for billing, and (3) a latency model that schemes use to cost the wire time.
 
 Provider methods mutate state instantly and *return data only*; latency is
@@ -24,7 +24,6 @@ from repro.sim.rng import make_rng
 from repro.cloud.latency import LatencyModel
 from repro.cloud.metering import UsageMeter
 from repro.cloud.objectstore import ObjectStore, StoredObject
-from repro.cloud.outage import OutageSchedule
 from repro.cloud.pricing import CATEGORIES, PRICE_PLANS, PricingPlan, ProviderCategory
 from repro.sim.clock import SimClock
 
@@ -44,7 +43,7 @@ TABLE2_LATENCY: dict[str, LatencyModel] = {
 
 
 class SimulatedProvider:
-    """One cloud storage provider: object store + latency + billing + outages."""
+    """One cloud storage provider: object store + latency + billing + faults."""
 
     def __init__(
         self,
@@ -52,31 +51,24 @@ class SimulatedProvider:
         clock: SimClock,
         latency: LatencyModel,
         pricing: PricingPlan,
-        outages: OutageSchedule | None = None,
         category: ProviderCategory = ProviderCategory.NONE,
-        fault_rate: float = 0.0,
-        fault_seed: int = 0,
         features: "ProviderFeatures | None" = None,
         faults: FaultProfile | None = None,
     ) -> None:
-        if not (0.0 <= fault_rate < 1.0):
-            raise ValueError(f"fault_rate must be in [0, 1), got {fault_rate}")
         self.name = name
         self.clock = clock
         self.latency = latency
         self.pricing = pricing
-        self.outages = outages if outages is not None else OutageSchedule()
         self.category = category
         self.store = ObjectStore()
         self.meter = UsageMeter()
-        #: probability that any single request fails transiently (HTTP 500 /
-        #: throttling); clients are expected to retry
-        self.fault_rate = fault_rate
-        self._fault_rng = make_rng(fault_seed, "provider-faults", name)
+        #: transient-error draws (a :class:`~repro.faults.profile.TransientErrorBurst`
+        #: bounces a request when one falls below the profile's rate)
+        self._fault_rng = make_rng(0, "provider-faults", name)
         self.features = features if features is not None else ProviderFeatures()
-        #: scripted fault profile (bursts, brownouts, flapping, corruption);
-        #: layered on top of the outage schedule and the base fault rate
-        self.faults = faults.bind(name) if faults is not None else None
+        #: the one source of misbehaviour: outage windows, transient errors,
+        #: brownouts, flapping and served corruption
+        self.faults = (faults if faults is not None else FaultProfile()).bind(name)
         #: optional :class:`~repro.metrics.registry.MetricsRegistry`; when a
         #: scheme attaches one (it does at construction), every request is
         #: counted into ``provider_requests_total{provider,op}``, failures
@@ -85,6 +77,11 @@ class SimulatedProvider:
         #: pure bookkeeping: no RNG draws, no clock movement.  A fleet shared
         #: by several schemes reports into whichever registry attached last.
         self.metrics = None
+
+    @property
+    def outages(self) -> FaultProfile:
+        """Read-only alias of :attr:`faults`, kept for ``outages.add(window)``."""
+        return self.faults
 
     # --------------------------------------------------------------- metrics
     def _count_request(self, op: str) -> None:
@@ -97,56 +94,21 @@ class SimulatedProvider:
 
     # ---------------------------------------------------------- availability
     def is_available(self, t: float | None = None) -> bool:
-        t = self.clock.now if t is None else t
-        if self.outages.is_out(t):
-            return False
-        return not (self.faults is not None and self.faults.is_out(t))
-
-    def scheduled_downtime(self, t0: float, t1: float) -> list[tuple[float, float]]:
-        """Ground-truth unavailability intervals in ``[t0, t1)``, merged.
-
-        The union of the outage schedule's windows and every fault-profile
-        effect that takes the provider down (flapping outages).  This is what
-        :meth:`is_available` would report if polled continuously — the SLO
-        tracker ingests it so observed MTBF/MTTR can be checked against the
-        injected schedule exactly.
-        """
-        raw: list[tuple[float, float]] = []
-        for w in self.outages.windows:
-            a, b = max(w.start, t0), min(w.end, t1)
-            if b > a:
-                raw.append((a, b))
-        if self.faults is not None:
-            raw.extend(self.faults.downtime_windows(t0, t1))
-        raw.sort()
-        merged: list[tuple[float, float]] = []
-        for a, b in raw:
-            if merged and a <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], b))
-            else:
-                merged.append((a, b))
-        return merged
-
-    def _effective_fault_rate(self, t: float) -> float:
-        """Base transient rate layered with any scripted burst/throttle."""
-        rate = self.fault_rate
-        if self.faults is not None:
-            extra = self.faults.extra_fault_rate(t)
-            if extra > 0.0:
-                rate = 1.0 - (1.0 - rate) * (1.0 - extra)
-        return rate
+        return not self.faults.is_out(self.clock.now if t is None else t)
 
     def _check_available(self) -> float:
         """Raise unless the request is served; returns the instant it is
         (a request mutates state instantly, so its one clock reading)."""
         now = self.clock.now
-        if not self.is_available(now):
-            self._count_error("unavailable")
-            raise ProviderUnavailable(self.name, now)
-        rate = self._effective_fault_rate(now)
-        if rate > 0.0 and self._fault_rng.random() < rate:
-            self._count_error("transient")
-            raise TransientProviderError(self.name, now)
+        faults = self.faults
+        if faults.effects:
+            if faults.is_out(now):
+                self._count_error("unavailable")
+                raise ProviderUnavailable(self.name, now)
+            rate = faults.extra_fault_rate(now)
+            if rate > 0.0 and self._fault_rng.random() < rate:
+                self._count_error("transient")
+                raise TransientProviderError(self.name, now)
         return now
 
     def _sync_storage_meter(self, now: float) -> None:
@@ -162,7 +124,7 @@ class SimulatedProvider:
         really does answer slowly — the client only *learns* about it through
         the measurements its health tracker accumulates.
         """
-        if self.faults is None:
+        if not self.faults.effects:
             return self.latency
         rtt_f, bw_f = self.faults.latency_factors(self.clock.now if t is None else t)
         if rtt_f == 1.0 and bw_f == 1.0:
@@ -205,7 +167,7 @@ class SimulatedProvider:
         self.meter.record_get(obj.size, now)
         if self.metrics is not None:
             self.metrics.counter("provider_bytes_down_total", provider=self.name).inc(obj.size)
-        if self.faults is not None:
+        if self.faults.effects:
             return self.faults.maybe_corrupt(obj.data, now, where=(container, key))
         return obj.data
 
@@ -252,16 +214,13 @@ class SimulatedProvider:
 
 def make_table2_cloud_of_clouds(
     clock: SimClock,
-    outages: dict[str, OutageSchedule] | None = None,
     faults: dict[str, FaultProfile] | None = None,
 ) -> dict[str, SimulatedProvider]:
     """The paper's experimental Cloud-of-Clouds: the four Table II providers.
 
     Returns ``{name: provider}`` with pricing from Table II and latency from
-    :data:`TABLE2_LATENCY`; pass ``outages`` and/or ``faults`` to inject
-    failures per provider.
+    :data:`TABLE2_LATENCY`; pass ``faults`` to inject failures per provider.
     """
-    outages = outages or {}
     faults = faults or {}
     providers: dict[str, SimulatedProvider] = {}
     for name in ("amazon_s3", "azure", "aliyun", "rackspace"):
@@ -270,7 +229,6 @@ def make_table2_cloud_of_clouds(
             clock=clock,
             latency=TABLE2_LATENCY[name],
             pricing=PRICE_PLANS[name],
-            outages=outages.get(name),
             category=CATEGORIES[name],
             features=TABLE2_FEATURES[name],
             faults=faults.get(name),

@@ -6,9 +6,8 @@ from repro.faults.profile import (
     FaultProfile,
     FlappingOutage,
     LatencyBrownout,
-    NetworkPartition,
+    OutageWindow,
     SilentCorruption,
-    Throttling,
     TransientErrorBurst,
 )
 from repro.faults.ledger import (
@@ -17,7 +16,7 @@ from repro.faults.ledger import (
     inject_bit_rot,
     inject_loss,
 )
-from repro.faults.scenario import FaultScenario, make_fault_storm, partition_scenario
+from repro.faults.scenario import FaultScenario, make_fault_storm, poisson_outages
 
 __all__ = [
     "ClientCrash",
@@ -30,12 +29,11 @@ __all__ = [
     "FaultScenario",
     "FlappingOutage",
     "LatencyBrownout",
-    "NetworkPartition",
+    "OutageWindow",
     "SilentCorruption",
-    "Throttling",
     "TransientErrorBurst",
     "inject_bit_rot",
     "inject_loss",
     "make_fault_storm",
-    "partition_scenario",
+    "poisson_outages",
 ]

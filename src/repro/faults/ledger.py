@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
+from repro.faults.profile import flip_byte
 from repro.sim.rng import make_rng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -115,13 +116,6 @@ class CorruptionLedger:
         return bool(self._events)
 
 
-def _flip_byte(data: bytes, rng) -> bytes:
-    corrupted = bytearray(data)
-    pos = int(rng.integers(0, len(corrupted)))
-    corrupted[pos] ^= 1 + int(rng.integers(0, 255))
-    return bytes(corrupted)
-
-
 def inject_bit_rot(
     provider: "SimulatedProvider",
     container: str,
@@ -149,11 +143,11 @@ def inject_bit_rot(
         if truncate:
             damaged = data[: max(1, len(data) // 2)]
             if damaged == data:  # 1-byte objects cannot shrink; flip instead
-                damaged, kind = _flip_byte(data, rng), "corrupt"
+                damaged, kind = flip_byte(data, rng), "corrupt"
             else:
                 kind = "truncated"
         else:
-            damaged, kind = _flip_byte(data, rng), "corrupt"
+            damaged, kind = flip_byte(data, rng), "corrupt"
         provider.store.tamper(container, key, damaged)
         event = DamageEvent(provider.name, container, key, kind, now)
         events.append(event)

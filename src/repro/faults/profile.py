@@ -1,12 +1,12 @@
 """Composable, seeded, sim-clock-driven fault profiles.
 
-The seed models provider misbehaviour as a binary outage window
-(:class:`~repro.cloud.outage.OutageSchedule`) plus one uniform
-``fault_rate``.  Real multi-cloud failures are richer: throttling bursts,
-latency *brownouts* (the provider answers, slowly), flapping outages and
-silent corruption.  A :class:`FaultProfile` layers any mix of those effects
-on top of the existing outage/fault machinery; the provider consults one
-unified pipeline (:meth:`FaultProfile.is_out`,
+Every :class:`~repro.cloud.provider.SimulatedProvider` owns one
+:class:`FaultProfile`, and that profile is its only source of misbehaviour:
+outage windows (the paper's §III-C outage: unreachable, then back with its
+data intact), transient-error bursts (HTTP 500s and throttling; a constant
+rate is a burst over ``[0, inf)``), latency *brownouts* (the provider
+answers, slowly), flapping outages and silent corruption.  The provider
+consults one pipeline (:meth:`FaultProfile.is_out`,
 :meth:`FaultProfile.extra_fault_rate`, :meth:`FaultProfile.latency_factors`,
 :meth:`FaultProfile.maybe_corrupt`) so schemes never need to know which
 effect fired.
@@ -19,6 +19,7 @@ the resilience tests and benches assertable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,13 +28,13 @@ from repro.sim.rng import make_rng
 
 __all__ = [
     "FaultEffect",
+    "OutageWindow",
     "TransientErrorBurst",
-    "Throttling",
     "LatencyBrownout",
     "FlappingOutage",
-    "NetworkPartition",
     "SilentCorruption",
     "FaultProfile",
+    "flip_byte",
 ]
 
 
@@ -89,8 +90,25 @@ class FaultEffect:
 
 
 @dataclass(frozen=True)
+class OutageWindow(FaultEffect):
+    """The provider is unreachable over ``[start, end)``; ``end`` may be inf.
+
+    This is the paper's outage (the provider returns with its data intact
+    but stale) and equally a network partition: from the client's seat the
+    two are indistinguishable, every request fails.  Its whole window is
+    ``downtime_windows`` ground truth (via the base-class default).
+    """
+
+    end: float = math.inf
+
+    def is_out(self, t: float) -> bool:
+        return self.active(t)
+
+
+@dataclass(frozen=True)
 class TransientErrorBurst(FaultEffect):
-    """A window where individual requests fail (HTTP 500s) at ``rate``."""
+    """A window where individual requests fail (HTTP 500s, throttling) at
+    ``rate``; ``TransientErrorBurst(0, inf, rate)`` is a constant rate."""
 
     rate: float = 0.0
 
@@ -101,16 +119,6 @@ class TransientErrorBurst(FaultEffect):
 
     def extra_fault_rate(self, t: float) -> float:
         return self.rate if self.active(t) else 0.0
-
-
-@dataclass(frozen=True)
-class Throttling(TransientErrorBurst):
-    """Admission-control rejections (HTTP 429/503-with-retry-after).
-
-    Mechanically identical to a transient-error burst — a fraction of
-    requests bounce and the client must retry — but kept as its own type so
-    scenarios read like the incident reports they model.
-    """
 
 
 @dataclass(frozen=True)
@@ -166,13 +174,6 @@ class FlappingOutage(FaultEffect):
             return False
         return (t - self.start) % self.period < self.downtime
 
-    def next_up(self, t: float) -> float:
-        """First instant >= ``t`` at which the flapper is up (for tests)."""
-        while self.is_out(t):
-            phase = (t - self.start) % self.period
-            t += self.downtime - phase
-        return t
-
     def downtime_windows(self, t0: float, t1: float) -> list[tuple[float, float]]:
         lo, hi = max(t0, self.start), min(t1, self.end)
         if hi <= lo:
@@ -190,23 +191,6 @@ class FlappingOutage(FaultEffect):
                 windows.append((a, b))
             k += 1
         return windows
-
-
-@dataclass(frozen=True)
-class NetworkPartition(FaultEffect):
-    """The client cannot reach the provider for the whole window.
-
-    From the client's seat a partition is indistinguishable from a provider
-    outage — every request times out — but it is a *network* fact: the
-    provider is up, serving other clients, and its stored state is intact
-    and ageing.  Partition windows therefore contribute to
-    ``downtime_windows`` ground truth (via the base-class default) exactly
-    like real outages, which is what keeps SLO downtime ledgers honest when
-    the chaos engine scripts reachability, not provider health.
-    """
-
-    def is_out(self, t: float) -> bool:
-        return self.active(t)
 
 
 @dataclass(frozen=True)
@@ -231,7 +215,8 @@ class SilentCorruption(FaultEffect):
 class FaultProfile:
     """A provider's scripted misbehaviour: an ordered list of effects.
 
-    One profile belongs to one provider; :meth:`bind` derives its RNG stream
+    One profile belongs to one provider (every provider owns one, empty by
+    default, and effects are added to it); :meth:`bind` derives its RNG stream
     from ``(seed, "fault-profile", provider_name)`` so two providers given
     structurally identical profiles still fail independently.
     """
@@ -239,15 +224,17 @@ class FaultProfile:
     def __init__(self, effects: list[FaultEffect] | None = None, seed: int = 0) -> None:
         self.effects: list[FaultEffect] = list(effects or [])
         self.seed = seed
-        self._rng: np.random.Generator = make_rng(seed, "fault-profile", "unbound")
         self.provider_name = "unbound"
+        #: corruption draws, derived on first use: every provider owns a
+        #: profile, and most never corrupt, so most never seed a generator
+        self._rng: np.random.Generator | None = None
         #: optional ground-truth sink (:class:`repro.faults.ledger.CorruptionLedger`);
         #: when set, every corrupted Get is recorded as a ``served-corrupt`` event.
         self.ledger = None
 
     def bind(self, provider_name: str) -> "FaultProfile":
         """Attach the profile to a provider (re-keys the RNG stream)."""
-        self._rng = make_rng(self.seed, "fault-profile", provider_name)
+        self._rng = None
         self.provider_name = provider_name
         return self
 
@@ -262,7 +249,10 @@ class FaultProfile:
 
     # ------------------------------------------------------ unified pipeline
     def is_out(self, t: float) -> bool:
-        return any(e.is_out(t) for e in self.effects)
+        for e in self.effects:
+            if e.is_out(t):
+                return True
+        return False
 
     def extra_fault_rate(self, t: float) -> float:
         """Combined transient-failure probability from every active effect.
@@ -315,18 +305,19 @@ class FaultProfile:
         rate = self.corruption_rate(t)
         if rate <= 0.0 or not data:
             return data
-        if self._rng.random() >= rate:
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = make_rng(self.seed, "fault-profile", self.provider_name)
+        if rng.random() >= rate:
             return data
-        corrupted = bytearray(data)
-        pos = int(self._rng.integers(0, len(corrupted)))
-        corrupted[pos] ^= 1 + int(self._rng.integers(0, 255))
+        corrupted = flip_byte(data, rng)
         if self.ledger is not None and where is not None:
             from repro.faults.ledger import DamageEvent
 
             self.ledger.record(
                 DamageEvent(self.provider_name, where[0], where[1], "served-corrupt", t)
             )
-        return bytes(corrupted)
+        return corrupted
 
     def __bool__(self) -> bool:
         return bool(self.effects)
@@ -334,3 +325,12 @@ class FaultProfile:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kinds = [type(e).__name__ for e in self.effects]
         return f"FaultProfile({kinds})"
+
+
+def flip_byte(data: bytes, rng: np.random.Generator) -> bytes:
+    """A copy of ``data`` with one byte XORed by a non-zero mask; two draws
+    from ``rng`` (the position, then the mask)."""
+    corrupted = bytearray(data)
+    pos = int(rng.integers(0, len(corrupted)))
+    corrupted[pos] ^= 1 + int(rng.integers(0, 255))
+    return bytes(corrupted)

@@ -10,7 +10,9 @@ installs them with one call, so an experiment reads as a script::
 resilience bench and acceptance tests: a latency brownout on the fastest
 performance provider, a transient-error burst plus throttling on a second,
 and a flapping outage on a third — all at once, which is exactly the regime
-where fixed-count immediate retries fall over.
+where fixed-count immediate retries fall over.  :func:`poisson_outages`
+draws independent MTBF/MTTR outage processes, the availability analysis's
+Monte-Carlo schedule, as a scenario the real schemes can run under.
 """
 
 from __future__ import annotations
@@ -21,16 +23,16 @@ from repro.faults.profile import (
     FaultProfile,
     FlappingOutage,
     LatencyBrownout,
-    NetworkPartition,
+    OutageWindow,
     SilentCorruption,
-    Throttling,
     TransientErrorBurst,
 )
+from repro.sim.rng import make_rng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (provider imports us)
     from repro.cloud.provider import SimulatedProvider
 
-__all__ = ["FaultScenario", "make_fault_storm", "partition_scenario"]
+__all__ = ["FaultScenario", "make_fault_storm", "poisson_outages"]
 
 
 class FaultScenario:
@@ -41,7 +43,8 @@ class FaultScenario:
         self.profiles = dict(profiles)
 
     def apply(self, providers: dict[str, SimulatedProvider]) -> None:
-        """Install every profile onto its provider (unknown names raise)."""
+        """Install every profile onto its provider, replacing the one it had
+        (unknown names raise)."""
         for pname, profile in self.profiles.items():
             if pname not in providers:
                 raise KeyError(f"scenario {self.name!r}: no provider {pname!r}")
@@ -51,7 +54,7 @@ class FaultScenario:
         """Remove the scenario's profiles (providers return to clean)."""
         for pname in self.profiles:
             if pname in providers:
-                providers[pname].faults = None
+                providers[pname].faults = FaultProfile().bind(pname)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FaultScenario({self.name!r}, providers={sorted(self.profiles)})"
@@ -86,7 +89,7 @@ def make_fault_storm(
         burst_provider: FaultProfile(
             [
                 TransientErrorBurst(t0, end, rate=0.35),
-                Throttling(t0, end, rate=0.15),
+                TransientErrorBurst(t0, end, rate=0.15),  # throttling
             ],
             seed=seed,
         ),
@@ -101,24 +104,31 @@ def make_fault_storm(
     return FaultScenario("fault-storm", profiles)
 
 
-def partition_scenario(
-    windows: list[tuple[float, float, list[str]]],
+def poisson_outages(
+    providers: tuple[str, ...],
+    horizon: float,
+    mtbf: float,
+    mttr: float,
     seed: int = 0,
-    name: str = "partition",
 ) -> FaultScenario:
-    """Per-provider reachability sets over sim-time windows.
+    """Independent Poisson outage processes, one profile per provider.
 
-    ``windows`` is a plan of ``(t0, t1, unreachable_providers)`` triples —
-    during ``[t0, t1)`` the client cannot reach any provider in the set.
-    Each named provider gets one :class:`NetworkPartition` effect per window
-    it appears in, all folded into a single profile (a provider may only
-    carry one profile at a time).
+    Each provider's windows draw from ``make_rng(seed, "availability",
+    name)``: exponential time-between-failures (mean ``mtbf``) alternating
+    with exponential repair times (mean ``mttr``) until ``horizon`` — the
+    availability analyses the paper cites (outages are rare but last hours
+    to days), e.g. ``mtbf=90 days, mttr=8 hours``.
     """
-    per: dict[str, list[NetworkPartition]] = {}
-    for t0, t1, unreachable in windows:
-        for pname in unreachable:
-            per.setdefault(pname, []).append(NetworkPartition(t0, t1))
-    return FaultScenario(
-        name,
-        {pname: FaultProfile(list(effects), seed=seed) for pname, effects in per.items()},
-    )
+    if mtbf <= 0 or mttr <= 0:
+        raise ValueError("mtbf and mttr must be > 0")
+    profiles: dict[str, FaultProfile] = {}
+    for name in providers:
+        rng = make_rng(seed, "availability", name)
+        windows = []
+        t = float(rng.exponential(mtbf))
+        while t < horizon:
+            duration = float(rng.exponential(mttr))
+            windows.append(OutageWindow(t, t + duration))
+            t = t + duration + float(rng.exponential(mtbf))
+        profiles[name] = FaultProfile(windows, seed=seed)
+    return FaultScenario("poisson-outages", profiles)

@@ -104,8 +104,7 @@ class MaintenancePlane:
         )
         if ledger is not None:
             for provider in scheme.api.providers():
-                if provider.faults is not None:
-                    provider.faults.attach_ledger(ledger)
+                provider.faults.attach_ledger(ledger)
         self._timer: RecurringEvent | None = None
         self.paused = False
         self.ticks = 0

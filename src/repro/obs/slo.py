@@ -13,8 +13,8 @@ happens:
 - :class:`ProviderSlo` — two ledgers per provider.  ``observed`` is fed by
   circuit-breaker transitions (the client's view: open = down edge, closed =
   up edge — it lags the true outage by the failures needed to trip).
-  ``scheduled`` ingests the injected ground truth
-  (:meth:`~repro.cloud.provider.SimulatedProvider.scheduled_downtime`), so
+  ``scheduled`` ingests the injected ground truth (each provider's
+  :meth:`faults.downtime_windows <repro.faults.profile.FaultProfile.downtime_windows>`), so
   tests can demand *exact* agreement with the fault schedule while the
   breaker view is compared with tolerance.
 - :class:`SloTracker` — the aggregate: a sliding window of operation
@@ -335,7 +335,7 @@ class SloTracker(_TrailingWindow):
         """
         for p in providers:
             ledger = self.provider(p.name).scheduled
-            for a, b in p.scheduled_downtime(t0, t1):
+            for a, b in p.faults.downtime_windows(t0, t1):
                 ledger.add_window(a, b)
 
     # ----------------------------------------------------------- computations

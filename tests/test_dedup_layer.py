@@ -105,13 +105,13 @@ class TestOverHyrd:
     def test_dedup_over_hyrd_with_outage(self, providers, clock, payload):
         """The layer inherits HyRD's availability: chunk reads survive an
         outage through the underlying degraded paths."""
-        from repro.cloud.outage import OutageWindow
+        from repro.faults import OutageWindow
 
         hyrd = HyrdScheme(list(providers.values()), clock)
         layer = DedupLayer(hyrd, ContentDefinedChunker(avg_size=8 * KB))
         data = payload(120 * KB)
         layer.put("/doc", data)
-        providers["azure"].outages.add(OutageWindow(clock.now, clock.now + 3600))
+        providers["azure"].faults.add(OutageWindow(clock.now, clock.now + 3600))
         assert layer.get("/doc") == data
 
     def test_chunks_ride_hyrd_placement(self, providers, clock, payload):

@@ -1,5 +1,7 @@
 """Unit tests for the scripted fault-injection layer (repro.faults)."""
 
+import math
+
 import pytest
 
 from repro.cloud.latency import LatencyModel
@@ -10,21 +12,21 @@ from repro.faults import (
     FaultScenario,
     FlappingOutage,
     LatencyBrownout,
+    OutageWindow,
     SilentCorruption,
-    Throttling,
     TransientErrorBurst,
+    inject_bit_rot,
     make_fault_storm,
 )
 from repro.sim.clock import SimClock
 
 
-def _provider(clock, faults=None, fault_rate=0.0):
+def _provider(clock, faults=None, name="p1"):
     return SimulatedProvider(
-        name="p1",
+        name=name,
         clock=clock,
         latency=LatencyModel(rtt=0.05, upload_bw=5e6, download_bw=5e6),
         pricing=PRICE_PLANS["aliyun"],
-        fault_rate=fault_rate,
         faults=faults,
     )
 
@@ -46,8 +48,11 @@ class TestEffectWindows:
         assert burst.extra_fault_rate(20.0) == 0.0
 
     def test_throttling_is_a_burst(self):
-        t = Throttling(0.0, 5.0, rate=0.2)
-        assert t.extra_fault_rate(1.0) == 0.2
+        # the storm's throttling is a second transient-error burst
+        profile = make_fault_storm(t0=0.0, duration=5.0).profiles["azure"]
+        assert [type(e) for e in profile.effects] == [TransientErrorBurst] * 2
+        assert [e.rate for e in profile.effects] == [0.35, 0.15]
+        assert profile.extra_fault_rate(1.0) == pytest.approx(1.0 - 0.65 * 0.85)
 
     def test_brownout_validation_and_factors(self):
         with pytest.raises(ValueError):
@@ -67,12 +72,6 @@ class TestEffectWindows:
         assert f.is_out(160.0)  # next cycle's downtime
         assert not f.is_out(400.0)  # window over
 
-    def test_flapping_next_up(self):
-        f = FlappingOutage(0.0, 600.0, period=60.0, downtime=20.0)
-        assert f.next_up(5.0) == pytest.approx(20.0)
-        assert f.next_up(30.0) == 30.0  # already up
-        assert f.next_up(65.0) == pytest.approx(80.0)
-
     def test_flapping_validation(self):
         with pytest.raises(ValueError):
             FlappingOutage(0.0, 10.0, period=0.0, downtime=1.0)
@@ -85,7 +84,7 @@ class TestFaultProfile:
         profile = FaultProfile(
             [
                 TransientErrorBurst(0.0, 10.0, rate=0.5),
-                Throttling(0.0, 10.0, rate=0.5),
+                TransientErrorBurst(0.0, 10.0, rate=0.5),
             ]
         )
         assert profile.extra_fault_rate(5.0) == pytest.approx(0.75)
@@ -139,6 +138,29 @@ class TestFaultProfile:
             outs.append(profile.maybe_corrupt(data, 1.0))
         assert outs[0] == outs[1]
 
+    def test_one_byte_flip_is_pinned_per_seed(self):
+        """Served corruption and persistent bit rot flip bytes with one
+        helper; the positions and masks for these seeds are fixed."""
+        profile = FaultProfile([SilentCorruption(0.0, 10.0, rate=1.0)], seed=3).bind("p1")
+        data = bytes(range(256))
+        flips = []
+        for _ in range(2):
+            out = profile.maybe_corrupt(data, 5.0)
+            flips.append([(i, out[i]) for i in range(256) if out[i] != data[i]])
+        assert flips == [[(211, 103)], [(246, 2)]]
+
+        provider = _provider(SimClock(), name="azure")
+        provider.create("c")
+        for key in ("a", "b", "c"):
+            provider.put("c", key, bytes(100))
+        inject_bit_rot(provider, "c", ["a", "b", "c"], seed=7)
+        rotted = [bytes(provider.store.get("c", key).data) for key in ("a", "b", "c")]
+        assert [[(i, b) for i, b in enumerate(r) if b] for r in rotted] == [
+            [(60, 15)],
+            [(44, 119)],
+            [(34, 8)],
+        ]
+
     def test_bind_gives_independent_streams_per_provider(self):
         data = bytes(4096)
         a = FaultProfile([SilentCorruption(0.0, 10.0, rate=1.0)], seed=9).bind("a")
@@ -160,14 +182,19 @@ class TestProviderIntegration:
         assert provider.is_available()
 
     def test_burst_layers_onto_base_fault_rate(self):
+        # a constant base rate is a burst over all of sim time
         clock = SimClock()
         provider = _provider(
             clock,
-            faults=FaultProfile([TransientErrorBurst(0.0, 100.0, rate=0.5)]),
-            fault_rate=0.2,
+            faults=FaultProfile(
+                [
+                    TransientErrorBurst(0.0, math.inf, rate=0.2),
+                    TransientErrorBurst(0.0, 100.0, rate=0.5),
+                ]
+            ),
         )
-        assert provider._effective_fault_rate(50.0) == pytest.approx(0.6)
-        assert provider._effective_fault_rate(150.0) == pytest.approx(0.2)
+        assert provider.faults.extra_fault_rate(50.0) == pytest.approx(0.6)
+        assert provider.faults.extra_fault_rate(150.0) == pytest.approx(0.2)
 
     def test_brownout_degrades_effective_latency(self):
         clock = SimClock()
@@ -202,11 +229,12 @@ class TestScenario:
         fleet = make_table2_cloud_of_clouds(clock)
         storm = make_fault_storm(t0=0.0, duration=600.0, seed=4)
         storm.apply(fleet)
-        assert fleet["aliyun"].faults is not None  # brownout
-        assert fleet["azure"].faults is not None  # burst + throttle
+        assert fleet["aliyun"].faults  # brownout
+        assert fleet["azure"].faults  # burst + throttle
         assert not fleet["rackspace"].is_available()  # flapper starts down
         storm.clear(fleet)
-        assert fleet["aliyun"].faults is None
+        assert not fleet["aliyun"].faults
+        assert fleet["aliyun"].faults.provider_name == "aliyun"
         assert fleet["rackspace"].is_available()
 
     def test_apply_unknown_provider_raises(self):
@@ -229,9 +257,8 @@ class TestDowntimeWindows:
     every down-taking effect's sub-intervals, clipped and coalesced."""
 
     def test_partition_is_down_for_its_whole_window(self):
-        from repro.faults import NetworkPartition
-
-        cut = NetworkPartition(10.0, 50.0)
+        # a network partition is an outage window
+        cut = OutageWindow(10.0, 50.0)
         assert cut.is_out(10.0) and cut.is_out(49.9)
         assert not cut.is_out(9.9) and not cut.is_out(50.0)
         assert cut.downtime_windows(0.0, 100.0) == [(10.0, 50.0)]
@@ -246,11 +273,9 @@ class TestDowntimeWindows:
         assert profile.downtime_windows(0.0, 100.0) == []
 
     def test_overlapping_flap_and_partition_merge(self):
-        from repro.faults import NetworkPartition
-
         # flap down-phases: [0,5) [20,25) [40,45) [60,65) [80,85)
         flap = FlappingOutage(0.0, 100.0, period=20.0, downtime=5.0)
-        cut = NetworkPartition(22.0, 62.0)
+        cut = OutageWindow(22.0, 62.0)
         profile = FaultProfile([flap, cut])
         # the partition swallows three flap phases and glues onto a fourth
         assert profile.downtime_windows(0.0, 100.0) == [
@@ -265,12 +290,9 @@ class TestDowntimeWindows:
             assert not profile.is_out(t)
 
     def test_partition_reaches_provider_scheduled_downtime(self):
-        from repro.faults import NetworkPartition
-
         clock = SimClock()
-        profile = FaultProfile([NetworkPartition(5.0, 15.0)]).bind("p1")
-        provider = _provider(clock, faults=profile)
-        assert provider.scheduled_downtime(0.0, 100.0) == [(5.0, 15.0)]
+        provider = _provider(clock, faults=FaultProfile([OutageWindow(5.0, 15.0)]))
+        assert provider.faults.downtime_windows(0.0, 100.0) == [(5.0, 15.0)]
         clock.advance(6.0)
         assert not provider.is_available()
         clock.advance(10.0)

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.cloud.outage import OutageWindow
 from repro.core.config import MB, HyRDConfig
 from repro.core.hyrd import HyRDClient
+from repro.faults import OutageWindow
 
 
 @pytest.fixture
@@ -123,7 +123,7 @@ class TestOutageBehaviour:
     ):
         data = payload(4096)
         hyrd.put("/d/s", data)
-        providers["azure"].outages.add(OutageWindow(clock.now, clock.now + 3600))
+        providers["azure"].faults.add(OutageWindow(clock.now, clock.now + 3600))
         got, report = hyrd.get("/d/s")
         assert got == data
         # aliyun replica serves; no degradation flag since aliyun was the
@@ -135,7 +135,7 @@ class TestOutageBehaviour:
     ):
         data = payload(4096)
         hyrd.put("/d/s", data)
-        providers["aliyun"].outages.add(OutageWindow(clock.now, clock.now + 3600))
+        providers["aliyun"].faults.add(OutageWindow(clock.now, clock.now + 3600))
         got, report = hyrd.get("/d/s")
         assert got == data
         assert report.degraded
@@ -144,14 +144,14 @@ class TestOutageBehaviour:
     def test_large_degraded_read_reconstructs(self, hyrd, providers, clock, payload):
         data = payload(4 * MB)
         hyrd.put("/d/l", data)
-        providers["rackspace"].outages.add(OutageWindow(clock.now, clock.now + 3600))
+        providers["rackspace"].faults.add(OutageWindow(clock.now, clock.now + 3600))
         got, report = hyrd.get("/d/l")
         assert got == data
         assert report.degraded
 
     def test_consistency_update_after_outage(self, hyrd, providers, clock, payload):
         window = OutageWindow(clock.now, clock.now + 3600)
-        providers["azure"].outages.add(window)
+        providers["azure"].faults.add(window)
         data = payload(4096)
         hyrd.put("/d/s", data)
         assert len(hyrd.pending_log("azure")) > 0

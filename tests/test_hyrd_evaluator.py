@@ -4,9 +4,9 @@ import math
 
 import pytest
 
-from repro.cloud.outage import OutageWindow
 from repro.core.config import HyRDConfig
 from repro.core.evaluator import CostPerformanceEvaluator
+from repro.faults import OutageWindow
 
 
 @pytest.fixture
@@ -52,7 +52,7 @@ class TestProbing:
         assert usage.bytes_out > 0  # probe gets
 
     def test_unavailable_provider_scores_inf(self, providers):
-        providers["azure"].outages.add(OutageWindow(0.0))
+        providers["azure"].faults.add(OutageWindow(0.0))
         ev = CostPerformanceEvaluator(list(providers.values()), HyRDConfig())
         profiles = ev.evaluate()
         assert math.isinf(profiles["azure"].latency_score)
@@ -60,7 +60,7 @@ class TestProbing:
 
     def test_all_unavailable_raises(self, providers):
         for p in providers.values():
-            p.outages.add(OutageWindow(0.0))
+            p.faults.add(OutageWindow(0.0))
         ev = CostPerformanceEvaluator(list(providers.values()), HyRDConfig())
         with pytest.raises(RuntimeError):
             ev.evaluate()

@@ -8,8 +8,8 @@ service and converge to a consistent, non-degraded state.
 
 import numpy as np
 
-from repro.cloud.outage import OutageWindow
 from repro.cloud.provider import make_table2_cloud_of_clouds
+from repro.faults import OutageWindow
 from repro.schemes import DuraCloudScheme, HyrdScheme, NCCloudScheme, RacsScheme
 from repro.sim.clock import SimClock
 
@@ -38,7 +38,7 @@ def _rolling_storm(scheme_builder, seed=5):
     fleet = scheme.provider_names
     for round_no, victim in enumerate(fleet):
         start = clock.now
-        providers[victim].outages.add(OutageWindow(start, start + 3600.0))
+        providers[victim].faults.add(OutageWindow(start, start + 3600.0))
         # Ops during the outage: overwrite one file, create one, read two.
         write(f"/storm/s{round_no % 5}", 8 * KB)
         write(f"/storm/new{round_no}", 16 * KB)
@@ -84,14 +84,14 @@ class TestBackToBackOutages:
         data1, data2 = payload(8 * KB), payload(8 * KB)
 
         w1 = OutageWindow(clock.now, clock.now + 100.0)
-        providers["azure"].outages.add(w1)
+        providers["azure"].faults.add(w1)
         hyrd.put("/f", data1)
         assert len(hyrd.pending_log("azure")) > 0
 
         # It returns, but fails again before anything triggers healing.
         clock.advance_to(w1.end + 1.0)
         w2 = OutageWindow(clock.now + 5.0, clock.now + 200.0)
-        providers["azure"].outages.add(w2)
+        providers["azure"].faults.add(w2)
         clock.advance_to(w2.start + 1.0)
         hyrd.put("/f", data2)  # second version also missed
 

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from repro.analysis.experiments import run_recovery_drill
-from repro.cloud.outage import OutageWindow
 from repro.cloud.provider import make_table2_cloud_of_clouds
+from repro.faults import OutageWindow
 from repro.schemes import DuraCloudScheme, HyrdScheme, RacsScheme
 from repro.sim.clock import SimClock
 from repro.workloads.postmark import PostMarkConfig, generate_postmark
@@ -33,7 +33,7 @@ def _postmark_run(scheme_builder, outage_provider, seed=3):
     replayer.run(scheme, ops[: config.file_pool])
 
     window = OutageWindow(clock.now, clock.now + 4 * 3600.0)
-    providers[outage_provider].outages.add(window)
+    providers[outage_provider].faults.add(window)
     during = replayer.run(scheme, ops[config.file_pool :])
 
     clock.advance_to(window.end)
@@ -97,8 +97,8 @@ class TestRecoveryDrillExperiment:
 #: on all four, and the first put after it heals all four inline
 _INLINE_HEAL_SCENARIO = """
 import hashlib
-from repro.cloud.outage import OutageSchedule, OutageWindow
 from repro.cloud.provider import make_table2_cloud_of_clouds
+from repro.faults import FaultProfile, OutageWindow
 from repro.obs.trace import RecordingTracer
 from repro.schemes import RacsScheme
 from repro.sim.clock import SimClock
@@ -106,7 +106,7 @@ from repro.sim.clock import SimClock
 clock = SimClock()
 names = ("amazon_s3", "azure", "aliyun", "rackspace")
 fleet = make_table2_cloud_of_clouds(
-    clock, outages={n: OutageSchedule([OutageWindow(10.0, 500.0)]) for n in names}
+    clock, faults={n: FaultProfile([OutageWindow(10.0, 500.0)]) for n in names}
 )
 tracer = RecordingTracer(clock)
 scheme = RacsScheme(list(fleet.values()), clock, tracer=tracer)

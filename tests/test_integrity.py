@@ -11,8 +11,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.cloud.outage import OutageWindow
 from repro.core.config import HyRDConfig
+from repro.faults import OutageWindow
 from repro.schemes import (
     DepSkyCAScheme,
     DepSkyScheme,
@@ -295,7 +295,7 @@ class TestPeekSkipsDecodeOnlyWhenProvablyIntact:
     ):
         """The write log keeps the fragment it was handed, so a held logged
         fragment is the encoded object and the recorded payload is served."""
-        providers["aliyun"].outages.add(OutageWindow(clock.now, clock.now + 60))
+        providers["aliyun"].faults.add(OutageWindow(clock.now, clock.now + 60))
         data = payload(200 * KB)
         coded_scheme.put("/d/f", data)
         assert coded_scheme.pending_log("aliyun")

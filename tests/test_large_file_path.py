@@ -16,11 +16,11 @@ not clocks.
 import numpy as np
 import pytest
 
-from repro.cloud.outage import OutageWindow
 from repro.core.config import MB, HyRDConfig
 from repro.erasure.fmsr import FMSRCode
 from repro.erasure.raid5 import Raid5Code
 from repro.erasure.reed_solomon import ReedSolomonCode
+from repro.faults import OutageWindow
 from repro.schemes import HyrdScheme, NCCloudScheme
 from repro.schemes.base import Scheme, _PayloadCache
 
@@ -252,7 +252,7 @@ class TestOutageIdentity:
     def test_after_the_heal_nothing_decodes_or_rehashes(
         self, coded, providers, clock, payload, decodes, digests
     ):
-        providers["aliyun"].outages.add(OutageWindow(clock.now, clock.now + 60))
+        providers["aliyun"].faults.add(OutageWindow(clock.now, clock.now + 60))
         data = payload(2 * MB)
         coded.put("/d/f", data)
         data = _patched(data, 100, b"during")

@@ -7,8 +7,8 @@ serves every file a previous client stored.
 
 import pytest
 
-from repro.cloud.outage import OutageWindow
 from repro.cloud.provider import make_table2_cloud_of_clouds
+from repro.faults import OutageWindow
 from repro.faults.crash import ClientCrash, CrashSchedule
 from repro.fs.metadata import group_key
 from repro.schemes import (
@@ -73,7 +73,7 @@ class TestRecoveryPerScheme:
         """Striped metadata groups reconstruct through parity like any data."""
         first = RacsScheme(list(providers.values()), clock)
         contents = _populate(first, payload)
-        providers["azure"].outages.add(OutageWindow(clock.now, clock.now + 3600))
+        providers["azure"].faults.add(OutageWindow(clock.now, clock.now + 3600))
         second = RacsScheme(list(providers.values()), clock)
         second.recover_namespace()
         assert set(second.namespace.paths()) == set(contents)
@@ -173,7 +173,7 @@ class TestRecoverySemantics:
         _populate(first, payload)
         second = HyrdScheme(list(providers.values()), clock)
         for name in providers:
-            providers[name].outages.add(OutageWindow(clock.now, clock.now + 60))
+            providers[name].faults.add(OutageWindow(clock.now, clock.now + 60))
         with pytest.raises(DataUnavailable):
             second.recover_namespace()
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.cloud import OutageSchedule, OutageWindow
 from repro.cloud.provider import make_table2_cloud_of_clouds
+from repro.faults import FaultProfile, OutageWindow
 from repro.obs import RecordingTracer, RunReport, parse_jsonl
 from repro.schemes import HyrdScheme
 from repro.sim.clock import SimClock
@@ -23,12 +23,12 @@ def traced_run():
     for i in range(4):
         payloads[f"/d/f{i}"] = bytes([i]) * ((8 if i % 2 else 600) * KB)
         scheme.put(f"/d/f{i}", payloads[f"/d/f{i}"])
-    fleet["azure"].outages.add(OutageWindow(clock.now, clock.now + 7200.0))
+    fleet["azure"].faults.add(OutageWindow(clock.now, clock.now + 7200.0))
     for path, payload in payloads.items():
         data, _ = scheme.get(path)
         assert data == payload
     scheme.update("/d/f1", 0, b"v2" * (4 * KB))
-    fleet["azure"].outages = OutageSchedule()  # the provider returns
+    fleet["azure"].faults = FaultProfile().bind("azure")  # the provider returns
     scheme.heal_returned()
     return scheme, tracer
 

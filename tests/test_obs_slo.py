@@ -223,7 +223,7 @@ class TestScheduledGroundTruth:
             [FlappingOutage(100.0, 580.0, period=120.0, downtime=40.0)]
         ).bind("azure")
 
-        assert azure.scheduled_downtime(0.0, 600.0) == [
+        assert azure.faults.downtime_windows(0.0, 600.0) == [
             (100.0, 140.0),
             (220.0, 260.0),
             (340.0, 380.0),
@@ -245,7 +245,7 @@ class TestScheduledGroundTruth:
         azure.faults = FaultProfile(
             [FlappingOutage(100.0, 580.0, period=120.0, downtime=40.0)]
         ).bind("azure")
-        assert azure.scheduled_downtime(120.0, 240.0) == [
+        assert azure.faults.downtime_windows(120.0, 240.0) == [
             (120.0, 140.0),
             (220.0, 240.0),
         ]

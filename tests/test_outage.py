@@ -1,25 +1,30 @@
-"""Unit tests for outage windows and schedules."""
+"""Unit tests for outage windows and drawn outage schedules.
+
+A provider's outage schedule is the set of ``OutageWindow`` effects in its
+fault profile; overlapping windows are a union, read back through
+``FaultProfile.downtime_windows``.
+"""
 
 import math
 
-import numpy as np
 import pytest
 
-from repro.cloud.outage import OutageSchedule, OutageWindow
+from repro.faults import FaultProfile, OutageWindow, poisson_outages
 
 
 class TestOutageWindow:
     def test_covers_half_open(self):
         w = OutageWindow(10.0, 20.0)
-        assert not w.covers(9.99)
-        assert w.covers(10.0)
-        assert w.covers(19.99)
-        assert not w.covers(20.0)
+        assert not w.is_out(9.99)
+        assert w.is_out(10.0)
+        assert w.is_out(19.99)
+        assert not w.is_out(20.0)
 
     def test_open_ended(self):
         w = OutageWindow(5.0)
-        assert w.covers(1e12)
-        assert math.isinf(w.duration)
+        assert w.is_out(1e12)
+        assert math.isinf(w.end)
+        assert w.downtime_windows(0.0, 100.0) == [(5.0, 100.0)]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -30,62 +35,35 @@ class TestOutageWindow:
 
 class TestOutageSchedule:
     def test_empty_schedule_always_up(self):
-        s = OutageSchedule()
+        s = FaultProfile()
         assert not s.is_out(0.0)
-        assert s.next_return(0.0) is None
+        assert s.downtime_windows(0.0, math.inf) == []
 
     def test_is_out(self):
-        s = OutageSchedule([OutageWindow(10, 20), OutageWindow(30, 40)])
+        s = FaultProfile([OutageWindow(10, 20), OutageWindow(30, 40)])
         assert s.is_out(15)
         assert not s.is_out(25)
         assert s.is_out(30)
 
-    def test_overlap_rejected(self):
-        s = OutageSchedule([OutageWindow(10, 20)])
-        with pytest.raises(ValueError):
-            s.add(OutageWindow(15, 25))
-        with pytest.raises(ValueError):
-            s.add(OutageWindow(5, 11))
-
     def test_adjacent_windows_allowed(self):
-        s = OutageSchedule([OutageWindow(10, 20)])
+        s = FaultProfile([OutageWindow(10, 20)])
         s.add(OutageWindow(20, 30))
-        assert len(s.windows) == 2
+        assert len(s.effects) == 2
+        assert s.downtime_windows(0.0, 100.0) == [(10, 30)]
 
     def test_windows_sorted(self):
-        s = OutageSchedule([OutageWindow(30, 40), OutageWindow(10, 20)])
-        assert [w.start for w in s.windows] == [10, 30]
-
-    def test_next_return(self):
-        s = OutageSchedule([OutageWindow(10, 20)])
-        assert s.next_return(15) == 20
-        assert s.next_return(5) is None
-
-    def test_next_return_open_ended_is_none(self):
-        s = OutageSchedule([OutageWindow(10)])
-        assert s.next_return(15) is None
-
-    def test_next_outage_after(self):
-        s = OutageSchedule([OutageWindow(10, 20), OutageWindow(50, 60)])
-        assert s.next_outage_after(0) == 10
-        assert s.next_outage_after(10) == 50
-        assert s.next_outage_after(55) is None
-
-    def test_total_downtime(self):
-        s = OutageSchedule([OutageWindow(10, 20), OutageWindow(90, 200)])
-        assert s.total_downtime(100) == pytest.approx(20.0)
-        assert s.total_downtime(15) == pytest.approx(5.0)
+        s = FaultProfile([OutageWindow(30, 40), OutageWindow(10, 20)])
+        assert s.downtime_windows(0.0, 100.0) == [(10, 20), (30, 40)]
 
     def test_poisson_generation(self):
-        rng = np.random.default_rng(0)
-        s = OutageSchedule.poisson(rng, horizon=1e6, mtbf=1e4, mttr=100)
-        assert len(s.windows) > 10
-        starts = [w.start for w in s.windows]
+        profile = poisson_outages(("p",), horizon=1e6, mtbf=1e4, mttr=100).profiles["p"]
+        assert len(profile.effects) > 10
+        starts = [w.start for w in profile.effects]
         assert starts == sorted(starts)
         # Availability should be roughly mtbf/(mtbf+mttr) ~ 99%.
-        downtime = s.total_downtime(1e6)
+        downtime = sum(b - a for a, b in profile.downtime_windows(0.0, 1e6))
         assert 0.001 < downtime / 1e6 < 0.05
 
     def test_poisson_validation(self):
         with pytest.raises(ValueError):
-            OutageSchedule.poisson(np.random.default_rng(0), 10, 0, 1)
+            poisson_outages(("p",), 10, 0, 1)

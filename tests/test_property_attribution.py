@@ -21,14 +21,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cloud.outage import OutageWindow
 from repro.cloud.provider import make_table2_cloud_of_clouds
 from repro.core.config import HyRDConfig
 from repro.core.resilience import ResilienceConfig
 from repro.faults import (
     FaultProfile,
     LatencyBrownout,
-    Throttling,
+    OutageWindow,
     TransientErrorBurst,
 )
 from repro.obs import (
@@ -197,9 +196,9 @@ FAULTS = {
         FaultProfile([TransientErrorBurst(0.0, 1e6, rate=0.5)]),
     ),
     "throttle": lambda fleet, clock: _bind(
-        fleet, "amazon_s3", FaultProfile([Throttling(0.0, 1e6, rate=0.4)])
+        fleet, "amazon_s3", FaultProfile([TransientErrorBurst(0.0, 1e6, rate=0.4)])
     ),
-    "outage": lambda fleet, clock: fleet["aliyun"].outages.add(
+    "outage": lambda fleet, clock: fleet["aliyun"].faults.add(
         OutageWindow(0.0, 1e6)
     ),
 }

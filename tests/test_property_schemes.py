@@ -12,9 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cloud.outage import OutageWindow
 from repro.cloud.provider import make_table2_cloud_of_clouds
 from repro.core.config import HyRDConfig
+from repro.faults import OutageWindow
 from repro.schemes import (
     DepSkyCAScheme,
     DepSkyScheme,
@@ -86,7 +86,7 @@ def _run_model(scheme_name, ops, outage_slots):
     for step, (kind, slot, size, offset) in enumerate(ops):
         if step in outage_slots:
             if providers[lost].is_available():
-                providers[lost].outages.add(
+                providers[lost].faults.add(
                     OutageWindow(clock.now, clock.now + 120.0)
                 )
         path = f"/p/f{slot}"

@@ -4,13 +4,13 @@ import pytest
 
 from repro.cloud.errors import NoSuchObject, ProviderUnavailable
 from repro.cloud.latency import LatencyModel
-from repro.cloud.outage import OutageSchedule, OutageWindow
 from repro.cloud.pricing import PRICE_PLANS
 from repro.cloud.provider import (
     TABLE2_LATENCY,
     SimulatedProvider,
     make_table2_cloud_of_clouds,
 )
+from repro.faults import FaultProfile, OutageWindow
 from repro.metrics.registry import MetricsRegistry
 
 
@@ -21,7 +21,7 @@ def provider(clock):
         clock=clock,
         latency=LatencyModel(rtt=0.1, upload_bw=1e6, download_bw=1e6),
         pricing=PRICE_PLANS["amazon_s3"],
-        outages=OutageSchedule([OutageWindow(100.0, 200.0)]),
+        faults=FaultProfile([OutageWindow(100.0, 200.0)]),
     )
 
 
@@ -97,7 +97,7 @@ class TestTable2Fleet:
 
     def test_outage_injection(self, clock):
         fleet = make_table2_cloud_of_clouds(
-            clock, outages={"azure": OutageSchedule([OutageWindow(0.0)])}
+            clock, faults={"azure": FaultProfile([OutageWindow(0.0)])}
         )
         assert not fleet["azure"].is_available()
         assert fleet["aliyun"].is_available()

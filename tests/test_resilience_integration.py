@@ -7,18 +7,25 @@ retry policy and health-driven demotion, hedged reads, and the end-to-end
 fault storm on HyRD (zero data loss, breakers trip and recover, logs drain).
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.cloud.errors import CircuitOpenError, TransientProviderError
 from repro.cloud.latency import LatencyModel
-from repro.cloud.outage import OutageSchedule, OutageWindow
 from repro.cloud.pricing import PRICE_PLANS
 from repro.cloud.provider import SimulatedProvider, make_table2_cloud_of_clouds
 from repro.core.config import HyRDConfig
 from repro.core.evaluator import CostPerformanceEvaluator
 from repro.core.resilience import BreakerState, ResilienceConfig, RetryPolicy
-from repro.faults import FaultProfile, LatencyBrownout, make_fault_storm
+from repro.faults import (
+    FaultProfile,
+    LatencyBrownout,
+    OutageWindow,
+    TransientErrorBurst,
+    make_fault_storm,
+)
 from repro.schemes import HyrdScheme, SingleCloudScheme
 from repro.schemes.base import DataUnavailable
 from repro.sim.clock import SimClock
@@ -26,7 +33,7 @@ from repro.sim.clock import SimClock
 KB = 1024
 
 
-def _flaky(clock, rate=0.0, seed=0, outages=None):
+def _flaky(clock, *effects):
     return SimulatedProvider(
         name="flaky",
         clock=clock,
@@ -34,16 +41,19 @@ def _flaky(clock, rate=0.0, seed=0, outages=None):
             rtt=0.05, upload_bw=5e6, download_bw=5e6, rtt_sigma=0.0, bw_sigma=0.0
         ),
         pricing=PRICE_PLANS["aliyun"],
-        fault_rate=rate,
-        fault_seed=seed,
-        outages=outages,
+        faults=FaultProfile(list(effects)),
     )
+
+
+def _rate(rate):
+    """A constant transient-error rate: a burst over all of sim time."""
+    return TransientErrorBurst(0.0, math.inf, rate=rate)
 
 
 class TestBackoffAtSchemeLevel:
     def _run(self, payload):
         clock = SimClock()
-        scheme = SingleCloudScheme(_flaky(clock, rate=0.3, seed=11), clock)
+        scheme = SingleCloudScheme(_flaky(clock, _rate(0.3)), clock)
         for i in range(12):
             scheme.put(f"/d/f{i}", payload(2 * KB))
         return scheme
@@ -60,7 +70,7 @@ class TestBackoffAtSchemeLevel:
         retries = []
         for _ in range(2):
             clock = SimClock()
-            scheme = SingleCloudScheme(_flaky(clock, rate=0.3, seed=11), clock)
+            scheme = SingleCloudScheme(_flaky(clock, _rate(0.3)), clock)
             for i, data in enumerate(datas):
                 scheme.put(f"/d/f{i}", data)
             ends.append(clock.now)
@@ -79,7 +89,7 @@ class TestBackoffAtSchemeLevel:
         ):
             clock = SimClock()
             scheme = SingleCloudScheme(
-                _flaky(clock, rate=0.3, seed=11),
+                _flaky(clock, _rate(0.3)),
                 clock,
                 resilience=ResilienceConfig(retry=retry),
             )
@@ -91,7 +101,7 @@ class TestBackoffAtSchemeLevel:
 
     def test_retries_surface_in_op_reports(self):
         clock = SimClock()
-        scheme = SingleCloudScheme(_flaky(clock, rate=0.4, seed=2), clock)
+        scheme = SingleCloudScheme(_flaky(clock, _rate(0.4)), clock)
         for i in range(10):
             scheme.put(f"/d/f{i}", bytes(KB))
         total = sum(r.retries for r in scheme.collector.reports)
@@ -109,9 +119,8 @@ class TestBreakerIntegration:
 
     def test_outage_trips_breaker_and_fast_fails(self):
         clock = SimClock()
-        outages = OutageSchedule([OutageWindow(0.0, 60.0)])
         scheme = SingleCloudScheme(
-            _flaky(clock, outages=outages), clock, resilience=self._breaker_config()
+            _flaky(clock, OutageWindow(0.0, 60.0)), clock, resilience=self._breaker_config()
         )
         for i in range(5):
             scheme.put(f"/d/f{i}", bytes(KB))
@@ -125,9 +134,8 @@ class TestBreakerIntegration:
 
     def test_fast_fail_costs_no_wire_time(self):
         clock = SimClock()
-        outages = OutageSchedule([OutageWindow(0.0, 60.0)])
         scheme = SingleCloudScheme(
-            _flaky(clock, outages=outages), clock, resilience=self._breaker_config()
+            _flaky(clock, OutageWindow(0.0, 60.0)), clock, resilience=self._breaker_config()
         )
         scheme.put("/d/a", bytes(KB))
         scheme.put("/d/b", bytes(KB))  # trips the breaker (threshold 2)
@@ -144,12 +152,11 @@ class TestBreakerIntegration:
         provider = _flaky(clock)
         scheme = SingleCloudScheme(provider, clock, resilience=self._breaker_config())
         scheme.put("/d/a", bytes(KB))
-        provider.fault_rate = 1.0
+        provider.faults.add(TransientErrorBurst(clock.now, clock.now + 10.0, rate=0.999))
         breaker = scheme._breakers["flaky"]
         while breaker.state != BreakerState.OPEN:
             with pytest.raises(DataUnavailable):
                 scheme.get("/d/a")
-        provider.fault_rate = 0.0
         clock.advance(20.0)  # cooldown (5s) expired: the next read is the probe
         got, _ = scheme.get("/d/a")
         assert got == bytes(KB)
@@ -167,9 +174,8 @@ class TestBreakerIntegration:
         # the heal replay runs first (breaker bypassed) and its success is
         # decisive evidence, closing the breaker without a half-open stop.
         clock = SimClock()
-        outages = OutageSchedule([OutageWindow(0.0, 10.0)])
         scheme = SingleCloudScheme(
-            _flaky(clock, outages=outages), clock, resilience=self._breaker_config()
+            _flaky(clock, OutageWindow(0.0, 10.0)), clock, resilience=self._breaker_config()
         )
         scheme.put("/d/a", bytes(KB))
         scheme.put("/d/b", bytes(KB))
@@ -188,13 +194,12 @@ class TestBreakerIntegration:
         """The consistency update must run even while the breaker is open —
         and its success closes the breaker without waiting for the cooldown."""
         clock = SimClock()
-        outages = OutageSchedule([OutageWindow(0.0, 10.0)])
         cfg = ResilienceConfig(
             breaker_failure_threshold=2,
             breaker_reset_timeout=1e6,  # would never half-open by timer
             breaker_half_open_successes=1,
         )
-        scheme = SingleCloudScheme(_flaky(clock, outages=outages), clock, resilience=cfg)
+        scheme = SingleCloudScheme(_flaky(clock, OutageWindow(0.0, 10.0)), clock, resilience=cfg)
         scheme.put("/d/a", bytes(KB))
         scheme.put("/d/b", bytes(KB))
         assert scheme._breakers["flaky"].state == BreakerState.OPEN
@@ -241,8 +246,7 @@ class TestContainerInitWriteLog:
 
     def test_outage_at_init_is_logged_and_healed(self):
         clock = SimClock()
-        outages = OutageSchedule([OutageWindow(0.0, 10.0)])
-        provider = _flaky(clock, outages=outages)
+        provider = _flaky(clock, OutageWindow(0.0, 10.0))
         scheme = SingleCloudScheme(provider, clock)
         (entry,) = scheme.pending_log("flaky").peek()
         assert entry.kind == "create"
@@ -274,7 +278,7 @@ class TestEvaluatorRetryPolicy:
             clock = SimClock()
             fleet = make_table2_cloud_of_clouds(clock)
             for p in fleet.values():
-                p.fault_rate = 0.15
+                p.faults.add(_rate(0.15))
             ev = CostPerformanceEvaluator(list(fleet.values()), HyRDConfig(seed=3))
             profiles = ev.evaluate()
             runs.append(
@@ -285,7 +289,7 @@ class TestEvaluatorRetryPolicy:
     def test_single_attempt_policy_gives_up_on_flaky_provider(self):
         clock = SimClock()
         fleet = make_table2_cloud_of_clouds(clock)
-        fleet["rackspace"].fault_rate = 0.9
+        fleet["rackspace"].faults.add(_rate(0.9))
         cfg = HyRDConfig(
             resilience=ResilienceConfig(probe_retry=RetryPolicy(max_attempts=1))
         )

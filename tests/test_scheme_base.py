@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.cloud.outage import OutageWindow
+from repro.faults import OutageWindow
 from repro.maintenance.budget import TokenBucket
 from repro.maintenance.gc import OrphanSweeper
 from repro.obs import RecordingTracer
@@ -297,20 +297,20 @@ class TestOutagesAndHealing:
     def test_striped_degraded_read(self, racs, providers, clock, payload):
         data = payload(9000)
         racs.put("/d/a", data)
-        providers["azure"].outages.add(OutageWindow(clock.now, clock.now + 3600))
+        providers["azure"].faults.add(OutageWindow(clock.now, clock.now + 3600))
         got, report = racs.get("/d/a")
         assert got == data
         assert report.degraded
 
     def test_write_logged_during_outage(self, racs, providers, clock, payload):
-        providers["azure"].outages.add(OutageWindow(clock.now, clock.now + 3600))
+        providers["azure"].faults.add(OutageWindow(clock.now, clock.now + 3600))
         racs.put("/d/a", payload(900))
         assert len(racs.pending_log("azure")) > 0
 
     def test_heal_replays_log(self, racs, providers, clock, payload):
         data = payload(900)
         window = OutageWindow(clock.now, clock.now + 3600)
-        providers["azure"].outages.add(window)
+        providers["azure"].faults.add(window)
         racs.put("/d/a", data)
         clock.advance_to(window.end)
         reports = racs.heal_returned()
@@ -328,7 +328,7 @@ class TestOutagesAndHealing:
     def test_too_many_outages_raise(self, racs, providers, clock, payload):
         racs.put("/d/a", payload(900))
         for name in ("azure", "aliyun"):
-            providers[name].outages.add(OutageWindow(clock.now, clock.now + 60))
+            providers[name].faults.add(OutageWindow(clock.now, clock.now + 60))
         with pytest.raises(DataUnavailable):
             racs.get("/d/a")
 
@@ -336,7 +336,7 @@ class TestOutagesAndHealing:
         data = payload(9000)
         racs.put("/d/a", data)
         window = OutageWindow(clock.now, clock.now + 3600)
-        providers["azure"].outages.add(window)
+        providers["azure"].faults.add(window)
         racs.update("/d/a", 100, b"PATCH")
         got, _ = racs.get("/d/a")
         assert got[100:105] == b"PATCH"

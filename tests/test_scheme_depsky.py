@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cloud.outage import OutageWindow
+from repro.faults import OutageWindow
 from repro.schemes import DepSkyScheme
 from repro.schemes.base import DataUnavailable
 
@@ -66,7 +66,7 @@ class TestReads:
     def test_read_survives_outage(self, depsky, providers, clock, payload):
         data = payload(100)
         depsky.put("/d/a", data)
-        providers["aliyun"].outages.add(OutageWindow(clock.now, clock.now + 60))
+        providers["aliyun"].faults.add(OutageWindow(clock.now, clock.now + 60))
         got, report = depsky.get("/d/a")
         assert got == data
         assert report.degraded
@@ -75,14 +75,14 @@ class TestReads:
         data = payload(100)
         depsky.put("/d/a", data)
         for name in ("aliyun", "azure", "amazon_s3"):
-            providers[name].outages.add(OutageWindow(clock.now, clock.now + 60))
+            providers[name].faults.add(OutageWindow(clock.now, clock.now + 60))
         got, _ = depsky.get("/d/a")
         assert got == data  # last replica still serves
 
     def test_total_outage_raises(self, depsky, providers, clock, payload):
         depsky.put("/d/a", payload(100))
         for name in providers:
-            providers[name].outages.add(OutageWindow(clock.now, clock.now + 60))
+            providers[name].faults.add(OutageWindow(clock.now, clock.now + 60))
         with pytest.raises(DataUnavailable):
             depsky.get("/d/a")
 
@@ -90,7 +90,7 @@ class TestReads:
 class TestDegradedWrites:
     def test_write_below_quorum_marks_degraded(self, depsky, providers, clock, payload):
         for name in ("aliyun", "azure"):
-            providers[name].outages.add(OutageWindow(clock.now, clock.now + 3600))
+            providers[name].faults.add(OutageWindow(clock.now, clock.now + 3600))
         report = depsky.put("/d/a", payload(100))
         assert report.degraded  # only 2 < quorum 3 acks
         assert len(depsky.pending_log("aliyun")) > 0
@@ -113,7 +113,7 @@ class TestDegradedWrites:
             fleet["rackspace"].latency, upload_bw=0.05e6
         )
         scheme = DepSkyScheme(list(fleet.values()), clock, link=ClientLink(uplink=40e6))
-        fleet["aliyun"].outages.add(OutageWindow(clock.now, clock.now + 3600))
+        fleet["aliyun"].faults.add(OutageWindow(clock.now, clock.now + 3600))
         data = payload(2_000_000)
         report = scheme.put("/d/a", data)
         assert not report.degraded  # 3 successes meet the quorum of 3

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cloud.outage import OutageWindow
+from repro.faults import OutageWindow
 from repro.schemes import DepSkyCAScheme
 from repro.schemes.base import DataUnavailable
 
@@ -45,7 +45,7 @@ class TestAvailability:
     def test_tolerates_f_outages(self, ca, providers, clock, payload):
         data = payload(80 * KB)
         ca.put("/sec/doc", data)
-        providers["aliyun"].outages.add(OutageWindow(clock.now, clock.now + 60))
+        providers["aliyun"].faults.add(OutageWindow(clock.now, clock.now + 60))
         got, report = ca.get("/sec/doc")
         assert got == data
 
@@ -56,20 +56,20 @@ class TestAvailability:
         data = payload(40 * KB)
         ca.put("/sec/doc", data)
         for name in ("aliyun", "azure"):
-            providers[name].outages.add(OutageWindow(clock.now, clock.now + 60))
+            providers[name].faults.add(OutageWindow(clock.now, clock.now + 60))
         got, _ = ca.get("/sec/doc")
         assert got == data
 
     def test_three_outages_fail(self, ca, providers, clock, payload):
         ca.put("/sec/doc", payload(KB))
         for name in ("aliyun", "azure", "amazon_s3"):
-            providers[name].outages.add(OutageWindow(clock.now, clock.now + 60))
+            providers[name].faults.add(OutageWindow(clock.now, clock.now + 60))
         with pytest.raises(DataUnavailable):
             ca.get("/sec/doc")
 
     def test_write_during_outage_heals(self, ca, providers, clock, payload):
         window = OutageWindow(clock.now, clock.now + 3600)
-        providers["azure"].outages.add(window)
+        providers["azure"].faults.add(window)
         data = payload(50 * KB)
         ca.put("/sec/doc", data)
         clock.advance_to(window.end)
@@ -112,7 +112,7 @@ class TestSharedDataPath:
         # nothing but the bundles, which must therefore describe themselves.
         reader = DepSkyCAScheme(list(providers.values()), clock, seed=7)
         reader.recover_namespace()
-        providers["aliyun"].outages.add(OutageWindow(clock.now, clock.now + 60))
+        providers["aliyun"].faults.add(OutageWindow(clock.now, clock.now + 60))
         got, report = reader.get("/sec/doc")
         assert got == data
         assert report.degraded

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cloud.outage import OutageWindow
+from repro.faults import OutageWindow
 from repro.schemes import DuraCloudScheme
 
 
@@ -49,7 +49,7 @@ class TestSequentialWrites:
         """The paper's effect: writes get faster when one provider is out."""
         data = payload(2_000_000)
         normal = dc.put("/d/a", data)
-        providers["azure"].outages.add(OutageWindow(clock.now, clock.now + 3600))
+        providers["azure"].faults.add(OutageWindow(clock.now, clock.now + 3600))
         during = dc.put("/d/b", data)
         assert during.elapsed < normal.elapsed
 
@@ -63,7 +63,7 @@ class TestReads:
     def test_read_falls_back_during_outage(self, dc, providers, clock, payload):
         data = payload(1000)
         dc.put("/d/a", data)
-        providers["azure"].outages.add(OutageWindow(clock.now, clock.now + 3600))
+        providers["azure"].faults.add(OutageWindow(clock.now, clock.now + 3600))
         got, report = dc.get("/d/a")
         assert got == data
         assert report.degraded
@@ -76,7 +76,7 @@ class TestSynchronization:
         v2 = payload(700)
         dc.put("/d/a", v1)
         window = OutageWindow(clock.now, clock.now + 3600)
-        providers["azure"].outages.add(window)
+        providers["azure"].faults.add(window)
         dc.put("/d/a", v2)  # azure misses this
         clock.advance_to(window.end)
         dc.heal_returned()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cloud.outage import OutageWindow
+from repro.faults import OutageWindow
 from repro.schemes import DataUnavailable, NCCloudScheme
 
 
@@ -37,7 +37,7 @@ class TestPlacement:
     def test_degraded_read(self, nc, providers, clock, payload):
         data = payload(4096)
         nc.put("/d/a", data)
-        providers["aliyun"].outages.add(OutageWindow(clock.now, clock.now + 60))
+        providers["aliyun"].faults.add(OutageWindow(clock.now, clock.now + 60))
         got, _ = nc.get("/d/a")
         assert got == data
 
@@ -79,7 +79,7 @@ class TestFunctionalRepair:
         data = payload(8000)
         nc.put("/d/a", data)
         nc.repair_provider("azure")
-        providers["amazon_s3"].outages.add(OutageWindow(clock.now, clock.now + 60))
+        providers["amazon_s3"].faults.add(OutageWindow(clock.now, clock.now + 60))
         got, _ = nc.get("/d/a")
         assert got == data  # repaired fragment participates in the decode
 
@@ -136,7 +136,7 @@ class TestRepairTakesOnlyVerifiedHelpers:
         self, nc, providers, clock, payload
     ):
         data = payload(40_000)
-        providers["azure"].outages.add(OutageWindow(clock.now, clock.now + 600))
+        providers["azure"].faults.add(OutageWindow(clock.now, clock.now + 600))
         nc.put("/d/a", data)  # azure's fragment lands in its write log
         assert len(nc.pending_log("azure")) > 0
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cloud.outage import OutageWindow
+from repro.faults import OutageWindow
 from repro.schemes import RacsScheme
 
 
@@ -79,7 +79,7 @@ class TestDegradedReads:
         # Knock out a provider holding a *data* fragment.
         entry = racs.namespace.get("/d/a")
         data_provider = [p for p, i in entry.placements if i == 0][0]
-        providers[data_provider].outages.add(OutageWindow(clock.now, clock.now + 60))
+        providers[data_provider].faults.add(OutageWindow(clock.now, clock.now + 60))
         got, report = racs.get("/d/a")
         assert got == data
         assert report.degraded
@@ -92,7 +92,7 @@ class TestDegradedReads:
         racs.put("/d/a", data)
         entry = racs.namespace.get("/d/a")
         parity_provider = [p for p, i in entry.placements if i == 3][0]
-        providers[parity_provider].outages.add(OutageWindow(clock.now, clock.now + 60))
+        providers[parity_provider].faults.add(OutageWindow(clock.now, clock.now + 60))
         got, report = racs.get("/d/a")
         assert got == data
         assert not report.degraded  # systematic read never needed the parity

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cloud.outage import OutageWindow
+from repro.faults import OutageWindow
 from repro.schemes import SingleCloudScheme
 from repro.schemes.base import DataUnavailable
 
@@ -29,7 +29,7 @@ class TestSingleCloud:
     def test_outage_means_unavailable(self, providers, clock, payload):
         s = SingleCloudScheme(providers["amazon_s3"], clock)
         s.put("/d/a", payload(10))
-        providers["amazon_s3"].outages.add(OutageWindow(clock.now, clock.now + 60))
+        providers["amazon_s3"].faults.add(OutageWindow(clock.now, clock.now + 60))
         with pytest.raises(DataUnavailable):
             s.get("/d/a")
 
@@ -38,7 +38,7 @@ class TestSingleCloud:
     ):
         s = SingleCloudScheme(providers["amazon_s3"], clock)
         window = OutageWindow(clock.now, clock.now + 60)
-        providers["amazon_s3"].outages.add(window)
+        providers["amazon_s3"].faults.add(window)
         data = payload(10)
         s.put("/d/a", data)
         assert len(s.pending_log("amazon_s3")) > 0

@@ -1,11 +1,14 @@
 """Tests for transient request failures and client-side retries.
 
 Real cloud APIs fail a fraction of individual requests even when "up"
-(throttling, HTTP 500s); clients retry.  The simulator injects these via
-``SimulatedProvider.fault_rate`` and the scheme engine retries each request
+(throttling, HTTP 500s); clients retry.  The simulator injects these as a
+``TransientErrorBurst`` in the provider's fault profile (a constant rate is
+a burst over ``[0, inf)``) and the scheme engine retries each request
 up to ``RetryPolicy.max_attempts - 1`` times, write-logging mutations that exhaust
 their retries so consistency is still restored by the healer.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -14,27 +17,33 @@ from repro.cloud.errors import TransientProviderError
 from repro.cloud.latency import LatencyModel
 from repro.cloud.pricing import PRICE_PLANS
 from repro.cloud.provider import SimulatedProvider, make_table2_cloud_of_clouds
+from repro.faults import FaultProfile, TransientErrorBurst
 from repro.schemes import HyrdScheme, RacsScheme, SingleCloudScheme
 from repro.sim.clock import SimClock
 
 KB = 1024
 
 
-def _flaky_provider(clock, rate, seed=0):
+def _rate(rate):
+    """A constant transient-error rate: a burst over all of sim time."""
+    return TransientErrorBurst(0.0, math.inf, rate=rate)
+
+
+def _flaky_provider(clock, rate):
     return SimulatedProvider(
         name="flaky",
         clock=clock,
         latency=LatencyModel(rtt=0.05, upload_bw=5e6, download_bw=5e6),
         pricing=PRICE_PLANS["aliyun"],
-        fault_rate=rate,
-        fault_seed=seed,
+        faults=FaultProfile([_rate(rate)]),
     )
 
 
 class TestProviderFaultInjection:
     def test_default_rate_is_zero(self, providers):
         for p in providers.values():
-            assert p.fault_rate == 0.0
+            assert not p.faults
+            assert p.faults.extra_fault_rate(0.0) == 0.0
 
     def test_rate_validation(self, clock):
         with pytest.raises(ValueError):
@@ -54,7 +63,7 @@ class TestProviderFaultInjection:
         assert 0.2 < failures / 400 < 0.4
 
     def test_fault_is_not_an_outage(self, clock):
-        provider = _flaky_provider(clock, 0.99, seed=1)
+        provider = _flaky_provider(clock, 0.99)
         assert provider.is_available()  # up, just flaky
 
 
@@ -75,7 +84,7 @@ class TestSchemeRetries:
             assert got == data
 
     def test_retries_cost_extra_round_trips(self, clock, payload):
-        flaky = _flaky_provider(clock, 0.35, seed=3)
+        flaky = _flaky_provider(clock, 0.35)
         scheme_flaky = SingleCloudScheme(flaky, clock)
         clock2 = SimClock()
         clean = _flaky_provider(clock2, 0.0)
@@ -93,7 +102,7 @@ class TestSchemeRetries:
         from repro.schemes.base import DataUnavailable
 
         # Rate high enough that some op burns all 3 attempts.
-        provider = _flaky_provider(clock, 0.6, seed=7)
+        provider = _flaky_provider(clock, 0.6)
         scheme = SingleCloudScheme(provider, clock)
         logged_any = False
         for i in range(15):
@@ -124,7 +133,7 @@ class TestSchemeRetries:
         ):
             clock = SimClock()
             fleet = make_table2_cloud_of_clouds(clock)
-            fleet["rackspace"].fault_rate = 0.3
+            fleet["rackspace"].faults.add(_rate(0.3))
             scheme = builder(fleet, clock)
             contents = {}
             rng = np.random.default_rng(5)
@@ -145,7 +154,7 @@ class TestEvaluatorUnderFaults:
 
         fleet = make_table2_cloud_of_clouds(clock)
         for p in fleet.values():
-            p.fault_rate = 0.15
+            p.faults.add(_rate(0.15))
         ev = CostPerformanceEvaluator(list(fleet.values()), HyRDConfig())
         profiles = ev.evaluate()
         assert len(profiles) == 4

@@ -137,10 +137,10 @@ class TestReplayer:
         assert replayer.expected_size("/gone") is None
 
     def test_heal_between(self, scheme, providers, clock):
-        from repro.cloud.outage import OutageWindow
+        from repro.faults import OutageWindow
 
         window = OutageWindow(clock.now, clock.now + 10.0)
-        providers["aliyun"].outages.add(window)
+        providers["aliyun"].faults.add(window)
         replayer = TraceReplayer(seed=1)
         replayer.run(scheme, [TraceOp("put", "/d/a", size=10)])
         assert len(scheme.pending_log("aliyun")) > 0
