@@ -18,7 +18,7 @@ import json
 
 from repro.analysis.tables import render_table
 from repro.chaos import CHAOS_SCHEMES, run_campaign
-from repro.chaos.invariants import INVARIANTS
+from repro.chaos.model import INVARIANTS
 
 _EPISODES = 3  # per scheme; 7 schemes -> 21 episodes
 _BASE_SEED = 2026

@@ -6,8 +6,9 @@ composes, per episode, a random-but-seeded fault storm, network partition
 plan and client-crash schedule over a mixed workload, then settles the
 world and machine-verifies five system-wide invariants (no acknowledged
 write lost, no torn stripe readable, journal drained, write logs
-converged, namespace/provider audit clean).  Same seed, same report —
-byte for byte.
+converged, namespace/provider audit clean) against one
+:class:`ReferenceModel` (:mod:`repro.chaos.model`).  Same seed, same
+report — byte for byte.
 
 Entry points: :func:`run_episode`, :func:`run_campaign`, the ``repro
 chaos`` CLI command, and :func:`run_crash_drill` (a deterministic
@@ -15,6 +16,7 @@ single-crash recovery walkthrough used by docs and the metrics fixture).
 See ``docs/chaos.md``.
 """
 
+from repro.chaos.drill import run_crash_drill
 from repro.chaos.engine import (
     CHAOS_SCHEMES,
     EpisodeResult,
@@ -22,24 +24,15 @@ from repro.chaos.engine import (
     run_campaign,
     run_episode,
 )
-from repro.chaos.invariants import INVARIANTS, run_all
+from repro.chaos.model import INVARIANTS, ReferenceModel
 
 __all__ = [
     "CHAOS_SCHEMES",
     "EpisodeResult",
     "INVARIANTS",
+    "ReferenceModel",
     "chaos_resilience",
     "run_campaign",
     "run_crash_drill",
     "run_episode",
-    "run_all",
 ]
-
-
-def __getattr__(name: str):
-    # drill imports schemes lazily; keep package import light
-    if name == "run_crash_drill":
-        from repro.chaos.drill import run_crash_drill
-
-        return run_crash_drill
-    raise AttributeError(f"module 'repro.chaos' has no attribute {name!r}")

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from repro.chaos.engine import replace_client
 from repro.cloud.provider import make_table2_cloud_of_clouds
 from repro.core.resilience import ResilienceConfig
 from repro.faults.crash import ClientCrash, CrashSchedule
@@ -54,7 +55,7 @@ def _crash_trial(seed: int, ordinal: int) -> tuple[str, dict, object]:
     fleet = make_table2_cloud_of_clouds(clock)
     resilience = _drill_resilience()
     scheme = RacsScheme([fleet[p] for p in _FLEET], clock, resilience=resilience)
-    journal = scheme.attach_journal()
+    scheme.attach_journal()
     path = "/drill/crash"
     old = rng.bytes(64 * 1024)
     new = rng.bytes(64 * 1024)
@@ -67,12 +68,8 @@ def _crash_trial(seed: int, ordinal: int) -> tuple[str, dict, object]:
     else:
         return "committed", {}, scheme.registry
     # The replacement client inherits the durable journal + write logs.
-    dead = scheme
-    scheme = RacsScheme([fleet[p] for p in _FLEET], clock, resilience=resilience)
-    scheme.adopt_write_logs(dead._write_logs)
-    scheme.attach_journal(journal)
-    scheme.recover_namespace()
-    summary = scheme.recover()
+    dead, scheme = scheme, RacsScheme([fleet[p] for p in _FLEET], clock, resilience=resilience)
+    summary = replace_client(dead, scheme)
     if summary["rolled_back"]:
         outcome = "rolled_back"
         want = old

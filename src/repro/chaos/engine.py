@@ -14,23 +14,21 @@ scheme, <plan>)`` —
 - a **crash** plan: 1–3 ordinals in the client's cloud-request stream at
   which the process dies (:class:`~repro.faults.crash.CrashSchedule`).
 
-The driver shadows the client: it knows, per path, which payloads the
-client may legitimately read back (the last acknowledged value, or — for a
-mutation interrupted by a crash — either side of it, until recovery's
-roll-forward/back verdict collapses the ambiguity).  After the workload it
+The driver keeps no shadow state of its own: it applies every operation
+through a :class:`~repro.chaos.model.ReferenceModel`, which knows per path
+what the client may legitimately read back.  After the workload the model
 *settles* the world: advances past every fault window, drains the write
 logs, runs :meth:`~repro.schemes.base.Scheme.recover`, takes a
 verify/repair pass, reads everything back and evaluates the five
-:mod:`~repro.chaos.invariants`.
+invariants.
 
-Crash handling mirrors a real deployment: the dead client's **durable
-local state** — the fsynced intent journal and the spilled/retained write
-logs — is handed to a replacement client
-(:meth:`~repro.schemes.base.Scheme.attach_journal`,
-:meth:`~repro.schemes.base.Scheme.adopt_write_logs`), which re-learns the
-namespace from cloud metadata and runs recovery with the crash schedule
-disarmed.  Everything in-memory (hot-copy promotions, breaker state,
-cached keys) is lost, exactly as it would be.
+Crash handling mirrors a real deployment: a replacement client takes over
+the dead client's **durable local state** — the fsynced intent journal and
+the spilled/retained write logs
+(:meth:`~repro.schemes.base.Scheme.take_over`) — re-learns the namespace
+from cloud metadata and runs recovery with the crash schedule disarmed.
+Everything in-memory (hot-copy promotions, breaker state, cached keys) is
+lost, exactly as it would be.
 
 Determinism: every number in an episode derives from ``(seed, scheme)``;
 reports contain no wall-clock timestamps, so the same seed yields a
@@ -59,11 +57,11 @@ from repro.faults.profile import (
     TransientErrorBurst,
 )
 from repro.fs.journal import IntentJournal
-from repro.schemes import DataUnavailable, build_scheme
+from repro.schemes import build_scheme
 from repro.sim.clock import SimClock
 from repro.sim.rng import make_rng
 
-from repro.chaos import invariants as inv
+from repro.chaos.model import INVARIANTS, ReferenceModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.schemes.base import Scheme
@@ -72,6 +70,7 @@ __all__ = [
     "CHAOS_SCHEMES",
     "EpisodeResult",
     "chaos_resilience",
+    "replace_client",
     "run_campaign",
     "run_episode",
 ]
@@ -99,10 +98,6 @@ _SIZE_P = (0.35, 0.30, 0.20, 0.15)
 
 _OP_KINDS = ("put", "get", "update", "remove", "stat")
 _OP_P = (0.40, 0.30, 0.15, 0.05, 0.10)
-
-#: sentinel "new value" for an in-flight remove
-_ABSENT = None
-
 
 def chaos_resilience() -> ResilienceConfig:
     """The client configuration every chaos episode runs under.
@@ -183,6 +178,28 @@ def _draw_crashes(rng: np.random.Generator) -> tuple[int, ...]:
     return tuple(sorted({int(rng.integers(1, 600)) for _ in range(count)}))
 
 
+def replace_client(dead: "Scheme", scheme: "Scheme") -> dict:
+    """``scheme`` takes over the crashed ``dead`` client and recovers.
+
+    It adopts the durable state (:meth:`~repro.schemes.base.Scheme.take_over`),
+    re-learns the namespace from cloud metadata and resolves the journal.
+    While no metadata copy is reachable, or a coded group's reachable
+    fragments include a damaged one (``ValueError`` until the missing
+    provider returns), it waits out the weather; after 40 waits of 90 s it
+    re-raises.  Returns the recovery summary.
+    """
+    scheme.take_over(dead)
+    for attempt in range(40):
+        try:
+            scheme.recover_namespace()
+            break
+        except (CloudError, ValueError):
+            if attempt == 39:
+                raise
+            scheme.clock.advance(90.0)
+    return scheme.recover()
+
+
 # -------------------------------------------------------------------- driver
 @dataclass
 class EpisodeResult:
@@ -228,214 +245,75 @@ class _EpisodeDriver:
                 profiles[name] = FaultProfile(effects, seed=seed).bind(name)
         self.fleet = make_table2_cloud_of_clouds(self.clock, faults=profiles)
         self.resilience = chaos_resilience()
-        self.scheme = build_scheme(
-            scheme_name, self.fleet, self.clock, resilience=self.resilience
-        )
+        self.scheme = self._build()
         self.journal = self.scheme.attach_journal()
         self.schedule = CrashSchedule(self.crash_ordinals)
         self.scheme.install_crash_schedule(self.schedule)
 
         self.pool = [f"/chaos/f{i:02d}" for i in range(12)]
-        #: path -> last acknowledged content
-        self.expected: dict[str, bytes] = {}
-        #: path -> every value a read may legitimately return (None = absent)
-        self.candidates: dict[str, list[bytes | None]] = {}
-        #: paths whose last acknowledged mutation was a remove
-        self.removed: set[str] = set()
+        self.model = ReferenceModel()
         self.counts = {k: 0 for k in _OP_KINDS}
         self.failed = 0
         self.skipped = 0
         self.degraded_reads = 0
         self.crashes: list[int] = []
         self.recoveries: list[dict] = []
-        self.mid_episode_torn: list[dict] = []
-        self._inflight: tuple[str, bytes | None, list[bytes | None]] | None = None
+
+    def _build(self) -> "Scheme":
+        return build_scheme(self.scheme_name, self.fleet, self.clock, resilience=self.resilience)
 
     # -------------------------------------------------------------- running
     def run(self) -> EpisodeResult:
         for _ in range(self.n_ops):
             kind = str(self.rng_w.choice(list(_OP_KINDS), p=list(_OP_P)))
-            self._inflight = None
             try:
                 self._step(kind)
             except ClientCrash as crash:
                 self._rebuild(crash)
-            self._inflight = None
             self._safe_heal()
             self.clock.advance(float(self.rng_w.uniform(5.0, 40.0)))
         return self._settle()
 
     def _step(self, kind: str) -> None:
-        live = sorted(set(self.expected) | set(self.candidates))
-        if kind != "put" and not live:
-            kind = "put"
-        if kind == "put":
-            self._do_put()
-        elif kind == "get":
-            self._do_get(self._pick(live))
-        elif kind == "update":
-            self._do_update(self._pick(live))
-        elif kind == "remove":
-            self._do_remove(self._pick(live))
-        else:
-            self._do_stat(self._pick(live))
-
-    def _pick(self, live: list[str]) -> str:
-        return live[int(self.rng_w.integers(0, len(live)))]
-
-    def _allowed(self, path: str) -> list[bytes | None]:
-        if path in self.candidates:
-            return list(self.candidates[path])
-        if path in self.expected:
-            return [self.expected[path]]
-        return [None]
-
-    def _note_inflight(self, path: str, new: bytes | None) -> None:
-        self._inflight = (path, new, self._allowed(path))
-
-    def _resolve(self, path: str, values: list[bytes | None]) -> None:
-        """Collapse a path's legitimate read-back set to ``values``."""
-        deduped: list[bytes | None] = []
-        for v in values:
-            if not any(v is d or v == d for d in deduped):
-                deduped.append(v)
-        self.expected.pop(path, None)
-        self.candidates.pop(path, None)
-        self.removed.discard(path)
-        if len(deduped) == 1:
-            if deduped[0] is None:
-                self.removed.add(path)
-            else:
-                self.expected[path] = deduped[0]
-        else:
-            self.candidates[path] = deduped
-
-    # ----------------------------------------------------------- operations
-    def _do_put(self) -> None:
-        path = self.pool[int(self.rng_w.integers(0, len(self.pool)))]
-        size = int(self.rng_w.choice(np.array(_SIZES), p=list(_SIZE_P)))
-        data = self.rng_w.bytes(size)
-        try:
-            self.scheme.put(path, data)
-        except ClientCrash:
-            self._note_inflight(path, data)
-            raise
-        except (CloudError, DataUnavailable):
-            # Not acknowledged: the old state (whatever it was) stands;
-            # stray fragments become orphans for recovery to sweep.
-            self.failed += 1
+        live = self.model.live()
+        if kind == "put" or not live:
+            path = self.pool[int(self.rng_w.integers(0, len(self.pool)))]
+            size = int(self.rng_w.choice(np.array(_SIZES), p=list(_SIZE_P)))
+            self._apply("put", self.model.put, path, self.rng_w.bytes(size))
             return
-        self.counts["put"] += 1
-        self._resolve(path, [data])
-
-    def _do_get(self, path: str) -> None:
-        try:
-            data, _ = self.scheme.get(path)
-        except ClientCrash:
-            raise
-        except FileNotFoundError:
-            if None in self._allowed(path):
-                self._resolve(path, [None])
-            else:
-                self.mid_episode_torn.append(
-                    {
-                        "path": path,
-                        "observed": "absent (mid-episode)",
-                        "allowed": [inv.describe_value(v) for v in self._allowed(path)],
-                    }
-                )
+        path = live[int(self.rng_w.integers(0, len(live)))]
+        if kind != "update":
+            ops = {
+                "get": self.model.get,
+                "remove": self.model.remove,
+                "stat": lambda scheme, path: scheme.stat(path),
+            }
+            self._apply(kind, ops[kind], path)
             return
-        except (CloudError, DataUnavailable):
-            self.degraded_reads += 1
-            return
-        self.counts["get"] += 1
-        allowed = self._allowed(path)
-        if any(v is not None and v == data for v in allowed):
-            self._resolve(path, [data])
-        else:
-            self.mid_episode_torn.append(
-                {
-                    "path": path,
-                    "observed": inv.describe_value(data) + " (mid-episode)",
-                    "allowed": [inv.describe_value(v) for v in allowed],
-                }
-            )
-
-    def _collapse(self, path: str) -> bool:
-        """Resolve a crash-ambiguous path by reading it; False if it stays
-        ambiguous (unreachable right now, or observably damaged)."""
-        try:
-            data, _ = self.scheme.get(path)
-        except ClientCrash:
-            raise
-        except FileNotFoundError:
-            if None in self.candidates.get(path, []):
-                self._resolve(path, [None])
-            return False
-        except (CloudError, DataUnavailable):
-            return False
-        if any(v is not None and v == data for v in self.candidates.get(path, [])):
-            self._resolve(path, [data])
-            return True
-        return False
-
-    def _do_update(self, path: str) -> None:
-        if path in self.candidates and not self._collapse(path):
+        base = self.model.base_for_update(self.scheme, path)
+        if base is None:
             self.skipped += 1  # content ambiguous: cannot predict the patch result
             return
-        if path not in self.expected:
-            self.skipped += 1
-            return
-        base = self.expected[path]
         offset = int(self.rng_w.integers(0, len(base) + 1))
         patch = self.rng_w.bytes(int(self.rng_w.integers(1, 4097)))
-        # Mirror Scheme.update's splice semantics exactly.
-        buf = bytearray(max(len(base), offset + len(patch)))
-        buf[: len(base)] = base
-        buf[offset : offset + len(patch)] = patch
-        new = bytes(buf)
-        try:
-            self.scheme.update(path, offset, patch)
-        except ClientCrash:
-            self._note_inflight(path, new)
-            raise
-        except FileNotFoundError:
-            self.failed += 1
-            return
-        except (CloudError, DataUnavailable):
-            self.failed += 1
-            return
-        self.counts["update"] += 1
-        self._resolve(path, [new])
+        self._apply("update", self.model.update, path, offset, patch)
 
-    def _do_remove(self, path: str) -> None:
+    def _apply(self, kind: str, op, path: str, *args) -> None:
+        """Run one op through the model and count it: applied, failed (a
+        mutation that was not acknowledged — the old state stands, stray
+        fragments become orphans for recovery to sweep) or a degraded read."""
         try:
-            self.scheme.remove(path)
-        except ClientCrash:
-            self._note_inflight(path, _ABSENT)
-            raise
+            op(self.scheme, path, *args)
         except FileNotFoundError:
-            if None in self._allowed(path):
-                self._resolve(path, [None])
-            else:
+            if kind in ("update", "remove") and None not in self.model.allowed(path):
                 self.failed += 1
-            return
-        except (CloudError, DataUnavailable):
-            # Deletion state unknown: accept either outcome until observed.
-            self._resolve(path, self._allowed(path) + [None])
-            self.failed += 1
-            return
-        self.counts["remove"] += 1
-        self._resolve(path, [None])
-
-    def _do_stat(self, path: str) -> None:
-        try:
-            self.scheme.stat(path)
-        except ClientCrash:
-            raise
-        except (FileNotFoundError, CloudError, DataUnavailable):
-            return
-        self.counts["stat"] += 1
+        except CloudError:
+            if kind == "get":
+                self.degraded_reads += 1
+            elif kind != "stat":
+                self.failed += 1
+        else:
+            self.counts[kind] += 1
 
     def _safe_heal(self) -> None:
         try:
@@ -447,24 +325,8 @@ class _EpisodeDriver:
     def _rebuild(self, crash: ClientCrash) -> None:
         """Replace the dead client, hand over durable state, recover."""
         self.crashes.append(crash.at_op)
-        dead = self.scheme
-        self.scheme = build_scheme(
-            self.scheme_name, self.fleet, self.clock, resilience=self.resilience
-        )
-        # The intent journal and the write logs are client-local *disk*
-        # state: they survive the process.  Namespace, hot-copy table,
-        # breaker and health state were memory: they do not.
-        self.scheme.adopt_write_logs(dead._write_logs)
-        self.scheme.attach_journal(self.journal)
-        self.scheme.install_crash_schedule(None)
-        for _ in range(40):
-            try:
-                self.scheme.recover_namespace()
-                break
-            except (CloudError, DataUnavailable):
-                # Metadata unreachable mid-partition: wait out the weather.
-                self.clock.advance(90.0)
-        summary = self.scheme.recover()
+        dead, self.scheme = self.scheme, self._build()
+        summary = replace_client(dead, self.scheme)
         self.recoveries.append(
             {
                 "at_op": crash.at_op,
@@ -476,59 +338,14 @@ class _EpisodeDriver:
                 },
             }
         )
-        if self._inflight is not None:
-            path, new, prevs = self._inflight
-            if any(d["path"] == path for d in summary["rolled_forward"]):
-                self._resolve(path, [new])
-            elif any(d["path"] == path for d in summary["removals_completed"]):
-                self._resolve(path, [None])
-            elif any(d["path"] == path for d in summary["rolled_back"]):
-                self._resolve(path, prevs)
-            else:
-                # Crash before the intent was planned: no payload byte ever
-                # left the client, so the previous state stands untouched.
-                self._resolve(path, prevs)
-            self._inflight = None
+        self.model.recovered(summary)
         self.scheme.install_crash_schedule(self.schedule)
 
     # ----------------------------------------------------------- settlement
     def _settle(self) -> EpisodeResult:
-        self.scheme.install_crash_schedule(None)
-        clear = max(self.clock.now, self._max_effect_end + 61.0)
-        if clear > self.clock.now:
-            self.clock.advance(clear - self.clock.now)
-        for _ in range(60):
-            self.scheme.heal_returned()
-            if not any(self.scheme._write_logs.values()):
-                break
-            self.clock.advance(30.0)
-        recovery = self.scheme.recover()
-
-        # Read-backs first (they may promote hot copies, which the
-        # orphan rule must then account for), audits second.
-        observations: dict[str, dict] = {}
-        for path in sorted(set(self.expected) | set(self.candidates) | self.removed):
-            allowed = self._allowed(path)
-            observed: bytes | str | None
-            try:
-                observed, _ = self.scheme.get(path)
-            except FileNotFoundError:
-                observed = None
-            except (CloudError, DataUnavailable):
-                observed = inv.UNREACHABLE
-            observations[path] = {"allowed": allowed, "observed": observed}
-
-        audits = []
-        for path in sorted(self.scheme.namespace.paths()):
-            audit = self.scheme.verify_object(path, deep=True)
-            if not audit.ok:
-                self.scheme.repair_object(path, audit)
-                audit = self.scheme.verify_object(path, deep=True)
-            audits.append(audit)
-
-        results = inv.run_all(self.scheme, self.journal, observations, audits)
-        results["no_torn_stripe_readable"].extend(self.mid_episode_torn)
-
+        recovery, results = self.model.settle(
+            self.scheme, self.journal, max(self.clock.now, self._max_effect_end + 61.0)
+        )
         self._publish_metrics(results)
         report = self._report(recovery, results)
         return EpisodeResult(report=report, scheme=self.scheme, journal=self.journal)
@@ -540,7 +357,7 @@ class _EpisodeDriver:
             registry.counter("partition_windows_total", provider=name).inc(
                 len(self.partitions.get(name, ()))
             )
-        for invariant in inv.INVARIANTS:
+        for invariant in INVARIANTS:
             registry.counter(
                 "chaos_invariant_violations_total", invariant=invariant
             ).inc(len(results[invariant]))
@@ -583,7 +400,7 @@ class _EpisodeDriver:
             },
             "invariants": {
                 name: {"ok": not results[name], "violations": results[name]}
-                for name in inv.INVARIANTS
+                for name in INVARIANTS
             },
             "ok": ok,
         }
@@ -624,7 +441,7 @@ def run_campaign(
             crashes += len(result.report["crashes"]["fired"])
             violations += sum(
                 len(result.report["invariants"][inv_name]["violations"])
-                for inv_name in inv.INVARIANTS
+                for inv_name in INVARIANTS
             )
             if check_determinism and i == 0:
                 rerun = run_episode(name, seed, ops=ops)

@@ -270,7 +270,7 @@ class HyRDClient(Scheme):
         §VI's second future-work direction: provider characteristics drift
         (price changes, sustained congestion), so the Evaluator's snapshot
         goes stale.  Existing placements are untouched — use
-        :meth:`misplaced_paths` / :meth:`migrate` to realign them lazily.
+        :meth:`misplaced_paths` / :meth:`migrate_object` to realign them lazily.
         """
         profiles = self.evaluator.evaluate()
         self.dispatcher.refresh()
@@ -296,7 +296,7 @@ class HyRDClient(Scheme):
 
         Only when a maintenance plane is attached: detached, policy changes
         keep their pre-maintenance behaviour (placements realign lazily via
-        explicit :meth:`migrate` calls).
+        explicit :meth:`migrate_object` calls).
         """
         if self.maintenance is not None:
             self.maintenance.migration.sync_policy()
@@ -317,16 +317,6 @@ class HyRDClient(Scheme):
     def misplaced_paths(self) -> list[str]:
         """Every file whose placement no longer matches current policy."""
         return [p for p in self.namespace.paths() if self.is_misplaced(p)]
-
-    def migrate(self, path: str) -> OpReport:
-        """Re-place one file according to the current dispatch decision.
-
-        Reads the content through the normal (possibly degraded) path and
-        re-puts it; the old version's objects are garbage-collected.  Cost
-        is real: the reads and writes are charged like any other operation.
-        (Alias for the scheme-generic :meth:`~repro.schemes.base.Scheme.migrate_object`.)
-        """
-        return self.migrate_object(path)
 
     def decommission(self, provider: str) -> list[OpReport]:
         """Leave a vendor: exclude it from placement and evacuate its data.
@@ -349,4 +339,4 @@ class HyRDClient(Scheme):
         if self.maintenance is not None:
             self.maintenance.migration.plan_decommission(provider)
             return []
-        return [self.migrate(path) for path in self.placements_on(provider)]
+        return [self.migrate_object(path) for path in self.placements_on(provider)]

@@ -1180,17 +1180,19 @@ class Scheme(ABC):
     def pending_log(self, provider: str) -> WriteLog:
         return self._write_logs[provider]
 
-    def adopt_write_logs(self, logs: dict[str, WriteLog]) -> None:
-        """Inherit a crashed predecessor's write logs.
+    def take_over(self, dead: "Scheme") -> IntentJournal:
+        """Inherit a crashed predecessor's durable client-local state.
 
-        The write logs are client-local *durable* state, exactly like the
-        intent journal: they survive the process.  A replacement client
-        pointed at the same Cloud-of-Clouds adopts them so the consistency
-        update still owes every mutation the dead client logged.  Entries
-        this client already logged itself (container creates from
-        ``__init__`` under an outage) are folded in on top, last-wins.
+        The write logs and the intent journal survive the process.  A
+        replacement client pointed at the same Cloud-of-Clouds adopts the
+        logs, so the consistency update still owes every mutation the dead
+        client logged, then attaches the journal (a fresh one when the dead
+        client had none) for :meth:`recover`.  Entries this client already
+        logged itself (container creates from ``__init__`` under an
+        outage) are folded in on top, last-wins.  Everything the dead
+        client held only in memory is lost.
         """
-        for name, inherited in logs.items():
+        for name, inherited in dead._write_logs.items():
             own = self._write_logs.get(name)
             if own is None or inherited is own:
                 continue
@@ -1203,6 +1205,7 @@ class Scheme(ABC):
                     inherited.log_remove(e.container, e.key, e.logged_at)
             self._write_logs[name] = inherited
             self._publish_write_log(name)
+        return self.attach_journal(dead.journal)
 
     def heal_returned(self) -> list[OpReport]:
         """Replay write logs of every provider that has come back.
@@ -2103,12 +2106,14 @@ class Scheme(ABC):
 
     def _apply_meta_group(
         self, base_key: str, codec: ErasureCodec | None, targets: list[str]
-    ) -> tuple[bytes | None, list[FileEntry]]:
+    ) -> tuple[bytes, list[FileEntry]]:
         """Merge one metadata group from the first copy that decodes.
 
-        Returns ``(blob, entries)``; ``(None, [])`` when no copy exists.
-        Copies are fetched lazily (:meth:`_meta_copies`), so an intact first
-        copy costs one fetch.  A copy that does not decode — a codec or
+        Returns ``(blob, entries)``.  A listed group with no copy in reach
+        raises ``DataUnavailable``: recovering it as an empty directory
+        would drop every file it lists.  Copies are fetched lazily
+        (:meth:`_meta_copies`), so an intact first copy costs one fetch.  A
+        copy that does not decode — a codec or
         group ``ValueError`` — was torn by a crash mid-persist (fragments of
         two generations, or bytes that are not a metadata group) or damaged
         in place.  The redo image a pending intent journaled for the
@@ -2129,7 +2134,7 @@ class Scheme(ABC):
         if error is not None:
             raise error
         if fallback is None:
-            return None, []
+            raise DataUnavailable(base_key, "no copy of the metadata group in reach")
         return fallback, self.meta.apply_group(fallback)
 
     def _journaled_meta_blob(self, directory: str) -> bytes | None:
@@ -2629,7 +2634,7 @@ class Scheme(ABC):
         forward or back.  The journal is pure bookkeeping — attaching one
         leaves simulated timings byte-identical (no RNG draws, no clock
         movement).  Pass an existing journal to model a durable client-local
-        log surviving a crash (the chaos engine hands the dead client's
+        log surviving a crash (:meth:`take_over` hands the dead client's
         journal to its replacement).
         """
         if self.journal is not None:
@@ -2773,6 +2778,11 @@ class Scheme(ABC):
             current = self.namespace.lookup(intent.path)
             if current is not None and current.version <= intent.version:
                 self.remove(intent.path)
+            else:
+                # The crash came mid-persist: some copies of the directory's
+                # group may still list the path.  Republish it whole.
+                with self._op("recover", intent.path):
+                    self._persist_metadata(dirname(intent.path))
             return "removals_completed"
         landed = self._count_landed(intent)
         if landed >= intent.min_needed:

@@ -1,4 +1,4 @@
-"""Unit tests for the chaos campaign engine and its invariant oracle.
+"""Unit tests for the chaos campaign engine and its reference model.
 
 The heavyweight acceptance story (a multi-episode campaign per scheme with
 zero violations and byte-identical re-runs) lives in
@@ -12,7 +12,8 @@ import json
 import pytest
 
 from repro.chaos import CHAOS_SCHEMES, run_campaign, run_episode
-from repro.chaos import invariants as inv
+from repro.chaos import model as inv
+from repro.chaos.engine import _EpisodeDriver
 from repro.fs.journal import IntentJournal
 
 # ------------------------------------------------------------ invariant oracle
@@ -121,6 +122,17 @@ class TestEpisode:
         a = run_episode("hyrd", seed=1)
         b = run_episode("hyrd", seed=2)
         assert a.to_json() != b.to_json()
+
+    def test_a_lost_acked_write_is_filed_as_lost(self):
+        driver = _EpisodeDriver("single", seed=9, ops=0)
+        driver._step("put")
+        (path,) = driver.scheme.namespace.paths()
+        driver.scheme.namespace.remove(path)  # the client forgets an acked write
+        driver._step("get")
+        cells = driver.run().report["invariants"]
+        lost = [v["observed"] for v in cells["no_acked_write_lost"]["violations"]]
+        assert "absent (mid-episode)" in lost
+        assert cells["no_torn_stripe_readable"]["ok"]
 
     def test_to_json_is_canonical(self):
         result = run_episode("single", seed=9)

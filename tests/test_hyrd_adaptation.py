@@ -72,7 +72,7 @@ class TestMisplacement:
             rtt=0.8, upload_bw=0.5e6, download_bw=0.5e6
         )
         hyrd.reevaluate()
-        report = hyrd.migrate("/d/s")
+        report = hyrd.migrate_object("/d/s")
         assert report.op == "migrate"
         assert hyrd.misplaced_paths() == []
         assert "aliyun" not in hyrd.namespace.get("/d/s").providers
@@ -84,7 +84,7 @@ class TestMisplacement:
             rtt=0.8, upload_bw=0.5e6, download_bw=0.5e6
         )
         hyrd.reevaluate()
-        hyrd.migrate("/d/s")
+        hyrd.migrate_object("/d/s")
         keys = providers["aliyun"].store.list(hyrd.container)
         assert not any(k.startswith("/d/s#") for k in keys)
 

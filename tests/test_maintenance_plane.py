@@ -480,7 +480,7 @@ class TestOrphanSweeper:
         clock, providers = _fleet()
         fleet = [providers[p] for p in ("amazon_s3", "azure", "aliyun", "rackspace")]
         scheme = RacsScheme(fleet, clock)
-        journal = scheme.attach_journal()
+        scheme.attach_journal()
         rng = make_rng(0, "orphan-route")
         old = rng.bytes(64 * KB)
         scheme.put("/gc/f0", old)
@@ -490,8 +490,7 @@ class TestOrphanSweeper:
             scheme.put("/gc/f0", rng.bytes(64 * KB))
         dead = scheme
         scheme = RacsScheme(fleet, clock)
-        scheme.adopt_write_logs(dead._write_logs)
-        scheme.attach_journal(journal)
+        scheme.take_over(dead)
         plane = scheme.attach_maintenance() if attach_plane else None
         scheme.recover_namespace()
         summary = scheme.recover()

@@ -22,8 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chaos import invariants as inv
-from repro.chaos.engine import CHAOS_SCHEMES, chaos_resilience
+from repro.chaos import model as inv
+from repro.chaos.engine import CHAOS_SCHEMES, chaos_resilience, replace_client
+from repro.chaos.model import ReferenceModel
 from repro.cloud.provider import make_table2_cloud_of_clouds
 from repro.faults.crash import ClientCrash, CrashSchedule
 from repro.schemes import build_scheme
@@ -45,36 +46,28 @@ def _crash_trial(scheme_name: str, seed: int, ordinal: int) -> str:
     rng = make_rng(seed, "crash-prop", scheme_name, ordinal)
     clock = SimClock()
     fleet = make_table2_cloud_of_clouds(clock)
-    resilience = chaos_resilience()
-    scheme = build_scheme(scheme_name, fleet, clock, resilience=resilience)
+    build = lambda: build_scheme(scheme_name, fleet, clock, resilience=chaos_resilience())  # noqa: E731
+    scheme, model, path = build(), ReferenceModel(), "/prop/f0"
     journal = scheme.attach_journal()
-    path = "/prop/f0"
-    old = rng.bytes(32 * 1024)
-    new = rng.bytes(32 * 1024)
-    scheme.put(path, old)
+    model.put(scheme, path, rng.bytes(32 * 1024))
     scheme.install_crash_schedule(CrashSchedule([ordinal]))
     try:
-        scheme.put(path, new)
+        model.put(scheme, path, rng.bytes(32 * 1024))
     except ClientCrash:
         pass
     else:
         return "committed"
 
     # The replacement client inherits only durable state: journal + logs.
-    dead = scheme
-    scheme = build_scheme(scheme_name, fleet, clock, resilience=resilience)
-    scheme.adopt_write_logs(dead._write_logs)
-    scheme.attach_journal(journal)
-    scheme.recover_namespace()
-    summary = scheme.recover()
-
+    dead, scheme = scheme, build()
+    summary = replace_client(dead, scheme)
+    model.recovered(summary)
     assert inv.check_journal_drained(journal) == []
     assert inv.check_writelog_convergence(scheme) == []
     resolved = summary["rolled_forward"] + summary["rolled_back"]
     assert len(resolved) == 1 and resolved[0]["path"] == path
-    want = new if summary["rolled_forward"] else old
-    data, _ = scheme.get(path)
-    assert data == want, f"{scheme_name} @ {ordinal}: wrong payload after recovery"
+    model.get(scheme, path)  # exactly the side recovery reported
+    assert not any(model.findings.values()), f"{scheme_name} @ {ordinal}: {model.findings}"
     audit = scheme.verify_object(path, deep=True)
     assert inv.check_namespace_provider_audit(scheme, [audit]) == []
     return "crashed"

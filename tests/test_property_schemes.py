@@ -1,10 +1,12 @@
 """Property-based tests: scheme round-trips under random op sequences and
-outage patterns.
+outage patterns, and scheduled reads replay identically.
 
-Every scheme must preserve content through arbitrary interleavings of
-put/get/update/remove, with providers dropping in and out of availability —
-the simulator-level statement of the paper's availability guarantee
-(as long as concurrent outages stay within each scheme's fault tolerance).
+Random put/get/update/remove sequences run through the reference model's
+op applier.  Under outages within each scheme's fault tolerance every read
+must return what the model allows and the healed scheme must read back
+undegraded; under a brownout two scheduled runs must agree on every op
+report.  Damage and crashes are the state machine's
+(``tests/test_reference_model.py``).
 """
 
 import numpy as np
@@ -13,180 +15,109 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cloud.provider import make_table2_cloud_of_clouds
-from repro.core.config import HyRDConfig
+from repro.chaos.model import ReferenceModel
 from repro.faults import OutageWindow
-from repro.schemes import (
-    DepSkyCAScheme,
-    DepSkyScheme,
-    DuraCloudScheme,
-    HyrdScheme,
-    NCCloudScheme,
-    RacsScheme,
-)
+from repro.schemes import build_scheme
 from repro.sim.clock import SimClock
+from tests.test_reference_model import VARIANTS
 
+#: TestSchedulerDeterminism's name -> the state machine's variant
 SCHEME_BUILDERS = {
-    "duracloud": lambda p, c: DuraCloudScheme(
-        [p["amazon_s3"], p["azure"]], c
-    ),
-    "racs": lambda p, c: RacsScheme(list(p.values()), c),
-    "depsky": lambda p, c: DepSkyScheme(list(p.values()), c),
-    "depsky-ca": lambda p, c: DepSkyCAScheme(list(p.values()), c),
-    "nccloud": lambda p, c: NCCloudScheme(list(p.values()), c),
-    "hyrd": lambda p, c: HyrdScheme(list(p.values()), c),
+    **{name: name for name in ("duracloud", "racs", "depsky", "depsky-ca", "nccloud", "hyrd")},
     # Threshold far below the <= 40 kB payloads, so HyRD objects really stripe.
-    "hyrd-rs": lambda p, c: HyrdScheme(
-        list(p.values()), c, config=HyRDConfig(erasure_codec="rs", size_threshold=2048)
-    ),
-    "hyrd-fmsr": lambda p, c: HyrdScheme(
-        list(p.values()), c, config=HyRDConfig(erasure_codec="fmsr", size_threshold=2048)
-    ),
+    "hyrd-rs": "hyrd-rs-2k",
+    "hyrd-fmsr": "hyrd-fmsr-2k",
 }
 
 # The provider each scheme can afford to lose (within fault tolerance).
-TOLERABLE_LOSS = {
-    "duracloud": "azure",
-    "racs": "aliyun",
-    "depsky": "aliyun",
-    "depsky-ca": "aliyun",
-    "nccloud": "aliyun",
-    "hyrd": "azure",
-    "hyrd-rs": "aliyun",  # holds a replica *and* a stripe fragment
-    "hyrd-fmsr": "aliyun",
-}
+TOLERABLE_LOSS = {**dict.fromkeys(SCHEME_BUILDERS, "aliyun"), "duracloud": "azure", "hyrd": "azure"}
 
-op_kinds = st.sampled_from(["put", "get", "update", "remove"])
+#: (kind, file slot, size / patch size, offset) sequences
+op_sequence = st.lists(
+    st.tuples(
+        st.sampled_from(["put", "get", "update", "remove"]),
+        st.integers(0, 2),
+        st.integers(0, 40_000),
+        st.integers(0, 10_000),
+    ),
+    min_size=2,
+    max_size=10,
+)
 
 
-@st.composite
-def op_sequence(draw):
-    n = draw(st.integers(2, 10))
-    ops = []
-    for _ in range(n):
-        ops.append(
-            (
-                draw(op_kinds),
-                draw(st.integers(0, 2)),  # file slot
-                draw(st.integers(0, 40_000)),  # size / patch size
-                draw(st.integers(0, 10_000)),  # offset
-            )
-        )
-    return ops
+def _build(scheme_name):
+    clock = SimClock()
+    providers = make_table2_cloud_of_clouds(clock)
+    name, kwargs = VARIANTS[SCHEME_BUILDERS[scheme_name]]
+    return clock, providers, build_scheme(name, providers, clock, **kwargs)
+
+
+def _apply(model, scheme, rng, kind, slot, size, offset):
+    """One op through the model; ops on an absent path are skipped."""
+    path = f"/p/f{slot}"
+    base = model.acked(path)
+    if kind == "put":
+        model.put(scheme, path, rng.integers(0, 256, size, dtype=np.uint8).tobytes())
+    elif base is None:
+        return
+    elif kind == "get":
+        model.get(scheme, path)
+    elif kind == "update":
+        patch = rng.integers(0, 256, size % 4096, dtype=np.uint8).tobytes()
+        model.update(scheme, path, offset % (len(base) + 1), patch)
+    else:
+        model.remove(scheme, path)
 
 
 def _run_model(scheme_name, ops, outage_slots):
-    """Run ops against the scheme and a dict model; compare at every get."""
-    clock = SimClock()
-    providers = make_table2_cloud_of_clouds(clock)
-    scheme = SCHEME_BUILDERS[scheme_name](providers, clock)
+    """Run ops under outages of a provider the scheme can lose; every get
+    must return what the model allows.  Then the provider returns, heals,
+    and every path reads back undegraded."""
+    clock, providers, scheme = _build(scheme_name)
     lost = TOLERABLE_LOSS[scheme_name]
     rng = np.random.default_rng(0)
-    model: dict[str, bytes] = {}
+    model = ReferenceModel()
+    for step, op in enumerate(ops):
+        if step in outage_slots and providers[lost].is_available():
+            providers[lost].faults.add(OutageWindow(clock.now, clock.now + 120.0))
+        _apply(model, scheme, rng, *op)
+    assert not any(model.findings.values()), model.findings
 
-    for step, (kind, slot, size, offset) in enumerate(ops):
-        if step in outage_slots:
-            if providers[lost].is_available():
-                providers[lost].faults.add(
-                    OutageWindow(clock.now, clock.now + 120.0)
-                )
-        path = f"/p/f{slot}"
-        if kind == "put":
-            data = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
-            scheme.put(path, data)
-            model[path] = data
-        elif kind == "get":
-            if path in model:
-                got, _ = scheme.get(path)
-                assert got == model[path]
-        elif kind == "update":
-            if path in model:
-                patch = rng.integers(0, 256, size % 4096, dtype=np.uint8).tobytes()
-                off = offset % (len(model[path]) + 1)
-                scheme.update(path, off, patch)
-                old = model[path]
-                buf = bytearray(max(len(old), off + len(patch)))
-                buf[: len(old)] = old
-                buf[off : off + len(patch)] = patch
-                model[path] = bytes(buf)
-        elif kind == "remove":
-            if path in model:
-                scheme.remove(path)
-                del model[path]
-
-    # Let the lost provider return, heal, and verify the final state.
     clock.advance(7200.0)
     scheme.heal_returned()
-    for path, data in model.items():
+    for path in model.live():
         got, report = scheme.get(path)
-        assert got == data
+        assert got == model.acked(path)
         assert not report.degraded
     assert len(scheme.pending_log(lost)) == 0
 
 
+def _round_trip(examples):
+    return settings(max_examples=examples, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+_outages = st.sets(st.integers(0, 9), max_size=2)
+
+
 class TestSchemeRoundTripProperties:
-    @given(ops=op_sequence(), outages=st.sets(st.integers(0, 9), max_size=2))
-    @settings(
-        max_examples=12,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
+    @given(ops=op_sequence, outages=_outages)
+    @_round_trip(12)
     def test_duracloud(self, ops, outages):
         _run_model("duracloud", ops, outages)
 
-    @given(ops=op_sequence(), outages=st.sets(st.integers(0, 9), max_size=2))
-    @settings(
-        max_examples=12,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
+    @given(ops=op_sequence, outages=_outages)
+    @_round_trip(12)
     def test_racs(self, ops, outages):
         _run_model("racs", ops, outages)
 
-    @given(ops=op_sequence(), outages=st.sets(st.integers(0, 9), max_size=2))
-    @settings(
-        max_examples=10,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
+    @given(ops=op_sequence, outages=_outages)
+    @_round_trip(10)
     def test_hyrd(self, ops, outages):
         _run_model("hyrd", ops, outages)
 
-    @given(ops=op_sequence(), outages=st.sets(st.integers(0, 9), max_size=2))
-    @settings(
-        max_examples=8,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    def test_depsky(self, ops, outages):
-        _run_model("depsky", ops, outages)
-
-    @given(ops=op_sequence(), outages=st.sets(st.integers(0, 9), max_size=2))
-    @settings(
-        max_examples=8,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
+    @given(ops=op_sequence, outages=_outages)
+    @_round_trip(10)
     def test_nccloud(self, ops, outages):
         _run_model("nccloud", ops, outages)
-
-    @given(ops=op_sequence(), outages=st.sets(st.integers(0, 9), max_size=2))
-    @settings(
-        max_examples=8,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    def test_depsky_ca(self, ops, outages):
-        _run_model("depsky-ca", ops, outages)
-
-    @pytest.mark.parametrize("scheme_name", ["hyrd-rs", "hyrd-fmsr"])
-    @given(ops=op_sequence(), outages=st.sets(st.integers(0, 9), max_size=2))
-    @settings(
-        max_examples=10,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    def test_hyrd_striping_small_objects(self, scheme_name, ops, outages):
-        _run_model(scheme_name, ops, outages)
 
 
 def _run_scheduled(scheme_name, ops, slow_factor):
@@ -200,9 +131,7 @@ def _run_scheduled(scheme_name, ops, slow_factor):
     from repro.faults.profile import FaultProfile, LatencyBrownout
     from repro.obs import ProviderLoadObservatory
 
-    clock = SimClock()
-    providers = make_table2_cloud_of_clouds(clock)
-    scheme = SCHEME_BUILDERS[scheme_name](providers, clock)
+    clock, providers, scheme = _build(scheme_name)
     scheme.attach_observatory(ProviderLoadObservatory())
     scheme.attach_scheduler(FragmentScheduler())
     slow = TOLERABLE_LOSS[scheme_name]
@@ -217,32 +146,10 @@ def _run_scheduled(scheme_name, ops, slow_factor):
         ]
     ).bind(slow)
     rng = np.random.default_rng(0)
-    model: dict[str, bytes] = {}
-
-    for kind, slot, size, offset in ops:
-        path = f"/p/f{slot}"
-        if kind == "put":
-            data = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
-            scheme.put(path, data)
-            model[path] = data
-        elif kind == "get":
-            if path in model:
-                got, _ = scheme.get(path)
-                assert got == model[path], "scheduled read corrupted payload"
-        elif kind == "update":
-            if path in model:
-                patch = rng.integers(0, 256, size % 4096, dtype=np.uint8).tobytes()
-                off = offset % (len(model[path]) + 1)
-                scheme.update(path, off, patch)
-                old = model[path]
-                buf = bytearray(max(len(old), off + len(patch)))
-                buf[: len(old)] = old
-                buf[off : off + len(patch)] = patch
-                model[path] = bytes(buf)
-        elif kind == "remove":
-            if path in model:
-                scheme.remove(path)
-                del model[path]
+    model = ReferenceModel()
+    for op in ops:
+        _apply(model, scheme, rng, *op)
+    assert not any(model.findings.values()), "scheduled read corrupted payload"
 
     trail = [
         (
@@ -267,7 +174,7 @@ class TestSchedulerDeterminism:
     deterministically from the op sequence."""
 
     @pytest.mark.parametrize("scheme_name", sorted(SCHEME_BUILDERS))
-    @given(ops=op_sequence(), slow_factor=st.sampled_from([2.0, 8.0]))
+    @given(ops=op_sequence, slow_factor=st.sampled_from([2.0, 8.0]))
     @settings(
         max_examples=6,
         deadline=None,
