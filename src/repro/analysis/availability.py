@@ -13,26 +13,37 @@ checks one against the other:
   (:func:`repro.faults.scenario.poisson_outages`), then integrate over
   simulated time the fraction in which each scheme's data is readable.
 
-HyRD stores two classes with different placements, so its availability is
-reported per class and combined (a file-weighted workload mix).
+Both read each scheme's placement set and read quorum off the scheme itself
+(:func:`placement_of`), never off a table kept beside it.  HyRD stores two
+classes with different placements, so its availability is reported per
+class and combined (a file-weighted workload mix).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
+from repro.cloud.provider import make_table2_cloud_of_clouds
 from repro.faults.scenario import poisson_outages
+from repro.schemes import SINGLE_PROVIDERS, build_scheme
+from repro.schemes.base import Scheme, min_needed
+from repro.sim.clock import SimClock
 
 __all__ = [
     "SchemePlacement",
     "availability_of_placement",
     "analytic_report",
+    "hyrd_combined",
     "monte_carlo_report",
     "nines",
-    "STANDARD_PLACEMENTS",
+    "placement_of",
+    "standard_placements",
 ]
 
 HOUR = 3600.0
@@ -58,30 +69,47 @@ class SchemePlacement:
             )
 
 
-#: The placements of every §IV configuration on the Table II fleet.
-STANDARD_PLACEMENTS: dict[str, SchemePlacement] = {
-    "single-amazon_s3": SchemePlacement("single-amazon_s3", ("amazon_s3",), 1),
-    "single-azure": SchemePlacement("single-azure", ("azure",), 1),
-    "single-aliyun": SchemePlacement("single-aliyun", ("aliyun",), 1),
-    "single-rackspace": SchemePlacement("single-rackspace", ("rackspace",), 1),
-    "duracloud": SchemePlacement("duracloud", ("amazon_s3", "azure"), 1),
-    "racs": SchemePlacement(
-        "racs", ("amazon_s3", "azure", "aliyun", "rackspace"), 3
-    ),
-    "depsky": SchemePlacement(
-        "depsky", ("amazon_s3", "azure", "aliyun", "rackspace"), 1
-    ),
-    "depsky-ca": SchemePlacement(
-        "depsky-ca", ("amazon_s3", "azure", "aliyun", "rackspace"), 2
-    ),
-    "nccloud": SchemePlacement(
-        "nccloud", ("amazon_s3", "azure", "aliyun", "rackspace"), 2
-    ),
-    "hyrd-small": SchemePlacement("hyrd-small", ("aliyun", "azure"), 1),
-    "hyrd-large": SchemePlacement(
-        "hyrd-large", ("rackspace", "aliyun", "amazon_s3"), 2
-    ),
-}
+#: the rows of :func:`standard_placements`: each Table II cloud alone, then
+#: every Cloud-of-Clouds configuration of §IV
+_STANDARD_SCHEMES = (
+    *SINGLE_PROVIDERS, "duracloud", "racs", "depsky", "depsky-ca", "nccloud", "hyrd"
+)
+
+
+def placement_of(scheme: Scheme) -> tuple[SchemePlacement, ...]:
+    """Where ``scheme`` puts its bytes, read off the scheme itself.
+
+    Puts one 4 KiB and one 4 MiB probe object, reads each one's placements
+    (in placement order) and ``min_needed`` back off its
+    :class:`~repro.fs.namespace.FileEntry`, and removes it again.  One row
+    per distinct class: HyRD yields ``hyrd-small`` and ``hyrd-large``, every
+    other scheme one row under its own name.
+    """
+    classes: dict[str, tuple[tuple[str, ...], int]] = {}
+    for size in (4 << 10, 4 << 20):  # either side of HyRD's 1 MB small/large line
+        path = f"/placement-probe-{size}"
+        scheme.put(path, bytes(size))
+        entry = scheme.namespace.get(path)
+        classes.setdefault(entry.klass, (entry.providers, min_needed(scheme._codec_for(entry))))
+        scheme.remove(path)
+    suffixed = len(classes) > 1
+    return tuple(
+        SchemePlacement(f"{scheme.name}-{klass}" if suffixed else scheme.name, *row)
+        for klass, row in classes.items()
+    )
+
+
+@cache
+def standard_placements() -> Mapping[str, SchemePlacement]:
+    """The placements of every §IV configuration on the Table II fleet, each
+    read off a freshly built scheme (once per process: the inputs are
+    constants)."""
+    rows: dict[str, SchemePlacement] = {}
+    for name in _STANDARD_SCHEMES:
+        clock = SimClock()
+        scheme = build_scheme(name, make_table2_cloud_of_clouds(clock), clock)
+        rows.update((placement.name, placement) for placement in placement_of(scheme))
+    return MappingProxyType(rows)
 
 
 def availability_of_placement(
@@ -110,21 +138,19 @@ def availability_of_placement(
 
 
 def hyrd_combined(
-    provider_availability: dict[str, float], small_weight: float = _SMALL_WEIGHT
+    small: float, large: float, small_weight: float = _SMALL_WEIGHT
 ) -> float:
-    """HyRD availability over a workload mix.
-
-    ``small_weight`` is the fraction of accesses hitting the replicated
-    (small/metadata) class — the paper's workload studies put most accesses
-    there.
-    """
-    small = availability_of_placement(
-        STANDARD_PLACEMENTS["hyrd-small"], provider_availability
-    )
-    large = availability_of_placement(
-        STANDARD_PLACEMENTS["hyrd-large"], provider_availability
-    )
+    """HyRD availability over a workload mix of its two classes, where
+    ``small_weight`` of the accesses hit the replicated (small/metadata)
+    class — the paper's workload studies put most accesses there."""
     return small_weight * small + (1.0 - small_weight) * large
+
+
+def _report(availability: Callable[[SchemePlacement], float]) -> dict[str, float]:
+    """``availability`` of every standard placement, plus HyRD's blend."""
+    report = {name: availability(p) for name, p in standard_placements().items()}
+    report["hyrd"] = hyrd_combined(report["hyrd-small"], report["hyrd-large"])
+    return report
 
 
 def nines(availability: float) -> float:
@@ -148,15 +174,8 @@ def analytic_report(
     """
     if provider_availability is None:
         a = mtbf / (mtbf + mttr)
-        provider_availability = {
-            name: a for name in ("amazon_s3", "azure", "aliyun", "rackspace")
-        }
-    report = {
-        name: availability_of_placement(p, provider_availability)
-        for name, p in STANDARD_PLACEMENTS.items()
-    }
-    report["hyrd"] = hyrd_combined(provider_availability)
-    return report
+        provider_availability = {name: a for name in SINGLE_PROVIDERS}
+    return _report(lambda p: availability_of_placement(p, provider_availability))
 
 
 def monte_carlo_report(
@@ -172,9 +191,7 @@ def monte_carlo_report(
     scheme's data is readable iff >= k of its providers are up.  Converges
     to :func:`analytic_report` as horizon grows (tested).
     """
-    scenario = poisson_outages(
-        ("amazon_s3", "azure", "aliyun", "rackspace"), horizon, mtbf, mttr, seed
-    )
+    scenario = poisson_outages(SINGLE_PROVIDERS, horizon, mtbf, mttr, seed)
     times = np.arange(0.0, horizon, resolution)
     up: dict[str, np.ndarray] = {}
     for name, profile in scenario.profiles.items():
@@ -182,12 +199,6 @@ def monte_carlo_report(
         for a, b in profile.downtime_windows(0.0, horizon):
             mask &= ~((times >= a) & (times < b))
         up[name] = mask
-
-    report: dict[str, float] = {}
-    for name, placement in STANDARD_PLACEMENTS.items():
-        stacked = np.vstack([up[p] for p in placement.providers])
-        readable = stacked.sum(axis=0) >= placement.k
-        report[name] = float(readable.mean())
-    w = _SMALL_WEIGHT
-    report["hyrd"] = w * report["hyrd-small"] + (1.0 - w) * report["hyrd-large"]
-    return report
+    return _report(
+        lambda p: float((np.vstack([up[q] for q in p.providers]).sum(axis=0) >= p.k).mean())
+    )

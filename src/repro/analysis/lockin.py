@@ -17,9 +17,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.analysis.availability import SchemePlacement, standard_placements
 from repro.cloud.pricing import GB, PRICE_PLANS
+from repro.schemes import SINGLE_PROVIDERS
 
 __all__ = ["SwitchingCost", "switching_cost_report", "single_cloud_exit_cost"]
+
+#: the schemes priced, by their rows in
+#: :func:`~repro.analysis.availability.standard_placements`
+_PRICED = (*(f"single-{p}" for p in SINGLE_PROVIDERS), "duracloud", "racs", "hyrd")
+
+#: share of the logical bytes each class holds where a scheme has two:
+#: HyRD keeps 20 % of its capacity small and 80 % large (§II-B)
+_CAPACITY_SHARE = {"hyrd": {"hyrd-small": 0.2, "hyrd-large": 0.8}}
 
 
 @dataclass(frozen=True)
@@ -46,92 +56,48 @@ def single_cloud_exit_cost(provider: str, logical_bytes: float = GB) -> float:
     return _egress(provider, logical_bytes)
 
 
+def _departure(
+    scheme: str, departed: str, classes: list[tuple[SchemePlacement, float]]
+) -> SwitchingCost:
+    """What rebuilding ``departed``'s share of every class it holds reads."""
+    bytes_read, cost = 0, 0.0
+    sources: dict[str, None] = {}  # providers read, in first-read order
+    for placement, class_bytes in classes:
+        if departed not in placement.providers:
+            continue
+        survivors = [p for p in placement.providers if p != departed]
+        if placement.k == 1:  # the first survivor's replica, else the one copy
+            read, per_source = survivors[:1] or [departed], class_bytes
+        else:
+            read, per_source = survivors[: placement.k], class_bytes / placement.k
+        bytes_read += class_bytes
+        for source in read:
+            cost += _egress(source, per_source)
+            sources[source] = None
+    return SwitchingCost(scheme, departed, bytes_read, tuple(sources), cost)
+
+
 def switching_cost_report(logical_bytes: float = GB) -> list[SwitchingCost]:
     """Per-scheme, per-provider switching costs for one logical GB.
 
-    Mechanics per scheme (destination ingress is free everywhere):
+    Each scheme's classes are read off the scheme
+    (:func:`~repro.analysis.availability.standard_placements`), and leaving
+    a provider rebuilds its share of every class it holds (destination
+    ingress is free everywhere):
 
-    - single cloud: read 100 % of the data out of the departed provider;
-    - DuraCloud (2x replication on S3+Azure): the surviving replica
-      re-seeds the new provider — read 100 % from the *survivor*;
-    - RACS (RAID5 4-wide, k=3): rebuild the departed fragment from the
-      three survivors — read k fragments = 100 % of logical bytes, spread
-      over the survivors (1/3 each);
-    - HyRD: small class (replicas on Aliyun+Azure) reads from the survivor;
-      large class (RAID5 3-wide on Rackspace/Aliyun/S3, k=2) reads 2
-      fragments (= logical size of the large bytes) from the survivors.
-      Weighted 20 % small / 80 % large by capacity, per §II-B.
+    - a one-copy class (a single cloud) is read out of the departed
+      provider itself;
+    - a replicated class (DuraCloud, HyRD's small class) is re-seeded from
+      its first survivor in placement order;
+    - a coded class (RACS's RAID5 k=3, HyRD's large RAID5 k=2) reads
+      ``class_bytes / k`` from each of k survivors.
     """
+    table = standard_placements()
     out: list[SwitchingCost] = []
-
-    # Single clouds — the lock-in baseline.
-    for name in ("amazon_s3", "azure", "aliyun", "rackspace"):
-        out.append(
-            SwitchingCost(
-                scheme=f"single-{name}",
-                departed=name,
-                bytes_read=logical_bytes,
-                read_from=(name,),
-                egress_cost=_egress(name, logical_bytes),
-            )
-        )
-
-    # DuraCloud: survivor serves the re-seed.
-    for departed, survivor in (("amazon_s3", "azure"), ("azure", "amazon_s3")):
-        out.append(
-            SwitchingCost(
-                scheme="duracloud",
-                departed=departed,
-                bytes_read=logical_bytes,
-                read_from=(survivor,),
-                egress_cost=_egress(survivor, logical_bytes),
-            )
-        )
-
-    # RACS: k = 3 fragments of size/3 each from the three survivors.
-    racs_fleet = ("amazon_s3", "azure", "aliyun", "rackspace")
-    for departed in racs_fleet:
-        survivors = tuple(p for p in racs_fleet if p != departed)
-        per_survivor = logical_bytes / 3
-        cost = sum(_egress(s, per_survivor) for s in survivors)
-        out.append(
-            SwitchingCost(
-                scheme="racs",
-                departed=departed,
-                bytes_read=logical_bytes,
-                read_from=survivors,
-                egress_cost=cost,
-            )
-        )
-
-    # HyRD: class-weighted (20% small bytes replicated, 80% large striped).
-    small_bytes = 0.2 * logical_bytes
-    large_bytes = 0.8 * logical_bytes
-    small_set = ("aliyun", "azure")
-    large_set = ("rackspace", "aliyun", "amazon_s3")
-    for departed in ("amazon_s3", "azure", "aliyun", "rackspace"):
-        bytes_read = 0.0
-        cost = 0.0
-        sources: set[str] = set()
-        if departed in small_set:
-            survivor = next(p for p in small_set if p != departed)
-            bytes_read += small_bytes
-            cost += _egress(survivor, small_bytes)
-            sources.add(survivor)
-        if departed in large_set:
-            survivors = tuple(p for p in large_set if p != departed)
-            per_survivor = large_bytes / 2  # k = 2 fragments, each size/2
-            bytes_read += large_bytes
-            for s in survivors:
-                cost += _egress(s, per_survivor)
-                sources.add(s)
-        out.append(
-            SwitchingCost(
-                scheme="hyrd",
-                departed=departed,
-                bytes_read=bytes_read,
-                read_from=tuple(sorted(sources)),
-                egress_cost=cost,
-            )
-        )
+    for scheme in _PRICED:
+        shares = _CAPACITY_SHARE.get(scheme, {scheme: 1})
+        classes = [(table[row], share * logical_bytes) for row, share in shares.items()]
+        for departed in SINGLE_PROVIDERS:
+            if any(departed in placement.providers for placement, _ in classes):
+                out.append(_departure(scheme, departed, classes))
     return out

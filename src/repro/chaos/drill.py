@@ -35,8 +35,6 @@ from repro.sim.rng import make_rng
 
 __all__ = ["run_crash_drill"]
 
-_FLEET = ("amazon_s3", "azure", "aliyun", "rackspace")
-
 
 def _drill_resilience() -> ResilienceConfig:
     base = ResilienceConfig()
@@ -54,7 +52,7 @@ def _crash_trial(seed: int, ordinal: int) -> tuple[str, dict, object]:
     clock = SimClock()
     fleet = make_table2_cloud_of_clouds(clock)
     resilience = _drill_resilience()
-    scheme = RacsScheme([fleet[p] for p in _FLEET], clock, resilience=resilience)
+    scheme = RacsScheme(list(fleet.values()), clock, resilience=resilience)
     scheme.attach_journal()
     path = "/drill/crash"
     old = rng.bytes(64 * 1024)
@@ -68,7 +66,7 @@ def _crash_trial(seed: int, ordinal: int) -> tuple[str, dict, object]:
     else:
         return "committed", {}, scheme.registry
     # The replacement client inherits the durable journal + write logs.
-    dead, scheme = scheme, RacsScheme([fleet[p] for p in _FLEET], clock, resilience=resilience)
+    dead, scheme = scheme, RacsScheme(list(fleet.values()), clock, resilience=resilience)
     summary = replace_client(dead, scheme)
     if summary["rolled_back"]:
         outcome = "rolled_back"
@@ -93,7 +91,7 @@ def _spill_trial(seed: int) -> tuple[dict, object]:
         clock, faults={"rackspace": FaultProfile([cut], seed=seed).bind("rackspace")}
     )
     scheme = RacsScheme(
-        [fleet[p] for p in _FLEET], clock, resilience=_drill_resilience()
+        list(fleet.values()), clock, resilience=_drill_resilience()
     )
     scheme.attach_journal()
     clock.advance(5.0)  # inside the partition window

@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.cloud.errors import CloudError
-from repro.cloud.provider import make_table2_cloud_of_clouds
+from repro.cloud.provider import TABLE2_FLEET, make_table2_cloud_of_clouds
 from repro.core.resilience import ResilienceConfig
 from repro.faults.crash import ClientCrash, CrashSchedule
 from repro.faults.profile import (
@@ -74,9 +74,6 @@ __all__ = [
     "run_campaign",
     "run_episode",
 ]
-
-#: the Table II fleet, in construction order
-_FLEET = ("amazon_s3", "azure", "aliyun", "rackspace")
 
 #: every scheme the campaign exercises by default
 CHAOS_SCHEMES = (
@@ -122,7 +119,7 @@ def _draw_storm(
     """Per-provider degradation effects (never a full scripted partition)."""
     effects: dict[str, list[FaultEffect]] = {}
     described: dict[str, list[str]] = {}
-    for name in _FLEET:
+    for name in TABLE2_FLEET:
         kind = str(rng.choice(["brownout", "burst", "flap", "none"], p=[0.25, 0.25, 0.3, 0.2]))
         if kind == "none":
             continue
@@ -160,7 +157,7 @@ def _draw_partitions(
     """0–2 network partition windows, each cutting off one provider."""
     windows: dict[str, list[tuple[float, float]]] = {}
     for _ in range(int(rng.integers(0, 3))):
-        name = str(rng.choice(list(_FLEET)))
+        name = str(rng.choice(list(TABLE2_FLEET)))
         start = float(rng.uniform(0.0, 0.7)) * horizon
         end = min(start + float(rng.uniform(90.0, 600.0)), horizon * 0.95)
         if end > start:
@@ -237,7 +234,7 @@ class _EpisodeDriver:
         self.clock = SimClock()
         profiles: dict[str, FaultProfile] = {}
         self._max_effect_end = 0.0
-        for name in _FLEET:
+        for name in TABLE2_FLEET:
             effects = list(storm_effects.get(name, ()))
             effects += [OutageWindow(s, e) for s, e in self.partitions.get(name, ())]
             if effects:
@@ -353,7 +350,7 @@ class _EpisodeDriver:
     def _publish_metrics(self, results: dict[str, list[dict]]) -> None:
         registry = self.scheme.registry
         registry.counter("chaos_crashes_total").inc(len(self.crashes))
-        for name in _FLEET:
+        for name in TABLE2_FLEET:
             registry.counter("partition_windows_total", provider=name).inc(
                 len(self.partitions.get(name, ()))
             )

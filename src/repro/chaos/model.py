@@ -33,12 +33,13 @@ byte-stable.
 from __future__ import annotations
 
 import hashlib
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 from repro.cloud.errors import CloudError
 from repro.faults.crash import ClientCrash
 from repro.faults.ledger import CorruptionLedger, DamageEvent, inject_bit_rot, inject_loss
+from repro.schemes.base import DataUnavailable, min_needed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cloud.provider import SimulatedProvider
@@ -324,7 +325,7 @@ class ReferenceModel:
             and not (reachable_only and scheme._is_stale(prov, scheme.container, key))
             for prov, key in sites(scheme, entry)
         ]
-        return sum(usable) - (1 if codec is None else codec.k)
+        return sum(usable) - min_needed(codec)
 
     # ----------------------------------------------------------- settlement
     def settle(
@@ -361,7 +362,8 @@ class ReferenceModel:
         for path in sorted(scheme.namespace.paths()):
             audit = scheme.verify_object(path, deep=True)
             if not audit.ok:
-                scheme.repair_object(path, audit)
+                with suppress(DataUnavailable):  # lost: the re-audit reports it
+                    scheme.repair_object(path, audit)
                 audit = scheme.verify_object(path, deep=True)
             audits.append(audit)
         found = {

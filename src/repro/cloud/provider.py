@@ -27,7 +27,7 @@ from repro.cloud.objectstore import ObjectStore, StoredObject
 from repro.cloud.pricing import CATEGORIES, PRICE_PLANS, PricingPlan, ProviderCategory
 from repro.sim.clock import SimClock
 
-__all__ = ["SimulatedProvider", "TABLE2_LATENCY", "make_table2_cloud_of_clouds"]
+__all__ = ["SimulatedProvider", "TABLE2_FLEET", "TABLE2_LATENCY", "make_table2_cloud_of_clouds"]
 
 
 #: Latency calibration for the four Table II providers, chosen to reproduce
@@ -212,6 +212,10 @@ class SimulatedProvider:
         return f"SimulatedProvider({self.name!r})"
 
 
+#: the four Table II providers, in construction order
+TABLE2_FLEET = ("amazon_s3", "azure", "aliyun", "rackspace")
+
+
 def make_table2_cloud_of_clouds(
     clock: SimClock,
     faults: dict[str, FaultProfile] | None = None,
@@ -223,7 +227,7 @@ def make_table2_cloud_of_clouds(
     """
     faults = faults or {}
     providers: dict[str, SimulatedProvider] = {}
-    for name in ("amazon_s3", "azure", "aliyun", "rackspace"):
+    for name in TABLE2_FLEET:
         providers[name] = SimulatedProvider(
             name=name,
             clock=clock,

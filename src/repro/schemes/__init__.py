@@ -18,6 +18,7 @@ which providers, which redundancy); the base class owns the data path.
 from dataclasses import replace
 from typing import Any
 
+from repro.cloud.provider import TABLE2_FLEET
 from repro.schemes.base import DataUnavailable, Placement, Scheme
 from repro.schemes.depsky import DepSkyScheme
 from repro.schemes.depsky_ca import DepSkyCAScheme
@@ -29,7 +30,7 @@ from repro.schemes.single import SingleCloudScheme
 
 #: the Table II fleet, in construction order; each name is also the scheme
 #: "that cloud alone"
-SINGLE_PROVIDERS = ("amazon_s3", "azure", "aliyun", "rackspace")
+SINGLE_PROVIDERS = TABLE2_FLEET
 
 #: DuraCloud's replica pair: Amazon S3 + Windows Azure, the two US majors
 #: (the paper takes Azure offline to trigger DuraCloud's degraded state, so

@@ -66,6 +66,7 @@ __all__ = [
     "RepairResult",
     "Scheme",
     "VerifyFinding",
+    "min_needed",
 ]
 
 #: below this combined size, dispatching fragment hashing to threads costs
@@ -254,6 +255,11 @@ class CloudOp:
             raise ValueError(f"unknown op kind {self.kind!r}")
         if self.kind == "put" and self.data is None:
             raise ValueError("put op requires data")
+
+
+def min_needed(codec: ErasureCodec | None) -> int:
+    """Placements a read needs: any one replica (``codec`` None), else ``k``."""
+    return 1 if codec is None else codec.k
 
 
 @dataclass(frozen=True)
@@ -2532,7 +2538,7 @@ class Scheme(ABC):
         self._journal_plan(
             version=version,
             codec_name="replication" if codec is None else type(codec).__name__,
-            min_needed=1 if codec is None else codec.k,
+            min_needed=min_needed(codec),
             sites=tuple(zip(providers, keys)),
         )
         bodies = (
@@ -2957,7 +2963,7 @@ class Scheme(ABC):
             checked=checked,
             bytes_verified=bytes_verified,
             total=len(entry.placements),
-            min_needed=1 if codec is None else codec.k,
+            min_needed=min_needed(codec),
         )
 
     def repair_object(self, path: str, audit: ObjectAudit | None = None) -> RepairResult:

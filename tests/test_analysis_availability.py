@@ -4,14 +4,20 @@ import pytest
 
 from repro.analysis.availability import (
     DAY,
-    STANDARD_PLACEMENTS,
     SchemePlacement,
     analytic_report,
     availability_of_placement,
     hyrd_combined,
     monte_carlo_report,
     nines,
+    placement_of,
+    standard_placements,
 )
+from repro.analysis.lockin import _departure
+from repro.cloud.provider import make_table2_cloud_of_clouds
+from repro.core.config import HyRDConfig
+from repro.schemes import build_scheme
+from repro.sim.clock import SimClock
 
 
 class TestPlacementMath:
@@ -67,10 +73,14 @@ class TestAnalyticReport:
         )
 
     def test_hyrd_weighting(self):
+        assert hyrd_combined(0.5, 0.25, small_weight=1.0) == 0.5
         avail = {n: 0.99 for n in ("amazon_s3", "azure", "aliyun", "rackspace")}
-        combined = hyrd_combined(avail, small_weight=1.0)
-        small = availability_of_placement(STANDARD_PLACEMENTS["hyrd-small"], avail)
-        assert combined == pytest.approx(small)
+        mc = monte_carlo_report(seed=0, horizon=400 * DAY, mtbf=20 * DAY, mttr=2 * DAY)
+        for report in (analytic_report(provider_availability=avail), mc):
+            # 80 % of the weight on the replicated class: swapped operands fail
+            small, large = report["hyrd-small"], report["hyrd-large"]
+            assert small != large
+            assert report["hyrd"] == pytest.approx(0.8 * small + 0.2 * large)
 
     def test_custom_provider_availability(self):
         avail = {
@@ -82,6 +92,27 @@ class TestAnalyticReport:
         report = analytic_report(provider_availability=avail)
         assert report["single-aliyun"] == pytest.approx(0.999)
         assert report["racs"] < report["depsky"]
+
+
+class TestPlacementsFollowTheScheme:
+    def test_hyrd_rows_are_its_two_classes(self):
+        rows = standard_placements()
+        assert rows["hyrd-small"] == SchemePlacement("hyrd-small", ("aliyun", "azure"), 1)
+        assert rows["hyrd-large"].k == 2 and len(rows["hyrd-large"].providers) == 3
+        assert "hyrd" not in rows
+
+    def test_three_replicas_give_a_three_provider_small_row(self):
+        clock = SimClock()
+        config = HyRDConfig(replication_level=3)
+        scheme = build_scheme("hyrd", make_table2_cloud_of_clouds(clock), clock, config=config)
+        small, large = placement_of(scheme)
+        assert small.name == "hyrd-small" and small.k == 1
+        assert len(set(small.providers)) == 3
+        assert large.name == "hyrd-large"
+        # the lock-in rule re-seeds the replicated class from its first survivor
+        departed, first, _ = small.providers
+        cost = _departure("hyrd", departed, [(small, 1.0)])
+        assert cost.read_from == (first,) and cost.bytes_read == 1.0
 
 
 class TestNines:
@@ -102,6 +133,6 @@ class TestMonteCarlo:
 
     def test_report_covers_all_schemes(self):
         mc = monte_carlo_report(seed=0, horizon=100 * DAY)
-        assert set(STANDARD_PLACEMENTS) <= set(mc)
+        assert set(standard_placements()) <= set(mc)
         assert "hyrd" in mc
         assert all(0.0 <= v <= 1.0 for v in mc.values())

@@ -134,6 +134,20 @@ class TestEpisode:
         assert "absent (mid-episode)" in lost
         assert cells["no_torn_stripe_readable"]["ok"]
 
+    def test_unrepairable_loss_is_reported_not_raised(self):
+        driver = _EpisodeDriver("duracloud", seed=9, ops=0)
+        driver._step("put")
+        (path,) = driver.scheme.namespace.paths()
+        # every replica vanishes behind the scheme's back, unledgered
+        for prov, key in inv.sites(driver.scheme, driver.scheme.namespace.get(path)):
+            driver.scheme.provider(prov).store.vanish(driver.scheme.container, key)
+        cells = driver.run().report["invariants"]
+        (lost,) = cells["no_acked_write_lost"]["violations"]
+        assert lost["path"] == path and lost["observed"] == inv.UNREACHABLE
+        (audit,) = cells["namespace_provider_audit"]["violations"]
+        assert audit["path"] == path
+        assert all(p.startswith("missing:") for p in audit["problems"])
+
     def test_to_json_is_canonical(self):
         result = run_episode("single", seed=9)
         parsed = json.loads(result.to_json())
