@@ -71,28 +71,34 @@ class LatencyModel:
         return bw * float(rng.lognormal(0.0, self.bw_sigma))
 
     def upload_spec(
-        self, size: int, rng: np.random.Generator | None = None
+        self, size: int, rng: np.random.Generator | None = None, delay: float = 0.0
     ) -> TransferSpec:
-        """TransferSpec for sending ``size`` bytes to this provider."""
+        """TransferSpec for sending ``size`` bytes to this provider, its
+        start pushed back by ``delay`` seconds of serialized waiting (the
+        retries the request burned first)."""
         return TransferSpec(
-            start_delay=self.sample_rtt(rng),
+            start_delay=self.sample_rtt(rng) + delay,
             size_bytes=float(size),
             remote_cap=self._sample_bw(self.upload_bw, rng),
         )
 
     def download_spec(
-        self, size: int, rng: np.random.Generator | None = None
+        self, size: int, rng: np.random.Generator | None = None, delay: float = 0.0
     ) -> TransferSpec:
-        """TransferSpec for fetching ``size`` bytes from this provider."""
+        """TransferSpec for fetching ``size`` bytes from this provider
+        (``delay`` as for :meth:`upload_spec`)."""
         return TransferSpec(
-            start_delay=self.sample_rtt(rng),
+            start_delay=self.sample_rtt(rng) + delay,
             size_bytes=float(size),
             remote_cap=self._sample_bw(self.download_bw, rng),
         )
 
-    def control_spec(self, rng: np.random.Generator | None = None) -> TransferSpec:
-        """Zero-payload request (List/Create/Remove): RTT only."""
-        return TransferSpec(start_delay=self.sample_rtt(rng), size_bytes=0.0)
+    def control_spec(
+        self, rng: np.random.Generator | None = None, delay: float = 0.0
+    ) -> TransferSpec:
+        """Zero-payload request (List/Create/Remove): RTT only
+        (``delay`` as for :meth:`upload_spec`)."""
+        return TransferSpec(start_delay=self.sample_rtt(rng) + delay, size_bytes=0.0)
 
 
 @dataclass(frozen=True)

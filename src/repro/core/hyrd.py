@@ -112,10 +112,14 @@ class HyRDClient(Scheme):
         if entry.codec == "replication":
             return super()._read_object(entry)
         data, degraded = self._read_large(entry)
-        # Promotion check uses the access count *including* this read.
+        # Promotion check uses the access count *including* this read.  Only
+        # a get decides one: a promotion decided by a migrate's or repair's
+        # read would be uploaded by whichever get came next, by then maybe
+        # of bytes an update has superseded.
         promoted_count = entry.access_count + 1
         if (
-            not degraded
+            self._current.kind == "get"
+            and not degraded
             and entry.path not in self._hot
             and self.config.hot_file_threshold > 0
             and entry.klass == FileClass.LARGE.value
@@ -163,7 +167,7 @@ class HyRDClient(Scheme):
                         if idx < codec.k
                     )
                 if est_hot <= est_stripe:
-                    phase = self._run_phase(
+                    (got,) = self._run_phase(
                         [
                             CloudOp(
                                 hot_provider,
@@ -173,15 +177,12 @@ class HyRDClient(Scheme):
                             )
                         ]
                     )
-                    outcome = phase.outcomes[0]
                     # The copy was uploaded from a verified stripe read, and
                     # the object kept beside it is the reference: accept the
                     # very object (a zero-copy store hands it back), else the
                     # same bytes.
-                    if outcome.ok and (
-                        outcome.data is promoted or outcome.data == promoted
-                    ):
-                        return outcome.data, False
+                    if got.ok and (got.response is promoted or got.response == promoted):
+                        return got.response, False
                     # Hot copy raced an outage or was corrupted: fall
                     # through to the verified stripe.
         return super()._read_object(entry)
@@ -228,9 +229,11 @@ class HyRDClient(Scheme):
             self._write_logs[provider].discard(self.container, self._hot_key(path, version))
 
     def get(self, path: str):  # type: ignore[override]
-        data, report = super().get(path)
-        pending = self._pending_promotion
-        self._pending_promotion = None
+        try:
+            data, report = super().get(path)
+        finally:
+            # A get that raised still consumes its decision.
+            pending, self._pending_promotion = self._pending_promotion, None
         if pending is not None:
             self._promote(*pending)
         return data, report

@@ -89,10 +89,10 @@ class OrphanSweeper:
             from repro.schemes.base import CloudOp
 
             with self.scheme._op("gc", key):
-                phase = self.scheme._run_phase(
+                (removal,) = self.scheme._run_phase(
                     [CloudOp(provider, "remove", container, key)]
                 )
-            ok = phase.outcomes[0].ok
+            ok = removal.ok
             self.budget.settle(_DELETE_COST_BYTES, _DELETE_COST_BYTES if ok else 0)
             if ok:
                 removed += 1

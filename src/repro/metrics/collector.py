@@ -14,8 +14,8 @@ The public query API is unchanged; existing callers keep working verbatim.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass, field, fields
+from typing import Any, Iterable
 
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.stats import LatencySummary, summarize
@@ -54,6 +54,22 @@ class OpReport:
             raise ValueError(f"bytes_down must be >= 0, got {self.bytes_down}")
         if self.cloud_ops < 0:
             raise ValueError(f"cloud_ops must be >= 0, got {self.cloud_ops}")
+
+    def to_span_attrs(self) -> dict[str, Any]:
+        """The root op span's attributes, so a JSON-lines trace carries the
+        whole report: every field in declaration order, ``providers`` as a
+        list, ``tenant`` only when set (tenant-free traces stay as they
+        were before tenants existed)."""
+        attrs = {f.name: getattr(self, f.name) for f in fields(self)}
+        attrs["providers"] = list(self.providers)
+        if self.tenant is None:
+            del attrs["tenant"]
+        return attrs
+
+    @classmethod
+    def from_span_attrs(cls, attrs: dict[str, Any]) -> "OpReport":
+        """Inverse of :meth:`to_span_attrs`."""
+        return cls(**{**attrs, "providers": tuple(attrs["providers"])})
 
 
 @dataclass

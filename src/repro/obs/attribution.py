@@ -594,14 +594,14 @@ class ProviderLoadObservatory:
     def on_phase(self, now: float, outcomes) -> None:
         """Fold one executed phase's outcomes into the per-provider stats.
 
-        ``outcomes`` are the phase's :class:`~repro.schemes.base.OpOutcome`
-        objects; each request's ``finish`` is its wire time relative to the
-        phase start (0 for client-side fast-fails, which were never in
-        flight).
+        ``outcomes`` are the phase's issued
+        :class:`~repro.schemes.base.CloudOp` requests; each one's ``finish``
+        is its wire time relative to the phase start (0 for client-side
+        fast-fails, which were never in flight).
         """
         per: dict[str, list[float]] = {}
         for o in outcomes:
-            per.setdefault(o.op.provider, []).append(o.finish)
+            per.setdefault(o.provider, []).append(o.finish)
         for provider, finishes in per.items():
             self._update(provider, now, finishes)
 

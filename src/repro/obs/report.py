@@ -135,24 +135,7 @@ class RunReport:
                 and r["name"].startswith("op.")
                 and r["name"] != "op.error"
             ):
-                a = r["attrs"]
-                reports.append(
-                    OpReport(
-                        op=a["op"],
-                        path=a["path"],
-                        elapsed=a["elapsed"],
-                        bytes_up=a["bytes_up"],
-                        bytes_down=a["bytes_down"],
-                        providers=tuple(a["providers"]),
-                        degraded=a["degraded"],
-                        cloud_ops=a["cloud_ops"],
-                        rtt_wait=a["rtt_wait"],
-                        transfer_time=a["transfer_time"],
-                        retries=a["retries"],
-                        hedged=a["hedged"],
-                        tenant=a.get("tenant"),
-                    )
-                )
+                reports.append(OpReport.from_span_attrs(r["attrs"]))
         return cls(
             scheme=str(meta.get("scheme", "?")),
             seed=meta.get("seed"),

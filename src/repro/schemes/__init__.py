@@ -12,7 +12,7 @@ which providers, which redundancy); the base class owns the data path.
 - :class:`RacsScheme`        -- RAID5 striping over all providers [1]
 - :class:`DepSkyScheme`      -- quorum replication over all providers [7]
 - :class:`NCCloudScheme`     -- FMSR regenerating codes [16]
-- :class:`HyrdScheme`        -- this paper (alias of repro.core.HyRDClient)
+- :class:`HyrdScheme`        -- this paper (the same class as repro.core.HyRDClient)
 """
 
 from dataclasses import replace
@@ -57,14 +57,14 @@ def build_scheme(name: str, fleet: dict, clock, **kwargs: Any) -> Scheme:
     everyone = list(fleet.values())
     if name in ("hyrd", "hyrd-rs"):
         from repro.core.config import HyRDConfig
-        from repro.schemes.hyrd_scheme import HyrdScheme
+        from repro.core.hyrd import HyRDClient
 
         config = kwargs.pop("config", None) or HyRDConfig()
         if name == "hyrd-rs":
             config = replace(config, erasure_codec="rs")
         if "resilience" in kwargs:
             config = replace(config, resilience=kwargs.pop("resilience"))
-        return HyrdScheme(everyone, clock, config=config, **kwargs)
+        return HyRDClient(everyone, clock, config=config, **kwargs)
     whole_fleet = {
         "racs": RacsScheme,
         "depsky": DepSkyScheme,
@@ -77,12 +77,12 @@ def build_scheme(name: str, fleet: dict, clock, **kwargs: Any) -> Scheme:
 
 
 def __getattr__(name: str) -> Any:
-    # HyrdScheme wraps repro.core.hyrd, which itself builds on
+    # HyrdScheme is repro.core.hyrd.HyRDClient, which itself builds on
     # repro.schemes.base — resolve it lazily to keep the import DAG acyclic.
     if name == "HyrdScheme":
-        from repro.schemes.hyrd_scheme import HyrdScheme
+        from repro.core.hyrd import HyRDClient
 
-        return HyrdScheme
+        return HyRDClient
     raise AttributeError(f"module 'repro.schemes' has no attribute {name!r}")
 
 __all__ = [

@@ -60,8 +60,6 @@ __all__ = [
     "CloudOp",
     "DataUnavailable",
     "ObjectAudit",
-    "OpOutcome",
-    "PhaseResult",
     "Placement",
     "RepairResult",
     "Scheme",
@@ -231,11 +229,11 @@ class _PayloadCache:
 
 @dataclass(slots=True)
 class CloudOp:
-    """One provider request inside a phase.
+    """One provider request inside a phase, and once issued, its outcome.
 
-    Like the other per-request records (:class:`OpOutcome`,
-    :class:`PhaseResult`, the bandwidth model's specs and results) it is
-    slotted and not frozen: a dozen are built per op and none is ever
+    :meth:`Scheme._issue` fills in ``ok`` / ``response`` / ``error`` /
+    ``finish`` in place, so a request is one record from build to read.
+    Slotted and not frozen: a dozen are built per op and none is ever
     hashed, so a frozen ``__init__``'s per-field ``object.__setattr__``
     would buy nothing.
     """
@@ -247,6 +245,13 @@ class CloudOp:
     #: payload for puts; any immutable bytes-like buffer (zero-copy views
     #: from the codecs flow through untouched — see docs/performance.md)
     data: bytes | memoryview | None = None
+    ok: bool = False
+    #: what a successful get / list returned
+    response: bytes | None = None
+    error: Exception | None = None
+    #: completion instant relative to the phase start (0 for a client-side
+    #: fast fail, which never went on the wire)
+    finish: float = 0.0
 
     _KINDS = frozenset({"put", "get", "remove", "list", "create", "head"})
 
@@ -283,36 +288,6 @@ class Placement:
     #: read count the new version starts from: HyRD carries the previous
     #: version's over (it drives hot-copy promotion); baselines restart at 0
     access_count: int = 0
-
-
-@dataclass(slots=True)
-class OpOutcome:
-    """Result of one :class:`CloudOp` within a phase."""
-
-    op: CloudOp
-    ok: bool
-    data: bytes | None = None
-    error: Exception | None = None
-    finish: float = 0.0  # completion instant relative to phase start
-
-
-@dataclass(slots=True)
-class PhaseResult:
-    """All outcomes of one phase plus its wire cost."""
-
-    outcomes: list[OpOutcome]
-    elapsed: float
-    bytes_up: int = 0
-    bytes_down: int = 0
-
-    def ok(self) -> bool:
-        return all(o.ok for o in self.outcomes)
-
-    def succeeded(self) -> list[OpOutcome]:
-        return [o for o in self.outcomes if o.ok]
-
-    def failed(self) -> list[OpOutcome]:
-        return [o for o in self.outcomes if not o.ok]
 
 
 @dataclass(frozen=True)
@@ -503,24 +478,7 @@ class _Op:
             # is self-contained: RunReport.from_trace rebuilds the report
             # stream from these attributes alone.
             span.record.name = f"op.{self.kind}"
-            span.record.set(
-                op=self.kind,
-                path=self.path,
-                elapsed=report.elapsed,
-                bytes_up=report.bytes_up,
-                bytes_down=report.bytes_down,
-                providers=list(report.providers),
-                degraded=report.degraded,
-                cloud_ops=report.cloud_ops,
-                rtt_wait=report.rtt_wait,
-                transfer_time=report.transfer_time,
-                retries=report.retries,
-                hedged=report.hedged,
-            )
-            if report.tenant is not None:
-                # Only stamped when attributed, so tenant-free traces stay
-                # byte-identical to pre-service-plane ones.
-                span.record.set(tenant=report.tenant)
+            span.record.set(**report.to_span_attrs())
             span.__exit__(None, None, None)
         if scheme.slo is not None:
             scheme.slo.record_op(report, now)
@@ -813,14 +771,7 @@ class Scheme(ABC):
             return False
         return log.has_pending(container, key)
 
-    @staticmethod
-    def _delayed(spec: TransferSpec, extra: float) -> TransferSpec:
-        """Shift a transfer's start by ``extra`` seconds of serialized waiting."""
-        if extra <= 0.0:
-            return spec
-        return replace(spec, start_delay=spec.start_delay + extra)
-
-    def _expected_latency(self, outcome: OpOutcome) -> float:
+    def _expected_latency(self, op: CloudOp) -> float:
         """Clean-model latency expectation for one completed request.
 
         Uses the provider's *base* latency (never the brownout-degraded one):
@@ -828,12 +779,12 @@ class Scheme(ABC):
         healthy provider would have delivered, so brownouts register as
         slowdown even though no request errors.
         """
-        lat = self.provider(outcome.op.provider).latency
-        if outcome.op.kind == "put":
-            size = len(outcome.op.data or b"")
+        lat = self.provider(op.provider).latency
+        if op.kind == "put":
+            size = len(op.data or b"")
             return lat.rtt + size / min(lat.upload_bw, self.link.uplink)
-        if outcome.op.kind == "get":
-            size = len(outcome.data or b"")
+        if op.kind == "get":
+            size = len(op.response or b"")
             return lat.rtt + size / min(lat.download_bw, self.link.downlink)
         return lat.rtt
 
@@ -849,22 +800,22 @@ class Scheme(ABC):
         counts against availability like any other failed one."""
         return _Op(self, kind, path)
 
-    def _run_phase(self, ops: list[CloudOp], bypass_breakers: bool = False) -> PhaseResult:
+    def _run_phase(self, ops: list[CloudOp], bypass_breakers: bool = False) -> list[CloudOp]:
         """Issue one phase of concurrent requests and wait for all of it."""
-        phase = self._issue(ops, bypass_breakers=bypass_breakers)
-        self._settle(phase.elapsed, phase.outcomes)
-        return phase
+        ops, elapsed = self._issue(ops, bypass_breakers=bypass_breakers)
+        self._settle(elapsed, ops)
+        return ops
 
     def _settle(
         self,
         until: float,
-        waited: list[OpOutcome],
-        cancelled: tuple[tuple[OpOutcome, float], ...] = (),
+        waited: list[CloudOp],
+        cancelled: tuple[tuple[CloudOp, float], ...] = (),
     ) -> None:
         """Wait ``until`` seconds from now on requests already issued: the
         one place a phase moves the clock or feeds health.
 
-        ``waited`` are the outcomes the client actually observed complete;
+        ``waited`` are the requests the client actually observed complete;
         their latency against the clean expectation is what surfaces a
         brownout in the health EWMAs.  ``cancelled`` pairs a hedge leg that
         lost its race with the seconds it spent on the wire before the
@@ -879,7 +830,7 @@ class Scheme(ABC):
         """
         for o in waited:
             if o.ok and o.finish > 0.0:
-                self.health[o.op.provider].record_latency(
+                self.health[o.provider].record_latency(
                     o.finish, self._expected_latency(o)
                 )
         if until > 0:
@@ -889,21 +840,22 @@ class Scheme(ABC):
                 continue
             wasted = min(o.finish, seconds)
             self.registry.histogram(
-                "hedge_wasted_seconds", provider=o.op.provider
+                "hedge_wasted_seconds", provider=o.provider
             ).observe(wasted)
-            self.health[o.op.provider].record_latency(
+            self.health[o.provider].record_latency(
                 wasted, self._expected_latency(o)
             )
             if self.tracer.enabled:
-                self.tracer.event("hedge.wasted", provider=o.op.provider, wasted=wasted)
+                self.tracer.event("hedge.wasted", provider=o.provider, wasted=wasted)
 
     def _issue(
         self, ops: list[CloudOp], at: float = 0.0, bypass_breakers: bool = False
-    ) -> PhaseResult:
-        """Put one phase of concurrent provider requests on the wire.
+    ) -> tuple[list[CloudOp], float]:
+        """Put one phase of concurrent provider requests on the wire; return
+        them, their outcomes filled in, and the phase's elapsed time.
 
         State changes apply instantly; wire time is computed by batching all
-        transfer specs through the client link, and each outcome's
+        transfer specs through the client link, and each request's
         ``finish`` is relative to the issue instant — ``at`` seconds from
         now, so a delayed hedge leg's trace spans and observatory arrivals
         sit where the leg actually fired.  Mutations aimed at an unavailable
@@ -923,11 +875,8 @@ class Scheme(ABC):
         provider.
         """
         acc = self._current
-        outcomes: list[OpOutcome] = []
         uploads: list[tuple[int, TransferSpec]] = []
         downloads: list[tuple[int, TransferSpec]] = []
-        bytes_up = 0
-        bytes_down = 0
         now = self.clock.now
         start = now + at
         policy = self.retry_policy
@@ -972,9 +921,7 @@ class Scheme(ABC):
                 # Client-side fast fail: no request leaves the machine.
                 self._log_missed_mutation(op)
                 self.collector.bump("breaker_fast_fail")
-                outcomes.append(
-                    OpOutcome(op=op, ok=False, error=CircuitOpenError(op.provider, now))
-                )
+                op.error = CircuitOpenError(op.provider, now)
                 continue
             lat = provider.effective_latency()
             data: bytes | None = None
@@ -1047,64 +994,56 @@ class Scheme(ABC):
                     breaker.record_failure(now)
                     if breaker.state != before:
                         self._note_breaker(breaker)
-                outcomes.append(OpOutcome(op=op, ok=False, error=error))
+                op.error = error
                 # Failure detection costs one control round-trip.
-                uploads.append(
-                    (
-                        i,
-                        TransferSpec(
-                            start_delay=penalty + lat.sample_rtt(self.rng),
-                            size_bytes=0.0,
-                        ),
-                    )
-                )
+                uploads.append((i, lat.control_spec(self.rng, penalty)))
                 continue
             health.record_attempt(True)
             before = breaker.state
             breaker.record_success(now)
             if breaker.state != before:
                 self._note_breaker(breaker)
-            outcomes.append(OpOutcome(op=op, ok=True, data=data))
+            op.ok = True
+            op.response = data
             if op.kind == "put":
                 size = len(op.data or b"")
-                spec = lat.upload_spec(size, self.rng)
-                uploads.append((i, spec if penalty == 0.0 else self._delayed(spec, penalty)))
-                bytes_up += size
+                uploads.append((i, lat.upload_spec(size, self.rng, penalty)))
+                acc.bytes_up += size
             elif op.kind == "get":
                 size = len(data or b"")
-                spec = lat.download_spec(size, self.rng)
-                downloads.append((i, spec if penalty == 0.0 else self._delayed(spec, penalty)))
-                bytes_down += size
+                downloads.append((i, lat.download_spec(size, self.rng, penalty)))
+                acc.bytes_down += size
             else:  # control-plane request
-                uploads.append((i, self._delayed(lat.control_spec(self.rng), penalty)))
+                uploads.append((i, lat.control_spec(self.rng, penalty)))
 
         elapsed = 0.0
         critical_rtt = 0.0
         for direction, linkbw in ((uploads, self.link.uplink), (downloads, self.link.downlink)):
             if not direction:
                 continue
-            results = simulate_transfers([s for _, s in direction], linkbw)
-            for ((idx, spec), res) in zip(direction, results):
-                outcomes[idx].finish = max(outcomes[idx].finish, res.finish_time)
-                if res.finish_time > elapsed:
-                    elapsed = res.finish_time
+            finishes = simulate_transfers([s for _, s in direction], linkbw)
+            for (idx, spec), finish in zip(direction, finishes):
+                op = ops[idx]
+                op.finish = max(op.finish, finish)
+                if finish > elapsed:
+                    elapsed = finish
                     critical_rtt = spec.start_delay
 
         if self.observatory is not None:
-            self.observatory.on_phase(start, outcomes)
+            self.observatory.on_phase(start, ops)
 
         if attempt_counts is not None:
             # Backfilled per-request child spans: each request's finish is
             # only known once the whole phase's transfers are simulated.
-            for i, o in enumerate(outcomes):
+            for i, o in enumerate(ops):
                 if isinstance(o.error, CircuitOpenError):
                     self.tracer.add(
-                        "breaker.fast_fail", start, start, provider=o.op.provider, kind=o.op.kind
+                        "breaker.fast_fail", start, start, provider=o.provider, kind=o.kind
                     )
                     continue
                 attrs = {
-                    "provider": o.op.provider,
-                    "kind": o.op.kind,
+                    "provider": o.provider,
+                    "kind": o.kind,
                     "ok": o.ok,
                     "attempts": attempt_counts.get(i, 1),
                 }
@@ -1112,17 +1051,13 @@ class Scheme(ABC):
                     attrs["error"] = type(o.error).__name__
                 self.tracer.add("request", start, start + o.finish, **attrs)
 
-        acc.bytes_up += bytes_up
-        acc.bytes_down += bytes_down
         acc.cloud_ops += len(ops)
         acc.providers.update(allowed)  # keyed by exactly the phase's providers
         # Critical-path attribution: the phase ends with its slowest
         # transfer; that transfer's RTT is waiting, the rest is bytes.
         acc.rtt_wait += min(critical_rtt, elapsed)
         acc.transfer_time += max(elapsed - critical_rtt, 0.0)
-        return PhaseResult(
-            outcomes=outcomes, elapsed=elapsed, bytes_up=bytes_up, bytes_down=bytes_down
-        )
+        return ops, elapsed
 
     @staticmethod
     def _apply_op(provider: SimulatedProvider, op: CloudOp) -> bytes | None:
@@ -1264,9 +1199,9 @@ class Scheme(ABC):
         # Respecting an open breaker here would fast-fail the drained log
         # back into itself without advancing the clock (a livelock).
         with self.tracer.span("heal.replay", provider=name) as sp:
-            phase = self._run_phase(ops, bypass_breakers=True)
+            self._run_phase(ops, bypass_breakers=True)
             replayed = 0
-            for e, o in zip(op_entries, phase.outcomes):
+            for e, o in zip(op_entries, ops):
                 if e is None:
                     if o.ok:
                         for ce in entries:
@@ -1358,15 +1293,15 @@ class Scheme(ABC):
         self._digest_cache.record(key, data, expected)
         return True
 
-    def _quorum_phase(self, ops: list[CloudOp], quorum: int) -> PhaseResult:
+    def _quorum_phase(self, ops: list[CloudOp], quorum: int) -> list[CloudOp]:
         """Run ``ops`` and acknowledge at the ``quorum``-th fastest success.
 
         Stragglers complete in the background, so the clock advances to the
         quorum's completion, not the phase maximum; with fewer successes
         than ``quorum`` the op waits for the last one and is degraded.
         """
-        phase = self._issue(ops)
-        finishes = sorted(o.finish for o in phase.succeeded())
+        self._issue(ops)
+        finishes = sorted(o.finish for o in ops if o.ok)
         until = 0.0
         if len(finishes) >= quorum:
             until = finishes[quorum - 1]
@@ -1375,8 +1310,8 @@ class Scheme(ABC):
             self._mark_degraded()
         # Stragglers' latencies are observed too: they complete, just not on
         # the op's critical path.
-        self._settle(until, phase.outcomes)
-        return phase
+        self._settle(until, ops)
+        return ops
 
     def _read_replicated(
         self,
@@ -1436,19 +1371,18 @@ class Scheme(ABC):
                 degraded = True
                 continue
             vetted = False
-            phase = self._run_phase([CloudOp(name, "get", self.container, key)])
-            outcome = phase.outcomes[0]
-            if outcome.ok and outcome.data is not None:
+            (got,) = self._run_phase([CloudOp(name, "get", self.container, key)])
+            if got.ok and got.response is not None:
                 if digest is not None and not self._verify_digest(
-                    key, outcome.data, digest
+                    key, got.response, digest
                 ):
                     degraded = True  # corrupt copy: fall through to the next
                     continue
                 if degraded:
                     self._mark_degraded()
-                return outcome.data, degraded
+                return got.response, degraded
             degraded = True
-            last_error = outcome.error
+            last_error = got.error
         detail = f" ({last_error})" if last_error is not None else ""
         raise DataUnavailable(
             key_base, f"no intact replica reachable on {providers}{detail}"
@@ -1479,16 +1413,15 @@ class Scheme(ABC):
 
         # Both legs are issued, then one settle per exit: only the race
         # *winner* is waited on, the loser is cancelled at its finish.
-        p_phase = self._issue([CloudOp(primary, "get", self.container, key)])
-        p = p_phase.outcomes[0]
+        (p,), p_elapsed = self._issue([CloudOp(primary, "get", self.container, key)])
         p_ok = (
             p.ok
-            and p.data is not None
-            and (digest is None or self._verify_digest(key, p.data, digest))
+            and p.response is not None
+            and (digest is None or self._verify_digest(key, p.response, digest))
         )
-        if p_ok and p_phase.elapsed <= hedge_delay:
-            self._settle(p_phase.elapsed, p_phase.outcomes)
-            return p.data, False
+        if p_ok and p_elapsed <= hedge_delay:
+            self._settle(p_elapsed, [p])
+            return p.response, False
 
         # Primary is slow, failed or corrupt: fire the backup.  A detected
         # failure releases the hedge immediately; a silently slow primary
@@ -1499,37 +1432,32 @@ class Scheme(ABC):
             self.tracer.event(
                 "hedge.fired", primary=primary, backup=backup, delay=hedge_delay
             )
-        backup_start = hedge_delay if p_ok else min(hedge_delay, p_phase.elapsed)
-        b_phase = self._issue(
+        backup_start = hedge_delay if p_ok else min(hedge_delay, p_elapsed)
+        (b,), b_elapsed = self._issue(
             [CloudOp(backup, "get", self.container, key)], at=backup_start
         )
-        b = b_phase.outcomes[0]
         b_ok = (
             b.ok
-            and b.data is not None
-            and (digest is None or self._verify_digest(key, b.data, digest))
+            and b.response is not None
+            and (digest is None or self._verify_digest(key, b.response, digest))
         )
-        b_finish = backup_start + b_phase.elapsed
+        b_finish = backup_start + b_elapsed
 
-        if p_ok and (not b_ok or p_phase.elapsed <= b_finish):
+        if p_ok and (not b_ok or p_elapsed <= b_finish):
             # The backup was on the wire from backup_start until the primary
             # answered; that slice is wasted provider work, not latency.
-            self._settle(
-                p_phase.elapsed,
-                p_phase.outcomes,
-                ((b, max(0.0, p_phase.elapsed - backup_start)),),
-            )
-            return p.data, False
+            self._settle(p_elapsed, [p], ((b, max(0.0, p_elapsed - backup_start)),))
+            return p.response, False
         if b_ok:
             self.collector.bump("hedge_wins")
             if self.tracer.enabled:
                 self.tracer.event("hedge.win", provider=backup)
-            self._settle(b_finish, b_phase.outcomes, ((p, b_finish),))
+            self._settle(b_finish, [b], ((p, b_finish),))
             # Degraded only when the primary actually failed — a hedge that
             # merely outran a slow-but-healthy primary is a normal read.
-            return b.data, not p_ok
+            return b.response, not p_ok
         # Both legs failed: charge the time burned finding out.
-        self._settle(max(p_phase.elapsed, b_finish), ())
+        self._settle(max(p_elapsed, b_finish), ())
         return None
 
     def _encode_fragments(
@@ -1621,11 +1549,10 @@ class Scheme(ABC):
                 )
                 for i in chosen
             ]
-            phase = self._run_phase(ops)
-            for idx, outcome in zip(chosen, phase.outcomes):
-                if outcome.ok and outcome.data is not None:
-                    if verified(idx, outcome.data):
-                        fragments[idx] = outcome.data
+            for idx, got in zip(chosen, self._run_phase(ops)):
+                if got.ok and got.response is not None:
+                    if verified(idx, got.response):
+                        fragments[idx] = got.response
                     else:
                         rejected.add(idx)
         if len(fragments) < codec.k:
@@ -1652,9 +1579,9 @@ class Scheme(ABC):
                         for i in batch
                     ]
                 )
-                for i, outcome in zip(batch, retry.outcomes):
-                    data = outcome.data
-                    if outcome.ok and data is not None and verified(i, data):
+                for i, got in zip(batch, retry):
+                    data = got.response
+                    if got.ok and data is not None and verified(i, data):
                         fragments[i] = data
             degraded = True
         if len(fragments) < codec.k:
@@ -1738,8 +1665,7 @@ class Scheme(ABC):
             )
             for i in touched
         ]
-        read_phase = self._run_phase(read_ops)
-        if not read_phase.ok():
+        if not all(o.ok for o in self._run_phase(read_ops)):
             self._mark_degraded()
 
         # Phase 2: write the new affected fragments + parities.  Fragment
@@ -1857,7 +1783,7 @@ class Scheme(ABC):
         loop finish the read.
         """
         gating, backup = hedge.gating, hedge.backup
-        main = self._issue(
+        main, main_done = self._issue(
             [
                 CloudOp(
                     by_index[i],
@@ -1878,7 +1804,7 @@ class Scheme(ABC):
                 backup=by_index[backup],
                 delay=0.0,
             )
-        b_phase = self._issue(
+        (b,), b_done = self._issue(
             [
                 CloudOp(
                     by_index[backup],
@@ -1888,11 +1814,10 @@ class Scheme(ABC):
                 )
             ]
         )
-        b = b_phase.outcomes[0]
-        outcomes = dict(zip(chosen, main.outcomes))
+        outcomes = dict(zip(chosen, main))
 
-        def good(i: int, o) -> bool:
-            return o.ok and o.data is not None and verified(i, o.data)
+        def good(i: int, o: CloudOp) -> bool:
+            return o.ok and o.response is not None and verified(i, o.response)
 
         main_good = all(good(i, o) for i, o in outcomes.items())
         others_good = all(good(i, o) for i, o in outcomes.items() if i != gating)
@@ -1902,13 +1827,12 @@ class Scheme(ABC):
                 (o.finish for i, o in outcomes.items() if i != gating),
                 default=0.0,
             )
-            main_done = main.elapsed
-            alt_done = max(others, b_phase.elapsed) if b_good else math.inf
+            alt_done = max(others, b_done) if b_good else math.inf
             if main_good and main_done <= alt_done:
                 # The chosen subset answered first: normal read, backup leg
                 # cancelled at the winner's finish.
-                self._settle(main_done, main.outcomes, ((b, main_done),))
-                return {i: o.data for i, o in outcomes.items()}, set(), False
+                self._settle(main_done, main, ((b, main_done),))
+                return {i: o.response for i, o in outcomes.items()}, set(), False
             # The backup subset completed first (or the gating fragment
             # failed outright): decode around the gating provider.
             self.collector.bump("hedge_wins")
@@ -1920,22 +1844,20 @@ class Scheme(ABC):
                 [o for i, o in outcomes.items() if i != gating] + [b],
                 ((outcomes[gating], alt_done),),
             )
-            fragments = {i: o.data for i, o in outcomes.items() if i != gating}
-            fragments[backup] = b.data
+            fragments = {i: o.response for i, o in outcomes.items() if i != gating}
+            fragments[backup] = b.response
             # Degraded only when the gating fragment actually failed — a
             # backup that merely outran a queued provider is a normal read.
             return fragments, set(), not main_good
         # A non-gating fragment failed or was corrupt: no subset won.  Wait
         # out both legs, keep every intact fragment, and let the top-up
         # logic recover — same degraded semantics as the unhedged path.
-        self._settle(
-            max(main.elapsed, b_phase.elapsed), main.outcomes + b_phase.outcomes
-        )
+        self._settle(max(main_done, b_done), main + [b])
         fragments, rejected = {}, set()
         for i, o in [*outcomes.items(), (backup, b)]:
-            if o.ok and o.data is not None:
-                if verified(i, o.data):
-                    fragments[i] = o.data
+            if o.ok and o.response is not None:
+                if verified(i, o.response):
+                    fragments[i] = o.response
                 else:
                     rejected.add(i)
         return fragments, rejected, True
@@ -2050,8 +1972,8 @@ class Scheme(ABC):
             ):
                 self._mark_degraded()
                 continue
-            phase = self._run_phase([CloudOp(name, "get", self.container, key)])
-            if phase.outcomes[0].ok:
+            (got,) = self._run_phase([CloudOp(name, "get", self.container, key)])
+            if got.ok:
                 return
             self._mark_degraded()
         raise DataUnavailable(key, f"no metadata replica reachable on {providers}")
@@ -2185,10 +2107,10 @@ class Scheme(ABC):
     def _list_container(self, provider: str) -> list[str] | None:
         """One ``list`` request: the keys ``provider`` holds for this scheme,
         or None when the request failed."""
-        outcome = self._run_phase([CloudOp(provider, "list", self.container)]).outcomes[0]
-        if not outcome.ok or outcome.data is None:
+        (got,) = self._run_phase([CloudOp(provider, "list", self.container)])
+        if not got.ok or got.response is None:
             return None
-        return outcome.data.decode().split("\n") if outcome.data else []
+        return got.response.decode().split("\n") if got.response else []
 
     @staticmethod
     def _meta_base_key(key: str, striped: bool) -> str:
@@ -2216,12 +2138,9 @@ class Scheme(ABC):
                     name, self.container, base_key
                 ):
                     continue
-                phase = self._run_phase(
-                    [CloudOp(name, "get", self.container, base_key)]
-                )
-                outcome = phase.outcomes[0]
-                if outcome.ok and outcome.data is not None:
-                    yield outcome.data
+                (got,) = self._run_phase([CloudOp(name, "get", self.container, base_key)])
+                if got.ok and got.response is not None:
+                    yield got.response
             logged = self._newest_logged_meta(base_key, targets)
             if logged is not None:
                 yield logged
@@ -2234,10 +2153,8 @@ class Scheme(ABC):
             ).is_available():
                 data = self._logged_payload(name, key)
             else:
-                outcome = self._run_phase(
-                    [CloudOp(name, "get", self.container, key)]
-                ).outcomes[0]
-                data = outcome.data if outcome.ok else None
+                (got,) = self._run_phase([CloudOp(name, "get", self.container, key)])
+                data = got.response if got.ok else None
             if data is None:
                 continue
             for rest in combinations(fragments, codec.k - 1):
@@ -2885,10 +2802,10 @@ class Scheme(ABC):
                     for k in orphans:
                         plane.orphans.enqueue(name, self.container, k)
                 elif orphans:
-                    phase = self._run_phase(
+                    removes = self._run_phase(
                         [CloudOp(name, "remove", self.container, k) for k in orphans]
                     )
-                    ok = sum(1 for o in phase.outcomes if o.ok)
+                    ok = sum(1 for o in removes if o.ok)
                     if ok:
                         removed[name] = ok
                         self.registry.counter(
@@ -2935,22 +2852,18 @@ class Scheme(ABC):
         bytes_verified = 0
         if probe_sites:
             kind = "get" if deep else "head"
-            phase = self._run_phase(
+            probes = self._run_phase(
                 [CloudOp(prov, kind, self.container, key) for prov, _, key in probe_sites]
             )
-            for (prov, idx, key), outcome in zip(probe_sites, phase.outcomes):
+            for (prov, idx, key), got in zip(probe_sites, probes):
                 checked += 1
-                if not outcome.ok:
-                    found = (
-                        "missing"
-                        if isinstance(outcome.error, NoSuchObject)
-                        else "unreachable"
-                    )
+                if not got.ok:
+                    found = "missing" if isinstance(got.error, NoSuchObject) else "unreachable"
                     findings.append(VerifyFinding(entry.path, prov, key, found, idx))
                     continue
-                if deep and outcome.data is not None:
-                    bytes_verified += len(outcome.data)
-                    if not self._placement_intact(entry, idx, outcome.data):
+                if deep and got.response is not None:
+                    bytes_verified += len(got.response)
+                    if not self._placement_intact(entry, idx, got.response):
                         findings.append(
                             VerifyFinding(entry.path, prov, key, "corrupt", idx)
                         )
@@ -3022,30 +2935,32 @@ class Scheme(ABC):
                 data, _degraded = self._read_object(entry)
                 # A replica re-put, or a re-encode of the affected fragments.
                 fragments = None if codec is None else self._encode_fragments(codec, data)
-                bodies = [
-                    data if fragments is None else fragments[f.fragment] for f in targets
-                ]
-                phase = self._run_phase(
+                up_before = self._current.bytes_up
+                puts = self._run_phase(
                     [
-                        CloudOp(f.provider, "put", self.container, f.key, body)
-                        for f, body in zip(targets, bodies)
+                        CloudOp(
+                            f.provider,
+                            "put",
+                            self.container,
+                            f.key,
+                            data if fragments is None else fragments[f.fragment],
+                        )
+                        for f in targets
                     ]
                 )
-                bytes_written = phase.bytes_up
+                bytes_written = self._current.bytes_up - up_before
                 if fragments is not None:
                     # The rewritten keys rebound to fresh buffers: the stale
                     # payload-cache entry must go before ids can be recycled.
                     self._payload_cache.discard(self._version_key(path, entry.version))
-                for f, body, outcome in zip(targets, bodies, phase.outcomes):
-                    if outcome.ok:
-                        self._record_digest(f.key, body)
+                for f, put in zip(targets, puts):
+                    if put.ok:
+                        self._record_digest(f.key, put.data)
                 # A put that failed mid-repair was write-logged by the phase
                 # and will land via the consistency update; it still counts as
                 # owed to that path, not to this repair.
-                repaired = tuple(f for f, o in zip(targets, phase.outcomes) if o.ok)
-                skipped_unreachable.extend(
-                    f for f, o in zip(targets, phase.outcomes) if not o.ok
-                )
+                repaired = tuple(f for f, o in zip(targets, puts) if o.ok)
+                skipped_unreachable.extend(f for f, o in zip(targets, puts) if not o.ok)
         return RepairResult(
             path=path,
             repaired=repaired,

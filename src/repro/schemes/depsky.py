@@ -83,14 +83,13 @@ class DepSkyScheme(Scheme):
             ops = [CloudOp(name, "get", self.container, key)] + [
                 CloudOp(p, "head", self.container, key) for p in probes
             ]
-            phase = self._run_phase(ops)
-            outcome = phase.outcomes[0]
-            if outcome.ok and outcome.data is not None:
-                if digest is not None and self._digest(outcome.data) != digest:
+            got = self._run_phase(ops)[0]
+            if got.ok and got.response is not None:
+                if digest is not None and self._digest(got.response) != digest:
                     degraded = True  # corrupt replica fails verification
                     continue
                 if degraded:
                     self._mark_degraded()
-                return outcome.data, degraded
+                return got.response, degraded
             degraded = True
         raise DataUnavailable(key_base, f"no quorum replica reachable ({ranked})")

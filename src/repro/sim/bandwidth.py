@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["TransferSpec", "TransferResult", "simulate_transfers", "total_elapsed"]
+__all__ = ["TransferSpec", "simulate_transfers", "total_elapsed"]
 
 _EPS_BYTES = 1e-6  # transfers with fewer remaining bytes are considered drained
 
@@ -56,18 +56,6 @@ class TransferSpec:
             raise ValueError(f"remote_cap must be > 0, got {self.remote_cap}")
 
 
-@dataclass(slots=True)
-class TransferResult:
-    """Completion record for one :class:`TransferSpec` (same list position)."""
-
-    start_time: float
-    finish_time: float
-
-    @property
-    def duration(self) -> float:
-        return self.finish_time - self.start_time
-
-
 def _waterfill_rates(caps: list[float], link_capacity: float) -> list[float]:
     """Max-min fair rates for transfers with per-transfer caps on one link.
 
@@ -90,11 +78,11 @@ def _waterfill_rates(caps: list[float], link_capacity: float) -> list[float]:
 
 def simulate_transfers(
     specs: list[TransferSpec], link_capacity: float
-) -> list[TransferResult]:
+) -> list[float]:
     """Simulate concurrent transfers over one shared access link.
 
-    Returns one :class:`TransferResult` per spec, in input order.  Times are
-    relative to the instant the batch is issued (t=0).
+    Returns each spec's finish time, in input order, relative to the instant
+    the batch is issued (t=0).
 
     A lone transfer shares the link with nobody, so it is answered in closed
     form: the event loop below would run exactly one iteration for it, and
@@ -110,13 +98,13 @@ def simulate_transfers(
         size = float(spec.size_bytes)
         begin = float(spec.start_delay)
         if size <= _EPS_BYTES:
-            return [TransferResult(begin, begin)]
+            return [begin]
         rate = min(spec.remote_cap, link_capacity)
         dt = size / rate
         # The loop's own drain test; a transfer it would not call drained
         # after one step (or an infinite one) is left to the loop.
         if size - rate * dt <= _EPS_BYTES:
-            return [TransferResult(begin, max(0.0, begin) + dt)]
+            return [max(0.0, begin) + dt]
 
     remaining = [float(s.size_bytes) for s in specs]
     start = [float(s.start_delay) for s in specs]
@@ -168,12 +156,9 @@ def simulate_transfers(
                 still_active.append(i)
         active = still_active
 
-    return [TransferResult(start_time=start[i], finish_time=finish[i]) for i in range(n)]
+    return finish
 
 
 def total_elapsed(specs: list[TransferSpec], link_capacity: float) -> float:
     """Wall-clock time until the last transfer in the batch completes."""
-    results = simulate_transfers(specs, link_capacity)
-    if not results:
-        return 0.0
-    return max(r.finish_time for r in results)
+    return max(simulate_transfers(specs, link_capacity), default=0.0)

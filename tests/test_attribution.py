@@ -265,7 +265,7 @@ class TestExemplarStore:
 
 
 def outcome(provider, finish):
-    return SimpleNamespace(op=SimpleNamespace(provider=provider), finish=finish)
+    return SimpleNamespace(provider=provider, finish=finish)
 
 
 class TestObservatoryMath:

@@ -12,6 +12,12 @@ def hyrd(providers, clock):
     return HyRDClient(list(providers.values()), clock)
 
 
+def test_hyrd_scheme_is_the_client():
+    from repro.schemes import HyrdScheme
+
+    assert HyrdScheme is HyRDClient
+
+
 class TestHybridPlacement:
     def test_small_files_replicated_on_perf_providers(self, hyrd, payload):
         hyrd.put("/d/small.txt", payload(4096))
@@ -216,6 +222,21 @@ class TestHotPromotion:
         hyrd.get("/d/l")  # triggers promotion
         got, report = hyrd.get("/d/l")  # may serve from the hot copy
         assert got == data
+
+    def test_only_a_get_decides_a_promotion(self, hyrd, payload):
+        """A migrate's read reaching the threshold used to leave a promotion
+        pending; the next get of any path uploaded those bytes as the hot
+        copy, stale by then after an in-place update, and served them."""
+        data = payload(2 * MB)
+        hyrd.put("/a", data)
+        hyrd.put("/b", payload(4096))
+        for _ in range(3):
+            hyrd.get("/a")
+        hyrd.migrate_object("/a")
+        hyrd.update("/a", 0, b"X" * 16)
+        hyrd.get("/b")
+        assert hyrd.hot_copies() == {}
+        assert hyrd.get("/a")[0] == b"X" * 16 + data[16:]
 
 
 class TestMonitorIntegration:

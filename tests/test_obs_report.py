@@ -97,6 +97,22 @@ class TestTraceRoundTrip:
         assert replayed.registry.counters() == scheme.registry.counters()
         assert replayed.registry.emitted_names() == scheme.registry.emitted_names()
 
+    def test_tenant_round_trips_and_is_absent_when_unset(self):
+        clock = SimClock()
+        fleet = make_table2_cloud_of_clouds(clock)
+        tracer = RecordingTracer(clock)
+        scheme = HyrdScheme(list(fleet.values()), clock, tracer=tracer)
+        scheme.put("/d/free", b"f" * KB)
+        with scheme.tenant_context("t1"):
+            scheme.put("/d/t1", b"t" * (600 * KB))
+            scheme.get("/d/t1")
+        scheme.get("/d/free")
+        records = parse_jsonl(tracer.to_jsonl().splitlines())
+        assert RunReport.from_trace(records).reports == scheme.collector.reports
+        roots = [r for r in records if r["t"] == "span" and r["parent"] is None]
+        tenants = [r["attrs"].get("tenant", "-") for r in roots]
+        assert tenants == ["-", "t1", "t1", "-"]
+
     def test_replay_from_live_records_too(self, traced_run):
         # from_trace accepts live (unserialised) records as well.
         scheme, tracer = traced_run

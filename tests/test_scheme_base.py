@@ -48,19 +48,18 @@ class TestPhaseExecution:
             CloudOp("p", "put", "c", "k", None)
 
     def test_request_records_are_slotted_and_still_validated(self):
-        """The per-request records carry no ``__dict__`` and are not frozen,
-        but every ``__post_init__`` check runs, ``replace`` included."""
+        """The per-request records — a request with its outcome, and its
+        transfer spec — carry no ``__dict__`` and are not frozen, but every
+        ``__post_init__`` check runs, ``replace`` included."""
         import dataclasses
         import math
 
-        from repro.schemes.base import OpOutcome, PhaseResult
-        from repro.sim.bandwidth import TransferResult, TransferSpec
+        from repro.sim.bandwidth import TransferSpec
 
         op = CloudOp("p", "put", "c", "k", b"x")
         spec = TransferSpec(0.1, 10.0, 5.0)
-        outcome = OpOutcome(op, True)
-        records = [op, spec, outcome, PhaseResult([outcome], 0.5), TransferResult(0.0, 1.0)]
-        assert not any(hasattr(r, "__dict__") for r in records)
+        assert not any(hasattr(r, "__dict__") for r in (op, spec))
+        op.ok, op.finish = True, 0.5  # _issue fills the outcome in place
         for bad in [
             lambda: CloudOp("p", "frobnicate", "c"),
             lambda: CloudOp("p", "put", "c", "k"),
@@ -163,7 +162,7 @@ class TestOpScopeExceptionSafety:
 
 
 def _all_scheme_classes():
-    import repro.schemes.hyrd_scheme  # noqa: F401 - loads HyRDClient and HyrdScheme
+    import repro.core.hyrd  # noqa: F401 - loads HyRDClient
     from repro.schemes.base import Scheme
 
     seen, todo = [], [Scheme]
@@ -182,7 +181,7 @@ class TestOneWritePath:
         classes = _all_scheme_classes()
         assert {c.__name__ for c in classes} >= {
             "SingleCloudScheme", "DuraCloudScheme", "RacsScheme", "DepSkyScheme",
-            "DepSkyCAScheme", "NCCloudScheme", "HyRDClient", "HyrdScheme",
+            "DepSkyCAScheme", "NCCloudScheme", "HyRDClient",
         }  # fmt: skip
         definers = {c.__name__ for c in classes if "_write_placement" in vars(c)}
         assert definers == {"Scheme", "HyRDClient"}  # HyRD drops its hot copy
