@@ -20,6 +20,7 @@ from dataclasses import replace
 from repro.cloud.errors import ProviderUnavailable, TransientProviderError
 from repro.cloud.features import TABLE2_FEATURES, ProviderFeatures
 from repro.faults.profile import FaultProfile
+from repro.metrics.registry import HeldInstruments, MetricsRegistry
 from repro.sim.rng import make_rng
 from repro.cloud.latency import LatencyModel
 from repro.cloud.metering import UsageMeter
@@ -69,14 +70,24 @@ class SimulatedProvider:
         #: the one source of misbehaviour: outage windows, transient errors,
         #: brownouts, flapping and served corruption
         self.faults = (faults if faults is not None else FaultProfile()).bind(name)
-        #: optional :class:`~repro.metrics.registry.MetricsRegistry`; when a
-        #: scheme attaches one (it does at construction), every request is
-        #: counted into ``provider_requests_total{provider,op}``, failures
-        #: into ``provider_errors_total{provider,kind}`` and payload bytes
-        #: into ``provider_bytes_{up,down}_total{provider}``.  Metrics are
-        #: pure bookkeeping: no RNG draws, no clock movement.  A fleet shared
-        #: by several schemes reports into whichever registry attached last.
         self.metrics = None
+
+    @property
+    def metrics(self) -> MetricsRegistry | None:
+        """Optional registry; when a scheme attaches one (it does at
+        construction), every request is counted into
+        ``provider_requests_total{provider,op}``, failures into
+        ``provider_errors_total{provider,kind}`` and payload bytes into
+        ``provider_bytes_{up,down}_total{provider}``.  Metrics are pure
+        bookkeeping: no RNG draws, no clock movement.  A fleet shared by
+        several schemes reports into whichever registry attached last."""
+        return self._metrics
+
+    @metrics.setter
+    def metrics(self, registry: MetricsRegistry | None) -> None:
+        # A new registry starts with no held instruments.
+        self._metrics = registry
+        self._held = HeldInstruments(registry)
 
     @property
     def outages(self) -> FaultProfile:
@@ -85,12 +96,12 @@ class SimulatedProvider:
 
     # --------------------------------------------------------------- metrics
     def _count_request(self, op: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter("provider_requests_total", provider=self.name, op=op).inc()
+        if self._metrics is not None:
+            self._held["provider_requests_total", op, self.name].inc()
 
     def _count_error(self, kind: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter("provider_errors_total", provider=self.name, kind=kind).inc()
+        if self._metrics is not None:
+            self._held["provider_errors_total", kind, self.name].inc()
 
     # ---------------------------------------------------------- availability
     def is_available(self, t: float | None = None) -> bool:
@@ -165,8 +176,8 @@ class SimulatedProvider:
         now = self._check_available()
         obj = self.store.get(container, key)
         self.meter.record_get(obj.size, now)
-        if self.metrics is not None:
-            self.metrics.counter("provider_bytes_down_total", provider=self.name).inc(obj.size)
+        if self._metrics is not None:
+            self._held["provider_bytes_down_total", self.name].inc(obj.size)
         if self.faults.effects:
             return self.faults.maybe_corrupt(obj.data, now, where=(container, key))
         return obj.data
@@ -181,8 +192,8 @@ class SimulatedProvider:
         now = self._check_available()
         obj = self.store.put(container, key, data, now)
         self.meter.record_put(obj.size, now)
-        if self.metrics is not None:
-            self.metrics.counter("provider_bytes_up_total", provider=self.name).inc(obj.size)
+        if self._metrics is not None:
+            self._held["provider_bytes_up_total", self.name].inc(obj.size)
         self._sync_storage_meter(now)
         return obj
 

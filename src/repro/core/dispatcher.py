@@ -26,6 +26,7 @@ from repro.core.evaluator import CostPerformanceEvaluator
 from repro.core.monitor import FileClass
 from repro.erasure.codec import ErasureCodec, get_codec
 from repro.fs.namespace import FileEntry
+from repro.metrics.registry import HeldInstruments
 
 __all__ = ["DispatchDecision", "PlacementPolicyError", "RequestDispatcher"]
 
@@ -61,6 +62,7 @@ class RequestDispatcher:
         #: optional MetricsRegistry; decisions feed
         #: ``dispatch_decisions_total{redundancy}``
         self.metrics = metrics
+        self._held = HeldInstruments(metrics)
         # Placement state derived from the evaluator's classification; valid
         # until :meth:`refresh`, which every evaluator mutation is followed by.
         self._codec_cache: ErasureCodec | None = None
@@ -263,9 +265,7 @@ class RequestDispatcher:
                 klass=klass, codec=codec, providers=tuple(targets)
             )
         if self.metrics is not None:
-            self.metrics.counter(
-                "dispatch_decisions_total", redundancy=decision.redundancy
-            ).inc()
+            self._held["dispatch_decisions_total", decision.redundancy].inc()
         return decision
 
     def should_promote(self, entry: FileEntry) -> bool:

@@ -17,6 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.core.config import HyRDConfig
+from repro.metrics.registry import HeldInstruments
 
 __all__ = ["FileClass", "WorkloadMonitor", "WorkloadStats"]
 
@@ -64,6 +65,7 @@ class WorkloadMonitor:
         self.config = config
         self.stats = WorkloadStats()
         self.metrics = metrics
+        self._held = HeldInstruments(metrics)
 
     def classify(self, size: int) -> FileClass:
         """Small/large decision for a file write of ``size`` bytes."""
@@ -79,15 +81,10 @@ class WorkloadMonitor:
         self.stats.bytes_by_class[klass] += size
         self.stats.histogram[bucket] += 1
         if self.metrics is not None:
-            self.metrics.counter(
-                "workload_writes_total", **{"class": klass.value}
-            ).inc()
-            self.metrics.counter(
-                "workload_bytes_total", **{"class": klass.value}
-            ).inc(size)
-            self.metrics.counter(
-                "workload_size_bucket_total", bucket=bucket
-            ).inc()
+            held = self._held
+            held["workload_writes_total", klass.value].inc()
+            held["workload_bytes_total", klass.value].inc(size)
+            held["workload_size_bucket_total", bucket].inc()
         return klass
 
     def observe_metadata(self, size: int) -> FileClass:

@@ -17,7 +17,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from typing import Any, Iterable
 
-from repro.metrics.registry import MetricsRegistry
+from repro.metrics.registry import HeldInstruments, MetricsRegistry
 from repro.metrics.stats import LatencySummary, summarize
 
 __all__ = ["OpReport", "LatencyCollector"]
@@ -93,6 +93,9 @@ class LatencyCollector:
     reports: list[OpReport] = field(default_factory=list)
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
 
+    def __post_init__(self) -> None:
+        self._held = HeldInstruments(self.registry)
+
     @property
     def counters(self) -> dict[str, int]:
         """Unlabeled counter values, as the pre-registry dict looked.
@@ -105,12 +108,9 @@ class LatencyCollector:
 
     def add(self, report: OpReport) -> None:
         self.reports.append(report)
-        self.registry.counter(
-            "ops_total", op=report.op, degraded=str(report.degraded).lower()
-        ).inc()
-        self.registry.histogram("op_latency_seconds", op=report.op).observe(
-            report.elapsed
-        )
+        held = self._held
+        held["ops_total", "true" if report.degraded else "false", report.op].inc()
+        held["op_latency_seconds", report.op].observe(report.elapsed)
 
     def extend(self, reports: Iterable[OpReport]) -> None:
         for report in reports:
@@ -118,7 +118,7 @@ class LatencyCollector:
 
     def bump(self, counter: str, n: int = 1) -> None:
         """Increment a named resilience counter."""
-        self.registry.counter(counter).inc(n)
+        self._held[counter].inc(n)
 
     def counter(self, name: str) -> int:
         return int(self.registry.counter_value(name))

@@ -24,6 +24,16 @@ the trace is byte-identical to the report rendered live.  With the default
 no-op tracer the mirror is a single attribute check — metric updates stay
 plain dict/float operations and never touch the simulation clock or any RNG
 stream, which is how tier-1 timings are guaranteed not to move.
+
+The rule for call sites: **per-event sites hold their instruments.**  A
+site that mutates a metric per request, per phase or per op looks each
+instrument up by name once, the first time its label set occurs, and keeps
+it — :class:`HeldInstruments`, or an attribute bound on first use — so the
+by-name :meth:`MetricsRegistry.counter` / ``gauge`` / ``histogram`` serve
+binding, queries and cold paths.  The owner drops what it holds exactly
+where it receives a registry, so a handle never outlives the registry it
+was bound in.  Mutations still go through ``inc`` / ``set`` / ``observe``,
+so the trace mirror sees every one.
 """
 
 from __future__ import annotations
@@ -38,6 +48,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "UnknownMetricError",
+    "HeldInstruments",
     "DEFAULT_LATENCY_BUCKETS",
 ]
 
@@ -196,6 +207,33 @@ class Histogram:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Histogram({self.name!r}, {dict(self.labels)}, count={self.count})"
+
+
+class HeldInstruments(dict):
+    """The instruments one owner mutates per event, each looked up once.
+
+    ``held[name]``, or ``held[name, *label values]`` with the values in the
+    catalog's label order (sorted by label key), is looked up by name in
+    ``registry`` the first time that key occurs — type and label keys read
+    from the catalog — and is the same instrument every time after.  So an
+    instrument is created in the registry exactly where the by-name lookup
+    it replaces would have created it.
+    """
+
+    __slots__ = ("registry",)
+
+    def __init__(self, registry: MetricsRegistry | None) -> None:
+        super().__init__()
+        self.registry = registry
+
+    def __missing__(self, key):
+        name, *values = (key,) if type(key) is str else key
+        spec = METRIC_CATALOG.get(name)
+        if spec is None:
+            raise UnknownMetricError(f"metric {name!r} is not in the catalog")
+        lookup = getattr(self.registry, spec.type)
+        metric = self[key] = lookup(name, **dict(zip(spec.labels, values)))
+        return metric
 
 
 def _label_key(labels: dict[str, str]) -> tuple[tuple[str, str], ...]:

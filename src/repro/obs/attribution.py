@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from repro.metrics.registry import DEFAULT_LATENCY_BUCKETS
+from repro.metrics.registry import DEFAULT_LATENCY_BUCKETS, HeldInstruments
 from repro.obs.report import render_table
 from repro.obs.trace import format_jsonl, parse_jsonl
 
@@ -585,10 +585,14 @@ class ProviderLoadObservatory:
 
     # ----------------------------------------------------------------- wiring
     def bind(self, registry, clock, health=None) -> None:
-        """Called by ``attach_observatory``; safe to call before any feed."""
+        """Called by ``attach_observatory``; safe to call before any feed.
+
+        Instruments held from an earlier registry are dropped here.
+        """
         self.registry = registry
         self.clock = clock
         self.health = dict(health) if health else {}
+        self._held = HeldInstruments(registry)
 
     # ------------------------------------------------------------------ feeds
     def on_phase(self, now: float, outcomes) -> None:
@@ -632,24 +636,18 @@ class ProviderLoadObservatory:
             if health is not None:
                 health.note_load_curve(self.latency_vs_load(provider))
         if self.registry is not None:
-            g = self.registry.gauge
-            g("provider_load_inflight", provider=provider).set(float(inflight))
-            g("provider_load_busy_seconds", provider=provider).set(st.busy)
+            held = self._held
+            held["provider_load_inflight", provider].set(float(inflight))
+            held["provider_load_busy_seconds", provider].set(st.busy)
             if st.service is not None and st.service > 0.0:
-                g("provider_load_service_rate", provider=provider).set(
-                    1.0 / st.service
-                )
-            g("provider_load_queue_depth", provider=provider).set(
-                self.queue_depth(provider)
-            )
+                held["provider_load_service_rate", provider].set(1.0 / st.service)
+            held["provider_load_queue_depth", provider].set(self.queue_depth(provider))
 
     def on_op(self, report, trace_id: int | None) -> None:
         """Offer one completed op as a latency-bucket exemplar."""
         if self.exemplars.record(report.op, report.elapsed, trace_id):
             if self.registry is not None:
-                self.registry.counter(
-                    "attribution_exemplars_total", op=report.op
-                ).inc()
+                self._held["attribution_exemplars_total", report.op].inc()
 
     # ---------------------------------------------------------------- queries
     def providers(self) -> list[str]:

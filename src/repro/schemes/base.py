@@ -50,7 +50,7 @@ from repro.fs.journal import IntentJournal
 from repro.fs.metadata import MetadataStore, group_directory, group_key, is_group_key
 from repro.fs.namespace import FileEntry, Namespace, dirname, normalize_path
 from repro.metrics.collector import LatencyCollector, OpReport
-from repro.metrics.registry import MetricsRegistry
+from repro.metrics.registry import HeldInstruments, MetricsRegistry
 from repro.obs.trace import NOOP_TRACER
 from repro.sim.bandwidth import TransferSpec, simulate_transfers
 from repro.sim.clock import SimClock
@@ -559,6 +559,8 @@ class Scheme(ABC):
         #: breakers, the health trackers and the providers themselves
         self.registry = MetricsRegistry(tracer=self.tracer)
         self.collector = LatencyCollector(registry=self.registry)
+        #: the instruments the per-phase sites mutate, each bound on first use
+        self._held = HeldInstruments(self.registry)
         if self.tracer.enabled:
             self.tracer.meta(scheme=self.name, seed=seed)
         if resilience is None:
@@ -839,9 +841,7 @@ class Scheme(ABC):
             if not o.ok or o.finish <= 0.0 or seconds <= 0.0:
                 continue
             wasted = min(o.finish, seconds)
-            self.registry.histogram(
-                "hedge_wasted_seconds", provider=o.provider
-            ).observe(wasted)
+            self._held["hedge_wasted_seconds", o.provider].observe(wasted)
             self.health[o.provider].record_latency(
                 wasted, self._expected_latency(o)
             )
@@ -1102,20 +1102,16 @@ class Scheme(ABC):
 
     def _note_write_log(self, provider: str) -> None:
         """Count one logged mutation and publish the provider's pending depth."""
-        self.registry.counter("write_log_entries_total", provider=provider).inc()
+        self._held["write_log_entries_total", provider].inc()
         self._publish_write_log(provider)
 
     def _publish_write_log(self, provider: str) -> None:
         """Gauges of what ``provider``'s write log still owes."""
-        log = self._write_logs[provider]
-        self.registry.gauge("write_log_pending", provider=provider).set(len(log))
-        self.registry.gauge("writelog_pending_bytes", provider=provider).set(
-            log.pending_bytes()
-        )
+        log, held = self._write_logs[provider], self._held
+        held["write_log_pending", provider].set(len(log))
+        held["writelog_pending_bytes", provider].set(log.pending_bytes())
         if log.memory_limit_bytes is not None:
-            self.registry.gauge("writelog_spilled_bytes", provider=provider).set(
-                log.spilled_bytes()
-            )
+            held["writelog_spilled_bytes", provider].set(log.spilled_bytes())
 
     # -------------------------------------------------------------- recovery
     def pending_log(self, provider: str) -> WriteLog:
@@ -1215,7 +1211,7 @@ class Scheme(ABC):
                     replayed += 1
             sp.set(entries=len(entries), replayed=replayed)
         if replayed:
-            self.registry.counter("heal_replayed_total", provider=name).inc(replayed)
+            self._held["heal_replayed_total", name].inc(replayed)
         # A replay that failed partway re-logs the unreplayed tail, so the
         # pending gauges reflect whatever is still owed after this pass.
         self._publish_write_log(name)
@@ -1472,9 +1468,7 @@ class Scheme(ABC):
             "codec.encode", codec=type(codec).__name__, size=len(data)
         ):
             fragments = codec.encode_views(data)
-        self.registry.counter(
-            "codec_encode_bytes_total", codec=type(codec).__name__
-        ).inc(len(data))
+        self._held["codec_encode_bytes_total", type(codec).__name__].inc(len(data))
         return fragments
 
     def _read_striped(
@@ -1597,9 +1591,7 @@ class Scheme(ABC):
             return cached, degraded
         with self.tracer.span("codec.decode", codec=type(codec).__name__, size=size):
             data = codec.decode(fragments, size)
-        self.registry.counter(
-            "codec_decode_bytes_total", codec=type(codec).__name__
-        ).inc(size)
+        self._held["codec_decode_bytes_total", type(codec).__name__].inc(size)
         return data, degraded
 
     def _rmw_striped(
@@ -1727,18 +1719,16 @@ class Scheme(ABC):
 
     def _note_sched_decision(self, decision, by_index: dict[int, str]) -> None:
         """Account one scheduler routing decision (metrics + trace event)."""
-        self.registry.counter("sched_decisions_total").inc()
+        held = self._held
+        held["sched_decisions_total"].inc()
         if decision.parity_picks:
-            self.registry.counter("sched_parity_fragments_total").inc(
-                decision.parity_picks
-            )
+            held["sched_parity_fragments_total"].inc(decision.parity_picks)
         if decision.rotated:
-            self.registry.counter("sched_rotations_total").inc()
+            held["sched_rotations_total"].inc()
         if decision.hedge is not None:
-            self.registry.histogram(
-                "sched_queue_wait_seconds",
-                provider=by_index[decision.hedge.gating],
-            ).observe(decision.hedge.wait)
+            held["sched_queue_wait_seconds", by_index[decision.hedge.gating]].observe(
+                decision.hedge.wait
+            )
         if self.tracer.enabled:
             self.tracer.event(
                 "sched.decision",
@@ -1795,7 +1785,7 @@ class Scheme(ABC):
             ]
         )
         self.collector.bump("hedged_reads")
-        self.registry.counter("sched_hedges_total").inc()
+        self._held["sched_hedges_total"].inc()
         self._current.hedged = True
         if self.tracer.enabled:
             self.tracer.event(
@@ -1836,7 +1826,7 @@ class Scheme(ABC):
             # The backup subset completed first (or the gating fragment
             # failed outright): decode around the gating provider.
             self.collector.bump("hedge_wins")
-            self.registry.counter("sched_hedge_wins_total").inc()
+            self._held["sched_hedge_wins_total"].inc()
             if self.tracer.enabled:
                 self.tracer.event("hedge.win", provider=by_index[backup])
             self._settle(
@@ -2616,7 +2606,7 @@ class Scheme(ABC):
             logged_at=self.clock.now,
         )
         op.seq = intent.seq
-        self.registry.counter("journal_intents_total", op=kind).inc()
+        self._held["journal_intents_total", kind].inc()
         self._publish_journal_gauges()
 
     def _journal_commit(self) -> None:
@@ -2626,16 +2616,14 @@ class Scheme(ABC):
         if seq is None or self.journal is None:
             return
         self.journal.commit(seq)
-        self.registry.counter("journal_commits_total").inc()
+        self._held["journal_commits_total"].inc()
         self._publish_journal_gauges()
 
     def _publish_journal_gauges(self) -> None:
         if self.journal is None:
             return
-        self.registry.gauge("journal_pending").set(len(self.journal))
-        self.registry.gauge("journal_payload_bytes").set(
-            self.journal.payload_bytes()
-        )
+        self._held["journal_pending"].set(len(self.journal))
+        self._held["journal_payload_bytes"].set(self.journal.payload_bytes())
 
     def recover(self) -> dict:
         """Crash recovery: resolve pending journal intents, sweep orphans.

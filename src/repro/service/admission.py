@@ -36,6 +36,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from repro.metrics.registry import HeldInstruments
 from repro.service.tenant import Tenant
 
 __all__ = ["REJECT_REASONS", "Request", "AdmissionController", "jain_index"]
@@ -115,9 +116,14 @@ class AdmissionController:
 
     # ---------------------------------------------------------------- wiring
     def bind(self, registry, clock) -> None:
-        """Give the controller its metric outlet and the sim clock."""
+        """Give the controller its metric outlet and the sim clock.
+
+        Instruments held from an earlier registry are dropped here, so the
+        next update lands in ``registry``.
+        """
         self.registry = registry
         self.clock = clock
+        self._held = HeldInstruments(registry)
 
     # --------------------------------------------------------------- queries
     def backlog(self, tenant_id: str | None = None) -> int:
@@ -154,9 +160,7 @@ class AdmissionController:
         key = (tenant_id, reason)
         self.shed[key] = self.shed.get(key, 0) + 1
         if self.registry is not None:
-            self.registry.counter(
-                "tenant_shed_total", reason=reason, tenant=tenant_id
-            ).inc()
+            self._held["tenant_shed_total", reason, tenant_id].inc()
 
     def _count_admitted(self, tenant_id: str) -> None:
         old = self.admitted.get(tenant_id, 0)
@@ -164,17 +168,13 @@ class AdmissionController:
         self._admit_sum += 1
         self._admit_sumsq += 2 * old + 1  # (old+1)^2 - old^2
         if self.registry is not None:
-            self.registry.counter("tenant_admitted_total", tenant=tenant_id).inc()
-            self.registry.gauge("admission_fairness_index").set(
-                self.fairness_index()
-            )
+            self._held["tenant_admitted_total", tenant_id].inc()
+            self._held["admission_fairness_index"].set(self.fairness_index())
 
     def _publish_depth(self, tenant_id: str) -> None:
         if self.registry is not None:
-            self.registry.gauge("tenant_queue_depth", tenant=tenant_id).set(
-                self.backlog(tenant_id)
-            )
-            self.registry.gauge("admission_queued").set(self._queued_total)
+            self._held["tenant_queue_depth", tenant_id].set(self.backlog(tenant_id))
+            self._held["admission_queued"].set(self._queued_total)
 
     def _note_visit(self, tid: str) -> None:
         """Round bookkeeping: visiting the anchor again closes a round.
@@ -187,7 +187,7 @@ class AdmissionController:
         elif tid == self._anchor:
             self.rounds += 1
             if self.registry is not None:
-                self.registry.counter("admission_rounds_total").inc()
+                self._held["admission_rounds_total"].inc()
 
     # ----------------------------------------------------------------- intake
     def shed_request(self, tenant_id: str, reason: str) -> tuple[bool, str]:
@@ -261,9 +261,7 @@ class AdmissionController:
                 if not tenant.take_op_token(now):
                     self.quota_deferrals += 1
                     if self.registry is not None:
-                        self.registry.counter(
-                            "admission_quota_deferrals_total"
-                        ).inc()
+                        self._held["admission_quota_deferrals_total"].inc()
                     rotation.rotate(-1)
                     continue
                 q = self._queues[tid]

@@ -28,6 +28,7 @@ frontend by stable hash — the entry point the traffic generator and the
 
 from __future__ import annotations
 
+from repro.metrics.registry import HeldInstruments
 from repro.service.admission import AdmissionController, Request
 from repro.service.tenant import (
     AuthError,
@@ -62,24 +63,31 @@ class FrontendHandler:
 
         The full service-node checklist, shed with a typed reason at the
         first failing step: authenticate, validate, reserve storage quota
-        (writes), then queue with the admission controller.
+        (puts, and updates to a path the tenant holds), then queue with the
+        admission controller.
         """
         plane = self.plane
         admission = plane.admission
-        plane.registry.counter(
-            "tenant_requests_total", tenant=request.tenant_id
-        ).inc()
+        plane._held["tenant_requests_total", request.tenant_id].inc()
         try:
             tenant = plane.tenants.authenticate(request.tenant_id, request.token)
         except (AuthError, UnknownTenant) as exc:
             return admission.shed_request(request.tenant_id, exc.reason)
         if request.kind not in _KINDS:
             raise ValueError(f"unknown request kind {request.kind!r}")
+        size = None
         if request.kind == "put":
+            size = request.size
+        elif request.kind == "update" and request.path in tenant.objects:
+            # An update grows the object to cover its patch (Scheme.update);
+            # one to a path the tenant never wrote holds nothing.
+            size = max(
+                tenant.objects[request.path],
+                request.offset + len(request.payload or b""),
+            )
+        if size is not None:
             try:
-                request.reservation = tenant.reserve_write(
-                    request.path, request.size
-                )
+                request.reservation = tenant.reserve_write(request.path, size)
             except QuotaExceeded as exc:
                 return admission.shed_request(tenant.tenant_id, exc.reason)
         request.submitted_at = plane.clock.now
@@ -110,9 +118,7 @@ class FrontendHandler:
                     plane.loop.schedule(at, self._pump, label=self._pump_label)
             return
         self.dispatched += 1
-        plane.registry.counter(
-            "admission_dispatched_total", frontend=self.name
-        ).inc()
+        plane._held["admission_dispatched_total", self.name].inc()
         self._execute(request)
         if plane.admission.backlog():
             self.kick()
@@ -180,6 +186,7 @@ class ServicePlane:
         self.admission = admission if admission is not None else AdmissionController()
         self.registry = scheme.registry
         self.admission.bind(self.registry, self.clock)
+        self._held = HeldInstruments(self.registry)
         self.frontends = [
             FrontendHandler(f"fe{i}", self) for i in range(n_frontends)
         ]
@@ -211,12 +218,9 @@ class ServicePlane:
 
     # ------------------------------------------------------------- accounting
     def publish_usage(self, tenant: Tenant) -> None:
-        self.registry.gauge("tenant_bytes_used", tenant=tenant.tenant_id).set(
-            tenant.bytes_used
-        )
-        self.registry.gauge("tenant_objects_used", tenant=tenant.tenant_id).set(
-            tenant.objects_used
-        )
+        held, tid = self._held, tenant.tenant_id
+        held["tenant_bytes_used", tid].set(tenant.bytes_used)
+        held["tenant_objects_used", tid].set(tenant.objects_used)
 
     def notify_complete(self, request: Request) -> None:
         if self.on_complete is not None:

@@ -5,6 +5,7 @@ import pytest
 from repro.metrics.catalog import METRIC_CATALOG, MetricSpec, catalog_markdown_table
 from repro.metrics.registry import (
     DEFAULT_LATENCY_BUCKETS,
+    HeldInstruments,
     Histogram,
     MetricsRegistry,
     UnknownMetricError,
@@ -69,6 +70,27 @@ class TestHandleMemo:
             with pytest.raises(UnknownMetricError):
                 r.counter("no_such_metric", provider="azure", op="get")
         assert len(r) == 1
+
+
+class TestHeldInstruments:
+    def test_keys_resolve_through_the_catalog_once(self):
+        r = MetricsRegistry()
+        held = HeldInstruments(r)
+        ops = held["ops_total", "false", "get"]  # labels in catalog order
+        assert ops is r.counter("ops_total", op="get", degraded="false")
+        assert held["ops_total", "false", "get"] is ops
+        assert held["admission_queued"] is r.gauge("admission_queued")
+        wait = held["sched_queue_wait_seconds", "azure"]
+        assert wait is r.histogram("sched_queue_wait_seconds", provider="azure")
+        assert len(held) == 3 and len(r) == 3
+
+    def test_unknown_or_mislabelled_keys_raise_and_hold_nothing(self):
+        held = HeldInstruments(MetricsRegistry(strict=False))
+        with pytest.raises(UnknownMetricError):
+            held["no_such_metric"]
+        with pytest.raises(UnknownMetricError):
+            HeldInstruments(MetricsRegistry())["ops_total", "get"]
+        assert len(held) == 0
 
 
 class TestGauge:

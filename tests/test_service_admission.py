@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.metrics.registry import MetricsRegistry
 from repro.service.admission import (
     REJECT_REASONS,
     AdmissionController,
@@ -188,3 +189,27 @@ class TestFairnessAccounting:
 
     def test_index_is_one_with_no_admissions(self):
         assert AdmissionController().fairness_index() == 1.0
+
+
+class TestRegistryBinding:
+    def test_rebinding_counts_into_the_new_registry(self):
+        """Instruments held from one registry are dropped at ``bind``: the
+        very next request's depth, queued and admitted updates land in the
+        new registry and leave the old one as it was."""
+        first, second = MetricsRegistry(), MetricsRegistry()
+        ac = AdmissionController(queue_limit=3)
+        ac.bind(first, None)
+        t = Tenant("a", "tok")
+        _fill(ac, t, 3)
+        assert ac.next_request(0.0) is not None
+        before = [(m.name, m.labels, m.value) for m in first.all_metrics()]
+        ac.bind(second, None)
+        _fill(ac, t, 1)
+        assert ac.submit(t, _req("a", 9)) == (False, "queue_full")
+        assert ac.next_request(0.0) is not None
+        assert [(m.name, m.labels, m.value) for m in first.all_metrics()] == before
+        assert second.gauge("tenant_queue_depth", tenant="a").value == 2
+        assert second.gauge("admission_queued").value == 2
+        assert second.counter_value("tenant_admitted_total", tenant="a") == 1
+        assert second.counter_value("tenant_shed_total", reason="queue_full", tenant="a") == 1
+        assert first.counter_value("tenant_admitted_total", tenant="a") == 1

@@ -99,6 +99,36 @@ class TestFrontendHandling:
         assert sum(fe.failures for fe in plane.frontends) == 1
         assert plane.scheme.get("/t/alice/d/x")[0] == b"ok"
 
+    def test_an_update_reserves_the_growth_it_writes(self, plane):
+        # bob holds 1024 B: an update that would grow a held object past
+        # that sheds before queueing; one that fits commits its growth.
+        def update(offset, patch):
+            return plane.route(
+                Request(
+                    tenant_id="bob",
+                    token=plane.tenants.get("bob").token,
+                    kind="update",
+                    path="/d/x",
+                    size=len(patch),
+                    payload=patch,
+                    offset=offset,
+                )
+            )
+
+        bob = plane.tenants.get("bob")
+        plane.route(_req(plane, "bob", "put", "/d/x", b"x" * 100))
+        plane.loop.run()
+        assert update(100, b"y" * 4000) == (False, "bytes_quota")
+        assert bob.reserved_bytes == 0 and plane.admission.backlog() == 0
+        assert update(100, b"y" * 200) == (True, None)
+        plane.loop.run()
+        assert bob.objects == {"/d/x": 300} and bob.bytes_used == 300
+        assert bob.reserved_bytes == 0
+        assert plane.scheme.stat("/t/bob/d/x")[0].size == 300
+        assert plane.route(_req(plane, "bob", "put", "/d/y", b"z" * 800)) == (
+            False, "bytes_quota"
+        )
+
     def test_tenant_attribution_reaches_slo(self, plane):
         plane.route(_req(plane, "alice", "put", "/d/x", b"abcd"))
         plane.route(_req(plane, "alice", "get", "/d/x"))
