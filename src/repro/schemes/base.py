@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import threading
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from collections.abc import Iterable, Iterator
@@ -67,14 +68,18 @@ __all__ = [
     "min_needed",
 ]
 
-#: below this combined size, dispatching fragment hashing to threads costs
-#: more than it saves; hash inline instead
+#: fewest bytes a digest lane hashes: a batch under twice this hashes inline
+#: on the caller, where handing lanes to pool threads would cost more than
+#: it saves
 _PARALLEL_DIGEST_MIN_BYTES = 256 << 10
 
-#: hashlib releases the GIL for big buffers, so sibling fragments can hash on
-#: real cores — but on a single-core box the pool is pure overhead, so it is
-#: disabled there
-_DIGEST_WORKERS = min(4, os.cpu_count() or 1)
+#: hashlib releases the GIL for big buffers, so digest lanes hash on real
+#: cores — the ones this process may run on, which a pinned container has
+#: fewer of than the host; with one, every batch hashes inline
+_DIGEST_WORKERS = min(
+    4,
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
+)
 
 _DIGEST_POOL = None
 
@@ -102,6 +107,109 @@ def _digest_pool():
             max_workers=_DIGEST_WORKERS, thread_name_prefix="fragment-digest"
         )
     return _DIGEST_POOL
+
+
+def _lane_plan(sizes: list[int], lanes: int) -> list[list[tuple[int, int, int]]]:
+    """Cut a batch's bytes, in fragment order, into ``lanes`` equal
+    contiguous shares — McNaughton's wrap-around rule.
+
+    Each lane is the ``(fragment, start, stop)`` byte spans it hashes, in
+    order.  A share is ⌈total / lanes⌉ bytes, or the longest fragment when
+    that is longer, so every lane but the last holds exactly one share and
+    a fragment straddles at most one cut.  Such a fragment is turned so
+    that hash order holds: its head, as many leading bytes as fall past
+    the cut, runs first on the next lane, and its tail runs last on this
+    one.  On equal cores the head finishes before the tail starts, because
+    no fragment is longer than a share.
+    """
+    share = max(-(-sum(sizes) // lanes), max(sizes, default=0))
+    plan: list[list[tuple[int, int, int]]] = [[]]
+    fill = 0
+    for i, size in enumerate(sizes):
+        if fill == share and size:
+            plan.append([])
+            fill = 0
+        room = share - fill
+        if size <= room:
+            plan[-1].append((i, 0, size))
+            fill += size
+        else:
+            head = size - room
+            plan[-1].append((i, head, size))
+            plan.append([(i, 0, head)])
+            fill = head
+    return plan
+
+
+def _span(fragment, start: int, stop: int) -> memoryview:
+    """Bytes ``start:stop`` of ``fragment``, zero-copy (C-contiguous only)."""
+    return memoryview(fragment).cast("B")[start:stop]
+
+
+class _Handoff:
+    """A fragment split across two lanes: whichever lane claims it first
+    hashes its head into ``state``, and the tail waits for ``done``.
+
+    The head's own lane claims it as the first thing it does; the tail's
+    lane claims it when it gets there first — its partner is still queued
+    behind another batch's lanes on the shared pool — so a lane only ever
+    waits on a head that is being hashed.  A head that raises leaves
+    ``state`` None, and its lane's error is the batch's.
+    """
+
+    __slots__ = ("claim", "done", "state")
+
+    def __init__(self) -> None:
+        self.claim = threading.Lock()
+        self.done = threading.Event()
+        self.state = hashlib.sha256()
+
+    def hash_head(self, fragment, stop: int, digest) -> None:
+        if not self.claim.acquire(blocking=False):
+            return
+        try:
+            digest(_span(fragment, 0, stop), self.state)
+        except BaseException:
+            self.state = None
+            raise
+        finally:
+            self.done.set()
+
+
+def _hash_lanes(plan, fragments, digest) -> list[str]:
+    """Run a :func:`_lane_plan` with ``digest`` (``Scheme._digest``) and
+    return each fragment's digest.
+
+    One lane hashes inline on the caller; more run on the pool while the
+    caller blocks, and the first lane that raised raises here once every
+    lane has stopped.
+    """
+    digests: list = [None] * len(fragments)
+    handoffs = {i: _Handoff() for lane in plan for i, start, _ in lane if start}
+
+    def run(lane) -> None:
+        for i, start, stop in lane:
+            handoff = handoffs.get(i)
+            if handoff is None:
+                digests[i] = digest(fragments[i])
+            elif not start:
+                handoff.hash_head(fragments[i], stop, digest)
+            else:  # hash the head here unless a lane has claimed it
+                handoff.hash_head(fragments[i], start, digest)
+                handoff.done.wait()
+                if handoff.state is None:
+                    return
+                digests[i] = digest(_span(fragments[i], start, stop), handoff.state)
+
+    if len(plan) == 1:
+        run(plan[0])
+        return digests
+    pool = _digest_pool()
+    futures = [pool.submit(run, lane) for lane in plan]
+    for error in [f.exception() for f in futures]:
+        if error is not None:
+            raise error
+    return digests
 
 
 class DataUnavailable(CloudError):
@@ -1250,9 +1358,17 @@ class Scheme(ABC):
         return self._fragment_key(entry.path, idx, entry.version)
 
     @staticmethod
-    def _digest(data: bytes) -> str:
-        """Fragment integrity digest (HAIL-style verification, cited [8])."""
-        return hashlib.sha256(data).hexdigest()
+    def _digest(data, state=None) -> str:
+        """Fragment integrity digest (HAIL-style verification, cited [8]).
+
+        With ``state``, a running ``hashlib.sha256``, ``data`` extends it and
+        the digest of everything it has taken is returned: a fragment split
+        across two digest lanes is hashed in two calls.
+        """
+        if state is None:
+            return hashlib.sha256(data).hexdigest()
+        state.update(data)
+        return state.hexdigest()
 
     def _record_digest(self, key: str, data) -> str:
         """Digest ``data`` once at write time and remember it for ``key``."""
@@ -1261,20 +1377,17 @@ class Scheme(ABC):
         return digest
 
     def _digest_fragments(self, keys: list[str], fragments) -> tuple[str, ...]:
-        """Digest a fragment batch, hashing concurrently when it is large.
+        """Digest a fragment batch, hashing it as balanced lanes when large.
 
-        ``hashlib`` releases the GIL for sizeable buffers, so sibling
-        fragments of one striped write hash in parallel on real cores.  The
-        result is order-preserving and value-identical to hashing serially;
+        The batch's bytes are cut into up to ``_DIGEST_WORKERS`` equal
+        lanes of at least ``_PARALLEL_DIGEST_MIN_BYTES`` (:func:`_lane_plan`),
+        so HyRD's three-fragment stripe takes two equal lanes on two cores,
+        not two rounds.  Digests are value-identical to hashing serially;
         only wall-clock changes, never simulated time or digest content.
         """
-        if (
-            _DIGEST_WORKERS > 1
-            and sum(len(f) for f in fragments) >= _PARALLEL_DIGEST_MIN_BYTES
-        ):
-            digests = list(_digest_pool().map(self._digest, fragments))
-        else:
-            digests = [self._digest(f) for f in fragments]
+        sizes = [memoryview(f).nbytes for f in fragments]
+        lanes = min(_DIGEST_WORKERS, sum(sizes) // _PARALLEL_DIGEST_MIN_BYTES)
+        digests = _hash_lanes(_lane_plan(sizes, max(lanes, 1)), fragments, self._digest)
         for key, frag, digest in zip(keys, fragments, digests):
             self._digest_cache.record(key, frag, digest)
         return tuple(digests)

@@ -33,9 +33,9 @@ def digests(monkeypatch):
     calls = [0]
     real = Scheme._digest
 
-    def counting(data):
+    def counting(*args):
         calls[0] += 1
-        return real(data)
+        return real(*args)
 
     monkeypatch.setattr(Scheme, "_digest", staticmethod(counting))
     return calls
