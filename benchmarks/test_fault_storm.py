@@ -116,7 +116,7 @@ def test_fault_storm_run_report(benchmark, emit):
     """The observability pipeline on the storm: one traced run, one report.
 
     Exercises the whole ``repro.obs`` stack end to end — recording tracer,
-    mirrored registry, and the ``repro report`` renderer — and proves the
+    its closing registry snapshot, and the ``repro report`` renderer — and proves the
     round-trip guarantee on a benchmark-sized run: the JSON-lines trace
     replays into the byte-identical report.
     """

@@ -4,7 +4,8 @@ Three layers, lowest first:
 
 - :mod:`repro.metrics.stats` — exact percentile summaries over raw samples;
 - :mod:`repro.metrics.registry` — typed counters/gauges/histograms with
-  label support, fixed-bucket percentile estimation, and trace mirroring;
+  label support, fixed-bucket percentile estimation, and a lossless state
+  codec (``state`` / ``from_state``) that a trace's closing record carries;
   every runtime metric name is validated against
   :data:`repro.metrics.catalog.METRIC_CATALOG` (see
   ``docs/metrics-reference.md``);

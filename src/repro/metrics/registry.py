@@ -15,15 +15,12 @@ and label keys, so the runtime cannot emit a metric the reference
 documentation (``docs/metrics-reference.md``) does not describe — the doc
 table is generated from the same catalog and diff-checked by a test.
 
-When the registry is given an *enabled* tracer (see
-:mod:`repro.obs.trace`), every mutation is mirrored into the trace as a
-``metric`` event.  This is what makes a JSON-lines trace self-contained: a
-fresh registry replayed from the trace (:meth:`MetricsRegistry.apply_event`)
-reaches the exact same state as the live one, so a run report rendered from
-the trace is byte-identical to the report rendered live.  With the default
-no-op tracer the mirror is a single attribute check — metric updates stay
-plain dict/float operations and never touch the simulation clock or any RNG
-stream, which is how tier-1 timings are guaranteed not to move.
+The registry knows nothing of tracing.  :meth:`MetricsRegistry.state` /
+``from_state`` is its one lossless codec (every instrument in creation
+order, with kind, name, labels and full value); a recording tracer writes
+it once, as the closing ``registry`` record of a trace
+(:mod:`repro.obs.trace`), so a report rendered from the trace equals the
+live one byte for byte.  Updates never touch the clock or any RNG stream.
 
 The rule for call sites: **per-event sites hold their instruments.**  A
 site that mutates a metric per request, per phase or per op looks each
@@ -32,8 +29,7 @@ it — :class:`HeldInstruments`, or an attribute bound on first use — so the
 by-name :meth:`MetricsRegistry.counter` / ``gauge`` / ``histogram`` serve
 binding, queries and cold paths.  The owner drops what it holds exactly
 where it receives a registry, so a handle never outlives the registry it
-was bound in.  Mutations still go through ``inc`` / ``set`` / ``observe``,
-so the trace mirror sees every one.
+was bound in.
 """
 
 from __future__ import annotations
@@ -74,22 +70,19 @@ class UnknownMetricError(KeyError):
 class Counter:
     """A monotonically increasing integer metric."""
 
-    __slots__ = ("name", "labels", "value", "_registry")
+    __slots__ = ("name", "labels", "value")
+    kind = "counter"
 
-    def __init__(self, name: str, labels: tuple[tuple[str, str], ...], registry) -> None:
+    def __init__(self, name: str, labels: tuple[tuple[str, str], ...]) -> None:
         self.name = name
         self.labels = labels
         self.value = 0
-        self._registry = registry
 
     def inc(self, n: int = 1) -> None:
         """Add ``n`` (>= 0) to the counter."""
         if n < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease (inc {n})")
         self.value += n
-        tracer = self._registry.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.metric("counter", self.name, self.labels, n)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Counter({self.name!r}, {dict(self.labels)}, value={self.value})"
@@ -98,20 +91,17 @@ class Counter:
 class Gauge:
     """A point-in-time float metric (last write wins)."""
 
-    __slots__ = ("name", "labels", "value", "_registry")
+    __slots__ = ("name", "labels", "value")
+    kind = "gauge"
 
-    def __init__(self, name: str, labels: tuple[tuple[str, str], ...], registry) -> None:
+    def __init__(self, name: str, labels: tuple[tuple[str, str], ...]) -> None:
         self.name = name
         self.labels = labels
         self.value = 0.0
-        self._registry = registry
 
     def set(self, value: float) -> None:
         """Replace the gauge's value."""
         self.value = float(value)
-        tracer = self._registry.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.metric("gauge", self.name, self.labels, self.value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Gauge({self.name!r}, {dict(self.labels)}, value={self.value})"
@@ -132,13 +122,13 @@ class Histogram:
     Prometheus's ``histogram_quantile``), accurate to the bucket width.
     """
 
-    __slots__ = ("name", "labels", "bounds", "counts", "count", "sum", "min", "max", "_registry")
+    __slots__ = ("name", "labels", "bounds", "counts", "count", "sum", "min", "max")
+    kind = "histogram"
 
     def __init__(
         self,
         name: str,
         labels: tuple[tuple[str, str], ...],
-        registry,
         bounds: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS,
     ) -> None:
         if not bounds or any(b <= a for a, b in zip(bounds, bounds[1:])):
@@ -151,7 +141,6 @@ class Histogram:
         self.sum = 0.0
         self.min = float("inf")
         self.max = float("-inf")
-        self._registry = registry
 
     def observe(self, value: float) -> None:
         """Record one sample (must be >= 0 — these are latencies/sizes)."""
@@ -165,9 +154,6 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-        tracer = self._registry.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.metric("histogram", self.name, self.labels, value)
 
     @property
     def mean(self) -> float:
@@ -250,22 +236,17 @@ class MetricsRegistry:
 
     Parameters
     ----------
-    tracer:
-        Optional tracer (duck-typed: needs ``enabled`` and
-        ``metric(kind, name, labels, value)``).  When enabled, every
-        mutation is mirrored into the trace so the run can be replayed.
     strict:
         When True (the default) every metric must be declared in the
         catalog with matching type and label keys; unknown names raise
         :class:`UnknownMetricError`.  Pass False for ad-hoc/library use.
     """
 
-    def __init__(self, tracer=None, strict: bool = True) -> None:
+    def __init__(self, strict: bool = True) -> None:
         self._metrics: dict[tuple[str, tuple[tuple[str, str], ...]], Counter | Gauge | Histogram] = {}
         #: the same instruments by *(name, labels as passed)*: what a call
         #: site repeats, resolved without canonicalising its labels again
         self._handles: dict[tuple, Counter | Gauge | Histogram] = {}
-        self.tracer = tracer
         self.strict = strict
 
     # ------------------------------------------------------------ internals
@@ -289,8 +270,8 @@ class MetricsRegistry:
             )
 
     # ---------------------------------------------------------- instruments
-    def _instrument(self, cls, kind: str, name: str, labels: dict[str, str], *args):
-        """Get or create the ``kind`` instrument for *(name, labels)*."""
+    def _instrument(self, cls, name: str, labels: dict[str, str], *args):
+        """Get or create the ``cls`` instrument for *(name, labels)*."""
         # First level: the labels exactly as passed.  Only all-``str`` values
         # are memoised, so ``1`` / ``True`` / ``"1"`` can never alias here.
         passed = (name, *labels.items())
@@ -299,25 +280,25 @@ class MetricsRegistry:
             key = (name, _label_key(labels))
             metric = self._metrics.get(key)
             if metric is None:
-                self._check(name, kind, labels)
-                metric = self._metrics[key] = cls(name, key[1], self, *args)
+                self._check(name, cls.kind, labels)
+                metric = self._metrics[key] = cls(name, key[1], *args)
             if all(type(v) is str for v in labels.values()):
                 self._handles[passed] = metric
         return metric
 
     def counter(self, name: str, **labels: str) -> Counter:
         """Get or create the counter for *(name, labels)*."""
-        return self._instrument(Counter, "counter", name, labels)
+        return self._instrument(Counter, name, labels)
 
     def gauge(self, name: str, **labels: str) -> Gauge:
         """Get or create the gauge for *(name, labels)*."""
-        return self._instrument(Gauge, "gauge", name, labels)
+        return self._instrument(Gauge, name, labels)
 
     def histogram(
         self, name: str, bounds: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS, **labels: str
     ) -> Histogram:
         """Get or create the histogram for *(name, labels)*."""
-        return self._instrument(Histogram, "histogram", name, labels, bounds)
+        return self._instrument(Histogram, name, labels, bounds)
 
     # -------------------------------------------------------------- queries
     def counter_value(self, name: str, **labels: str) -> int:
@@ -370,17 +351,39 @@ class MetricsRegistry:
         """Every instrument, sorted by (name, labels)."""
         return [m for _, m in sorted(self._metrics.items())]
 
-    # --------------------------------------------------------------- replay
-    def apply_event(self, kind: str, name: str, labels: dict[str, str], value) -> None:
-        """Apply one mirrored metric event (trace replay)."""
-        if kind == "counter":
-            self.counter(name, **labels).inc(int(value))
-        elif kind == "gauge":
-            self.gauge(name, **labels).set(float(value))
-        elif kind == "histogram":
-            self.histogram(name, **labels).observe(float(value))
-        else:
-            raise ValueError(f"unknown metric event kind {kind!r}")
+    # ---------------------------------------------------------------- state
+    def state(self) -> dict:
+        """Every instrument in creation order as JSON-safe data, which
+        :meth:`from_state` inverts; an empty histogram's ±inf ``min`` and
+        ``max`` encode as ``None``."""
+        metrics = []
+        for m in self._metrics.values():
+            entry = {"kind": m.kind, "name": m.name, "labels": [list(kv) for kv in m.labels]}
+            if m.kind == "histogram":
+                lo, hi = (m.min, m.max) if m.count else (None, None)
+                entry.update(bounds=list(m.bounds), counts=list(m.counts), count=m.count,
+                             sum=m.sum, min=lo, max=hi)
+            else:
+                entry["value"] = m.value
+            metrics.append(entry)
+        return {"strict": self.strict, "metrics": metrics}
+
+    @classmethod
+    def from_state(cls, state: dict) -> "MetricsRegistry":
+        """Rebuild the registry :meth:`state` describes."""
+        registry = cls(strict=state["strict"])
+        for e in state["metrics"]:
+            kind, labels = e["kind"], dict(e["labels"])
+            if kind == "histogram":
+                m = registry.histogram(e["name"], tuple(e["bounds"]), **labels)
+                m.counts, m.count, m.sum = list(e["counts"]), e["count"], e["sum"]
+                if m.count:
+                    m.min, m.max = e["min"], e["max"]
+            elif kind in ("counter", "gauge"):
+                getattr(registry, kind)(e["name"], **labels).value = e["value"]
+            else:
+                raise ValueError(f"unknown instrument kind {kind!r}")
+        return registry
 
     def __len__(self) -> int:
         return len(self._metrics)

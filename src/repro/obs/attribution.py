@@ -394,7 +394,7 @@ class AttributionReport:
 def attribute_trace(records: Iterable[dict[str, Any]]) -> AttributionReport:
     """Attribute every completed op in a trace (live records or parsed JSONL).
 
-    Meta/metric records pass through untouched; ``op.error`` roots (aborted
+    Meta/registry records pass through untouched; ``op.error`` roots (aborted
     operations) are skipped — their window has no completion to attribute.
     Raises :class:`CoverageError` if any op's partition fails to tile its
     window, and ``ValueError`` on spans that end before they start.

@@ -11,13 +11,13 @@ Two constructors, one renderer:
 
 - :meth:`RunReport.from_scheme` reads a live scheme (its collector,
   registry, and tracer);
-- :meth:`RunReport.from_trace` replays a JSON-lines trace: metric events
-  rebuild the registry, root ``op.*`` spans rebuild the
-  :class:`~repro.metrics.collector.OpReport` stream.
+- :meth:`RunReport.from_trace` reads a JSON-lines trace: its closing
+  ``registry`` record rebuilds the registry, root ``op.*`` spans rebuild
+  the :class:`~repro.metrics.collector.OpReport` stream.
 
-Because the registry mirrors *every* mutation into the trace and JSON
-round-trips floats exactly, the two paths produce byte-identical reports
-for the same run — the round-trip guarantee the test suite enforces.
+Because that record is the registry's full state and JSON round-trips
+floats exactly, the two paths produce byte-identical reports for the same
+run — the round-trip guarantee the test suite enforces.
 
 The ``repro report`` CLI subcommand wraps :func:`run_fault_storm_report`
 (a traced HyRD run under the canonical fault storm) and can re-render any
@@ -108,21 +108,20 @@ class RunReport:
     def from_trace(cls, records: list[dict[str, Any]]) -> "RunReport":
         """Rebuild a report from trace records (see :func:`repro.obs.read_jsonl`).
 
-        Metric events replay into a fresh registry; root ``op.*`` spans (the
-        ones :meth:`Scheme._op` closes, carrying the full OpReport as
-        attributes) rebuild the report stream in completion order.
+        The ``registry`` record rebuilds the registry (spans without one,
+        as in a tracer's live ``records``, raise ``ValueError``); root
+        ``op.*`` spans (the ones :meth:`Scheme._op` closes, carrying the full
+        OpReport as attributes) rebuild the report stream in completion order.
         """
         meta: dict[str, Any] = {}
-        registry = MetricsRegistry()
+        registry = None
         reports: list[OpReport] = []
         for r in records:
             t = r.get("t")
             if t == "meta":
                 meta.update(r["attrs"])
-            elif t == "metric":
-                registry.apply_event(
-                    r["kind"], r["name"], dict(r["labels"]), r["value"]
-                )
+            elif t == "registry":
+                registry = MetricsRegistry.from_state(r)
             elif t == "span" and r["end"] < r["start"]:
                 raise ValueError(
                     f"span {r['id']} ({r['name']!r}) ends before it starts: "
@@ -136,6 +135,10 @@ class RunReport:
                 and r["name"] != "op.error"
             ):
                 reports.append(OpReport.from_span_attrs(r["attrs"]))
+        if registry is None:
+            if any(r.get("t") == "span" for r in records):
+                raise ValueError("trace has spans but no registry record")
+            registry = MetricsRegistry()
         return cls(
             scheme=str(meta.get("scheme", "?")),
             seed=meta.get("seed"),

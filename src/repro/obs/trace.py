@@ -19,10 +19,9 @@ Two tracer implementations share one duck-typed interface:
     :class:`SpanRecord` construction raise).
 
 :class:`RecordingTracer`
-    Records spans, point events, and mirrored metric updates (see
-    :class:`~repro.metrics.registry.MetricsRegistry`) into an in-memory list
-    of plain dicts, exportable as JSON-lines (:meth:`RecordingTracer.to_jsonl`)
-    and renderable as a flame summary (:func:`flame_summary`).
+    Records spans and point events into an in-memory list of plain dicts,
+    exportable as JSON-lines (:meth:`RecordingTracer.to_jsonl`, closed by one
+    registry snapshot) and renderable as a flame summary (:func:`flame_summary`).
 
 JSON-lines schema (one JSON object per line, in record order)::
 
@@ -30,13 +29,16 @@ JSON-lines schema (one JSON object per line, in record order)::
     {"t": "span",   "id": 3, "parent": 1, "name": "...",
                     "start": 12.5, "end": 13.1, "attrs": {...}}
     {"t": "event",  "name": "...", "time": 12.5, "span": 1, "attrs": {...}}
-    {"t": "metric", "kind": "counter", "name": "retries",
-                    "labels": [["provider", "s3"]], "value": 1}
+    {"t": "registry", "strict": true, "metrics": [               # last line
+        {"kind": "counter", "name": "retries", "labels": [], "value": 1}, ...]}
 
 Span records are emitted when the span *closes*, so children precede their
-parents in the file; ``id``/``parent`` reconstruct the tree.  Floats survive
-the round trip exactly (``json`` uses ``repr``, Python's shortest-round-trip
-float format), which is what lets a replayed report be byte-identical.
+parents in the file; ``id``/``parent`` reconstruct the tree.  The export
+(:meth:`RecordingTracer.export_records`) appends the ``registry`` record,
+:meth:`MetricsRegistry.state <repro.metrics.registry.MetricsRegistry.state>`
+at export time; :attr:`RecordingTracer.records` never holds it.  Floats
+survive the round trip exactly (``json`` uses ``repr``), which is what lets
+a replayed report be byte-identical.
 """
 
 from __future__ import annotations
@@ -139,9 +141,6 @@ class NoopTracer:
     def event(self, name: str, **attrs: Any) -> None:
         pass
 
-    def metric(self, kind: str, name: str, labels, value) -> None:
-        pass
-
     def meta(self, **attrs: Any) -> None:
         pass
 
@@ -171,7 +170,7 @@ class _OpenSpan:
 
 
 class RecordingTracer:
-    """Tracer that records spans/events/metrics against a sim clock.
+    """Tracer that records spans and events against a sim clock.
 
     Parameters
     ----------
@@ -187,8 +186,10 @@ class RecordingTracer:
 
     def __init__(self, clock) -> None:
         self.clock = clock
-        #: All records in emission order (meta/span/event/metric dicts).
+        #: All records in emission order (meta/span/event dicts).
         self.records: list[dict[str, Any]] = []
+        #: snapshot once on export; a scheme hands over its own with ``meta``
+        self.registry = None
         self._stack: list[int] = []
         self._next_id = 1
 
@@ -244,23 +245,6 @@ class RecordingTracer:
             }
         )
 
-    def metric(self, kind: str, name: str, labels, value) -> None:
-        """Mirror one registry mutation (called by :class:`MetricsRegistry`).
-
-        ``labels`` arrives as the registry's canonical sorted tuple of
-        ``(key, value)`` pairs; it is stored as a list-of-pairs so JSON
-        round-trips it losslessly.
-        """
-        self.records.append(
-            {
-                "t": "metric",
-                "kind": kind,
-                "name": name,
-                "labels": [list(kv) for kv in labels],
-                "value": value,
-            }
-        )
-
     def meta(self, **attrs: Any) -> None:
         """Record run identity (scheme name, seed, config) for replay."""
         self.records.append({"t": "meta", "attrs": attrs})
@@ -282,13 +266,19 @@ class RecordingTracer:
         ]
 
     # ----------------------------------------------------------------- export
+    def export_records(self) -> list[dict[str, Any]]:
+        """:attr:`records` plus the closing ``registry`` record, unserialised."""
+        if self.registry is None:
+            return list(self.records)
+        return [*self.records, {"t": "registry", **self.registry.state()}]
+
     def to_jsonl(self) -> str:
         """The whole trace as JSON-lines (:func:`format_jsonl`)."""
-        return format_jsonl(self.records)
+        return format_jsonl(self.export_records())
 
     def write_jsonl(self, fp_or_path) -> None:
         """Write the trace to a path or open text file (:func:`write_jsonl`)."""
-        write_jsonl(self.records, fp_or_path)
+        write_jsonl(self.export_records(), fp_or_path)
 
 
 # ------------------------------------------------------------------ JSON-lines

@@ -665,11 +665,12 @@ class Scheme(ABC):
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         #: typed metric registry shared by the collector, the circuit
         #: breakers, the health trackers and the providers themselves
-        self.registry = MetricsRegistry(tracer=self.tracer)
+        self.registry = MetricsRegistry()
         self.collector = LatencyCollector(registry=self.registry)
         #: the instruments the per-phase sites mutate, each bound on first use
         self._held = HeldInstruments(self.registry)
         if self.tracer.enabled:
+            self.tracer.registry = self.registry  # snapshot once, on export
             self.tracer.meta(scheme=self.name, seed=seed)
         if resilience is None:
             resilience = ResilienceConfig()
@@ -998,7 +999,7 @@ class Scheme(ABC):
         # breaker) rather than flip-flopping per request.  Providers are
         # gated in the order the phase first names them — never in set order,
         # which is salted per process — so transitions, their listeners and
-        # their mirrored metric events replay exactly.
+        # their counters replay exactly.
         allowed: dict[str, bool] = {}
         for op in ops:
             name = op.provider

@@ -131,7 +131,7 @@ class TestHashSeedDeterminism:
         """Same seed, any ``PYTHONHASHSEED``: same latency, same trace.
 
         Each inline heal draws from the scheme's RNG and advances the clock,
-        and a phase's breaker gates fire listeners and metric events, so
+        and a phase's breaker gates fire listeners and bump counters, so
         neither may walk a ``set`` of provider names — string hashes are
         salted per process.
         """

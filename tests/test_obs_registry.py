@@ -10,6 +10,8 @@ from repro.metrics.registry import (
     MetricsRegistry,
     UnknownMetricError,
 )
+from repro.obs.trace import format_jsonl, parse_jsonl
+from tests.conftest import instrument_facts
 
 
 class TestCounter:
@@ -149,9 +151,9 @@ class TestHistogram:
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
-            Histogram("x", (), None, bounds=(2.0, 1.0))
+            Histogram("x", (), bounds=(2.0, 1.0))
         with pytest.raises(ValueError):
-            Histogram("x", (), None, bounds=())
+            Histogram("x", (), bounds=())
 
     def test_bad_percentile_rejected(self):
         r = MetricsRegistry()
@@ -239,57 +241,54 @@ class TestQueries:
         assert names == sorted(names)
 
 
-class _SpyTracer:
-    enabled = True
+class TestStateRoundTrip:
+    """``state()`` is lossless: through the trace's JSON-lines codec and
+    ``from_state`` every instrument comes back equal, in creation order."""
 
-    def __init__(self):
-        self.events = []
+    @staticmethod
+    def _round_trip(registry):
+        line = format_jsonl([{"t": "registry", **registry.state()}])
+        [record] = parse_jsonl([line])
+        return line, MetricsRegistry.from_state(record)
 
-    def metric(self, kind, name, labels, value):
-        self.events.append((kind, name, labels, value))
-
-
-class TestMirrorAndReplay:
-    def test_every_mutation_is_mirrored(self):
-        spy = _SpyTracer()
-        r = MetricsRegistry(tracer=spy)
-        r.counter("retries").inc(2)
-        r.gauge("write_log_pending", provider="azure").set(3)
-        r.histogram("op_latency_seconds", op="get").observe(0.5)
-        assert spy.events == [
-            ("counter", "retries", (), 2),
-            ("gauge", "write_log_pending", (("provider", "azure"),), 3.0),
-            ("histogram", "op_latency_seconds", (("op", "get"),), 0.5),
-        ]
-
-    def test_disabled_tracer_is_not_called(self):
-        spy = _SpyTracer()
-        spy.enabled = False
-        r = MetricsRegistry(tracer=spy)
-        r.counter("retries").inc()
-        assert spy.events == []
-
-    def test_replay_reproduces_state(self):
-        spy = _SpyTracer()
-        live = MetricsRegistry(tracer=spy)
+    def test_every_kind_round_trips_in_creation_order(self):
+        live = MetricsRegistry()
         live.counter("retries").inc(2)
-        live.counter("provider_requests_total", provider="azure", op="get").inc(7)
-        live.gauge("write_log_pending", provider="azure").set(1)
-        h = live.histogram("op_latency_seconds", op="get")
-        for v in (0.1, 0.3, 2.0):
+        live.gauge("write_log_pending", provider="azure").set(3)
+        h = live.histogram("hedge_wasted_seconds", bounds=(0.5, 2.0, 8.0), provider="azure")
+        for v in (0.1, 0.7, 3.0, 100.0):
             h.observe(v)
+        live.counter("provider_requests_total", provider="azure", op="get")  # never mutated
+        live.histogram("op_latency_seconds", op="put")  # empty
+        line, replayed = self._round_trip(live)
+        assert instrument_facts(replayed) == instrument_facts(live)
+        assert [m.name for m in replayed._metrics.values()] == [
+            "retries", "write_log_pending", "hedge_wasted_seconds",
+            "provider_requests_total", "op_latency_seconds",
+        ]
+        wasted = replayed.histogram("hedge_wasted_seconds", provider="azure")
+        assert wasted.bounds == (0.5, 2.0, 8.0) and wasted.counts == [1, 1, 1, 1]
+        assert replayed.strict
 
-        replayed = MetricsRegistry()
-        for kind, name, labels, value in spy.events:
-            replayed.apply_event(kind, name, dict(labels), value)
+    def test_empty_histogram_is_standard_json(self):
+        live = MetricsRegistry()
+        live.histogram("op_latency_seconds", op="get")
+        line, replayed = self._round_trip(live)
+        assert "Infinity" not in line
+        h = replayed.histogram("op_latency_seconds", op="get")
+        assert (h.count, h.min, h.max) == (0, float("inf"), float("-inf"))
+        assert instrument_facts(replayed) == instrument_facts(live)
 
-        assert replayed.counters() == live.counters()
-        assert replayed.counter_value(
-            "provider_requests_total", provider="azure", op="get") == 7
-        assert replayed.gauge("write_log_pending", provider="azure").value == 1.0
-        assert (replayed.histogram("op_latency_seconds", op="get").summary()
-                == h.summary())
+    def test_non_strict_registry_stays_non_strict(self):
+        live = MetricsRegistry(strict=False)
+        live.counter("ad_hoc", kind="x").inc()
+        _, replayed = self._round_trip(live)
+        assert not replayed.strict
+        assert instrument_facts(replayed) == instrument_facts(live)
 
-    def test_unknown_event_kind_raises(self):
+    def test_unknown_instrument_kind_raises(self):
+        state = {"strict": True, "metrics": [
+            {"kind": "timer", "name": "retries", "labels": [], "value": 1}
+        ]}
         with pytest.raises(ValueError):
-            MetricsRegistry().apply_event("timer", "retries", {}, 1)
+            MetricsRegistry.from_state(state)

@@ -7,6 +7,7 @@ from repro.faults import FaultProfile, OutageWindow
 from repro.obs import RecordingTracer, RunReport, parse_jsonl
 from repro.schemes import HyrdScheme
 from repro.sim.clock import SimClock
+from tests.conftest import instrument_facts
 
 KB = 1024
 
@@ -94,8 +95,9 @@ class TestTraceRoundTrip:
         assert replayed.scheme == scheme.name
         assert replayed.seed == scheme.seed
         assert replayed.reports == scheme.collector.reports
-        assert replayed.registry.counters() == scheme.registry.counters()
-        assert replayed.registry.emitted_names() == scheme.registry.emitted_names()
+        assert instrument_facts(replayed.registry) == instrument_facts(scheme.registry)
+        assert sum(r["t"] == "registry" for r in records) == 1
+        assert records[-1]["t"] == "registry"
 
     def test_tenant_round_trips_and_is_absent_when_unset(self):
         clock = SimClock()
@@ -114,10 +116,16 @@ class TestTraceRoundTrip:
         assert tenants == ["-", "t1", "t1", "-"]
 
     def test_replay_from_live_records_too(self, traced_run):
-        # from_trace accepts live (unserialised) records as well.
+        # from_trace accepts the unserialised export as well.
         scheme, tracer = traced_run
         live = RunReport.from_scheme(scheme).render()
-        assert RunReport.from_trace(tracer.records).render() == live
+        assert RunReport.from_trace(tracer.export_records()).render() == live
+
+    def test_spans_without_a_registry_record_raise(self, traced_run):
+        _, tracer = traced_run
+        assert all(r["t"] != "registry" for r in tracer.records)
+        with pytest.raises(ValueError, match="no registry record"):
+            RunReport.from_trace(tracer.records)
 
 
 class TestCli:

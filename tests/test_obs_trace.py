@@ -3,6 +3,7 @@
 import pytest
 
 import repro.obs.trace as trace_mod
+from repro.metrics.registry import MetricsRegistry
 from repro.obs.trace import (
     NOOP_TRACER,
     RecordingTracer,
@@ -87,7 +88,6 @@ class TestRecordingTracer:
         tracer = RecordingTracer(clock)
         with tracer.span("op.stat"):
             tracer.event("e")
-            tracer.metric("counter", "retries", (), 1)
         assert clock.now == 0.0
 
 
@@ -99,23 +99,22 @@ class TestJsonlRoundTrip:
         with tracer.span("op.put", path="/a"):
             clock.now = 0.1234567890123  # exercise float round-tripping
             tracer.add("request", 0.0, 0.1234567890123, provider="azure")
-            tracer.metric("counter", "retries", (), 1)
-            tracer.metric(
-                "gauge", "write_log_pending", (("provider", "azure"),), 2.0
-            )
         return tracer
 
     def test_parse_inverts_to_jsonl(self):
         tracer = self._tracer()
         parsed = parse_jsonl(tracer.to_jsonl().splitlines())
-        assert len(parsed) == len(tracer.records)
-        # Everything except tuple-vs-list label canonicalisation matches.
-        for live, loaded in zip(tracer.records, parsed):
-            if live["t"] == "metric":
-                assert loaded["labels"] == [list(kv) for kv in live["labels"]]
-                assert loaded["value"] == live["value"]
-            else:
-                assert loaded == live
+        assert parsed == tracer.records
+
+    def test_export_closes_with_one_registry_snapshot(self):
+        tracer = self._tracer()
+        assert tracer.export_records() == tracer.records  # no registry handed over
+        tracer.registry = MetricsRegistry()
+        tracer.registry.counter("retries").inc(3)
+        *rest, last = parse_jsonl(tracer.to_jsonl().splitlines())
+        assert rest == tracer.records  # in-memory records stay spans/events/meta
+        assert last == {"t": "registry", **tracer.registry.state()}
+        assert MetricsRegistry.from_state(last).counter_value("retries") == 3
 
     def test_floats_survive_exactly(self):
         tracer = self._tracer()
@@ -172,7 +171,6 @@ class TestNoopTracer:
         assert NOOP_TRACER.span("other") is span
         NOOP_TRACER.add("x", 0.0, 1.0)
         NOOP_TRACER.event("x")
-        NOOP_TRACER.metric("counter", "retries", (), 1)
         NOOP_TRACER.meta(scheme="hyrd")
 
     def test_noop_run_allocates_no_span_records(self, monkeypatch):

@@ -15,6 +15,7 @@ from repro.metrics.registry import MetricsRegistry
 from repro.obs.trace import RecordingTracer
 from repro.sim.clock import SimClock
 from repro.sim.rng import make_rng
+from tests.conftest import instrument_facts
 
 
 class TestRetryPolicy:
@@ -195,13 +196,13 @@ class TestProviderHealth:
         gauges up once — and never before there is a sample to publish."""
         clock = SimClock()
         tracer = RecordingTracer(clock)
-        registry = MetricsRegistry(tracer=tracer)
+        registry = tracer.registry = MetricsRegistry()
         lookups = []
         instrument = MetricsRegistry._instrument
 
-        def counting(self, cls, kind, name, labels, *args):
+        def counting(self, cls, name, labels, *args):
             lookups.append(name)
-            return instrument(self, cls, kind, name, labels, *args)
+            return instrument(self, cls, name, labels, *args)
 
         monkeypatch.setattr(MetricsRegistry, "_instrument", counting)
         h = ProviderHealth("p", metrics=registry)
@@ -210,8 +211,8 @@ class TestProviderHealth:
             h.record_attempt(i % 7 != 0)
             h.record_latency(observed=1.0 + i % 3, expected=1.0)
         assert sorted(lookups) == ["provider_health_error_rate", "provider_health_slowdown"]
-        mirrored = [r for r in tracer.records if r["t"] == "metric"]
-        assert len(mirrored) == 2000  # still one event per sample
+        [snapshot] = [r for r in tracer.export_records() if r["t"] == "registry"]
+        assert instrument_facts(MetricsRegistry.from_state(snapshot)) == instrument_facts(registry)
         assert registry.gauge("provider_health_error_rate", provider="p").value == h.error_rate
         assert registry.gauge("provider_health_slowdown", provider="p").value == h.slowdown
 
