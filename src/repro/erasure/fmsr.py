@@ -29,8 +29,8 @@ import numpy as np
 
 from repro.erasure.codec import ErasureCodec
 from repro.erasure.galois import gf_inverse_matrix, gf_is_invertible, gf_matmul
-from repro.erasure.gfkernel import gf_matmul_fast
-from repro.erasure.striping import join_shards, shard_length, split_shards
+from repro.erasure.gfkernel import gf_matmul_fast, plan_for
+from repro.erasure.striping import join_shards, shard_length, split_views
 from repro.sim.rng import make_rng
 
 __all__ = ["FMSRCode"]
@@ -132,10 +132,12 @@ class FMSRCode(ErasureCodec):
         native chunk, so — unlike the systematic codes — no fragment can
         alias ``data``; the win is skipping a per-node ``tobytes`` copy.
         Each view is 1-D (``len`` counts bytes) over the node's contiguous
-        row block of the freshly encoded matrix.
+        row block of the freshly encoded matrix.  The native chunks are
+        read in place (:func:`split_views`): only the zero-padded tail
+        chunk is copied.
         """
-        native = split_shards(data, self._native)  # (k*r, L)
-        coded = gf_matmul_fast(self._ecm, native)  # (n*r, L)
+        native = split_views(data, self._native)  # k*r rows of L bytes
+        coded = plan_for(self._ecm).execute(native, len(native[0]))  # (n*r, L)
         return [
             memoryview(coded[self._node_rows(i)].reshape(-1))
             for i in range(self._n)

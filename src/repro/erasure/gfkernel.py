@@ -28,6 +28,19 @@ pairwise: whenever two coefficient columns are equal or differ by exactly
 systematic Vandermonde code with ``k = 2``), both shards are combined with
 a single XOR pass and one gather covers them both.
 
+The tile loop runs as *lanes*: ``[0, even)`` is cut into equal,
+even-aligned ranges, up to one per CPU the process may run on
+(:data:`repro.lanes.WORKERS`), each at least one tile wide and gathering
+at least ``_LANE_MIN_GATHERED`` table bytes.  The caller runs the first
+lane and hands the rest to the shared host pool, taking back any that has
+not started when its own is done; each thread gathers into its own
+workspace from tables the caller fetched before dispatch.  ``np.take`` and
+the XOR and copy passes release the GIL, so FMSR's 8x4 encode runs on
+every core.  A plan whose tables fill more than half the cache's budget
+runs as one lane, and one execution at a time holds the cache
+(``_EXECUTE``), so two threads calling the kernel never read each other's
+recycled tables.
+
 There is one kernel and one selection, made by the input: products
 shorter than ``_SMALL_CUTOFF`` bytes go to the scalar oracle, where the
 NumPy call overhead would exceed the gather win.  See ``docs/codecs.md``
@@ -36,11 +49,15 @@ for the design and the formulations measured and rejected.
 
 from __future__ import annotations
 
+import os
+import threading
 from collections import OrderedDict
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from functools import partial
 
 import numpy as np
 
+from repro import lanes
 from repro.erasure.galois import MUL_TABLE, gf_matmul
 
 __all__ = ["EncodePlan", "plan_for", "gf_matmul_fast", "xor_rows"]
@@ -55,10 +72,20 @@ _SMALL_CUTOFF = 2048
 #: bytes of cached gather tables: 32 of width 4 or 8, 64 of width 2
 _TABLE_BUDGET = 16 << 20
 _PLAN_MAX = 256
+#: fewest table bytes a lane gathers, about a millisecond of one core:
+#: waking an idle pool thread costs 0.1-0.3 ms on a VM, so RS(2+1)'s one
+#: narrow gather per byte pair stays on the caller below 8 MiB objects,
+#: while FMSR's 8x4 encode splits from 1 MiB
+_LANE_MIN_GATHERED = 2 << 20
 #: accumulator/table dtype per row-group width — one 16-bit lane per row of
 #: a byte-pair group (widths 4, 2, 1), one 8-bit lane per row of a
 #: column-pair group (width 8)
 _LANES = {8: np.uint64, 4: np.uint64, 2: np.uint32, 1: np.uint16}
+
+
+def _table_dtype(coeffs: tuple[int, ...]) -> np.dtype:
+    """The table dtype of a key; sixteen coefficients key a column pair."""
+    return np.dtype(_LANES[8 if len(coeffs) == 16 else len(coeffs)])
 
 
 def _packed(coeffs, dtype, step: int) -> np.ndarray:
@@ -90,7 +117,8 @@ class _TableCache:
     entry it evicts when that has the same dtype: per-object matrices
     (NCCloud) miss on every encode, so construction is on the hot path and a
     fresh 512 KiB allocation per miss would dominate it.  Callers must
-    therefore use a table before asking for the next one.
+    therefore use a table before asking for the next one, and hold
+    ``_EXECUTE`` from the first ``get`` until the last gather that reads it.
     """
 
     __slots__ = ("_entries", "_bytes")
@@ -106,7 +134,7 @@ class _TableCache:
             entries.move_to_end(coeffs)
             return table
         columns = len(coeffs) == 16  # a width-8 column-pair key
-        dtype = np.dtype(_LANES[8 if columns else len(coeffs)])
+        dtype = _table_dtype(coeffs)
         nbytes = dtype.itemsize << 16
         while entries and self._bytes + nbytes > _TABLE_BUDGET:
             _, evicted = entries.popitem(last=False)
@@ -128,14 +156,31 @@ class _TableCache:
 
 _TABLES = _TableCache()
 
+#: one execution at a time fetches tables and runs its lanes: the cache
+#: recycles evicted buffers, so a second caller's miss could overwrite a
+#: table the first one's lanes are still reading; plan lookups hold it too
+_EXECUTE = threading.Lock()
+
+
+def _reset_execute_lock() -> None:
+    # A child forked while another thread held the lock would never see it
+    # released.
+    global _EXECUTE
+    _EXECUTE = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX only
+    os.register_at_fork(after_in_child=_reset_execute_lock)
+
 
 # ---------------------------------------------------------------- workspace
-class _Workspace:
-    """Per-process scratch reused across every kernel execution.
+class _Workspace(threading.local):
+    """Per-thread scratch reused across every lane a thread runs.
 
     One tile of accumulator and gather scratch at the widest lane dtype
     (narrower groups view a prefix) plus on-demand index buffers; reuse
-    avoids re-faulting megabytes of fresh pages on every encode call.
+    avoids re-faulting megabytes of fresh pages on every encode call.  Each
+    thread — the caller and every pool worker — sees its own.
     """
 
     def __init__(self) -> None:
@@ -151,6 +196,54 @@ class _Workspace:
 
 
 _WS = _Workspace()
+
+
+# -------------------------------------------------------------------- lanes
+def _lane_cuts(even: int, count: int) -> list[tuple[int, int]]:
+    """Cut ``[0, even)`` into up to ``count`` equal, contiguous lanes.
+
+    Every cut is even (byte pairs never straddle a lane) and every lane
+    holds at least one ``_TILE`` of bytes, so a range under two tiles is
+    one lane.
+    """
+    count = max(1, min(count, even // _TILE))
+    pairs, extra = divmod(even >> 1, count)
+    cuts, start = [], 0
+    for lane in range(count):
+        stop = start + 2 * (pairs + (lane < extra))
+        cuts.append((start, stop))
+        start = stop
+    return cuts
+
+
+def _run_lanes(tasks: Sequence[Callable[[], None]]) -> None:
+    """Run ``tasks[0]`` on the caller and the rest on the shared pool.
+
+    When its own lane is done the caller takes back every lane that has
+    not started and runs it too, so no lane waits behind another caller's
+    work on the pool.  The first lane that raised raises here once every
+    lane has stopped.
+    """
+    if len(tasks) == 1:
+        tasks[0]()
+        return
+    pool = lanes.pool()
+    futures = [pool.submit(task) for task in tasks[1:]]
+    errors = [_try(tasks[0])]
+    taken = [future.cancel() for future in futures]
+    for task, future, mine in zip(tasks[1:], futures, taken):
+        errors.append(_try(task) if mine else future.exception())
+    for error in errors:
+        if error is not None:
+            raise error
+
+
+def _try(task: Callable[[], None]) -> BaseException | None:
+    try:
+        task()
+    except BaseException as error:
+        return error
+    return None
 
 
 # --------------------------------------------------------------------- plan
@@ -265,6 +358,19 @@ class EncodePlan:
         # term gathered for more than one group is widened once instead.
         feeds = [i for _, _, gathers in self._groups for i, _ in gathers]
         self._widen = [feeds.count(i) > 1 for i in range(len(self._terms))]
+        # Every gather table the plan reads, and their bytes.
+        self._keys = list(
+            dict.fromkeys(
+                [key for _, gathers in self._octets for _, key in gathers]
+                + [key for _, _, gathers in self._groups for _, key in gathers]
+            )
+        )
+        self._table_bytes = sum(_table_dtype(key).itemsize << 16 for key in self._keys)
+        # Table bytes gathered per output byte column: a column-pair gather
+        # fetches 8 per column, a width-w byte-pair gather 2w per two.
+        self._gathered = sum(8 * len(gathers) for _, gathers in self._octets) + sum(
+            width * len(gathers) for _, width, gathers in self._groups
+        )
 
     # ------------------------------------------------------------- dispatch
     def execute(
@@ -298,21 +404,55 @@ class EncodePlan:
     def _run_packed(
         self, rows: Sequence[np.ndarray], length: int, out: np.ndarray
     ) -> None:
+        """The packed product of ``[0, length)``, its byte pairs as lanes.
+
+        Each lane gathers at least ``_LANE_MIN_GATHERED`` table bytes.  The
+        caller fetches every table once and the lanes only read them.  A
+        plan whose tables fill more than half the budget runs as one lane
+        on the caller that fetches per gather: fetched up front, tables
+        that outgrow the budget would recycle one another.
+        """
         even = length & ~1
-        if self._octets:
-            self._run_column_pairs(rows, even, out)
-        if self._groups:
-            self._run_byte_pairs(rows, even, out)
+        with _EXECUTE:
+            if self._table_bytes > _TABLE_BUDGET // 2:
+                fetch, cuts = _TABLES.get, [(0, even)]
+            else:
+                fetch = {key: _TABLES.get(key) for key in self._keys}.__getitem__
+                count = min(lanes.WORKERS, even * self._gathered // _LANE_MIN_GATHERED)
+                cuts = _lane_cuts(even, count)
+            _run_lanes(
+                [partial(self._run_lane, rows, start, stop, out, fetch) for start, stop in cuts]
+            )
         if even < length:
             tail = np.array([[int(r[length - 1])] for r in rows], dtype=np.uint8)
             out[:, even:] = gf_matmul(self.coeff, tail)
 
+    def _run_lane(
+        self,
+        rows: Sequence[np.ndarray],
+        start: int,
+        stop: int,
+        out: np.ndarray,
+        fetch: Callable[[tuple], np.ndarray],
+    ) -> None:
+        """Output bytes ``[start, stop)`` (both even) in this thread's
+        workspace, reading tables through ``fetch``."""
+        if self._octets:
+            self._run_column_pairs(rows, start, stop, out, fetch)
+        if self._groups:
+            self._run_byte_pairs(rows, start, stop, out, fetch)
+
     def _run_column_pairs(
-        self, rows: Sequence[np.ndarray], even: int, out: np.ndarray
+        self,
+        rows: Sequence[np.ndarray],
+        start: int,
+        stop: int,
+        out: np.ndarray,
+        fetch: Callable[[tuple], np.ndarray],
     ) -> None:
         ws = _WS
-        for s in range(0, even, _TILE):
-            e = min(s + _TILE, even)
+        for s in range(start, stop, _TILE):
+            e = min(s + _TILE, stop)
             w = e - s
             acc, tmp = ws.acc[:w], ws.tmp[:w]
             for r0, gathers in self._octets:
@@ -328,7 +468,7 @@ class EncodePlan:
                         lanes = idx.view(np.uint8).reshape(w, 2)
                         lanes[:, 0] = rows[a][s:e]
                         lanes[:, 1] = rows[b][s:e]
-                    table = _TABLES.get(coeffs)
+                    table = fetch(coeffs)
                     if n == 0:
                         np.take(table, idx, out=acc, mode="clip")
                     else:
@@ -338,12 +478,17 @@ class EncodePlan:
                 out[r0 : r0 + 8, s:e] = acc.view(np.uint8).reshape(w, 8).T
 
     def _run_byte_pairs(
-        self, rows: Sequence[np.ndarray], even: int, out: np.ndarray
+        self,
+        rows: Sequence[np.ndarray],
+        start: int,
+        stop: int,
+        out: np.ndarray,
+        fetch: Callable[[tuple], np.ndarray],
     ) -> None:
-        half = even >> 1
-        row16 = [r[:even].view(np.uint16) for r in rows]
-        out16 = [out[i, :even].view(np.uint16) for i in range(self.m)]
+        row16 = [r[start:stop].view(np.uint16) for r in rows]
+        out16 = [out[i, start:stop].view(np.uint16) for i in range(self.m)]
         ws = _WS
+        half = (stop - start) >> 1
         for s in range(0, half, _TILE):
             e = min(s + _TILE, half)
             w = e - s
@@ -365,7 +510,7 @@ class EncodePlan:
                 if not gathers:
                     acc[:] = 0
                 for n, (i, coeffs) in enumerate(gathers):
-                    table = _TABLES.get(coeffs)
+                    table = fetch(coeffs)
                     if n == 0:
                         np.take(table, idx_tiles[i], out=acc, mode="clip")
                     else:
@@ -397,14 +542,15 @@ def plan_for(coeff: np.ndarray) -> EncodePlan:
     """
     coeff = np.asarray(coeff, dtype=np.uint8)
     key = (coeff.shape, coeff.tobytes())
-    plan = _PLANS.get(key)
-    if plan is None:
-        plan = EncodePlan(coeff)
-        _PLANS[key] = plan
-        if len(_PLANS) > _PLAN_MAX:
-            _PLANS.popitem(last=False)
-    else:
-        _PLANS.move_to_end(key)
+    with _EXECUTE:  # another caller's insert may evict ``key`` between lines
+        plan = _PLANS.get(key)
+        if plan is None:
+            plan = EncodePlan(coeff)
+            _PLANS[key] = plan
+            if len(_PLANS) > _PLAN_MAX:
+                _PLANS.popitem(last=False)
+        else:
+            _PLANS.move_to_end(key)
     return plan
 
 

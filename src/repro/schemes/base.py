@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import threading
 from abc import ABC, abstractmethod
 from collections import OrderedDict
@@ -33,6 +32,7 @@ from itertools import combinations
 
 import numpy as np
 
+from repro import lanes
 from repro.cloud.errors import (
     CircuitOpenError,
     CloudError,
@@ -73,48 +73,13 @@ __all__ = [
 #: it saves
 _PARALLEL_DIGEST_MIN_BYTES = 256 << 10
 
-#: hashlib releases the GIL for big buffers, so digest lanes hash on real
-#: cores — the ones this process may run on, which a pinned container has
-#: fewer of than the host; with one, every batch hashes inline
-_DIGEST_WORKERS = min(
-    4,
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
-)
 
-_DIGEST_POOL = None
-
-
-def _reset_digest_pool() -> None:
-    # Pool threads do not survive fork; a child that inherited a live pool
-    # would deadlock on its first digest, so drop the reference and let the
-    # child lazily build its own (the parallel experiment runner forks
-    # workers mid-session).
-    global _DIGEST_POOL
-    _DIGEST_POOL = None
-
-
-if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX only
-    os.register_at_fork(after_in_child=_reset_digest_pool)
-
-
-def _digest_pool():
-    """Shared lazy thread pool for fragment hashing (GIL-releasing work)."""
-    global _DIGEST_POOL
-    if _DIGEST_POOL is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        _DIGEST_POOL = ThreadPoolExecutor(
-            max_workers=_DIGEST_WORKERS, thread_name_prefix="fragment-digest"
-        )
-    return _DIGEST_POOL
-
-
-def _lane_plan(sizes: list[int], lanes: int) -> list[list[tuple[int, int, int]]]:
-    """Cut a batch's bytes, in fragment order, into ``lanes`` equal
+def _lane_plan(sizes: list[int], count: int) -> list[list[tuple[int, int, int]]]:
+    """Cut a batch's bytes, in fragment order, into ``count`` equal
     contiguous shares — McNaughton's wrap-around rule.
 
     Each lane is the ``(fragment, start, stop)`` byte spans it hashes, in
-    order.  A share is ⌈total / lanes⌉ bytes, or the longest fragment when
+    order.  A share is ⌈total / count⌉ bytes, or the longest fragment when
     that is longer, so every lane but the last holds exactly one share and
     a fragment straddles at most one cut.  Such a fragment is turned so
     that hash order holds: its head, as many leading bytes as fall past
@@ -122,7 +87,7 @@ def _lane_plan(sizes: list[int], lanes: int) -> list[list[tuple[int, int, int]]]
     one.  On equal cores the head finishes before the tail starts, because
     no fragment is longer than a share.
     """
-    share = max(-(-sum(sizes) // lanes), max(sizes, default=0))
+    share = max(-(-sum(sizes) // count), max(sizes, default=0))
     plan: list[list[tuple[int, int, int]]] = [[]]
     fill = 0
     for i, size in enumerate(sizes):
@@ -180,9 +145,11 @@ def _hash_lanes(plan, fragments, digest) -> list[str]:
     """Run a :func:`_lane_plan` with ``digest`` (``Scheme._digest``) and
     return each fragment's digest.
 
-    One lane hashes inline on the caller; more run on the pool while the
-    caller blocks, and the first lane that raised raises here once every
-    lane has stopped.
+    A one-lane plan hashes inline on the caller.  With more, every lane is
+    submitted to the shared pool (:mod:`repro.lanes`) and the caller only
+    blocks — it does not take a lane itself (``docs/performance.md``,
+    "Fragment digest lanes", says why) — and the first lane that raised
+    raises here once every lane has stopped.
     """
     digests: list = [None] * len(fragments)
     handoffs = {i: _Handoff() for lane in plan for i, start, _ in lane if start}
@@ -204,7 +171,7 @@ def _hash_lanes(plan, fragments, digest) -> list[str]:
     if len(plan) == 1:
         run(plan[0])
         return digests
-    pool = _digest_pool()
+    pool = lanes.pool()
     futures = [pool.submit(run, lane) for lane in plan]
     for error in [f.exception() for f in futures]:
         if error is not None:
@@ -1380,15 +1347,15 @@ class Scheme(ABC):
     def _digest_fragments(self, keys: list[str], fragments) -> tuple[str, ...]:
         """Digest a fragment batch, hashing it as balanced lanes when large.
 
-        The batch's bytes are cut into up to ``_DIGEST_WORKERS`` equal
+        The batch's bytes are cut into up to ``lanes.WORKERS`` equal
         lanes of at least ``_PARALLEL_DIGEST_MIN_BYTES`` (:func:`_lane_plan`),
         so HyRD's three-fragment stripe takes two equal lanes on two cores,
         not two rounds.  Digests are value-identical to hashing serially;
         only wall-clock changes, never simulated time or digest content.
         """
         sizes = [memoryview(f).nbytes for f in fragments]
-        lanes = min(_DIGEST_WORKERS, sum(sizes) // _PARALLEL_DIGEST_MIN_BYTES)
-        digests = _hash_lanes(_lane_plan(sizes, max(lanes, 1)), fragments, self._digest)
+        count = min(lanes.WORKERS, sum(sizes) // _PARALLEL_DIGEST_MIN_BYTES)
+        digests = _hash_lanes(_lane_plan(sizes, max(count, 1)), fragments, self._digest)
         for key, frag, digest in zip(keys, fragments, digests):
             self._digest_cache.record(key, frag, digest)
         return tuple(digests)

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import lanes
 from repro.cloud.provider import make_table2_cloud_of_clouds
 from repro.core.config import MB
 from repro.erasure.striping import split_views
@@ -40,12 +41,12 @@ def _oracle(fragments) -> list[str]:
 
 @pytest.fixture
 def two_lanes(monkeypatch):
-    """A fresh two-worker digest pool, shut down after the test."""
-    monkeypatch.setattr(base, "_DIGEST_WORKERS", 2)
-    monkeypatch.setattr(base, "_DIGEST_POOL", None)
+    """A fresh two-worker lane pool, shut down after the test."""
+    monkeypatch.setattr(lanes, "WORKERS", 2)
+    monkeypatch.setattr(lanes, "_POOL", None)
     yield
-    if base._DIGEST_POOL is not None:
-        base._DIGEST_POOL.shutdown(wait=False, cancel_futures=True)
+    if lanes._POOL is not None:
+        lanes._POOL.shutdown(wait=False, cancel_futures=True)
 
 
 def _finishes(target, *args) -> bool:
@@ -195,7 +196,7 @@ class TestNoLaneWaitsForever:
         """Both callers' first lanes take the pool's two workers before
         either second lane is queued: a first lane that waited for its
         partner's head would wait forever."""
-        pool = base._digest_pool()
+        pool = lanes.pool()
         first_lanes = threading.Barrier(2)
         submitted = threading.local()
 
@@ -208,7 +209,7 @@ class TestNoLaneWaitsForever:
                     first_lanes.wait(TIMEOUT_S)
                 return future
 
-        monkeypatch.setattr(base, "_digest_pool", Interleaved)
+        monkeypatch.setattr(lanes, "pool", lambda: Interleaved)
         data = payload(2 * MB)
         done = []
 
@@ -264,16 +265,16 @@ class TestNoLaneWaitsForever:
         batch = split_views(BYTES[: 2 * MB].tobytes(), 3)
         expected = tuple(_oracle(batch))
         assert hyrd._digest_fragments(["a", "b", "c"], batch) == expected
-        inherited = base._DIGEST_POOL
+        inherited = lanes._POOL
         assert inherited is not None
 
         pid = os.fork()
         if pid == 0:  # pragma: no cover - the child reports through its exit code
             status = 1
             try:
-                fresh = base._DIGEST_POOL is None
+                fresh = lanes._POOL is None
                 ok = hyrd._digest_fragments(["a", "b", "c"], batch) == expected
-                status = 0 if fresh and ok and base._DIGEST_POOL is not inherited else 1
+                status = 0 if fresh and ok and lanes._POOL is not inherited else 1
             finally:
                 os._exit(status)
         deadline = time.monotonic() + TIMEOUT_S

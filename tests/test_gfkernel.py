@@ -2,15 +2,23 @@
 
 The kernel must reproduce ``gf_matmul`` exactly — on arbitrary coefficient
 matrices, on the folded-column structures the planner exploits, at odd
-lengths that exercise the uint16 pairing tail, and through every codec's
-``encode`` / ``encode_views`` surface.
+lengths that exercise the uint16 pairing tail, through every codec's
+``encode`` / ``encode_views`` surface, at every lane count its tile loop
+splits into, and with two threads calling it at once.
 """
+
+import importlib
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import lanes
 from repro.erasure import gfkernel
 from repro.erasure.fmsr import FMSRCode
 from repro.erasure.galois import gf_matmul, systematic_vandermonde
@@ -345,3 +353,330 @@ class TestCodecSurfaces:
         oracle = gf_matmul(codec.generator_matrix, split_shards(payload, codec.k))
         for i, frag in enumerate(codec.encode_views(payload)):
             assert bytes(frag) == oracle[i].tobytes(), i
+
+
+# ------------------------------------------------------------------- lanes
+TILE = gfkernel._TILE
+TIMEOUT_S = 30
+
+
+@pytest.fixture
+def lane_count(monkeypatch):
+    """``lane_count(n)``: the kernel splits into up to ``n`` lanes on a
+    fresh ``n``-worker pool; every pool made here is shut down after."""
+
+    def set_count(n: int) -> None:
+        monkeypatch.setattr(lanes, "WORKERS", n)
+        monkeypatch.setattr(lanes, "_POOL", None)
+
+    original = lanes._POOL
+    yield set_count
+    if lanes._POOL is not None and lanes._POOL is not original:
+        lanes._POOL.shutdown(wait=False, cancel_futures=True)
+
+
+@pytest.fixture
+def lane_spy(monkeypatch):
+    """Records each ``_run_lanes`` call's lane count, and the thread every
+    lane ran on."""
+    seen = {"counts": [], "threads": []}
+    run_lanes, run_lane = gfkernel._run_lanes, EncodePlan._run_lane
+
+    def counting(tasks):
+        seen["counts"].append(len(tasks))
+        return run_lanes(tasks)
+
+    def recording(self, *args):
+        seen["threads"].append(threading.get_ident())
+        return run_lane(self, *args)
+
+    monkeypatch.setattr(gfkernel, "_run_lanes", counting)
+    monkeypatch.setattr(EncodePlan, "_run_lane", recording)
+    return seen
+
+
+def _finishes(target, *args) -> bool:
+    """Run ``target`` on a thread; True if it returned within the timeout."""
+    worker = threading.Thread(target=target, args=args, daemon=True)
+    worker.start()
+    worker.join(TIMEOUT_S)
+    return not worker.is_alive()
+
+
+def _in_child(check) -> bool:
+    """Run ``check`` in a forked child; True if it returned True there
+    within the timeout."""
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - the child reports through its exit code
+        status = 1
+        try:
+            status = 0 if check() else 1
+        finally:
+            os._exit(status)
+    deadline = time.monotonic() + TIMEOUT_S
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done or time.monotonic() > deadline:
+            break
+        time.sleep(0.01)
+    if not done:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+    return bool(done) and os.waitstatus_to_exitcode(status) == 0
+
+
+class TestLaneCuts:
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(
+        even=st.integers(0, 5 * TILE).map(lambda n: 2 * n)
+        | st.sampled_from([2 * TILE - 2, 2 * TILE, 4 * TILE - 2, 4 * TILE + 2]),
+        count=st.integers(1, 4),
+    )
+    def test_cuts_are_even_disjoint_covering_and_a_tile_wide(self, even, count):
+        cuts = gfkernel._lane_cuts(even, count)
+        assert 1 <= len(cuts) <= count
+        assert cuts[0][0] == 0 and cuts[-1][1] == even
+        assert all(a[1] == b[0] for a, b in zip(cuts, cuts[1:]))
+        assert all(start % 2 == 0 and stop % 2 == 0 for start, stop in cuts)
+        widths = [stop - start for start, stop in cuts]
+        assert max(widths) - min(widths) <= 2
+        if len(cuts) > 1:
+            assert min(widths) >= TILE
+        if even < 2 * TILE:
+            assert len(cuts) == 1
+        else:
+            assert len(cuts) == min(count, even // TILE)
+
+
+#: longest row the lane-identity cases read: four lanes' worth plus one
+LANE_ROWS = 2 * TILE * 4 + 1
+
+
+@pytest.fixture(scope="module")
+def lane_oracle():
+    """Per matrix: shard rows of ``LANE_ROWS`` bytes and their scalar
+    product; a shorter product is a column prefix of it."""
+    rng = np.random.default_rng(37)
+    matrices = {
+        "fmsr-8x4": FMSRCode(4, 2, seed=37).ecm,
+        "rs-2+2-folded": systematic_vandermonde(4, 2)[2:],
+    }
+    for m, k in [(1, 5), (2, 6), (5, 3), (7, 2), (9, 1)]:
+        coeff = rng.integers(0, 256, size=(m, k), dtype=np.uint8)
+        if m > 1:
+            coeff[rng.integers(0, m)] = 0  # one all-zero row
+        matrices[f"mix-{m}x{k}"] = coeff
+    cases = {}
+    for name, coeff in matrices.items():
+        rows = [rng.integers(0, 256, size=LANE_ROWS, dtype=np.uint8) for _ in range(coeff.shape[1])]
+        cases[name] = (coeff, rows, gf_matmul(coeff, np.vstack(rows)))
+    return cases
+
+
+class TestLanes:
+    """The tile loop splits into lanes on the shared pool; every lane count
+    must equal the scalar oracle, and no lane may wait forever."""
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4])
+    def test_every_lane_count_matches_oracle(
+        self, count, monkeypatch, lane_count, lane_spy, lane_oracle
+    ):
+        lane_count(count)
+        monkeypatch.setattr(gfkernel, "_LANE_MIN_GATHERED", 1)
+        for name, (coeff, rows, expected) in lane_oracle.items():
+            for length in (2 * TILE * count - 1, 2 * TILE * count + 1):
+                lane_spy["counts"].clear()
+                got = EncodePlan(coeff).execute(rows, length)
+                assert np.array_equal(got, expected[:, :length]), (name, length)
+                assert lane_spy["counts"] == [count], (name, length)
+
+    def test_a_lane_gathers_at_least_its_minimum(self, lane_count, lane_spy):
+        """RS(2+1)'s parity gathers one byte of table per byte column, so
+        1 MiB rows stay on the caller; FMSR's 8x4 encode gathers sixteen,
+        so 256 KiB rows take two lanes."""
+        lane_count(2)
+        rows = [np.zeros(1 << 20, dtype=np.uint8)] * 4
+        EncodePlan(systematic_vandermonde(3, 2)[2:]).execute(rows[:2], 1 << 20)
+        EncodePlan(FMSRCode(4, 2, seed=5).ecm).execute(rows, 1 << 18)
+        assert lane_spy["counts"] == [1, 2]
+
+    def test_a_plan_wider_than_the_table_budget_runs_as_one_lane(
+        self, monkeypatch, lane_count, lane_spy
+    ):
+        """Half the budget is 256 KiB here and FMSR's 8x4 plan reads two
+        512 KiB tables: fetched up front, the second would recycle the
+        first, so the plan runs as today's single lane on the caller."""
+        lane_count(2)
+        monkeypatch.setattr(gfkernel, "_TABLE_BUDGET", 1 << 19)
+        coeff, rows, expected = _random_case(43, 8, 4, 300001)
+        assert np.array_equal(plan_for(coeff).execute(rows, 300001), expected)
+        assert lane_spy["counts"] == [1]
+        assert set(lane_spy["threads"]) == {threading.get_ident()}
+
+    def test_a_raising_lane_raises_once_every_lane_has_stopped(self, lane_count):
+        lane_count(2)
+        stopped = []
+
+        def raising():
+            raise KeyError("lane 0")
+
+        def slow(n):
+            def lane():
+                time.sleep(0.02 * n)
+                stopped.append(n)
+                if n == 1:
+                    raise ValueError("lane 1")
+
+            return lane
+
+        with pytest.raises(KeyError, match="lane 0"):
+            gfkernel._run_lanes([raising, slow(1), slow(2)])
+        assert sorted(stopped) == [1, 2]
+
+    def test_a_raising_lane_leaves_the_kernel_usable(self, monkeypatch, lane_count):
+        lane_count(2)
+        coeff, rows, expected = _random_case(47, 8, 4, 4 * TILE + 1)
+        run = EncodePlan._run_column_pairs
+        stopped = []
+
+        def failing(self, rows, start, stop, out, fetch):
+            if start:
+                raise RuntimeError("second lane")
+            time.sleep(0.02)
+            run(self, rows, start, stop, out, fetch)
+            stopped.append(start)
+
+        monkeypatch.setattr(EncodePlan, "_run_column_pairs", failing)
+        with pytest.raises(RuntimeError, match="second lane"):
+            plan_for(coeff).execute(rows, 4 * TILE + 1)
+        assert stopped == [0]
+        monkeypatch.setattr(EncodePlan, "_run_column_pairs", run)
+        assert np.array_equal(plan_for(coeff).execute(rows, 4 * TILE + 1), expected)
+
+    def test_a_queued_lane_is_taken_back_by_the_caller(self, lane_count, lane_spy):
+        """Blockers hold every pool worker: the caller runs its own lane,
+        finds the other one still queued and runs it too."""
+        lane_count(2)
+        pool = lanes.pool()
+        started = threading.Barrier(3)
+        release = threading.Event()
+
+        def blocker():
+            started.wait(TIMEOUT_S)
+            release.wait(TIMEOUT_S)
+
+        blockers = [pool.submit(blocker) for _ in range(2)]
+        started.wait(TIMEOUT_S)
+        coeff, rows, expected = _random_case(53, 8, 4, 4 * TILE)
+        results, callers = [], []
+
+        def call():
+            callers.append(threading.get_ident())
+            results.append(EncodePlan(coeff).execute(rows, 4 * TILE))
+
+        try:
+            assert _finishes(call)
+        finally:
+            release.set()
+        assert all(b.result(TIMEOUT_S) is None for b in blockers)
+        assert np.array_equal(results[0], expected)
+        assert lane_spy["counts"] == [2]
+        assert lane_spy["threads"] == callers * 2
+
+    def test_a_forked_child_encodes_on_its_own_pool(self, lane_count):
+        lane_count(2)
+        codec = FMSRCode(4, 2, seed=59)
+        payload = np.random.default_rng(59).integers(0, 256, 1 << 20, np.uint8).tobytes()
+        expected = [bytes(f) for f in codec.encode_views(payload)]
+        inherited = lanes._POOL
+        assert inherited is not None
+
+        def child() -> bool:
+            fresh = lanes._POOL is None
+            ok = [bytes(f) for f in codec.encode_views(payload)] == expected
+            return fresh and ok and lanes._POOL is not inherited
+
+        assert _in_child(child)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    def test_one_cpu_never_builds_the_pool(self):
+        """Pinned to one CPU, the pool module counts one worker and an FMSR
+        encode runs the single-lane path without building the pool."""
+        codec = FMSRCode(4, 2, seed=61)
+        payload = np.random.default_rng(61).integers(0, 256, 1 << 20, np.uint8).tobytes()
+        oracle = gf_matmul(codec.ecm, split_shards(payload, 4))
+
+        def child() -> bool:
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+            importlib.reload(lanes)  # the worker count is read at import
+            got = b"".join(bytes(f) for f in codec.encode_views(payload))
+            return lanes.WORKERS == 1 and got == oracle.tobytes() and lanes._POOL is None
+
+        assert _in_child(child)
+
+
+class TestConcurrentCallers:
+    def test_two_threads_with_distinct_matrices_match_the_oracle(
+        self, monkeypatch, lane_count
+    ):
+        """Each thread cycles through its own two 8x4 matrices over
+        528 KB of shards, on two lanes; with room for two plans' tables,
+        fetches keep missing and recycle buffers the other thread's plans
+        were built in."""
+        lane_count(2)
+        monkeypatch.setattr(gfkernel, "_TABLE_BUDGET", 2 << 20)
+        monkeypatch.setattr(gfkernel, "_LANE_MIN_GATHERED", 1)
+        rng = np.random.default_rng(67)
+        rows = [rng.integers(0, 256, size=132_000, dtype=np.uint8) for _ in range(4)]
+        stacked = np.vstack(rows)
+        work = []
+        for seed in (0, 1):
+            coeffs = [FMSRCode(4, 2, seed=71 + 2 * seed + i).ecm for i in range(2)]
+            work.append([(c, gf_matmul(c, stacked)) for c in coeffs])
+        wrong, finished = [], []
+
+        def caller(cases):
+            for i in range(20):
+                coeff, expected = cases[i % 2]
+                if not np.array_equal(gf_matmul_fast(coeff, stacked), expected):
+                    wrong.append(i)
+            finished.append(True)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(w,), daemon=True) for w in work]
+            for t in threads:
+                t.start()
+            deadline = time.monotonic() + TIMEOUT_S
+            for t in threads:
+                t.join(max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(switch)
+        assert len(finished) == 2 and not wrong
+
+    def test_two_threads_share_a_full_plan_cache(self, monkeypatch):
+        """With room for one plan, each thread's insert evicts the other's
+        plan; a lookup that found its plan must not then lose it."""
+        monkeypatch.setattr(gfkernel, "_PLAN_MAX", 1)
+        errors = []
+
+        def caller(seed):
+            coeff = np.random.default_rng(seed).integers(0, 256, (2, 2), dtype=np.uint8)
+            try:
+                for _ in range(1000):
+                    assert np.array_equal(plan_for(coeff).coeff, coeff)
+            except Exception as error:
+                errors.append(error)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(s,), daemon=True) for s in (0, 10)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(TIMEOUT_S)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not errors
