@@ -26,7 +26,7 @@ import math
 import threading
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from itertools import combinations
 
@@ -353,6 +353,11 @@ class Placement:
     recorded verbatim on the :class:`~repro.fs.namespace.FileEntry`, so
     every later read, update, audit and repair rebuilds the codec from the
     entry alone (:meth:`Scheme._codec_for`), never from today's policy.
+
+    The engine scatters ``providers`` and ``codec`` (:meth:`Scheme._scatter`)
+    and records the rest.  A metadata group records no entry, so it is
+    scattered from :meth:`Scheme._meta_write_targets` and
+    :meth:`Scheme._meta_codec` alone, without a ``Placement``.
     """
 
     providers: tuple[str, ...]
@@ -489,9 +494,9 @@ class _Op:
         self.retries = 0
         self.hedged = False
         #: journal context: ``(intent kind, previous entry, redo payload)``
-        #: from :meth:`Scheme._journal_arm`; the placement plan — and with
-        #: it the intent's ``seq`` — follows from :meth:`Scheme._journal_plan`
-        #: just before the first fragment put
+        #: from :meth:`Scheme._journal_arm`, until :meth:`Scheme._journal_plan`
+        #: consumes it just before the first fragment put and leaves the
+        #: intent's ``seq``
         self.armed: tuple[str, FileEntry | None, bytes | None] | None = None
         self.seq: int | None = None
 
@@ -848,6 +853,13 @@ class Scheme(ABC):
         if not log:
             return False
         return log.has_pending(container, key)
+
+    def _reachable(self, provider: str, key: str) -> bool:
+        """``provider`` is usable now and no pending write-log entry
+        supersedes what it stores under ``key``: a read may be sent."""
+        return self._provider_usable(provider) and not self._is_stale(
+            provider, self.container, key
+        )
 
     def _expected_latency(self, op: CloudOp) -> float:
         """Clean-model latency expectation for one completed request.
@@ -1412,20 +1424,11 @@ class Scheme(ABC):
         first intact response wins.
         """
         key = self._version_key(key_base, version)
-        ranked = self._rank_providers(list(providers), size, "down", adaptive=True)
-        degraded = False
-        last_error: Exception | None = None
-
-        candidates = [
-            n
-            for n in ranked
-            if self._provider_usable(n)
-            and not self._is_stale(n, self.container, key)
-        ]
+        ranked = self._rank_providers(providers, size, "down", adaptive=True)
+        # Only providers reachable at the read's start are candidates, and
+        # one missing from the ranking makes the read degraded.
+        candidates = [n for n in ranked if self._reachable(n, key)]
         degraded = len(candidates) < len(ranked)
-        # The filter above vetted every candidate at this instant; only a
-        # phase moves the clock or a breaker, so a candidate is vetted again
-        # only once one has run.
         vetted = True
         if self.resilience.hedge_reads and len(candidates) >= 2:
             hedged = self._hedged_replicated_get(key, size, candidates, digest)
@@ -1439,31 +1442,47 @@ class Scheme(ABC):
             degraded = True
             candidates = candidates[2:]
             vetted = False
+        data, missed = self._get_replica(
+            key_base, key, candidates, providers, digest, vetted
+        )
+        degraded = degraded or missed
+        if degraded:
+            self._mark_degraded()
+        return data, degraded
 
+    def _get_replica(
+        self,
+        path: str,
+        key: str,
+        candidates: list[str],
+        providers: list[str],
+        digest: str | None = None,
+        vetted: bool = False,
+    ) -> tuple[bytes, bool]:
+        """The replicated read core: one get per candidate, in order, each
+        vetted at its turn (:meth:`_reachable`), until a copy answers — and,
+        with ``digest``, verifies.  ``vetted``: the caller vetted them all
+        at this instant, and only a phase moves the clock or a breaker, so
+        the first needs no second look.  Returns ``(data, degraded)``,
+        degraded when a candidate was skipped or missed; raises
+        :class:`DataUnavailable` for ``path`` naming ``providers`` when none
+        answers."""
+        degraded = False
+        last_error: Exception | None = None
         for name in candidates:
-            if not vetted and (
-                not self._provider_usable(name)
-                or self._is_stale(name, self.container, key)
-            ):
+            if not vetted and not self._reachable(name, key):
                 degraded = True
                 continue
             vetted = False
             (got,) = self._run_phase([CloudOp(name, "get", self.container, key)])
             if got.ok and got.response is not None:
-                if digest is not None and not self._verify_digest(
-                    key, got.response, digest
-                ):
-                    degraded = True  # corrupt copy: fall through to the next
-                    continue
-                if degraded:
-                    self._mark_degraded()
-                return got.response, degraded
-            degraded = True
-            last_error = got.error
+                if digest is None or self._verify_digest(key, got.response, digest):
+                    return got.response, degraded
+            else:
+                last_error = got.error
+            degraded = True  # failed or corrupt: fall through to the next
         detail = f" ({last_error})" if last_error is not None else ""
-        raise DataUnavailable(
-            key_base, f"no intact replica reachable on {providers}{detail}"
-        )
+        raise DataUnavailable(path, f"no intact replica reachable on {providers}{detail}")
 
     def _hedged_replicated_get(
         self, key: str, size: int, candidates: list[str], digest: str | None
@@ -1574,62 +1593,41 @@ class Scheme(ABC):
         by_index = {idx: prov for prov, idx in placements}
         if len(by_index) < codec.k:
             raise DataUnavailable(key_base, "placement lost too many fragments")
+        stem = self._version_key(key_base, version)
 
         def usable(idx: int) -> bool:
-            prov = by_index[idx]
-            key = self._fragment_key(key_base, idx, version)
-            return self._provider_usable(prov) and not self._is_stale(
-                prov, self.container, key
-            )
+            return self._reachable(by_index[idx], f"{stem}.{idx}")
 
         def verified(idx: int, data: bytes) -> bool:
             if digests is None or idx >= len(digests):
                 return True
-            key = self._fragment_key(key_base, idx, version)
-            return self._verify_digest(key, data, digests[idx])
+            return self._verify_digest(f"{stem}.{idx}", data, digests[idx])
 
         order = sorted(by_index)  # systematic data fragments first
         if not codec.systematic:
             order = self._rank_providers_by_index(by_index, size, codec)
-        preferred = order[: codec.k]
-        # Degraded means a fragment the static policy wanted was out of
-        # reach — the scheduler routing around a *queued* provider is an
-        # optimisation, not degradation, so the flag keeps its meaning.
-        degraded = any(not usable(i) for i in preferred)
+        degraded = False
         decision = None
         if self.scheduler is not None:
+            # Degraded means a fragment the static policy wanted was out of
+            # reach — the scheduler routing around a *queued* provider is an
+            # optimisation, not degradation, so the flag keeps its meaning.
+            degraded = any(not usable(i) for i in order[: codec.k])
             decision = self.scheduler.decide(key_base, by_index, size, codec, usable)
             if len(decision.order) >= codec.k:
-                order = list(decision.order)
+                order = list(decision.order)  # usable fragments only
                 self._note_sched_decision(decision, by_index)
             else:
-                decision = None  # too few usable; static path raises below
-        chosen = [i for i in order if usable(i)][: codec.k]
-        if len(chosen) < codec.k:
-            raise DataUnavailable(
-                key_base,
-                f"only {len(chosen)} of {codec.k} required fragments reachable",
-            )
-        fragments: dict[int, bytes] = {}
-        rejected: set[int] = set()
+                decision = None  # too few usable; the core raises below
         if decision is not None and decision.hedge is not None:
             fragments, rejected, hedge_degraded = self._striped_hedged_fetch(
-                key_base, version, by_index, chosen, decision.hedge, verified
+                stem, by_index, order[: codec.k], decision.hedge, verified
             )
             degraded = degraded or hedge_degraded
         else:
-            ops = [
-                CloudOp(
-                    by_index[i], "get", self.container, self._fragment_key(key_base, i, version)
-                )
-                for i in chosen
-            ]
-            for idx, got in zip(chosen, self._run_phase(ops)):
-                if got.ok and got.response is not None:
-                    if verified(idx, got.response):
-                        fragments[idx] = got.response
-                    else:
-                        rejected.add(idx)
+            gets, missed = self._get_stripe(key_base, stem, by_index, order, codec.k)
+            degraded = degraded or missed
+            fragments, rejected = self._sort_fetched(gets.items(), verified)
         if len(fragments) < codec.k:
             # Outage-boundary races and corrupt fragments both land here:
             # top up from the remaining healthy placements.  Replacements
@@ -1643,17 +1641,7 @@ class Scheme(ABC):
             while len(fragments) < codec.k and remaining:
                 need = codec.k - len(fragments)
                 batch, remaining = remaining[:need], remaining[need:]
-                retry = self._run_phase(
-                    [
-                        CloudOp(
-                            by_index[i],
-                            "get",
-                            self.container,
-                            self._fragment_key(key_base, i, version),
-                        )
-                        for i in batch
-                    ]
-                )
+                retry = self._run_phase(self._fragment_gets(stem, by_index, batch))
                 for i, got in zip(batch, retry):
                     data = got.response
                     if got.ok and data is not None and verified(i, data):
@@ -1663,9 +1651,7 @@ class Scheme(ABC):
             raise DataUnavailable(key_base, "lost fragments mid-read")
         if degraded:
             self._mark_degraded()
-        cached = self._payload_cache.lookup(
-            self._version_key(key_base, version), fragments
-        )
+        cached = self._payload_cache.lookup(stem, fragments)
         if cached is not None:
             # Every fetched fragment is the exact object encoded at write
             # time, so the decode result is provably the cached payload.
@@ -1674,6 +1660,27 @@ class Scheme(ABC):
             data = codec.decode(fragments, size)
         self._held["codec_decode_bytes_total", type(codec).__name__].inc(size)
         return data, degraded
+
+    def _get_stripe(
+        self, path: str, stem: str, by_index: dict[int, str], order: list[int], k: int
+    ) -> tuple[dict[int, CloudOp], bool]:
+        """The striped read core: the first ``k`` reachable fragments of
+        ``order`` (:meth:`_reachable`), fetched in one phase.  Returns the
+        issued gets by fragment index, answered or not, and whether one of
+        ``order``'s first ``k`` was out of reach (degraded); raises
+        :class:`DataUnavailable` for ``path`` when fewer than ``k`` are
+        reachable."""
+        chosen = [i for i in order if self._reachable(by_index[i], f"{stem}.{i}")][:k]
+        if len(chosen) < k:
+            raise DataUnavailable(path, f"only {len(chosen)} of {k} required fragments reachable")
+        gets = self._run_phase(self._fragment_gets(stem, by_index, chosen))
+        return dict(zip(chosen, gets)), chosen != order[:k]
+
+    def _fragment_gets(
+        self, stem: str, by_index: dict[int, str], indices: Iterable[int]
+    ) -> list[CloudOp]:
+        """One get per fragment index ``i``: key ``stem.i`` on its provider."""
+        return [CloudOp(by_index[i], "get", self.container, f"{stem}.{i}") for i in indices]
 
     def _rmw_striped(
         self,
@@ -1696,21 +1703,22 @@ class Scheme(ABC):
         """
         if len(new_content) != entry.size:
             raise ValueError("_rmw_striped requires an in-place (same-size) update")
-        by_index = dict(entry.placements)
-        providers_by_index = {idx: prov for prov, idx in entry.placements}
-        if len(by_index) != codec.n:
-            raise ValueError(
-                f"entry {entry.path!r} has {len(by_index)} placements, codec needs {codec.n}"
-            )
+        placed = len(dict(entry.placements))
+        if placed != codec.n:
+            raise ValueError(f"entry {entry.path!r} has {placed} placements, codec needs {codec.n}")
         frag_len = codec.fragment_size(entry.size)
         if frag_len == 0:
+            # Nothing to rewrite, so nothing to plan: disarm, or the group
+            # write that publishes the update would plan in its place.
+            self._current.armed = None
             return entry
         lo = offset // frag_len
         hi = (offset + max(len(patch), 1) - 1) // frag_len
         affected = [i for i in range(codec.k) if lo <= i <= hi]
-        parities = list(range(codec.k, codec.n))
-        touched = affected + parities
-        self._heal_before_touching([providers_by_index[i] for i in touched])
+        touched = affected + list(range(codec.k, codec.n))  # + every parity
+        by_index = {idx: prov for prov, idx in entry.placements}
+        stem = self._version_key(entry.path, entry.version)
+        self._heal_before_touching([by_index[i] for i in touched])
         # In-place RMW overwrites the *current* version's fragments, so a
         # crash mid-op can never be rolled back (the old bytes are partially
         # gone).  min_needed=0 pins recovery to roll forward from the
@@ -1719,26 +1727,11 @@ class Scheme(ABC):
             version=entry.version,
             codec_name=type(codec).__name__,
             min_needed=0,
-            sites=tuple(
-                (
-                    providers_by_index[i],
-                    self._fragment_key(entry.path, i, entry.version),
-                )
-                for i in touched
-            ),
+            sites=tuple((by_index[i], f"{stem}.{i}") for i in touched),
         )
 
         # Phase 1: read old affected data fragments and old parities.
-        read_ops = [
-            CloudOp(
-                providers_by_index[i],
-                "get",
-                self.container,
-                self._fragment_key(entry.path, i, entry.version),
-            )
-            for i in touched
-        ]
-        if not all(o.ok for o in self._run_phase(read_ops)):
+        if not all(o.ok for o in self._run_phase(self._fragment_gets(stem, by_index, touched))):
             self._mark_degraded()
 
         # Phase 2: write the new affected fragments + parities.  Fragment
@@ -1746,13 +1739,7 @@ class Scheme(ABC):
         # fragments are bit-identical because size and boundaries are fixed.
         fragments = self._encode_fragments(codec, new_content)
         write_ops = [
-            CloudOp(
-                providers_by_index[i],
-                "put",
-                self.container,
-                self._fragment_key(entry.path, i, entry.version),
-                fragments[i],
-            )
+            CloudOp(by_index[i], "put", self.container, f"{stem}.{i}", fragments[i])
             for i in touched
         ]
         self._run_phase(write_ops)
@@ -1783,19 +1770,16 @@ class Scheme(ABC):
         # same-size update left unchanged.  A tampered, lost or unrecorded
         # untouched fragment fails the check, and the next read decodes
         # verified fragments instead.
-        cache_key = self._version_key(entry.path, entry.version)
         held = {idx: data for idx, data, _ in self._held_placements(entry)}
         kept = {i: data for i, data in held.items() if i not in rewritten}
         if (
             len(held) == codec.n
             and all(held[i] is fragments[i] for i in rewritten)
-            and (not kept or self._payload_cache.lookup(cache_key, kept) is not None)
+            and (not kept or self._payload_cache.lookup(stem, kept) is not None)
         ):
-            self._payload_cache.record(
-                cache_key, [held[i] for i in range(codec.n)], new_content
-            )
+            self._payload_cache.record(stem, [held[i] for i in range(codec.n)], new_content)
         else:
-            self._payload_cache.discard(cache_key)
+            self._payload_cache.discard(stem)
         return replace(entry, modified=self.clock.now, digests=tuple(new_digests))
 
     def _note_sched_decision(self, decision, by_index: dict[int, str]) -> None:
@@ -1831,8 +1815,7 @@ class Scheme(ABC):
 
     def _striped_hedged_fetch(
         self,
-        key_base: str,
-        version: int,
+        stem: str,
         by_index: dict[int, str],
         chosen: list[int],
         hedge,
@@ -1854,17 +1837,7 @@ class Scheme(ABC):
         loop finish the read.
         """
         gating, backup = hedge.gating, hedge.backup
-        main, main_done = self._issue(
-            [
-                CloudOp(
-                    by_index[i],
-                    "get",
-                    self.container,
-                    self._fragment_key(key_base, i, version),
-                )
-                for i in chosen
-            ]
-        )
+        main, main_done = self._issue(self._fragment_gets(stem, by_index, chosen))
         self.collector.bump("hedged_reads")
         self._held["sched_hedges_total"].inc()
         self._current.hedged = True
@@ -1875,16 +1848,7 @@ class Scheme(ABC):
                 backup=by_index[backup],
                 delay=0.0,
             )
-        (b,), b_done = self._issue(
-            [
-                CloudOp(
-                    by_index[backup],
-                    "get",
-                    self.container,
-                    self._fragment_key(key_base, backup, version),
-                )
-            ]
-        )
+        (b,), b_done = self._issue(self._fragment_gets(stem, by_index, [backup]))
         outcomes = dict(zip(chosen, main))
 
         def good(i: int, o: CloudOp) -> bool:
@@ -1924,14 +1888,21 @@ class Scheme(ABC):
         # out both legs, keep every intact fragment, and let the top-up
         # logic recover — same degraded semantics as the unhedged path.
         self._settle(max(main_done, b_done), main + [b])
-        fragments, rejected = {}, set()
-        for i, o in [*outcomes.items(), (backup, b)]:
+        return (*self._sort_fetched([*outcomes.items(), (backup, b)], verified), True)
+
+    @staticmethod
+    def _sort_fetched(gets, verified) -> tuple[dict[int, bytes], set[int]]:
+        """Split answered fragment gets ``(index, op)`` into the verified
+        fragments and the rejected (corrupt) indices."""
+        fragments: dict[int, bytes] = {}
+        rejected: set[int] = set()
+        for i, o in gets:
             if o.ok and o.response is not None:
                 if verified(i, o.response):
                     fragments[i] = o.response
                 else:
                     rejected.add(i)
-        return fragments, rejected, True
+        return fragments, rejected
 
     def _rank_providers_by_index(
         self, by_index: dict[int, str], size: int, codec: ErasureCodec
@@ -1982,98 +1953,52 @@ class Scheme(ABC):
         return None
 
     def _persist_metadata(self, directory: str) -> None:
-        """Write-through the directory's metadata group (version = clock tick)."""
+        """Write-through the directory's metadata group: one more item for
+        :meth:`_scatter`, under the stem ``group_key(directory)`` (no version
+        suffix: the newest write wins, like the paper's metadata updates).
+        It waits for every target and is never certified."""
         blob = self.meta.encode_dir(directory)
-        key_base = group_key(directory)
-        targets = self._meta_write_targets()
-        codec = self._meta_codec()
         # Journal the redo image before the group write scatters: a crash
         # mid-persist can tear a striped group beyond k-of-n reconstruction,
         # and recovery then reads this copy instead (see recover_namespace).
         if self.journal is not None and self._current.seq is not None:
             self.journal.attach_meta(self._current.seq, directory, blob)
-        # Metadata groups are identified by key alone (no version suffix):
-        # the newest write wins, exactly like the paper's metadata updates.
-        self._heal_before_touching(targets)
-        if codec is None:
-            ops = [CloudOp(p, "put", self.container, key_base, blob) for p in targets]
-        else:
-            fragments = self._encode_fragments(codec, blob)
-            ops = [
-                CloudOp(p, "put", self.container, f"{key_base}.{i}", fragments[i])
-                for i, p in enumerate(targets)
-            ]
-        if self.sequential_replication and codec is None:
-            for op in ops:
-                self._run_phase([op])
-        else:
-            self._run_phase(ops)
+        # Groups carry no version: the 0 only reaches a journal plan, and
+        # the op's object write already planned (or the op is unjournaled).
+        self._scatter(
+            group_key(directory), blob, self._meta_write_targets(), self._meta_codec(), 0
+        )
         self.meta.touch(directory)
         self._meta_sizes[directory] = len(blob)
 
     def _fetch_metadata(self, directory: str) -> None:
-        """Charge a metadata-group read on a client-cache miss."""
+        """Charge a metadata-group read on a client-cache miss, through the
+        bare read core (:meth:`_get_replica` in adaptive rank order, or
+        :meth:`_get_stripe` in index order): the in-client namespace stays
+        authoritative, so nothing is hedged, topped up, verified or decoded."""
         if self.meta.is_cached(directory):
             return
-        size = self._meta_sizes.get(directory)
-        if size is None:
+        if directory not in self._meta_sizes:
             # Never persisted (empty directory): nothing to fetch.
             self.meta.touch(directory)
             return
-        key_base = group_key(directory)
+        key = group_key(directory)
         targets = self._meta_write_targets()
         codec = self._meta_codec()
         try:
             if codec is None:
-                self._read_replicated_meta(key_base, targets)
+                ranked = self._rank_providers(targets, 0, "down", adaptive=True)
+                _, degraded = self._get_replica(key, key, ranked, targets)
             else:
-                placements = [(p, i) for i, p in enumerate(targets)]
-                self._read_striped_meta(key_base, size, codec, placements)
+                by_index = dict(enumerate(targets))
+                _, degraded = self._get_stripe(key, key, by_index, sorted(by_index), codec.k)
         except DataUnavailable:
             # Metadata group unreachable in the cloud; the in-client
             # namespace remains authoritative, so degrade but continue.
+            degraded = True
+        if degraded:
             self._mark_degraded()
         self.meta.touch(directory)
-
-    def _read_replicated_meta(self, key: str, providers: list[str]) -> None:
-        ranked = self._rank_providers(list(providers), 0, "down", adaptive=True)
-        for name in ranked:
-            if not self._provider_usable(name) or self._is_stale(
-                name, self.container, key
-            ):
-                self._mark_degraded()
-                continue
-            (got,) = self._run_phase([CloudOp(name, "get", self.container, key)])
-            if got.ok:
-                return
-            self._mark_degraded()
-        raise DataUnavailable(key, f"no metadata replica reachable on {providers}")
-
-    def _read_striped_meta(
-        self,
-        key_base: str,
-        size: int,
-        codec: ErasureCodec,
-        placements: list[tuple[str, int]],
-    ) -> None:
-        by_index = {idx: prov for prov, idx in placements}
-        order = sorted(by_index)
-        usable = [
-            i
-            for i in order
-            if self._provider_usable(by_index[i])
-            and not self._is_stale(by_index[i], self.container, f"{key_base}.{i}")
-        ]
-        if any(i not in usable for i in order[: codec.k]):
-            self._mark_degraded()
-        chosen = usable[: codec.k]
-        if len(chosen) < codec.k:
-            raise DataUnavailable(key_base, "metadata stripe unreachable")
-        ops = [
-            CloudOp(by_index[i], "get", self.container, f"{key_base}.{i}")
-            for i in chosen
-        ]
-        self._run_phase(ops)
 
     # ------------------------------------------------- namespace recovery
     def recover_namespace(self) -> OpReport:
@@ -2500,28 +2425,45 @@ class Scheme(ABC):
     def _write_placement(
         self, path: str, data: bytes, placement: Placement, version: int
     ) -> tuple[list[tuple[str, int]], tuple[str, ...]]:
-        """Scatter one object version: the only place one is written.
+        """Write one object version: scatter it under the stem ``path#vN``,
+        acknowledged at :attr:`write_quorum` when the scheme sets one, then
+        certify it — what only objects need: one digest per slot, so reads
+        detect provider-side corruption, and for a coded version the
+        payload-cache entry that lets an intact read skip its decode.
+        Returns ``(placements, digests)``."""
+        stem = self._version_key(path, version)
+        keys, bodies = self._scatter(
+            stem, data, placement.providers, placement.codec, version, self.write_quorum
+        )
+        if placement.codec is None:
+            digests = (self._record_digest(stem, data),) * len(keys)
+        else:
+            digests = self._digest_fragments(keys, bodies)
+            self._payload_cache.record(stem, bodies, data)
+        return [(p, i) for i, p in enumerate(placement.providers)], digests
 
-        Replicas share the key ``path#vN``; fragment ``i`` of a coded
-        object goes to ``providers[i]`` under ``path#vN.i``.  Returns
-        ``(placements, digests)`` — one digest per slot, so reads can detect
-        provider-side corruption.  Puts go out in parallel (replicas
-        contend on the uplink — the DuraCloud effect) unless the scheme
-        replicates sequentially, and are acknowledged at
-        :attr:`write_quorum` when the scheme sets one.  Unavailable
-        providers are write-logged, so the placement list always covers
-        every intended slot.
-        """
-        codec, providers = placement.codec, placement.providers
+    def _scatter(
+        self,
+        stem: str,
+        data: bytes,
+        providers: Sequence[str],
+        codec: ErasureCodec | None,
+        version: int,
+        quorum: int | None = None,
+    ) -> tuple[list[str], list[bytes | memoryview]]:
+        """Heal, plan, encode and put one stored item: the only place an
+        object version or a metadata group is written.  Replicas (``codec``
+        None) share the key ``stem``; fragment ``i`` goes to ``providers[i]``
+        under ``stem.i``.  Puts go out in parallel (replicas contend on the
+        uplink — the DuraCloud effect) unless the scheme replicates
+        sequentially, and are acknowledged at ``quorum`` successes when one
+        is given, else when all have landed.  Unavailable providers are
+        write-logged.  Returns the keys and the bodies put under them."""
         if codec is not None and len(providers) != codec.n:
             raise ValueError(
                 f"{codec!r} needs {codec.n} providers, got {len(providers)}"
             )
-        version_key = self._version_key(path, version)
-        keys = [
-            version_key if codec is None else self._fragment_key(path, i, version)
-            for i in range(len(providers))
-        ]
+        keys = [stem if codec is None else f"{stem}.{i}" for i in range(len(providers))]
         self._heal_before_touching(providers)
         self._journal_plan(
             version=version,
@@ -2538,7 +2480,6 @@ class Scheme(ABC):
             CloudOp(p, "put", self.container, key, body)
             for p, key, body in zip(providers, keys, bodies)
         ]
-        quorum = self.write_quorum
         if quorum is not None:
             self._quorum_phase(ops, quorum)
         elif codec is None and self.sequential_replication:
@@ -2546,12 +2487,7 @@ class Scheme(ABC):
                 self._run_phase([op])
         else:
             self._run_phase(ops)
-        if codec is None:
-            digests = (self._record_digest(version_key, data),) * len(providers)
-        else:
-            digests = self._digest_fragments(keys, bodies)
-            self._payload_cache.record(version_key, bodies, data)
-        return [(p, i) for i, p in enumerate(providers)], digests
+        return keys, bodies
 
     def _read_object(self, entry: FileEntry) -> tuple[bytes, bool]:
         """Fetch and reconstruct content; returns (data, degraded)."""
@@ -2665,16 +2601,19 @@ class Scheme(ABC):
     ) -> None:
         """Record the armed op's placement plan as a pending intent.
 
-        Called once sites are known, immediately before the first put (or
+        Called once sites are known, between the heal and the first put (or
         delete).  A no-op unless the op is armed, which takes an attached
-        journal; an armed op plans exactly once — it reaches one of
-        :meth:`_write_placement`, :meth:`_rmw_striped` or :meth:`remove`,
-        and the metadata-group write that follows never plans.
+        journal.  Planning disarms the op, so it plans exactly once: the
+        first planner it reaches — the object write's :meth:`_scatter`,
+        :meth:`_rmw_striped` or :meth:`remove` — records the intent, and
+        the metadata-group scatter that follows cannot.  The intent's
+        ``seq`` stays for :meth:`_persist_metadata` and
+        :meth:`_journal_commit`.
         """
         op = self._current
         if op.armed is None:
             return
-        kind, prev, payload = op.armed
+        (kind, prev, payload), op.armed = op.armed, None
         intent = self.journal.begin(
             kind=kind,
             path=op.path,
@@ -2693,7 +2632,7 @@ class Scheme(ABC):
     def _journal_commit(self) -> None:
         """The op published its namespace entry: fulfil the intent."""
         op = self._current
-        seq, op.armed, op.seq = op.seq, None, None
+        seq, op.seq = op.seq, None
         if seq is None or self.journal is None:
             return
         self.journal.commit(seq)

@@ -15,7 +15,7 @@ from repro.fs.metadata import (
     is_group_key,
 )
 from repro.fs.namespace import FileEntry, Namespace
-from repro.schemes import HyrdScheme
+from repro.schemes import HyrdScheme, Scheme, build_scheme
 from repro.sim import SimClock
 
 
@@ -197,3 +197,32 @@ class TestPublishCost:
         scheme.put("/one/last", b"x")  # publishes every touched entry
         assert encoded <= 2 * files + 8
         assert len(decode_group(scheme.meta.encode_dir("/one"))) == files + 1
+
+    @pytest.mark.parametrize("name", ["hyrd", "racs"])
+    def test_publishing_hashes_only_the_object(self, monkeypatch, name):
+        """A put certifies its object version and nothing else: exactly the
+        object's bytes pass through ``Scheme._digest`` (one digest a replica
+        set shares, or one per RAID5 fragment), the group blob its publish
+        writes — replicated on HyRD, striped on RACS — is never hashed, and
+        no group key enters the digest cache.  A remove hashes nothing."""
+        clock = SimClock()
+        scheme = build_scheme(name, make_table2_cloud_of_clouds(clock), clock)
+        hashed: list[bytes] = []
+        real_digest = Scheme._digest
+
+        def counting_digest(data, state=None):
+            hashed.append(bytes(data))
+            return real_digest(data, state)
+
+        monkeypatch.setattr(Scheme, "_digest", staticmethod(counting_digest))
+        data = bytes(range(256)) * 8
+        scheme.put("/pub/a", data)
+        if name == "hyrd":
+            expected = [data]
+        else:
+            expected = [bytes(f) for f in scheme.codec.encode_views(data)]
+        assert sorted(hashed) == sorted(expected)
+        assert not any(is_group_key(k) for k in scheme._digest_cache._entries)
+        hashed.clear()
+        scheme.remove("/pub/a")
+        assert hashed == []
