@@ -1,6 +1,9 @@
-"""Shared fixtures: clocks, provider fleets, payload and registry helpers."""
+"""Shared fixtures: clocks, provider fleets, payload and registry helpers, and
+the simulated-number golden with the session's one rebuild of it."""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -40,6 +43,23 @@ def payload(rng):
         return rng.integers(0, 256, size=n, dtype=np.uint8).tobytes()
 
     return make
+
+
+@pytest.fixture(scope="session")
+def simulated_golden() -> dict:
+    """``tests/data/simulated_golden.json`` as committed."""
+    from tests.test_simulated_golden import GOLDEN
+
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="session")
+def simulated_rebuild(simulated_golden) -> dict:
+    """The session's one ``build`` of every simulated facet at the golden's
+    seed, shared by every module that checks a slice of the golden."""
+    from tests.test_simulated_golden import build
+
+    return build(simulated_golden["seed"])
 
 
 def instrument_facts(registry) -> list[tuple]:

@@ -1,51 +1,23 @@
-"""Simulated results must be byte-identical to the committed golden file.
+"""The paper's simulated results must be byte-identical to the golden.
 
-``tests/data/results_golden.json`` snapshots the Figure 3 trace statistics
-and a reduced Figure 6 run as captured *before* the replay data-plane
-optimisation work.  Performance changes (zero-copy fragments, payload and
-digest caches, the parallel runner) must never move a simulated number:
-these tests compare ``repr`` strings of every float, so even a last-bit
-drift fails.
+The ``fig3_stats`` (Fig. 3's monthly IA-trace statistics) and ``fig6``
+(a reduced Fig. 6 run) facets of ``tests/data/simulated_golden.json``
+against the session's one rebuild (``tests/conftest.py``).  Every float is
+compared by ``repr``, so even a last-bit drift fails.
 """
-
-import dataclasses
-import json
-from pathlib import Path
 
 import pytest
 
-from repro.analysis.experiments import run_fig3, run_fig6
-from repro.workloads.postmark import PostMarkConfig
-
-GOLDEN = Path(__file__).parent / "data" / "results_golden.json"
-
-
-@pytest.fixture(scope="module")
-def golden():
-    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+from tests.test_simulated_golden import check
 
 
 class TestFig3Identity:
-    def test_monthly_stats_byte_identical(self, golden):
-        trace = run_fig3(seed=0)
-        got = [dataclasses.asdict(s) for s in trace.stats]
-        assert got == golden["fig3_stats"]
+    def test_monthly_stats_byte_identical(self, simulated_golden, simulated_rebuild):
+        assert len(simulated_golden["fig3_stats"]) == 12
+        check(simulated_golden["fig3_stats"], simulated_rebuild["fig3_stats"])
 
 
 class TestFig6Identity:
-    @pytest.fixture(scope="class")
-    def fig6(self, golden):
-        config = PostMarkConfig(**golden["fig6_config"])
-        return run_fig6(seed=0, config=config)
-
     @pytest.mark.parametrize("section", ["normal", "outage", "degraded_fraction"])
-    def test_section_byte_identical(self, fig6, golden, section):
-        got = {k: repr(v) for k, v in getattr(fig6, section).items()}
-        assert got == golden["fig6"][section]
-
-    def test_parallel_runner_matches_golden_too(self, golden):
-        config = PostMarkConfig(**golden["fig6_config"])
-        fig6 = run_fig6(seed=0, config=config, parallel=True, max_workers=2)
-        for section in ("normal", "outage", "degraded_fraction"):
-            got = {k: repr(v) for k, v in getattr(fig6, section).items()}
-            assert got == golden["fig6"][section]
+    def test_section_byte_identical(self, simulated_golden, simulated_rebuild, section):
+        check(simulated_golden["fig6"][section], simulated_rebuild["fig6"][section])
