@@ -195,9 +195,9 @@ class HyRDClient(Scheme):
         return sorted(by_index)
 
     # ------------------------------------------------------ update / remove
-    def _rmw_striped(self, entry, offset, patch, new_content, codec) -> FileEntry:
+    def _rmw_striped(self, entry, offset, patch, codec) -> FileEntry:
         self._drop_hot_copy(entry.path)  # its content is about to go stale
-        return super()._rmw_striped(entry, offset, patch, new_content, codec)
+        return super()._rmw_striped(entry, offset, patch, codec)
 
     def _forget(self, path: str) -> None:
         self._drop_hot_copy(path)

@@ -11,11 +11,21 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Mapping
 
+import numpy as np
+
+from repro.erasure.galois import MUL_TABLE
+
 __all__ = ["ErasureCodec", "register_codec", "get_codec", "available_codecs"]
 
 
 class ErasureCodec(ABC):
     """An (n, k) erasure code over byte payloads."""
+
+    #: a systematic code's parity rows over GF(2^8), shape ``(n - k, k)``:
+    #: fragment ``k + j`` is ``XOR_i parity_rows[j, i] * fragment i``.
+    #: :meth:`patch_fragments` folds a write's delta through them; a code
+    #: whose fragments are not its data shards leaves it None
+    parity_rows: np.ndarray | None = None
 
     @property
     @abstractmethod
@@ -39,14 +49,16 @@ class ErasureCodec(ABC):
 
     @property
     def systematic(self) -> bool:
-        """Whether fragments ``0..k-1`` are the payload's own shards.
+        """Whether fragments ``0..k-1`` are the payload's own shards (the
+        code has :attr:`parity_rows`).
 
         A systematic code reads its data fragments first (a plain join, no
         arithmetic) and can be patched in place by rewriting only the shards
-        a write touches plus parity; a non-systematic code (FMSR) reads the
-        fastest k fragments and must re-encode the whole object.
+        a write touches plus parity (:meth:`patch_fragments`); a
+        non-systematic code (FMSR) reads the fastest k fragments and must
+        re-encode the whole object.
         """
-        return True
+        return self.parity_rows is not None
 
     @abstractmethod
     def encode_views(self, data: bytes) -> list[bytes | memoryview]:
@@ -57,6 +69,55 @@ class ErasureCodec(ABC):
         ``bytes``; callers must treat the returned buffers as frozen (the
         simulated stores keep them as-is; see ``docs/performance.md``).
         """
+
+    def patch_fragments(
+        self, fragments: Mapping[int, bytes], size: int, offset: int, patch: bytes
+    ) -> dict[int, memoryview]:
+        """The fragments a same-size write of ``patch`` at ``offset`` into a
+        ``size``-byte payload changes, from their current bytes alone.
+
+        ``fragments`` maps every parity index and every data index the
+        patch overlaps to that fragment's current bytes (a data index it
+        does not overlap may be given too and comes back unchanged).  Each
+        comes back as a fresh buffer equal, byte for byte, to the same
+        index of ``encode_views`` of the patched payload: a data fragment
+        is copied and patched, and parity ``j`` is copied and takes
+        ``parity_rows[j, i] * delta`` for each data fragment's delta (a
+        plain XOR for coefficient 1, RAID5's only one).  The work is one
+        copy per fragment plus GF arithmetic over the patch; the rest of
+        the payload is never read.  Raises ``NotImplementedError`` for a
+        code without :attr:`parity_rows` (it must re-encode).
+        """
+        rows = self.parity_rows
+        if rows is None:
+            raise NotImplementedError(f"{type(self).__name__} cannot patch a stripe in place")
+        k, frag_len, end = self.k, self.fragment_size(size), offset + len(patch)
+        if offset < 0 or end > size:
+            raise ValueError(f"patch [{offset}, {end}) outside a {size}-byte payload")
+        overlapped = [i for i in range(k) if i * frag_len < end and offset < (i + 1) * frag_len]
+        missing = sorted(set(overlapped).union(range(k, self.n)).difference(fragments))
+        if missing:
+            raise ValueError(f"patch needs the current fragments {missing}")
+        out = {}
+        for i, frag in fragments.items():
+            if not 0 <= i < self.n:
+                raise ValueError(f"fragment index {i} out of range [0, {self.n})")
+            cur = np.frombuffer(frag, dtype=np.uint8)
+            if cur.size != frag_len:
+                raise ValueError(f"fragment {i} has length {cur.size}, expected {frag_len}")
+            out[i] = cur.copy()
+        new = np.frombuffer(patch, dtype=np.uint8)
+        for i in overlapped:
+            base = i * frag_len
+            s, e = max(offset, base), min(end, base + frag_len)
+            data = out[i][s - base : e - base]
+            delta = data ^ new[s - offset : e - offset]
+            data[:] = new[s - offset : e - offset]
+            for j, coeff in enumerate(rows[:, i].tolist()):
+                if coeff:
+                    parity = out[k + j][s - base : e - base]
+                    parity ^= delta if coeff == 1 else MUL_TABLE[coeff].take(delta)
+        return {i: memoryview(f) for i, f in out.items()}
 
     def encode(self, data: bytes) -> list[bytes]:
         """:meth:`encode_views` with every fragment materialised as ``bytes``."""

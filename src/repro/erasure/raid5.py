@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
+import numpy as np
+
 from repro.erasure.codec import ErasureCodec
 from repro.erasure.gfkernel import xor_rows
 from repro.erasure.striping import join_fragments, split_views
@@ -27,6 +29,7 @@ class Raid5Code(ErasureCodec):
         if k <= 0:
             raise ValueError(f"k must be > 0, got {k}")
         self._k = k
+        self.parity_rows = np.ones((1, k), dtype=np.uint8)
 
     @property
     def n(self) -> int:

@@ -46,7 +46,8 @@ class ReedSolomonCode(ErasureCodec):
         self._gen = systematic_vandermonde(self._n, self._k)
         #: parity rows of the generator, pre-bound so the hot encode path
         #: multiplies only the m non-identity rows (the top k are systematic)
-        self._parity_rows = self._gen[self._k :]
+        self.parity_rows = self._gen[self._k :]
+        self.parity_rows.flags.writeable = False
         self._decode_cache: OrderedDict[tuple[int, ...], np.ndarray] = OrderedDict()
 
     @property
@@ -74,7 +75,7 @@ class ReedSolomonCode(ErasureCodec):
         """
         if self._n == self._k:
             return np.empty((0, length), dtype=np.uint8)
-        return plan_for(self._parity_rows).execute(rows, length)
+        return plan_for(self.parity_rows).execute(rows, length)
 
     def encode_views(self, data: bytes) -> list[bytes | memoryview]:
         """k data shards then m parity shards.  Zero-copy: unpadded data

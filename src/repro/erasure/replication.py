@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
+import numpy as np
+
 from repro.erasure.codec import ErasureCodec
 
 __all__ = ["ReplicationCode"]
@@ -22,6 +24,7 @@ class ReplicationCode(ErasureCodec):
         if n <= 0:
             raise ValueError(f"replica count must be > 0, got {n}")
         self._n = n
+        self.parity_rows = np.ones((n - 1, 1), dtype=np.uint8)
 
     @property
     def n(self) -> int:

@@ -1,7 +1,8 @@
 """End-to-end maintenance drill: inject, scrub, repair, migrate, verify.
 
 One deterministic scenario shared by the ``repro maintain`` CLI verb, the
-maintenance benchmarks and the telemetry golden's ``maintenance`` facet:
+maintenance benchmarks and the ``maintenance`` facet of
+``tests/data/simulated_golden.json``:
 
 1. A HyRD client over the Table II cloud-of-clouds writes a mixed namespace
    (replicated small files, RAID5-striped large files).

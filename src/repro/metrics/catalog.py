@@ -64,7 +64,8 @@ _SPECS: tuple[MetricSpec, ...] = (
         "codec_encode_bytes_total",
         "counter",
         "Payload bytes erasure-encoded on striped write paths, by codec "
-        "class.",
+        "class.  An in-place update counts the object's whole size, though "
+        "it patches only the fragments it touches.",
         labels=("codec",),
         unit="B",
     ),

@@ -228,6 +228,35 @@ class _DigestCache:
         return True
 
 
+class _Patched:
+    """A payload not joined yet: ``size`` bytes of a systematic stripe's
+    data ``parts`` (``frag_len`` each, concatenated) with ``patch`` written
+    at ``offset``.  Calling it joins them, one copy and no arithmetic."""
+
+    __slots__ = ("parts", "frag_len", "size", "offset", "patch")
+
+    def __init__(self, parts, frag_len: int, size: int, offset: int, patch: bytes) -> None:
+        self.parts = parts
+        self.frag_len = frag_len
+        self.size = size
+        self.offset = offset
+        self.patch = patch
+
+    def __call__(self) -> bytes:
+        end = self.offset + len(self.patch)
+        return b"".join((*self._slices(0, self.offset), self.patch, *self._slices(end, self.size)))
+
+    def _slices(self, lo: int, hi: int) -> list[memoryview]:
+        """Bytes ``lo:hi`` of the joined parts, as zero-copy slices."""
+        pieces = []
+        while lo < hi:
+            i, at = divmod(lo, self.frag_len)
+            take = min(self.frag_len - at, hi - lo)
+            pieces.append(_span(self.parts[i], at, at + take))
+            lo += take
+        return pieces
+
+
 class _PayloadCache:
     """``versioned key -> (fragment ids, payload)``, charged only for the
     payload bytes no stored fragment already pins.
@@ -245,14 +274,16 @@ class _PayloadCache:
     keep the payload alive whether or not an entry holds it: such an entry
     (RAID5, RS) costs nothing and lives until :meth:`discard`.  An entry
     whose fragments share no memory with the payload (FMSR, DepSky-CA
-    bundles) costs the payload's length and is evicted least recently used
-    once those costs pass ``budget``.
+    bundles, a stripe patched in place) costs the payload's length and is
+    evicted least recently used once those costs pass ``budget``.  A
+    patched stripe's payload is recorded as a :class:`_Patched` and joined
+    on its first lookup.
     """
 
     __slots__ = ("_entries", "_charged", "_budget", "_bytes")
 
     def __init__(self, budget: int = 256 << 20) -> None:
-        self._entries: dict[str, tuple[tuple[int, ...], bytes]] = {}
+        self._entries: dict[str, tuple[tuple[int, ...], bytes | _Patched]] = {}
         #: key -> cost of every entry that costs bytes, least recent first
         self._charged: OrderedDict[str, int] = OrderedDict()
         self._budget = budget
@@ -260,16 +291,20 @@ class _PayloadCache:
 
     def record(self, key: str, fragments, payload) -> None:
         """Replace ``key``'s entry by ``payload`` as what ``fragments``
-        encode; only an immutable ``bytes`` payload is kept."""
+        encode; only an immutable ``bytes`` payload or a :class:`_Patched`
+        one (charged its full length from the start) is kept."""
         self.discard(key)
-        if not isinstance(payload, bytes):
+        if isinstance(payload, _Patched):
+            cost = payload.size
+        elif isinstance(payload, bytes):
+            base = np.frombuffer(payload, dtype=np.uint8)
+            pinned = any(
+                np.may_share_memory(np.frombuffer(f, dtype=np.uint8), base)
+                for f in fragments
+            )
+            cost = 0 if pinned else len(payload)
+        else:
             return
-        base = np.frombuffer(payload, dtype=np.uint8)
-        pinned = any(
-            np.may_share_memory(np.frombuffer(f, dtype=np.uint8), base)
-            for f in fragments
-        )
-        cost = 0 if pinned else len(payload)
         if cost > self._budget:
             return
         self._entries[key] = (tuple(id(f) for f in fragments), payload)
@@ -282,15 +317,26 @@ class _PayloadCache:
             del self._entries[evicted]
             self._bytes -= spent
 
-    def lookup(self, key: str, collected) -> bytes | None:
-        """The cached payload iff every collected fragment matches by id."""
+    def holds(self, key: str, collected) -> bool:
+        """True iff ``key`` has an entry and every collected fragment is the
+        very object it recorded at that index (nothing is joined)."""
         entry = self._entries.get(key)
         if entry is None:
-            return None
-        ids, payload = entry
+            return False
+        ids = entry[0]
         for idx, frag in collected.items():
             if idx >= len(ids) or id(frag) != ids[idx]:
-                return None
+                return False
+        return True
+
+    def lookup(self, key: str, collected) -> bytes | None:
+        """The cached payload iff every collected fragment matches by id."""
+        if not self.holds(key, collected):
+            return None
+        ids, payload = self._entries[key]
+        if isinstance(payload, _Patched):
+            payload = payload()
+            self._entries[key] = (ids, payload)
         if key in self._charged:
             self._charged.move_to_end(key)
         return payload
@@ -1683,14 +1729,9 @@ class Scheme(ABC):
         return [CloudOp(by_index[i], "get", self.container, f"{stem}.{i}") for i in indices]
 
     def _rmw_striped(
-        self,
-        entry: FileEntry,
-        offset: int,
-        patch: bytes,
-        new_content: bytes,
-        codec: ErasureCodec,
+        self, entry: FileEntry, offset: int, patch: bytes, codec: ErasureCodec
     ) -> FileEntry:
-        """In-place partial update of a striped object (same size).
+        """In-place partial update of a systematic stripe (same size).
 
         This is the erasure-code write-amplification the paper hammers on:
         updating a sub-fragment region requires reading the old affected data
@@ -1698,24 +1739,30 @@ class Scheme(ABC):
         for RAID5 and a small patch, *"a total of 4 accesses, including
         traffic of 2 reads and 2 writes over the network"*.
 
-        The object's size (hence shard boundaries) must be unchanged;
-        growth is handled by the caller as a full restripe.
+        The client patches what it rewrites and nothing else: it takes the
+        touched fragments' current bytes (:meth:`_intact_fragments`) and
+        folds the patch into them
+        (:meth:`~repro.erasure.codec.ErasureCodec.patch_fragments`), so the
+        host work is a copy per touched fragment plus arithmetic over the
+        patch; the rest of the object is never composed.  The object's size
+        (hence shard boundaries) must be unchanged; growth is handled by the
+        caller as a full restripe.
         """
-        if len(new_content) != entry.size:
+        if offset + len(patch) > entry.size:
             raise ValueError("_rmw_striped requires an in-place (same-size) update")
         placed = len(dict(entry.placements))
         if placed != codec.n:
             raise ValueError(f"entry {entry.path!r} has {placed} placements, codec needs {codec.n}")
         frag_len = codec.fragment_size(entry.size)
         if frag_len == 0:
-            # Nothing to rewrite, so nothing to plan: disarm, or the group
-            # write that publishes the update would plan in its place.
-            self._current.armed = None
-            return entry
+            return entry  # nothing to rewrite, so nothing to journal either
         lo = offset // frag_len
         hi = (offset + max(len(patch), 1) - 1) // frag_len
         affected = [i for i in range(codec.k) if lo <= i <= hi]
         touched = affected + list(range(codec.k, codec.n))  # + every parity
+        # A journal's redo payload takes every data fragment.
+        wanted = touched if self.journal is None else set(touched).union(range(codec.k))
+        current = self._intact_fragments(entry, codec, wanted)
         by_index = {idx: prov for prov, idx in entry.placements}
         stem = self._version_key(entry.path, entry.version)
         self._heal_before_touching([by_index[i] for i in touched])
@@ -1723,6 +1770,11 @@ class Scheme(ABC):
         # crash mid-op can never be rolled back (the old bytes are partially
         # gone).  min_needed=0 pins recovery to roll forward from the
         # journaled post-update payload.
+        redo = None
+        if self.journal is not None:
+            parts = [current[i] for i in range(codec.k)]
+            redo = _Patched(parts, frag_len, entry.size, offset, patch)()
+            self._journal_arm("update", entry, redo)
         self._journal_plan(
             version=entry.version,
             codec_name=type(codec).__name__,
@@ -1734,53 +1786,97 @@ class Scheme(ABC):
         if not all(o.ok for o in self._run_phase(self._fragment_gets(stem, by_index, touched))):
             self._mark_degraded()
 
-        # Phase 2: write the new affected fragments + parities.  Fragment
-        # content comes from re-encoding the composed object; unaffected data
-        # fragments are bit-identical because size and boundaries are fixed.
-        fragments = self._encode_fragments(codec, new_content)
+        # Phase 2: write the new affected fragments + parities.  Unaffected
+        # data fragments are bit-identical because size and boundaries are
+        # fixed.  The encode is charged the object's bytes, like the full
+        # re-encode it stands for.
+        with self.tracer.span("codec.encode", codec=type(codec).__name__, size=entry.size):
+            fresh = codec.patch_fragments(
+                {i: current[i] for i in touched}, entry.size, offset, patch
+            )
+        self._held["codec_encode_bytes_total", type(codec).__name__].inc(entry.size)
         write_ops = [
-            CloudOp(by_index[i], "put", self.container, f"{stem}.{i}", fragments[i])
+            CloudOp(by_index[i], "put", self.container, f"{stem}.{i}", fresh[i])
             for i in touched
         ]
         self._run_phase(write_ops)
         # Re-record digests for the rewritten keys only, as one batch like a
-        # write's: their stores now hold the fresh buffers.  Untouched data
-        # fragments keep their old stored object — and their old digest,
-        # since size and boundaries are fixed.  (Recording a never-stored
-        # buffer would let its id be recycled while the cache entry lives,
-        # breaking the identity-skip soundness.)
-        fresh = self._digest_fragments(
-            [op.key for op in write_ops], [fragments[i] for i in touched]
+        # write's: their stores now hold the fresh buffers.  Untouched
+        # fragments keep their old stored object — and their old digest; a
+        # digestless (pre-integrity) entry stays digestless.  (Recording a
+        # never-stored buffer would let its id be recycled while the cache
+        # entry lives, breaking the identity-skip soundness.)
+        rewritten = dict(
+            zip(
+                touched,
+                self._digest_fragments([op.key for op in write_ops], [fresh[i] for i in touched]),
+            )
         )
-        rewritten = dict(zip(touched, fresh))
-        new_digests = []
-        for i, f in enumerate(fragments):
-            if i in rewritten:
-                new_digests.append(rewritten[i])
-            elif entry.digests is not None and i < len(entry.digests):
-                new_digests.append(entry.digests[i])
-            else:
-                new_digests.append(self._digest(f))
+        digests = tuple(rewritten.get(i, d) for i, d in enumerate(entry.digests))
         # The rewritten keys freed their old objects, so the old payload
         # entry is stale either way.  It is re-recorded over the objects now
         # held at each index when every rewritten index holds its fresh
         # fragment (stored, or logged for an absent provider) and every
         # untouched one is still *the very object the old entry recorded*:
-        # that object encodes the old payload's bytes at its index, which a
-        # same-size update left unchanged.  A tampered, lost or unrecorded
-        # untouched fragment fails the check, and the next read decodes
-        # verified fragments instead.
+        # that object holds the old payload's bytes at its index, which a
+        # same-size update left unchanged.  The new payload is those data
+        # fragments, touched ones as they were before, with the patch
+        # written over them; it is joined when a read first asks.  A
+        # tampered, lost or unrecorded untouched fragment fails the check,
+        # and the next read decodes verified fragments instead.
         held = {idx: data for idx, data, _ in self._held_placements(entry)}
         kept = {i: data for i, data in held.items() if i not in rewritten}
         if (
             len(held) == codec.n
-            and all(held[i] is fragments[i] for i in rewritten)
-            and (not kept or self._payload_cache.lookup(stem, kept) is not None)
+            and all(held[i] is fresh[i] for i in rewritten)
+            and (not kept or self._payload_cache.holds(stem, kept))
         ):
-            self._payload_cache.record(stem, [held[i] for i in range(codec.n)], new_content)
+            if redo is None:
+                parts = [current[i] if i in rewritten else held[i] for i in range(codec.k)]
+                redo = _Patched(parts, frag_len, entry.size, offset, patch)
+            self._payload_cache.record(stem, [held[i] for i in range(codec.n)], redo)
         else:
             self._payload_cache.discard(stem)
-        return replace(entry, modified=self.clock.now, digests=tuple(new_digests))
+        return replace(entry, modified=self.clock.now, digests=digests)
+
+    def _intact_fragments(
+        self, entry: FileEntry, codec: ErasureCodec, indices: Iterable[int]
+    ) -> dict[int, bytes]:
+        """The current bytes of ``entry``'s fragments ``indices``, trusted
+        no further than :meth:`_peek_content` trusts a stripe: a pending
+        write-log payload is (it never left the client), and a stored
+        object must be the very object the stripe's payload entry recorded
+        or pass its write-time digest (free for the object digested at
+        write time).  One that is missing or fails is rebuilt from ``k``
+        intact fragments, so a silently corrupted fragment is never folded
+        into the next version."""
+        stem = self._version_key(entry.path, entry.version)
+        held = {idx: (data, trusted) for idx, data, trusted in self._held_placements(entry)}
+
+        def intact(idx: int) -> bool:
+            data, trusted = held.get(idx, (None, False))
+            return data is not None and (
+                trusted
+                or self._payload_cache.holds(stem, {idx: data})
+                or self._placement_intact(entry, idx, data)
+            )
+
+        indices = sorted(indices)
+        found = {i: held[i][0] for i in indices if intact(i)}
+        lost = [i for i in indices if i not in found]
+        if not lost:
+            return found
+        helpers = dict(found)
+        helpers.update(
+            (i, held[i][0]) for i in sorted(held) if i not in indices and intact(i)
+        )
+        if len(helpers) < codec.k:
+            raise DataUnavailable(
+                entry.path, f"only {len(helpers)} of {codec.k} required fragments intact"
+            )
+        for i in lost:
+            found[i] = codec.reconstruct_fragment(helpers, i, entry.size)
+        return found
 
     def _note_sched_decision(self, decision, by_index: dict[int, str]) -> None:
         """Account one scheduler routing decision (metrics + trace event)."""
@@ -2211,19 +2307,7 @@ class Scheme(ABC):
             if offset < 0:
                 raise ValueError(f"offset must be >= 0, got {offset}")
             entry = self.namespace.get(path)
-            old = memoryview(self._peek_content(entry))
-            # One copy: old bytes around the patch, zero-filled when the
-            # patch starts past the current end.
-            new_content = b"".join(
-                (
-                    old[:offset],
-                    bytes(max(0, offset - len(old))),
-                    patch,
-                    old[offset + len(patch) :],
-                )
-            )
-            self._journal_arm("update", entry, new_content)
-            self._publish(entry, self._update_object(entry, offset, patch, new_content))
+            self._publish(entry, self._update_object(entry, offset, bytes(patch)))
         return op.report
 
     def remove(self, path: str) -> OpReport:
@@ -2270,15 +2354,17 @@ class Scheme(ABC):
     def _peek_content(self, entry: FileEntry) -> bytes:
         """The client's own view of current file content (no wire cost).
 
-        Used by ``update`` to compose the post-update object: the writer
-        already holds the file it is modifying, so materialising it from the
-        simulator's stores is bookkeeping, not a billed transfer — but what
-        the stores hand back is trusted no further than a read trusts it.
-        When every held fragment is the very object encoded at write time
-        (the identity rule of :meth:`_read_striped`) the recorded payload
-        is returned without decoding; otherwise only objects that pass
-        their write-time digest are decoded, so a silently corrupted
-        fragment can never be baked into the next version.
+        Used by an ``update`` that re-puts, to compose the post-update
+        object: the writer already holds the file it is modifying, so
+        materialising it from the simulator's stores is bookkeeping, not a
+        billed transfer — but what the stores hand back is trusted no
+        further than a read trusts it.  When every held fragment is the very
+        object encoded at write time (the identity rule of
+        :meth:`_read_striped`) the recorded payload is returned without
+        decoding; otherwise only objects that pass their write-time digest
+        are decoded, so a silently corrupted fragment can never be baked
+        into the next version.  An update patched in place takes only its
+        touched fragments, under the same rule (:meth:`_intact_fragments`).
         """
         codec = self._codec_for(entry)
         if codec is None:
@@ -2509,9 +2595,7 @@ class Scheme(ABC):
             digests=entry.digests or None,
         )
 
-    def _update_object(
-        self, entry: FileEntry, offset: int, patch: bytes, new_content: bytes
-    ) -> FileEntry:
+    def _update_object(self, entry: FileEntry, offset: int, patch: bytes) -> FileEntry:
         """Partial write: patch the stripe in place when the codec allows
         it, otherwise re-put the composed object as a new version.
 
@@ -2519,12 +2603,20 @@ class Scheme(ABC):
         and a systematic layout (a patch maps to the data fragments it
         touches plus parity); a non-systematic stripe, a replicated object
         or a size change all re-put — and a re-put re-places, so a small
-        file growing past a threshold migrates.
+        file growing past a threshold migrates.  A re-put composes the new
+        content from the client's own view (:meth:`_peek_content`): the
+        old bytes around the patch, zero-filled when the patch starts past
+        the current end, in one copy.
         """
         codec = self._codec_for(entry)
-        if codec is not None and codec.systematic and len(new_content) == entry.size:
-            return self._rmw_striped(entry, offset, patch, new_content, codec)
-        return self._write_object(entry.path, new_content, entry)
+        if codec is not None and codec.systematic and offset + len(patch) <= entry.size:
+            return self._rmw_striped(entry, offset, patch, codec)
+        old = memoryview(self._peek_content(entry))
+        content = b"".join(
+            (old[:offset], bytes(max(0, offset - len(old))), patch, old[offset + len(patch) :])
+        )
+        self._journal_arm("update", entry, content)
+        return self._write_object(entry.path, content, entry)
 
     # ------------------------------------------------------- maintenance plane
     def attach_maintenance(self, config=None, *, loop=None, ledger=None):

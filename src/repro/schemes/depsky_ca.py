@@ -54,8 +54,6 @@ class BundleCode(ErasureCodec):
     rebuilding one bundle.
     """
 
-    systematic = False
-
     def __init__(self, n: int, f: int, rng: np.random.Generator) -> None:
         self._rs = ReedSolomonCode(k=f + 1, m=n - (f + 1))
         self._rng = rng

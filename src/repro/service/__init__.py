@@ -20,7 +20,7 @@ service-node / data-node split (ROADMAP item 1):
   byte-identical aggregate report);
 - :mod:`repro.service.drill` — :func:`run_service_drill`, the canonical
   end-to-end drill behind ``repro serve``, the service-plane benchmarks
-  and the telemetry facet.
+  and the ``service_plane`` facet of ``tests/data/simulated_golden.json``.
 
 Like the maintenance and scheduling planes, the service plane is strictly
 additive: a scheme that never sees a :meth:`tenant_context

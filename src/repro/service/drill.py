@@ -8,7 +8,8 @@ completion, and returns one JSON-safe aggregate report.  Everything is
 simulated and seeded, so the same arguments produce a byte-identical
 report (``json.dumps(report, sort_keys=True)`` round-trips exactly); the
 ``repro serve`` CLI, ``benchmarks/test_service_plane.py`` and the
-``service_plane`` telemetry facet all consume this one entry point.
+``service_plane`` facet of ``tests/data/simulated_golden.json`` all consume
+this one entry point.
 
 For open-loop runs the drill first *calibrates*: it pre-provisions one
 object per tenant, measures a single read's simulated cost, and derives

@@ -21,7 +21,7 @@ from repro.erasure.fmsr import FMSRCode
 from repro.erasure.raid5 import Raid5Code
 from repro.erasure.reed_solomon import ReedSolomonCode
 from repro.faults import OutageWindow
-from repro.schemes import HyrdScheme, NCCloudScheme
+from repro.schemes import HyrdScheme, NCCloudScheme, RacsScheme
 from repro.schemes.base import Scheme, _PayloadCache
 
 KB = 1024
@@ -327,3 +327,134 @@ class TestRmwReRecord:
         got, report = hyrd.get("/d/f")
         assert got == _patched(data, 0, b"patch") and report.degraded
         assert (key, False) in verdicts
+
+
+@pytest.fixture(params=["hyrd-raid5", "hyrd-rs", "racs"])
+def rmw(request, providers, clock):
+    """A scheme that stripes a 3 MiB file systematically and patches it in
+    place: HyRD with RAID5 or RS, or RACS."""
+    fleet = list(providers.values())
+    if request.param == "racs":
+        return RacsScheme(fleet, clock)
+    return HyrdScheme(fleet, clock, config=HyRDConfig(erasure_codec=request.param[5:]))
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Counts of whole-object work: ``encode_views`` and ``decode`` calls on
+    the RAID5 and RS codecs over a payload of 1 MiB or more (RACS stripes
+    its metadata groups too, and those are far smaller),
+    ``Scheme._peek_content`` calls, and the bytes every ``Scheme._digest``
+    call hashes."""
+    counts = {"encode_views": 0, "decode": 0, "_peek_content": 0, "hashed": 0}
+
+    def counting(owner, name, size):
+        real = getattr(owner, name)
+
+        def wrapper(*args):
+            counts[name] += size(*args) >= MB
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for codec in (Raid5Code, ReedSolomonCode):
+        counting(codec, "encode_views", lambda _codec, data: len(data))
+        counting(codec, "decode", lambda _codec, _fragments, size: size)
+    counting(Scheme, "_peek_content", lambda _scheme, entry: MB)
+    digest = Scheme._digest
+
+    def hashing(data, state=None):
+        counts["hashed"] += memoryview(data).nbytes
+        return digest(data, state)
+
+    monkeypatch.setattr(Scheme, "_digest", staticmethod(hashing))
+    return counts
+
+
+def _stored_stripe(scheme, path) -> list[bytes]:
+    """What each placement of ``path`` holds now, pending write-log
+    payloads included, in fragment order."""
+    entry = scheme.namespace.get(path)
+    held = {idx: bytes(data) for idx, data, _ in scheme._held_placements(entry)}
+    return [held[i] for i in range(len(held))]
+
+
+class TestDeltaRmw:
+    """A small in-place update touches the stripe's fragments, not the
+    object: it copies and patches the data fragment it overlaps, folds the
+    delta into each parity, and stores what a full re-encode would."""
+
+    PATCH = bytes(range(256)) * 16  # 4 KiB
+
+    def test_a_small_update_does_no_whole_object_work(self, rmw, payload, work):
+        data = payload(3 * MB)
+        rmw.put("/d/f", data)
+        codec = rmw._codec_for(rmw.namespace.get("/d/f"))
+        for name in work:
+            work[name] = 0
+        rmw.update("/d/f", MB + 100, self.PATCH)
+        touched = 1 + codec.n - codec.k
+        assert work == {
+            "encode_views": 0,
+            "decode": 0,
+            "_peek_content": 0,
+            "hashed": touched * codec.fragment_size(3 * MB),
+        }
+        new = _patched(data, MB + 100, self.PATCH)
+        assert _stored_stripe(rmw, "/d/f") == codec.encode(new)
+        assert rmw.get("/d/f")[0] == new
+
+    @pytest.mark.parametrize("index", ["data", "parity"])
+    def test_a_touched_provider_out_logs_what_a_re_encode_would_store(
+        self, rmw, providers, clock, payload, index
+    ):
+        data = payload(3 * MB)
+        rmw.put("/d/f", data)
+        entry = rmw.namespace.get("/d/f")
+        codec = rmw._codec_for(entry)
+        idx = 0 if index == "data" else codec.k
+        out = dict((i, p) for p, i in entry.placements)[idx]
+        providers[out].faults.add(OutageWindow(clock.now, clock.now + 60))
+        rmw.update("/d/f", 100, self.PATCH)
+        assert rmw.pending_log(out)
+        new = _patched(data, 100, self.PATCH)
+        assert _stored_stripe(rmw, "/d/f") == codec.encode(new)
+        clock.advance(61)
+        rmw.heal_returned()
+        assert rmw.get("/d/f")[0] == new
+
+    @pytest.mark.parametrize("index", ["data", "parity"])
+    def test_a_bit_rotted_touched_fragment_is_rebuilt_not_folded_in(
+        self, rmw, providers, payload, index
+    ):
+        data = payload(3 * MB)
+        rmw.put("/d/f", data)
+        entry = rmw.namespace.get("/d/f")
+        codec = rmw._codec_for(entry)
+        idx = 0 if index == "data" else codec.n - 1
+        prov = dict((i, p) for p, i in entry.placements)[idx]
+        key = rmw._fragment_key("/d/f", idx, entry.version)
+        store = providers[prov].store
+        store.tamper(rmw.container, key, _flipped(store.get(rmw.container, key).data))
+        rmw.update("/d/f", 100, self.PATCH)
+        new = _patched(data, 100, self.PATCH)
+        assert _stored_stripe(rmw, "/d/f") == codec.encode(new)
+        assert rmw.get("/d/f")[0] == new
+
+    def test_the_journal_redo_payload_is_the_composed_object(self, rmw, payload):
+        data = payload(3 * MB)
+        rmw.put("/d/f", data)
+        journal = rmw.attach_journal()
+        begun = []
+        begin = journal.begin
+
+        def recording(**intent):
+            begun.append(intent)
+            return begin(**intent)
+
+        journal.begin = recording
+        rmw.update("/d/f", MB - 100, self.PATCH)  # across a fragment boundary
+        new = _patched(data, MB - 100, self.PATCH)
+        updates = [i for i in begun if i["kind"] == "update"]
+        assert len(updates) == 1 and updates[0]["payload"] == new
+        assert rmw.get("/d/f")[0] == new

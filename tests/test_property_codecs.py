@@ -6,7 +6,8 @@ patterns for every codec in the registry.
 """
 
 import numpy as np
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.erasure.fmsr import FMSRCode
@@ -14,7 +15,7 @@ from repro.erasure.galois import MUL_TABLE, gf_inv, gf_mul
 from repro.erasure.raid5 import Raid5Code
 from repro.erasure.reed_solomon import ReedSolomonCode
 from repro.erasure.replication import ReplicationCode
-from repro.erasure.striping import join_shards, split_shards
+from repro.erasure.striping import join_shards, shard_length, split_shards
 from repro.schemes.depsky_ca import BundleCode
 
 payloads = st.binary(min_size=0, max_size=4096)
@@ -156,6 +157,78 @@ class TestRaid5Properties:
         raid = Raid5Code(k)
         rs = ReedSolomonCode(k, 1)
         assert raid.encode(data)[:k] == rs.encode(data)[:k]
+
+
+#: where a patch lands in its stripe
+PATCH_SHAPES = ("inside", "across", "tail", "head", "end", "empty")
+
+
+@st.composite
+def patch_case(draw):
+    """A RAID5 (k 1-5) or RS (k 1-4, m 1-3) codec, a payload, and a
+    same-size patch of one of :data:`PATCH_SHAPES`: inside one fragment,
+    across a fragment boundary, into the zero-padded tail fragment, at
+    offset 0, ending at the last byte, or empty."""
+    if draw(st.booleans()):
+        codec = Raid5Code(draw(st.integers(1, 5)))
+    else:
+        codec = ReedSolomonCode(draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+    size = draw(st.integers(1, 12_000))
+    frag = shard_length(size, codec.k)
+    shape = draw(st.sampled_from(PATCH_SHAPES))
+    if shape == "across":
+        bounds = [b for b in range(frag, size, frag)]
+        assume(bounds)
+        cut = draw(st.sampled_from(bounds))
+        offset = draw(st.integers(max(0, cut - frag), cut - 1))
+        end = draw(st.integers(cut + 1, min(size, cut + frag)))
+    else:
+        lo = {"tail": (size - 1) // frag * frag, "head": 0}.get(shape, 0)
+        offset = 0 if shape == "head" else draw(st.integers(lo, size - 1))
+        if shape == "end":
+            end = size
+        elif shape == "empty":
+            end = offset
+        else:  # inside the fragment ``offset`` falls in
+            end = draw(st.integers(offset + 1, min(size, (offset // frag + 1) * frag)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    data = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
+    patch = rng.integers(0, 256, end - offset, dtype=np.uint8).tobytes()
+    return codec, data, offset, patch
+
+
+class TestPatchFragmentsProperties:
+    """``patch_fragments`` is the full re-encode, restricted to the touched
+    fragments: the data fragments the patch overlaps plus every parity."""
+
+    @given(case=patch_case())
+    @settings(max_examples=150, deadline=None)
+    @example(case=(ReedSolomonCode(2, 2), bytes(range(256)) * 40, 5000, b"\xa5" * 300))
+    def test_patch_equals_the_touched_fragments_of_a_re_encode(self, case):
+        codec, data, offset, patch = case
+        size, end = len(data), offset + len(patch)
+        old = codec.encode_views(data)
+        before = [bytes(f) for f in old]
+        frag = codec.fragment_size(size)
+        touched = [i for i in range(codec.k) if i * frag < end and offset < (i + 1) * frag]
+        touched += range(codec.k, codec.n)
+        got = codec.patch_fragments({i: old[i] for i in touched}, size, offset, patch)
+        oracle = codec.encode_views(data[:offset] + patch + data[end:])
+        assert sorted(got) == touched
+        for i in touched:
+            assert bytes(got[i]) == bytes(oracle[i])
+        assert [bytes(f) for f in old] == before  # the inputs stay frozen
+
+    def test_a_non_systematic_code_or_a_missing_fragment_is_refused(self):
+        data = bytes(range(200))
+        with pytest.raises(NotImplementedError):
+            FMSRCode(4).patch_fragments({}, len(data), 0, b"x")
+        rs = ReedSolomonCode(3, 2)
+        frags = rs.encode_views(data)
+        with pytest.raises(ValueError, match=r"\[0, 4\]"):
+            rs.patch_fragments({3: frags[3]}, len(data), 0, b"x")
+        with pytest.raises(ValueError, match="outside"):
+            rs.patch_fragments(dict(enumerate(frags)), len(data), 199, b"xy")
 
 
 class TestFMSRProperties:
