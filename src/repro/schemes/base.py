@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-import threading
+import struct
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from collections.abc import Iterable, Iterator, Sequence
@@ -73,37 +73,59 @@ __all__ = [
 #: it saves
 _PARALLEL_DIGEST_MIN_BYTES = 256 << 10
 
+#: bytes per digest leaf.  An object this long or shorter is digested by its
+#: plain SHA-256; a longer one by its leaf list's root (:func:`_leaf_root`)
+_DIGEST_LEAF = 64 << 10
+
+#: what a leaf list's root binds besides the leaves: a tag, the object's
+#: length and the leaf size, so a truncated or extended object, or one cut
+#: into other leaves, has another root
+_LEAF_HEADER = struct.Struct(">8sQI")
+
+
+def _leaf_root(leaves: bytes, size: int) -> str:
+    """The integrity digest of a ``size``-byte object whose leaves hash to
+    ``leaves`` (:meth:`Scheme._digest`): the leaf's own SHA-256 for an
+    object of one leaf, else the SHA-256 of the header and the leaf list."""
+    if size <= _DIGEST_LEAF:
+        return leaves.hex()
+    root = hashlib.sha256(_LEAF_HEADER.pack(b"leaflist", size, _DIGEST_LEAF))
+    root.update(leaves)
+    return root.hexdigest()
+
 
 def _lane_plan(sizes: list[int], count: int) -> list[list[tuple[int, int, int]]]:
-    """Cut a batch's bytes, in fragment order, into ``count`` equal
-    contiguous shares — McNaughton's wrap-around rule.
+    """Cut a batch's bytes, in fragment order, into at most ``count``
+    contiguous lanes of near-equal length, every cut on a leaf boundary.
 
-    Each lane is the ``(fragment, start, stop)`` byte spans it hashes, in
-    order.  A share is ⌈total / count⌉ bytes, or the longest fragment when
-    that is longer, so every lane but the last holds exactly one share and
-    a fragment straddles at most one cut.  Such a fragment is turned so
-    that hash order holds: its head, as many leading bytes as fall past
-    the cut, runs first on the next lane, and its tail runs last on this
-    one.  On equal cores the head finishes before the tail starts, because
-    no fragment is longer than a share.
+    Each lane is the ``(fragment, start, stop)`` runs of whole leaves it
+    hashes, in order.  Lane ``j`` ends at the leaf boundary (a fragment's
+    end is one) nearest to ``(j + 1) / count`` of the batch, so lanes
+    differ by at most a leaf.  A fragment a cut runs through is hashed as
+    a run on each lane it spans; leaves hash independently, so no lane
+    ever waits for another.  A zero-length fragment is one empty run.
     """
-    share = max(-(-sum(sizes) // count), max(sizes, default=0))
+    total = sum(sizes)
     plan: list[list[tuple[int, int, int]]] = [[]]
-    fill = 0
+    done = 0
     for i, size in enumerate(sizes):
-        if fill == share and size:
+        start = 0
+        while len(plan) < count:
+            # the next cut, in this fragment's bytes: the nearer leaf
+            # boundary around its target
+            target = len(plan) * total // count - done
+            below = target // _DIGEST_LEAF * _DIGEST_LEAF
+            above = min(below + _DIGEST_LEAF, size)
+            cut = below if target - below <= above - target else above
+            if cut >= size:
+                break
+            if cut > start:
+                plan[-1].append((i, start, cut))
+                start = cut
             plan.append([])
-            fill = 0
-        room = share - fill
-        if size <= room:
-            plan[-1].append((i, 0, size))
-            fill += size
-        else:
-            head = size - room
-            plan[-1].append((i, head, size))
-            plan.append([(i, 0, head)])
-            fill = head
-    return plan
+        plan[-1].append((i, start, size))
+        done += size
+    return [lane for lane in plan if lane]
 
 
 def _span(fragment, start: int, stop: int) -> memoryview:
@@ -111,39 +133,9 @@ def _span(fragment, start: int, stop: int) -> memoryview:
     return memoryview(fragment).cast("B")[start:stop]
 
 
-class _Handoff:
-    """A fragment split across two lanes: whichever lane claims it first
-    hashes its head into ``state``, and the tail waits for ``done``.
-
-    The head's own lane claims it as the first thing it does; the tail's
-    lane claims it when it gets there first — its partner is still queued
-    behind another batch's lanes on the shared pool — so a lane only ever
-    waits on a head that is being hashed.  A head that raises leaves
-    ``state`` None, and its lane's error is the batch's.
-    """
-
-    __slots__ = ("claim", "done", "state")
-
-    def __init__(self) -> None:
-        self.claim = threading.Lock()
-        self.done = threading.Event()
-        self.state = hashlib.sha256()
-
-    def hash_head(self, fragment, stop: int, digest) -> None:
-        if not self.claim.acquire(blocking=False):
-            return
-        try:
-            digest(_span(fragment, 0, stop), self.state)
-        except BaseException:
-            self.state = None
-            raise
-        finally:
-            self.done.set()
-
-
-def _hash_lanes(plan, fragments, digest) -> list[str]:
+def _hash_lanes(plan, fragments, digest) -> list[bytes]:
     """Run a :func:`_lane_plan` with ``digest`` (``Scheme._digest``) and
-    return each fragment's digest.
+    return each fragment's leaf digests, packed in leaf order.
 
     A one-lane plan hashes inline on the caller.  With more, every lane is
     submitted to the shared pool (:mod:`repro.lanes`) and the caller only
@@ -151,32 +143,27 @@ def _hash_lanes(plan, fragments, digest) -> list[str]:
     "Fragment digest lanes", says why) — and the first lane that raised
     raises here once every lane has stopped.
     """
-    digests: list = [None] * len(fragments)
-    handoffs = {i: _Handoff() for lane in plan for i, start, _ in lane if start}
+    runs = [run for lane in plan for run in lane]
+    hashed: list = [None] * len(runs)
 
-    def run(lane) -> None:
-        for i, start, stop in lane:
-            handoff = handoffs.get(i)
-            if handoff is None:
-                digests[i] = digest(fragments[i])
-            elif not start:
-                handoff.hash_head(fragments[i], stop, digest)
-            else:  # hash the head here unless a lane has claimed it
-                handoff.hash_head(fragments[i], start, digest)
-                handoff.done.wait()
-                if handoff.state is None:
-                    return
-                digests[i] = digest(_span(fragments[i], start, stop), handoff.state)
+    def hash_lane(first: int, lane) -> None:
+        for j, (i, start, stop) in enumerate(lane, first):
+            hashed[j] = digest(_span(fragments[i], start, stop))
 
     if len(plan) == 1:
-        run(plan[0])
-        return digests
-    pool = lanes.pool()
-    futures = [pool.submit(run, lane) for lane in plan]
-    for error in [f.exception() for f in futures]:
-        if error is not None:
-            raise error
-    return digests
+        hash_lane(0, plan[0])
+    else:
+        pool, futures, first = lanes.pool(), [], 0
+        for lane in plan:
+            futures.append(pool.submit(hash_lane, first, lane))
+            first += len(lane)
+        for error in [f.exception() for f in futures]:
+            if error is not None:
+                raise error
+    leaves = [b""] * len(fragments)
+    for (i, _, _), got in zip(runs, hashed):
+        leaves[i] += got
+    return leaves
 
 
 class DataUnavailable(CloudError):
@@ -193,28 +180,30 @@ class DataUnavailable(CloudError):
 
 
 class _DigestCache:
-    """LRU of ``storage key -> (buffer id, sha256 hex)`` for verified reads.
+    """LRU of ``storage key -> (buffer id, digest, leaf digests)`` for
+    verified reads and in-place updates.
 
     The simulated stores keep the exact buffer object a write handed them
     (zero-copy puts), so a read that returns the *same object* the scheme
-    digested at write time is known-intact without re-hashing.  Identity is
-    sound here: the recorded object stays alive inside a provider store (or a
-    write log) for as long as its key maps to it, so its ``id`` cannot be
-    recycled while the entry is current; every path that rebinds a key to a
-    new buffer (put, read-modify-write) re-records the digest, and a
-    fault-injected corrupt copy is always a fresh object, which misses the
-    cache and falls back to a full hash.
+    digested at write time is known-intact without re-hashing, and an
+    in-place update of that object re-hashes only the leaves it changes.
+    Identity is sound here: the recorded object stays alive inside a
+    provider store (or a write log) for as long as its key maps to it, so
+    its ``id`` cannot be recycled while the entry is current; every path
+    that rebinds a key to a new buffer (put, read-modify-write, repair)
+    re-records the digest, and a fault-injected corrupt copy is always a
+    fresh object, which misses the cache and falls back to a full hash.
     """
 
     __slots__ = ("_entries", "_capacity")
 
     def __init__(self, capacity: int = 4096) -> None:
-        self._entries: OrderedDict[str, tuple[int, str]] = OrderedDict()
+        self._entries: OrderedDict[str, tuple[int, str, bytes]] = OrderedDict()
         self._capacity = capacity
 
-    def record(self, key: str, data, digest: str) -> None:
+    def record(self, key: str, data, digest: str, leaves: bytes) -> None:
         entries = self._entries
-        entries[key] = (id(data), digest)
+        entries[key] = (id(data), digest, leaves)
         entries.move_to_end(key)
         if len(entries) > self._capacity:
             entries.popitem(last=False)
@@ -222,10 +211,16 @@ class _DigestCache:
     def matches(self, key: str, data, digest: str) -> bool:
         """True when ``data`` is the very buffer recorded for ``key``."""
         entry = self._entries.get(key)
-        if entry is None or entry != (id(data), digest):
+        if entry is None or entry[0] != id(data) or entry[1] != digest:
             return False
         self._entries.move_to_end(key)
         return True
+
+    def leaves(self, key: str, data) -> bytes | None:
+        """The leaf digests recorded for ``key`` iff ``data`` is the very
+        buffer they were taken of."""
+        entry = self._entries.get(key)
+        return entry[2] if entry is not None and entry[0] == id(data) else None
 
 
 class _Patched:
@@ -1384,28 +1379,35 @@ class Scheme(ABC):
         return self._fragment_key(entry.path, idx, entry.version)
 
     @staticmethod
-    def _digest(data, state=None) -> str:
-        """Fragment integrity digest (HAIL-style verification, cited [8]).
+    def _digest(data) -> bytes:
+        """Fragment integrity digest (HAIL-style verification, cited [8]):
+        the SHA-256 of each :data:`_DIGEST_LEAF`-byte leaf of ``data``,
+        packed 32 bytes apiece (a short last leaf; no bytes are one empty
+        leaf).
 
-        With ``state``, a running ``hashlib.sha256``, ``data`` extends it and
-        the digest of everything it has taken is returned: a fragment split
-        across two digest lanes is hashed in two calls.
+        ``data`` is a run of whole leaves of one object as a byte-format
+        memoryview, so a leaf is a zero-copy slice.  An object's digest is
+        :func:`_leaf_root` of its leaves; this is the one place bytes are
+        hashed, once per run.
         """
-        if state is None:
-            return hashlib.sha256(data).hexdigest()
-        state.update(data)
-        return state.hexdigest()
+        sha256 = hashlib.sha256
+        if len(data) <= _DIGEST_LEAF:
+            return sha256(data).digest()
+        leaf = _DIGEST_LEAF
+        return b"".join([sha256(data[at : at + leaf]).digest() for at in range(0, len(data), leaf)])
 
     def _record_digest(self, key: str, data) -> str:
         """Digest ``data`` once at write time and remember it for ``key``."""
-        digest = self._digest(data)
-        self._digest_cache.record(key, data, digest)
+        view = memoryview(data).cast("B")
+        leaves = self._digest(view)
+        digest = _leaf_root(leaves, len(view))
+        self._digest_cache.record(key, data, digest, leaves)
         return digest
 
     def _digest_fragments(self, keys: list[str], fragments) -> tuple[str, ...]:
         """Digest a fragment batch, hashing it as balanced lanes when large.
 
-        The batch's bytes are cut into up to ``lanes.WORKERS`` equal
+        The batch's leaves are cut into up to ``lanes.WORKERS`` near-equal
         lanes of at least ``_PARALLEL_DIGEST_MIN_BYTES`` (:func:`_lane_plan`),
         so HyRD's three-fragment stripe takes two equal lanes on two cores,
         not two rounds.  Digests are value-identical to hashing serially;
@@ -1413,19 +1415,57 @@ class Scheme(ABC):
         """
         sizes = [memoryview(f).nbytes for f in fragments]
         count = min(lanes.WORKERS, sum(sizes) // _PARALLEL_DIGEST_MIN_BYTES)
-        digests = _hash_lanes(_lane_plan(sizes, max(count, 1)), fragments, self._digest)
-        for key, frag, digest in zip(keys, fragments, digests):
-            self._digest_cache.record(key, frag, digest)
+        hashed = _hash_lanes(_lane_plan(sizes, max(count, 1)), fragments, self._digest)
+        digests = []
+        for key, frag, size, leaves in zip(keys, fragments, sizes, hashed):
+            digest = _leaf_root(leaves, size)
+            self._digest_cache.record(key, frag, digest, leaves)
+            digests.append(digest)
         return tuple(digests)
+
+    def _digest_patched(self, key: str, old, new, spans: list[tuple[int, int]]) -> str:
+        """Digest ``new``, a copy of ``old`` changed only inside ``spans``
+        (``(start, stop)`` byte ranges), and record it for ``key``.
+
+        When ``old`` is the very object recorded for ``key``, its leaves
+        outside ``spans`` are reused and each run of changed leaves is
+        hashed once, inline; any other object is hashed whole.
+        """
+        view = memoryview(new).cast("B")
+        size, leaf = len(view), _DIGEST_LEAF
+        recorded = self._digest_cache.leaves(key, old)
+        if recorded is None:
+            leaves = self._digest(view)
+        else:
+            runs: list[list[int]] = []  # [first, last] changed leaves, merged
+            for start, stop in sorted(spans):
+                if stop <= start:
+                    continue
+                first, last = start // leaf, (stop - 1) // leaf
+                if runs and first <= runs[-1][1] + 1:
+                    runs[-1][1] = max(runs[-1][1], last)
+                else:
+                    runs.append([first, last])
+            patched = bytearray(recorded)
+            for first, last in runs:
+                patched[32 * first : 32 * (last + 1)] = self._digest(
+                    view[first * leaf : (last + 1) * leaf]
+                )
+            leaves = bytes(patched)
+        digest = _leaf_root(leaves, size)
+        self._digest_cache.record(key, new, digest, leaves)
+        return digest
 
     def _verify_digest(self, key: str, data, expected: str) -> bool:
         """Check ``data`` against ``expected``, skipping the hash when the
         returned buffer is the exact object digested at write time."""
         if self._digest_cache.matches(key, data, expected):
             return True
-        if self._digest(data) != expected:
+        view = memoryview(data).cast("B")
+        leaves = self._digest(view)
+        if _leaf_root(leaves, len(view)) != expected:
             return False
-        self._digest_cache.record(key, data, expected)
+        self._digest_cache.record(key, data, expected, leaves)
         return True
 
     def _quorum_phase(self, ops: list[CloudOp], quorum: int) -> list[CloudOp]:
@@ -1800,18 +1840,25 @@ class Scheme(ABC):
             for i in touched
         ]
         self._run_phase(write_ops)
-        # Re-record digests for the rewritten keys only, as one batch like a
-        # write's: their stores now hold the fresh buffers.  Untouched
-        # fragments keep their old stored object — and their old digest; a
-        # digestless (pre-integrity) entry stays digestless.  (Recording a
-        # never-stored buffer would let its id be recycled while the cache
-        # entry lives, breaking the identity-skip soundness.)
-        rewritten = dict(
-            zip(
-                touched,
-                self._digest_fragments([op.key for op in write_ops], [fresh[i] for i in touched]),
+        # Re-record digests for the rewritten keys only: their stores now
+        # hold the fresh buffers.  A data fragment changed inside its share
+        # of the patch, a parity inside the union of those shares, so only
+        # their leaves are re-hashed.  Untouched fragments keep their old
+        # stored object — and their old digest; a digestless
+        # (pre-integrity) entry stays digestless.  (Recording a never-stored
+        # buffer would let its id be recycled while the cache entry lives,
+        # breaking the identity-skip soundness.)
+        end = offset + len(patch)
+        spans = {
+            i: (max(offset - i * frag_len, 0), min(end - i * frag_len, frag_len))
+            for i in affected
+        }
+        rewritten = {
+            i: self._digest_patched(
+                op.key, current[i], fresh[i], [spans[i]] if i < codec.k else [*spans.values()]
             )
-        )
+            for i, op in zip(touched, write_ops)
+        }
         digests = tuple(rewritten.get(i, d) for i, d in enumerate(entry.digests))
         # The rewritten keys freed their old objects, so the old payload
         # entry is stale either way.  It is re-recorded over the objects now

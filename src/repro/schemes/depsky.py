@@ -85,7 +85,7 @@ class DepSkyScheme(Scheme):
             ]
             got = self._run_phase(ops)[0]
             if got.ok and got.response is not None:
-                if digest is not None and self._digest(got.response) != digest:
+                if digest is not None and not self._verify_digest(key, got.response, digest):
                     degraded = True  # corrupt replica fails verification
                     continue
                 if degraded:

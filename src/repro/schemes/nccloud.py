@@ -184,14 +184,16 @@ class NCCloudScheme(Scheme):
             (),
         )
         # The repaired fragment may hold *different* bytes: refresh its
-        # digest (and placement, when relocated).  The version must NOT
+        # digest, recorded for the object just stored so its next read
+        # hashes nothing (and its placement, when relocated).  The version must NOT
         # change — every other fragment still lives under its original
         # versioned key.
         digests = entry.digests
         if digests:
-            digests = (
-                *digests[:failed_idx], self._digest(new_fragment), *digests[failed_idx + 1 :]
+            repaired = self._record_digest(
+                self._fragment_key(path, failed_idx, entry.version), new_fragment
             )
+            digests = (*digests[:failed_idx], repaired, *digests[failed_idx + 1 :])
         self.namespace.upsert(
             replace(
                 entry,

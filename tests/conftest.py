@@ -1,8 +1,10 @@
-"""Shared fixtures: clocks, provider fleets, payload and registry helpers, and
-the simulated-number golden with the session's one rebuild of it."""
+"""Shared fixtures: clocks, provider fleets, payload and registry helpers,
+the fragment digest's reference, and the simulated-number golden with the
+session's one rebuild of it."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -43,6 +45,43 @@ def payload(rng):
         return rng.integers(0, 256, size=n, dtype=np.uint8).tobytes()
 
     return make
+
+
+#: bytes per fragment-digest leaf
+DIGEST_LEAF = 64 << 10
+
+
+def leaf_list_digest(data) -> str:
+    """The fragment integrity digest, written from its definition: an
+    object of one leaf or less has its plain SHA-256; a longer one the
+    SHA-256 of a header (``b"leaflist"``, the length and the leaf size,
+    big-endian, 8 and 4 bytes) followed by each leaf's SHA-256."""
+    data = bytes(data)
+    if len(data) <= DIGEST_LEAF:
+        return hashlib.sha256(data).hexdigest()
+    header = b"leaflist" + len(data).to_bytes(8, "big") + DIGEST_LEAF.to_bytes(4, "big")
+    leaves = b"".join(
+        hashlib.sha256(data[at : at + DIGEST_LEAF]).digest()
+        for at in range(0, len(data), DIGEST_LEAF)
+    )
+    return hashlib.sha256(header + leaves).hexdigest()
+
+
+@pytest.fixture
+def hashed(monkeypatch) -> list[int]:
+    """``hashed[0]``: the bytes every ``Scheme._digest`` call has taken
+    since the test began — every byte a scheme hashes."""
+    from repro.schemes.base import Scheme
+
+    total = [0]
+    real = Scheme._digest
+
+    def counting(data):
+        total[0] += len(data)
+        return real(data)
+
+    monkeypatch.setattr(Scheme, "_digest", staticmethod(counting))
+    return total
 
 
 @pytest.fixture(scope="session")

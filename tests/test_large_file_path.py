@@ -9,9 +9,11 @@ fragments are views of its payload, so the payload cache keeps every such
 stripe for free until its key dies, and an intact read of it never
 decodes.  The same holds for a stripe written or updated while a provider
 is out: the write log keeps the encoded fragments themselves, and an
-in-place update re-records what it rewrote.  The assertions are counts,
-not clocks.
+in-place update re-records what it rewrote, re-hashing only the 64 KiB
+digest leaves its patch changed.  The assertions are counts, not clocks.
 """
+
+import threading
 
 import numpy as np
 import pytest
@@ -23,22 +25,9 @@ from repro.erasure.reed_solomon import ReedSolomonCode
 from repro.faults import OutageWindow
 from repro.schemes import HyrdScheme, NCCloudScheme, RacsScheme
 from repro.schemes.base import Scheme, _PayloadCache
+from tests.conftest import DIGEST_LEAF as LEAF
 
 KB = 1024
-
-
-@pytest.fixture
-def digests(monkeypatch):
-    """Count of ``Scheme._digest`` calls (every SHA-256 a scheme takes)."""
-    calls = [0]
-    real = Scheme._digest
-
-    def counting(*args):
-        calls[0] += 1
-        return real(*args)
-
-    monkeypatch.setattr(Scheme, "_digest", staticmethod(counting))
-    return calls
 
 
 @pytest.fixture
@@ -72,7 +61,7 @@ def _promoted(providers, clock, data):
 
 
 class TestPromotion:
-    def test_promoting_hashes_nothing(self, providers, clock, payload, digests):
+    def test_promoting_hashes_nothing(self, providers, clock, payload, hashed):
         hyrd = HyrdScheme(
             list(providers.values()), clock, config=HyRDConfig(hot_file_threshold=1)
         )
@@ -81,9 +70,9 @@ class TestPromotion:
         during = []
 
         def watched(path, data):
-            before = digests[0]
+            before = hashed[0]
             report = promote(path, data)
-            during.append(digests[0] - before)
+            during.append(hashed[0] - before)
             return report
 
         hyrd._promote = watched
@@ -236,21 +225,26 @@ def _patched(data: bytes, offset: int, patch: bytes) -> bytes:
     return data[:offset] + patch + data[offset + len(patch) :]
 
 
-def _fragments_written_by_an_update(scheme, path) -> int:
+def _bytes_hashed_by_an_update(scheme, path) -> int:
     """A systematic stripe rewrites one data fragment plus every parity
-    for a patch inside one fragment; FMSR re-puts every fragment."""
+    for a patch inside one leaf, and re-hashes that leaf of each; FMSR
+    re-puts, and hashes, every fragment."""
     codec = scheme._codec_for(scheme.namespace.get(path))
-    return 1 + codec.n - codec.k if codec.systematic else codec.n
+    frag_len = codec.fragment_size(scheme.namespace.get(path).size)
+    if codec.systematic:
+        return (1 + codec.n - codec.k) * min(LEAF, frag_len)
+    return codec.n * frag_len
 
 
 class TestOutageIdentity:
     """A fragment written while its provider is out is logged by identity
     and replayed as that object, so after the consistency update the stripe
     is still the one the client encoded: nothing decodes and nothing is
-    hashed a second time."""
+    hashed a second time, and the next update re-hashes only the leaves
+    it changes."""
 
     def test_after_the_heal_nothing_decodes_or_rehashes(
-        self, coded, providers, clock, payload, decodes, digests
+        self, coded, providers, clock, payload, decodes, hashed
     ):
         providers["aliyun"].faults.add(OutageWindow(clock.now, clock.now + 60))
         data = payload(2 * MB)
@@ -259,17 +253,17 @@ class TestOutageIdentity:
         coded.update("/d/f", 100, b"during")
         assert coded.pending_log("aliyun")
         clock.advance(61)
-        decodes[0] = digests[0] = 0
+        decodes[0] = hashed[0] = 0
 
         coded.heal_returned()
         assert not coded.pending_log("aliyun")
         got, report = coded.get("/d/f")
         assert got == data and not report.degraded
-        assert (decodes[0], digests[0]) == (0, 0)
+        assert (decodes[0], hashed[0]) == (0, 0)
 
         data = _patched(data, 200, b"after")
         coded.update("/d/f", 200, b"after")
-        assert digests[0] == _fragments_written_by_an_update(coded, "/d/f")
+        assert hashed[0] == _bytes_hashed_by_an_update(coded, "/d/f")
         assert coded.get("/d/f")[0] == data
         assert decodes[0] == 0
 
@@ -344,9 +338,9 @@ def work(monkeypatch):
     """Counts of whole-object work: ``encode_views`` and ``decode`` calls on
     the RAID5 and RS codecs over a payload of 1 MiB or more (RACS stripes
     its metadata groups too, and those are far smaller),
-    ``Scheme._peek_content`` calls, and the bytes every ``Scheme._digest``
-    call hashes."""
-    counts = {"encode_views": 0, "decode": 0, "_peek_content": 0, "hashed": 0}
+    ``Scheme._peek_content`` calls, the bytes every ``Scheme._digest``
+    call hashes, and the calls made off the caller's thread."""
+    counts = {"encode_views": 0, "decode": 0, "_peek_content": 0, "hashed": 0, "pooled": 0}
 
     def counting(owner, name, size):
         real = getattr(owner, name)
@@ -362,10 +356,12 @@ def work(monkeypatch):
         counting(codec, "decode", lambda _codec, _fragments, size: size)
     counting(Scheme, "_peek_content", lambda _scheme, entry: MB)
     digest = Scheme._digest
+    caller = threading.get_ident()
 
-    def hashing(data, state=None):
-        counts["hashed"] += memoryview(data).nbytes
-        return digest(data, state)
+    def hashing(data):
+        counts["hashed"] += len(data)
+        counts["pooled"] += threading.get_ident() != caller
+        return digest(data)
 
     monkeypatch.setattr(Scheme, "_digest", staticmethod(hashing))
     return counts
@@ -382,7 +378,8 @@ def _stored_stripe(scheme, path) -> list[bytes]:
 class TestDeltaRmw:
     """A small in-place update touches the stripe's fragments, not the
     object: it copies and patches the data fragment it overlaps, folds the
-    delta into each parity, and stores what a full re-encode would."""
+    delta into each parity, re-hashes on the caller only the digest leaves
+    that changed, and stores what a full re-encode would."""
 
     PATCH = bytes(range(256)) * 16  # 4 KiB
 
@@ -394,12 +391,9 @@ class TestDeltaRmw:
             work[name] = 0
         rmw.update("/d/f", MB + 100, self.PATCH)
         touched = 1 + codec.n - codec.k
-        assert work == {
-            "encode_views": 0,
-            "decode": 0,
-            "_peek_content": 0,
-            "hashed": touched * codec.fragment_size(3 * MB),
-        }
+        hashed = work.pop("hashed")
+        assert work == {"encode_views": 0, "decode": 0, "_peek_content": 0, "pooled": 0}
+        assert 0 < hashed <= touched * 2 * LEAF  # at most 2 leaves per touched fragment
         new = _patched(data, MB + 100, self.PATCH)
         assert _stored_stripe(rmw, "/d/f") == codec.encode(new)
         assert rmw.get("/d/f")[0] == new

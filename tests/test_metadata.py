@@ -210,9 +210,9 @@ class TestPublishCost:
         hashed: list[bytes] = []
         real_digest = Scheme._digest
 
-        def counting_digest(data, state=None):
+        def counting_digest(data):
             hashed.append(bytes(data))
-            return real_digest(data, state)
+            return real_digest(data)
 
         monkeypatch.setattr(Scheme, "_digest", staticmethod(counting_digest))
         data = bytes(range(256)) * 8

@@ -5,6 +5,7 @@ import pytest
 from repro.faults import OutageWindow
 from repro.schemes import DepSkyScheme
 from repro.schemes.base import DataUnavailable
+from tests.conftest import leaf_list_digest
 
 
 @pytest.fixture
@@ -87,6 +88,32 @@ class TestReads:
             depsky.get("/d/a")
 
 
+class TestVerifiedReads:
+    """A read checks its replica through the scheme's digest cache: the
+    object the store hands back by identity costs no hash, and any other
+    is hashed and compared."""
+
+    def test_an_intact_get_hashes_nothing(self, depsky, payload, hashed):
+        data = payload(300_000)  # several digest leaves
+        depsky.put("/d/a", data)
+        hashed[0] = 0
+        got, report = depsky.get("/d/a")
+        assert got == data and not report.degraded
+        assert hashed[0] == 0
+
+    def test_a_bit_rotted_replica_is_skipped(self, depsky, providers, payload, hashed):
+        from repro.faults.ledger import inject_bit_rot
+
+        data = payload(300_000)
+        depsky.put("/d/a", data)
+        first = depsky._rank_providers(list(depsky.replicas), len(data), "down")[0]
+        inject_bit_rot(providers[first], depsky.container, ["/d/a#v1"])
+        hashed[0] = 0
+        got, report = depsky.get("/d/a")
+        assert got == data and report.degraded
+        assert hashed[0] == len(data)  # the rotted copy, hashed whole and refused
+
+
 class TestDegradedWrites:
     def test_write_below_quorum_marks_degraded(self, depsky, providers, clock, payload):
         for name in ("aliyun", "azure"):
@@ -100,7 +127,6 @@ class TestDegradedWrites:
         write waits for all three survivors — straggler included — and the
         missed copy is write-logged; the recorded digests verify reads."""
         import dataclasses
-        import hashlib
 
         from repro.cloud.latency import ClientLink
         from repro.cloud.provider import make_table2_cloud_of_clouds
@@ -121,7 +147,7 @@ class TestDegradedWrites:
         assert scheme.pending_log("aliyun").has_pending(scheme.container, "/d/a#v1")
         entry = scheme.namespace.get("/d/a")
         assert entry.providers == tuple(scheme.replicas)
-        assert entry.digests == (hashlib.sha256(data).hexdigest(),) * 4
+        assert entry.digests == (leaf_list_digest(data),) * 4
         # The fastest reachable replica rots: its digest rejects it.
         first = scheme._rank_providers(
             [p for p in scheme.replicas if p != "aliyun"], len(data), "down"

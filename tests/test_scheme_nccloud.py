@@ -99,6 +99,38 @@ class TestFunctionalRepair:
             nc.repair_provider("nonexistent")
 
 
+class TestRepairRecordsItsDigest:
+    """The repaired fragment is recorded in the digest cache as the object
+    it stored, so the next read of it hashes nothing, and bytes that
+    differ from it after are still caught."""
+
+    def test_a_get_after_the_repair_hashes_nothing(self, nc, payload, hashed):
+        data = payload(1 << 20)
+        nc.put("/d/a", data)
+        nc.repair_provider("aliyun")
+        hashed[0] = 0
+        got, report = nc.get("/d/a")
+        assert got == data and not report.degraded
+        assert hashed[0] == 0
+
+    def test_a_bit_flip_in_the_repaired_fragment_is_caught(self, nc, providers, payload):
+        import numpy as np
+
+        data = payload(1 << 20)
+        nc.put("/d/a", data)
+        nc.repair_provider("aliyun")
+        entry = nc.namespace.get("/d/a")
+        idx = next(i for p, i in entry.placements if p == "aliyun")
+        key = nc._fragment_key("/d/a", idx, entry.version)
+        store = providers["aliyun"].store
+        flipped = np.frombuffer(store.get(nc.container, key).data, dtype=np.uint8).copy()
+        flipped[len(flipped) // 2] ^= 0x01
+        store.tamper(nc.container, key, flipped.tobytes())
+        assert nc.get("/d/a")[0] == data
+        audit = nc.verify_object("/d/a")
+        assert [(f.provider, f.kind) for f in audit.findings] == [("aliyun", "corrupt")]
+
+
 class TestRepairTakesOnlyVerifiedHelpers:
     """A regenerating code promises a decodable result only when the nodes
     it combines are intact: ``repair_provider`` verifies its survivors and
