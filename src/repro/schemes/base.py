@@ -82,14 +82,22 @@ _DIGEST_LEAF = 64 << 10
 #: into other leaves, has another root
 _LEAF_HEADER = struct.Struct(">8sQI")
 
+#: SHA-256 after a zero prefix one byte longer than a leaf, which every
+#: leaf list's root begins with: a root then hashes more bytes than any
+#: object digested plainly, so no object of a leaf or less (a longer one's
+#: header and leaf list included) has a longer object's digest
+_ROOT_PREFIX = hashlib.sha256(bytes(_DIGEST_LEAF + 1))
+
 
 def _leaf_root(leaves: bytes, size: int) -> str:
     """The integrity digest of a ``size``-byte object whose leaves hash to
     ``leaves`` (:meth:`Scheme._digest`): the leaf's own SHA-256 for an
-    object of one leaf, else the SHA-256 of the header and the leaf list."""
+    object of one leaf, else the SHA-256 of the zero prefix, the header
+    and the leaf list."""
     if size <= _DIGEST_LEAF:
         return leaves.hex()
-    root = hashlib.sha256(_LEAF_HEADER.pack(b"leaflist", size, _DIGEST_LEAF))
+    root = _ROOT_PREFIX.copy()
+    root.update(_LEAF_HEADER.pack(b"leaflist", size, _DIGEST_LEAF))
     root.update(leaves)
     return root.hexdigest()
 
@@ -1394,7 +1402,11 @@ class Scheme(ABC):
         if len(data) <= _DIGEST_LEAF:
             return sha256(data).digest()
         leaf = _DIGEST_LEAF
-        return b"".join([sha256(data[at : at + leaf]).digest() for at in range(0, len(data), leaf)])
+        # map() starts each leaf's hash straight after the last one's, so a
+        # lane holds the GIL between two hashes only to start one and take
+        # a digest, and another lane seldom waits to take it back
+        hashes = map(sha256, [data[at : at + leaf] for at in range(0, len(data), leaf)])
+        return b"".join([h.digest() for h in hashes])
 
     def _record_digest(self, key: str, data) -> str:
         """Digest ``data`` once at write time and remember it for ``key``."""

@@ -54,17 +54,19 @@ DIGEST_LEAF = 64 << 10
 def leaf_list_digest(data) -> str:
     """The fragment integrity digest, written from its definition: an
     object of one leaf or less has its plain SHA-256; a longer one the
-    SHA-256 of a header (``b"leaflist"``, the length and the leaf size,
-    big-endian, 8 and 4 bytes) followed by each leaf's SHA-256."""
+    SHA-256 of a zero prefix one byte longer than a leaf, a header
+    (``b"leaflist"``, the length and the leaf size, big-endian, 8 and 4
+    bytes) and each leaf's SHA-256."""
     data = bytes(data)
     if len(data) <= DIGEST_LEAF:
         return hashlib.sha256(data).hexdigest()
+    prefix = bytes(DIGEST_LEAF + 1)
     header = b"leaflist" + len(data).to_bytes(8, "big") + DIGEST_LEAF.to_bytes(4, "big")
     leaves = b"".join(
         hashlib.sha256(data[at : at + DIGEST_LEAF]).digest()
         for at in range(0, len(data), DIGEST_LEAF)
     )
-    return hashlib.sha256(header + leaves).hexdigest()
+    return hashlib.sha256(prefix + header + leaves).hexdigest()
 
 
 @pytest.fixture

@@ -3,9 +3,10 @@
 Every fragment a scheme stores is digested once at write time (the
 paper's HAIL-style integrity check, its ref. [8]).  An object of one
 64 KiB leaf or less keeps its plain SHA-256; a longer one is digested by
-the SHA-256 of a header (its length and the leaf size) and the SHA-256 of
-each leaf, so a truncated or extended object still fails, and an in-place
-update re-hashes only the leaves it changes.  A batch's leaves are cut
+the SHA-256 of a zero prefix longer than a leaf, a header (its length and
+the leaf size) and the SHA-256 of each leaf, so a truncated or extended
+object, or its forged leaf list, still fails, and an in-place update
+re-hashes only the leaves it changes.  A batch's leaves are cut
 into near-equal contiguous lanes, every cut between two leaves, so HyRD's
 three-fragment stripe hashes as two equal lanes on two cores and no lane
 needs another's result.  Everything equals the serial reference
@@ -297,12 +298,45 @@ class TestWhatTheDigestCatches:
         data, digest = recorded
         assert not hyrd._verify_digest("k", cut(data), digest)
 
-    def test_a_small_object_of_a_large_ones_leaf_list_gets_its_own_digest(self, hyrd, recorded):
+    @pytest.mark.parametrize(
+        "forge",
+        [
+            lambda header, leaves: leaves,
+            lambda header, leaves: header + leaves,
+            lambda header, leaves: bytes(LEAF + 1) + header + leaves,
+        ],
+        ids=["leaves", "header and leaves", "whole preimage"],
+    )
+    def test_a_forged_leaf_list_does_not_pass_as_the_object(self, hyrd, recorded, forge):
+        """A provider that hands back (part of) the bytes a long object's
+        root hashes instead of the object: without the zero prefix they are
+        a short object whose plain SHA-256 must differ; with it, a long one
+        whose own leaf list must."""
         data, digest = recorded
-        leaves = Scheme._digest(memoryview(data))
-        assert len(leaves) == 6 * 32 <= LEAF
-        assert hyrd._record_digest("small", leaves) != digest
-        assert not hyrd._verify_digest("k", leaves, digest)
+        header = base._LEAF_HEADER.pack(b"leaflist", self.SIZE, LEAF)
+        forged = forge(header, Scheme._digest(memoryview(data)))
+        assert leaf_list_digest(forged) != digest
+        assert hyrd._record_digest("forged", forged) != digest
+        assert not hyrd._verify_digest("k", forged, digest)
+
+    def test_a_forged_fragment_is_corrupt_to_the_scrubber_and_an_erasure_to_a_read(
+        self, hyrd, providers
+    ):
+        data = BYTES[: 2 * MB].tobytes()
+        hyrd.put("/d/f", data)
+        entry = hyrd.namespace.get("/d/f")
+        prov, idx = entry.placements[0]
+        key = hyrd._placement_storage_key(entry, idx)
+        fragment = providers[prov].store.get(hyrd.container, key).data
+        size = memoryview(fragment).nbytes
+        forged = base._LEAF_HEADER.pack(b"leaflist", size, LEAF) + Scheme._digest(
+            memoryview(fragment).cast("B")
+        )
+        providers[prov].store.tamper(hyrd.container, key, forged)
+        audit = hyrd.verify_object("/d/f")
+        assert [(f.provider, f.kind) for f in audit.findings] == [(prov, "corrupt")]
+        got, report = hyrd.get("/d/f")
+        assert got == data and report.degraded
 
     def test_objects_cut_into_other_leaves_differ(self):
         leaves = Scheme._digest(memoryview(BYTES[: 2 * LEAF]))
@@ -405,7 +439,7 @@ class TestNoLaneWaitsForever:
         finished = []
 
         def caller():
-            for _ in range(10):
+            for _ in range(25):
                 for batch, plan, expected in batches:
                     if _hashed(plan, batch) != expected:
                         wrong.append(plan)

@@ -113,6 +113,26 @@ class TestVerifiedReads:
         assert got == data and report.degraded
         assert hashed[0] == len(data)  # the rotted copy, hashed whole and refused
 
+    def test_a_forged_leaf_list_is_skipped(self, depsky, providers, payload):
+        """A replica replaced by the header and leaf digests its root
+        hashes (180 bytes) is refused; with every replica forged the read
+        fails rather than return the forgery."""
+        from repro.schemes.base import _DIGEST_LEAF, _LEAF_HEADER, Scheme
+
+        data = payload(300_000)
+        depsky.put("/d/a", data)
+        forged = _LEAF_HEADER.pack(b"leaflist", len(data), _DIGEST_LEAF) + Scheme._digest(
+            memoryview(data)
+        )
+        first = depsky._rank_providers(list(depsky.replicas), len(data), "down")[0]
+        providers[first].store.tamper(depsky.container, "/d/a#v1", forged)
+        got, report = depsky.get("/d/a")
+        assert got == data and report.degraded
+        for name in depsky.replicas:
+            providers[name].store.tamper(depsky.container, "/d/a#v1", forged)
+        with pytest.raises(DataUnavailable):
+            depsky.get("/d/a")
+
 
 class TestDegradedWrites:
     def test_write_below_quorum_marks_degraded(self, depsky, providers, clock, payload):
