@@ -269,11 +269,14 @@ class RequestDispatcher:
         return decision
 
     def should_promote(self, entry: FileEntry) -> bool:
-        """Figure 2: hot large files earn a copy on a fast provider."""
+        """Figure 2: a large file read ``hot_file_threshold`` times (the
+        read asking included) earns a copy on a fast provider, once per
+        version."""
         if self.config.hot_file_threshold <= 0:
             return False
         return (
-            entry.klass == FileClass.LARGE.value
+            entry.hot is None
+            and entry.klass == FileClass.LARGE.value
             and entry.access_count >= self.config.hot_file_threshold
         )
 

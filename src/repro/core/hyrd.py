@@ -14,19 +14,22 @@ policy is the hybrid of the paper:
   back to surviving replicas (small) or parity reconstruction (large), missed
   writes are logged and replayed as a consistency update on return;
 - frequently-read large files are *promoted* — an extra full copy lands on
-  the fastest performance provider (Figure 2) via a background upload, and
-  subsequent reads pick whichever path the latency estimate favours.
+  the fastest performance provider (Figure 2) via a background upload; it
+  is one more placement of the file's entry, kept in client memory, and
+  reads pick whichever of copy and stripe the latency estimate favours.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from repro.cloud.latency import ClientLink
 from repro.cloud.provider import SimulatedProvider
 from repro.core.config import HyRDConfig
 from repro.core.dispatcher import RequestDispatcher
 from repro.core.evaluator import CostPerformanceEvaluator
-from repro.core.monitor import FileClass, WorkloadMonitor
-from repro.fs.namespace import FileEntry
+from repro.core.monitor import WorkloadMonitor
+from repro.fs.namespace import FileEntry, HotCopy
 from repro.metrics.collector import OpReport
 from repro.schemes.base import CloudOp, Placement, Scheme
 from repro.sim.clock import SimClock
@@ -68,10 +71,6 @@ class HyRDClient(Scheme):
         # Breaker state feeds placement preference: tripped providers keep
         # their slots but lose priority (hot copies land elsewhere).
         self.dispatcher.set_usable_guard(self._provider_usable)
-        #: path -> (provider, version, uploaded object) of promoted hot
-        #: copies (Figure 2)
-        self._hot: dict[str, tuple[str, int, bytes]] = {}
-        self._pending_promotion: tuple[str, bytes] | None = None
 
     # ----------------------------------------------------------- placement
     def _place(self, path: str, size: int, prev: FileEntry | None) -> Placement:
@@ -99,108 +98,12 @@ class HyRDClient(Scheme):
             access_count=prev.access_count if prev else 0,
         )
 
-    def _write_placement(
-        self, path: str, data: bytes, placement: Placement, version: int
-    ) -> tuple[list[tuple[str, int]], tuple[str, ...]]:
-        written = super()._write_placement(path, data, placement, version)
-        # Any promoted copy is of the version this write supersedes.
-        self._drop_hot_copy(path)
-        return written
-
-    # ----------------------------------------------------------------- read
-    def _read_object(self, entry: FileEntry) -> tuple[bytes, bool]:
-        if entry.codec == "replication":
-            return super()._read_object(entry)
-        data, degraded = self._read_large(entry)
-        # Promotion check uses the access count *including* this read.  Only
-        # a get decides one: a promotion decided by a migrate's or repair's
-        # read would be uploaded by whichever get came next, by then maybe
-        # of bytes an update has superseded.
-        promoted_count = entry.access_count + 1
-        if (
-            self._current.kind == "get"
-            and not degraded
-            and entry.path not in self._hot
-            and self.config.hot_file_threshold > 0
-            and entry.klass == FileClass.LARGE.value
-            and promoted_count >= self.config.hot_file_threshold
-        ):
-            # Deferred: uploaded outside this read's latency accounting.
-            self._pending_promotion = (entry.path, data)
-        return data, degraded
-
-    def _read_large(self, entry: FileEntry) -> tuple[bytes, bool]:
-        """Stripe fetch vs hot-copy fetch, whichever the estimate favours."""
-        codec = self._codec_for(entry)
-        assert codec is not None
-        hot = self._hot.get(entry.path)
-        if hot is not None:
-            hot_provider, hot_version, promoted = hot
-            if (
-                hot_version == entry.version
-                and self.provider(hot_provider).is_available()
-                and not self._is_stale(
-                    hot_provider, self.container, self._hot_key(entry.path, entry.version)
-                )
-            ):
-                if self.scheduler is not None:
-                    # Load-aware arm of the hot-copy-vs-stripe choice: both
-                    # estimates price queueing and health, and the stripe
-                    # side is the scheduler's best k-subset (parity
-                    # included), not the fixed systematic set.
-                    est_hot = self.scheduler.score_provider(
-                        hot_provider, entry.size
-                    )
-                    est_stripe = self.scheduler.estimate_stripe(
-                        {idx: prov for prov, idx in entry.placements},
-                        entry.size,
-                        codec,
-                    )
-                else:
-                    est_hot = self._estimate_latency(
-                        hot_provider, entry.size, "down"
-                    )
-                    frag = codec.fragment_size(entry.size)
-                    est_stripe = max(
-                        self._estimate_latency(prov, frag, "down")
-                        for prov, idx in entry.placements
-                        if idx < codec.k
-                    )
-                if est_hot <= est_stripe:
-                    (got,) = self._run_phase(
-                        [
-                            CloudOp(
-                                hot_provider,
-                                "get",
-                                self.container,
-                                self._hot_key(entry.path, entry.version),
-                            )
-                        ]
-                    )
-                    # The copy was uploaded from a verified stripe read, and
-                    # the object kept beside it is the reference: accept the
-                    # very object (a zero-copy store hands it back), else the
-                    # same bytes.
-                    if got.ok and (got.response is promoted or got.response == promoted):
-                        return got.response, False
-                    # Hot copy raced an outage or was corrupted: fall
-                    # through to the verified stripe.
-        return super()._read_object(entry)
-
     def _rank_providers_by_index(self, by_index, size, codec) -> list[int]:
         # Slot order *is* HyRD's read preference, whatever the codec: the
         # dispatcher puts the first k slots on the cheapest-egress providers
         # (§III-B), so a non-systematic stripe reads those too instead of
         # chasing the fastest k.
         return sorted(by_index)
-
-    # ------------------------------------------------------ update / remove
-    def _rmw_striped(self, entry, offset, patch, codec) -> FileEntry:
-        self._drop_hot_copy(entry.path)  # its content is about to go stale
-        return super()._rmw_striped(entry, offset, patch, codec)
-
-    def _forget(self, path: str) -> None:
-        self._drop_hot_copy(path)
 
     # ------------------------------------------------------------- metadata
     def _meta_write_targets(self) -> list[str]:
@@ -211,59 +114,31 @@ class HyRDClient(Scheme):
         self.monitor.observe_metadata(self._meta_sizes.get(directory, 0))
 
     # ------------------------------------------------------------ promotion
-    def _hot_key(self, path: str, version: int) -> str:
-        return f"{path}#hot.v{version}"
-
-    def _drop_hot_copy(self, path: str) -> None:
-        hot = self._hot.pop(path, None)
-        if hot is None:
-            return
-        provider, version, _promoted = hot
-        if self.provider(provider).store.has(
-            self.container, self._hot_key(path, version)
-        ):
-            self._run_phase(
-                [CloudOp(provider, "remove", self.container, self._hot_key(path, version))]
-            )
-        else:
-            self._write_logs[provider].discard(self.container, self._hot_key(path, version))
-
-    def get(self, path: str):  # type: ignore[override]
-        try:
-            data, report = super().get(path)
-        finally:
-            # A get that raised still consumes its decision.
-            pending, self._pending_promotion = self._pending_promotion, None
-        if pending is not None:
-            self._promote(*pending)
-        return data, report
+    def _after_clean_get(self, entry: FileEntry, data: bytes) -> None:
+        # Only a get decides a promotion, counting its own read: one decided
+        # by a migrate's or repair's read would upload bytes an update may
+        # have superseded by the next get.
+        if self.dispatcher.should_promote(entry):
+            self._promote(entry.path, data)
 
     def _promote(self, path: str, data: bytes) -> OpReport:
-        """Background upload of a hot copy to the fastest performance provider."""
+        """Upload a hot copy of ``path``'s current version to the fastest
+        performance provider, as its own op after the get that decided it,
+        and record it as that entry's hot placement."""
         target = self.dispatcher.promotion_target()
         entry = self.namespace.get(path)
-        key = self._hot_key(path, entry.version)
+        hot = HotCopy(target, f"{path}#hot.v{entry.version}", data)
         with self._op("promote", path) as op:
-            self._run_phase([CloudOp(target, "put", self.container, key, data)])
-        self._hot[path] = (target, entry.version, data)
+            self._run_phase([CloudOp(target, "put", self.container, hot.key, data)])
+        self.namespace.upsert(replace(entry, hot=hot))
         return op.report
 
-    # --------------------------------------------------------------- intro
     def hot_copies(self) -> dict[str, tuple[str, int]]:
         """Currently promoted large files: path -> (provider, version)."""
         return {
-            path: (provider, version)
-            for path, (provider, version, _promoted) in self._hot.items()
-        }
-
-    def _extra_expected_keys(self) -> set[str]:
-        # Promoted hot copies are scheme-private keys no namespace placement
-        # accounts for; shield the *current* ones from the orphan sweep.
-        # (A restarted client forgets its promotions, so a predecessor's hot
-        # copies are swept — they are regenerable cache, not redundancy.)
-        return {
-            self._hot_key(path, version)
-            for path, (_provider, version, _promoted) in self._hot.items()
+            path: (entry.hot.provider, entry.version)
+            for path in self.namespace.paths()
+            if (entry := self.namespace.get(path)).hot is not None
         }
 
     # ------------------------------------------- adaptation & vendor mobility

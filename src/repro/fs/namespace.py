@@ -9,9 +9,10 @@ with, which codec, and which provider holds which fragment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
-__all__ = ["normalize_path", "dirname", "basename", "FileEntry", "Namespace"]
+__all__ = ["normalize_path", "dirname", "basename", "HotCopy", "FileEntry", "Namespace"]
 
 
 def normalize_path(path: str) -> str:
@@ -41,6 +42,16 @@ def basename(path: str) -> str:
     return path.rsplit("/", 1)[-1]
 
 
+class HotCopy(NamedTuple):
+    """A promoted full copy of one entry version (the paper's Figure 2):
+    where it is stored, and the very object uploaded, which a hot read is
+    checked against."""
+
+    provider: str
+    key: str
+    data: bytes
+
+
 @dataclass(frozen=True)
 class FileEntry:
     """Metadata for one file.
@@ -49,7 +60,9 @@ class FileEntry:
     replication every replica shares fragment semantics (index 0..r-1 are
     identical copies), for erasure codes the index selects the stripe
     fragment.  ``codec`` names the registered codec + parameters used, so a
-    reader can reconstruct without out-of-band knowledge.
+    reader can reconstruct without out-of-band knowledge.  ``hot`` is one
+    more placement held in client memory only: metadata groups never
+    encode it, and equality ignores it.
     """
 
     path: str
@@ -65,6 +78,8 @@ class FileEntry:
     #: per-fragment SHA-256 hex digests (index-aligned); empty disables the
     #: HAIL-style integrity verification on reads
     digests: tuple[str, ...] = ()
+    #: this version's hot copy, if it was promoted
+    hot: HotCopy | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.size < 0:
@@ -89,6 +104,7 @@ class FileEntry:
             size=size,
             version=self.version + 1,
             modified=now,
+            hot=None,
             **changes,  # type: ignore[arg-type]
         )
 
@@ -109,6 +125,7 @@ class FileEntry:
             modified=self.modified,
             access_count=self.access_count + 1,
             digests=self.digests,
+            hot=self.hot,
         )
 
 

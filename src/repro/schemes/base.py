@@ -727,6 +727,10 @@ class Scheme(ABC):
         #: the operation in flight (see :meth:`_op`); None between operations
         self._current: _Op | None = None
         self._meta_sizes: dict[str, int] = {}
+        #: the last :meth:`recover_namespace` found a metadata target
+        #: unavailable or unlistable (:meth:`_list_meta_group_keys`), so the
+        #: namespace it rebuilt may lack live entries: the sweep deletes nothing
+        self._namespace_partial = False
         #: tenant attribution for ops opened from now on — set via
         #: :meth:`tenant_context` by the service plane's frontend handlers;
         #: None (the default) keeps reports identical to a tenant-free build
@@ -1798,8 +1802,10 @@ class Scheme(ABC):
         host work is a copy per touched fragment plus arithmetic over the
         patch; the rest of the object is never composed.  The object's size
         (hence shard boundaries) must be unchanged; growth is handled by the
-        caller as a full restripe.
+        caller as a full restripe.  A hot copy goes first: its content is
+        about to go stale.
         """
+        entry = self._drop_hot_copy(entry)
         if offset + len(patch) > entry.size:
             raise ValueError("_rmw_striped requires an in-place (same-size) update")
         placed = len(dict(entry.placements))
@@ -2165,7 +2171,10 @@ class Scheme(ABC):
         the entries.  Everything is charged like normal traffic.
 
         Returns a ``recover`` report; afterwards :attr:`namespace` holds
-        every file a previous client persisted metadata for.
+        every file a previous client persisted metadata for.  A recovery
+        that finds a metadata target unavailable or unlistable may have
+        missed groups that target holds, so the orphan sweep of a following
+        :meth:`recover` deletes nothing.
         """
         with self._op("recover", "namespace") as op:
             codec = self._meta_codec()
@@ -2232,18 +2241,24 @@ class Scheme(ABC):
         Group writes still owed to *unreachable* providers sit in their
         write logs; those keys are unioned in so a group whose publish never
         reached any listable provider is still recovered (from the durable
-        log) rather than silently dropped.
+        log) rather than silently dropped.  Sets :attr:`_namespace_partial`
+        when a target it tries is unavailable or unlistable, or when a
+        provider outside ``targets`` is out: a client rebuilt mid-outage
+        ranks the down provider out of its targets, though it may hold the
+        groups its predecessor wrote.
         """
+        self._namespace_partial = not all(
+            p.is_available() for p in self.api.providers() if p.name not in targets
+        )
         logged: set[str] = set()
         for log in self._write_logs.values():
             for e in log.peek():
                 if e.kind == "put" and is_group_key(e.key):
                     logged.add(self._meta_base_key(e.key, striped))
         for name in self._rank_providers(list(targets), 0, "down"):
-            if not self.provider(name).is_available():
-                continue
-            keys = self._list_container(name)
+            keys = self._list_container(name) if self.provider(name).is_available() else None
             if keys is None:
+                self._namespace_partial = True
                 continue
             groups: set[str] = set(logged)
             for key in keys:
@@ -2349,14 +2364,17 @@ class Scheme(ABC):
             path = op.path = normalize_path(path)
             self._fetch_metadata(dirname(path))
             entry = self.namespace.get(path)
-            data, _degraded = self._read_object(entry)
+            data, degraded = self._read_object(entry)
             if not isinstance(data, bytes):
                 data = bytes(data)  # materialize zero-copy buffers at the API edge
             if len(data) != entry.size:
                 raise AssertionError(
                     f"scheme returned {len(data)} bytes for {path}, expected {entry.size}"
                 )
-            self.namespace.upsert(entry.touched())
+            entry = entry.touched()
+            self.namespace.upsert(entry)
+        if not degraded:
+            self._after_clean_get(entry, data)
         return data, op.report
 
     def update(self, path: str, offset: int, patch: bytes) -> OpReport:
@@ -2389,6 +2407,7 @@ class Scheme(ABC):
             )
             self._payload_cache.discard(self._version_key(path, entry.version))
             self._remove_placements(entry)
+            self._drop_hot_copy(entry)
             self._forget(path)
             self._persist_metadata(dirname(path))
             self._journal_commit()
@@ -2516,7 +2535,30 @@ class Scheme(ABC):
 
     def _forget(self, path: str) -> None:
         """``path`` was removed: drop any per-object client state the
-        scheme keeps beside the namespace (hot copies, evolved codecs)."""
+        scheme keeps beside the namespace (evolved codecs)."""
+
+    def _after_clean_get(self, entry: FileEntry, data: bytes) -> None:
+        """A get read ``data``, the content of ``entry`` (access counted),
+        without degrading: a scheme may follow it with an op of its own
+        (HyRD promotes a hot file)."""
+
+    def _drop_hot_copy(self, entry: FileEntry) -> FileEntry:
+        """Delete ``entry``'s hot copy, if it has one: its version is
+        superseded, about to be patched in place, or removed.  A copy a
+        write log still owes is discarded from the log, not removed.
+        Returns ``entry`` without it, which the namespace then holds in
+        its place."""
+        hot = entry.hot
+        if hot is None:
+            return entry
+        bare = replace(entry, hot=None)
+        if self.namespace.lookup(entry.path) is entry:
+            self.namespace.upsert(bare)
+        if self.provider(hot.provider).store.has(self.container, hot.key):
+            self._run_phase([CloudOp(hot.provider, "remove", self.container, hot.key)])
+        else:
+            self._write_logs[hot.provider].discard(self.container, hot.key)
+        return bare
 
     def _codec_for(self, entry: FileEntry) -> ErasureCodec | None:
         """Codec the entry was *written* with (None = replication).
@@ -2552,6 +2594,8 @@ class Scheme(ABC):
         placement = self._place(path, len(data), prev)
         version = prev.version + 1 if prev else 1
         placements, digests = self._write_placement(path, data, placement, version)
+        if prev is not None:
+            self._drop_hot_copy(prev)
         now = self.clock.now
         return FileEntry(
             path=path,
@@ -2635,7 +2679,9 @@ class Scheme(ABC):
         return keys, bodies
 
     def _read_object(self, entry: FileEntry) -> tuple[bytes, bool]:
-        """Fetch and reconstruct content; returns (data, degraded)."""
+        """Fetch and reconstruct content; returns (data, degraded).  A
+        stripe with a hot copy reads the copy instead when that is
+        estimated faster (:meth:`_read_hot_copy`)."""
         codec = self._codec_for(entry)
         if codec is None:
             return self._read_replicated(
@@ -2645,6 +2691,10 @@ class Scheme(ABC):
                 entry.version,
                 digest=entry.digests[0] if entry.digests else None,
             )
+        if entry.hot is not None:
+            data = self._read_hot_copy(entry, codec)
+            if data is not None:
+                return data, False
         return self._read_striped(
             entry.path,
             entry.size,
@@ -2653,6 +2703,42 @@ class Scheme(ABC):
             entry.version,
             digests=entry.digests or None,
         )
+
+    def _read_hot_copy(self, entry: FileEntry, codec: ErasureCodec) -> bytes | None:
+        """One get of ``entry``'s hot copy, when its provider is available
+        and owes it no logged write, and the copy is estimated no slower
+        than the stripe.  The copy was uploaded from a verified read, and
+        the object kept on the entry is the reference: the very object (a
+        zero-copy store hands it back) or the same bytes are accepted, and
+        nothing is hashed.  Returns None when the stripe must serve: the
+        copy was skipped, raced an outage or was damaged."""
+        hot = entry.hot
+        if not self.provider(hot.provider).is_available() or self._is_stale(
+            hot.provider, self.container, hot.key
+        ):
+            return None
+        if self.scheduler is not None:
+            # Load-aware arm: both estimates price queueing and health, and
+            # the stripe side is the scheduler's best k-subset (parity
+            # included), not the fixed systematic set.
+            est_copy = self.scheduler.score_provider(hot.provider, entry.size)
+            est_stripe = self.scheduler.estimate_stripe(
+                {idx: prov for prov, idx in entry.placements}, entry.size, codec
+            )
+        else:
+            est_copy = self._estimate_latency(hot.provider, entry.size, "down")
+            frag = codec.fragment_size(entry.size)
+            est_stripe = max(
+                self._estimate_latency(prov, frag, "down")
+                for prov, idx in entry.placements
+                if idx < codec.k
+            )
+        if est_copy > est_stripe:
+            return None
+        (got,) = self._run_phase([CloudOp(hot.provider, "get", self.container, hot.key)])
+        if got.ok and (got.response is hot.data or got.response == hot.data):
+            return got.response
+        return None
 
     def _update_object(self, entry: FileEntry, offset: int, patch: bytes) -> FileEntry:
         """Partial write: patch the stripe in place when the codec allows
@@ -2738,8 +2824,12 @@ class Scheme(ABC):
     def _journal_arm(
         self, kind: str, prev: FileEntry | None, payload: bytes | None
     ) -> None:
-        """Open the journal context of the mutating op now in flight."""
+        """Open the journal context of the mutating op now in flight.  The
+        journal is durable and a hot copy is client memory, so ``prev`` is
+        journaled without one."""
         if self.journal is not None:
+            if prev is not None and prev.hot is not None:
+                prev = replace(prev, hot=None)
             self._current.armed = (kind, prev, payload)
 
     def _journal_plan(
@@ -2813,10 +2903,13 @@ class Scheme(ABC):
           namespace action — their stray fragments are orphans.
 
         Afterwards a full orphan sweep lists every reachable provider and
-        deletes keys no namespace entry (nor metadata group, nor
-        scheme-private key via :meth:`_extra_expected_keys`) accounts for —
-        routed through the maintenance plane's budgeted scheduler when one
-        is attached, inline otherwise.  The journal drains to empty.
+        deletes keys that are neither a metadata group nor a placement of a
+        namespace entry — routed through the maintenance plane's budgeted
+        scheduler when one is attached, inline otherwise.  A HyRD hot copy
+        is its entry's in-memory placement: this client's own survive, and
+        a predecessor's, which no rebuilt entry carries, are swept.  After
+        a partial namespace recovery the sweep deletes nothing
+        (:meth:`_sweep_orphans`).  The journal drains to empty.
 
         Returns a JSON-friendly summary of the actions taken.
         """
@@ -2915,25 +3008,23 @@ class Scheme(ABC):
                     pass
             self._persist_metadata(dirname(intent.path))
 
-    def _extra_expected_keys(self) -> set[str]:
-        """Scheme-private storage keys the orphan sweep must not touch."""
-        return set()
-
     def unaccounted_keys(self, keys: Iterable[str]) -> list[str]:
         """The listed storage ``keys`` nothing accounts for, in order.
 
         The one statement of what an orphan is: a key that is neither a
-        metadata group, nor a placement of a current namespace entry, nor a
-        scheme-private key (:meth:`_extra_expected_keys`).  The recovery
-        sweep deletes these; the chaos oracle reports them.
+        metadata group nor a placement of a current namespace entry, its
+        hot copy included.  The recovery sweep deletes these; the chaos
+        oracle reports them.
         """
-        expected = self._extra_expected_keys()
+        expected: set[str] = set()
         for path in self.namespace.paths():
             entry = self.namespace.lookup(path)
             if entry is None:
                 continue
             for _prov, idx in entry.placements:
                 expected.add(self._placement_storage_key(entry, idx))
+            if entry.hot is not None:
+                expected.add(entry.hot.key)
         return [k for k in keys if not is_group_key(k) and k not in expected]
 
     def _sweep_orphans(self) -> dict[str, int]:
@@ -2942,9 +3033,13 @@ class Scheme(ABC):
         Keys with a pending write-log entry are skipped (the consistency
         update owns them).  With a maintenance plane attached the deletions
         are enqueued on its budgeted orphan sweeper instead of issued
-        inline.
+        inline.  After a partial namespace recovery nothing is listed or
+        deleted: a live object the rebuilt namespace misses would look
+        like an orphan.
         """
         removed: dict[str, int] = {}
+        if self._namespace_partial:
+            return removed
         plane = self.maintenance
         for p in self.api.providers():
             name = p.name

@@ -1,10 +1,14 @@
 """Unit + behaviour tests for the HyRD client itself."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import MB, HyRDConfig
 from repro.core.hyrd import HyRDClient
 from repro.faults import OutageWindow
+from repro.faults.crash import ClientCrash, CrashSchedule
+from repro.fs.metadata import encode_group, group_key
 
 
 @pytest.fixture
@@ -237,6 +241,134 @@ class TestHotPromotion:
         hyrd.get("/b")
         assert hyrd.hot_copies() == {}
         assert hyrd.get("/a")[0] == b"X" * 16 + data[16:]
+
+
+def _promoting(providers, clock, threshold=1):
+    return HyRDClient(
+        list(providers.values()), clock, config=HyRDConfig(hot_file_threshold=threshold)
+    )
+
+
+def _promotes(hyrd) -> int:
+    return [r.op for r in hyrd.collector.reports].count("promote")
+
+
+class TestPromotionRule:
+    """When a hot copy appears: the get that counts the threshold-th read of
+    a large file, unless that read degraded.  Only a get decides."""
+
+    def test_the_copy_appears_at_the_threshold_th_get(self, providers, clock, payload):
+        hyrd = _promoting(providers, clock, threshold=3)
+        hyrd.put("/d/l", payload(2 * MB))
+        for _ in range(2):
+            hyrd.get("/d/l")
+        assert hyrd.hot_copies() == {} and _promotes(hyrd) == 0
+        hyrd.get("/d/l")
+        assert list(hyrd.hot_copies()) == ["/d/l"]
+        assert [r.op for r in hyrd.collector.reports][-2:] == ["get", "promote"]
+        hyrd.get("/d/l")
+        assert _promotes(hyrd) == 1  # one copy per version
+
+    def test_a_degraded_object_read_does_not_promote(self, providers, clock, payload):
+        hyrd = _promoting(providers, clock)
+        data = payload(2 * MB)
+        hyrd.put("/d/l", data)
+        data_slot = hyrd.namespace.get("/d/l").placements[0][0]
+        providers[data_slot].faults.add(OutageWindow(clock.now, clock.now + 60))
+        got, report = hyrd.get("/d/l")
+        assert got == data and report.degraded
+        assert hyrd.hot_copies() == {} and _promotes(hyrd) == 0
+        clock.advance(60)
+        hyrd.get("/d/l")
+        assert "/d/l" in hyrd.hot_copies()
+
+    def test_a_metadata_group_fallback_alone_does_not_veto(
+        self, providers, clock, payload
+    ):
+        hyrd = _promoting(providers, clock)
+        hyrd.put("/d/l", payload(2 * MB))
+        # The group's first-ranked copy is gone: the fetch falls back to the
+        # other replica and degrades the get, but the object read is clean.
+        first = hyrd._rank_providers(hyrd._meta_write_targets(), 0, "down", adaptive=True)[0]
+        providers[first].store.remove(hyrd.container, group_key("/d"))
+        hyrd.meta.invalidate("/d")
+        _, report = hyrd.get("/d/l")
+        assert report.degraded
+        assert "/d/l" in hyrd.hot_copies()
+
+    def test_a_migrate_read_never_promotes(self, providers, clock, payload):
+        hyrd = _promoting(providers, clock)
+        hyrd.put("/d/l", payload(2 * MB))
+        hyrd.migrate_object("/d/l")
+        hyrd.repair_object("/d/l")
+        assert hyrd.hot_copies() == {} and _promotes(hyrd) == 0
+        hyrd.get("/d/l")
+        assert "/d/l" in hyrd.hot_copies()
+
+
+class TestHotCopyAccounting:
+    """A hot copy is its entry's placement in client memory: the live
+    client's sweep keeps it, a restarted client's sweep collects it."""
+
+    def test_the_copy_is_neither_metadata_nor_identity(self, providers, clock, payload):
+        hyrd = _promoting(providers, clock)
+        hyrd.put("/d/l", payload(2 * MB))
+        hyrd.get("/d/l")
+        entry = hyrd.namespace.get("/d/l")
+        bare = replace(entry, hot=None)
+        assert entry.hot is not None and entry == bare
+        assert encode_group([entry]) == encode_group([bare])
+        assert "hot" not in repr(entry)
+
+    def test_a_live_clients_copy_survives_the_sweep(self, providers, clock, payload):
+        hyrd = _promoting(providers, clock)
+        hyrd.put("/d/l", payload(2 * MB))
+        hyrd.get("/d/l")
+        provider, key, _ = hyrd.namespace.get("/d/l").hot
+        assert hyrd._sweep_orphans() == {}
+        assert providers[provider].store.has(hyrd.container, key)
+        _, report = hyrd.get("/d/l")
+        assert report.providers == (provider,)
+
+    def test_a_restarted_client_sweeps_its_predecessors_copy(
+        self, providers, clock, payload
+    ):
+        first = _promoting(providers, clock)
+        data = payload(2 * MB)
+        first.put("/d/l", data)
+        first.get("/d/l")
+        provider, key, _ = first.namespace.get("/d/l").hot
+        second = _promoting(providers, clock)
+        second.take_over(first)
+        second.recover_namespace()
+        assert second.hot_copies() == {}
+        assert second.recover()["orphans_removed"] == {provider: 1}
+        assert not providers[provider].store.has(second.container, key)
+        assert second.get("/d/l")[0] == data
+
+
+    def test_a_rolled_back_entry_comes_back_without_its_copy(
+        self, providers, clock, payload
+    ):
+        first = _promoting(providers, clock)
+        journal = first.attach_journal()
+        data = payload(2 * MB)
+        first.put("/d/l", data)
+        first.get("/d/l")
+        provider, key, _ = first.namespace.get("/d/l").hot
+        first.install_crash_schedule(CrashSchedule([1]))
+        with pytest.raises(ClientCrash):
+            first.put("/d/l", payload(2 * MB))
+        (intent,) = journal.pending()
+        assert intent.prev.hot is None  # the journal is durable, the copy is not
+        second = _promoting(providers, clock)
+        second.take_over(first)
+        second.recover_namespace()
+        summary = second.recover()
+        assert [d["path"] for d in summary["rolled_back"]] == ["/d/l"]
+        assert second.hot_copies() == {}
+        assert not providers[provider].store.has(second.container, key)
+        assert second.get("/d/l")[0] == data
 
 
 class TestMonitorIntegration:

@@ -160,10 +160,8 @@ class TestQuorumAndConfidentialSchemes:
         data = payload(2 * MB)
         hyrd.put("/d/big", data)
         hyrd.get("/d/big")  # triggers promotion
-        (provider, version) = hyrd.hot_copies()["/d/big"]
-        _corrupt(
-            providers[provider], hyrd.container, hyrd._hot_key("/d/big", version)
-        )
+        provider, key, _ = hyrd.namespace.get("/d/big").hot
+        _corrupt(providers[provider], hyrd.container, key)
         got, _ = hyrd.get("/d/big")
         assert got == data  # verified stripe wins over the corrupt hot copy
 

@@ -86,8 +86,17 @@ class TestPromotion:
         provider, _version = hyrd.hot_copies()["/d/big"]
         got, report = hyrd.get("/d/big")
         assert report.providers == (provider,)
-        assert got is hyrd._hot["/d/big"][2]
+        assert got is hyrd.namespace.get("/d/big").hot.data
         assert got == data
+
+    def test_a_hot_read_hashes_nothing(self, providers, clock, payload, hashed):
+        data = payload(2 * MB)
+        hyrd = _promoted(providers, clock, data)
+        provider, _key, promoted = hyrd.namespace.get("/d/big").hot
+        before = hashed[0]
+        got, report = hyrd.get("/d/big")
+        assert hashed[0] - before == 0
+        assert report.providers == (provider,) and got is promoted
 
     @pytest.mark.parametrize(
         "damage", [_flipped, lambda obj: bytes(obj[:-1])], ids=["flipped", "truncated"]
@@ -97,26 +106,26 @@ class TestPromotion:
     ):
         data = payload(2 * MB)
         hyrd = _promoted(providers, clock, data)
-        provider, version = hyrd.hot_copies()["/d/big"]
-        store, key = providers[provider].store, hyrd._hot_key("/d/big", version)
+        provider, key, _ = hyrd.namespace.get("/d/big").hot
+        store = providers[provider].store
         store.tamper(hyrd.container, key, damage(store.get(hyrd.container, key).data))
         got, report = hyrd.get("/d/big")
         assert got == data
         stripe = set(hyrd.namespace.get("/d/big").providers)
         assert set(report.providers) - {provider} <= stripe
         assert len(report.providers) > 1  # hot copy tried, stripe served
+        assert not report.degraded
 
     def test_a_fresh_object_with_the_same_bytes_is_accepted(
         self, providers, clock, payload
     ):
         data = payload(2 * MB)
         hyrd = _promoted(providers, clock, data)
-        provider, version = hyrd.hot_copies()["/d/big"]
-        key = hyrd._hot_key("/d/big", version)
+        provider, key, promoted = hyrd.namespace.get("/d/big").hot
         providers[provider].store.tamper(hyrd.container, key, bytearray(data))
         got, report = hyrd.get("/d/big")
         assert report.providers == (provider,)
-        assert got is not hyrd._hot["/d/big"][2]
+        assert got is not promoted
         assert got == data
 
 

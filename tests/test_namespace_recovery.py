@@ -207,6 +207,85 @@ class TestRecoverySemantics:
             assert second.get(path)[0] == data
 
 
+class TestSweepAfterPartialRecovery:
+    """The recovery sweep deletes nothing after a namespace recovery that
+    found a provider out or a metadata target unlistable: the namespace it
+    rebuilt may lack live entries, whose objects would look like orphans."""
+
+    STRAY = "/docs/stray#v9"
+
+    def _crashed(self, providers, clock, payload):
+        first = HyrdScheme(list(providers.values()), clock)
+        first.attach_journal()
+        contents = _populate(first, payload)
+        providers["rackspace"].store.put(first.container, self.STRAY, b"stray", clock.now)
+        return first, contents
+
+    def _replacement(self, providers, clock, first):
+        second = HyrdScheme(list(providers.values()), clock)
+        second.take_over(first)
+        return second
+
+    @pytest.mark.parametrize("built", ["before", "during"])
+    def test_a_metadata_target_out_sweeps_nothing(self, providers, clock, payload, built):
+        """Built before the outage, the replacement skips its own first
+        target; built during it, it ranks the down provider out of its
+        targets, though that provider holds its predecessor's groups."""
+        first, contents = self._crashed(providers, clock, payload)
+        target = first._meta_write_targets()[0]
+        if built == "before":
+            second = self._replacement(providers, clock, first)
+        providers[target].faults.add(OutageWindow(clock.now, clock.now + 600))
+        if built == "during":
+            second = self._replacement(providers, clock, first)
+            assert target not in second._meta_write_targets()
+        else:
+            assert second._rank_providers(second._meta_write_targets())[0] == target
+        second.recover_namespace()
+        assert second.recover()["orphans_removed"] == {}
+        assert providers["rackspace"].store.has(second.container, self.STRAY)
+        clock.advance(600)
+        second.heal_returned()
+        for path, data in contents.items():
+            assert second.get(path)[0] == data
+
+    def test_an_unlistable_target_sweeps_nothing(
+        self, providers, clock, payload, monkeypatch
+    ):
+        """The group holder's list fails and the next target holds no
+        group: the namespace comes back empty, and a sweep would collect
+        every file."""
+        first, contents = self._crashed(providers, clock, payload)
+        second = self._replacement(providers, clock, first)
+        holder = first._meta_write_targets()[0]
+        groupless = next(
+            name
+            for name in second.provider_names
+            if not providers[name].store.has(second.container, group_key("/docs"))
+        )
+        real = second._list_container
+        monkeypatch.setattr(
+            second, "_list_container", lambda name: None if name == holder else real(name)
+        )
+        monkeypatch.setattr(second, "_meta_write_targets", lambda: [holder, groupless])
+        second.recover_namespace()
+        assert len(second.namespace) == 0
+        assert second.recover()["orphans_removed"] == {}
+        monkeypatch.undo()
+        second.recover_namespace()
+        for path, data in contents.items():
+            assert second.get(path)[0] == data
+
+    def test_with_every_provider_up_an_orphan_is_swept(self, providers, clock, payload):
+        first, contents = self._crashed(providers, clock, payload)
+        second = self._replacement(providers, clock, first)
+        second.recover_namespace()
+        assert second.recover()["orphans_removed"] == {"rackspace": 1}
+        assert not providers["rackspace"].store.has(second.container, self.STRAY)
+        for path, data in contents.items():
+            assert second.get(path)[0] == data
+
+
 _FLEET = ("amazon_s3", "azure", "aliyun", "rackspace")
 #: providers holding a copy (a replica, or RACS's fragment .i on the i-th)
 #: of every metadata group

@@ -177,14 +177,17 @@ class TestOneWritePath:
     """An object version is scattered in one function; a scheme is a
     placement rule, an ack rule and (DepSky-CA) a codec."""
 
-    def test_only_the_base_and_hyrd_define_write_placement(self):
+    def test_only_the_base_defines_the_object_paths(self):
+        """HyRD's hot copy is a placement of its entry, not a data path of
+        its own: no scheme overrides the object write, read, get or in-place
+        update."""
         classes = _all_scheme_classes()
         assert {c.__name__ for c in classes} >= {
             "SingleCloudScheme", "DuraCloudScheme", "RacsScheme", "DepSkyScheme",
             "DepSkyCAScheme", "NCCloudScheme", "HyRDClient",
         }  # fmt: skip
-        definers = {c.__name__ for c in classes if "_write_placement" in vars(c)}
-        assert definers == {"Scheme", "HyRDClient"}  # HyRD drops its hot copy
+        for name in ("_write_placement", "_read_object", "get", "_rmw_striped"):
+            assert {c.__name__ for c in classes if name in vars(c)} == {"Scheme"}, name
         for cls in classes:
             assert "_write_replicated" not in vars(cls), cls
             assert "_write_striped" not in vars(cls), cls
