@@ -3,27 +3,28 @@
 The paper motivates Cloud-of-Clouds with availability (§I, §II) but reports
 only latency and cost; this benchmark supplies the availability numbers:
 analytic k-of-n availability per scheme plus a Monte-Carlo outage simulation
-that must agree with it.
+whose nines must bracket it, row by row.
 """
 
-import pytest
+import math
 
-from repro.analysis.availability import (
-    DAY,
-    analytic_report,
-    monte_carlo_report,
-    nines,
-)
+from repro.analysis.availability import analytic_report, monte_carlo_nines, nines
 from repro.analysis.tables import render_table
+
+
+def _band_text(band) -> str:
+    if band.nines == math.inf:
+        return f"> {band.low:.2f} (none seen)"
+    return f"{band.nines:.3f} ({band.low:.2f}-{band.high:.2f})"
 
 
 def test_availability_analytic_vs_monte_carlo(benchmark, emit):
     def experiment():
         analytic = analytic_report()  # MTBF 60 d, MTTR 12 h per provider
-        mc = monte_carlo_report(seed=0, horizon=3000 * DAY)
-        return analytic, mc
+        # 20 seeds x 300 000 days of exact outage-window intersection
+        return analytic, monte_carlo_nines()
 
-    analytic, mc = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    analytic, bands = benchmark.pedantic(experiment, rounds=1, iterations=1)
 
     order = [
         "single-amazon_s3",
@@ -40,11 +41,18 @@ def test_availability_analytic_vs_monte_carlo(benchmark, emit):
         "hyrd",
     ]
     rows = [
-        [name, analytic[name], nines(analytic[name]), mc[name]] for name in order
+        [
+            name,
+            analytic[name],
+            nines(analytic[name]),
+            1.0 - 10.0 ** -bands[name].nines,
+            _band_text(bands[name]),
+        ]
+        for name in order
     ]
     emit(
         render_table(
-            ["Scheme", "Analytic avail.", "Nines", "Monte-Carlo avail."],
+            ["Scheme", "Analytic avail.", "Nines", "Monte-Carlo avail.", "Monte-Carlo nines (band)"],
             rows,
             title=(
                 "Storage availability — provider MTBF 60 days, MTTR 12 hours\n"
@@ -62,9 +70,9 @@ def test_availability_analytic_vs_monte_carlo(benchmark, emit):
         assert nines(analytic[scheme]) > nines(singles_best) + 1.0
     # Fault-tolerance ordering under equal provider availability.
     assert analytic["depsky"] > analytic["nccloud"] > analytic["racs"]
-    # Monte-Carlo agrees with the closed form.
-    for scheme in ("single-aliyun", "duracloud", "racs", "hyrd"):
-        assert mc[scheme] == pytest.approx(analytic[scheme], abs=0.005)
+    # The closed form lies inside every row's Monte-Carlo band, in nines.
+    for name in order:
+        assert bands[name].admits(nines(analytic[name])), (name, bands[name])
 
 
 def test_lockin_switching_costs(benchmark, emit):

@@ -10,8 +10,10 @@ checks one against the other:
   replication, any k of n for an (n, k) erasure code.  Computed exactly by
   enumerating provider-state subsets (n = 4 here, so 16 terms).
 - **Monte-Carlo**: draw Poisson outage windows per provider
-  (:func:`repro.faults.scenario.poisson_outages`), then integrate over
-  simulated time the fraction in which each scheme's data is readable.
+  (:func:`repro.faults.scenario.poisson_outages`), then measure exactly,
+  from the windows' edges, the time in which each scheme's data is
+  readable.  Over several seeds that gives nines with a band, and the
+  closed form must fall inside it row by row.
 
 Both read each scheme's placement set and read quorum off the scheme itself
 (:func:`placement_of`), never off a table kept beside it.  HyRD stores two
@@ -21,11 +23,12 @@ class and combined (a file-weighted workload mix).
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 from types import MappingProxyType
-from typing import Callable, Mapping
 
 import numpy as np
 
@@ -40,6 +43,8 @@ __all__ = [
     "availability_of_placement",
     "analytic_report",
     "hyrd_combined",
+    "NinesBand",
+    "monte_carlo_nines",
     "monte_carlo_report",
     "nines",
     "placement_of",
@@ -48,6 +53,8 @@ __all__ = [
 
 HOUR = 3600.0
 DAY = 24 * HOUR
+
+_BAND_SE = 4.0
 
 #: fraction of accesses hitting HyRD's replicated (small/metadata) class
 _SMALL_WEIGHT = 0.8
@@ -178,27 +185,94 @@ def analytic_report(
     return _report(lambda p: availability_of_placement(p, provider_availability))
 
 
+def _quorum_downtime(windows: list[list[tuple[float, float]]], k: int) -> float:
+    """Seconds during which fewer than ``k`` providers are up, given each
+    provider's merged outage windows: an exact sweep over the window edges,
+    with no time grid."""
+    edges = np.array([t for ws in windows for w in ws for t in w])
+    if not len(edges):
+        return 0.0
+    steps = np.tile([1, -1], len(edges) // 2)  # a window's start, then its end
+    order = np.argsort(edges, kind="stable")
+    edges = edges[order]
+    readable = len(windows) - np.cumsum(steps[order]) >= k
+    return float(np.diff(edges)[~readable[:-1]].sum())
+
+
+def _unavailability(
+    seed: int, horizon: float, mtbf: float, mttr: float
+) -> dict[str, float]:
+    """Each row's share of ``horizon`` unreadable under one seed's Poisson
+    outage windows (HyRD's blend is linear, so it blends these too)."""
+    scenario = poisson_outages(SINGLE_PROVIDERS, horizon, mtbf, mttr, seed)
+    windows = {
+        name: profile.downtime_windows(0.0, horizon)
+        for name, profile in scenario.profiles.items()
+    }
+    return _report(
+        lambda p: _quorum_downtime([windows[q] for q in p.providers], p.k) / horizon
+    )
+
+
 def monte_carlo_report(
     seed: int = 0,
     horizon: float = 400 * DAY,
     mtbf: float = 60 * DAY,
     mttr: float = 12 * HOUR,
-    resolution: float = HOUR,
 ) -> dict[str, float]:
-    """Simulated availability: Poisson outages, time-sampled readability.
+    """Simulated availability: Poisson outages, exact readable time.
 
-    Independent outage processes per provider; at each sample instant a
-    scheme's data is readable iff >= k of its providers are up.  Converges
-    to :func:`analytic_report` as horizon grows (tested).
+    Independent outage processes per provider; a scheme's data is readable
+    while >= k of its providers are up, and that time is measured exactly
+    from the outage windows.  Converges to :func:`analytic_report` as the
+    horizon grows (checked row by row in nines by :func:`monte_carlo_nines`).
     """
-    scenario = poisson_outages(SINGLE_PROVIDERS, horizon, mtbf, mttr, seed)
-    times = np.arange(0.0, horizon, resolution)
-    up: dict[str, np.ndarray] = {}
-    for name, profile in scenario.profiles.items():
-        mask = np.ones(len(times), dtype=bool)
-        for a, b in profile.downtime_windows(0.0, horizon):
-            mask &= ~((times >= a) & (times < b))
-        up[name] = mask
-    return _report(
-        lambda p: float((np.vstack([up[q] for q in p.providers]).sum(axis=0) >= p.k).mean())
-    )
+    return {
+        name: 1.0 - share
+        for name, share in _unavailability(seed, horizon, mtbf, mttr).items()
+    }
+
+
+@dataclass(frozen=True)
+class NinesBand:
+    """One row's Monte-Carlo nines over independent seeds.
+
+    ``nines`` comes from the downtime pooled over every seed.  The band is
+    four standard errors of that mean downtime either side, turned into
+    nines, so ``high`` is infinite when the band reaches zero downtime.  A
+    row with no downtime in any seed is only a lower bound: with none seen
+    in ``T`` seconds, downtime episodes occur less often than 3 per ``T``
+    (95 %, the rule of three) and each lasts less than a mean repair, so
+    ``low = log10(T / (3 * mttr))``.
+    """
+
+    nines: float
+    low: float
+    high: float
+
+    def admits(self, value: float) -> bool:
+        """Whether ``value`` nines (say, the closed form's) agrees."""
+        return self.low <= value <= self.high
+
+
+def monte_carlo_nines(
+    seeds: Sequence[int] = range(20),
+    horizon: float = 300_000 * DAY,
+    mtbf: float = 60 * DAY,
+    mttr: float = 12 * HOUR,
+) -> dict[str, NinesBand]:
+    """:func:`monte_carlo_report` in nines, with a band from the spread of
+    independent ``seeds``; the oracle :func:`analytic_report` is held to."""
+    runs = [_unavailability(seed, horizon, mtbf, mttr) for seed in seeds]
+    bands = {}
+    for name in runs[0]:
+        shares = np.array([run[name] for run in runs])
+        mean = float(shares.mean())
+        if mean == 0.0:
+            floor = float(np.log10(len(shares) * horizon / (3 * mttr)))
+            bands[name] = NinesBand(math.inf, floor, math.inf)
+            continue
+        spread = _BAND_SE * float(shares.std(ddof=1)) / math.sqrt(len(shares))
+        high = -math.log10(mean - spread) if mean > spread else math.inf
+        bands[name] = NinesBand(-math.log10(mean), -math.log10(mean + spread), high)
+    return bands

@@ -111,14 +111,14 @@ _SPECS: tuple[MetricSpec, ...] = (
     MetricSpec(
         "hedged_reads",
         "counter",
-        "Hedged replicated reads that fired a backup request (primary slow, "
-        "failed, or corrupt past the trigger delay).",
+        "Hedged reads that fired a backup request: a replica past its trigger "
+        "delay, failed or corrupt, or a scheduler-hedged striped fragment.",
     ),
     MetricSpec(
         "hedge_wins",
         "counter",
-        "Hedged reads where the backup's response was used (it answered "
-        "first or the primary failed).",
+        "Hedged reads served by the backup set (it answered first, or the "
+        "primary replica or gating fragment failed).",
     ),
     MetricSpec(
         "breaker_transitions_total",

@@ -703,6 +703,8 @@ class Scheme(ABC):
             p.name: resilience.make_breaker(p.name, metrics=self.registry)
             for p in providers
         }
+        for breaker in self._breakers.values():
+            breaker.listeners.append(self._note_breaker)
         self.health: dict[str, ProviderHealth] = {
             p.name: resilience.make_health(p.name, metrics=self.registry)
             for p in providers
@@ -931,9 +933,9 @@ class Scheme(ABC):
             return lat.rtt + size / min(lat.download_bw, self.link.downlink)
         return lat.rtt
 
-    def _note_breaker(self, breaker: CircuitBreaker) -> None:
-        """Count the state ``breaker`` just moved to."""
-        self.collector.bump(f"breaker_{breaker.state}")
+    def _note_breaker(self, provider: str, state: str, now: float) -> None:
+        """Breaker listener: count the state a breaker just moved to."""
+        self.collector.bump(f"breaker_{state}")
 
     def _op(self, kind: str, path: str) -> _Op:
         """Scope of one operation: ``with self._op("put", path) as op: ...``,
@@ -1040,11 +1042,7 @@ class Scheme(ABC):
             if bypass_breakers:
                 allowed[name] = True
                 continue
-            breaker = self._breakers[name]
-            before = breaker.state
-            allowed[name] = breaker.allow(now)
-            if breaker.state != before:
-                self._note_breaker(breaker)
+            allowed[name] = self._breakers[name].allow(now)
 
         for i, op in enumerate(ops):
             # Scripted crash injection: die *between* cloud ops, before this
@@ -1131,19 +1129,13 @@ class Scheme(ABC):
                 # provider (the scrubber probes keys that may be lost); it
                 # must not push the breaker toward open.
                 if not isinstance(error, NoSuchObject):
-                    before = breaker.state
                     breaker.record_failure(now)
-                    if breaker.state != before:
-                        self._note_breaker(breaker)
                 op.error = error
                 # Failure detection costs one control round-trip.
                 uploads.append((i, lat.control_spec(self.rng, penalty)))
                 continue
             health.record_attempt(True)
-            before = breaker.state
             breaker.record_success(now)
-            if breaker.state != before:
-                self._note_breaker(breaker)
             op.ok = True
             op.response = data
             if op.kind == "put":
@@ -1533,13 +1525,33 @@ class Scheme(ABC):
         degraded = len(candidates) < len(ranked)
         vetted = True
         if self.resilience.hedge_reads and len(candidates) >= 2:
-            hedged = self._hedged_replicated_get(key, size, candidates, digest)
-            if hedged is not None:
-                data, hedge_degraded = hedged
+            # The backup replica fires once the primary overruns its
+            # estimated p95 latency for this transfer.
+            primary, cfg = candidates[0], self.resilience
+            factor = max(
+                self.health[primary].p95_slowdown(cfg.hedge_quantile_dev),
+                cfg.hedge_min_delay_factor,
+            )
+
+            def intact(_: int, o: CloudOp) -> bool:
+                return (
+                    o.ok
+                    and o.response is not None
+                    and (digest is None or self._verify_digest(key, o.response, digest))
+                )
+
+            winner, _, hedge_degraded = self._hedged_fetch(
+                [(0, CloudOp(primary, "get", self.container, key))],
+                0,
+                (1, CloudOp(candidates[1], "get", self.container, key)),
+                self._estimate_latency(primary, size, "down") * factor,
+                intact,
+            )
+            if winner is not None:
                 degraded = degraded or hedge_degraded
                 if degraded:
                     self._mark_degraded()
-                return data, degraded
+                return winner[0][1].response, degraded
             # Both hedge legs failed; fall back to the remaining replicas.
             degraded = True
             candidates = candidates[2:]
@@ -1586,77 +1598,71 @@ class Scheme(ABC):
         detail = f" ({last_error})" if last_error is not None else ""
         raise DataUnavailable(path, f"no intact replica reachable on {providers}{detail}")
 
-    def _hedged_replicated_get(
-        self, key: str, size: int, candidates: list[str], digest: str | None
-    ) -> tuple[bytes, bool] | None:
-        """Primary request plus a delayed backup; first intact response wins.
+    def _hedged_fetch(
+        self,
+        main: list[tuple[int, CloudOp]],
+        gating: int,
+        backup: tuple[int, CloudOp],
+        delay: float,
+        intact,
+    ) -> tuple[list[tuple[int, CloudOp]] | None, list[tuple[int, CloudOp]], bool]:
+        """Race the gets ``main`` against a backup set, ``main`` with
+        ``backup`` in place of ``main[gating]``; the first set to answer
+        intact wins.  Gets are ``(index, op)`` pairs, and ``intact(index,
+        op)`` says whether an answer can be used.
 
-        Models request hedging on the sim clock: the primary is issued; if
-        its response would land after the hedge trigger delay (estimated p95
-        for this transfer) — or it failed — the backup is issued at that
-        delay and the op settles at the *winner's* finish.  The
-        loser is cancelled, so its wire time is never waited on, but both
-        requests were issued: providers metered both, and both count as
-        cloud ops (hedging's real cost).
+        The one hedge, modelled on the sim clock.  ``main`` is issued and
+        settles alone if it answers intact before ``delay``; a finish is
+        never negative, so a ``delay`` of 0 always fires the backup.
+        Otherwise the backup fires at ``delay``, or when ``main[gating]``
+        fails or answers corrupt if that is sooner, and the op settles at
+        the winner's finish.  The loser's spare leg is cancelled there, so
+        its wire time is never waited on; but both legs were issued,
+        providers metered both, and both count as cloud ops (hedging's real
+        cost).  When neither set answers intact, the client waited for
+        every leg.
 
-        Returns ``(data, degraded)`` or ``None`` when both legs failed.
+        Returns ``(winner, gets, degraded)``: the winning set (``main``
+        itself, or the backup set) or ``None``; the gets to use, which are
+        the winner or else every get issued; and whether ``main`` failed to
+        answer intact.  A backup that merely outran a slow main is a normal
+        read.
         """
-        primary, backup = candidates[0], candidates[1]
-        cfg = self.resilience
-        factor = max(
-            self.health[primary].p95_slowdown(cfg.hedge_quantile_dev),
-            cfg.hedge_min_delay_factor,
-        )
-        hedge_delay = self._estimate_latency(primary, size, "down") * factor
+        ops, main_done = self._issue([o for _, o in main])
+        good = [intact(i, o) for i, o in main]
+        main_good = all(good)
+        if main_good and main_done < delay:
+            self._settle(main_done, ops)
+            return main, main, False
 
-        # Both legs are issued, then one settle per exit: only the race
-        # *winner* is waited on, the loser is cancelled at its finish.
-        (p,), p_elapsed = self._issue([CloudOp(primary, "get", self.container, key)])
-        p_ok = (
-            p.ok
-            and p.response is not None
-            and (digest is None or self._verify_digest(key, p.response, digest))
-        )
-        if p_ok and p_elapsed <= hedge_delay:
-            self._settle(p_elapsed, [p])
-            return p.response, False
-
-        # Primary is slow, failed or corrupt: fire the backup.  A detected
-        # failure releases the hedge immediately; a silently slow primary
-        # only releases it at the trigger delay.
+        lagging = main[gating][1]
+        b = backup[1]
         self.collector.bump("hedged_reads")
         self._current.hedged = True
         if self.tracer.enabled:
             self.tracer.event(
-                "hedge.fired", primary=primary, backup=backup, delay=hedge_delay
+                "hedge.fired", primary=lagging.provider, backup=b.provider, delay=delay
             )
-        backup_start = hedge_delay if p_ok else min(hedge_delay, p_elapsed)
-        (b,), b_elapsed = self._issue(
-            [CloudOp(backup, "get", self.container, key)], at=backup_start
-        )
-        b_ok = (
-            b.ok
-            and b.response is not None
-            and (digest is None or self._verify_digest(key, b.response, digest))
-        )
-        b_finish = backup_start + b_elapsed
+        start = delay if good[gating] else min(delay, lagging.finish)
+        _, b_elapsed = self._issue([b], at=start)
+        b_done = start + b_elapsed
+        others = main[:gating] + main[gating + 1 :]
+        alt_done = math.inf
+        if intact(*backup) and all(good[:gating] + good[gating + 1 :]):
+            alt_done = max(max((o.finish for _, o in others), default=0.0), b_done)
 
-        if p_ok and (not b_ok or p_elapsed <= b_finish):
-            # The backup was on the wire from backup_start until the primary
-            # answered; that slice is wasted provider work, not latency.
-            self._settle(p_elapsed, [p], ((b, max(0.0, p_elapsed - backup_start)),))
-            return p.response, False
-        if b_ok:
+        if main_good and main_done <= alt_done:
+            self._settle(main_done, ops, ((b, max(0.0, main_done - start)),))
+            return main, main, False
+        if alt_done < math.inf:
             self.collector.bump("hedge_wins")
             if self.tracer.enabled:
-                self.tracer.event("hedge.win", provider=backup)
-            self._settle(b_finish, [b], ((p, b_finish),))
-            # Degraded only when the primary actually failed — a hedge that
-            # merely outran a slow-but-healthy primary is a normal read.
-            return b.response, not p_ok
-        # Both legs failed: charge the time burned finding out.
-        self._settle(max(p_elapsed, b_finish), ())
-        return None
+                self.tracer.event("hedge.win", provider=b.provider)
+            alt = others + [backup]
+            self._settle(alt_done, [o for _, o in alt], ((lagging, alt_done),))
+            return alt, alt, not main_good
+        self._settle(max(main_done, b_done), ops + [b])
+        return None, main + [backup], True
 
     def _encode_fragments(
         self, codec: ErasureCodec, data: bytes
@@ -1722,14 +1728,28 @@ class Scheme(ABC):
             else:
                 decision = None  # too few usable; the core raises below
         if decision is not None and decision.hedge is not None:
-            fragments, rejected, hedge_degraded = self._striped_hedged_fetch(
-                stem, by_index, order[: codec.k], decision.hedge, verified
+            # Capacity-aware hedging (see :mod:`repro.core.scheduling`): the
+            # scheduler found the gating provider's queue wait dearer than
+            # the backup fragment's wire and decode cost, so both legs fire
+            # at once and the first complete k-subset serves.
+            hedge, chosen = decision.hedge, order[: codec.k]
+            self._held["sched_hedges_total"].inc()
+            main = list(zip(chosen, self._fragment_gets(stem, by_index, chosen)))
+            winner, gets, hedge_degraded = self._hedged_fetch(
+                main,
+                chosen.index(hedge.gating),
+                (hedge.backup, *self._fragment_gets(stem, by_index, [hedge.backup])),
+                0.0,
+                lambda i, o: o.ok and o.response is not None and verified(i, o.response),
             )
+            if winner is not None and winner is not main:
+                self._held["sched_hedge_wins_total"].inc()
             degraded = degraded or hedge_degraded
         else:
-            gets, missed = self._get_stripe(key_base, stem, by_index, order, codec.k)
+            stripe, missed = self._get_stripe(key_base, stem, by_index, order, codec.k)
+            gets = stripe.items()
             degraded = degraded or missed
-            fragments, rejected = self._sort_fetched(gets.items(), verified)
+        fragments, rejected = self._sort_fetched(gets, verified)
         if len(fragments) < codec.k:
             # Outage-boundary races and corrupt fragments both land here:
             # top up from the remaining healthy placements.  Replacements
@@ -1973,83 +1993,6 @@ class Scheme(ABC):
                     }
                 ),
             )
-
-    def _striped_hedged_fetch(
-        self,
-        stem: str,
-        by_index: dict[int, str],
-        chosen: list[int],
-        hedge,
-        verified,
-    ) -> tuple[dict[int, bytes], set[int], bool]:
-        """Fetch ``chosen`` fragments plus a concurrent backup fragment;
-        advance the clock only to the winning subset's finish.
-
-        Capacity-aware hedging (see :mod:`repro.core.scheduling`): the
-        scheduler already decided the gating provider's estimated queue
-        wait exceeds the backup's wire+decode cost, so both legs fire at
-        once and the first complete k-subset serves.  Mirrors
-        :meth:`_hedged_replicated_get`'s accounting — only outcomes that
-        were actually waited on feed the health EWMAs; the cancelled leg's
-        wire time is recorded as hedge waste.
-
-        Returns ``(fragments, rejected, degraded)``; a failed or corrupt
-        fetch falls back to merged bookkeeping and lets the caller's top-up
-        loop finish the read.
-        """
-        gating, backup = hedge.gating, hedge.backup
-        main, main_done = self._issue(self._fragment_gets(stem, by_index, chosen))
-        self.collector.bump("hedged_reads")
-        self._held["sched_hedges_total"].inc()
-        self._current.hedged = True
-        if self.tracer.enabled:
-            self.tracer.event(
-                "hedge.fired",
-                primary=by_index[gating],
-                backup=by_index[backup],
-                delay=0.0,
-            )
-        (b,), b_done = self._issue(self._fragment_gets(stem, by_index, [backup]))
-        outcomes = dict(zip(chosen, main))
-
-        def good(i: int, o: CloudOp) -> bool:
-            return o.ok and o.response is not None and verified(i, o.response)
-
-        main_good = all(good(i, o) for i, o in outcomes.items())
-        others_good = all(good(i, o) for i, o in outcomes.items() if i != gating)
-        b_good = good(backup, b)
-        if main_good or (b_good and others_good):
-            others = max(
-                (o.finish for i, o in outcomes.items() if i != gating),
-                default=0.0,
-            )
-            alt_done = max(others, b_done) if b_good else math.inf
-            if main_good and main_done <= alt_done:
-                # The chosen subset answered first: normal read, backup leg
-                # cancelled at the winner's finish.
-                self._settle(main_done, main, ((b, main_done),))
-                return {i: o.response for i, o in outcomes.items()}, set(), False
-            # The backup subset completed first (or the gating fragment
-            # failed outright): decode around the gating provider.
-            self.collector.bump("hedge_wins")
-            self._held["sched_hedge_wins_total"].inc()
-            if self.tracer.enabled:
-                self.tracer.event("hedge.win", provider=by_index[backup])
-            self._settle(
-                alt_done,
-                [o for i, o in outcomes.items() if i != gating] + [b],
-                ((outcomes[gating], alt_done),),
-            )
-            fragments = {i: o.response for i, o in outcomes.items() if i != gating}
-            fragments[backup] = b.response
-            # Degraded only when the gating fragment actually failed — a
-            # backup that merely outran a queued provider is a normal read.
-            return fragments, set(), not main_good
-        # A non-gating fragment failed or was corrupt: no subset won.  Wait
-        # out both legs, keep every intact fragment, and let the top-up
-        # logic recover — same degraded semantics as the unhedged path.
-        self._settle(max(main_done, b_done), main + [b])
-        return (*self._sort_fetched([*outcomes.items(), (backup, b)], verified), True)
 
     @staticmethod
     def _sort_fetched(gets, verified) -> tuple[dict[int, bytes], set[int]]:

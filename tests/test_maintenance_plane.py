@@ -354,7 +354,9 @@ class TestMaintenancePlane:
         )
         plane.start()
         for breaker in scheme._breakers.values():
-            assert breaker.listeners == [plane._on_breaker_transition]
+            assert breaker.listeners == [
+                scheme._note_breaker, plane._on_breaker_transition
+            ]
         plane._on_breaker_transition("azure", "open", 0.0)
         plane._on_breaker_transition("azure", "closed", 1.0)
         audits = plane.run_cycle()
@@ -362,7 +364,7 @@ class TestMaintenancePlane:
         assert len(audits) == len(contents) + 1
         plane.stop()
         for breaker in scheme._breakers.values():
-            assert breaker.listeners == []
+            assert breaker.listeners == [scheme._note_breaker]
 
     def test_slo_listener_chain_preserved(self):
         from repro.obs import SloTracker
@@ -376,7 +378,9 @@ class TestMaintenancePlane:
         assert slo.provider("azure").observed.down_since == 5.0
         assert "azure" in plane._opened
         scheme.detach_maintenance()
-        assert scheme._breakers["azure"].listeners == [slo.on_breaker_transition]
+        assert scheme._breakers["azure"].listeners == [
+            scheme._note_breaker, slo.on_breaker_transition
+        ]
 
     @pytest.mark.parametrize("slo_first", [True, False])
     def test_breaker_edges_reach_slo_and_plane_in_either_attach_order(self, slo_first):
@@ -413,7 +417,7 @@ class TestMaintenancePlane:
         plane.stop()
         plane.stop()  # idempotent
         breaker = scheme._breakers["azure"]
-        assert breaker.listeners == [slo.on_breaker_transition]
+        assert breaker.listeners == [scheme._note_breaker, slo.on_breaker_transition]
         for _ in range(breaker.failure_threshold):
             breaker.record_failure(5.0)
         assert slo.provider("azure").observed.down_since == 5.0
