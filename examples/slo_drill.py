@@ -16,7 +16,7 @@ simulated seconds, then:
 Run:  python examples/slo_drill.py
 """
 
-from repro.obs import SloConfig, SloTracker, TimeSeriesSampler, run_fault_storm_report
+from repro.obs import SloTracker, TimeSeriesSampler, run_fault_storm_report
 from repro.obs.dashboard import render_dashboard
 
 TS_OUT = "slo-drill-ts.jsonl"
@@ -37,7 +37,7 @@ def fmt(value: float | None, suffix: str = "s") -> str:
 
 
 def main() -> None:
-    slo = SloTracker(SloConfig(window=3600.0))
+    slo = SloTracker()
     sampler = TimeSeriesSampler(cadence=30.0, slo=slo)
     print("Running the canonical fault storm with an SLO tracker attached...\n")
     run_fault_storm_report(seed=0, trace=False, slo=slo, sampler=sampler)

@@ -253,7 +253,6 @@ def _cmd_watch(args: argparse.Namespace) -> str:
     from repro.obs import (
         MetricTimeSeries,
         ProviderLoadObservatory,
-        SloConfig,
         SloTracker,
         TimeSeriesSampler,
     )
@@ -273,7 +272,7 @@ def _cmd_watch(args: argparse.Namespace) -> str:
         if live:
             print(render_frame(sampler, color=color), flush=True)
 
-    slo = SloTracker(SloConfig())
+    slo = SloTracker()
     sampler = TimeSeriesSampler(
         cadence=args.cadence, slo=slo, on_sample=repaint
     )

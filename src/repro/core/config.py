@@ -38,12 +38,6 @@ class HyRDConfig:
         Read count after which a large file is *promoted*: an extra full copy
         is placed on the fastest performance-oriented provider (Figure 2's
         "frequently accessed large files").  ``0`` disables promotion.
-    perf_fraction:
-        Fraction of providers (by measured speed) classified
-        performance-oriented by the Evaluator.
-    cost_percentile:
-        Storage-price percentile at or below which a provider is classified
-        cost-oriented.
     min_distinct_regions:
         Placement policy (§VI feature-awareness): every placement must span
         at least this many distinct provider regions.  1 disables the
@@ -65,8 +59,6 @@ class HyRDConfig:
     erasure_k: int | None = None
     metadata_cache_capacity: int = 256
     hot_file_threshold: int = 4
-    perf_fraction: float = 0.5
-    cost_percentile: float = 75.0
     min_distinct_regions: int = 1
     required_features: tuple[str, ...] = ()
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
@@ -85,12 +77,6 @@ class HyRDConfig:
             raise ValueError("metadata_cache_capacity must be >= 1")
         if self.hot_file_threshold < 0:
             raise ValueError("hot_file_threshold must be >= 0")
-        if not (0.0 < self.perf_fraction <= 1.0):
-            raise ValueError(f"perf_fraction must be in (0, 1], got {self.perf_fraction}")
-        if not (0.0 <= self.cost_percentile <= 100.0):
-            raise ValueError(
-                f"cost_percentile must be in [0, 100], got {self.cost_percentile}"
-            )
         if self.min_distinct_regions < 1:
             raise ValueError(
                 f"min_distinct_regions must be >= 1, got {self.min_distinct_regions}"

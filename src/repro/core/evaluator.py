@@ -28,10 +28,29 @@ from repro.core.config import HyRDConfig
 from repro.core.resilience import ProviderHealth, RetryPolicy
 from repro.sim.rng import make_rng
 
-__all__ = ["ProviderProfile", "CostPerformanceEvaluator"]
+__all__ = [
+    "ProviderProfile",
+    "CostPerformanceEvaluator",
+    "PROBE_SIZE",
+    "PROBE_REPEATS",
+    "PROBE_RETRY",
+    "PERF_FRACTION",
+    "COST_PERCENTILE",
+]
 
 _PROBE_KEY = "__hyrd_probe__"
 _PROBE_CONTAINER = "__hyrd_eval__"
+
+#: bytes of each probe put and get
+PROBE_SIZE = 256 * 1024
+#: put+get probe pairs averaged into one provider's latency score
+PROBE_REPEATS = 3
+#: probe retry discipline: 6 immediate attempts, no backoff
+PROBE_RETRY = RetryPolicy(max_attempts=6, base_delay=0.0, max_delay=0.0, jitter=0.0)
+#: share of providers, fastest first, classified performance-oriented
+PERF_FRACTION = 0.5
+#: storage-price percentile at or below which a provider is cost-oriented
+COST_PERCENTILE = 75.0
 
 
 @dataclass(frozen=True)
@@ -60,24 +79,12 @@ class CostPerformanceEvaluator:
         self,
         providers: list[SimulatedProvider],
         config: HyRDConfig,
-        probe_size: int = 256 * 1024,
-        probe_repeats: int = 3,
-        retry_policy: RetryPolicy | None = None,
         metrics=None,
     ) -> None:
         if not providers:
             raise ValueError("evaluator needs at least one provider")
-        if probe_size < 0 or probe_repeats < 1:
-            raise ValueError("invalid probe parameters")
         self.providers = {p.name: p for p in providers}
         self.config = config
-        self.probe_size = probe_size
-        self.probe_repeats = probe_repeats
-        #: probe retry discipline; defaults to the config's ``probe_retry``
-        #: policy (6 immediate attempts — the historical behaviour, now a knob)
-        self.retry_policy = (
-            retry_policy if retry_policy is not None else config.resilience.probe_retry
-        )
         self.rng = make_rng(config.seed, "evaluator")
         #: optional MetricsRegistry; probe rounds feed
         #: ``evaluator_probes_total`` / ``evaluator_probe_failures_total``
@@ -92,16 +99,16 @@ class CostPerformanceEvaluator:
 
         Probes are real metered transactions (the paper's evaluator
         "directly interacts with the individual cloud storage providers"),
-        retried under :attr:`retry_policy`, and costed through the
+        retried under :data:`PROBE_RETRY`, and costed through the
         provider's *effective* latency — an active brownout is measured, not
         assumed away.  Unavailable providers score infinitely slow.
         """
         from repro.cloud.errors import TransientProviderError
 
-        payload = bytes(self.probe_size)
-        policy = self.retry_policy
+        payload = bytes(PROBE_SIZE)
+        policy = PROBE_RETRY
         samples: list[float] = []
-        for _ in range(self.probe_repeats):
+        for _ in range(PROBE_REPEATS):
             if self.metrics is not None:
                 self.metrics.counter(
                     "evaluator_probes_total", provider=provider.name
@@ -126,8 +133,8 @@ class CostPerformanceEvaluator:
             else:  # pragma: no cover - loop exits via break or return
                 return self._probe_failed(provider.name)
             lat = provider.effective_latency()
-            up = lat.upload_spec(self.probe_size, self.rng)
-            down = lat.download_spec(self.probe_size, self.rng)
+            up = lat.upload_spec(PROBE_SIZE, self.rng)
+            down = lat.download_spec(PROBE_SIZE, self.rng)
             samples.append(
                 up.start_delay
                 + up.size_bytes / up.remote_cap
@@ -150,23 +157,21 @@ class CostPerformanceEvaluator:
 
     def _classify(self, scores: dict[str, float]) -> dict[str, ProviderProfile]:
         """Build profiles from latency scores + published prices."""
-        # Performance-oriented: the fastest ceil(perf_fraction * n) providers.
+        # Performance-oriented: the fastest ceil(PERF_FRACTION * n) providers.
         n = len(self.providers)
-        perf_count = max(1, int(np.ceil(self.config.perf_fraction * n)))
+        perf_count = max(1, int(np.ceil(PERF_FRACTION * n)))
         perf_names = set(
             sorted(scores, key=lambda name: scores[name])[:perf_count]
         )
 
-        # Cost-oriented: storage price at or below the configured percentile.
+        # Cost-oriented: storage price at or below COST_PERCENTILE.
         prices = {
             name: p.pricing.storage_gb_month for name, p in self.providers.items()
         }
         cutoff = float(
-            np.percentile(list(prices.values()), self.config.cost_percentile)
+            np.percentile(list(prices.values()), COST_PERCENTILE)
         )
         cost_names = {name for name, price in prices.items() if price <= cutoff}
-        if not cost_names:  # degenerate configs: cheapest provider qualifies
-            cost_names = {min(prices, key=prices.get)}  # type: ignore[arg-type]
 
         profiles: dict[str, ProviderProfile] = {}
         for name, p in self.providers.items():
@@ -209,10 +214,8 @@ class CostPerformanceEvaluator:
         too soft to trip a breaker.
         """
         self._require_profiles()
-        weight = self.config.resilience.health_error_weight
         scores = {
-            name: raw
-            * (health[name].penalty(weight) if name in health else 1.0)
+            name: raw * (health[name].penalty() if name in health else 1.0)
             for name, raw in self._scores.items()
         }
         self.profiles = self._classify(scores)

@@ -8,15 +8,16 @@ ways than a clean outage; this module is the client's adaptive reaction:
   fixed-count immediate retries; the same seed reproduces the same retry
   timestamps.
 - :class:`CircuitBreaker` — per-provider closed/open/half-open breaker on
-  the sim clock.  After ``failure_threshold`` consecutive request failures
-  the provider is skipped exactly like an outaged one (mutations fall into
-  the write log); after ``reset_timeout`` sim-seconds a half-open probe
-  decides whether to close it again.
+  the sim clock.  After :data:`BREAKER_FAILURE_THRESHOLD` consecutive
+  request failures the provider is skipped exactly like an outaged one
+  (mutations fall into the write log); after :data:`BREAKER_RESET_TIMEOUT`
+  sim-seconds a half-open probe decides whether to close it again.
 - :class:`ProviderHealth` — EWMA tracker of per-provider error rate and
   observed/expected latency slowdown.  Feeds the Cost & Performance
   Evaluator's re-ranking (a browned-out provider gets demoted from the
   performance class) and sizes the hedged-read trigger delay.
-- :class:`ResilienceConfig` — one frozen bundle of knobs, hung off
+- :class:`ResilienceConfig` — the three settings callers choose (retry
+  policy, hedged reads, write-log memory budget), hung off
   :class:`~repro.core.config.HyRDConfig` and accepted by every scheme.
 """
 
@@ -33,7 +34,30 @@ __all__ = [
     "ProviderHealth",
     "ResilienceConfig",
     "NO_BACKOFF",
+    "BREAKER_FAILURE_THRESHOLD",
+    "BREAKER_RESET_TIMEOUT",
+    "BREAKER_HALF_OPEN_SUCCESSES",
+    "HEALTH_ALPHA",
+    "HEALTH_ERROR_WEIGHT",
+    "HEDGE_QUANTILE_DEV",
+    "HEDGE_MIN_DELAY_FACTOR",
 ]
+
+#: consecutive request failures that open a closed breaker
+BREAKER_FAILURE_THRESHOLD = 3
+#: sim seconds an open breaker waits before admitting a half-open probe
+BREAKER_RESET_TIMEOUT = 60.0
+#: half-open successes that close the breaker again
+BREAKER_HALF_OPEN_SUCCESSES = 2
+#: EWMA smoothing of :class:`ProviderHealth`'s error rate and slowdown
+HEALTH_ALPHA = 0.2
+#: error-rate weight in :meth:`ProviderHealth.penalty`
+HEALTH_ERROR_WEIGHT = 4.0
+#: ``k`` in :meth:`ProviderHealth.p95_slowdown` (mean + k deviations)
+HEDGE_QUANTILE_DEV = 2.0
+#: a replicated read's hedge never fires before ``estimate x`` this — a
+#: cold health tracker would otherwise hedge every read
+HEDGE_MIN_DELAY_FACTOR = 1.1
 
 
 @dataclass(frozen=True)
@@ -125,9 +149,9 @@ class BreakerState:
 class CircuitBreaker:
     """Per-provider circuit breaker driven by the sim clock.
 
-    closed --[``failure_threshold`` consecutive failures]--> open
-    open   --[``reset_timeout`` elapsed, next ``allow``]--> half_open
-    half_open --[``half_open_successes`` successes]--> closed
+    closed --[:data:`BREAKER_FAILURE_THRESHOLD` consecutive failures]--> open
+    open   --[:data:`BREAKER_RESET_TIMEOUT` elapsed, next ``allow``]--> half_open
+    half_open --[:data:`BREAKER_HALF_OPEN_SUCCESSES` successes]--> closed
     half_open --[any failure]--> open (cooldown restarts)
 
     ``allow`` is consulted once per phase per provider by the scheme engine;
@@ -138,26 +162,8 @@ class CircuitBreaker:
     healed provider immediately).
     """
 
-    def __init__(
-        self,
-        name: str,
-        failure_threshold: int = 3,
-        reset_timeout: float = 60.0,
-        half_open_successes: int = 2,
-        metrics=None,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ValueError(f"failure_threshold must be >= 1, got {failure_threshold}")
-        if reset_timeout <= 0:
-            raise ValueError(f"reset_timeout must be > 0, got {reset_timeout}")
-        if half_open_successes < 1:
-            raise ValueError(
-                f"half_open_successes must be >= 1, got {half_open_successes}"
-            )
+    def __init__(self, name: str, metrics=None) -> None:
         self.name = name
-        self.failure_threshold = failure_threshold
-        self.reset_timeout = reset_timeout
-        self.half_open_successes = half_open_successes
         #: optional MetricsRegistry; transitions feed
         #: ``breaker_transitions_total{provider,state}`` when attached
         self.metrics = metrics
@@ -196,12 +202,12 @@ class CircuitBreaker:
         """Non-mutating check: would a request to this provider proceed?"""
         if self.state != BreakerState.OPEN:
             return True
-        return now - self._opened_at >= self.reset_timeout
+        return now - self._opened_at >= BREAKER_RESET_TIMEOUT
 
     def allow(self, now: float) -> bool:
         """Gate one phase; an expired open breaker moves to half-open."""
         if self.state == BreakerState.OPEN:
-            if now - self._opened_at < self.reset_timeout:
+            if now - self._opened_at < BREAKER_RESET_TIMEOUT:
                 return False
             self._transition(BreakerState.HALF_OPEN, now)
         return True
@@ -211,7 +217,7 @@ class CircuitBreaker:
         self._consecutive_failures = 0
         if self.state == BreakerState.HALF_OPEN:
             self._half_open_ok += 1
-            if self._half_open_ok >= self.half_open_successes:
+            if self._half_open_ok >= BREAKER_HALF_OPEN_SUCCESSES:
                 self._transition(BreakerState.CLOSED, now)
         elif self.state == BreakerState.OPEN:
             # Forced traffic (consistency-update replay) proved it healthy.
@@ -225,7 +231,7 @@ class CircuitBreaker:
             self._opened_at = now  # still failing: restart the cooldown
             return
         self._consecutive_failures += 1
-        if self._consecutive_failures >= self.failure_threshold:
+        if self._consecutive_failures >= BREAKER_FAILURE_THRESHOLD:
             self._transition(BreakerState.OPEN, now)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -245,16 +251,13 @@ class ProviderHealth:
       *expected* comes from the provider's clean latency model.  A brownout
       shows up here as a ratio well above 1 without a single error.
 
-    ``p95_slowdown`` (mean + ``k`` deviations) sizes the hedged-read trigger
-    delay; ``penalty`` condenses both signals into one multiplicative factor
-    for the evaluator's health-aware re-ranking.
+    ``p95_slowdown`` (mean + :data:`HEDGE_QUANTILE_DEV` deviations) sizes
+    the hedged-read trigger delay; ``penalty`` condenses both signals into
+    one multiplicative factor for the evaluator's health-aware re-ranking.
     """
 
-    def __init__(self, name: str, alpha: float = 0.2, metrics=None) -> None:
-        if not (0.0 < alpha <= 1.0):
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    def __init__(self, name: str, metrics=None) -> None:
         self.name = name
-        self.alpha = alpha
         #: optional MetricsRegistry; the two EWMAs are published as the
         #: ``provider_health_error_rate`` / ``provider_health_slowdown`` gauges
         self.metrics = metrics
@@ -272,7 +275,7 @@ class ProviderHealth:
 
     def record_attempt(self, ok: bool) -> None:
         """Fold one request attempt (success or failure) into the error EWMA."""
-        self.error_rate += self.alpha * ((0.0 if ok else 1.0) - self.error_rate)
+        self.error_rate += HEALTH_ALPHA * ((0.0 if ok else 1.0) - self.error_rate)
         self.samples += 1
         if self.metrics is not None:
             gauge = self._error_rate_gauge
@@ -287,8 +290,8 @@ class ProviderHealth:
         if expected <= 0.0 or observed < 0.0:
             return
         ratio = observed / expected
-        self.slowdown += self.alpha * (ratio - self.slowdown)
-        self.slowdown_dev += self.alpha * (abs(ratio - self.slowdown) - self.slowdown_dev)
+        self.slowdown += HEALTH_ALPHA * (ratio - self.slowdown)
+        self.slowdown_dev += HEALTH_ALPHA * (abs(ratio - self.slowdown) - self.slowdown_dev)
         if self.metrics is not None:
             gauge = self._slowdown_gauge
             if gauge is None:
@@ -351,13 +354,14 @@ class ProviderHealth:
             return 0.0
         return depth * self.capacity_slope()
 
-    def p95_slowdown(self, k: float = 2.0) -> float:
-        """Upper-tail slowdown estimate (>= 1): mean + ``k`` deviations."""
-        return max(1.0, self.slowdown + k * self.slowdown_dev)
+    def p95_slowdown(self) -> float:
+        """Upper-tail slowdown estimate (>= 1): mean + k deviations
+        (:data:`HEDGE_QUANTILE_DEV`)."""
+        return max(1.0, self.slowdown + HEDGE_QUANTILE_DEV * self.slowdown_dev)
 
-    def penalty(self, error_weight: float = 4.0) -> float:
+    def penalty(self) -> float:
         """Multiplicative score penalty: 1.0 means perfectly healthy."""
-        return max(1.0, self.slowdown) * (1.0 + error_weight * self.error_rate)
+        return max(1.0, self.slowdown) * (1.0 + HEALTH_ERROR_WEIGHT * self.error_rate)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -368,32 +372,22 @@ class ProviderHealth:
 
 @dataclass(frozen=True)
 class ResilienceConfig:
-    """Every resilience knob in one bundle.
+    """The resilience settings callers choose.
+
+    The breaker, health and hedge-delay values are this module's constants;
+    the Evaluator's probe retry is
+    :data:`repro.core.evaluator.PROBE_RETRY`.
 
     Parameters
     ----------
     retry:
         Backoff policy for normal scheme requests (puts/gets/etc.).
-    probe_retry:
-        Backoff policy for the Evaluator's latency probes.  Default keeps
-        the seed's 6 immediate attempts, now config-exposed.
-    breaker_*:
-        Per-provider circuit-breaker parameters (see :class:`CircuitBreaker`).
     hedge_reads:
         Enable hedged reads on the replicated read path: when the primary
         replica's response has not arrived by the estimated p95 latency, a
         backup request goes to the next-ranked replica and the first
         response wins.  Off by default — hedging trades extra requests (and
         egress) for tail latency, which is a policy decision.
-    hedge_quantile_dev:
-        ``k`` in the p95 slowdown estimate (mean + k deviations).
-    hedge_min_delay_factor:
-        The hedge never fires before ``estimate * this`` — guards against a
-        cold health tracker hedging every single read.
-    health_alpha:
-        EWMA smoothing for :class:`ProviderHealth`.
-    health_error_weight:
-        Error-rate weight in the evaluator's health-aware re-ranking.
     write_log_memory_limit:
         In-memory byte budget per provider write log; retained put payloads
         beyond it spill to client-local disk (see
@@ -401,43 +395,5 @@ class ResilienceConfig:
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    probe_retry: RetryPolicy = field(
-        default_factory=lambda: RetryPolicy(
-            max_attempts=6, base_delay=0.0, max_delay=0.0, jitter=0.0
-        )
-    )
-    breaker_failure_threshold: int = 3
-    breaker_reset_timeout: float = 60.0
-    breaker_half_open_successes: int = 2
     hedge_reads: bool = False
-    hedge_quantile_dev: float = 2.0
-    hedge_min_delay_factor: float = 1.1
-    health_alpha: float = 0.2
-    health_error_weight: float = 4.0
     write_log_memory_limit: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.hedge_min_delay_factor < 1.0:
-            raise ValueError(
-                f"hedge_min_delay_factor must be >= 1, got {self.hedge_min_delay_factor}"
-            )
-        if self.hedge_quantile_dev < 0.0:
-            raise ValueError(
-                f"hedge_quantile_dev must be >= 0, got {self.hedge_quantile_dev}"
-            )
-        if self.health_error_weight < 0.0:
-            raise ValueError(
-                f"health_error_weight must be >= 0, got {self.health_error_weight}"
-            )
-
-    def make_breaker(self, name: str, metrics=None) -> CircuitBreaker:
-        return CircuitBreaker(
-            name,
-            failure_threshold=self.breaker_failure_threshold,
-            reset_timeout=self.breaker_reset_timeout,
-            half_open_successes=self.breaker_half_open_successes,
-            metrics=metrics,
-        )
-
-    def make_health(self, name: str, metrics=None) -> ProviderHealth:
-        return ProviderHealth(name, alpha=self.health_alpha, metrics=metrics)

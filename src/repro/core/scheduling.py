@@ -22,7 +22,7 @@ when detached.  Three decisions per striped read:
   (Little's-law depth x EWMA service time); parity fragments carry a
   multiplicative decode-cost penalty.  The k cheapest win.
 - **Fractional split** — repeated reads of the same hot path rotate across
-  every subset whose score is within ``rotation_margin`` of the k-th best,
+  every subset whose score is within :data:`ROTATION_MARGIN` of the k-th best,
   spreading load over the capacity region instead of hammering one fixed
   set.  The rotation is a deterministic per-key counter: no RNG, so the
   same health snapshots always produce the same subset sequence.
@@ -40,70 +40,37 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-__all__ = ["SchedulerConfig", "HedgePlan", "ReadDecision", "FragmentScheduler"]
+__all__ = [
+    "HedgePlan",
+    "ReadDecision",
+    "FragmentScheduler",
+    "PARITY_PENALTY",
+    "ROTATION_MARGIN",
+    "QUEUE_WEIGHT",
+    "HALF_OPEN_PENALTY",
+    "HEDGE_MARGIN",
+    "HEDGE_WINNABLE",
+]
 
 
-@dataclass(frozen=True)
-class SchedulerConfig:
-    """Every scheduling knob in one frozen bundle.
-
-    Parameters
-    ----------
-    parity_penalty:
-        Multiplicative score handicap for parity fragments of a systematic
-        codec: picking one forces a real matrix decode where a systematic
-        join would do.  1.0 makes parity and data fragments equals (the
-        right setting for non-systematic codes; applied automatically when
-        ``codec.systematic`` is False).
-    rotation_margin:
-        Fractional score slack for the split policy: any usable fragment
-        scoring within ``(1 + margin)`` of the k-th best joins the rotation
-        pool.  0 disables rotation (always the k cheapest).
-    queue_weight:
-        Weight of the observatory's Little's-law queue wait (depth x EWMA
-        service seconds) in the score.
-    half_open_penalty:
-        Multiplicative handicap for a provider whose breaker is probing
-        (half-open) — usable, but not worth betting the critical path on.
-    hedge_margin:
-        The backup fires only when the gating provider's estimated queue
-        wait exceeds ``hedge_margin x`` the backup fragment's
-        wire-plus-decode cost.  Higher is more conservative.
-    hedge_winnable:
-        The backup must also have a fighting chance: its full load-aware
-        score may exceed the gating fragment's by at most this factor,
-        otherwise the estimates already say the duplicate loses the race
-        and the wire time would be pure waste.
-    """
-
-    parity_penalty: float = 1.25
-    rotation_margin: float = 0.25
-    queue_weight: float = 1.0
-    half_open_penalty: float = 4.0
-    hedge_margin: float = 1.0
-    hedge_winnable: float = 1.5
-
-    def __post_init__(self) -> None:
-        if self.parity_penalty < 1.0:
-            raise ValueError(
-                f"parity_penalty must be >= 1, got {self.parity_penalty}"
-            )
-        if self.rotation_margin < 0.0:
-            raise ValueError(
-                f"rotation_margin must be >= 0, got {self.rotation_margin}"
-            )
-        if self.queue_weight < 0.0:
-            raise ValueError(f"queue_weight must be >= 0, got {self.queue_weight}")
-        if self.half_open_penalty < 1.0:
-            raise ValueError(
-                f"half_open_penalty must be >= 1, got {self.half_open_penalty}"
-            )
-        if self.hedge_margin <= 0.0:
-            raise ValueError(f"hedge_margin must be > 0, got {self.hedge_margin}")
-        if self.hedge_winnable < 1.0:
-            raise ValueError(
-                f"hedge_winnable must be >= 1, got {self.hedge_winnable}"
-            )
+#: multiplicative score handicap for a systematic codec's parity fragment:
+#: picking one forces a real matrix decode where a systematic join would do
+#: (non-systematic codes score every fragment alike)
+PARITY_PENALTY = 1.25
+#: fractional score slack of the split policy: every usable fragment scoring
+#: within ``(1 + margin)`` of the k-th best joins the rotation pool
+ROTATION_MARGIN = 0.25
+#: weight of the observatory's Little's-law queue wait in the score
+QUEUE_WEIGHT = 1.0
+#: handicap for a provider whose breaker is probing (half-open) — usable,
+#: but not worth betting the critical path on
+HALF_OPEN_PENALTY = 4.0
+#: the backup fires only when the gating provider's queue wait exceeds this
+#: multiple of the backup fragment's wire-plus-decode cost
+HEDGE_MARGIN = 1.0
+#: ... and only when the backup's full score is at most this multiple of the
+#: gating fragment's: otherwise the duplicate loses the race anyway
+HEDGE_WINNABLE = 1.5
 
 
 @dataclass(frozen=True)
@@ -147,8 +114,7 @@ class FragmentScheduler:
     decision-making: no clock movement, no RNG draws, no wire traffic.
     """
 
-    def __init__(self, config: SchedulerConfig | None = None) -> None:
-        self.config = config if config is not None else SchedulerConfig()
+    def __init__(self) -> None:
         self._scheme = None
         #: deterministic per-key read counters driving the rotation policy
         self._reads: dict[str, int] = {}
@@ -177,7 +143,7 @@ class FragmentScheduler:
         Two congestion signals, each zero until its feed has samples:
 
         - the observatory's Little's-law depth x its EWMA per-request
-          service time (``queue_weight``);
+          service time (:data:`QUEUE_WEIGHT`);
         - the health tracker's latency-vs-load curve slope priced at that
           depth — the marginal congestion the curve has actually observed
           at higher concurrency.
@@ -190,7 +156,7 @@ class FragmentScheduler:
         if depth <= 0.0:
             return 0.0
         rate = obs.service_rate(name)
-        wait = self.config.queue_weight * (depth / rate if rate > 0.0 else 0.0)
+        wait = QUEUE_WEIGHT * (depth / rate if rate > 0.0 else 0.0)
         return wait + scheme.health[name].queue_wait(depth)
 
     def score_provider(self, name: str, nbytes: int) -> float:
@@ -200,14 +166,13 @@ class FragmentScheduler:
         a half-open breaker and ``inf`` for an open one.
         """
         scheme = self._scheme
-        cfg = self.config
         est = scheme._estimate_latency(name, nbytes, "down")
-        est *= scheme._health_penalty(name)
+        est *= scheme.health[name].penalty()
         breaker = scheme._breakers[name]
         if not breaker.would_allow(scheme.clock.now):
             return math.inf
         if breaker.state == "half_open":
-            est *= cfg.half_open_penalty
+            est *= HALF_OPEN_PENALTY
         return est + self.queue_wait(name)
 
     def estimate_stripe(self, by_index, size: int, codec) -> float:
@@ -237,7 +202,6 @@ class FragmentScheduler:
         (health snapshots, observatory state, per-key counter) — same
         inputs, same subset, byte-identical payloads.
         """
-        cfg = self.config
         systematic = codec.systematic
         frag = codec.fragment_size(size)
         scores: dict[int, float] = {}
@@ -246,7 +210,7 @@ class FragmentScheduler:
                 continue
             s = self.score_provider(by_index[idx], frag)
             if systematic and idx >= codec.k:
-                s *= cfg.parity_penalty
+                s *= PARITY_PENALTY
             scores[idx] = s
         ranked = sorted(scores, key=lambda i: (scores[i], i))
         count = self._reads.get(key, 0)
@@ -267,10 +231,8 @@ class FragmentScheduler:
         chosen = list(ranked[:k])
         rotated = False
         kth = scores[ranked[k - 1]]
-        if cfg.rotation_margin > 0.0 and math.isfinite(kth):
-            pool = [
-                i for i in ranked if scores[i] <= kth * (1.0 + cfg.rotation_margin)
-            ]
+        if math.isfinite(kth):
+            pool = [i for i in ranked if scores[i] <= kth * (1.0 + ROTATION_MARGIN)]
             if len(pool) > k:
                 shift = count % len(pool)
                 if shift:
@@ -296,11 +258,11 @@ class FragmentScheduler:
             backup = order[k]
             cost = self._scheme._estimate_latency(by_index[backup], frag, "down")
             if systematic and backup >= k:
-                cost *= cfg.parity_penalty
+                cost *= PARITY_PENALTY
             if (
                 math.isfinite(wait)
-                and wait > cfg.hedge_margin * cost
-                and scores[backup] <= cfg.hedge_winnable * scores[gating]
+                and wait > HEDGE_MARGIN * cost
+                and scores[backup] <= HEDGE_WINNABLE * scores[gating]
             ):
                 hedge = HedgePlan(
                     backup=backup, gating=gating, wait=wait, cost=cost

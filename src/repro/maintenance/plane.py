@@ -8,7 +8,7 @@ repair scheduler and the live migration engine to a recurring tick on a
    open spell — the paths placed there are the ones an outage may have left
    damaged or write-logged, so they are audited first, without waiting for
    the full namespace walk to come around.
-2. One resumable slice of the namespace-wide scrub.
+2. A scrub of the whole namespace.
 3. Damaged audits feed the repair priority queue (most-at-risk first);
    the queue drains under the token-bucket bandwidth budget.
 4. One bounded slice of the live migration queue, same budget.
@@ -17,10 +17,9 @@ repair scheduler and the live migration engine to a recurring tick on a
 
 Attachment is strictly opt-in (``scheme.attach_maintenance()``) and the
 detached default is zero-cost: no foreground code path consults the plane,
-draws RNG for it, or moves the clock on its behalf.  ``pause()`` keeps the
-schedule but makes ticks no-ops — handy for change freezes; ``stop()``
-unhooks everything, including the plane's breaker listeners (and only
-those: the SLO tracker's stay, whichever was attached first).
+draws RNG for it, or moves the clock on its behalf.  ``stop()`` unhooks
+everything, including the plane's breaker listeners (and only those: the
+SLO tracker's stay, whichever was attached first).
 """
 
 from __future__ import annotations
@@ -52,10 +51,6 @@ class MaintenanceConfig:
 
     #: sim seconds between maintenance ticks
     scrub_interval: float = 600.0
-    #: namespace paths audited per tick (0 = the whole namespace each tick)
-    scrub_paths_per_cycle: int = 0
-    #: feed damaged audits straight into the repair queue
-    auto_repair: bool = True
     #: repair/migration byte budget per sim second (None = unthrottled)
     repair_rate_bytes_per_s: float | None = None
     #: token-bucket burst capacity in bytes
@@ -92,9 +87,7 @@ class MaintenancePlane:
             self.config.repair_burst_bytes,
             scheme.clock,
         )
-        self.scrubber = AntiEntropyScrubber(
-            scheme, paths_per_cycle=self.config.scrub_paths_per_cycle
-        )
+        self.scrubber = AntiEntropyScrubber(scheme)
         self.repair = ProactiveRepairScheduler(scheme, self.budget)
         self.orphans = OrphanSweeper(scheme, self.budget)
         self.migration = LiveMigrationEngine(
@@ -106,7 +99,6 @@ class MaintenancePlane:
             for provider in scheme.api.providers():
                 provider.faults.attach_ledger(ledger)
         self._timer: RecurringEvent | None = None
-        self.paused = False
         self.ticks = 0
         #: providers currently in an open-breaker spell
         self._opened: set[str] = set()
@@ -139,13 +131,6 @@ class MaintenancePlane:
         for breaker in self.scheme._breakers.values():
             breaker.listeners.remove(self._on_breaker_transition)
 
-    def pause(self) -> None:
-        """Keep the schedule but make ticks no-ops (change freeze)."""
-        self.paused = True
-
-    def resume(self) -> None:
-        self.paused = False
-
     def _on_breaker_transition(self, provider: str, state: str, now: float) -> None:
         if state == "open":
             self._opened.add(provider)
@@ -155,8 +140,6 @@ class MaintenancePlane:
 
     # ------------------------------------------------------------------ ticks
     def _on_tick(self) -> None:
-        if self.paused:
-            return
         # A tick can only fire mid-op if someone calls pump() from inside a
         # scheme operation; verify/repair are public ops themselves, so defer.
         if self.scheme._current is not None:
@@ -185,8 +168,7 @@ class MaintenancePlane:
                 self._risk_since.pop(audit.path, None)
             else:
                 self._risk_since.setdefault(audit.path, now)
-                if self.config.auto_repair:
-                    self.repair.enqueue_audit(audit)
+                self.repair.enqueue_audit(audit)
         for result in self.repair.run_cycle():
             if result.complete:
                 self._risk_since.pop(result.path, None)
@@ -225,11 +207,8 @@ class MaintenancePlane:
             raise RuntimeError("no fault ledger attached to this plane")
         return self.ledger.score_detection(self.scrubber.found_sites)
 
-    def at_risk_paths(self) -> list[str]:
-        return sorted(self._risk_since)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "paused" if self.paused else ("running" if self.running else "stopped")
+        state = "running" if self.running else "stopped"
         return (
             f"MaintenancePlane({state}, ticks={self.ticks}, "
             f"repair_queue={len(self.repair)}, migration_queue={len(self.migration)})"

@@ -54,7 +54,6 @@ from repro.obs.report import RunReport, run_fault_storm_report
 from repro.obs.slo import (
     IntervalLedger,
     ProviderSlo,
-    SloConfig,
     SloTracker,
     TenantRollup,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "run_fault_storm_report",
     "MetricTimeSeries",
     "TimeSeriesSampler",
-    "SloConfig",
     "SloTracker",
     "TenantRollup",
     "IntervalLedger",

@@ -487,20 +487,21 @@ def attribute_trace(records: Iterable[dict[str, Any]]) -> AttributionReport:
 
 
 # -------------------------------------------------------------------- exemplars
+#: trace IDs an :class:`ExemplarStore` keeps per (op kind, latency bucket)
+EXEMPLARS_PER_BUCKET = 2
+
+
 class ExemplarStore:
     """Trace-ID exemplars per (op kind, latency-histogram bucket).
 
     Mirrors the ``op_latency_seconds`` histogram's fixed bucket bounds: for
     each bucket an op latency falls into, the store retains the first
-    ``per_bucket`` trace IDs — deterministic representatives a debugging
+    :data:`EXEMPLARS_PER_BUCKET` trace IDs — deterministic representatives a debugging
     session can pull out of the trace file (``repro explain`` links them in
     the slow-op digest).
     """
 
-    def __init__(self, per_bucket: int = 2) -> None:
-        if per_bucket < 1:
-            raise ValueError("per_bucket must be >= 1")
-        self.per_bucket = per_bucket
+    def __init__(self) -> None:
         self.bounds = DEFAULT_LATENCY_BUCKETS
         self._cells: dict[tuple[str, str], list[tuple[int | None, float]]] = {}
 
@@ -514,7 +515,7 @@ class ExemplarStore:
         """Offer one op as an exemplar; True when it was retained."""
         key = (op, self.bucket_label(latency))
         cell = self._cells.setdefault(key, [])
-        if len(cell) >= self.per_bucket:
+        if len(cell) >= EXEMPLARS_PER_BUCKET:
             return False
         cell.append((trace_id, latency))
         return True
@@ -533,6 +534,11 @@ class ExemplarStore:
 
 
 # ------------------------------------------------------------- load observatory
+#: EWMA smoothing of the observatory's service time, interarrival gap and
+#: latency-vs-load curve
+LOAD_ALPHA = 0.2
+
+
 class _LoadStats:
     """Mutable per-provider load state inside the observatory."""
 
@@ -573,11 +579,8 @@ class ProviderLoadObservatory:
     byte-identical (the engine's only cost is one ``is not None`` test).
     """
 
-    def __init__(self, alpha: float = 0.2, exemplars_per_bucket: int = 2) -> None:
-        if not (0.0 < alpha <= 1.0):
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
-        self.exemplars = ExemplarStore(exemplars_per_bucket)
+    def __init__(self) -> None:
+        self.exemplars = ExemplarStore()
         self.registry = None
         self.clock = None
         self.health: dict[str, Any] = {}
@@ -611,7 +614,7 @@ class ProviderLoadObservatory:
 
     def _update(self, provider: str, now: float, finishes: list[float]) -> None:
         st = self._stats.setdefault(provider, _LoadStats())
-        alpha = self.alpha
+        alpha = LOAD_ALPHA
         inflight = sum(1 for f in finishes if f > 0.0)
         done = [f for f in finishes if f > 0.0]
         st.requests += len(finishes)

@@ -22,7 +22,7 @@ happens:
   :meth:`Scheme._op <repro.schemes.base.Scheme>` — successes and failures
   under the same op kind) yielding read/write availability, the
   degraded-read fraction, and error-budget burn rates against
-  :class:`SloConfig` targets.  :meth:`SloTracker.publish` writes everything
+  :data:`SLO_TARGET`.  :meth:`SloTracker.publish` writes everything
   into the metric registry as ``slo_*`` gauges, which is how the time series
   and the ``repro watch`` dashboard see it.
 
@@ -40,11 +40,11 @@ budget depletes early.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Any
 
 __all__ = [
-    "SloConfig",
+    "SLO_WINDOW",
+    "SLO_TARGET",
     "IntervalLedger",
     "ProviderSlo",
     "SloTracker",
@@ -71,29 +71,10 @@ def op_class(op: str) -> str | None:
     return _OP_CLASS.get(op)
 
 
-@dataclass(frozen=True)
-class SloConfig:
-    """SLO targets and the sliding-window length (sim seconds)."""
-
-    window: float = 3600.0
-    read_target: float = 0.999
-    write_target: float = 0.999
-
-    def __post_init__(self) -> None:
-        if self.window <= 0.0:
-            raise ValueError(f"window must be > 0, got {self.window}")
-        for label, target in (("read", self.read_target), ("write", self.write_target)):
-            if not (0.0 < target < 1.0):
-                raise ValueError(
-                    f"{label}_target must be in (0, 1), got {target}"
-                )
-
-    def target(self, cls: str) -> float:
-        if cls == "read":
-            return self.read_target
-        if cls == "write":
-            return self.write_target
-        raise KeyError(f"unknown op class {cls!r}")
+#: sliding-window length, sim seconds
+SLO_WINDOW = 3600.0
+#: availability target of both op classes, reads and writes
+SLO_TARGET = 0.999
 
 
 class IntervalLedger:
@@ -191,23 +172,22 @@ class ProviderSlo:
 
 
 class _TrailingWindow:
-    """The trailing ``window`` sim-seconds of op outcomes,
+    """The trailing :data:`SLO_WINDOW` sim-seconds of op outcomes,
     ``(t, op_class, ok, detail)``, evicted as new ones arrive."""
 
-    def __init__(self, window: float) -> None:
-        self.window = window
+    def __init__(self) -> None:
         self._ops: deque[tuple[float, str, bool, Any]] = deque()
 
     def record(self, t: float, cls: str, ok: bool, detail: Any) -> None:
         ops = self._ops
         ops.append((float(t), cls, ok, detail))
-        cutoff = t - self.window
+        cutoff = t - SLO_WINDOW
         while ops and ops[0][0] < cutoff:
             ops.popleft()
 
     def window_ops(self, now: float, cls: str | None = None) -> list[tuple]:
-        """The retained ops in ``[now - window, now]``, optionally one class."""
-        cutoff = now - self.window
+        """The retained ops in ``[now - SLO_WINDOW, now]``, optionally one class."""
+        cutoff = now - SLO_WINDOW
         return [
             o for o in self._ops if o[0] >= cutoff and (cls is None or o[1] == cls)
         ]
@@ -233,8 +213,8 @@ class TenantRollup(_TrailingWindow):
     seconds).
     """
 
-    def __init__(self, tenant: str, window: float) -> None:
-        super().__init__(window)
+    def __init__(self, tenant: str) -> None:
+        super().__init__()
         self.tenant = tenant
 
     def p95_latency(self, now: float) -> float | None:
@@ -262,14 +242,13 @@ class SloTracker(_TrailingWindow):
     operations arrive via :meth:`record_op`, failed public ops via
     :meth:`record_failure`, breaker transitions via
     :meth:`on_breaker_transition`.  All computations are over the trailing
-    ``config.window`` sim-seconds (each op's ``detail`` is whether it took a
+    :data:`SLO_WINDOW` sim-seconds (each op's ``detail`` is whether it took a
     degraded path); provider MTBF/MTTR is over the whole run (failures are
     too rare for a one-hour window to hold two of them).
     """
 
-    def __init__(self, config: SloConfig | None = None) -> None:
-        self.config = config if config is not None else SloConfig()
-        super().__init__(self.config.window)
+    def __init__(self) -> None:
+        super().__init__()
         self.registry = None
         self.clock = None
         self.providers: dict[str, ProviderSlo] = {}
@@ -304,7 +283,7 @@ class SloTracker(_TrailingWindow):
         """The rollup for ``name``, created on first use."""
         rollup = self.tenants.get(name)
         if rollup is None:
-            rollup = self.tenants[name] = TenantRollup(name, self.config.window)
+            rollup = self.tenants[name] = TenantRollup(name)
         return rollup
 
     def record_op(self, report, t: float) -> None:
@@ -356,7 +335,7 @@ class SloTracker(_TrailingWindow):
         avail = self.availability(cls, now)
         if avail is None:
             return None
-        return (1.0 - avail) / (1.0 - self.config.target(cls))
+        return (1.0 - avail) / (1.0 - SLO_TARGET)
 
     # ---------------------------------------------------------------- outputs
     def publish(self, now: float | None = None) -> None:
@@ -423,16 +402,16 @@ class SloTracker(_TrailingWindow):
                 raise RuntimeError("summary() needs a time when unbound")
             now = self.clock.now
         out: dict[str, Any] = {
-            "window": self.config.window,
+            "window": SLO_WINDOW,
             "now": now,
             "read": {
-                "target": self.config.read_target,
+                "target": SLO_TARGET,
                 "availability": self.availability("read", now),
                 "budget_burn": self.error_budget_burn("read", now),
                 "ops": len(self.window_ops(now, "read")),
             },
             "write": {
-                "target": self.config.write_target,
+                "target": SLO_TARGET,
                 "availability": self.availability("write", now),
                 "budget_burn": self.error_budget_burn("write", now),
                 "ops": len(self.window_ops(now, "write")),
@@ -464,6 +443,6 @@ class SloTracker(_TrailingWindow):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"SloTracker(window={self.config.window}, ops={len(self._ops)}, "
+            f"SloTracker(window={SLO_WINDOW}, ops={len(self._ops)}, "
             f"providers={sorted(self.providers)})"
         )

@@ -44,7 +44,12 @@ from repro.cloud.gcsapi import GcsApi
 from repro.cloud.latency import ClientLink
 from repro.cloud.provider import SimulatedProvider
 from repro.core.recovery import LoggedWrite, WriteLog
-from repro.core.resilience import CircuitBreaker, ProviderHealth, ResilienceConfig
+from repro.core.resilience import (
+    HEDGE_MIN_DELAY_FACTOR,
+    CircuitBreaker,
+    ProviderHealth,
+    ResilienceConfig,
+)
 from repro.erasure.codec import ErasureCodec, get_codec
 from repro.faults.crash import ClientCrash, CrashSchedule
 from repro.fs.journal import IntentJournal
@@ -700,13 +705,13 @@ class Scheme(ABC):
         #: deterministic jitter stream for retry backoff (sim-time waits)
         self._retry_rng: np.random.Generator = make_rng(seed, "retry", self.name)
         self._breakers: dict[str, CircuitBreaker] = {
-            p.name: resilience.make_breaker(p.name, metrics=self.registry)
+            p.name: CircuitBreaker(p.name, metrics=self.registry)
             for p in providers
         }
         for breaker in self._breakers.values():
             breaker.listeners.append(self._note_breaker)
         self.health: dict[str, ProviderHealth] = {
-            p.name: resilience.make_health(p.name, metrics=self.registry)
+            p.name: ProviderHealth(p.name, metrics=self.registry)
             for p in providers
         }
         for p in providers:
@@ -884,16 +889,10 @@ class Scheme(ABC):
         def score(n: str) -> float:
             est = self._estimate_latency(n, size, direction)
             if adaptive:
-                est *= self._health_penalty(n)
+                est *= self.health[n].penalty()
             return est
 
         return sorted(names, key=score)
-
-    def _health_penalty(self, name: str) -> float:
-        """``name``'s health penalty under the resilience config's error
-        weight — the one weighting replica ranking and the read scheduler
-        share."""
-        return self.health[name].penalty(self.resilience.health_error_weight)
 
     def _provider_usable(self, name: str) -> bool:
         """Available right now and not fast-failed by its circuit breaker."""
@@ -1527,10 +1526,9 @@ class Scheme(ABC):
         if self.resilience.hedge_reads and len(candidates) >= 2:
             # The backup replica fires once the primary overruns its
             # estimated p95 latency for this transfer.
-            primary, cfg = candidates[0], self.resilience
+            primary = candidates[0]
             factor = max(
-                self.health[primary].p95_slowdown(cfg.hedge_quantile_dev),
-                cfg.hedge_min_delay_factor,
+                self.health[primary].p95_slowdown(), HEDGE_MIN_DELAY_FACTOR
             )
 
             def intact(_: int, o: CloudOp) -> bool:
@@ -2995,7 +2993,7 @@ class Scheme(ABC):
                     for k in self.unaccounted_keys(self._list_container(name) or ())
                     if k and not (log is not None and log.has_pending(self.container, k))
                 ]
-                if orphans and plane is not None and plane.orphans is not None:
+                if orphans and plane is not None:
                     for k in orphans:
                         plane.orphans.enqueue(name, self.container, k)
                 elif orphans:

@@ -4,7 +4,7 @@ The :class:`AdmissionController` sits between the frontend handlers and the
 shared scheme backend.  Each tenant gets a bounded FIFO of accepted
 requests; dispatch order across tenants is **deficit round-robin** (DRR):
 every backlogged tenant sits in a rotation, a visit grants it
-``quantum * weight`` deficit, and each dispatched request spends one unit.
+``QUANTUM * weight`` deficit, and each dispatched request spends one unit.
 With the default unit weights this degenerates to exact per-request
 round-robin — every backlogged tenant is served once per full round of the
 active set, which is the starvation-freedom property
@@ -53,6 +53,8 @@ REJECT_REASONS = (
 
 #: deficit spent per dispatched request
 _COST = 1.0
+#: deficit a DRR visit grants per unit of tenant weight
+QUANTUM = 1.0
 
 
 def jain_index(values: Iterable[float]) -> float:
@@ -88,12 +90,9 @@ class Request:
 class AdmissionController:
     """Bounded per-tenant queues drained by deficit round-robin."""
 
-    def __init__(self, quantum: float = 1.0, queue_limit: int = 16) -> None:
-        if quantum <= 0:
-            raise ValueError(f"quantum must be > 0, got {quantum}")
+    def __init__(self, queue_limit: int = 16) -> None:
         if queue_limit < 0:
             raise ValueError(f"queue_limit must be >= 0, got {queue_limit}")
-        self.quantum = float(quantum)
         self.queue_limit = queue_limit
         self.registry = None
         self.clock = None
@@ -251,7 +250,7 @@ class AdmissionController:
                 if self._deficit[tid] < _COST:
                     # First visit this round: top up the deficit.
                     self._note_visit(tid)
-                    self._deficit[tid] += self.quantum * tenant.weight
+                    self._deficit[tid] += QUANTUM * tenant.weight
                 if self._deficit[tid] < _COST:
                     # Weight so small one quantum doesn't cover a dispatch
                     # yet; the deficit carries over to the next round.

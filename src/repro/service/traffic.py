@@ -32,7 +32,10 @@ from repro.service.admission import Request
 from repro.service.frontend import ServicePlane
 from repro.sim.rng import make_bits, make_rng, raw_bytes
 
-__all__ = ["TrafficConfig", "TrafficGenerator"]
+__all__ = ["TrafficConfig", "TrafficGenerator", "READ_REQUEST_RATIO"]
+
+#: read ops : write ops of a tenant's stream (IA Figure 3's ratio)
+READ_REQUEST_RATIO = 3.5
 
 
 @dataclass(frozen=True)
@@ -43,7 +46,6 @@ class TrafficConfig:
     mode: str = "closed"  # "closed" | "open"
     ops_per_tenant: int = 8  # closed loop: total ops each tenant runs
     payload_bytes: int = 16 * 1024
-    read_request_ratio: float = 3.5  # IA Figure 3: read ops : write ops
     # open loop:
     rate_per_tenant: float = 2.0  # mean arrivals per sim second per tenant
     horizon: float = 20.0  # sim seconds of scheduled arrivals
@@ -58,8 +60,6 @@ class TrafficConfig:
             raise ValueError(f"ops_per_tenant must be >= 1, got {self.ops_per_tenant}")
         if self.payload_bytes < 0:
             raise ValueError(f"payload_bytes must be >= 0, got {self.payload_bytes}")
-        if self.read_request_ratio <= 0:
-            raise ValueError("read_request_ratio must be > 0")
         if self.rate_per_tenant <= 0 or self.horizon <= 0:
             raise ValueError("rate_per_tenant and horizon must be > 0")
         if self.skew < 1.0:
@@ -86,7 +86,8 @@ class TrafficGenerator:
 
         IA-shaped: the first op ingests an object, later ops read an
         already-written object with probability ``ratio / (ratio + 1)``
-        (3.5:1 reads:writes at the default) and ingest a new one otherwise.
+        (:data:`READ_REQUEST_RATIO`, 3.5:1 reads:writes) and ingest a new
+        one otherwise.
         """
         stream = self._streams.get(tenant_id)
         if stream is None:
@@ -96,7 +97,7 @@ class TrafficGenerator:
     def _materialize(self, tenant_id: str) -> Iterator[tuple[str, str, int]]:
         cfg = self.config
         rng = make_rng(self.seed, "tenant-workload", tenant_id)
-        p_read = cfg.read_request_ratio / (cfg.read_request_ratio + 1.0)
+        p_read = READ_REQUEST_RATIO / (READ_REQUEST_RATIO + 1.0)
         written = 0
         for i in range(cfg.ops_per_tenant):
             if written and rng.random() < p_read:

@@ -246,7 +246,7 @@ class TestReportAggregates:
 
 class TestExemplarStore:
     def test_first_n_per_bucket_retained(self):
-        store = ExemplarStore(per_bucket=2)
+        store = ExemplarStore()
         lat = 0.3  # all three land in the same bucket
         assert store.record("get", lat, 1)
         assert store.record("get", lat, 2)
@@ -259,10 +259,6 @@ class TestExemplarStore:
         assert set(ex) == {"get", "put"}
         assert store.bucket_label(1e9) == "le=+inf"
 
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            ExemplarStore(per_bucket=0)
-
 
 def outcome(provider, finish):
     return SimpleNamespace(provider=provider, finish=finish)
@@ -270,16 +266,17 @@ def outcome(provider, finish):
 
 class TestObservatoryMath:
     def test_service_rate_and_busy(self):
-        obs = ProviderLoadObservatory(alpha=1.0)  # no smoothing: exact values
+        obs = ProviderLoadObservatory()
         obs.on_phase(0.0, [outcome("s3", 0.5)])
         obs.on_phase(1.0, [outcome("s3", 0.25)])
         snap = obs.snapshot()["s3"]
-        assert snap["service_rate"] == pytest.approx(4.0)
+        # EWMA service time 0.5 + 0.2 * (0.25 - 0.5) = 0.45 s
+        assert snap["service_rate"] == pytest.approx(1.0 / 0.45)
         assert snap["busy_s"] == pytest.approx(0.75)
         assert snap["requests"] == 2.0
 
     def test_littles_law_queue_depth(self):
-        obs = ProviderLoadObservatory(alpha=1.0)
+        obs = ProviderLoadObservatory()
         # One request per second, each taking 0.5 s => L = lambda * W = 0.5.
         for t in range(5):
             obs.on_phase(float(t), [outcome("s3", 0.5)])
@@ -287,13 +284,13 @@ class TestObservatoryMath:
         assert obs.queue_depth("unknown") == 0.0
 
     def test_fast_fails_do_not_count_as_inflight(self):
-        obs = ProviderLoadObservatory(alpha=1.0)
+        obs = ProviderLoadObservatory()
         obs.on_phase(0.0, [outcome("s3", 0.0), outcome("s3", 1.0)])
         assert obs.snapshot()["s3"]["peak_inflight"] == 1.0
 
     def test_gauges_published_into_registry(self):
         registry = MetricsRegistry()
-        obs = ProviderLoadObservatory(alpha=1.0)
+        obs = ProviderLoadObservatory()
         obs.bind(registry, SimpleNamespace(now=0.0))
         obs.on_phase(0.0, [outcome("s3", 0.5), outcome("s3", 0.5)])
         obs.on_phase(1.0, [outcome("s3", 0.5)])
@@ -307,7 +304,7 @@ class TestObservatoryMath:
         from repro.core.resilience import ProviderHealth
 
         health = ProviderHealth("s3")
-        obs = ProviderLoadObservatory(alpha=1.0)
+        obs = ProviderLoadObservatory()
         obs.bind(MetricsRegistry(), SimpleNamespace(now=0.0), {"s3": health})
         obs.on_phase(0.0, [outcome("s3", 0.2)])
         obs.on_phase(1.0, [outcome("s3", 0.4), outcome("s3", 0.6)])
@@ -318,10 +315,6 @@ class TestObservatoryMath:
         assert health.expected_latency_at(2) == pytest.approx(0.5)
         assert health.expected_latency_at(100) == pytest.approx(0.5)
         assert ProviderHealth("idle").expected_latency_at(1) is None
-
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            ProviderLoadObservatory(alpha=0.0)
 
 
 class TestTracedRuns:

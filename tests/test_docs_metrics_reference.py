@@ -89,10 +89,9 @@ def emitted_names():
 
     # The load-aware read scheduler lights the sched_* family: a striped
     # read burst against a browned-out systematic provider forces parity
-    # picks; deliberately loose knobs (wide rotation pool, hair-trigger
-    # hedge) guarantee a rotation and a winning capacity-aware hedge once
-    # the observatory's queue estimates warm up.
-    from repro.core.scheduling import FragmentScheduler, SchedulerConfig
+    # picks, and once the observatory's queue estimates warm up the scores
+    # fall within the rotation margin and a capacity-aware hedge wins.
+    from repro.core.scheduling import FragmentScheduler
 
     clock = SimClock()
     fleet = make_table2_cloud_of_clouds(clock)
@@ -100,13 +99,7 @@ def emitted_names():
         list(fleet.values()), clock, config=HyRDConfig(hot_file_threshold=0)
     )
     scheme.attach_observatory(ProviderLoadObservatory())
-    scheme.attach_scheduler(
-        FragmentScheduler(
-            SchedulerConfig(
-                rotation_margin=1e9, hedge_margin=1e-6, hedge_winnable=1e9
-            )
-        )
-    )
+    scheme.attach_scheduler(FragmentScheduler())
     for i in range(4):
         scheme.put(f"/s/f{i}", bytes(2 * 1024 * 1024))
     fleet["rackspace"].faults = FaultProfile(

@@ -17,7 +17,7 @@ import pytest
 
 from repro.cloud.provider import make_table2_cloud_of_clouds
 from repro.core.config import HyRDConfig
-from repro.core.resilience import ResilienceConfig
+from repro.core.resilience import HEALTH_ALPHA, ResilienceConfig
 from repro.faults import FaultProfile, LatencyBrownout
 from repro.obs import RecordingTracer, attribute_trace
 from repro.schemes import HyrdScheme
@@ -96,14 +96,30 @@ class TestScriptedSlowPrimaryHedge:
         # counterfactual wire time.
         assert 0.0 < wasted < full
         expected = _expected_get(scheme, "aliyun", 64 * KB)
-        alpha = scheme.health["aliyun"].alpha
-        censored = s0 + alpha * (wasted / expected - s0)
-        counterfactual = s0 + alpha * (full / expected - s0)
+        censored = s0 + HEALTH_ALPHA * (wasted / expected - s0)
+        counterfactual = s0 + HEALTH_ALPHA * (full / expected - s0)
         assert scheme.health["aliyun"].slowdown == pytest.approx(censored)
         # The pre-fix behavior — EWMA folded the full finish — is pinned out.
         assert scheme.health["aliyun"].slowdown < counterfactual - 0.1
         # And the brownout still registers: the censored sample adapts.
         assert scheme.health["aliyun"].slowdown > s0
+
+    def test_trigger_delay_floors_the_p95_estimate(self):
+        # Two clean puts leave aliyun's p95 slowdown under 1.1, so the
+        # hedge waits 1.1 x the clean read estimate before firing.
+        clock = SimClock()
+        fleet = make_table2_cloud_of_clouds(clock)
+        tracer = RecordingTracer(clock)
+        scheme = _hedge_scheme(clock, fleet, tracer)
+        data = bytes(range(256)) * 256
+        scheme.put("/d/small", data)
+        _brownout(fleet, clock, "aliyun")
+        assert scheme.health["aliyun"].p95_slowdown() < 1.1
+        estimate = scheme._estimate_latency("aliyun", len(data), "down")
+        scheme.get("/d/small")
+        (fired,) = _events(tracer, "hedge.fired")
+        assert fired["attrs"]["primary"] == "aliyun"
+        assert fired["attrs"]["delay"] == pytest.approx(1.1 * estimate)
 
     def test_wasted_wire_time_is_metered(self):
         scheme, _ = self._run()
@@ -393,11 +409,11 @@ class _Queued:
 
 class _StripedRace:
     """A 2 MiB striped file read through a scheduler with a scripted queue;
-    ``plan`` is the hedge the read will make (rotation off, so deciding it
-    beforehand does not change it)."""
+    ``plan`` is the hedge the read will make (decided by a scheduler that
+    is then replaced by a fresh one, so the read is its key's first)."""
 
     def __init__(self, name="racs"):
-        from repro.core.scheduling import FragmentScheduler, SchedulerConfig
+        from repro.core.scheduling import FragmentScheduler
         from repro.schemes import build_scheme
 
         self.clock = SimClock()
@@ -405,9 +421,7 @@ class _StripedRace:
         self.tracer = RecordingTracer(self.clock)
         self.scheme = build_scheme(name, self.fleet, self.clock, tracer=self.tracer)
         self.scheme.attach_observatory(_Queued())
-        self.scheme.attach_scheduler(
-            FragmentScheduler(SchedulerConfig(rotation_margin=0.0))
-        )
+        self.scheme.attach_scheduler(FragmentScheduler())
         self.data = bytes(range(256)) * 8192
         self.scheme.put("/s/f", self.data)
         entry = self.scheme.namespace.get("/s/f")
@@ -420,6 +434,8 @@ class _StripedRace:
         )
         self.chosen, self.plan = decision.chosen, decision.hedge
         assert self.plan is not None
+        self.scheme.detach_scheduler()
+        self.scheme.attach_scheduler(FragmentScheduler())
 
     def lose(self, idx):
         _lose(self.scheme, self.fleet, self.by_index[idx], f"{self.stem}.{idx}")

@@ -6,8 +6,9 @@ from dataclasses import replace
 import pytest
 
 from repro.cloud.latency import LatencyModel
-from repro.core.config import MB, HyRDConfig
+from repro.core.config import MB
 from repro.core.dispatcher import RequestDispatcher
+from repro.core.resilience import BREAKER_FAILURE_THRESHOLD
 from repro.core.hyrd import HyRDClient
 
 
@@ -175,20 +176,28 @@ class TestPlacementMemo:
         self._assert_current(hyrd, before, [True, True, True])
         assert hyrd.dispatcher.erasure_codec().n == 4
 
+    @staticmethod
+    def _one_price(providers):
+        """Every provider at one storage and egress price: all four are
+        cost-oriented and the stripe is ordered by measured speed alone."""
+        for p in providers.values():
+            p.pricing = replace(p.pricing, storage_gb_month=0.03, data_out_gb=0.1)
+
     def test_refresh_health_ranking(self, providers, clock):
-        # Only the cheapest provider is cost-oriented, so the stripe is filled
-        # from the speed ranking and follows it.
-        hyrd = HyRDClient(list(providers.values()), clock, config=HyRDConfig(cost_percentile=0))
+        self._one_price(providers)
+        hyrd = HyRDClient(list(providers.values()), clock)
         before = self._answers(hyrd.dispatcher)
+        assert before[1][:2] == ["aliyun", "azure"]
         for _ in range(30):
             hyrd.health["azure"].record_latency(10.0, 1.0)
         hyrd.refresh_health_ranking()
         self._assert_current(hyrd, before, [True, True, False])
         assert "azure" not in hyrd.dispatcher.replica_targets()
-        assert "azure" not in hyrd.dispatcher.erasure_targets()
+        assert hyrd.dispatcher.erasure_targets()[-1] == "azure"
 
     def test_decommission(self, providers, clock):
-        hyrd = HyRDClient(list(providers.values()), clock, config=HyRDConfig(cost_percentile=100))
+        self._one_price(providers)
+        hyrd = HyRDClient(list(providers.values()), clock)
         before = self._answers(hyrd.dispatcher)
         assert before[2] == ("Raid5Code", 4, 3)
         hyrd.decommission("aliyun")
@@ -199,7 +208,7 @@ class TestPlacementMemo:
     def test_breaker_trip_reorders_replicas_with_no_refresh(self, hyrd, clock):
         assert hyrd.dispatcher.replica_targets() == ["aliyun", "azure"]
         breaker = hyrd._breakers["aliyun"]
-        for _ in range(breaker.failure_threshold):
+        for _ in range(BREAKER_FAILURE_THRESHOLD):
             breaker.record_failure(clock.now)
         # Same slots (aliyun's writes must reach its write log), new priority.
         assert hyrd.dispatcher.replica_targets() == ["azure", "aliyun"]

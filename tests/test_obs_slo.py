@@ -8,7 +8,7 @@ import pytest
 from repro.cloud.provider import make_table2_cloud_of_clouds
 from repro.faults import FaultProfile, FlappingOutage
 from repro.metrics.registry import MetricsRegistry
-from repro.obs.slo import IntervalLedger, SloConfig, SloTracker, op_class
+from repro.obs.slo import IntervalLedger, SloTracker, op_class
 from repro.sim.clock import SimClock
 
 
@@ -45,21 +45,12 @@ class TestOpClass:
         assert slo.availability("read", clock.now) == 0.5
 
 
-class TestSloConfig:
-    def test_defaults(self):
-        cfg = SloConfig()
-        assert cfg.target("read") == 0.999
-        assert cfg.target("write") == 0.999
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SloConfig(window=0.0)
-        with pytest.raises(ValueError):
-            SloConfig(read_target=1.0)
-        with pytest.raises(ValueError):
-            SloConfig(write_target=0.0)
-        with pytest.raises(KeyError):
-            SloConfig().target("heal")
+class TestSloTargets:
+    def test_one_target_and_window(self):
+        summary = SloTracker().summary(0.0)
+        assert summary["window"] == 3600.0
+        assert summary["read"]["target"] == 0.999
+        assert summary["write"]["target"] == 0.999
 
 
 class TestIntervalLedger:
@@ -127,8 +118,8 @@ class TestIntervalLedger:
 
 
 class TestSlidingWindow:
-    def make(self, window=100.0):
-        return SloTracker(SloConfig(window=window, read_target=0.9, write_target=0.9))
+    def make(self):
+        return SloTracker()
 
     def test_availability_none_without_traffic(self):
         slo = self.make()
@@ -143,8 +134,8 @@ class TestSlidingWindow:
         slo.record_failure("get", 8.0)
         slo.record_failure("get", 9.0)
         assert slo.availability("read", 10.0) == 0.8
-        # unavailability 0.2 against a 0.1 budget: burning double speed
-        assert slo.error_budget_burn("read", 10.0) == pytest.approx(2.0)
+        # unavailability 0.2 against a 0.001 budget: burning 200x speed
+        assert slo.error_budget_burn("read", 10.0) == pytest.approx(200.0)
 
     def test_classes_are_independent(self):
         slo = self.make()
@@ -154,13 +145,13 @@ class TestSlidingWindow:
         assert slo.availability("write", 3.0) == 0.0
 
     def test_window_eviction(self):
-        slo = self.make(window=100.0)
+        slo = self.make()
         slo.record_failure("get", 0.0)
-        for t in (50.0, 120.0):
+        for t in (1800.0, 3620.0):
             slo.record_op(*ok_op("get", t))
-        # the t=0 failure has aged out of [20, 120]
-        assert slo.availability("read", 120.0) == 1.0
-        assert len(slo.window_ops(120.0)) == 2
+        # the t=0 failure has aged out of the hour [20, 3620]
+        assert slo.availability("read", 3620.0) == 1.0
+        assert len(slo.window_ops(3620.0)) == 2
 
     def test_degraded_read_fraction(self):
         slo = self.make()

@@ -68,19 +68,11 @@ class TestRetryPolicy:
 
 
 class TestCircuitBreaker:
-    def make(self, **kw):
-        kw.setdefault("failure_threshold", 3)
-        kw.setdefault("reset_timeout", 10.0)
-        kw.setdefault("half_open_successes", 2)
-        return CircuitBreaker("p", **kw)
+    """Three consecutive failures open the breaker, a 60 s cooldown admits
+    a half-open probe, and two half-open successes close it."""
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker("p", failure_threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker("p", reset_timeout=0.0)
-        with pytest.raises(ValueError):
-            CircuitBreaker("p", half_open_successes=0)
+    def make(self):
+        return CircuitBreaker("p")
 
     def test_opens_after_threshold_consecutive_failures(self):
         b = self.make()
@@ -105,19 +97,19 @@ class TestCircuitBreaker:
         for t in (1.0, 2.0, 3.0):
             b.record_failure(t)
         assert not b.allow(5.0)
-        assert not b.would_allow(5.0)
-        assert b.would_allow(13.5)
+        assert not b.would_allow(62.5)
+        assert b.would_allow(63.0)
         assert b.state == BreakerState.OPEN  # would_allow never mutates
 
     def test_half_open_probe_then_close(self):
         b = self.make()
         for t in (1.0, 2.0, 3.0):
             b.record_failure(t)
-        assert b.allow(14.0)  # cooldown expired -> half-open probe admitted
+        assert b.allow(64.0)  # cooldown expired -> half-open probe admitted
         assert b.state == BreakerState.HALF_OPEN
-        b.record_success(14.5)
+        b.record_success(64.5)
         assert b.state == BreakerState.HALF_OPEN  # needs 2 successes
-        b.record_success(15.0)
+        b.record_success(65.0)
         assert b.state == BreakerState.CLOSED
         assert [s for _, s in b.transitions] == [
             BreakerState.OPEN,
@@ -129,19 +121,19 @@ class TestCircuitBreaker:
         b = self.make()
         for t in (1.0, 2.0, 3.0):
             b.record_failure(t)
-        b.allow(14.0)
-        b.record_failure(14.5)
+        b.allow(64.0)
+        b.record_failure(64.5)
         assert b.state == BreakerState.OPEN
-        assert not b.would_allow(20.0)  # cooldown restarted at 14.5
-        assert b.would_allow(24.5)
+        assert not b.would_allow(120.0)  # cooldown restarted at 64.5
+        assert b.would_allow(124.5)
 
     def test_failure_while_open_restarts_cooldown(self):
         b = self.make()
         for t in (1.0, 2.0, 3.0):
             b.record_failure(t)
         b.record_failure(9.0)  # forced traffic (heal) still failing
-        assert not b.would_allow(13.5)
-        assert b.would_allow(19.0)
+        assert not b.would_allow(63.5)
+        assert b.would_allow(69.0)
 
     def test_success_while_open_closes_immediately(self):
         # The consistency-update replay bypasses the breaker; a confirmed
@@ -154,20 +146,18 @@ class TestCircuitBreaker:
 
 
 class TestProviderHealth:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ProviderHealth("p", alpha=0.0)
+    """The EWMAs smooth by 0.2; the penalty weighs errors by 4."""
 
     def test_error_rate_ewma(self):
-        h = ProviderHealth("p", alpha=0.5)
+        h = ProviderHealth("p")
         h.record_attempt(False)
-        assert h.error_rate == pytest.approx(0.5)
+        assert h.error_rate == pytest.approx(0.2)
         h.record_attempt(True)
-        assert h.error_rate == pytest.approx(0.25)
+        assert h.error_rate == pytest.approx(0.16)
 
     def test_slowdown_tracks_ratio(self):
-        h = ProviderHealth("p", alpha=0.5)
-        for _ in range(20):
+        h = ProviderHealth("p")
+        for _ in range(30):
             h.record_latency(observed=3.0, expected=1.0)
         assert h.slowdown == pytest.approx(3.0, rel=0.01)
         assert h.p95_slowdown() >= h.slowdown
@@ -179,16 +169,26 @@ class TestProviderHealth:
         assert h.slowdown == 1.0
 
     def test_penalty_combines_signals(self):
-        h = ProviderHealth("p", alpha=1.0)
+        h = ProviderHealth("p")
         assert h.penalty() == pytest.approx(1.0)  # healthy: no penalty
-        h.record_latency(observed=2.0, expected=1.0)
-        h.record_attempt(False)
-        assert h.penalty(error_weight=4.0) == pytest.approx(2.0 * 5.0)
+        h.record_latency(observed=2.0, expected=1.0)  # slowdown 1.2
+        h.record_attempt(False)  # error rate 0.2
+        assert h.penalty() == pytest.approx(1.2 * (1.0 + 4.0 * 0.2))
+
+    def test_p95_is_mean_plus_two_deviations(self):
+        h = ProviderHealth("p")
+        h.record_latency(observed=3.0, expected=1.0)
+        # slowdown 1 + 0.2 * 2 = 1.4; deviation 0.2 * |3 - 1.4| = 0.32
+        assert h.slowdown == pytest.approx(1.4)
+        assert h.slowdown_dev == pytest.approx(0.32)
+        assert h.p95_slowdown() == pytest.approx(1.4 + 2.0 * 0.32)
 
     def test_p95_floor_is_one(self):
-        h = ProviderHealth("p", alpha=1.0)
-        h.record_latency(observed=0.5, expected=1.0)  # faster than expected
-        assert h.p95_slowdown() >= 1.0
+        h = ProviderHealth("p")
+        for _ in range(10):  # faster than expected
+            h.record_latency(observed=0.5, expected=1.0)
+        assert h.slowdown + 2.0 * h.slowdown_dev < 1.0
+        assert h.p95_slowdown() == 1.0
 
 
     def test_gauges_are_bound_on_the_first_sample(self, monkeypatch):
@@ -220,31 +220,9 @@ class TestProviderHealth:
 class TestResilienceConfig:
     def test_defaults_mirror_seed_behaviour(self):
         cfg = ResilienceConfig()
-        # probe policy = 6 immediate attempts (the old hard-coded loop)
-        assert cfg.probe_retry.max_attempts == 6
-        assert cfg.probe_retry.backoff(0) == 0.0
+        assert cfg.retry == RetryPolicy()
         assert not cfg.hedge_reads
-
-    def test_factories_apply_knobs(self):
-        cfg = ResilienceConfig(
-            breaker_failure_threshold=5,
-            breaker_reset_timeout=7.0,
-            breaker_half_open_successes=3,
-            health_alpha=0.4,
-        )
-        b = cfg.make_breaker("x")
-        assert b.failure_threshold == 5
-        assert b.reset_timeout == 7.0
-        assert b.half_open_successes == 3
-        assert cfg.make_health("x").alpha == 0.4
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ResilienceConfig(hedge_min_delay_factor=0.5)
-        with pytest.raises(ValueError):
-            ResilienceConfig(hedge_quantile_dev=-1.0)
-        with pytest.raises(ValueError):
-            ResilienceConfig(health_error_weight=-1.0)
+        assert cfg.write_log_memory_limit is None
 
 
 class TestOpDeadline:

@@ -110,18 +110,9 @@ class TestBackoffAtSchemeLevel:
 
 
 class TestBreakerIntegration:
-    def _breaker_config(self):
-        return ResilienceConfig(
-            breaker_failure_threshold=2,
-            breaker_reset_timeout=5.0,
-            breaker_half_open_successes=1,
-        )
-
     def test_outage_trips_breaker_and_fast_fails(self):
         clock = SimClock()
-        scheme = SingleCloudScheme(
-            _flaky(clock, OutageWindow(0.0, 60.0)), clock, resilience=self._breaker_config()
-        )
+        scheme = SingleCloudScheme(_flaky(clock, OutageWindow(0.0, 60.0)), clock)
         for i in range(5):
             scheme.put(f"/d/f{i}", bytes(KB))
         breaker = scheme._breakers["flaky"]
@@ -134,13 +125,13 @@ class TestBreakerIntegration:
 
     def test_fast_fail_costs_no_wire_time(self):
         clock = SimClock()
-        scheme = SingleCloudScheme(
-            _flaky(clock, OutageWindow(0.0, 60.0)), clock, resilience=self._breaker_config()
-        )
+        scheme = SingleCloudScheme(_flaky(clock, OutageWindow(0.0, 60.0)), clock)
         scheme.put("/d/a", bytes(KB))
-        scheme.put("/d/b", bytes(KB))  # trips the breaker (threshold 2)
+        scheme.put("/d/b", bytes(KB))
+        scheme.put("/d/c", bytes(KB))  # trips the breaker (threshold 3)
+        assert scheme._breakers["flaky"].state == BreakerState.OPEN
         t0 = clock.now
-        report = scheme.put("/d/c", bytes(KB))
+        report = scheme.put("/d/d", bytes(KB))
         assert clock.now == t0  # breaker open: no request left the client
         assert report.elapsed == 0.0
 
@@ -150,16 +141,23 @@ class TestBreakerIntegration:
         # and recovery has to walk the genuine open -> half-open -> closed path.
         clock = SimClock()
         provider = _flaky(clock)
-        scheme = SingleCloudScheme(provider, clock, resilience=self._breaker_config())
+        scheme = SingleCloudScheme(provider, clock)
         scheme.put("/d/a", bytes(KB))
         provider.faults.add(TransientErrorBurst(clock.now, clock.now + 10.0, rate=0.999))
         breaker = scheme._breakers["flaky"]
         while breaker.state != BreakerState.OPEN:
             with pytest.raises(DataUnavailable):
                 scheme.get("/d/a")
-        clock.advance(20.0)  # cooldown (5s) expired: the next read is the probe
+        opened = clock.now
+        clock.advance(59.0)  # inside the 60 s cooldown: still fast-failed
+        with pytest.raises(DataUnavailable):
+            scheme.get("/d/a")
+        assert [s for _, s in breaker.transitions] == [BreakerState.OPEN]
+        clock.advance(opened + 61.0 - clock.now)  # cooldown over: half-open probe
         got, _ = scheme.get("/d/a")
         assert got == bytes(KB)
+        assert breaker.state == BreakerState.HALF_OPEN  # one success of two
+        got, _ = scheme.get("/d/a")
         assert breaker.state == BreakerState.CLOSED
         assert [s for _, s in breaker.transitions] == [
             BreakerState.OPEN,
@@ -174,15 +172,14 @@ class TestBreakerIntegration:
         # the heal replay runs first (breaker bypassed) and its success is
         # decisive evidence, closing the breaker without a half-open stop.
         clock = SimClock()
-        scheme = SingleCloudScheme(
-            _flaky(clock, OutageWindow(0.0, 10.0)), clock, resilience=self._breaker_config()
-        )
+        scheme = SingleCloudScheme(_flaky(clock, OutageWindow(0.0, 10.0)), clock)
         scheme.put("/d/a", bytes(KB))
         scheme.put("/d/b", bytes(KB))
+        scheme.put("/d/c", bytes(KB))
         breaker = scheme._breakers["flaky"]
         assert breaker.state == BreakerState.OPEN
-        clock.advance(20.0)  # outage over and cooldown expired
-        scheme.put("/d/c", bytes(KB))
+        clock.advance(20.0)  # outage over, cooldown not: only the heal gets in
+        scheme.put("/d/e", bytes(KB))
         assert breaker.state == BreakerState.CLOSED
         assert [s for _, s in breaker.transitions] == [
             BreakerState.OPEN,
@@ -194,16 +191,12 @@ class TestBreakerIntegration:
         """The consistency update must run even while the breaker is open —
         and its success closes the breaker without waiting for the cooldown."""
         clock = SimClock()
-        cfg = ResilienceConfig(
-            breaker_failure_threshold=2,
-            breaker_reset_timeout=1e6,  # would never half-open by timer
-            breaker_half_open_successes=1,
-        )
-        scheme = SingleCloudScheme(_flaky(clock, OutageWindow(0.0, 10.0)), clock, resilience=cfg)
+        scheme = SingleCloudScheme(_flaky(clock, OutageWindow(0.0, 10.0)), clock)
         scheme.put("/d/a", bytes(KB))
         scheme.put("/d/b", bytes(KB))
+        scheme.put("/d/c", bytes(KB))
         assert scheme._breakers["flaky"].state == BreakerState.OPEN
-        clock.advance(15.0)  # outage over, breaker still open
+        clock.advance(15.0)  # outage over, breaker still open (60 s cooldown)
         scheme.heal_returned()
         assert not scheme.pending_log("flaky")
         assert scheme._breakers["flaky"].state == BreakerState.CLOSED
@@ -257,19 +250,6 @@ class TestContainerInitWriteLog:
 
 
 class TestEvaluatorRetryPolicy:
-    def test_probe_policy_comes_from_config(self):
-        clock = SimClock()
-        fleet = make_table2_cloud_of_clouds(clock)
-        probe = RetryPolicy(max_attempts=9, base_delay=0.0, max_delay=0.0, jitter=0.0)
-        cfg = HyRDConfig(resilience=ResilienceConfig(probe_retry=probe))
-        ev = CostPerformanceEvaluator(list(fleet.values()), cfg)
-        assert ev.retry_policy is probe
-        override = RetryPolicy(max_attempts=2)
-        ev2 = CostPerformanceEvaluator(
-            list(fleet.values()), cfg, retry_policy=override
-        )
-        assert ev2.retry_policy is override
-
     def test_probe_scores_are_deterministic_per_seed(self):
         """Regression for the hard-coded range(6) loop: two evaluators with
         the same seed converge on identical scores and classification."""
@@ -286,16 +266,20 @@ class TestEvaluatorRetryPolicy:
             )
         assert runs[0] == runs[1]
 
-    def test_single_attempt_policy_gives_up_on_flaky_provider(self):
+    def test_probe_gives_up_after_six_attempts(self):
         clock = SimClock()
         fleet = make_table2_cloud_of_clouds(clock)
-        fleet["rackspace"].faults.add(_rate(0.9))
-        cfg = HyRDConfig(
-            resilience=ResilienceConfig(probe_retry=RetryPolicy(max_attempts=1))
-        )
-        ev = CostPerformanceEvaluator(list(fleet.values()), cfg)
+        attempts = []
+
+        def failing_create(container, *, exist_ok=False):
+            attempts.append(clock.now)
+            raise TransientProviderError("rackspace", clock.now)
+
+        fleet["rackspace"].create = failing_create
+        ev = CostPerformanceEvaluator(list(fleet.values()), HyRDConfig())
         profiles = ev.evaluate()  # other providers keep it evaluable
         assert profiles["rackspace"].latency_score == float("inf")
+        assert attempts == [0.0] * 6  # no backoff between them
 
 
 class TestHealthDemotion:
@@ -412,13 +396,7 @@ class TestFaultStormEndToEnd:
         passes the write logs drain to empty."""
         clock = SimClock()
         fleet = make_table2_cloud_of_clouds(clock)
-        cfg = HyRDConfig(
-            resilience=ResilienceConfig(
-                hedge_reads=True,
-                breaker_failure_threshold=3,
-                breaker_reset_timeout=15.0,
-            )
-        )
+        cfg = HyRDConfig(resilience=ResilienceConfig(hedge_reads=True))
         scheme = HyrdScheme(list(fleet.values()), clock, config=cfg)
 
         storm = make_fault_storm(t0=clock.now, duration=3600.0, seed=5)

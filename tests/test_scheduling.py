@@ -11,8 +11,12 @@ import math
 
 import pytest
 
-from repro.core.resilience import ProviderHealth
-from repro.core.scheduling import FragmentScheduler, SchedulerConfig
+from repro.core.resilience import (
+    BREAKER_FAILURE_THRESHOLD,
+    BREAKER_RESET_TIMEOUT,
+    ProviderHealth,
+)
+from repro.core.scheduling import FragmentScheduler
 from repro.schemes import RacsScheme
 
 MB = 1024 * 1024
@@ -74,7 +78,7 @@ class TestScoring:
         sched = racs.scheduler
         name = racs.provider_names[0]
         breaker = racs._breakers[name]
-        for _ in range(breaker.failure_threshold):
+        for _ in range(BREAKER_FAILURE_THRESHOLD):
             breaker.record_failure(clock.now)
         assert sched.score_provider(name, MB) == math.inf
 
@@ -83,13 +87,11 @@ class TestScoring:
         name = racs.provider_names[0]
         base = sched.score_provider(name, MB)
         breaker = racs._breakers[name]
-        for _ in range(breaker.failure_threshold):
+        for _ in range(BREAKER_FAILURE_THRESHOLD):
             breaker.record_failure(clock.now)
-        clock.advance(breaker.reset_timeout + 1.0)
+        clock.advance(BREAKER_RESET_TIMEOUT + 1.0)
         assert breaker.allow(clock.now)  # open -> half_open probe admitted
-        assert sched.score_provider(name, MB) == pytest.approx(
-            base * sched.config.half_open_penalty
-        )
+        assert sched.score_provider(name, MB) == pytest.approx(base * 4.0)
 
     def test_queue_wait_zero_without_observatory(self, racs):
         assert racs.scheduler.queue_wait(racs.provider_names[0]) == 0.0
@@ -128,11 +130,28 @@ class _StubObservatory:
         return self._rate.get(name, 0.0)
 
 
+def _queue_parity_at(scheme, ratio):
+    """Queue every provider so the parity fragment's penalised score is
+    ``ratio`` x the k-th best data fragment's: every data holder waits 5 s,
+    the parity holder what makes the ratio exact."""
+    by_index = _by_index(scheme)
+    k = scheme.codec.k
+    frag = scheme.codec.fragment_size(9000)
+    raw = {
+        name: scheme._estimate_latency(name, frag, "down")
+        for name in by_index.values()
+    }
+    kth = 5.0 + max(raw[by_index[i]] for i in range(k))
+    depth = {by_index[i]: 5.0 for i in range(k)}
+    for i in range(k, len(by_index)):
+        depth[by_index[i]] = ratio * kth / 1.25 - raw[by_index[i]]
+    rate = {name: 1.0 for name in by_index.values()}
+    scheme.attach_observatory(_StubObservatory(depth, rate))
+
+
 class TestDecide:
-    def test_parity_fragments_carry_decode_penalty(self, providers, clock):
-        scheme = RacsScheme(list(providers.values()), clock)
-        sched = FragmentScheduler(SchedulerConfig(rotation_margin=0.0))
-        scheme.attach_scheduler(sched)
+    def test_parity_fragments_carry_decode_penalty(self, racs):
+        scheme, sched = racs, racs.scheduler
         by_index = _by_index(scheme)
         decision = sched.decide(
             "/tie", by_index, 9000, scheme.codec, lambda i: True
@@ -144,7 +163,7 @@ class TestDecide:
         smap = dict(decision.scores)
         for idx, name in by_index.items():
             raw = sched.score_provider(name, frag)
-            expected = raw * sched.config.parity_penalty if idx >= k else raw
+            expected = raw * 1.25 if idx >= k else raw
             assert smap[idx] == pytest.approx(expected)
 
     def test_saturated_provider_priced_out(self, racs):
@@ -179,12 +198,12 @@ class TestDecide:
         assert decision.hedge is None
 
     def test_rotation_is_deterministic_and_cycles(self, providers, clock):
-        scheme = RacsScheme(list(providers.values()), clock)
-        sched = FragmentScheduler(SchedulerConfig(rotation_margin=1e9))
-        scheme.attach_scheduler(sched)
-        by_index = _by_index(scheme)
-
         def sequence(n):
+            scheme = RacsScheme(list(providers.values()), clock)
+            sched = FragmentScheduler()
+            scheme.attach_scheduler(sched)
+            by_index = _by_index(scheme)
+            _queue_parity_at(scheme, 1.1)
             return [
                 sched.decide("/hot", by_index, 9000, scheme.codec, lambda i: True).chosen
                 for _ in range(n)
@@ -193,14 +212,17 @@ class TestDecide:
         first = sequence(8)
         assert len({c for c in first}) > 1, "rotation never moved the subset"
         # Same inputs, fresh scheduler: byte-identical subset sequence.
-        scheme2 = RacsScheme(list(providers.values()), clock)
-        sched2 = FragmentScheduler(SchedulerConfig(rotation_margin=1e9))
-        scheme2.attach_scheduler(sched2)
-        second = [
-            sched2.decide("/hot", by_index, 9000, scheme2.codec, lambda i: True).chosen
-            for _ in range(8)
+        assert first == sequence(8)
+
+    @pytest.mark.parametrize("ratio, rotates", [(1.2, True), (1.3, False)])
+    def test_rotation_pool_is_the_margin(self, racs, ratio, rotates):
+        by_index = _by_index(racs)
+        _queue_parity_at(racs, ratio)
+        decisions = [
+            racs.scheduler.decide("/hot", by_index, 9000, racs.codec, lambda i: True)
+            for _ in range(4)
         ]
-        assert first == second
+        assert any(d.rotated for d in decisions) is rotates
 
     def test_rotation_counter_is_per_key(self, racs):
         sched = racs.scheduler
@@ -219,7 +241,7 @@ class TestDecide:
 
     def test_hedge_fires_when_waiting_beats_wire_cost(self, providers, clock):
         scheme = RacsScheme(list(providers.values()), clock)
-        sched = FragmentScheduler(SchedulerConfig(rotation_margin=0.0))
+        sched = FragmentScheduler()
         scheme.attach_scheduler(sched)
         by_index = _by_index(scheme)
         # Every chosen provider drowning in queue: the gating provider's
@@ -236,9 +258,30 @@ class TestDecide:
         assert decision.hedge.gating in decision.chosen
         assert decision.hedge.wait > decision.hedge.cost
 
+    @pytest.mark.parametrize("ratio, hedges", [(0.9, False), (1.5, True)])
+    def test_hedge_fires_once_the_wait_exceeds_the_backup_cost(self, racs, ratio, hedges):
+        # Every provider queues ``ratio`` x the parity backup's penalised
+        # wire cost; the backup stays winnable either way, so only the wait
+        # against the cost decides.
+        by_index = _by_index(racs)
+        k = racs.codec.k
+        frag = racs.codec.fragment_size(9000)
+        cost = 1.25 * racs._estimate_latency(by_index[k], frag, "down")
+        depth = {name: ratio * cost for name in by_index.values()}
+        rate = {name: 1.0 for name in by_index.values()}
+        racs.attach_observatory(_StubObservatory(depth, rate))
+        decision = racs.scheduler.decide(
+            "/queued", by_index, 9000, racs.codec, lambda i: True
+        )
+        assert (decision.hedge is not None) is hedges
+        if hedges:
+            assert decision.hedge.backup == k
+            assert decision.hedge.cost == pytest.approx(cost)
+            assert decision.hedge.wait == pytest.approx(ratio * cost)
+
     def test_hedge_skips_unwinnable_backup(self, providers, clock):
         scheme = RacsScheme(list(providers.values()), clock)
-        sched = FragmentScheduler(SchedulerConfig(rotation_margin=0.0))
+        sched = FragmentScheduler()
         scheme.attach_scheduler(sched)
         by_index = _by_index(scheme)
         depth = {name: 50.0 for name in scheme.provider_names}
@@ -270,17 +313,3 @@ class TestAttachDetach:
         assert returned is sched
         assert not sched.bound and scheme.scheduler is None
         assert scheme.detach_scheduler() is None  # idempotent
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SchedulerConfig(parity_penalty=0.5)
-        with pytest.raises(ValueError):
-            SchedulerConfig(rotation_margin=-0.1)
-        with pytest.raises(ValueError):
-            SchedulerConfig(half_open_penalty=0.9)
-        with pytest.raises(ValueError):
-            SchedulerConfig(hedge_margin=0.0)
-        with pytest.raises(ValueError):
-            SchedulerConfig(hedge_winnable=0.5)
-        with pytest.raises(ValueError):
-            SchedulerConfig(queue_weight=-1.0)

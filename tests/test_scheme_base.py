@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.core.resilience import BREAKER_FAILURE_THRESHOLD
 from repro.faults import OutageWindow
 from repro.maintenance.budget import TokenBucket
 from repro.maintenance.gc import OrphanSweeper
@@ -390,7 +391,7 @@ class TestRankProvidersByIndex:
         baseline = racs._rank_providers_by_index(by_index, self.SIZE, racs.codec)
         fastest = by_index[baseline[0]]
         breaker = racs._breakers[fastest]
-        for _ in range(breaker.failure_threshold):
+        for _ in range(BREAKER_FAILURE_THRESHOLD):
             breaker.record_failure(clock.now)
         assert breaker.state == "open"
         assert (
@@ -424,7 +425,7 @@ class TestRankProvidersByIndex:
         racs.attach_scheduler(FragmentScheduler())
         fastest = by_index[baseline[0]]
         breaker = racs._breakers[fastest]
-        for _ in range(breaker.failure_threshold):
+        for _ in range(BREAKER_FAILURE_THRESHOLD):
             breaker.record_failure(clock.now)
         ranked = racs._rank_providers_by_index(by_index, self.SIZE, racs.codec)
         assert ranked[-1] == baseline[0]  # fast-failed: scored infinite

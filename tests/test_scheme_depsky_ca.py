@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.resilience import BREAKER_FAILURE_THRESHOLD
 from repro.faults import OutageWindow
 from repro.schemes import DepSkyCAScheme
 from repro.schemes.base import DataUnavailable
@@ -89,7 +90,7 @@ class TestSharedDataPath:
         by_index = {idx: prov for prov, idx in entry.placements}
         fastest = by_index[ca._rank_providers_by_index(by_index, entry.size, ca.codec)[0]]
         breaker = ca._breakers[fastest]
-        for _ in range(breaker.failure_threshold):
+        for _ in range(BREAKER_FAILURE_THRESHOLD):
             breaker.record_failure(clock.now)
         assert not breaker.would_allow(clock.now)
         fast_fails = ca.collector.counter("breaker_fast_fail")

@@ -80,8 +80,6 @@ class TestSubmitAndShed:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            AdmissionController(quantum=0.0)
-        with pytest.raises(ValueError):
             AdmissionController(queue_limit=-1)
 
 
@@ -112,15 +110,15 @@ class TestDeficitRoundRobin:
         assert _drain(ac) == ["fast", "slow", "fast", "fast", "slow", "fast"]
 
     def test_drained_tenant_forfeits_residual_deficit(self):
-        ac = AdmissionController(quantum=5.0)
-        a, b = Tenant("a", "t"), Tenant("b", "t")
+        ac = AdmissionController()
+        a, b = Tenant("a", "t", weight=5.0), Tenant("b", "t", weight=5.0)
         _fill(ac, a, 1)
         _fill(ac, b, 1)
         assert _drain(ac) == ["a", "b"]
         # DRR's idle rule: a tenant that drains keeps no residual credit
-        # (each had 4.0 unspent from the 5.0 quantum).
+        # (each had 4.0 unspent from the 5.0 its weight granted).
         assert ac._deficit == {"a": 0.0, "b": 0.0}
-        # Re-arrival starts from a fresh quantum, not banked credit: each
+        # Re-arrival starts from a fresh grant, not banked credit: each
         # visit grants 5.0, enough for both queued requests back to back.
         _fill(ac, a, 2)
         _fill(ac, b, 2)

@@ -181,7 +181,7 @@ class TestTrafficGenerator:
         assert ops_a[0][0] == "put"  # first op always ingests
 
     def test_read_write_mix_tracks_ia_ratio(self):
-        cfg = TrafficConfig(tenants=4, ops_per_tenant=500, read_request_ratio=3.5)
+        cfg = TrafficConfig(tenants=4, ops_per_tenant=500)
         gen = TrafficGenerator(cfg, seed=0)
         kinds = [k for tid in gen.tenant_ids for k, _, _ in gen._stream(tid)]
         reads = kinds.count("get")
